@@ -76,17 +76,6 @@ def _d_samples(text):
     return values
 
 
-def _default_threads():
-    raw = os.environ.get("DCPOLY_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
-
-
 def write_text(text, path):
     """Print to stdout, or write the file atomically via a rename."""
     if path is None:
@@ -225,6 +214,11 @@ def _cmd_ratios(args):
 
 
 def _cmd_verify(args):
+    minimum = verify.min_order(args.suite)
+    if args.order < minimum:
+        args.command_parser.error(
+            "suite %s needs --order of at least %d" % (args.suite, minimum)
+        )
     results = verify.run_suites(
         [args.suite],
         order=args.order,
@@ -286,7 +280,7 @@ def _build_parser():
     census.add_argument(
         "--threads",
         type=_positive_int,
-        default=_default_threads(),
+        default=os.environ.get("DCPOLY_THREADS"),
         help="worker processes; affects runtime only, never output"
         " (default from DCPOLY_THREADS)",
     )
@@ -331,7 +325,7 @@ def _build_parser():
     check.add_argument(
         "--threads",
         type=_positive_int,
-        default=_default_threads(),
+        default=os.environ.get("DCPOLY_THREADS"),
         help="worker processes for the exhaustive cross-check",
     )
     check.set_defaults(handler=_cmd_verify, command_parser=check)

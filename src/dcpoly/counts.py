@@ -56,16 +56,6 @@ class CountTable:
         else:
             del self.counts[key]
 
-    def merge(self, other):
-        """Fold another table into this one in place."""
-        for key, count in other.counts.items():
-            new = self.counts.get(key, 0) + count
-            if new:
-                self.counts[key] = new
-            else:
-                del self.counts[key]
-        return self
-
     def items(self):
         return self.counts.items()
 

@@ -13,14 +13,17 @@ its two nose cells (see ``counts.NoseClass``):
 
 Each series lives in ``ZPolySeries`` form: x marks perimeter, d marks
 occupied diagonals, and z marks the cells on the final diagonal.  One
-update step rebuilds each class from the previous triple by summing,
-over every way of appending a new run to a shape, the perimeter growth
-4b - 2a for a run of b new cells sharing a contacts with the old run.
-Grouping those sums by nose class turns the transfer into a fixed
-combination of the tail operators and two geometric kernels in x^4 z.
-Iterating from zero converges exactly: after t steps every shape with
-at most t+1 diagonals is accounted for, and the x-truncation bounds how
-many diagonals can matter.
+transfer step appends a diagonal to every shape by summing, over every
+way of placing a new run, the perimeter growth 4b - 2a for a run of b
+new cells sharing a contacts with the old run.  Grouping those sums by
+nose class turns the transfer into a fixed combination of the tail
+operators and the rational kernel 1/(1 - x^4 z), applied to a series
+by the recurrence out_m = s_m + x^4 out_{m-1}.  The transfer is
+affine, T(F) = T(0) + L(F): T(0) counts the two-diagonal shapes and L
+adds one diagonal.  So the fixed point is built one diagonal at a
+time, delta_0 = T(0) and delta_{t+1} = L(delta_t), summed until a
+delta vanishes, which the x-truncation guarantees because every extra
+diagonal adds perimeter.
 """
 
 from dataclasses import dataclass
@@ -59,37 +62,60 @@ class GFTriple:
             (NoseClass.ZERO, self.zero_nose),
         )
 
+    def is_zero(self):
+        return all(series.is_zero() for _, series in self.classes())
 
-def _geometric(order):
-    """sum over j of x^(4j) z^j, the run-extension kernel."""
-    return ZPolySeries(
-        [BiPoly.monomial(1, 0, 4 * j, order) for j in range(order // 4 + 1)],
+    def __add__(self, other):
+        return GFTriple(
+            self.two_nose + other.two_nose,
+            self.one_nose + other.one_nose,
+            self.zero_nose + other.zero_nose,
+            self.order,
+            self.track_diagonals,
+        )
+
+
+def _times_geometric(series):
+    """Multiply by the run-extension kernel 1/(1 - x^4 z).
+
+    Runs out_m = s_m + x^4 out_{m-1} until the x-truncation clears it.
+    """
+    order = series.order
+    coeffs = series.z_coeffs()
+    out = []
+    carry = BiPoly.zero(order)
+    while len(out) < len(coeffs) or not carry.is_zero():
+        if len(out) < len(coeffs):
+            carry = carry + coeffs[len(out)]
+        out.append(carry)
+        carry = carry.mul_monomial(1, 0, 4)
+    return ZPolySeries(out, order)
+
+
+def _constant_step(order, track_diagonals):
+    """T(0): the shapes with exactly two diagonals."""
+    dd = 2 if track_diagonals else 0
+    geo = _times_geometric(ZPolySeries([BiPoly.monomial(1, 0, 0, order)], order))
+    return GFTriple(
+        geo.monomial_scaled(1, dd, 8, 2),
+        geo.monomial_scaled(2, dd, 6, 1),
+        geo.monomial_scaled(1, dd, 8, 1),
         order,
+        track_diagonals,
     )
 
 
-def _geometric_squared(order):
-    """sum over j of (j+1) x^(4j) z^j."""
-    return ZPolySeries(
-        [BiPoly.monomial(j + 1, 0, 4 * j, order) for j in range(order // 4 + 1)],
-        order,
-    )
-
-
-def rhs_step(triple):
-    """One transfer step: rebuild the triple from the previous one.
+def _linear_step(triple):
+    """L(F): append one diagonal to every shape counted by F.
 
     The new-run sums over (overlap, length) decompose, class by class,
-    into tail operators of the old series times monomials and the two
-    geometric kernels.  Only four large series products appear; the
-    rest is linear work.
+    into tail operators of the old series times monomials and the
+    kernel 1/(1 - x^4 z), applied once or twice.  Every term carries
+    one factor of d: shapes with k diagonals map to k + 1.
     """
-    order = triple.order
     du = 1 if triple.track_diagonals else 0
     a_two, b_one, c_zero = triple.two_nose, triple.one_nose, triple.zero_nose
 
-    geo = _geometric(order)
-    geo2 = _geometric_squared(order)
     t1_a = a_two.tail_sum()
     t1_b = b_one.tail_sum()
     t1_c = c_zero.tail_sum()
@@ -97,20 +123,18 @@ def rhs_step(triple):
     t2_b = b_one.tail_weighted()
     t2_c = c_zero.tail_weighted()
 
-    geo2_a = geo2 * a_two
-    geo_b = geo * b_one
-    geo_t1a = geo * t1_a
-    geo_t1b = geo * t1_b
+    geo2_a = _times_geometric(_times_geometric(a_two))
+    geo_b = _times_geometric(b_one)
+    geo_t1a = _times_geometric(t1_a)
+    geo_t1b = _times_geometric(t1_b)
 
     new_two = (
-        geo.monomial_scaled(1, 2 * du, 8, 2)
-        + geo2_a.monomial_scaled(1, du, 4, 1)
+        geo2_a.monomial_scaled(1, du, 4, 1)
         + geo_b.monomial_scaled(1, du, 4, 1)
         + c_zero.monomial_scaled(1, du, 4, 1)
     )
     new_one = (
-        geo.monomial_scaled(2, 2 * du, 6, 1)
-        + geo_t1a.monomial_scaled(2, du, 2, 1)
+        geo_t1a.monomial_scaled(2, du, 2, 1)
         + geo2_a.monomial_scaled(2, du, 6, 1)
         + geo_t1b.monomial_scaled(1, du, 2, 1)
         + t1_b.monomial_scaled(1, du, 2, 1)
@@ -118,15 +142,22 @@ def rhs_step(triple):
         + t1_c.monomial_scaled(2, du, 2, 1)
     )
     new_zero = (
-        geo.monomial_scaled(1, 2 * du, 8, 1)
-        + t2_a.monomial_scaled(1, du, 0, 0)
+        t2_a.monomial_scaled(1, du, 0, 0)
         + geo_t1a.monomial_scaled(2, du, 4, 1)
         + geo2_a.monomial_scaled(1, du, 8, 1)
         + t2_b.monomial_scaled(1, du, 0, 0)
         + geo_t1b.monomial_scaled(1, du, 4, 1)
         + t2_c.monomial_scaled(1, du, 0, 0)
     )
-    return GFTriple(new_two, new_one, new_zero, order, triple.track_diagonals)
+    return GFTriple(new_two, new_one, new_zero, triple.order, triple.track_diagonals)
+
+
+def rhs_step(triple):
+    """One transfer step T(F) = T(0) + L(F): rebuild the triple from F.
+
+    ``solve`` applies the two parts of the affine step separately.
+    """
+    return _constant_step(triple.order, triple.track_diagonals) + _linear_step(triple)
 
 
 def check_invariants(triple):
@@ -166,21 +197,25 @@ def check_invariants(triple):
 
 
 def solve(order, track_diagonals=True):
-    """Iterate the transfer from zero until the triple stops changing.
+    """Sum the census one diagonal at a time until nothing is left to add.
 
-    Exact arithmetic plus truncation makes the fixed point literal: two
-    consecutive iterates compare equal.  Each step extends the census
-    by one more diagonal, so the loop is bounded by the truncation.
+    Starting from the two-diagonal shapes delta_0 = T(0), each
+    delta_{t+1} = L(delta_t), so delta_t holds exactly the shapes with
+    t + 2 diagonals and the fixed point of ``rhs_step`` is the sum of
+    the deltas.  A shape with k diagonals has perimeter at least 2k + 2,
+    so the x-truncation makes some delta zero within the loop's bound.
+    Every partial sum is checked with ``check_invariants``.
     """
     if order < 4:
         raise ValueError("order must be at least 4 to see any polyomino")
-    triple = GFTriple.empty(order, track_diagonals)
+    delta = _constant_step(order, track_diagonals)
+    total = GFTriple.empty(order, track_diagonals)
     for _ in range(order + 2):
-        nxt = rhs_step(triple)
-        check_invariants(nxt)
-        if nxt == triple:
-            return triple
-        triple = nxt
+        if delta.is_zero():
+            return total
+        total = total + delta
+        check_invariants(total)
+        delta = _linear_step(delta)
     raise NonConvergenceError("no fixed point within %d steps" % (order + 2))
 
 

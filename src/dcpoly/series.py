@@ -15,13 +15,14 @@ Three coefficient domains cover every computation here:
 * ``ZPolySeries``: a polynomial in a third variable ``z`` whose
   coefficients are ``BiPoly`` values.  The layered iteration keeps its
   generating functions in this shape, with ``z`` marking cells on the
-  active diagonal.  The two tail operators it needs,
+  active diagonal.  It needs only linear operations on them: sums,
+  monomial multiples, and the two tail operators
 
       tail_sum:      z^m  |->  sum of coefficients s_k with k > m,
       tail_weighted: z^m  |->  sum of (k - m) s_k with k > m (m >= 1),
 
-  are finite sums here, computed by suffix-sum recurrences, so the
-  substitution never divides by ``z``.
+  which are finite sums here, computed by suffix-sum recurrences, so
+  the substitution never divides by ``z``.
 """
 
 from fractions import Fraction
@@ -148,30 +149,6 @@ class QuadExt:
         if self.b == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.disc))
-
-    def is_positive(self):
-        if self.b == 0:
-            return self.a > 0
-        if self.a >= 0 and self.b >= 0:
-            return self.a > 0 or self.b > 0
-        if self.a <= 0 and self.b <= 0:
-            return False
-        # opposite signs: compare a^2 with b^2 * disc on the correct side
-        if self.a > 0:
-            return self.a * self.a > self.b * self.b * self.disc
-        return self.b * self.b * self.disc > self.a * self.a
-
-    def __gt__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).is_positive()
-
-    def __lt__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return (o - self).is_positive()
 
     def __repr__(self):
         return "QuadExt(%s, %s, %d)" % (self.a, self.b, self.disc)
@@ -537,31 +514,6 @@ class ZPolySeries:
             order,
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, ZPolySeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        n = max(len(self.zc), len(other.zc))
-        return ZPolySeries(
-            [self._coeff(m, order) - other._coeff(m, order) for m in range(n)],
-            order,
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, ZPolySeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        if not self.zc or not other.zc:
-            return ZPolySeries.zero(order)
-        accs = [dict() for _ in range(len(self.zc) + len(other.zc) - 1)]
-        for i, a in enumerate(self.zc):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.zc):
-                if not b.is_zero():
-                    BiPoly._mul_into(accs[i + j], a.terms, b.terms, order)
-        return ZPolySeries([BiPoly(t, order) for t in accs], order)
-
     def scaled(self, c):
         return ZPolySeries([b.scaled(c) for b in self.zc], self.order)
 
@@ -602,14 +554,6 @@ class ZPolySeries:
         acc = BiPoly.zero(self.order)
         for b in self.zc:
             acc = acc + b
-        return acc
-
-    def deriv_at_one(self):
-        """d/dz at z = 1: sum of m * s_m."""
-        acc = BiPoly.zero(self.order)
-        for m, b in enumerate(self.zc):
-            if m:
-                acc = acc + b.scaled(m)
         return acc
 
     def __eq__(self, other):

@@ -25,6 +25,11 @@ DEFAULT_ORDER = 40
 
 ORACLE_PERIMETER_CAP = 16
 
+# smallest order at which a suite's checks can all hold: the layered
+# census needs perimeter 4, and the squared-marker residual the twonose
+# suite must see first appears at x^8
+MIN_ORDER = {"kernel": 1, "twonose": 8, "columnconvex": 1, "directed": 1, "oracle": 4}
+
 
 class CheckResult(NamedTuple):
     """Outcome of one named check inside a suite."""
@@ -273,6 +278,11 @@ def oracle_suite(max_perimeter=ORACLE_PERIMETER_CAP, workers=None):
             found,
         )
     ]
+
+
+def min_order(name):
+    """The least ``order`` at which the named suite, or each of "all", can pass."""
+    return max(MIN_ORDER[n] for n in (SUITE_NAMES if name == "all" else (name,)))
 
 
 def run_suites(names, order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES, workers=None):

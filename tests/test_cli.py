@@ -104,6 +104,42 @@ def test_verify_twonose_suite_passes(capsys):
     assert "0 failed" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "twonose", "--order", "6"),
+        ("--order", "3"),
+        ("--suite", "oracle", "--order", "3"),
+    ],
+)
+def test_verify_rejects_order_below_suite_minimum(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", *argv])
+    assert exc.value.code == 2
+
+
+def test_verify_twonose_suite_passes_at_its_minimum_order(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "twonose", "--order", "8")
+    assert code == 0
+    assert out.rstrip().endswith("2 checks, 0 failed")
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+@pytest.mark.parametrize("command", ["census", "verify"])
+def test_malformed_thread_variable_is_a_usage_error(monkeypatch, raw, command):
+    monkeypatch.setenv("DCPOLY_THREADS", raw)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command])
+    assert exc.value.code == 2
+
+
+def test_thread_variable_sets_the_default(monkeypatch, capsys):
+    monkeypatch.setenv("DCPOLY_THREADS", "2")
+    code, out = run_cli(capsys, "census", "--max-perimeter", "12", "--format", "bfile")
+    assert code == 0
+    assert out == SMALL_BFILE
+
+
 def test_out_file_written_atomically(tmp_path, capsys):
     target = tmp_path / "series.bfile"
     code, out = run_cli(

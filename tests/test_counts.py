@@ -45,15 +45,6 @@ def test_project_single_and_multiple_fields():
         t.project("area")
 
 
-def test_merge_matches_itemwise_sum():
-    a, b = small_census(), small_census()
-    b.add(10, 4, NoseClass.ONE, 1, 7)
-    merged = CountTable().merge(a).merge(b)
-    assert merged.total() == a.total() + b.total()
-    assert merged.counts[(8, 3, NoseClass.ONE, 1)] == 8
-    assert merged.counts[(10, 4, NoseClass.ONE, 1)] == 7
-
-
 def test_restrict_perimeter():
     t = small_census()
     r = t.restrict_perimeter(6)

@@ -97,3 +97,22 @@ def test_solve_rejects_tiny_order():
 
 def test_convergence_error_is_exported():
     assert issubclass(NonConvergenceError, RuntimeError)
+
+
+def naive_fixed_point(order, track_diagonals):
+    """Reference: iterate the whole transfer from zero until it stops changing."""
+    triple = GFTriple.empty(order, track_diagonals)
+    for _ in range(order + 2):
+        nxt = rhs_step(triple)
+        if nxt == triple:
+            return triple
+        triple = nxt
+    raise AssertionError("reference iteration did not converge")
+
+
+@pytest.mark.parametrize(
+    "order, track_diagonals",
+    [(o, t) for o in (4, 5, 8, 16, 30) for t in (True, False)] + [(60, False)],
+)
+def test_solve_matches_naive_fixed_point(order, track_diagonals):
+    assert solve(order, track_diagonals) == naive_fixed_point(order, track_diagonals)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from dcpoly.layered import _times_geometric
 from dcpoly.series import (
     BiPoly,
     NonDivisibleError,
@@ -239,10 +240,9 @@ def test_tail_weighted_kills_constants_and_degree_one():
     assert zpoly([{}, {(1, 2): 7}], 8).tail_weighted().is_zero()
 
 
-def test_eval_and_derivative_at_one():
+def test_eval_at_one():
     S = zpoly([{}, {(0, 0): 2}, {}, {(1, 4): 1}], 8)
     assert S.eval_at_one().terms == {(0, 0): 2, (1, 4): 1}
-    assert S.deriv_at_one().terms == {(0, 0): 2, (1, 4): 3}
 
 
 def _random_zpoly(rng, deg, order):
@@ -282,17 +282,27 @@ def test_tail_operators_are_linear():
         assert combo.tail_weighted() == S.tail_weighted().scaled(a) + T.tail_weighted().scaled(b)
 
 
-def test_zpolyseries_product_against_direct_convolution():
+def test_geometric_kernel_against_direct_convolution():
+    """Once and twice, the recurrence equals the product with sum x^(4j) z^j."""
     rng = random.Random(16)
-    for _ in range(15):
-        S = _random_zpoly(rng, rng.randint(0, 5), 12)
-        T = _random_zpoly(rng, rng.randint(0, 5), 12)
-        prod = S * T
-        sc, tc = list(S.z_coeffs()), list(T.z_coeffs())
-        for m in range(len(sc) + len(tc) - 1):
-            want = BiPoly({}, 12)
+    order = 12
+    kernel = [BiPoly({(0, 4 * j): 1}, order) for j in range(order // 4 + 1)]
+
+    def convolve(sc):
+        out = []
+        for m in range(len(sc) + len(kernel) - 1):
+            want = BiPoly({}, order)
             for i, si in enumerate(sc):
-                if 0 <= m - i < len(tc):
-                    want = want + si * tc[m - i]
-            got = prod.z_coeffs()[m] if m < len(prod.z_coeffs()) else BiPoly({}, 12)
-            assert want == got
+                if 0 <= m - i < len(kernel):
+                    want = want + si * kernel[m - i]
+            out.append(want)
+        return ZPolySeries(out, order)
+
+    for _ in range(15):
+        S = _random_zpoly(rng, rng.randint(0, 5), order)
+        T = _random_zpoly(rng, rng.randint(0, 5), order)
+        for series in (S, T):
+            once = convolve(list(series.z_coeffs()))
+            assert _times_geometric(series) == once
+            twice = convolve(list(once.z_coeffs()))
+            assert _times_geometric(_times_geometric(series)) == twice
