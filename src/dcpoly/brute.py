@@ -10,22 +10,30 @@ below it.  A growing prefix of runs can therefore fall into several
 pieces that a later run reconnects, and a piece with no cell on the
 newest run is lost for good.
 
-The walk tracks exactly that: its state is the partition of the newest
-run's cells into connected blocks of the prefix.  Extending by a new
-run merges every block it touches, spawns a singleton block for each
-new cell hanging past the old run, and is discarded when some old
-block is left untouched.  A prefix is recorded as a polyomino exactly
-when the partition is a single block.  Perimeter is carried
-incrementally: a run of b cells sharing a adjacencies with the run
-below adds 4b - 2a.
+The frontier state is exactly that: the partition of the newest run's
+cells into connected blocks of the prefix.  Extending by a new run
+merges every block it touches, spawns a singleton block for each new
+cell hanging past the old run, and is discarded when some old block is
+left untouched.  A prefix is a polyomino exactly when the partition is
+a single block.  Perimeter is carried incrementally: a run of b cells
+sharing a adjacencies with the run below adds 4b - 2a.
 
-The module also enumerates two reference families the same way: chains
-of runs that can only keep or extend their window by one (the directed
-shapes, counted by diagonals) and column-convex polyominoes (contiguous
-vertical runs overlapping their neighbor), counted by perimeter.
+A child's partition is always left singletons, one merged block, right
+singletons, so few distinct states occur, and how a prefix can grow
+depends only on its state and perimeter.  ``generate`` therefore counts
+as a transfer matrix, one diagonal at a time: each layer maps (state,
+perimeter) to the number of prefixes in it, and each entry is extended
+once for all of them.  ``iter_shapes`` walks the same state machine
+shape by shape, so ``DcpShape`` can recheck every statistic from the
+cells at small bounds.
+
+The module also enumerates two reference families: chains of runs that
+can only keep or extend their window by one (the directed shapes,
+counted by diagonals, shape by shape) and column-convex polyominoes
+(contiguous vertical runs overlapping their neighbor), counted by
+perimeter with the column width as the layer state.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,22 +103,6 @@ def _children(memo, classes, budget):
     return out
 
 
-def _walk_counts(max_perimeter, memo, classes, pe, depth, tally):
-    """Depth-first count of all completions of one prefix state."""
-    budget = max_perimeter - 4
-    stack = [(classes, pe, depth)]
-    while stack:
-        classes, pe, depth = stack.pop()
-        for dpe, b, _rel, classes2, blocks2, nose in _children(memo, classes, budget):
-            pe2 = pe + dpe
-            if pe2 > max_perimeter:
-                break
-            if blocks2 == 1:
-                key = (pe2, depth + 1, nose, b)
-                tally[key] = tally.get(key, 0) + 1
-            stack.append((classes2, pe2, depth + 1))
-
-
 def _root_states(max_perimeter):
     """First-diagonal states: a run of s cells is s isolated blocks."""
     return [
@@ -118,35 +110,39 @@ def _root_states(max_perimeter):
     ]
 
 
-def _count_task(args):
-    max_perimeter, classes, pe, depth = args
-    tally = {}
-    _walk_counts(max_perimeter, {}, classes, pe, depth, tally)
-    return tally
-
-
-def generate(max_perimeter, workers=None):
+def generate(max_perimeter):
     """Census of all diagonally convex polyominoes up to a perimeter.
 
     Returns a ``CountTable`` keyed by (perimeter, diagonals, nose,
-    last_run).  With ``workers`` set, the first-diagonal subtrees run in
-    separate processes and their tallies merge in submission order; the
-    result is identical to the serial walk.
+    last_run).  Prefixes with the same frontier state and perimeter
+    have the same completions, so each layer of the count is a map from
+    (state, perimeter) to the number of prefixes with that many
+    diagonals in it.  Every entry is extended once by its memoised
+    children, its multiplicity passed on to the next layer and, for a
+    single-block child, to the tally; the count stops at the first
+    empty layer.
     """
     tally = {}
     if max_perimeter >= 4:
         tally[(4, 1, None, 1)] = 1
-    roots = _root_states(max_perimeter)
-    if workers is not None and workers > 1 and roots:
-        tasks = [(max_perimeter, classes, pe, depth) for classes, pe, depth in roots]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_count_task, tasks):
-                for key, count in part.items():
+    budget = max_perimeter - 4
+    memo = {}
+    layer = {(classes, pe): 1 for classes, pe, _ in _root_states(max_perimeter)}
+    depth = 1
+    while layer:
+        depth += 1
+        following = {}
+        for (classes, pe), count in layer.items():
+            for dpe, b, _rel, classes2, blocks2, nose in _children(memo, classes, budget):
+                pe2 = pe + dpe
+                if pe2 > max_perimeter:
+                    break
+                if blocks2 == 1:
+                    key = (pe2, depth, nose, b)
                     tally[key] = tally.get(key, 0) + count
-    else:
-        memo = {}
-        for classes, pe, depth in roots:
-            _walk_counts(max_perimeter, memo, classes, pe, depth, tally)
+                state = (classes2, pe2)
+                following[state] = following.get(state, 0) + count
+        layer = following
     return CountTable(tally)
 
 
@@ -323,7 +319,10 @@ def column_convex_counts(max_perimeter):
     Columns are contiguous vertical runs; adjacent columns must share at
     least one row.  A column of b cells overlapping its neighbor in v
     rows adds 2b + 2 - 2v to the perimeter, which is always positive,
-    so the walk is bounded by the perimeter alone.
+    so the count ends once every prefix has passed the bound.  How a
+    prefix grows depends only on its last column's width and its
+    perimeter, so each layer maps that pair to a number of prefixes and
+    is extended once per entry, one column at a time.
     """
     counts = {}
     if max_perimeter < 4:
@@ -346,18 +345,19 @@ def column_convex_counts(max_perimeter):
         memo[width] = out
         return out
 
-    stack = []
+    layer = {}
     for s in range(1, (max_perimeter - 2) // 2 + 1):
         pe = 2 * s + 2
-        if pe <= max_perimeter:
-            counts[pe] = counts.get(pe, 0) + 1
-            stack.append((s, pe))
-    while stack:
-        width, pe = stack.pop()
-        for dpe, b in children(width):
-            pe2 = pe + dpe
-            if pe2 > max_perimeter:
-                break
-            counts[pe2] = counts.get(pe2, 0) + 1
-            stack.append((b, pe2))
+        counts[pe] = 1
+        layer[(s, pe)] = 1
+    while layer:
+        following = {}
+        for (width, pe), count in layer.items():
+            for dpe, b in children(width):
+                pe2 = pe + dpe
+                if pe2 > max_perimeter:
+                    break
+                counts[pe2] = counts.get(pe2, 0) + count
+                following[(b, pe2)] = following.get((b, pe2), 0) + count
+        layer = following
     return dict(sorted(counts.items()))

@@ -5,15 +5,14 @@ Four subcommands cover the package surface:
 * ``series``  - counts from the layered functional-equation iteration,
   by perimeter alone or refined by diagonals or nose class;
 * ``census``  - the same numbers from the exhaustive generator, with an
-  optional full four-statistic breakdown and worker processes;
+  optional full four-statistic breakdown;
 * ``ratios``  - the column-convex to diagonally-convex comparison table;
 * ``verify``  - the named identity suites, one PASS/FAIL line per check.
 
 Every output is deterministic for a given set of flags: tables are
-sorted, worker counts change the runtime but never a byte of output,
-and files are written to a temporary name and renamed into place so a
-failure never leaves a partial file behind.  Exit codes: 0 on success,
-1 when a verification check fails, 2 on usage errors.
+sorted, and files are written to a temporary name and renamed into
+place so a failure never leaves a partial file behind.  Exit codes: 0
+on success, 1 when a verification check fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -182,7 +181,7 @@ def _cmd_series(args):
 
 
 def _cmd_census(args):
-    table = brute.generate(args.max_perimeter, workers=args.threads)
+    table = brute.generate(args.max_perimeter)
     fields = (
         ("perimeter", "diagonals", "nose", "last_run")
         if args.classify
@@ -220,10 +219,7 @@ def _cmd_verify(args):
             "suite %s needs --order of at least %d" % (args.suite, minimum)
         )
     results = verify.run_suites(
-        [args.suite],
-        order=args.order,
-        d_samples=args.d_samples,
-        workers=args.threads,
+        [args.suite], order=args.order, d_samples=args.d_samples
     )
     lines = []
     for r in results:
@@ -277,13 +273,6 @@ def _build_parser():
         action="store_true",
         help="break counts down by diagonals, nose class, and last run",
     )
-    census.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=os.environ.get("DCPOLY_THREADS"),
-        help="worker processes; affects runtime only, never output"
-        " (default from DCPOLY_THREADS)",
-    )
     census.set_defaults(handler=_cmd_census, command_parser=census)
 
     ratios = commands.add_parser(
@@ -313,7 +302,7 @@ def _build_parser():
         type=_positive_int,
         default=verify.DEFAULT_ORDER,
         help="truncation order for the algebraic suites; the exhaustive"
-        " cross-check caps its perimeter at 16 (default 40)",
+        " cross-checks cap their perimeter at 40 (default 40)",
     )
     check.add_argument(
         "--d-samples",
@@ -321,12 +310,6 @@ def _build_parser():
         default=verify.DEFAULT_D_SAMPLES,
         help="comma-separated rational samples for the diagonal marker"
         " (default 1,1/2,2,3)",
-    )
-    check.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=os.environ.get("DCPOLY_THREADS"),
-        help="worker processes for the exhaustive cross-check",
     )
     check.set_defaults(handler=_cmd_verify, command_parser=check)
 

@@ -23,12 +23,15 @@ DEFAULT_D_SAMPLES = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3))
 
 DEFAULT_ORDER = 40
 
-ORACLE_PERIMETER_CAP = 16
+# perimeter bound of the exhaustive cross-checks: the published range
+ORACLE_PERIMETER_CAP = 40
 
-# smallest order at which a suite's checks can all hold: the layered
-# census needs perimeter 4, and the squared-marker residual the twonose
-# suite must see first appears at x^8
-MIN_ORDER = {"kernel": 1, "twonose": 8, "columnconvex": 1, "directed": 1, "oracle": 4}
+# smallest order at which a suite's checks can all hold, or can catch a
+# wrong coefficient: the layered census needs perimeter 4, the
+# squared-marker residual the twonose suite must see first appears at
+# x^8, and a wrong coefficient of the quadratic or quartic kernel factor
+# shows only once the order reaches its x-degree, which goes up to 12
+MIN_ORDER = {"kernel": 12, "twonose": 8, "columnconvex": 1, "directed": 1, "oracle": 4}
 
 
 class CheckResult(NamedTuple):
@@ -204,7 +207,7 @@ def columnconvex_suite(order=DEFAULT_ORDER):
                     series[right],
                 )
             )
-    bound = min(order, 16)
+    bound = min(order, ORACLE_PERIMETER_CAP)
     closed = {
         k: v
         for k, v in closedform.column_convex_perimeter_counts(order).items()
@@ -264,11 +267,11 @@ def directed_suite(formula_depth=15, exhaustive_depth=4):
     return results
 
 
-def oracle_suite(max_perimeter=ORACLE_PERIMETER_CAP, workers=None):
+def oracle_suite(max_perimeter=ORACLE_PERIMETER_CAP):
     """Layered and exhaustive joint census tables, key for key."""
     triple = layered.solve(max_perimeter)
     expected = layered.joint_table(triple)
-    found = brute.generate(max_perimeter, workers=workers)
+    found = brute.generate(max_perimeter)
     return [
         _table_equal_check(
             "oracle",
@@ -285,12 +288,12 @@ def min_order(name):
     return max(MIN_ORDER[n] for n in (SUITE_NAMES if name == "all" else (name,)))
 
 
-def run_suites(names, order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES, workers=None):
+def run_suites(names, order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES):
     """Run the named suites and return their concatenated results.
 
     ``order`` is the truncation for the algebraic suites and doubles as
-    the perimeter bound for the exhaustive cross-check, which is capped
-    at 16 to keep the runtime in seconds.  The directed suite has fixed
+    the perimeter bound for the exhaustive cross-checks, which are
+    capped at 40, the published range.  The directed suite has fixed
     depths; it is exact arithmetic either way.
     """
     wanted = []
@@ -312,7 +315,5 @@ def run_suites(names, order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES, workers=
         elif name == "directed":
             results.extend(directed_suite())
         elif name == "oracle":
-            results.extend(
-                oracle_suite(min(order, ORACLE_PERIMETER_CAP), workers=workers)
-            )
+            results.extend(oracle_suite(min(order, ORACLE_PERIMETER_CAP)))
     return results

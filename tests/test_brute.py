@@ -118,7 +118,8 @@ def test_generator_agrees_with_cell_set_oracle():
 
 
 def test_generate_matches_layered_joint_table():
-    assert generate(16) == joint_table(solve(16))
+    for bound in (16, 40):
+        assert generate(bound) == joint_table(solve(bound))
 
 
 def test_shape_statistics_match_walk_tallies():
@@ -135,8 +136,8 @@ def test_shapes_are_valid_and_distinct():
     assert len(texts) == generate(14).total()
 
 
-def test_parallel_generate_is_deterministic():
-    assert generate(12, workers=2) == generate(12)
+def test_generate_is_independent_of_bound():
+    assert generate(24).restrict_perimeter(20) == generate(20)
 
 
 def test_nose_class_needs_two_diagonals():

@@ -61,19 +61,12 @@ def test_census_matches_series(capsys):
     assert out == SMALL_BFILE
 
 
-def test_census_threads_do_not_change_output(capsys):
-    base = run_cli(
-        capsys,
-        "census", "--max-perimeter", "14", "--classify", "--format", "csv",
-        "--threads", "1",
+def test_census_classified_csv(capsys):
+    code, out = run_cli(
+        capsys, "census", "--max-perimeter", "14", "--classify", "--format", "csv"
     )
-    wide = run_cli(
-        capsys,
-        "census", "--max-perimeter", "14", "--classify", "--format", "csv",
-        "--threads", "2",
-    )
-    assert base == wide
-    assert base[1].startswith("key,count\n4/1/none/1,1\n")
+    assert code == 0
+    assert out.startswith("key,count\n4/1/none/1,1\n")
 
 
 def test_ratios_csv_rows(capsys):
@@ -110,6 +103,7 @@ def test_verify_twonose_suite_passes(capsys):
         ("--suite", "twonose", "--order", "6"),
         ("--order", "3"),
         ("--suite", "oracle", "--order", "3"),
+        ("--suite", "kernel", "--order", "11"),
     ],
 )
 def test_verify_rejects_order_below_suite_minimum(argv):
@@ -124,20 +118,10 @@ def test_verify_twonose_suite_passes_at_its_minimum_order(capsys):
     assert out.rstrip().endswith("2 checks, 0 failed")
 
 
-@pytest.mark.parametrize("raw", ["abc", "0"])
-@pytest.mark.parametrize("command", ["census", "verify"])
-def test_malformed_thread_variable_is_a_usage_error(monkeypatch, raw, command):
-    monkeypatch.setenv("DCPOLY_THREADS", raw)
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command])
-    assert exc.value.code == 2
-
-
-def test_thread_variable_sets_the_default(monkeypatch, capsys):
-    monkeypatch.setenv("DCPOLY_THREADS", "2")
-    code, out = run_cli(capsys, "census", "--max-perimeter", "12", "--format", "bfile")
+def test_verify_kernel_suite_passes_at_its_minimum_order(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "kernel", "--order", "12")
     assert code == 0
-    assert out == SMALL_BFILE
+    assert out.rstrip().endswith(" 0 failed")
 
 
 def test_out_file_written_atomically(tmp_path, capsys):

@@ -127,6 +127,7 @@ def test_column_convex_counts_match_exhaustive():
     counts = column_convex_perimeter_counts(16)
     assert counts == KNOWN_COLUMN_CONVEX
     assert counts == brute.column_convex_counts(16)
+    assert column_convex_perimeter_counts(40) == brute.column_convex_counts(40)
 
 
 @pytest.mark.parametrize("variant", ("ratio", "nested", "split"))
