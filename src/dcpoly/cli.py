@@ -12,7 +12,8 @@ Four subcommands cover the package surface:
 Every output is deterministic for a given set of flags: tables are
 sorted, and files are written to a temporary name and renamed into
 place so a failure never leaves a partial file behind.  Exit codes: 0
-on success, 1 when a verification check fails, 2 on usage errors.
+on success, 1 when a verification check fails, 2 on usage errors and
+on an ``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -162,20 +163,16 @@ def _render_census(rows, fields, fmt):
 def _emit_census(args, table, fields):
     if args.format == "bfile" and fields != ("perimeter",):
         args.command_parser.error("bfile output needs plain perimeter keys")
-    rows = _census_rows(table, fields)
-    write_text(_render_census(rows, fields, args.format), args.out)
-    return 0
+    return _render_census(_census_rows(table, fields), fields, args.format), 0
 
 
 def _cmd_series(args):
     if args.by == "perimeter":
         counts = layered.perimeter_counts(args.max_perimeter)
         if args.format == "bfile":
-            write_text(emit_bfile(counts), args.out)
-            return 0
+            return emit_bfile(counts), 0
         rows = [((str(n),), counts[n]) for n in sorted(counts)]
-        write_text(_render_census(rows, ("perimeter",), args.format), args.out)
-        return 0
+        return _render_census(rows, ("perimeter",), args.format), 0
     table = layered.joint_table(layered.solve(args.max_perimeter))
     return _emit_census(args, table, SERIES_FIELDS[args.by])
 
@@ -208,8 +205,7 @@ def _cmd_ratios(args):
             for r in rows
         ]
         text = _render_table(header, body)
-    write_text(text, args.out)
-    return 0
+    return text, 0
 
 
 def _cmd_verify(args):
@@ -229,8 +225,7 @@ def _cmd_verify(args):
         lines.append(line)
     failed = sum(1 for r in results if not r.passed)
     lines.append("%d checks, %d failed" % (len(results), failed))
-    write_text("".join(line + "\n" for line in lines), args.out)
-    return 1 if failed else 0
+    return "".join(line + "\n" for line in lines), 1 if failed else 0
 
 
 def _build_parser():
@@ -331,7 +326,15 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    return args.handler(args)
+    text, code = args.handler(args)
+    try:
+        write_text(text, args.out)
+    except OSError as exc:
+        if args.out is None:
+            raise
+        args.command_parser.exit(2, "%s: error: cannot write %s: %s\n" % (
+            args.command_parser.prog, args.out, exc.strerror or exc))
+    return code
 
 
 if __name__ == "__main__":

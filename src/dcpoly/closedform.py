@@ -20,9 +20,9 @@ The diagonal marker d enters every formula polynomially, so identities
 are verified at several rational sample values rather than symbolically;
 vanishing at four samples to high x-order leaves no room for a wrong
 transcription.  All arithmetic is exact.  Roots whose constant terms are
-irrational live in a quadratic extension of the rationals; identities
-about them must come out with a vanishing irrational part, and that
-vanishing is checked, never assumed.
+irrational are ``SurdSeries`` pairs a + b*sqrt(D) of rational series; an
+identity about them holds only when both parts vanish, so the irrational
+part is checked, never assumed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .layered import NonConvergenceError, perimeter_counts
-from .series import QuadExt, XSeries
+from .series import SurdSeries, XSeries
 
 
 class Radical(NamedTuple):
@@ -76,14 +76,15 @@ class KernelRoots(NamedTuple):
     the quartic factor, labelled by the sign in front of the auxiliary
     radical.  ``aux_plus`` and ``aux_minus`` expose that auxiliary pair:
     the quartic factor splits over them into two quadratics in z, and
-    each series root solves x^4 z^2 - (aux/2) z + 1 = 0.
+    each series root solves x^4 z^2 - (aux/2) z + 1 = 0.  These four are
+    ``SurdSeries`` over Q(sqrt D), D the square-free part of 4 + d^2.
     """
 
     quadratic: XSeries
-    quartic_plus: XSeries
-    quartic_minus: XSeries
-    aux_plus: XSeries
-    aux_minus: XSeries
+    quartic_plus: SurdSeries
+    quartic_minus: SurdSeries
+    aux_plus: SurdSeries
+    aux_minus: SurdSeries
 
 
 class RatioRow(NamedTuple):
@@ -116,33 +117,11 @@ def _square_free_split(m):
     return outside, core * m
 
 
-def _exact_sqrt(value):
-    """Exact positive square root of a positive rational.
-
-    Returns a Fraction when the value is a perfect square, otherwise a
-    QuadExt over the square-free core of numerator times denominator.
-    """
-    value = Fraction(value)
-    if value <= 0:
-        raise ValueError("square root needs a positive value")
-    outside, core = _square_free_split(value.numerator * value.denominator)
-    if core == 1:
-        return Fraction(outside, value.denominator)
-    return QuadExt(0, Fraction(outside, value.denominator), core)
-
-
-def _quad_parts(series):
-    """Split a series over a quadratic extension into (rational, surd)."""
-    plain = []
-    surd = []
-    for c in series.coeff_list():
-        if isinstance(c, QuadExt):
-            plain.append(c.a)
-            surd.append(c.b)
-        else:
-            plain.append(Fraction(c))
-            surd.append(Fraction(0))
-    return XSeries(plain, series.order), XSeries(surd, series.order)
+def _kernel_radicand(d, order):
+    """Square of the kernel radical: the quadratic-factor discriminant."""
+    return XSeries.from_terms(
+        {0: 1, 4: -2, 6: -2 * d, 8: 1, 10: -2 * d, 12: d * d}, order
+    )
 
 
 def radicals(d, order):
@@ -154,9 +133,7 @@ def radicals(d, order):
     the values are honest rational series.
     """
     d = Fraction(d)
-    kernel_radicand = XSeries.from_terms(
-        {0: 1, 4: -2, 6: -2 * d, 8: 1, 10: -2 * d, 12: d * d}, order
-    )
+    kernel_radicand = _kernel_radicand(d, order)
     base_radicand = XSeries.from_terms(
         {
             0: 1,
@@ -264,21 +241,25 @@ def roots(d, order):
         raise ValueError("the diagonal-marker sample must be nonzero")
     e = d * d
     high = order + 4
-    discriminant_root = radicals(e, high).kernel.value
+    discriminant_root = _kernel_radicand(e, high).sqrt()
     numerator = XSeries.from_terms({0: 1, 4: 1, 6: -e}, high) - discriminant_root
     quadratic_root = numerator.shift_down(4) * Fraction(1, 2)
 
+    # sqrt(inner) = sqrt(4 + e) * u with u rational, as inner / (4 + e) has
+    # constant term 1; sqrt(4 + e) = (outside / denominator) * sqrt(core).
     inner = XSeries.from_terms({0: 1, 2: 1}, high) * XSeries.from_terms(
         {0: 4 + e, 2: 4 - 3 * e, 4: 4 * e}, high
     )
-    w = inner.sqrt(_exact_sqrt(4 + e))
+    u = (inner * (1 / (4 + e))).sqrt()
+    outside, core = _square_free_split((4 + e).numerator * (4 + e).denominator)
+    w = SurdSeries(XSeries.zero(high), u * Fraction(outside, (4 + e).denominator), core)
     shape = XSeries.from_terms({0: 2 + e, 2: -2 * e, 4: 2 + e, 6: 2 * e}, high)
     swing = XSeries.from_terms({0: d, 2: -d}, high) * w
     quartic_roots = []
     aux_pair = []
     for aux in (shape + swing, shape - swing):
         radicand = aux * aux - XSeries.from_terms({4: 16}, high)
-        s = radicand.sqrt(aux.coefficient(0))
+        s = radicand.sqrt((aux.a.coefficient(0), aux.b.coefficient(0)))
         quartic_roots.append((aux - s).shift_down(4) * Fraction(1, 4))
         aux_pair.append(aux.truncate(order))
     return KernelRoots(
@@ -350,7 +331,7 @@ def symmetric_identity_residuals(d, order):
     first = (r.quartic_plus + r.quartic_minus) - (shape - nested).shift_down(
         4
     ) * Fraction(1, 2)
-    one = XSeries.one(order)
+    one = SurdSeries(XSeries.one(order), XSeries.zero(order), r.quartic_plus.disc)
     reciprocal_sum = one.divide(r.quartic_plus) + one.divide(r.quartic_minus)
     second = reciprocal_sum - (shape + nested) * Fraction(1, 2)
     return first, second
@@ -399,18 +380,16 @@ def _cc_nested(r, order):
     y_squared, co = _cc_frame(r, order)
     corner = XSeries.from_terms({4: 16 * r * r}, order).divide(co * co)
     inner = (XSeries.from_terms({0: 1, 2: -2, 4: 1}, order) - corner).sqrt()
-    root_two = QuadExt(0, 1, 2)
-    outer = (XSeries.from_terms({0: 1, 2: 1}, order) + inner).sqrt(root_two)
-    fraction_part = (XSeries.one(order) * (2 * root_two)).divide(
-        XSeries.one(order) * (3 * root_two) - outer
-    )
-    full = co * (XSeries.one(order) - fraction_part)
-    plain, surd = _quad_parts(full)
-    if not surd.is_zero():
+    zero = XSeries.zero(order)
+    root_two = SurdSeries(zero, XSeries.one(order), 2)
+    outer = SurdSeries(XSeries.from_terms({0: 1, 2: 1}, order) + inner, zero, 2).sqrt((0, 1))
+    fraction_part = (root_two * 2).divide(root_two * 3 - outer)
+    full = co * (1 - fraction_part)
+    if not full.b.is_zero():
         raise ArithmeticError(
             "irrational part of the nested column-convex form did not cancel"
         )
-    return plain
+    return full.a
 
 
 def _cc_split(r, order):
@@ -433,9 +412,8 @@ def column_convex_gf(variant, r, order):
     series and differ only in how the radicals are arranged:
 
     * ``"ratio"``   - one rational prefactor and two stacked radicals;
-    * ``"nested"``  - one radical inside another, evaluated over the
-      quadratic extension by the square root of two, whose irrational
-      part must cancel (checked);
+    * ``"nested"``  - one radical inside another, evaluated over Q(sqrt 2)
+      as a ``SurdSeries``, whose irrational part must vanish (checked);
     * ``"split"``   - two independent radicals and rational arithmetic
       only, the cheapest shape for large orders.
     """

@@ -1,12 +1,17 @@
 """Exact truncated-series arithmetic used throughout the package.
 
-Three coefficient domains cover every computation here:
+Four series types cover every computation here:
 
 * ``XSeries``: a power series in one variable, truncated at a fixed order,
-  with exact coefficients (rationals, or elements of a real quadratic
-  field when a square root forces one).  Division and square root are
-  exact and refuse to proceed when the leading terms make the result
-  leave the ring.
+  with rational coefficients.  Division and square root are exact and
+  refuse to proceed when the leading terms make the result leave the
+  ring.
+
+* ``SurdSeries``: a pair a + b*sqrt(D) of ``XSeries``, for the roots
+  whose constant terms are irrational.  It adds, multiplies, divides
+  through the rational norm a^2 - D*b^2, and takes square roots from
+  a given constant root.  An identity over Q(sqrt D) holds only when
+  both parts vanish, so the irrational part is always checked.
 
 * ``BiPoly``: a polynomial in two variables ``d`` (diagonal marker) and
   ``x`` (half-perimeter marker) with integer coefficients, truncated in
@@ -45,115 +50,6 @@ class NonSquareConstantError(ValueError):
     """The constant term has no exact square root in the coefficient field."""
 
 
-def _is_rational(v):
-    return isinstance(v, (int, Fraction))
-
-
-class QuadExt:
-    """Element a + b*sqrt(disc) of a real quadratic extension of Q.
-
-    ``disc`` is a fixed positive non-square integer; all arithmetic stays
-    exact.  Values with ``b == 0`` compare equal to plain rationals and
-    combine with elements of any other discriminant.
-    """
-
-    __slots__ = ("a", "b", "disc")
-
-    def __init__(self, a, b, disc):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.disc = int(disc)
-        if self.disc <= 0:
-            raise ValueError("discriminant must be positive")
-
-    def _pair(self, other):
-        if _is_rational(other):
-            return QuadExt(other, 0, self.disc)
-        if isinstance(other, QuadExt):
-            if other.b == 0:
-                return QuadExt(other.a, 0, self.disc)
-            if self.b == 0:
-                return other
-            if other.disc != self.disc:
-                raise ValueError(
-                    "cannot mix sqrt(%d) with sqrt(%d)" % (self.disc, other.disc)
-                )
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        disc = o.disc if self.b == 0 else self.disc
-        return QuadExt(self.a + o.a, self.b + o.b, disc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.disc)
-
-    def __sub__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        disc = o.disc if self.b == 0 else self.disc
-        return QuadExt(
-            self.a * o.a + self.b * o.b * disc,
-            self.a * o.b + self.b * o.a,
-            disc,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        norm = self.a * self.a - self.b * self.b * self.disc
-        if norm == 0:
-            raise ZeroDivisionError("zero or degenerate quadratic element")
-        return QuadExt(self.a / norm, -self.b / norm, self.disc)
-
-    def __truediv__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        if not _is_rational(other):
-            return NotImplemented
-        return QuadExt(other, 0, self.disc) * self.inverse()
-
-    def __eq__(self, other):
-        if _is_rational(other):
-            return self.b == 0 and self.a == other
-        if isinstance(other, QuadExt):
-            if self.b == 0 or other.b == 0:
-                return self.a == other.a and self.b == other.b
-            return (
-                self.disc == other.disc
-                and self.a == other.a
-                and self.b == other.b
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.disc))
-
-    def __repr__(self):
-        return "QuadExt(%s, %s, %d)" % (self.a, self.b, self.disc)
-
-
 def _rational_sqrt(value):
     """Exact square root of a nonnegative rational, or None."""
     num, den = value.numerator, value.denominator
@@ -166,7 +62,7 @@ def _rational_sqrt(value):
 
 
 class XSeries:
-    """Truncated power series sum_{k<=order} c_k x^k with exact coefficients.
+    """Truncated power series sum_{k<=order} c_k x^k with rational coefficients.
 
     Binary operations truncate to the smaller of the two orders, so a
     value never claims more precision than both inputs carry.
@@ -253,7 +149,7 @@ class XSeries:
                     if b != 0:
                         out[i + j] = out[i + j] + a * b
             return XSeries(out, n)
-        if _is_rational(other) or isinstance(other, QuadExt):
+        if isinstance(other, (int, Fraction)):
             return XSeries([c * other for c in self.coeffs], self.order)
         return NotImplemented
 
@@ -293,36 +189,18 @@ class XSeries:
                 raise ValuationError("nonzero coefficient at x^%d blocks division by x^%d" % (j, k))
         return XSeries(self.coeffs[k:], self.order - k)
 
-    def sqrt(self, c0_root=None):
-        """Exact square root; the branch is fixed by the constant term.
+    def sqrt(self):
+        """Exact square root, the branch with a positive constant term.
 
-        Without a hint the constant term must be a positive rational
-        square.  Passing ``c0_root`` (for instance a ``QuadExt``) selects
-        a root of the constant term explicitly and lets the result live
-        in a quadratic extension.
+        The constant term must be a positive rational square.  A root
+        whose constant term is irrational lives over Q(sqrt D) and is
+        taken by :meth:`SurdSeries.sqrt` instead.
         """
-        c0 = self.coeffs[0]
-        if c0_root is None:
-            val = c0
-            if isinstance(val, QuadExt):
-                if val.b != 0:
-                    raise NonSquareConstantError(
-                        "constant term %r needs an explicit root hint" % (val,)
-                    )
-                val = val.a
-            if val <= 0:
-                raise NonSquareConstantError(
-                    "constant term %s is not a positive square" % (val,)
-                )
-            root = _rational_sqrt(val)
-            if root is None:
-                raise NonSquareConstantError(
-                    "constant term %s is not a rational square" % (val,)
-                )
-        else:
-            root = c0_root
-            if not root * root == c0:
-                raise ValueError("hinted root does not square to the constant term")
+        root = _rational_sqrt(self.coeffs[0])
+        if not root:
+            raise NonSquareConstantError(
+                "constant term %s is not a positive rational square" % (self.coeffs[0],)
+            )
         out = [root]
         twice = 2 * root
         for n in range(1, self.order + 1):
@@ -335,9 +213,7 @@ class XSeries:
     def __eq__(self, other):
         if not isinstance(other, XSeries):
             return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.order, self.coeffs))
@@ -347,6 +223,114 @@ class XSeries:
             "%s*x^%d" % (c, k) for k, c in enumerate(self.coeffs) if c != 0
         ]
         return "XSeries(%s; order=%d)" % (" + ".join(parts) or "0", self.order)
+
+
+class SurdSeries:
+    """Truncated series a + b*sqrt(disc) over the real quadratic field Q(sqrt disc).
+
+    ``a`` and ``b`` are rational ``XSeries`` of one order and ``disc`` is
+    a positive integer.  In ``+``, ``-`` and ``*`` an ``XSeries`` or a
+    rational reads as (x, 0); pairs over two discriminants do not mix.
+    Since sqrt(1) = 1, a pair over ``disc`` 1 folds ``b`` into ``a``.
+    """
+
+    __slots__ = ("a", "b", "disc")
+
+    def __init__(self, a, b, disc):
+        if disc <= 0 or a.order != b.order:
+            raise ValueError("a pair needs a positive discriminant and parts of one order")
+        if disc == 1:
+            a, b = a + b, XSeries.zero(a.order)
+        self.a, self.b, self.disc = a, b, disc
+
+    def _lift(self, other):
+        if isinstance(other, SurdSeries):
+            if other.disc != self.disc:
+                raise ValueError("cannot mix sqrt(%d) with sqrt(%d)" % (self.disc, other.disc))
+            return other
+        if isinstance(other, (int, Fraction)):
+            other = XSeries([other], self.a.order)
+        if not isinstance(other, XSeries):
+            raise TypeError("cannot combine a SurdSeries with %s" % type(other).__name__)
+        return SurdSeries(other, XSeries.zero(other.order), self.disc)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return SurdSeries(self.a + other.a, self.b + other.b, self.disc)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return SurdSeries(-self.a, -self.b, self.disc)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, XSeries)):
+            return SurdSeries(self.a * other, self.b * other, self.disc)
+        other = self._lift(other)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return SurdSeries(a * c + b * e * self.disc, a * e + b * c, self.disc)
+
+    __rmul__ = __mul__
+
+    def conjugate(self):
+        return SurdSeries(self.a, -self.b, self.disc)
+
+    def norm(self):
+        """a^2 - disc*b^2, the rational series self * conjugate(self)."""
+        return self.a * self.a - self.b * self.b * self.disc
+
+    def divide(self, den):
+        """Exact quotient self/den: times conjugate(den), then both parts
+        divided by the rational norm(den), whose valuation the order loses."""
+        num = self * den.conjugate()
+        norm = den.norm()
+        return SurdSeries(num.a.divide(norm), num.b.divide(norm), self.disc)
+
+    def sqrt(self, root0):
+        """Exact square root whose constant term is ``root0``.
+
+        ``root0`` is a pair (p, q) of rationals meaning p + q*sqrt(disc)
+        that squares to the constant term.  The recurrence divides by
+        2*root0 as a product with conjugate(root0) / (2 * norm(root0)).
+        """
+        p, q = Fraction(root0[0]), Fraction(root0[1])
+        disc = self.disc
+        if (p * p + disc * q * q, 2 * p * q) != (self.a.coeffs[0], self.b.coeffs[0]):
+            raise ValueError("root0 does not square to the constant term")
+        twice_norm = 2 * (p * p - disc * q * q)
+        inv_p, inv_q = p / twice_norm, -q / twice_norm
+        ra, rb = [p], [q]
+        for n in range(1, self.a.order + 1):
+            acc_a, acc_b = self.a.coeffs[n], self.b.coeffs[n]
+            for k in range(1, n):
+                acc_a -= ra[k] * ra[n - k] + disc * rb[k] * rb[n - k]
+                acc_b -= ra[k] * rb[n - k] + rb[k] * ra[n - k]
+            ra.append(acc_a * inv_p + disc * acc_b * inv_q)
+            rb.append(acc_a * inv_q + acc_b * inv_p)
+        return SurdSeries(XSeries(ra, self.a.order), XSeries(rb, self.a.order), disc)
+
+    def shift_down(self, k):
+        return SurdSeries(self.a.shift_down(k), self.b.shift_down(k), self.disc)
+
+    def truncate(self, new_order):
+        return SurdSeries(self.a.truncate(new_order), self.b.truncate(new_order), self.disc)
+
+    def valuation(self):
+        found = [v for v in (self.a.valuation(), self.b.valuation()) if v is not None]
+        return min(found, default=None)
+
+    def is_zero(self):
+        return self.a.is_zero() and self.b.is_zero()
+
+    def coefficient(self, k):
+        """The x^k coefficient as text naming both parts: ``a + b*sqrt(disc)``."""
+        return "%s + %s*sqrt(%d)" % (self.a.coefficient(k), self.b.coefficient(k), self.disc)
 
 
 class BiPoly:

@@ -29,9 +29,10 @@ ORACLE_PERIMETER_CAP = 40
 # smallest order at which a suite's checks can all hold, or can catch a
 # wrong coefficient: the layered census needs perimeter 4, the
 # squared-marker residual the twonose suite must see first appears at
-# x^8, and a wrong coefficient of the quadratic or quartic kernel factor
-# shows only once the order reaches its x-degree, which goes up to 12
-MIN_ORDER = {"kernel": 12, "twonose": 8, "columnconvex": 1, "directed": 1, "oracle": 4}
+# x^8, a wrong coefficient of the quadratic or quartic kernel factor
+# shows only once the order reaches its x-degree, which goes up to 12,
+# and every column-convex series is zero below x^4
+MIN_ORDER = {"kernel": 12, "twonose": 8, "columnconvex": 4, "directed": 1, "oracle": 4}
 
 
 class CheckResult(NamedTuple):

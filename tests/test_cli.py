@@ -104,6 +104,7 @@ def test_verify_twonose_suite_passes(capsys):
         ("--order", "3"),
         ("--suite", "oracle", "--order", "3"),
         ("--suite", "kernel", "--order", "11"),
+        ("--suite", "columnconvex", "--order", "3"),
     ],
 )
 def test_verify_rejects_order_below_suite_minimum(argv):
@@ -122,6 +123,29 @@ def test_verify_kernel_suite_passes_at_its_minimum_order(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "kernel", "--order", "12")
     assert code == 0
     assert out.rstrip().endswith(" 0 failed")
+
+
+def test_verify_columnconvex_suite_passes_at_its_minimum_order(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "columnconvex", "--order", "4")
+    assert code == 0
+    assert out.rstrip().endswith("5 checks, 0 failed")
+
+
+@pytest.mark.parametrize("missing", [False, True])
+def test_out_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, missing):
+    # a missing directory fails before the temporary file exists; an
+    # existing directory as target fails at the rename, after it
+    target = tmp_path / "no" / "x" if missing else tmp_path / "taken"
+    if not missing:
+        target.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["series", "--max-perimeter", "8", "--out", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dcpoly series: error: cannot write %s: %s\n" % (
+        target, "No such file or directory" if missing else "Is a directory")
+    assert [p for p in tmp_path.iterdir() if p.name.startswith(".dcpoly")] == []
 
 
 def test_out_file_written_atomically(tmp_path, capsys):

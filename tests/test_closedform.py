@@ -27,7 +27,7 @@ from dcpoly.closedform import (
     symmetric_identity_residuals,
     ternary_count,
 )
-from dcpoly.series import QuadExt, XSeries
+from dcpoly.series import XSeries
 
 D_SAMPLES = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3))
 
@@ -87,8 +87,17 @@ def test_roots_require_nonzero_sample():
 
 
 def test_quartic_roots_live_in_expected_extension():
-    found = roots(Fraction(1, 2), 8).aux_plus.coefficient(0)
-    assert found == QuadExt(Fraction(9, 4), Fraction(1, 4), 17)
+    aux = roots(Fraction(1, 2), 8).aux_plus
+    assert aux.disc == 17
+    assert (aux.a.coefficient(0), aux.b.coefficient(0)) == (Fraction(9, 4), Fraction(1, 4))
+
+
+@pytest.mark.parametrize("d", D_SAMPLES)
+def test_quartic_minus_is_the_conjugate_of_quartic_plus(d):
+    r = roots(d, 16)
+    assert not r.quartic_plus.b.is_zero()
+    assert r.quartic_minus.a == r.quartic_plus.a
+    assert r.quartic_minus.b == -r.quartic_plus.b
 
 
 @pytest.mark.parametrize("d", D_SAMPLES)

@@ -19,7 +19,7 @@ from dcpoly.series import (
     BiPoly,
     NonDivisibleError,
     NonSquareConstantError,
-    QuadExt,
+    SurdSeries,
     ValuationError,
     XSeries,
     ZeroValuationError,
@@ -168,29 +168,68 @@ def test_monomial_division():
         xs({3: 1}, 9).shift_down(4)
 
 
-# ---------------------------------------------------------------- QuadExt
+# ---------------------------------------------------------------- SurdSeries
 
-def test_quadext_field_arithmetic():
-    s5 = QuadExt(0, 1, 5)
-    assert (1 + s5) * (1 - s5) == -4
-    assert QuadExt(2, 1, 5) * QuadExt(-2, 1, 5) == 1
-    assert 1 / QuadExt(2, 1, 5) == QuadExt(-2, 1, 5)
-    assert (s5 * s5) == 5
-    assert (Fraction(1, 2) * s5 + s5) == QuadExt(0, Fraction(3, 2), 5)
+def surd(a_terms, b_terms, disc, order):
+    return SurdSeries(xs(a_terms, order), xs(b_terms, order), disc)
 
 
-def test_quadext_mismatched_fields_rejected():
+def assert_parts(value, a_terms, b_terms):
+    assert value.a == xs(a_terms, value.a.order)
+    assert value.b == xs(b_terms, value.b.order)
+
+
+def test_surd_series_field_arithmetic():
+    s5 = surd({}, {0: 1}, 5, 3)
+    assert_parts((1 + s5) * (1 - s5), {0: -4}, {})
+    assert_parts(surd({0: 2}, {0: 1}, 5, 3) * surd({0: -2}, {0: 1}, 5, 3), {0: 1}, {})
+    assert_parts(s5 * s5, {0: 5}, {})
+    assert_parts(Fraction(1, 2) * s5 + s5, {}, {0: Fraction(3, 2)})
+    assert_parts(s5.conjugate(), {}, {0: -1})
+    assert_parts(surd({0: 1}, {}, 5, 3).divide(surd({0: 2}, {0: 1}, 5, 3)), {0: -2}, {0: 1})
+    assert s5.norm() == xs({0: -5}, 3)
+    assert_parts(xs({1: 1}, 3) - s5, {1: 1}, {0: -1})
+
+
+def test_surd_series_mismatched_discriminants_rejected():
     with pytest.raises(ValueError):
-        QuadExt(0, 1, 5) + QuadExt(0, 1, 2)
+        surd({}, {0: 1}, 5, 3) + surd({}, {0: 1}, 2, 3)
+    with pytest.raises(ValueError):
+        surd({}, {0: 1}, 5, 3) * surd({}, {0: 1}, 2, 3)
 
 
-def test_xseries_over_quadratic_extension():
-    s2 = QuadExt(0, 1, 2)
-    # sqrt(2 + 2x) with hinted constant root sqrt(2): equals s2*(1+x)^(1/2)
-    rad = XSeries([Fraction(2), Fraction(2), Fraction(0)], 2)
-    r = rad.sqrt(c0_root=s2)
-    assert r * r == rad
-    assert r.coefficient(1) == QuadExt(0, Fraction(1, 2), 2)
+def test_surd_series_sqrt_with_pure_surd_root():
+    # sqrt(2 + 2x) with constant root sqrt(2): equals sqrt(2)*(1+x)^(1/2)
+    rad = surd({0: 2, 1: 2}, {}, 2, 6)
+    r = rad.sqrt((0, 1))
+    assert (r * r - rad).is_zero()
+    assert_parts(r.truncate(1), {}, {0: 1, 1: Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        rad.sqrt((1, 0))
+
+
+def test_surd_series_sqrt_with_mixed_root_squares_back():
+    # (3 + sqrt 5)^2 = 14 + 6 sqrt 5
+    rad = surd({0: 14, 1: 1, 3: -2}, {0: 6, 2: Fraction(1, 3)}, 5, 12)
+    r = rad.sqrt((3, 1))
+    assert (r * r - rad).is_zero()
+
+
+def test_surd_series_divide_round_trip():
+    rng = random.Random(17)
+    for _ in range(10):
+        num = surd({k: rng.randint(-5, 5) for k in range(8)},
+                   {k: rng.randint(-5, 5) for k in range(8)}, 13, 7)
+        den = surd({0: rng.randint(1, 4), 1: rng.randint(-5, 5), 4: 2},
+                   {0: rng.randint(-4, 4), 2: rng.randint(-5, 5)}, 13, 7)
+        q = num.divide(den)
+        assert q.a.order == 7
+        assert (q * den - num).is_zero()
+
+
+def test_surd_series_over_a_square_discriminant_is_rational():
+    one = surd({0: 1}, {0: 2, 1: 1}, 1, 4)
+    assert_parts(one, {0: 3, 1: 1}, {})
 
 
 # ---------------------------------------------------------------- BiPoly

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from dcpoly import verify
-from dcpoly.series import XSeries
+from dcpoly import closedform, verify
+from dcpoly.series import SurdSeries, XSeries
 
 
 def test_unknown_suite_name_rejected():
@@ -24,6 +24,21 @@ def test_failure_reports_first_offending_coefficient():
     assert not result.passed
     assert "x^3" in result.detail
     assert "-1/2" in result.detail
+
+
+def test_failure_in_the_irrational_part_names_both_parts():
+    bad = SurdSeries(XSeries.zero(6), XSeries.from_terms({3: Fraction(1, 2)}, 6), 17)
+    result = verify._series_zero_check("kernel", "demo", bad)
+    assert not result.passed
+    assert result.detail == "first offending coefficient: x^3 -> 0 + 1/2*sqrt(17)"
+
+
+def test_kernel_suite_passes_where_four_plus_d_squared_is_a_square():
+    # 4 + (3/2)^2 = (5/2)^2, so every root is rational
+    assert closedform.roots(Fraction(3, 2), 8).quartic_plus.disc == 1
+    results = verify.kernel_suite(order=16, d_samples=(Fraction(3, 2),))
+    assert len(results) == 10
+    assert all(r.passed for r in results)
 
 
 def test_kernel_suite_names_every_check():
