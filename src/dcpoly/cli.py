@@ -73,6 +73,10 @@ def _d_samples(text):
         )
     if not values:
         raise argparse.ArgumentTypeError("at least one sample is required")
+    if 0 in values:
+        raise argparse.ArgumentTypeError(
+            "samples must be nonzero: the kernel has no series roots at d=0"
+        )
     return values
 
 

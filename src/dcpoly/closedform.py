@@ -9,7 +9,10 @@ the identities that tie all routes together:
 * the kernel of the size-marked functional equation, factored into an
   x-only polynomial, a quadratic in z, and a quartic in z, together
   with the three factor roots that are genuine power series;
-* the symmetric-function identities satisfied by the two quartic roots;
+* the identities those roots satisfy: each annihilates its factor, the
+  two quartic roots span a quadratic that divides the quartic, and their
+  sum and reciprocal sum match the nested radical; ``kernel_residuals``
+  returns all seven residuals of one sample from one set of roots;
 * three printed shapes of the column-convex perimeter series, all equal
   as formal series but arranged around different radicals;
 * the algebraic fixed point counting directed shapes by diagonals, with
@@ -85,6 +88,28 @@ class KernelRoots(NamedTuple):
     quartic_minus: SurdSeries
     aux_plus: SurdSeries
     aux_minus: SurdSeries
+
+
+class KernelResiduals(NamedTuple):
+    """Residuals of the kernel-root identities at one sample.
+
+    ``quadratic``, ``quartic_plus`` and ``quartic_minus`` are the kernel
+    factors evaluated at their series roots.  ``remainder_z1`` and
+    ``remainder_z0`` are the coefficients of the quartic factor modulo
+    the monic quadratic whose roots are its two series roots.
+    ``root_sum`` and ``reciprocal_sum`` compare the sum of those roots
+    and the sum of their reciprocals with their expressions through the
+    outer nested radical at d^2, where the irrational parts cancel.
+    Every field is the zero series when the identities hold.
+    """
+
+    quadratic: XSeries
+    quartic_plus: SurdSeries
+    quartic_minus: SurdSeries
+    remainder_z1: SurdSeries
+    remainder_z0: SurdSeries
+    root_sum: SurdSeries
+    reciprocal_sum: SurdSeries
 
 
 class RatioRow(NamedTuple):
@@ -275,66 +300,40 @@ def _eval_z_poly(coeffs, z):
     return acc
 
 
-def kernel_root_residuals(d, order):
-    """Kernel factors evaluated at their series roots.
+def kernel_residuals(d, order):
+    """Every kernel-root identity at sample ``d``, from one set of roots.
 
-    Returns the quadratic factor at its root and the quartic factor at
-    both of its series roots; all three must be the zero series through
-    the requested order.
+    Builds the kernel factors, their series roots and the outer nested
+    radical at d^2 once, and returns the seven residual series of
+    :class:`KernelResiduals`; all vanish through the requested order on
+    a faithful transcription.
     """
-    factors = kernel_factors(d, order)
-    r = roots(d, order)
-    return (
-        _eval_z_poly(factors.quadratic, r.quadratic),
-        _eval_z_poly(factors.quartic, r.quartic_plus),
-        _eval_z_poly(factors.quartic, r.quartic_minus),
-    )
-
-
-def quartic_pair_remainder(d, order):
-    """Remainder of the quartic factor modulo its series-root quadratic.
-
-    Dividing the quartic factor by the monic quadratic whose roots are
-    the two power-series roots must leave a zero remainder; the
-    complementary roots live in the quotient, multiplied by x^8 so that
-    their poles never appear.  Returns the two remainder coefficients
-    (z and constant), both zero on a faithful transcription.
-    """
+    d = Fraction(d)
+    e = d * d
     factors = kernel_factors(d, order)
     r = roots(d, order)
     root_sum = r.quartic_plus + r.quartic_minus
     root_product = r.quartic_plus * r.quartic_minus
+    # divide the quartic by z^2 - root_sum*z + root_product; the
+    # complementary roots live in the quotient, times x^8 so that their
+    # poles never appear
     work = list(reversed(factors.quartic))
     for i in range(3):
         lead = work[i]
         work[i + 1] = work[i + 1] + lead * root_sum
         work[i + 2] = work[i + 2] - lead * root_product
-    return work[3], work[4]
-
-
-def symmetric_identity_residuals(d, order):
-    """Residuals of the symmetric-function identities for the quartic roots.
-
-    The sum of the two series roots, and the sum of their reciprocals,
-    are each expressible through the outer nested radical taken at the
-    squared sample; the irrational parts of the individual roots cancel
-    in both combinations.  Returns the two residual series, zero when
-    the identities hold through the requested order.
-    """
-    d = Fraction(d)
-    e = d * d
-    r = roots(d, order)
     nested = radicals(e, order + 4).nested.value
-    shape = XSeries.from_terms(
-        {0: 2 + e, 2: -2 * e, 4: 2 + e, 6: 2 * e}, order + 4
+    shape = XSeries.from_terms({0: 2 + e, 2: -2 * e, 4: 2 + e, 6: 2 * e}, order + 4)
+    return KernelResiduals(
+        _eval_z_poly(factors.quadratic, r.quadratic),
+        _eval_z_poly(factors.quartic, r.quartic_plus),
+        _eval_z_poly(factors.quartic, r.quartic_minus),
+        work[3],
+        work[4],
+        root_sum - (shape - nested).shift_down(4) * Fraction(1, 2),
+        # 1/q+ + 1/q- = (q+ + q-)/(q+ q-)
+        root_sum.divide(root_product) - (shape + nested) * Fraction(1, 2),
     )
-    first = (r.quartic_plus + r.quartic_minus) - (shape - nested).shift_down(
-        4
-    ) * Fraction(1, 2)
-    one = SurdSeries(XSeries.one(order), XSeries.zero(order), r.quartic_plus.disc)
-    reciprocal_sum = one.divide(r.quartic_plus) + one.divide(r.quartic_minus)
-    second = reciprocal_sum - (shape + nested) * Fraction(1, 2)
-    return first, second
 
 
 def _cc_frame(r, order):

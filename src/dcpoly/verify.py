@@ -35,6 +35,18 @@ ORACLE_PERIMETER_CAP = 40
 MIN_ORDER = {"kernel": 12, "twonose": 8, "columnconvex": 4, "directed": 1, "oracle": 4}
 
 
+# one check name per field of closedform.KernelResiduals, in field order
+KERNEL_RESIDUAL_CHECKS = (
+    "quadratic root annihilates its factor",
+    "quartic root (+) annihilates its factor",
+    "quartic root (-) annihilates its factor",
+    "series-root quadratic divides the quartic, z^1",
+    "series-root quadratic divides the quartic, z^0",
+    "quartic-root sum identity",
+    "quartic-root reciprocal sum identity",
+)
+
+
 class CheckResult(NamedTuple):
     """Outcome of one named check inside a suite."""
 
@@ -88,7 +100,14 @@ def _table_equal_check(suite, name, left, right):
 
 
 def kernel_suite(order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES):
-    """Radical, kernel-root, and symmetric-identity checks per sample."""
+    """Radical, kernel-root, and symmetric-identity checks per sample.
+
+    Each sample gets the three radical checks and the seven residuals of
+    ``closedform.kernel_residuals``, whose roots are built once per
+    sample; each integer sample also gets the integer-coefficient check
+    on the expanded kernel.  A zero sample raises ``ValueError``: the
+    kernel has no series roots there.
+    """
     results = []
     for d in d_samples:
         label = "d=%s" % d
@@ -101,37 +120,10 @@ def kernel_suite(order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES):
                     radical.value * radical.value - radical.radicand,
                 )
             )
-        if d == 0:
-            continue
-        residuals = closedform.kernel_root_residuals(d, order)
-        for root_name, series in zip(
-            ("quadratic root", "quartic root (+)", "quartic root (-)"), residuals
-        ):
+        residuals = closedform.kernel_residuals(d, order)
+        for name, series in zip(KERNEL_RESIDUAL_CHECKS, residuals):
             results.append(
-                _series_zero_check(
-                    "kernel",
-                    "%s annihilates its factor (%s)" % (root_name, label),
-                    series,
-                )
-            )
-        remainder = closedform.quartic_pair_remainder(d, order)
-        for power, series in zip((1, 0), remainder):
-            results.append(
-                _series_zero_check(
-                    "kernel",
-                    "series-root quadratic divides the quartic, z^%d (%s)"
-                    % (power, label),
-                    series,
-                )
-            )
-        identities = closedform.symmetric_identity_residuals(d, order)
-        for which, series in zip(("sum", "reciprocal sum"), identities):
-            results.append(
-                _series_zero_check(
-                    "kernel",
-                    "quartic-root %s identity (%s)" % (which, label),
-                    series,
-                )
+                _series_zero_check("kernel", "%s (%s)" % (name, label), series)
             )
     for d in d_samples:
         d = Fraction(d)

@@ -16,12 +16,10 @@ from dcpoly.closedform import (
     CC_VARIANTS,
     column_convex_gf,
     directed_series,
-    kernel_root_residuals,
-    quartic_pair_remainder,
+    kernel_residuals,
     radicals,
     ratio_table,
     roots,
-    symmetric_identity_residuals,
     ternary_count,
 )
 from dcpoly.series import BiPoly, XSeries, ZPolySeries
@@ -114,11 +112,7 @@ def test_criterion_06_ratio_table_matches_published_decimals():
 
 def test_criterion_07_kernel_roots_annihilate_their_factors():
     for d in D_SAMPLES:
-        for residual in kernel_root_residuals(d, 30):
-            assert residual.is_zero(), d
-        for residual in symmetric_identity_residuals(d, 30):
-            assert residual.is_zero(), d
-        for residual in quartic_pair_remainder(d, 30):
+        for residual in kernel_residuals(d, 30):
             assert residual.is_zero(), d
         # roots() divides out x^4 only after checking the numerator's
         # leading coefficients vanish, so a root reaching this point

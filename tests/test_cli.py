@@ -131,6 +131,18 @@ def test_verify_columnconvex_suite_passes_at_its_minimum_order(capsys):
     assert out.rstrip().endswith("5 checks, 0 failed")
 
 
+@pytest.mark.parametrize("samples", ["0", "1,0"])
+def test_verify_rejects_a_zero_d_sample(capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "kernel", "--order", "12", "--d-samples", samples])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [captured.err.splitlines()[-1]]
+    assert "nonzero" in errors[0]
+
+
 @pytest.mark.parametrize("missing", [False, True])
 def test_out_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, missing):
     # a missing directory fails before the temporary file exists; an

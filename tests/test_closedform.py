@@ -17,14 +17,12 @@ from dcpoly.closedform import (
     column_convex_perimeter_counts,
     directed_series,
     kernel_factors,
-    kernel_root_residuals,
+    kernel_residuals,
     kernel_sextic,
-    quartic_pair_remainder,
     radicals,
     ratio_table,
     roots,
     round_half_even,
-    symmetric_identity_residuals,
     ternary_count,
 )
 from dcpoly.series import XSeries
@@ -101,11 +99,6 @@ def test_quartic_minus_is_the_conjugate_of_quartic_plus(d):
 
 
 @pytest.mark.parametrize("d", D_SAMPLES)
-def test_kernel_root_residuals_vanish(d):
-    assert all(residual.is_zero() for residual in kernel_root_residuals(d, 16))
-
-
-@pytest.mark.parametrize("d", D_SAMPLES)
 def test_quartic_roots_solve_their_aux_quadratic(d):
     """Each series root solves x^4 z^2 - (aux/2) z + 1 = 0."""
     r = roots(d, 12)
@@ -116,14 +109,12 @@ def test_quartic_roots_solve_their_aux_quadratic(d):
         assert residual.is_zero()
 
 
+@pytest.mark.parametrize("order", (12, 16))
 @pytest.mark.parametrize("d", D_SAMPLES)
-def test_quartic_pair_remainder_vanishes(d):
-    assert all(part.is_zero() for part in quartic_pair_remainder(d, 12))
-
-
-@pytest.mark.parametrize("d", D_SAMPLES)
-def test_symmetric_identities_hold(d):
-    assert all(part.is_zero() for part in symmetric_identity_residuals(d, 12))
+def test_kernel_residuals_vanish(d, order):
+    residuals = kernel_residuals(d, order)
+    assert len(residuals) == 7
+    assert all(residual.is_zero() for residual in residuals)
 
 
 @pytest.mark.parametrize("r", (1, Fraction(1, 2)))

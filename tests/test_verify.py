@@ -49,6 +49,45 @@ def test_kernel_suite_names_every_check():
     assert len({r.name for r in results}) == len(results)
 
 
+def test_kernel_suite_rejects_a_zero_sample():
+    with pytest.raises(ValueError):
+        verify.kernel_suite(12, (0,))
+
+
+def test_kernel_suite_builds_the_roots_once_per_sample(monkeypatch):
+    calls = []
+    real = closedform.roots
+
+    def counted(d, order):
+        calls.append(d)
+        return real(d, order)
+
+    monkeypatch.setattr(closedform, "roots", counted)
+    results = verify.kernel_suite(12, (1, Fraction(1, 2)))
+    assert all(r.passed for r in results)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("which, dz, kx", [("quartic", 2, 12), ("quadratic", 1, 6)])
+def test_kernel_suite_sees_a_wrong_factor_coefficient_from_its_x_degree(
+    monkeypatch, which, dz, kx
+):
+    # a wrong x^kx coefficient of z^dz shows only from order kx on, so
+    # the quartic's x^12 term is what makes the suite's minimum order 12
+    real = closedform.kernel_factors
+
+    def bumped(d, order):
+        factors = real(d, order)
+        coeffs = list(getattr(factors, which))
+        coeffs[dz] = coeffs[dz] + XSeries.from_terms({kx: 1}, order)
+        return factors._replace(**{which: tuple(coeffs)})
+
+    monkeypatch.setattr(closedform, "kernel_factors", bumped)
+    assert kx <= verify.MIN_ORDER["kernel"]
+    assert any(not r.passed for r in verify.kernel_suite(kx, (1,)))
+    assert all(r.passed for r in verify.kernel_suite(kx - 1, (1,)))
+
+
 def test_all_dispatch_covers_every_suite():
     results = verify.run_suites(["all"], order=8, d_samples=(Fraction(1),))
     assert {r.suite for r in results} == set(verify.SUITE_NAMES)
