@@ -322,7 +322,9 @@ def column_convex_counts(max_perimeter):
     so the count ends once every prefix has passed the bound.  How a
     prefix grows depends only on its last column's width and its
     perimeter, so each layer maps that pair to a number of prefixes and
-    is extended once per entry, one column at a time.
+    is extended once per entry, one column at a time.  Offsets that give
+    a child the same width and perimeter step are merged into one child
+    with a multiplicity.
     """
     counts = {}
     if max_perimeter < 4:
@@ -334,14 +336,14 @@ def column_convex_counts(max_perimeter):
         cached = memo.get(width)
         if cached is not None:
             return cached
-        out = []
+        ways = {}
         for b in range(1, width + (budget - 2) // 2 + 2):
             for rel in range(1 - b, width):
                 v = min(width - 1, rel + b - 1) - max(0, rel) + 1
                 dpe = 2 * b + 2 - 2 * v
                 if dpe <= budget:
-                    out.append((dpe, b))
-        out.sort()
+                    ways[(dpe, b)] = ways.get((dpe, b), 0) + 1
+        out = sorted((dpe, b, n) for (dpe, b), n in ways.items())
         memo[width] = out
         return out
 
@@ -353,11 +355,11 @@ def column_convex_counts(max_perimeter):
     while layer:
         following = {}
         for (width, pe), count in layer.items():
-            for dpe, b in children(width):
+            for dpe, b, ways in children(width):
                 pe2 = pe + dpe
                 if pe2 > max_perimeter:
                     break
-                counts[pe2] = counts.get(pe2, 0) + count
-                following[(b, pe2)] = following.get((b, pe2), 0) + count
+                counts[pe2] = counts.get(pe2, 0) + count * ways
+                following[(b, pe2)] = following.get((b, pe2), 0) + count * ways
         layer = following
     return dict(sorted(counts.items()))

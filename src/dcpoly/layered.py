@@ -11,25 +11,36 @@ its two nose cells (see ``counts.NoseClass``):
     one_nose   -- exactly one of them,
     zero_nose  -- neither (the run hangs between or inside the old one).
 
-Each series lives in ``ZPolySeries`` form: x marks perimeter, d marks
-occupied diagonals, and z marks the cells on the final diagonal.  One
-transfer step appends a diagonal to every shape by summing, over every
-way of placing a new run, the perimeter growth 4b - 2a for a run of b
-new cells sharing a contacts with the old run.  Grouping those sums by
-nose class turns the transfer into a fixed combination of the tail
-operators and the rational kernel 1/(1 - x^4 z), applied to a series
-by the recurrence out_m = s_m + x^4 out_{m-1}.  The transfer is
-affine, T(F) = T(0) + L(F): T(0) counts the two-diagonal shapes and L
-adds one diagonal.  So the fixed point is built one diagonal at a
-time, delta_0 = T(0) and delta_{t+1} = L(delta_t), summed until a
-delta vanishes, which the x-truncation guarantees because every extra
-diagonal adds perimeter.
+In each series x marks perimeter, d marks occupied diagonals, and z
+marks the cells on the final diagonal.  One transfer step appends a
+diagonal to every shape by summing, over every way of placing a new
+run, the perimeter growth 4b - 2a for a run of b new cells sharing a
+contacts with the old run.  Grouping those sums by nose class turns the
+transfer into a fixed combination of the tail operators and the
+rational kernel 1/(1 - x^4 z), applied to a series by the recurrence
+out_m = s_m + x^4 out_{m-1}.  The transfer is affine, T(F) = T(0) + L(F):
+T(0) counts the two-diagonal shapes and L adds one diagonal.  So the
+fixed point is built one diagonal at a time, delta_0 = T(0) and
+delta_{t+1} = L(delta_t), summed until a delta vanishes, which the
+x-truncation guarantees because every extra diagonal adds perimeter.
+
+Every term of L carries one factor of d and T(0) carries d^2, so
+delta_t has d-degree t + 2 and the steps never touch d: tracking it only
+decides the d-row a delta is summed into.  The steps run on packed
+integers (Kronecker substitution).  A class is a list over z of Python
+ints, and slot j of each int holds the coefficient of x^(2j), since
+every perimeter is even.  A multiple of x^(2k) is then a shift by k
+slots under a mask, and a sum of polynomials is one integer sum.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counts import CountTable, NoseClass
 from .series import BiPoly, ZPolySeries
+
+CLASS_ORDER = (NoseClass.TWO, NoseClass.ONE, NoseClass.ZERO)
+MIN_Z = {NoseClass.TWO: 2, NoseClass.ONE: 1, NoseClass.ZERO: 1}
 
 
 class NonConvergenceError(RuntimeError):
@@ -50,173 +61,239 @@ class GFTriple:
     order: int
     track_diagonals: bool
 
-    @classmethod
-    def empty(cls, order, track_diagonals=True):
-        zero = ZPolySeries.zero(order)
-        return cls(zero, zero, zero, order, track_diagonals)
-
     def classes(self):
-        return (
-            (NoseClass.TWO, self.two_nose),
-            (NoseClass.ONE, self.one_nose),
-            (NoseClass.ZERO, self.zero_nose),
-        )
-
-    def is_zero(self):
-        return all(series.is_zero() for _, series in self.classes())
-
-    def __add__(self, other):
-        return GFTriple(
-            self.two_nose + other.two_nose,
-            self.one_nose + other.one_nose,
-            self.zero_nose + other.zero_nose,
-            self.order,
-            self.track_diagonals,
-        )
+        return tuple(zip(CLASS_ORDER, (self.two_nose, self.one_nose, self.zero_nose)))
 
 
-def _times_geometric(series):
-    """Multiply by the run-extension kernel 1/(1 - x^4 z).
+def _slot_bits(order):
+    """Value bits and guard bits of one slot at truncation ``order``.
 
-    Runs out_m = s_m + x^4 out_{m-1} until the x-truncation clears it.
+    Value bits.  Weigh each coefficient by x^perimeter z^run with
+    x = 2^(-3/2) and z = 4.  Then tail_sum gains at most 1/(z - 1),
+    tail_weighted z/(z - 1)^2 and the kernel 1/(1 - x^4 z), so every
+    column of L's 3x3 matrix of class-to-class gains sums to at most
+    841/900.  T(0) weighs 7/320, so all deltas together weigh less than
+    (7/320)/(1 - 841/900) < 1/2, and every count at perimeter p is
+    below 2^(3p/2)/2.
+
+    Guard bits.  In one step, each slot of every intermediate sums slots
+    of the previous delta with multiplicities adding up to at most
+    3D(D+1)/2 + 3D(J+1) + (J+1)(J+2)/2 < (order + 4)^2, where D = order/2
+    bounds the final run and J = order/4 the kernel's reach.  So if a
+    delta's slots are below 2^value_bits, nothing in the next step
+    carries into a neighbouring slot, and a slot that outgrows its value
+    bits sets a guard bit.
     """
-    order = series.order
-    coeffs = series.z_coeffs()
+    return 3 * order // 2, 2 * (order + 4).bit_length()
+
+
+class Slots:
+    """Layout of packed x-polynomials: one slot per even x-degree 0..order."""
+
+    def __init__(self, order):
+        value_bits, guard_bits = _slot_bits(order)
+        self.order = order
+        self.width = width = value_bits + guard_bits
+        self.mask = (1 << width * (order // 2 + 1)) - 1
+        repunit = self.mask // ((1 << width) - 1)
+        self.guard = (((1 << guard_bits) - 1) << value_bits) * repunit
+
+    def times(self, series, kx, dz):
+        """Multiply a z-list by x^kx z^dz, dropping what passes the truncation."""
+        shift, mask = self.width * kx // 2, self.mask
+        return [0] * dz + [(v << shift) & mask for v in series]
+
+    def unpack(self, v):
+        """The nonzero slots of v as {x-degree: coefficient}, in degree order."""
+        out = {}
+        slot = (1 << self.width) - 1
+        kx = 0
+        while v:
+            if v & slot:
+                out[kx] = v & slot
+            v >>= self.width
+            kx += 2
+        return out
+
+
+class PackedSum(NamedTuple):
+    """``rows[c][kd][m]``: the d^kd z^m coefficient of class ``CLASS_ORDER[c]``."""
+
+    slots: Slots
+    track_diagonals: bool
+    rows: tuple
+
+
+def _add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    return [u + v for u, v in zip(p, q)] + p[len(q):]
+
+
+def _trim(series):
+    while series and not series[-1]:
+        series.pop()
+    return series
+
+
+def _times_geometric(series, slots):
+    """Multiply a z-list by 1/(1 - x^4 z): out_m = s_m + x^4 out_{m-1}."""
+    shift, mask = 2 * slots.width, slots.mask
     out = []
-    carry = BiPoly.zero(order)
-    while len(out) < len(coeffs) or not carry.is_zero():
-        if len(out) < len(coeffs):
-            carry = carry + coeffs[len(out)]
+    carry = 0
+    for v in series:
+        carry += v
         out.append(carry)
-        carry = carry.mul_monomial(1, 0, 4)
-    return ZPolySeries(out, order)
+        carry = (carry << shift) & mask
+    while carry:
+        out.append(carry)
+        carry = (carry << shift) & mask
+    return out
 
 
-def _constant_step(order, track_diagonals):
+def _tail_sum(series):
+    """z^m coefficient becomes sum_{k>m} s_k, for m = 0..D-1."""
+    out = series[1:]
+    for m in range(len(out) - 2, -1, -1):
+        out[m] += out[m + 1]
+    return out
+
+
+def _tail_weighted(series):
+    """z^m coefficient becomes sum_{k>m} (k-m) s_k, for m >= 1: the
+    suffix sums of ``_tail_sum``."""
+    out = _tail_sum(series)
+    for m in range(len(out) - 2, 0, -1):
+        out[m] += out[m + 1]
+    return [0] + out[1:]
+
+
+def _constant_step(slots):
     """T(0): the shapes with exactly two diagonals."""
-    dd = 2 if track_diagonals else 0
-    geo = _times_geometric(ZPolySeries([BiPoly.monomial(1, 0, 0, order)], order))
-    return GFTriple(
-        geo.monomial_scaled(1, dd, 8, 2),
-        geo.monomial_scaled(2, dd, 6, 1),
-        geo.monomial_scaled(1, dd, 8, 1),
-        order,
-        track_diagonals,
+    geo = _times_geometric([1], slots)
+    return (
+        _trim(slots.times(geo, 8, 2)),
+        _trim(slots.times([2 * v for v in geo], 6, 1)),
+        _trim(slots.times(geo, 8, 1)),
     )
 
 
-def _linear_step(triple):
+def _linear_step(delta, slots):
     """L(F): append one diagonal to every shape counted by F.
 
     The new-run sums over (overlap, length) decompose, class by class,
     into tail operators of the old series times monomials and the
-    kernel 1/(1 - x^4 z), applied once or twice.  Every term carries
-    one factor of d: shapes with k diagonals map to k + 1.
+    kernel K = 1/(1 - x^4 z), applied once or twice.  Terms that share
+    a monomial are added before the linear operators run:
+
+        two  = x^4 z (K^2 A + K B + C)
+        one  = x^2 z (K T1(2A + B) + T1(B + 2C)) + x^6 z (2 K^2 A + K B)
+        zero = T2(A + B + C) + x^4 z K T1(2A + B) + x^8 z K^2 A
+
+    with T1 ``_tail_sum`` and T2 ``_tail_weighted``.  The factor d that
+    every term carries is left to the caller.
     """
-    du = 1 if triple.track_diagonals else 0
-    a_two, b_one, c_zero = triple.two_nose, triple.one_nose, triple.zero_nose
-
-    t1_a = a_two.tail_sum()
-    t1_b = b_one.tail_sum()
-    t1_c = c_zero.tail_sum()
-    t2_a = a_two.tail_weighted()
-    t2_b = b_one.tail_weighted()
-    t2_c = c_zero.tail_weighted()
-
-    geo2_a = _times_geometric(_times_geometric(a_two))
-    geo_b = _times_geometric(b_one)
-    geo_t1a = _times_geometric(t1_a)
-    geo_t1b = _times_geometric(t1_b)
-
-    new_two = (
-        geo2_a.monomial_scaled(1, du, 4, 1)
-        + geo_b.monomial_scaled(1, du, 4, 1)
-        + c_zero.monomial_scaled(1, du, 4, 1)
+    a, b, c = delta
+    geo_a = _times_geometric(a, slots)
+    geo2_a = _times_geometric(geo_a, slots)
+    geo2_a_geo_b = _times_geometric(_add(geo_a, b), slots)
+    geo_t1 = _times_geometric(_tail_sum(_add([2 * v for v in a], b)), slots)
+    t1 = _tail_sum(_add(b, [2 * v for v in c]))
+    t2 = _tail_weighted(_add(_add(a, b), c))
+    new_two = slots.times(_add(geo2_a_geo_b, c), 4, 1)
+    new_one = _add(
+        slots.times(_add(geo_t1, t1), 2, 1), slots.times(_add(geo2_a, geo2_a_geo_b), 6, 1)
     )
-    new_one = (
-        geo_t1a.monomial_scaled(2, du, 2, 1)
-        + geo2_a.monomial_scaled(2, du, 6, 1)
-        + geo_t1b.monomial_scaled(1, du, 2, 1)
-        + t1_b.monomial_scaled(1, du, 2, 1)
-        + geo_b.monomial_scaled(1, du, 6, 1)
-        + t1_c.monomial_scaled(2, du, 2, 1)
-    )
-    new_zero = (
-        t2_a.monomial_scaled(1, du, 0, 0)
-        + geo_t1a.monomial_scaled(2, du, 4, 1)
-        + geo2_a.monomial_scaled(1, du, 8, 1)
-        + t2_b.monomial_scaled(1, du, 0, 0)
-        + geo_t1b.monomial_scaled(1, du, 4, 1)
-        + t2_c.monomial_scaled(1, du, 0, 0)
-    )
-    return GFTriple(new_two, new_one, new_zero, triple.order, triple.track_diagonals)
+    new_zero = _add(t2, _add(slots.times(geo_t1, 4, 1), slots.times(geo2_a, 8, 1)))
+    return _trim(new_two), _trim(new_one), _trim(new_zero)
 
 
-def rhs_step(triple):
-    """One transfer step T(F) = T(0) + L(F): rebuild the triple from F.
-
-    ``solve`` applies the two parts of the affine step separately.
-    """
-    return _constant_step(triple.order, triple.track_diagonals) + _linear_step(triple)
-
-
-def check_invariants(triple):
+def check_invariants(packed):
     """Structural checks every genuine census iterate satisfies.
 
-    Raises ``InvariantError`` on the first violation: counts must be
-    positive; a shape in these classes has at least two diagonals, at
-    least one cell on the final diagonal (two for the two-nose class),
-    perimeter at least 2*diagonals + 2, and a final diagonal of at most
-    (perimeter - 2)/2 cells.
+    Raises ``InvariantError`` on the first violation.  Each rule is a
+    mask test on the packed ints: every slot holds a count in
+    [0, 2^value_bits), so a negative count (which borrows from the slot
+    above) or an overflow sets a guard bit; a shape in these classes has
+    at least two diagonals, at least one cell on the final diagonal (two
+    for the two-nose class), perimeter at least 2*diagonals + 2, and a
+    final diagonal of at most (perimeter - 2)/2 cells.
     """
-    min_z = {NoseClass.TWO: 2, NoseClass.ONE: 1, NoseClass.ZERO: 1}
-    for cls, series in triple.classes():
-        for m, poly in enumerate(series.z_coeffs()):
-            if poly.is_zero():
-                continue
-            if m < min_z[cls]:
-                raise InvariantError(
-                    "%s series has a z^%d term below its minimum run" % (cls.value, m)
-                )
-            for (kd, kx), v in poly.terms.items():
-                if v <= 0:
+    slots, track = packed.slots, packed.track_diagonals
+    for cls, drows in zip(CLASS_ORDER, packed.rows):
+        for kd, row in enumerate(drows):
+            for m, v in enumerate(row):
+                if not v:
+                    continue
+                if m < MIN_Z[cls]:
                     raise InvariantError(
-                        "nonpositive count %d at d^%d x^%d z^%d in %s"
-                        % (v, kd, kx, m, cls.value)
+                        "%s series has a z^%d term below its minimum run" % (cls.value, m)
                     )
-                if kx < 6:
-                    raise InvariantError("perimeter %d below any two-diagonal shape" % kx)
-                if 2 * m > kx - 2:
+                if v < 0 or v & slots.guard:
                     raise InvariantError(
-                        "final run %d too long for perimeter %d" % (m, kx)
+                        "a count at d^%d z^%d in %s is negative or overflows its slot"
+                        % (kd, m, cls.value)
                     )
-                if triple.track_diagonals and (kd < 2 or kx < 2 * kd + 2):
+                low = max(3, m + 1, kd + 1 if track else 0)
+                if v & ((1 << slots.width * low) - 1) or (track and kd < 2):
+                    kx = 2 * (((v & -v).bit_length() - 1) // slots.width)
+                    if kx < 6:
+                        raise InvariantError("perimeter %d below any two-diagonal shape" % kx)
+                    if 2 * m > kx - 2:
+                        raise InvariantError("final run %d too long for perimeter %d" % (m, kx))
                     raise InvariantError(
                         "diagonal count %d inconsistent with perimeter %d" % (kd, kx)
                     )
 
 
-def solve(order, track_diagonals=True):
-    """Sum the census one diagonal at a time until nothing is left to add.
+def _solve_packed(order, track_diagonals):
+    """Sum the census one diagonal at a time, in packed form.
 
     Starting from the two-diagonal shapes delta_0 = T(0), each
     delta_{t+1} = L(delta_t), so delta_t holds exactly the shapes with
-    t + 2 diagonals and the fixed point of ``rhs_step`` is the sum of
-    the deltas.  A shape with k diagonals has perimeter at least 2k + 2,
-    so the x-truncation makes some delta zero within the loop's bound.
-    Every partial sum is checked with ``check_invariants``.
+    t + 2 diagonals and the fixed point of T is the sum of the deltas.
+    A shape with k diagonals has perimeter at least 2k + 2, so the
+    x-truncation makes some delta zero within the loop's bound.  Each
+    partial sum passes ``check_invariants`` before the next step reads
+    its delta.  By ``_slot_bits`` the sum cannot carry between slots, so
+    its guard bits cover the delta's too.
     """
     if order < 4:
         raise ValueError("order must be at least 4 to see any polyomino")
-    delta = _constant_step(order, track_diagonals)
-    total = GFTriple.empty(order, track_diagonals)
-    for _ in range(order + 2):
-        if delta.is_zero():
+    slots = Slots(order)
+    total = PackedSum(slots, track_diagonals, ([], [], []))
+    delta = _constant_step(slots)
+    for step in range(order + 2):
+        if not any(delta):
             return total
-        total = total + delta
+        kd = step + 2 if track_diagonals else 0
+        for drows, series in zip(total.rows, delta):
+            drows.extend([] for _ in range(kd + 1 - len(drows)))
+            drows[kd] = _add(drows[kd], series)
         check_invariants(total)
-        delta = _linear_step(delta)
+        delta = _linear_step(delta, slots)
     raise NonConvergenceError("no fixed point within %d steps" % (order + 2))
+
+
+def _unpack(packed):
+    """The packed sum as a ``GFTriple`` of ``ZPolySeries``."""
+    slots = packed.slots
+    classes = []
+    for drows in packed.rows:
+        zc = []
+        for m in range(max(map(len, drows), default=0)):
+            terms = {}
+            for kd, row in enumerate(drows):
+                for kx, c in slots.unpack(row[m] if m < len(row) else 0).items():
+                    terms[(kd, kx)] = c
+            zc.append(BiPoly(terms, slots.order))
+        classes.append(ZPolySeries(zc, slots.order))
+    return GFTriple(*classes, slots.order, packed.track_diagonals)
+
+
+def solve(order, track_diagonals=True):
+    """The three nose-class series through perimeter ``order``."""
+    return _unpack(_solve_packed(order, track_diagonals))
 
 
 def total_gf(triple):
@@ -235,13 +312,16 @@ def total_gf(triple):
 def perimeter_counts(order):
     """Counts of diagonally convex polyominoes for each perimeter <= order.
 
-    Runs the iteration with the diagonal marker collapsed, which keeps
-    the polynomials one-dimensional and is markedly faster at large
-    truncations.
+    Runs the iteration with d collapsed and unpacks only the sum of the
+    single cell and the packed classes at z = 1.  That sum adds fewer
+    than 2^guard_bits checked values, so an overflow sets a guard bit.
     """
-    triple = solve(order, track_diagonals=False)
-    out = total_gf(triple).x_counts()
-    return {pe: out[pe] for pe in sorted(out)}
+    packed = _solve_packed(order, track_diagonals=False)
+    slots = packed.slots
+    acc = (1 << 2 * slots.width) + sum(sum(row) for drows in packed.rows for row in drows)
+    if acc & slots.guard:
+        raise InvariantError("a perimeter count overflows its slot")
+    return slots.unpack(acc)
 
 
 def nose_breakdown(order):

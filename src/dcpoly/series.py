@@ -14,14 +14,14 @@ Four series types cover every computation here:
   both parts vanish, so the irrational part is always checked.
 
 * ``BiPoly``: a polynomial in two variables ``d`` (diagonal marker) and
-  ``x`` (half-perimeter marker) with integer coefficients, truncated in
+  ``x`` (perimeter marker) with integer coefficients, truncated in
   the ``x`` degree.
 
 * ``ZPolySeries``: a polynomial in a third variable ``z`` whose
-  coefficients are ``BiPoly`` values.  The layered iteration keeps its
-  generating functions in this shape, with ``z`` marking cells on the
-  active diagonal.  It needs only linear operations on them: sums,
-  monomial multiples, and the two tail operators
+  coefficients are ``BiPoly`` values.  The layered iteration runs on
+  packed integers and returns its generating functions in this shape,
+  with ``z`` marking cells on the active diagonal.  The shape carries
+  evaluation at z = 1 and the two tail operators
 
       tail_sum:      z^m  |->  sum of coefficients s_k with k > m,
       tail_weighted: z^m  |->  sum of (k - m) s_k with k > m (m >= 1),
@@ -215,9 +215,6 @@ class XSeries:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
     def __repr__(self):
         parts = [
             "%s*x^%d" % (c, k) for k, c in enumerate(self.coeffs) if c != 0
@@ -337,8 +334,7 @@ class BiPoly:
     """Integer polynomial in d and x, truncated at x-degree ``trunc``.
 
     Terms live in a dict keyed by ``(d_degree, x_degree)``.  The product
-    drops any term whose x-degree exceeds the truncation, which is what
-    keeps the layered iteration polynomial-sized.
+    drops any term whose x-degree exceeds the truncation.
     """
 
     __slots__ = ("terms", "trunc")
@@ -360,32 +356,17 @@ class BiPoly:
     def is_zero(self):
         return not self.terms
 
-    def __add__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
+    def _plus(self, other, sign):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            newv = out.get(k, 0) + v
-            if newv:
-                out[k] = newv
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, 0) + sign * v
         return BiPoly(out, min(self.trunc, other.trunc))
+
+    def __add__(self, other):
+        return self._plus(other, 1) if isinstance(other, BiPoly) else NotImplemented
 
     def __sub__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            newv = out.get(k, 0) - v
-            if newv:
-                out[k] = newv
-            else:
-                out.pop(k, None)
-        return BiPoly(out, min(self.trunc, other.trunc))
-
-    def __neg__(self):
-        return BiPoly({k: -v for k, v in self.terms.items()}, self.trunc)
+        return self._plus(other, -1) if isinstance(other, BiPoly) else NotImplemented
 
     @staticmethod
     def _mul_into(acc, aterms, bterms, trunc):
@@ -397,39 +378,15 @@ class BiPoly:
                 if x > trunc:
                     continue
                 key = (ad + bd, x)
-                newv = acc.get(key, 0) + av * bv
-                if newv:
-                    acc[key] = newv
-                else:
-                    del acc[key]
+                acc[key] = acc.get(key, 0) + av * bv
 
     def __mul__(self, other):
-        if isinstance(other, BiPoly):
-            trunc = min(self.trunc, other.trunc)
-            acc = {}
-            BiPoly._mul_into(acc, self.terms, other.terms, trunc)
-            return BiPoly(acc, trunc)
-        if isinstance(other, int):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
-        return NotImplemented
-
-    def scaled(self, c):
-        if c == 0:
-            return BiPoly({}, self.trunc)
-        return BiPoly({k: c * v for k, v in self.terms.items()}, self.trunc)
-
-    def mul_monomial(self, coeff, kd, kx):
-        out = {}
-        for (ad, ax), v in self.terms.items():
-            x = ax + kx
-            if x <= self.trunc:
-                out[(ad + kd, x)] = coeff * v
-        return BiPoly(out, self.trunc)
+        if not isinstance(other, BiPoly):
+            return NotImplemented
+        trunc = min(self.trunc, other.trunc)
+        acc = {}
+        BiPoly._mul_into(acc, self.terms, other.terms, trunc)
+        return BiPoly(acc, trunc)
 
     def x_counts(self):
         """Collapse d: map each x-degree to the sum of its coefficients."""
@@ -442,9 +399,6 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         return self.trunc == other.trunc and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.trunc, frozenset(self.terms.items())))
 
     def __repr__(self):
         parts = [
@@ -477,61 +431,26 @@ class ZPolySeries:
     def z_coeffs(self):
         return self.zc
 
-    def z_degree(self):
-        return len(self.zc) - 1
-
     def is_zero(self):
         return not self.zc
 
-    def _coeff(self, m, order):
-        if m < len(self.zc):
-            return self.zc[m]
-        return BiPoly.zero(order)
-
-    def __add__(self, other):
-        if not isinstance(other, ZPolySeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        n = max(len(self.zc), len(other.zc))
-        return ZPolySeries(
-            [self._coeff(m, order) + other._coeff(m, order) for m in range(n)],
-            order,
-        )
-
-    def scaled(self, c):
-        return ZPolySeries([b.scaled(c) for b in self.zc], self.order)
-
-    def monomial_scaled(self, coeff, kd, kx, dz):
-        """Multiply by coeff * d^kd * x^kx * z^dz."""
-        pad = [BiPoly.zero(self.order)] * dz
-        return ZPolySeries(
-            pad + [b.mul_monomial(coeff, kd, kx) for b in self.zc], self.order
-        )
-
-    def _suffix_sums(self):
-        """V[m] = sum of coefficients s_k with k >= m, for m = 0..D+1."""
-        vee = [BiPoly.zero(self.order)] * (len(self.zc) + 1)
-        for m in range(len(self.zc) - 1, -1, -1):
-            vee[m] = vee[m + 1] + self.zc[m]
-        return vee
-
     def tail_sum(self):
         """z^m coefficient becomes sum_{k>m} s_k, for m = 0..D-1."""
-        if len(self.zc) <= 1:
-            return ZPolySeries.zero(self.order)
-        vee = self._suffix_sums()
-        return ZPolySeries(vee[1:len(self.zc)], self.order)
+        out = []
+        acc = BiPoly.zero(self.order)
+        for poly in reversed(self.zc[1:]):
+            acc = acc + poly
+            out.append(acc)
+        return ZPolySeries(out[::-1], self.order)
 
     def tail_weighted(self):
-        """z^m coefficient becomes sum_{k>m} (k-m) s_k, for m >= 1."""
-        if len(self.zc) <= 2:
-            return ZPolySeries.zero(self.order)
-        vee = self._suffix_sums()
-        tee = [BiPoly.zero(self.order)] * len(self.zc)
-        for m in range(len(self.zc) - 2, 0, -1):
-            tee[m] = tee[m + 1] + vee[m + 1]
-        tee[0] = BiPoly.zero(self.order)
-        return ZPolySeries(tee[: len(self.zc) - 1], self.order)
+        """z^m coefficient becomes sum_{k>m} (k-m) s_k, for m >= 1.
+
+        The sum over k > m of (k - m) s_k is the sum over i >= m of the
+        tail sums at i, so this is z times tail_sum applied twice.
+        """
+        twice = self.tail_sum().tail_sum()
+        return ZPolySeries([BiPoly.zero(self.order)] + list(twice.zc), self.order)
 
     def eval_at_one(self):
         """Substitute z = 1, collapsing to a single BiPoly."""
@@ -545,8 +464,5 @@ class ZPolySeries:
             return NotImplemented
         return self.order == other.order and self.zc == other.zc
 
-    def __hash__(self):
-        return hash((self.order, self.zc))
-
     def __repr__(self):
-        return "ZPolySeries(z-degree=%d, order=%d)" % (self.z_degree(), self.order)
+        return "ZPolySeries(z-degree=%d, order=%d)" % (len(self.zc) - 1, self.order)

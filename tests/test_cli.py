@@ -5,6 +5,7 @@ keeps the tests fast and lets them assert on exact byte-for-byte output
 and on exit codes.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -76,6 +77,15 @@ def test_ratios_csv_rows(capsys):
     assert lines[0] == "perimeter,column_convex,diagonally_convex,ratio"
     assert "14,558,556,1.0036" in lines
     assert lines[-1] == "16,2641,2618,1.0088"
+
+
+def test_ratios_to_200_are_byte_identical(capsys):
+    """The digest of the order-200 table as the dict-of-terms engine printed it."""
+    code, out = run_cli(capsys, "ratios", "--max-perimeter", "200", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5b760cdb798d0a97c219946edae14add7145b43086644d0f605fbe061134b223"
+    )
 
 
 def test_ratios_rejects_small_bound():

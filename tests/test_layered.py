@@ -5,17 +5,20 @@ by hand: nine shapes have perimeter at most 8, and each lands in one
 nose class with known diagonal and final-run statistics.
 """
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from reference_layered import empty_triple, rhs_step
+
+from dcpoly import layered
 from dcpoly.counts import NoseClass
 from dcpoly.layered import (
-    GFTriple,
+    InvariantError,
     NonConvergenceError,
     check_invariants,
     joint_table,
     nose_breakdown,
     perimeter_counts,
-    rhs_step,
     solve,
     total_gf,
     two_nose_identity_residuals,
@@ -45,10 +48,10 @@ def test_perimeter_counts_known_values():
 
 
 def test_collapsed_run_agrees_with_symbolic_run():
-    order = 14
-    symbolic = total_gf(solve(order, track_diagonals=True)).x_counts()
-    collapsed = perimeter_counts(order)
-    assert collapsed == {k: symbolic[k] for k in sorted(symbolic)}
+    for order in (14, 40, 80):
+        symbolic = total_gf(solve(order, track_diagonals=True)).x_counts()
+        collapsed = perimeter_counts(order)
+        assert collapsed == {k: symbolic[k] for k in sorted(symbolic)}
 
 
 def test_nose_breakdown_at_order_eight():
@@ -77,15 +80,26 @@ def test_two_nose_identity_distinguishes_conventions():
     assert low[1] == 8
 
 
-def test_iterates_grow_monotonically():
-    prev = GFTriple.empty(10)
+def test_iterates_grow_monotonically(monkeypatch):
+    """Every packed partial sum equals the reference engine's iterate T^t(0)."""
     seen = []
-    for _ in range(6):
-        nxt = rhs_step(prev)
-        check_invariants(nxt)
-        seen.append(total_gf(nxt).x_counts())
-        prev = nxt
-    for earlier, later in zip(seen, seen[1:]):
+
+    def record(packed):
+        check_invariants(packed)
+        seen.append(layered._unpack(packed))
+
+    monkeypatch.setattr(layered, "check_invariants", record)
+    solve(16)
+    # one partial sum per diagonal count 2..7
+    assert len(seen) == 6
+    reference = empty_triple(16)
+    counts = []
+    for partial in seen:
+        reference = rhs_step(reference)
+        assert partial == reference
+        counts.append(total_gf(partial).x_counts())
+    assert rhs_step(reference) == reference
+    for earlier, later in zip(counts, counts[1:]):
         for pe, v in earlier.items():
             assert later.get(pe, 0) >= v
 
@@ -101,7 +115,7 @@ def test_convergence_error_is_exported():
 
 def naive_fixed_point(order, track_diagonals):
     """Reference: iterate the whole transfer from zero until it stops changing."""
-    triple = GFTriple.empty(order, track_diagonals)
+    triple = empty_triple(order, track_diagonals)
     for _ in range(order + 2):
         nxt = rhs_step(triple)
         if nxt == triple:
@@ -116,3 +130,106 @@ def naive_fixed_point(order, track_diagonals):
 )
 def test_solve_matches_naive_fixed_point(order, track_diagonals):
     assert solve(order, track_diagonals) == naive_fixed_point(order, track_diagonals)
+
+
+def test_perimeter_counts_sum_the_packed_classes():
+    assert perimeter_counts(200) == total_gf(solve(200, False)).x_counts()
+
+
+def _corrupted(track_diagonals, cls, kd, m, change):
+    """A valid packed partial sum with one int changed by ``change``."""
+    packed = layered._solve_packed(16, track_diagonals)
+    check_invariants(packed)
+    drows = packed.rows[layered.CLASS_ORDER.index(cls)]
+    drows.extend([] for _ in range(kd + 1 - len(drows)))
+    drows[kd].extend([0] * (m + 1 - len(drows[kd])))
+    drows[kd][m] = change(drows[kd][m], packed.slots.width)
+    return packed
+
+
+def _plus_slot(j):
+    return lambda v, width: v + (1 << j * width)
+
+
+@pytest.mark.parametrize(
+    "track, cls, kd, m, change, message",
+    [
+        # a two-nose shape needs two cells on its final diagonal
+        pytest.param(False, NoseClass.TWO, 0, 1, _plus_slot(5), "below its minimum run", id="min-run"),
+        pytest.param(True, NoseClass.TWO, 3, 1, _plus_slot(5), "below its minimum run", id="min-run-d"),
+        # taking 1 from an empty slot borrows from the slot above it
+        pytest.param(False, NoseClass.ONE, 0, 1, lambda v, w: v - 1, "negative", id="borrow"),
+        pytest.param(True, NoseClass.ZERO, 3, 1, lambda v, w: v - (1 << 2 * w), "negative", id="borrow-d"),
+        pytest.param(True, NoseClass.ONE, 4, 2, lambda v, w: -1, "negative", id="negative-d"),
+        pytest.param(False, NoseClass.ONE, 0, 1, _plus_slot(2), "perimeter 4 below", id="perimeter"),
+        pytest.param(True, NoseClass.ONE, 2, 1, _plus_slot(2), "perimeter 4 below", id="perimeter-d"),
+        pytest.param(False, NoseClass.ZERO, 0, 3, _plus_slot(3), "final run 3 too long", id="run"),
+        pytest.param(True, NoseClass.ZERO, 2, 3, _plus_slot(3), "final run 3 too long", id="run-d"),
+        pytest.param(True, NoseClass.ONE, 4, 1, _plus_slot(4), "diagonal count 4", id="diagonals"),
+        pytest.param(True, NoseClass.ZERO, 1, 1, _plus_slot(5), "diagonal count 1", id="one-diagonal"),
+    ],
+)
+def test_each_invariant_fires_on_one_corrupted_slot(track, cls, kd, m, change, message):
+    packed = _corrupted(track, cls, kd, m, change)
+    with pytest.raises(InvariantError, match=message):
+        check_invariants(packed)
+
+
+def test_too_narrow_slot_raises_instead_of_wrapping(monkeypatch):
+    monkeypatch.setattr(
+        layered, "_slot_bits", lambda order: (12, 2 * (order + 4).bit_length())
+    )
+    for track_diagonals in (False, True):
+        with pytest.raises(InvariantError, match="overflows its slot"):
+            solve(40, track_diagonals)
+    with pytest.raises(InvariantError, match="overflows its slot"):
+        perimeter_counts(40)
+
+
+def test_a_total_that_outgrows_its_slot_raises(monkeypatch):
+    """At 60 every class coefficient fits in 64 bits but some totals do not."""
+    monkeypatch.setattr(
+        layered, "_slot_bits", lambda order: (64, 2 * (order + 4).bit_length())
+    )
+    solve(60, False)
+    with pytest.raises(InvariantError, match="perimeter count overflows"):
+        perimeter_counts(60)
+
+
+def test_value_bits_rest_on_a_contraction():
+    """The bound stated in ``_slot_bits``, at x^2 = 1/8 and z = 4."""
+    x2, z = Fraction(1, 8), Fraction(4)
+    x4, x6, x8 = x2**2, x2**3, x2**4
+    geo = 1 / (1 - x4 * z)
+    tail1, tail2 = 1 / (z - 1), z / (z - 1) ** 2
+    from_two = (
+        x4 * z * geo**2
+        + 2 * x2 * z * geo * tail1 + 2 * x6 * z * geo**2
+        + tail2 + 2 * x4 * z * geo * tail1 + x8 * z * geo**2
+    )
+    from_one = (
+        x4 * z * geo
+        + x2 * z * geo * tail1 + x2 * z * tail1 + x6 * z * geo
+        + tail2 + x4 * z * geo * tail1
+    )
+    from_zero = x4 * z + 2 * x2 * z * tail1 + tail2
+    gain = max(from_two, from_one, from_zero)
+    first = x8 * z**2 * geo + 2 * x6 * z * geo + x8 * z * geo
+    assert (gain, first) == (Fraction(841, 900), Fraction(7, 320))
+    assert first / (1 - gain) < Fraction(1, 2)
+    for pe, count in perimeter_counts(200).items():
+        assert count < 2 ** (3 * pe // 2) // 2
+
+
+@pytest.mark.parametrize("order", [8, 40, 120])
+def test_one_step_gain_fits_the_guard_bits(order):
+    """With every input slot 1, each output slot is the step's total multiplicity."""
+    slots = layered.Slots(order)
+    ones = slots.mask // ((1 << slots.width) - 1)
+    delta = tuple([ones] * (order // 2 + 1) for _ in range(3))
+    gains = [
+        max(slots.unpack(v).values(), default=0)
+        for series in layered._linear_step(delta, slots)
+        for v in series
+    ]
+    assert max(gains) < (order + 4) ** 2 <= 2 ** layered._slot_bits(order)[1]

@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from dcpoly.layered import _times_geometric
+from reference_layered import times_geometric, zpoly_add
+
+from dcpoly.layered import Slots, _times_geometric
 from dcpoly.series import (
     BiPoly,
     NonDivisibleError,
@@ -51,20 +53,25 @@ def geom2_mul(coeffs, order):
     return geom_mul(geom_mul(coeffs, order), order)
 
 
+def times(c, poly):
+    """An integer multiple of a BiPoly."""
+    return BiPoly({k: c * v for k, v in poly.terms.items()}, poly.trunc)
+
+
 def rational_form_tail_sum(s, order):
     """Expand (S(1)-S(z))/(1-z) to z^order from the coefficient list of S."""
     s1 = sum(s[1:], s[0])
-    diff = [s1 - s[0]] + [-c for c in s[1:]]
+    diff = [s1 - s[0]] + [times(-1, c) for c in s[1:]]
     return geom_mul(diff, order)
 
 
 def rational_form_tail_weighted(s, order):
     """Expand z(S'(1)-S(1))/(1-z) - z^2 S(1)/(1-z)^2 + z S(z)/(1-z)^2."""
     s1 = sum(s[1:], s[0])
-    ds1 = sum((k * c for k, c in enumerate(s[2:], 2)), 1 * s[1]) if len(s) > 1 else 0 * s[0]
     zero = s[0] - s[0]
+    ds1 = sum((times(k, c) for k, c in enumerate(s[1:], 1)), zero)
     t1 = geom_mul([zero, ds1 - s1], order)
-    t2 = geom2_mul([zero, zero, -1 * s1], order)
+    t2 = geom2_mul([zero, zero, zero - s1], order)
     t3 = geom2_mul([zero] + list(s), order)
     return [a + b + c for a, b, c in zip(t1, t2, t3)]
 
@@ -316,15 +323,24 @@ def test_tail_operators_are_linear():
         S = _random_zpoly(rng, rng.randint(0, 9), 10)
         T = _random_zpoly(rng, rng.randint(0, 9), 10)
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-        combo = S.scaled(a) + T.scaled(b)
-        assert combo.tail_sum() == S.tail_sum().scaled(a) + T.tail_sum().scaled(b)
-        assert combo.tail_weighted() == S.tail_weighted().scaled(a) + T.tail_weighted().scaled(b)
+
+        def combo(s, t):
+            return zpoly_add(_scaled(s, a), _scaled(t, b))
+
+        assert combo(S, T).tail_sum() == combo(S.tail_sum(), T.tail_sum())
+        assert combo(S, T).tail_weighted() == combo(S.tail_weighted(), T.tail_weighted())
+
+
+def _scaled(series, c):
+    return ZPolySeries([times(c, p) for p in series.z_coeffs()], series.order)
 
 
 def test_geometric_kernel_against_direct_convolution():
-    """Once and twice, the recurrence equals the product with sum x^(4j) z^j."""
+    """Once and twice, the packed recurrence equals the product with
+    sum x^(4j) z^j, and so does the dict-of-terms reference."""
     rng = random.Random(16)
     order = 12
+    slots = Slots(order)
     kernel = [BiPoly({(0, 4 * j): 1}, order) for j in range(order // 4 + 1)]
 
     def convolve(sc):
@@ -337,11 +353,28 @@ def test_geometric_kernel_against_direct_convolution():
             out.append(want)
         return ZPolySeries(out, order)
 
-    for _ in range(15):
-        S = _random_zpoly(rng, rng.randint(0, 5), order)
-        T = _random_zpoly(rng, rng.randint(0, 5), order)
-        for series in (S, T):
-            once = convolve(list(series.z_coeffs()))
-            assert _times_geometric(series) == once
-            twice = convolve(list(once.z_coeffs()))
-            assert _times_geometric(_times_geometric(series)) == twice
+    def pack(series):
+        return [
+            sum(v << slots.width * (kx // 2) for (_, kx), v in p.terms.items())
+            for p in series.z_coeffs()
+        ]
+
+    def unpack(packed):
+        return ZPolySeries(
+            [BiPoly({(0, kx): v for kx, v in slots.unpack(c).items()}, order) for c in packed],
+            order,
+        )
+
+    for _ in range(30):
+        rows = [
+            {(0, 2 * rng.randint(0, order // 2)): rng.randint(1, 9) for _ in range(rng.randint(0, 4))}
+            for _ in range(rng.randint(1, 6))
+        ]
+        series = zpoly(rows, order)
+        once = convolve(list(series.z_coeffs()))
+        assert unpack(_times_geometric(pack(series), slots)) == once
+        assert times_geometric(series) == once
+        twice = convolve(list(once.z_coeffs()))
+        packed_twice = _times_geometric(_times_geometric(pack(series), slots), slots)
+        assert unpack(packed_twice) == twice
+        assert times_geometric(times_geometric(series)) == twice
