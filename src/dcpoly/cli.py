@@ -77,6 +77,10 @@ def _d_samples(text):
         raise argparse.ArgumentTypeError(
             "samples must be nonzero: the kernel has no series roots at d=0"
         )
+    if -2 in values:
+        raise argparse.ArgumentTypeError(
+            "samples must not be -2: the nested radicand's constant term (d+2)^2 vanishes there"
+        )
     return values
 
 

@@ -208,11 +208,12 @@ def _linear_step(delta, slots):
     return _trim(new_two), _trim(new_one), _trim(new_zero)
 
 
-def check_invariants(packed):
+def check_invariants(packed, row=None):
     """Structural checks every genuine census iterate satisfies.
 
-    Raises ``InvariantError`` on the first violation.  Each rule is a
-    mask test on the packed ints: every slot holds a count in
+    Checks d-row ``row`` of every class, or every d-row when ``row`` is
+    None, and raises ``InvariantError`` on the first violation.  Each
+    rule is a mask test on the packed ints: every slot holds a count in
     [0, 2^value_bits), so a negative count (which borrows from the slot
     above) or an overflow sets a guard bit; a shape in these classes has
     at least two diagonals, at least one cell on the final diagonal (two
@@ -221,8 +222,8 @@ def check_invariants(packed):
     """
     slots, track = packed.slots, packed.track_diagonals
     for cls, drows in zip(CLASS_ORDER, packed.rows):
-        for kd, row in enumerate(drows):
-            for m, v in enumerate(row):
+        for kd in range(len(drows)) if row is None else [row]:
+            for m, v in enumerate(drows[kd] if kd < len(drows) else ()):
                 if not v:
                     continue
                 if m < MIN_Z[cls]:
@@ -255,8 +256,9 @@ def _solve_packed(order, track_diagonals):
     A shape with k diagonals has perimeter at least 2k + 2, so the
     x-truncation makes some delta zero within the loop's bound.  Each
     partial sum passes ``check_invariants`` before the next step reads
-    its delta.  By ``_slot_bits`` the sum cannot carry between slots, so
-    its guard bits cover the delta's too.
+    its delta; earlier d-rows never change, so only the row just written
+    is checked (row 0 when d is collapsed).  By ``_slot_bits`` the sum
+    cannot carry between slots, so its guard bits cover the delta's too.
     """
     if order < 4:
         raise ValueError("order must be at least 4 to see any polyomino")
@@ -270,7 +272,7 @@ def _solve_packed(order, track_diagonals):
         for drows, series in zip(total.rows, delta):
             drows.extend([] for _ in range(kd + 1 - len(drows)))
             drows[kd] = _add(drows[kd], series)
-        check_invariants(total)
+        check_invariants(total, kd)
         delta = _linear_step(delta, slots)
     raise NonConvergenceError("no fixed point within %d steps" % (order + 2))
 

@@ -28,10 +28,21 @@ Four series types cover every computation here:
 
   which are finite sums here, computed by suffix-sum recurrences, so
   the substitution never divides by ``z``.
+
+An ``XSeries`` is fraction-free: coefficient k is nums[k] / (den * lam^k)
+with integer numerators, positive integers den and lam, and den divided
+by gcd(den, *nums) after every operation.  A product brings both sides
+to the scale lcm(lam_a, lam_b) and multiplies once, as big integers
+(Kronecker substitution).  Reciprocals and square roots run integer
+recurrences whose scale grows each step; after them every prime p of
+lam with p^k | nums[k] for all k moves back into the numerators.
+``Fraction`` appears only where coefficients come in or go out.
 """
 
 from fractions import Fraction
-from math import isqrt
+from itertools import accumulate
+from math import gcd, isqrt, lcm
+from operator import mul
 
 
 class ValuationError(ValueError):
@@ -52,40 +63,144 @@ class NonSquareConstantError(ValueError):
 
 def _rational_sqrt(value):
     """Exact square root of a nonnegative rational, or None."""
-    num, den = value.numerator, value.denominator
-    if num < 0:
-        return None
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
+    if value >= 0 and all(isqrt(v) ** 2 == v for v in (value.numerator, value.denominator)):
+        return Fraction(isqrt(value.numerator), isqrt(value.denominator))
+
+
+# the primes below 2000, which _unscaled tries on lam, by a sieve
+_SIEVE = bytearray([0, 0]) + bytearray([1]) * 1998
+for _p in range(2, 45):
+    _SIEVE[_p * _p :: _p] = bytes(len(range(_p * _p, 2000, _p)))
+_PRIMES = [p for p, prime in enumerate(_SIEVE) if prime]
+
+
+def _rescaled(nums, r, first=1):
+    """nums[k] * first * r^k: the same coefficients over a den ``first``
+    times larger and a lam r times larger."""
+    if r == first == 1:
+        return nums
+    return list(map(mul, nums, accumulate([first] + [r] * (len(nums) - 1), mul)))
+
+
+def _unscaled(nums, den, lam, order):
+    """The series nums[k] / (den * lam^k) for nonzero integers den and lam.
+
+    Their signs move into the numerators, and so does every prime p of
+    lam with p^k | nums[k] for all k.
+    """
+    nums = _rescaled(nums, -1 if lam < 0 else 1, -1 if den < 0 else 1)
+    den, lam = abs(den), abs(lam)
+    for p in _PRIMES:
+        while lam % p == 0:
+            powers = _rescaled([1] * len(nums), p)
+            if any(c % q for c, q in zip(nums, powers)):
+                break
+            nums, lam = [c // q for c, q in zip(nums, powers)], lam // p
+    return XSeries(nums, order, den, lam)
+
+
+def _product(a, b, size):
+    """The first ``size`` coefficients of the product of two integer lists.
+
+    Kronecker substitution: each list, without trailing zeros, is packed
+    into one integer, a coefficient plus 2^(W-1) in every W-bit slot.  W
+    exceeds by one the bits any |coefficient| of the product below
+    x^size can have, so no kept slot carries; higher slots may, which
+    only adds a multiple of 2^(W*size) before the mask.
+    """
+    a, b = (s[: next((k + 1 for k in range(min(len(s), size) - 1, -1, -1) if s[k]), 0)]
+            for s in (a, b))
+    if not a or not b:
+        return [0] * size
+    b_top = list(accumulate((c.bit_length() for c in b), max))
+    bits = max(c.bit_length() + b_top[min(size - 1 - i, len(b) - 1)] for i, c in enumerate(a))
+    width = (bits + min(len(a), len(b)).bit_length()) // 8 + 1
+    bias = 1 << 8 * width - 1
+    offset = bias.to_bytes(width, "little")
+
+    def pack(values):
+        joined = b"".join([(c + bias).to_bytes(width, "little") for c in values])
+        return int.from_bytes(joined, "little") - int.from_bytes(offset * len(values), "little")
+
+    used, packed = min(size, len(a) + len(b) - 1), pack(a)
+    packed = packed * (packed if a == b else pack(b)) + int.from_bytes(offset * used, "little")
+    data = (packed & (1 << 8 * width * used) - 1).to_bytes(width * used, "little")
+    out = [int.from_bytes(data[i : i + width], "little") - bias for i in range(0, len(data), width)]
+    return out + [0] * (size - used)
+
+
+def _aligned(a, b, common_den=False):
+    """[x, y, den, lam, n]: the numerators of a and b to the smaller order n
+    on the scale lcm(lam_a, lam_b), and over den = lcm(den_a, den_b) if
+    ``common_den`` is set (else den is None)."""
+    n, lam = min(a.order, b.order), lcm(a.lam, b.lam)
+    den = lcm(a.den, b.den) if common_den else None
+    nums = [_rescaled(s.nums[: n + 1], lam // s.lam, den // s.den if den else 1) for s in (a, b)]
+    return nums + [den, lam, n]
+
+
+def _unit_root(fa, fb, disc, lam):
+    """sqrt(F / F_0) for F_k = (fa[k] + fb[k]*sqrt(disc)) / lam^k, as a pair.
+
+    With the content of F removed, c = conjugate(F_0) (or 1 if F_0 is
+    rational) makes N = F_0*c an integer, and F_n / F_0 = h_n / N with
+    h_n = F_n*c.  The x^n coefficient is S_n / (4N*lam)^n, with S_0 = 1 and
+
+        S_n = (4^n N^(n-1) h_n - sum_{0<k<n} S_k S_(n-k)) / 2,
+
+    whose parts are even by induction; the halving checks it.
+    """
+    content = gcd(*fa, *fb)
+    fa, fb = [c // content for c in fa], [c // content for c in fb]
+    ca, cb = (fa[0], -fb[0]) if fb[0] else (1, 0)
+    scale = 4 * (fa[0] * ca + disc * fb[0] * cb)
+    sa, sb, power = [1], [0], 4
+    for n in range(1, len(fa)):
+        ha, hb = fa[n] * ca + disc * fb[n] * cb, fb[n] * ca + fa[n] * cb
+        conv_a = sum(map(mul, sa[1:n], sa[n - 1 : 0 : -1]))
+        conv_a += disc * sum(map(mul, sb[1:n], sb[n - 1 : 0 : -1]))
+        conv_b = 2 * sum(map(mul, sa[1:n], sb[n - 1 : 0 : -1]))
+        twice_a, twice_b = power * ha - conv_a, power * hb - conv_b
+        if (twice_a | twice_b) & 1:
+            raise ArithmeticError("odd numerator in the square-root recurrence at x^%d" % n)
+        sa.append(twice_a >> 1)
+        sb.append(twice_b >> 1)
+        power *= scale
+    return [_unscaled(s, 1, scale * lam, len(fa) - 1) for s in (sa, sb)]
 
 
 class XSeries:
     """Truncated power series sum_{k<=order} c_k x^k with rational coefficients.
 
-    Binary operations truncate to the smaller of the two orders, so a
-    value never claims more precision than both inputs carry.
+    Coefficients come in as ints or Fractions and are kept as
+    nums[k] / (den * lam^k); equality compares values.  Binary
+    operations truncate to the smaller of the two orders, so a value
+    never claims more precision than both inputs carry.
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("nums", "den", "lam", "order")
 
-    def __init__(self, coeffs, order):
+    def __init__(self, coeffs, order, den=None, lam=1):
+        """``coeffs`` are ints or Fractions, or, with positive ``den`` and
+        ``lam`` given, the integer numerators of c_k = coeffs[k] / (den * lam^k)."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        padded = list(coeffs[: order + 1])
-        padded.extend([Fraction(0)] * (order + 1 - len(padded)))
-        self.coeffs = tuple(
-            Fraction(c) if isinstance(c, int) else c for c in padded
-        )
-        self.order = order
+        nums = coeffs[: order + 1]
+        if den is None:
+            den = lcm(*(c.denominator for c in nums))
+            nums = [c.numerator * (den // c.denominator) for c in nums]
+        g = gcd(den, *nums) if den != 1 else 1
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+        self.nums = tuple(nums) + (0,) * (order + 1 - len(nums))
+        self.den, self.lam, self.order = den, lam, order
 
     @classmethod
     def from_terms(cls, terms, order):
-        coeffs = [Fraction(0)] * (order + 1)
+        coeffs = [0] * (order + 1)
         for k, v in terms.items():
             if 0 <= k <= order:
-                coeffs[k] = Fraction(v) if isinstance(v, int) else v
+                coeffs[k] = v
         return cls(coeffs, order)
 
     @classmethod
@@ -94,89 +209,79 @@ class XSeries:
 
     @classmethod
     def one(cls, order):
-        return cls([Fraction(1)], order)
+        return cls([1], order)
 
     def coefficient(self, k):
         if k < 0 or k > self.order:
             raise ValueError("coefficient x^%d beyond truncation order %d" % (k, self.order))
-        return self.coeffs[k]
+        return Fraction(self.nums[k], self.den * self.lam**k)
 
     def coeff_list(self):
-        return list(self.coeffs)
+        scales = _rescaled([1] * len(self.nums), self.lam, self.den)
+        return [Fraction(c, scale) for c, scale in zip(self.nums, scales)]
+
+    @property
+    def coeffs(self):
+        return tuple(self.coeff_list())
 
     def valuation(self):
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return k
-        return None
+        return next((k for k, c in enumerate(self.nums) if c), None)
 
     def is_zero(self):
-        return self.valuation() is None
+        return not any(self.nums)
 
     def truncate(self, new_order):
         if new_order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return XSeries(self.coeffs[: new_order + 1], new_order)
+        return XSeries(self.nums[: new_order + 1], new_order, self.den, self.lam)
+
+    def _plus(self, other, sign):
+        x, y, den, lam, n = _aligned(self, other, True)
+        return XSeries([p + sign * q for p, q in zip(x, y)], n, den, lam)
 
     def __add__(self, other):
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return XSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n
-        )
+        return self._plus(other, 1) if isinstance(other, XSeries) else NotImplemented
 
     def __sub__(self, other):
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return XSeries(
-            [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)], n
-        )
+        return self._plus(other, -1) if isinstance(other, XSeries) else NotImplemented
 
     def __neg__(self):
-        return XSeries([-c for c in self.coeffs], self.order)
+        return XSeries([-c for c in self.nums], self.order, self.den, self.lam)
 
     def __mul__(self, other):
         if isinstance(other, XSeries):
-            n = min(self.order, other.order)
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] = out[i + j] + a * b
-            return XSeries(out, n)
+            x, y, _, lam, n = _aligned(self, other)
+            return XSeries(_product(x, y, n + 1), n, self.den * other.den, lam)
         if isinstance(other, (int, Fraction)):
-            return XSeries([c * other for c in self.coeffs], self.order)
+            q = Fraction(other)
+            nums = [c * q.numerator for c in self.nums]
+            return XSeries(nums, self.order, self.den * q.denominator, self.lam)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def divide(self, den):
-        """Exact quotient self/den; the order drops by den's valuation."""
+        """Exact quotient self/den; the order drops by den's valuation v.
+
+        It is self / x^v times the reciprocal of den / x^v.  On den's
+        numerators b the reciprocal's x^k coefficient is T_k / b_0^(k+1)
+        with T_0 = 1 and T_k = -sum_{0<j<=k} b_j b_0^(j-1) T_(k-j), so
+        its scale grows by b_0.
+        """
         if not isinstance(den, XSeries):
             raise TypeError("divide expects an XSeries denominator")
-        n = min(self.order, den.order)
-        v = den.valuation()
+        n, v = min(self.order, den.order), den.valuation()
         if v is None or v > n:
             raise ZeroValuationError("division by a series that is zero through its order")
-        for k in range(min(v, self.order + 1)):
-            if self.coeffs[k] != 0:
-                raise NonDivisibleError(
-                    "numerator has x^%d but denominator starts at x^%d" % (k, v)
-                )
-        m = n - v
-        lead = den.coeffs[v]
-        out = []
-        for k in range(m + 1):
-            acc = self.coeffs[k + v]
-            for j in range(k):
-                acc = acc - out[j] * den.coeffs[k - j + v]
-            out.append(acc / lead)
-        return XSeries(out, m)
+        lead = self.valuation()
+        if lead is not None and lead < v:
+            raise NonDivisibleError("numerator has x^%d but denominator starts at x^%d" % (lead, v))
+        den = den.shift_down(v).truncate(n - v)
+        b = den.nums
+        weights, t = _rescaled(b[1:], b[0]), [den.den]
+        for k in range(1, n - v + 1):
+            t.append(-sum(map(mul, weights[:k], reversed(t))))
+        return self.shift_down(v).truncate(n - v) * _unscaled(t, b[0], den.lam * b[0], n - v)
 
     def shift_down(self, k):
         """Divide by x^k; the first k coefficients must vanish."""
@@ -184,40 +289,35 @@ class XSeries:
             raise ValueError("shift amount must be nonnegative")
         if k > self.order:
             raise ValuationError("cannot shift past the truncation order")
-        for j in range(k):
-            if self.coeffs[j] != 0:
-                raise ValuationError("nonzero coefficient at x^%d blocks division by x^%d" % (j, k))
-        return XSeries(self.coeffs[k:], self.order - k)
+        j = self.valuation()
+        if j is not None and j < k:
+            raise ValuationError("nonzero coefficient at x^%d blocks division by x^%d" % (j, k))
+        return XSeries(self.nums[k:], self.order - k, self.den * self.lam**k, self.lam)
 
     def sqrt(self):
         """Exact square root, the branch with a positive constant term.
 
         The constant term must be a positive rational square.  A root
         whose constant term is irrational lives over Q(sqrt D) and is
-        taken by :meth:`SurdSeries.sqrt` instead.
+        taken by :meth:`SurdSeries.sqrt` instead.  This is the root of
+        the constant term times ``_unit_root`` of the numerators.
         """
-        root = _rational_sqrt(self.coeffs[0])
+        root = _rational_sqrt(Fraction(self.nums[0], self.den))
         if not root:
             raise NonSquareConstantError(
-                "constant term %s is not a positive rational square" % (self.coeffs[0],)
+                "constant term %s is not a positive rational square" % (self.coefficient(0),)
             )
-        out = [root]
-        twice = 2 * root
-        for n in range(1, self.order + 1):
-            acc = self.coeffs[n]
-            for k in range(1, n):
-                acc = acc - out[k] * out[n - k]
-            out.append(acc / twice)
-        return XSeries(out, self.order)
+        return _unit_root(self.nums, [0] * len(self.nums), 1, self.lam)[0] * root
 
     def __eq__(self, other):
         if not isinstance(other, XSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        x, y = _aligned(self, other, True)[:2]
+        return self.order == other.order and list(x) == list(y)
 
     def __repr__(self):
         parts = [
-            "%s*x^%d" % (c, k) for k, c in enumerate(self.coeffs) if c != 0
+            "%s*x^%d" % (c, k) for k, c in enumerate(self.coeff_list()) if c != 0
         ]
         return "XSeries(%s; order=%d)" % (" + ".join(parts) or "0", self.order)
 
@@ -285,32 +385,25 @@ class SurdSeries:
     def divide(self, den):
         """Exact quotient self/den: times conjugate(den), then both parts
         divided by the rational norm(den), whose valuation the order loses."""
-        num = self * den.conjugate()
-        norm = den.norm()
+        num, norm = self * den.conjugate(), den.norm()
         return SurdSeries(num.a.divide(norm), num.b.divide(norm), self.disc)
 
     def sqrt(self, root0):
         """Exact square root whose constant term is ``root0``.
 
         ``root0`` is a pair (p, q) of rationals meaning p + q*sqrt(disc)
-        that squares to the constant term.  The recurrence divides by
-        2*root0 as a product with conjugate(root0) / (2 * norm(root0)).
+        that squares to the constant term.  The root is root0 times
+        ``_unit_root`` of the numerators of both parts over one scale.
         """
         p, q = Fraction(root0[0]), Fraction(root0[1])
         disc = self.disc
-        if (p * p + disc * q * q, 2 * p * q) != (self.a.coeffs[0], self.b.coeffs[0]):
+        if (p * p + disc * q * q, 2 * p * q) != (self.a.coefficient(0), self.b.coefficient(0)):
             raise ValueError("root0 does not square to the constant term")
-        twice_norm = 2 * (p * p - disc * q * q)
-        inv_p, inv_q = p / twice_norm, -q / twice_norm
-        ra, rb = [p], [q]
-        for n in range(1, self.a.order + 1):
-            acc_a, acc_b = self.a.coeffs[n], self.b.coeffs[n]
-            for k in range(1, n):
-                acc_a -= ra[k] * ra[n - k] + disc * rb[k] * rb[n - k]
-                acc_b -= ra[k] * rb[n - k] + rb[k] * ra[n - k]
-            ra.append(acc_a * inv_p + disc * acc_b * inv_q)
-            rb.append(acc_a * inv_q + acc_b * inv_p)
-        return SurdSeries(XSeries(ra, self.a.order), XSeries(rb, self.a.order), disc)
+        if p * p == disc * q * q:
+            raise ZeroDivisionError("the constant term has norm zero")
+        fa, fb, _, lam, order = _aligned(self.a, self.b, True)
+        series = SurdSeries(*_unit_root(fa, fb, disc, lam), disc)
+        return SurdSeries(XSeries([p], order), XSeries([q], order), disc) * series
 
     def shift_down(self, k):
         return SurdSeries(self.a.shift_down(k), self.b.shift_down(k), self.disc)

@@ -1,0 +1,103 @@
+"""Series arithmetic one rational coefficient at a time, as a test reference.
+
+``dcpoly.series`` keeps each series as integer numerators over a
+den*lam^k scale and multiplies by Kronecker substitution.  This module
+runs the schoolbook recurrences on ``fractions.Fraction`` coefficients
+instead, so the two share nothing beyond the ``XSeries`` constructor and
+``coeff_list``, which here only carry coefficient lists in and out.
+The error types and the places they are raised match ``dcpoly.series``.
+"""
+
+from fractions import Fraction
+
+from dcpoly.series import (
+    NonDivisibleError,
+    NonSquareConstantError,
+    SurdSeries,
+    XSeries,
+    ZeroValuationError,
+    _rational_sqrt,
+)
+
+
+def mul(a, b):
+    """Product truncated at the smaller order."""
+    n = min(a.order, b.order)
+    x, y = a.coeff_list(), b.coeff_list()
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        if x[i] == 0:
+            continue
+        for j in range(n + 1 - i):
+            if y[j] != 0:
+                out[i + j] += x[i] * y[j]
+    return XSeries(out, n)
+
+
+def divide(num, den):
+    """Exact quotient num/den; the order drops by den's valuation."""
+    n = min(num.order, den.order)
+    x, y = num.coeff_list(), den.coeff_list()
+    v = next((k for k, c in enumerate(y) if c != 0), None)
+    if v is None or v > n:
+        raise ZeroValuationError("division by a series that is zero through its order")
+    for k in range(min(v, num.order + 1)):
+        if x[k] != 0:
+            raise NonDivisibleError("numerator has x^%d but denominator starts at x^%d" % (k, v))
+    out = []
+    for k in range(n - v + 1):
+        acc = x[k + v]
+        for j in range(k):
+            acc -= out[j] * y[k - j + v]
+        out.append(acc / y[v])
+    return XSeries(out, n - v)
+
+
+def sqrt(s):
+    """Square root with a positive rational constant term."""
+    c = s.coeff_list()
+    root = _rational_sqrt(c[0])
+    if not root:
+        raise NonSquareConstantError("constant term %s is not a positive rational square" % c[0])
+    out = [root]
+    for n in range(1, s.order + 1):
+        acc = c[n]
+        for k in range(1, n):
+            acc -= out[k] * out[n - k]
+        out.append(acc / (2 * root))
+    return XSeries(out, s.order)
+
+
+def _minus(a, b, scale=1):
+    """a - scale*b, truncated at the smaller order."""
+    n = min(a.order, b.order)
+    return XSeries([u - scale * v for u, v in zip(a.coeff_list()[: n + 1], b.coeff_list())], n)
+
+
+def surd_divide(num, den):
+    """num/den over Q(sqrt D): times conjugate(den), over the rational norm."""
+    disc = num.disc
+    top_a = _minus(mul(num.a, den.a), mul(num.b, den.b), disc)
+    top_b = _minus(mul(num.b, den.a), mul(num.a, den.b))
+    norm = _minus(mul(den.a, den.a), mul(den.b, den.b), disc)
+    return SurdSeries(divide(top_a, norm), divide(top_b, norm), disc)
+
+
+def surd_sqrt(s, root0):
+    """Square root over Q(sqrt D) whose constant term is p + q*sqrt(D)."""
+    p, q = Fraction(root0[0]), Fraction(root0[1])
+    disc = s.disc
+    a, b = s.a.coeff_list(), s.b.coeff_list()
+    if (p * p + disc * q * q, 2 * p * q) != (a[0], b[0]):
+        raise ValueError("root0 does not square to the constant term")
+    twice_norm = 2 * (p * p - disc * q * q)
+    inv_p, inv_q = p / twice_norm, -q / twice_norm
+    ra, rb = [p], [q]
+    for n in range(1, s.a.order + 1):
+        acc_a, acc_b = a[n], b[n]
+        for k in range(1, n):
+            acc_a -= ra[k] * ra[n - k] + disc * rb[k] * rb[n - k]
+            acc_b -= ra[k] * rb[n - k] + rb[k] * ra[n - k]
+        ra.append(acc_a * inv_p + disc * acc_b * inv_q)
+        rb.append(acc_a * inv_q + acc_b * inv_p)
+    return SurdSeries(XSeries(ra, s.a.order), XSeries(rb, s.a.order), disc)

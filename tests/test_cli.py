@@ -153,6 +153,18 @@ def test_verify_rejects_a_zero_d_sample(capsys, samples):
     assert "nonzero" in errors[0]
 
 
+@pytest.mark.parametrize("samples", ["-2", "1,-2"])
+def test_verify_rejects_minus_two_as_a_d_sample(capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "kernel", "--order", "12", "--d-samples", samples])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [captured.err.splitlines()[-1]]
+    assert "(d+2)^2" in errors[0]
+
+
 @pytest.mark.parametrize("missing", [False, True])
 def test_out_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, missing):
     # a missing directory fails before the temporary file exists; an

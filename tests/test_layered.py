@@ -84,8 +84,8 @@ def test_iterates_grow_monotonically(monkeypatch):
     """Every packed partial sum equals the reference engine's iterate T^t(0)."""
     seen = []
 
-    def record(packed):
-        check_invariants(packed)
+    def record(packed, row=None):
+        check_invariants(packed, row)
         seen.append(layered._unpack(packed))
 
     monkeypatch.setattr(layered, "check_invariants", record)
@@ -173,6 +173,35 @@ def test_each_invariant_fires_on_one_corrupted_slot(track, cls, kd, m, change, m
     packed = _corrupted(track, cls, kd, m, change)
     with pytest.raises(InvariantError, match=message):
         check_invariants(packed)
+
+
+@pytest.mark.parametrize("track_diagonals", [False, True])
+def test_each_step_checks_its_new_row_and_catches_a_corrupted_slot(monkeypatch, track_diagonals):
+    """Earlier d-rows never change, so a step checks only the row it
+    wrote; a borrow planted in the third delta still stops ``solve``."""
+    checked = []
+    real_check, real_step = layered.check_invariants, layered._linear_step
+
+    def record(packed, row=None):
+        checked.append(row)
+        real_check(packed, row)
+
+    monkeypatch.setattr(layered, "check_invariants", record)
+    solve(16, track_diagonals)
+    assert checked == ([2, 3, 4, 5, 6, 7] if track_diagonals else [0] * 6)
+
+    def corrupting(delta, slots):
+        two, one, zero = real_step(delta, slots)
+        if len(checked) == 3:
+            one = one + [0] * (2 - len(one))
+            one[1] -= 1
+        return two, one, zero
+
+    checked.clear()
+    monkeypatch.setattr(layered, "_linear_step", corrupting)
+    with pytest.raises(InvariantError, match="negative"):
+        solve(16, track_diagonals)
+    assert checked[-1] == (5 if track_diagonals else 0)
 
 
 def test_too_narrow_slot_raises_instead_of_wrapping(monkeypatch):

@@ -14,8 +14,10 @@ from fractions import Fraction
 
 import pytest
 
+import reference_series
 from reference_layered import times_geometric, zpoly_add
 
+from dcpoly import series
 from dcpoly.layered import Slots, _times_geometric
 from dcpoly.series import (
     BiPoly,
@@ -237,6 +239,181 @@ def test_surd_series_divide_round_trip():
 def test_surd_series_over_a_square_discriminant_is_rational():
     one = surd({0: 1}, {0: 2, 1: 1}, 1, 4)
     assert_parts(one, {0: 3, 1: 1}, {})
+
+
+# ------------------------------------------ against the Fraction reference
+
+def _rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7, 25)))
+
+
+def _rescaled_copy(s, rng):
+    """The same value as s, usually on another den*lam^k scale: dividing
+    by g after multiplying by g runs the reciprocal of g, whose scale
+    grows by g's constant term."""
+    g = XSeries([rng.choice((-3, 2, 5, Fraction(2, 3))), rng.randint(-4, 4), 1], s.order)
+    return (s * g).divide(g) if rng.random() < 0.7 else s
+
+
+def _random_series(rng, order, valuation=0, lead=None):
+    coeffs = [0] * valuation + [lead if lead is not None else _rational(rng) or 1]
+    coeffs += [_rational(rng) for _ in range(order)]
+    return _rescaled_copy(XSeries(coeffs, order), rng)
+
+
+def _same(got, want):
+    assert got.order == want.order
+    assert got == want
+    assert got.coeff_list() == want.coeff_list()
+
+
+def test_mul_matches_reference_with_mixed_scales_and_orders():
+    rng = random.Random(21)
+    scales = set()
+    for _ in range(40):
+        a = _random_series(rng, rng.randint(0, 24), rng.randint(0, 2), rng.choice((None, -5)))
+        b = _random_series(rng, rng.randint(0, 24))
+        scales.add((a.lam > 1, a.lam != b.lam))
+        _same(a * b, reference_series.mul(a, b))
+        _same(a * a, reference_series.mul(a, a))
+        c = _rational(rng)
+        _same(a * c, reference_series.mul(a, XSeries([c], a.order)))
+    assert (True, True) in scales and (False, False) in scales
+
+
+def test_divide_matches_reference_with_valuation_and_negative_leads():
+    rng = random.Random(22)
+    for _ in range(40):
+        v = rng.randint(0, 3)
+        den = _random_series(rng, rng.randint(v, 24), v, rng.choice((None, -1, -7, Fraction(-3, 4))))
+        num = _random_series(rng, rng.randint(v, 24), v + rng.randint(0, 2))
+        _same(num.divide(den), reference_series.divide(num, den))
+
+
+def test_sqrt_matches_reference_on_rescaled_inputs():
+    rng = random.Random(23)
+    for _ in range(40):
+        root = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        s = _random_series(rng, rng.randint(0, 24), 0, root * root)
+        _same(s.sqrt(), reference_series.sqrt(s))
+
+
+def _random_surd(rng, disc, order, root0):
+    p, q = root0
+    a = [p * p + disc * q * q] + [_rational(rng) for _ in range(order)]
+    b = [2 * p * q] + [_rational(rng) for _ in range(order)]
+    return SurdSeries(_rescaled_copy(XSeries(a, order), rng), XSeries(b, order), disc)
+
+
+def _same_surd(got, want):
+    assert got.disc == want.disc
+    _same(got.a, want.a)
+    _same(got.b, want.b)
+
+
+def test_surd_sqrt_matches_reference_for_either_sign_of_the_norm():
+    rng = random.Random(24)
+    signs = set()
+    for _ in range(40):
+        disc = rng.choice((2, 3, 5, 13))
+        root0 = (_rational(rng), _rational(rng) or 1)
+        signs.add(root0[0] ** 2 > disc * root0[1] ** 2)
+        s = _random_surd(rng, disc, rng.randint(0, 20), root0)
+        _same_surd(s.sqrt(root0), reference_series.surd_sqrt(s, root0))
+    assert signs == {False, True}
+
+
+def test_surd_divide_matches_reference_with_valuation():
+    rng = random.Random(25)
+    for _ in range(30):
+        disc, order, v = rng.choice((2, 5, 13)), rng.randint(5, 20), rng.randint(0, 2)
+        den = SurdSeries(
+            _random_series(rng, order, v, rng.choice((None, -2))),
+            _random_series(rng, order, v + 1),
+            disc,
+        )
+        num = SurdSeries(_random_series(rng, order, v), _random_series(rng, order, v), disc)
+        _same_surd(num.divide(den), reference_series.surd_divide(num, den))
+
+
+def test_discriminant_one_folds_in_sqrt_and_divide():
+    rng = random.Random(26)
+    for _ in range(10):
+        # over disc 1 the constant term p^2 may be split between the parts
+        p, split = Fraction(rng.randint(-6, 6) or 1, 5), _rational(rng)
+        s = SurdSeries(
+            _random_series(rng, 12, 0, p * p - split), _random_series(rng, 12, 0, split), 1
+        )
+        root0 = (p, 0)
+        got = s.sqrt(root0)
+        assert got.b.is_zero()
+        _same_surd(got, reference_series.surd_sqrt(s, root0))
+        den = _random_surd(rng, 1, 12, (rng.randint(1, 4), 0))
+        _same_surd(s.divide(den), reference_series.surd_divide(s, den))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: m.divide(xs({0: 1}, 5), XSeries.zero(5)),
+        lambda m: m.divide(xs({0: 1}, 4), xs({5: 1}, 9)),
+        lambda m: m.divide(xs({3: 1}, 10), xs({4: -2, 5: 1}, 10)),
+        lambda m: m.sqrt(xs({0: 2, 1: 1}, 4)),
+        lambda m: m.sqrt(xs({0: Fraction(-4, 9)}, 4)),
+        lambda m: m.sqrt(xs({1: 1}, 4)),
+        lambda m: m.surd_sqrt(surd({0: 6}, {0: 2}, 5, 4), (2, 1)),
+        lambda m: m.surd_sqrt(surd({1: 1}, {2: 1}, 5, 4), (0, 0)),
+        lambda m: m.surd_divide(surd({0: 1}, {}, 5, 4), surd({}, {}, 5, 4)),
+        lambda m: m.surd_divide(surd({0: 1}, {1: 1}, 5, 4), surd({1: 1}, {1: 1}, 5, 4)),
+    ],
+    ids=[
+        "divide-by-zero", "valuation-past-order", "non-divisible",
+        "non-square", "negative", "zero-constant",
+        "surd-wrong-root", "surd-zero-constant", "surd-divide-by-zero", "surd-non-divisible",
+    ],
+)
+def test_each_error_path_matches_reference(call):
+    class Series:
+        divide = staticmethod(XSeries.divide)
+        sqrt = staticmethod(XSeries.sqrt)
+        surd_sqrt = staticmethod(SurdSeries.sqrt)
+        surd_divide = staticmethod(SurdSeries.divide)
+
+    with pytest.raises(Exception) as want:
+        call(reference_series)
+    with pytest.raises(type(want.value)):
+        call(Series)
+
+
+def test_two_representations_of_one_series_compare_equal():
+    s = xs({0: 1, 1: 1, 3: Fraction(-2, 3)}, 12)
+    root = s.sqrt()
+    square = root * root
+    assert (square.lam, square.den) != (s.lam, s.den)
+    assert square == s and s == square
+    assert square.coeff_list() == s.coeff_list()
+    assert square != s + xs({12: 1}, 12)
+    assert XSeries.one(12) != XSeries.one(11)
+
+
+def test_scale_reduction_returns_integer_roots_to_lam_one():
+    # sqrt(1 - 4x) and 1/(1 - x) have integer coefficients
+    assert xs({0: 1, 1: -4}, 30).sqrt().lam == 1
+    assert XSeries.one(30).divide(xs({0: 1, 1: -1}, 30)).lam == 1
+    # 1/(3 - x) = sum x^k / 3^(k+1) keeps the 3
+    assert XSeries.one(30).divide(xs({0: 3, 1: -1}, 30)).lam == 3
+
+
+def test_square_root_halving_is_checked_not_floored(monkeypatch):
+    """Every numerator the recurrence halves is even; an odd one, here from
+    a convolution off by one per nonzero term, raises instead of flooring.
+    (In the surd case the x^1 root numerator is rational: (3 + sqrt 5) *
+    conjugate(6 + 2 sqrt 5) = 8.)"""
+    monkeypatch.setattr(series, "mul", lambda x, y: x * y + (x != 0))
+    with pytest.raises(ArithmeticError, match="odd numerator .* x\\^2"):
+        xs({0: 1, 1: 1}, 4).sqrt()
+    with pytest.raises(ArithmeticError, match="odd numerator .* x\\^2"):
+        surd({0: 6, 1: 3}, {0: 2, 1: 1}, 5, 4).sqrt((1, 1))
 
 
 # ---------------------------------------------------------------- BiPoly
