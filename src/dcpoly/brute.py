@@ -34,7 +34,6 @@ counted by diagonals, shape by shape) and column-convex polyominoes
 perimeter with the column width as the layer state.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .counts import CountTable, NoseClass
@@ -175,8 +174,7 @@ def iter_shapes(max_perimeter):
             )
 
 
-@dataclass(frozen=True)
-class DcpShape:
+class DcpShape(NamedTuple):
     """A diagonally convex polyomino as its tuple of diagonal runs.
 
     Runs are normalized so the first diagonal is 0 and the smallest

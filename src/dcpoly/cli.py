@@ -14,19 +14,16 @@ sorted, and files are written to a temporary name and renamed into
 place so a failure never leaves a partial file behind.  Exit codes: 0
 on success, 1 when a verification check fails, 2 on usage errors and
 on an ``--out`` path that cannot be written.
+
+A subcommand imports only its engine: the handlers import it, and
+``json``, ``tempfile`` and ``fractions`` load only on the paths that use
+them (``python -X importtime -m dcpoly.cli <sub> --help`` shows it).
+The ``verify`` defaults are copied here, pinned equal by a test.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import os
 import sys
-import tempfile
-from fractions import Fraction
-
-from . import brute, closedform, layered, verify
-from .counts import nose_label
 
 FORMATS = ("table", "csv", "json", "bfile")
 
@@ -35,6 +32,10 @@ SERIES_FIELDS = {
     "diagonals": ("perimeter", "diagonals"),
     "noses": ("perimeter", "nose"),
 }
+
+SUITE_NAMES = ("kernel", "twonose", "columnconvex", "directed", "oracle")
+DEFAULT_ORDER = 40
+DEFAULT_D_SAMPLES = "1,1/2,2,3"
 
 
 def _even_perimeter(minimum):
@@ -63,6 +64,7 @@ def _positive_int(text):
 
 
 def _d_samples(text):
+    from fractions import Fraction
     try:
         values = tuple(
             Fraction(token.strip()) for token in text.split(",") if token.strip()
@@ -89,6 +91,7 @@ def write_text(text, path):
     if path is None:
         sys.stdout.write(text)
         return
+    import tempfile
     directory = os.path.dirname(os.path.abspath(path))
     handle, tmp = tempfile.mkstemp(dir=directory, prefix=".dcpoly.")
     try:
@@ -119,18 +122,14 @@ def parse_bfile(text):
     return counts
 
 
-def _component_text(component):
-    if isinstance(component, int):
-        return str(component)
-    return nose_label(component)
-
-
 def _census_rows(table, fields):
+    from .counts import nose_label
     projected = table.project(*fields)
     rows = []
     for key, count in projected.items():
         parts = key if isinstance(key, tuple) else (key,)
-        rows.append((tuple(_component_text(c) for c in parts), count))
+        text = tuple(str(c) if isinstance(c, int) else nose_label(c) for c in parts)
+        rows.append((text, count))
     rows.sort(key=lambda row: tuple(
         (0, int(part)) if part.isdigit() else (1, part) for part in row[0]
     ))
@@ -156,6 +155,7 @@ def _render_census(rows, fields, fmt):
         lines.extend("%s,%d" % ("/".join(key), count) for key, count in rows)
         return "".join(line + "\n" for line in lines)
     if fmt == "json":
+        import json
         root = {}
         for key, count in rows:
             node = root
@@ -175,6 +175,7 @@ def _emit_census(args, table, fields):
 
 
 def _cmd_series(args):
+    from . import layered
     if args.by == "perimeter":
         counts = layered.perimeter_counts(args.max_perimeter)
         if args.format == "bfile":
@@ -186,6 +187,7 @@ def _cmd_series(args):
 
 
 def _cmd_census(args):
+    from . import brute
     table = brute.generate(args.max_perimeter)
     fields = (
         ("perimeter", "diagonals", "nose", "last_run")
@@ -196,6 +198,7 @@ def _cmd_census(args):
 
 
 def _cmd_ratios(args):
+    from . import closedform
     rows = closedform.ratio_table(args.max_perimeter)
     header = ["perimeter", "column_convex", "diagonally_convex", "ratio"]
     if args.format == "csv":
@@ -206,6 +209,7 @@ def _cmd_ratios(args):
         )
         text = "".join(line + "\n" for line in lines)
     elif args.format == "json":
+        import json
         text = json.dumps([row._asdict() for row in rows], indent=2) + "\n"
     else:
         body = [
@@ -217,6 +221,7 @@ def _cmd_ratios(args):
 
 
 def _cmd_verify(args):
+    from . import verify
     minimum = verify.min_order(args.suite)
     if args.order < minimum:
         args.command_parser.error(
@@ -296,23 +301,23 @@ def _build_parser():
     )
     check.add_argument(
         "--suite",
-        choices=verify.SUITE_NAMES + ("all",),
+        choices=SUITE_NAMES + ("all",),
         default="all",
         help="which suite to run (default all)",
     )
     check.add_argument(
         "--order",
         type=_positive_int,
-        default=verify.DEFAULT_ORDER,
+        default=DEFAULT_ORDER,
         help="truncation order for the algebraic suites; the exhaustive"
-        " cross-checks cap their perimeter at 40 (default 40)",
+        " cross-checks cap their perimeter at 40 (default %(default)s)",
     )
     check.add_argument(
         "--d-samples",
         type=_d_samples,
-        default=verify.DEFAULT_D_SAMPLES,
+        default=DEFAULT_D_SAMPLES,
         help="comma-separated rational samples for the diagonal marker"
-        " (default 1,1/2,2,3)",
+        " (default %(default)s)",
     )
     check.set_defaults(handler=_cmd_verify, command_parser=check)
 

@@ -155,9 +155,12 @@ def radicals(d, order):
     Each returned pair carries the square root and the polynomial it
     squares back to; for the outer radical the radicand itself contains
     the middle one.  All three constant terms are rational squares, so
-    the values are honest rational series.
+    the values are honest rational series; the outer one, (d + 2)^2, is
+    0 at d = -2, which raises ``ValueError``.
     """
     d = Fraction(d)
+    if d == -2:
+        raise ValueError("the sample d=-2 zeroes the nested radicand's constant term (d+2)^2")
     kernel_radicand = _kernel_radicand(d, order)
     base_radicand = XSeries.from_terms(
         {

@@ -33,7 +33,6 @@ every perimeter is even.  A multiple of x^(2k) is then a shift by k
 slots under a mask, and a sum of polynomials is one integer sum.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .counts import CountTable, NoseClass
@@ -51,8 +50,7 @@ class InvariantError(RuntimeError):
     """An iterate violated a structural property every census series has."""
 
 
-@dataclass(frozen=True)
-class GFTriple:
+class GFTriple(NamedTuple):
     """The three nose-class generating functions at one iteration stage."""
 
     two_nose: ZPolySeries

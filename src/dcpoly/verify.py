@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import brute, closedform, layered
+# the suites that walk shapes import brute, so the kernel suite never loads it
+from . import closedform, layered
 from .counts import sortable_key
 
 SUITE_NAMES = ("kernel", "twonose", "columnconvex", "directed", "oracle")
@@ -105,8 +106,8 @@ def kernel_suite(order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES):
     Each sample gets the three radical checks and the seven residuals of
     ``closedform.kernel_residuals``, whose roots are built once per
     sample; each integer sample also gets the integer-coefficient check
-    on the expanded kernel.  A zero sample raises ``ValueError``: the
-    kernel has no series roots there.
+    on the expanded kernel.  A sample of 0 or -2 raises ``ValueError``:
+    the kernel has no series roots at 0, and no nested radical at -2.
     """
     results = []
     for d in d_samples:
@@ -185,6 +186,7 @@ def twonose_suite(order=20):
 
 def columnconvex_suite(order=DEFAULT_ORDER):
     """Equality of the three closed-form variants, plus the generator."""
+    from . import brute
     results = []
     for r in (Fraction(1), Fraction(1, 2)):
         series = {
@@ -226,6 +228,7 @@ def columnconvex_suite(order=DEFAULT_ORDER):
 
 def directed_suite(formula_depth=15, exhaustive_depth=4):
     """Fixed point, binomial formula, and generator for directed shapes."""
+    from . import brute
     series = closedform.directed_series(formula_depth)
     mismatch = None
     for k in range(1, formula_depth + 1):
@@ -262,6 +265,7 @@ def directed_suite(formula_depth=15, exhaustive_depth=4):
 
 def oracle_suite(max_perimeter=ORACLE_PERIMETER_CAP):
     """Layered and exhaustive joint census tables, key for key."""
+    from . import brute
     triple = layered.solve(max_perimeter)
     expected = layered.joint_table(triple)
     found = brute.generate(max_perimeter)

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from dcpoly import cli
+from dcpoly import cli, verify
 
 SMALL_BFILE = "4 1\n6 2\n8 7\n10 28\n12 122\n"
 
@@ -79,6 +79,22 @@ def test_ratios_csv_rows(capsys):
     assert lines[-1] == "16,2641,2618,1.0088"
 
 
+def test_ratios_json_rows(capsys):
+    code, out = run_cli(capsys, "ratios", "--max-perimeter", "16", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert rows[-2:] == [
+        {"perimeter": 14, "column_convex": 558, "diagonally_convex": 556, "ratio": "1.0036"},
+        {"perimeter": 16, "column_convex": 2641, "diagonally_convex": 2618, "ratio": "1.0088"},
+    ]
+
+
+def test_census_json_counts(capsys):
+    code, out = run_cli(capsys, "census", "--max-perimeter", "12", "--format", "json")
+    assert code == 0
+    assert out == json.dumps({"4": 1, "6": 2, "8": 7, "10": 28, "12": 122}, indent=2) + "\n"
+
+
 def test_ratios_to_200_are_byte_identical(capsys):
     """The digest of the order-200 table as the dict-of-terms engine printed it."""
     code, out = run_cli(capsys, "ratios", "--max-perimeter", "200", "--format", "csv")
@@ -139,6 +155,32 @@ def test_verify_columnconvex_suite_passes_at_its_minimum_order(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "columnconvex", "--order", "4")
     assert code == 0
     assert out.rstrip().endswith("5 checks, 0 failed")
+
+
+def test_verify_defaults_are_the_verify_module_defaults():
+    # the parser holds its own copies so that building it loads no engine
+    args = cli._build_parser().parse_args(["verify"])
+    assert cli.SUITE_NAMES == verify.SUITE_NAMES
+    assert args.order == verify.DEFAULT_ORDER
+    assert args.d_samples == verify.DEFAULT_D_SAMPLES
+
+
+def test_verify_default_d_samples_are_one_half_two_three(capsys):
+    code, default = run_cli(capsys, "verify", "--suite", "kernel", "--order", "12")
+    assert code == 0
+    code, explicit = run_cli(
+        capsys, "verify", "--suite", "kernel", "--order", "12", "--d-samples", "1,1/2,2,3"
+    )
+    assert code == 0
+    assert default == explicit
+    assert "(d=1/2)" in default and "(d=3)" in default
+
+
+def test_verify_help_lists_every_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "{%s}" % ",".join(verify.SUITE_NAMES + ("all",)) in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("samples", ["0", "1,0"])

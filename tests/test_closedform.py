@@ -84,6 +84,13 @@ def test_roots_require_nonzero_sample():
         roots(0, 8)
 
 
+def test_radicals_reject_minus_two_naming_the_sample():
+    # the nested radicand's constant term is (d+2)^2; naming it beats the
+    # series layer's "constant term 0 is not a positive rational square"
+    with pytest.raises(ValueError, match=r"d=-2 .*\(d\+2\)\^2"):
+        radicals(-2, 8)
+
+
 def test_quartic_roots_live_in_expected_extension():
     aux = roots(Fraction(1, 2), 8).aux_plus
     assert aux.disc == 17

@@ -1,0 +1,88 @@
+"""Start-up cost of the command line: which modules a subcommand loads.
+
+Each case runs ``cli.main`` in a fresh interpreter and lists the
+modules that appeared between just before ``from dcpoly import cli``
+and the end of the run.  Modules the interpreter loaded before that
+(``site`` may preload ``tempfile`` or ``typing``) are not counted.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dcpoly
+
+PROBE = """
+import sys
+before = set(sys.modules)
+from dcpoly import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit as exc:
+    if exc.code:
+        raise
+sys.stderr.write(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+ENGINES = {"dcpoly.series", "dcpoly.layered", "dcpoly.closedform", "dcpoly.brute"}
+
+
+def loaded(*argv):
+    """Modules a fresh ``cli.main(argv)`` run loads, with ``cli`` itself."""
+    env = dict(os.environ)
+    src = str(Path(dcpoly.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize("sub", ["series", "census", "ratios", "verify", None])
+def test_help_loads_no_engine(sub):
+    modules = loaded(*filter(None, (sub, "--help")))
+    assert "dcpoly.cli" in modules
+    assert modules & (
+        ENGINES | {"dcpoly.verify", "dcpoly.counts", "dataclasses", "json"}
+    ) == set()
+
+
+# argv -> (modules it must load, modules it must not load)
+RUNS = {
+    ("census", "--max-perimeter", "12", "--format", "csv"): (
+        {"dcpoly.brute"},
+        {"dcpoly.series", "dcpoly.layered", "dcpoly.closedform", "dcpoly.verify",
+         "fractions"},
+    ),
+    ("series", "--max-perimeter", "12", "--format", "csv"): (
+        {"dcpoly.layered", "dcpoly.series"},
+        {"dcpoly.brute", "dcpoly.closedform", "dcpoly.verify"},
+    ),
+    ("ratios", "--max-perimeter", "14", "--format", "csv"): (
+        {"dcpoly.closedform"},
+        {"dcpoly.brute", "dcpoly.verify"},
+    ),
+    ("verify", "--suite", "kernel", "--order", "12"): (
+        {"dcpoly.verify", "dcpoly.closedform"},
+        {"dcpoly.brute"},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RUNS), ids=lambda argv: argv[0])
+def test_subcommand_loads_only_its_engine(argv):
+    needed, absent = RUNS[argv]
+    modules = loaded(*argv)
+    assert needed <= modules
+    assert modules & (absent | {"dataclasses", "json"}) == set()
+
+
+def test_json_output_loads_json():
+    assert "json" in loaded("census", "--max-perimeter", "8", "--format", "json")

@@ -54,6 +54,11 @@ def test_kernel_suite_rejects_a_zero_sample():
         verify.kernel_suite(12, (0,))
 
 
+def test_kernel_suite_rejects_minus_two_naming_the_sample():
+    with pytest.raises(ValueError, match=r"d=-2 .*\(d\+2\)\^2"):
+        verify.kernel_suite(12, (1, -2))
+
+
 def test_kernel_suite_builds_the_roots_once_per_sample(monkeypatch):
     calls = []
     real = closedform.roots
