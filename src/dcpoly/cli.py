@@ -122,9 +122,8 @@ def parse_bfile(text):
     return counts
 
 
-def _census_rows(table, fields):
+def _census_rows(projected):
     from .counts import nose_label
-    projected = table.project(*fields)
     rows = []
     for key, count in projected.items():
         parts = key if isinstance(key, tuple) else (key,)
@@ -168,22 +167,16 @@ def _render_census(rows, fields, fmt):
     return _render_table(header, body)
 
 
-def _emit_census(args, table, fields):
+def _emit_census(args, projected, fields):
     if args.format == "bfile" and fields != ("perimeter",):
         args.command_parser.error("bfile output needs plain perimeter keys")
-    return _render_census(_census_rows(table, fields), fields, args.format), 0
+    return _render_census(_census_rows(projected), fields, args.format), 0
 
 
 def _cmd_series(args):
     from . import layered
-    if args.by == "perimeter":
-        counts = layered.perimeter_counts(args.max_perimeter)
-        if args.format == "bfile":
-            return emit_bfile(counts), 0
-        rows = [((str(n),), counts[n]) for n in sorted(counts)]
-        return _render_census(rows, ("perimeter",), args.format), 0
-    table = layered.joint_table(layered.solve(args.max_perimeter))
-    return _emit_census(args, table, SERIES_FIELDS[args.by])
+    counts = layered.marginals(args.max_perimeter, args.by)
+    return _emit_census(args, counts, SERIES_FIELDS[args.by])
 
 
 def _cmd_census(args):
@@ -194,7 +187,7 @@ def _cmd_census(args):
         if args.classify
         else ("perimeter",)
     )
-    return _emit_census(args, table, fields)
+    return _emit_census(args, table.project(*fields), fields)
 
 
 def _cmd_ratios(args):

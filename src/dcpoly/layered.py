@@ -31,12 +31,15 @@ integers (Kronecker substitution).  A class is a list over z of Python
 ints, and slot j of each int holds the coefficient of x^(2j), since
 every perimeter is even.  A multiple of x^(2k) is then a shift by k
 slots under a mask, and a sum of polynomials is one integer sum.
+
+``marginals(order, by)`` unpacks only the sum of every z-entry (by
+perimeter), of each class (by nose, d collapsed) or of each d-row (by
+diagonals); only ``solve`` and the identities load ``dcpoly.series``.
 """
 
 from typing import NamedTuple
 
 from .counts import CountTable, NoseClass
-from .series import BiPoly, ZPolySeries
 
 CLASS_ORDER = (NoseClass.TWO, NoseClass.ONE, NoseClass.ZERO)
 MIN_Z = {NoseClass.TWO: 2, NoseClass.ONE: 1, NoseClass.ZERO: 1}
@@ -53,9 +56,9 @@ class InvariantError(RuntimeError):
 class GFTriple(NamedTuple):
     """The three nose-class generating functions at one iteration stage."""
 
-    two_nose: ZPolySeries
-    one_nose: ZPolySeries
-    zero_nose: ZPolySeries
+    two_nose: "ZPolySeries"
+    one_nose: "ZPolySeries"
+    zero_nose: "ZPolySeries"
     order: int
     track_diagonals: bool
 
@@ -277,6 +280,7 @@ def _solve_packed(order, track_diagonals):
 
 def _unpack(packed):
     """The packed sum as a ``GFTriple`` of ``ZPolySeries``."""
+    from .series import BiPoly, ZPolySeries
     slots = packed.slots
     classes = []
     for drows in packed.rows:
@@ -302,6 +306,7 @@ def total_gf(triple):
     Adds the single cell (one diagonal, perimeter 4) to the three
     multi-diagonal classes evaluated at z = 1.
     """
+    from .series import BiPoly
     du = 1 if triple.track_diagonals else 0
     acc = BiPoly.monomial(1, du, 4, triple.order)
     for _, series in triple.classes():
@@ -309,28 +314,49 @@ def total_gf(triple):
     return acc
 
 
-def perimeter_counts(order):
-    """Counts of diagonally convex polyominoes for each perimeter <= order.
-
-    Runs the iteration with d collapsed and unpacks only the sum of the
-    single cell and the packed classes at z = 1.  That sum adds fewer
-    than 2^guard_bits checked values, so an overflow sets a guard bit.
-    """
-    packed = _solve_packed(order, track_diagonals=False)
-    slots = packed.slots
-    acc = (1 << 2 * slots.width) + sum(sum(row) for drows in packed.rows for row in drows)
+def _checked_unpack(slots, acc):
+    """Unpack a sum of checked values; fewer than 2^guard_bits of them
+    cannot carry between slots, so an overflow sets a guard bit."""
     if acc & slots.guard:
         raise InvariantError("a perimeter count overflows its slot")
     return slots.unpack(acc)
 
 
+def marginals(order, by):
+    """Counts through perimeter ``order`` for ``by`` in perimeter, diagonals
+    or noses, keyed as ``CountTable.project`` keys perimeter, (perimeter,
+    diagonals) or (perimeter, nose), with nose None for the single cell.
+    Each key group is one sum of at most 3(order/2 + 1) + 1 < 2^guard_bits
+    checked values."""
+    if by not in ("perimeter", "diagonals", "noses"):
+        raise ValueError("unknown marginal %r" % (by,))
+    packed = _solve_packed(order, track_diagonals=by == "diagonals")
+    slots, rows = packed.slots, packed.rows
+    single = 1 << 2 * slots.width  # the single cell: x^4, one diagonal
+    if by == "perimeter":
+        sums = {None: single + sum(sum(row) for drows in rows for row in drows)}
+    elif by == "noses":
+        sums = {None: single}
+        sums.update(zip(CLASS_ORDER, (sum(map(sum, drows)) for drows in rows)))
+    else:  # every class has the same d-rows, and rows 0 and 1 are empty
+        sums = {kd: sum(map(sum, kd_rows)) for kd, kd_rows in enumerate(zip(*rows))}
+        sums[1] = single
+    out = {}
+    for group, acc in sums.items():
+        for kx, v in _checked_unpack(slots, acc).items():
+            out[kx if by == "perimeter" else (kx, group)] = v
+    return out
+
+
+def perimeter_counts(order):
+    """Counts of diagonally convex polyominoes for each perimeter <= order."""
+    return marginals(order, "perimeter")
+
+
 def nose_breakdown(order):
-    """Perimeter counts split by nose class, from the symbolic run."""
-    triple = solve(order, track_diagonals=True)
-    return {
-        cls: dict(sorted(series.eval_at_one().x_counts().items()))
-        for cls, series in triple.classes()
-    }
+    """Perimeter counts split by nose class, from the collapsed run."""
+    table = marginals(order, "noses")
+    return {cls: {kx: v for (kx, c), v in table.items() if c is cls} for cls in CLASS_ORDER}
 
 
 def joint_table(triple):
@@ -362,6 +388,7 @@ def two_nose_identity_residuals(triple):
     """
     if not triple.track_diagonals:
         raise ValueError("the identity lives in the diagonal-tracking variables")
+    from .series import BiPoly
     order = triple.order
     a_two = triple.two_nose.eval_at_one()
     b_one = triple.one_nose.eval_at_one()

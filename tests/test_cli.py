@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from dcpoly import cli, verify
+from dcpoly import cli, layered, verify
 
 SMALL_BFILE = "4 1\n6 2\n8 7\n10 28\n12 122\n"
 
@@ -42,6 +42,28 @@ def test_series_rejects_bfile_for_refined_keys():
     with pytest.raises(SystemExit) as exc:
         cli.main(["series", "--by", "noses", "--format", "bfile"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("by", ["diagonals", "noses"])
+def test_series_bfile_refusal_names_its_reason(capsys, by):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["series", "--by", by, "--max-perimeter", "8", "--format", "bfile"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bfile output needs plain perimeter keys" in captured.err
+
+
+@pytest.mark.parametrize("by", ["diagonals", "noses"])
+def test_series_tables_render_the_joint_table_projection(capsys, by):
+    fields = cli.SERIES_FIELDS[by]
+    projected = layered.joint_table(layered.solve(64)).project(*fields)
+    for fmt in ("table", "csv", "json"):
+        code, out = run_cli(
+            capsys, "series", "--by", by, "--max-perimeter", "64", "--format", fmt
+        )
+        assert code == 0
+        assert out == cli._render_census(cli._census_rows(projected), fields, fmt)
 
 
 def test_series_json_nose_breakdown(capsys):

@@ -17,6 +17,7 @@ from dcpoly.layered import (
     NonConvergenceError,
     check_invariants,
     joint_table,
+    marginals,
     nose_breakdown,
     perimeter_counts,
     solve,
@@ -60,6 +61,25 @@ def test_nose_breakdown_at_order_eight():
         NoseClass.ONE: {6: 2, 8: 4},
         NoseClass.ZERO: {8: 2},
     }
+
+
+PROJECTED_FIELDS = {
+    "perimeter": ("perimeter",),
+    "diagonals": ("perimeter", "diagonals"),
+    "noses": ("perimeter", "nose"),
+}
+
+
+@pytest.mark.parametrize("order", [4, 5, 8, 16, 40, 64])
+def test_marginals_equal_the_joint_table_projections(order):
+    table = joint_table(solve(order))
+    for by, fields in PROJECTED_FIELDS.items():
+        assert marginals(order, by) == table.project(*fields)
+
+
+def test_marginals_reject_an_unknown_statistic():
+    with pytest.raises(ValueError, match="unknown marginal"):
+        marginals(8, "last_run")
 
 
 def test_joint_table_projects_to_perimeter_counts():
@@ -213,6 +233,9 @@ def test_too_narrow_slot_raises_instead_of_wrapping(monkeypatch):
             solve(40, track_diagonals)
     with pytest.raises(InvariantError, match="overflows its slot"):
         perimeter_counts(40)
+    for by in ("noses", "diagonals"):
+        with pytest.raises(InvariantError, match="overflows"):
+            marginals(40, by)
 
 
 def test_a_total_that_outgrows_its_slot_raises(monkeypatch):
@@ -223,6 +246,18 @@ def test_a_total_that_outgrows_its_slot_raises(monkeypatch):
     solve(60, False)
     with pytest.raises(InvariantError, match="perimeter count overflows"):
         perimeter_counts(60)
+
+
+@pytest.mark.parametrize("by, value_bits", [("noses", 63), ("diagonals", 61)])
+def test_a_marginal_that_outgrows_its_slot_raises(monkeypatch, by, value_bits):
+    """At 60 every class coefficient of the run fits in ``value_bits`` but
+    some of the sums this marginal adds do not."""
+    monkeypatch.setattr(
+        layered, "_slot_bits", lambda order: (value_bits, 2 * (order + 4).bit_length())
+    )
+    layered._solve_packed(60, by == "diagonals")
+    with pytest.raises(InvariantError, match="perimeter count overflows"):
+        marginals(60, by)
 
 
 def test_value_bits_rest_on_a_contraction():
