@@ -106,13 +106,9 @@ def write_text(text, path):
         raise
 
 
-def emit_bfile(counts):
-    """Render an integer-keyed count mapping as b-file text."""
-    return "".join("%d %d\n" % (n, counts[n]) for n in sorted(counts))
-
-
 def parse_bfile(text):
-    """Inverse of :func:`emit_bfile`; rejects malformed lines."""
+    """Counts keyed by perimeter from ``--format bfile`` text, one
+    ``n count`` line each; rejects malformed lines."""
     counts = {}
     for line in text.splitlines():
         n_text, _, count_text = line.partition(" ")

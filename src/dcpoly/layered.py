@@ -32,9 +32,12 @@ ints, and slot j of each int holds the coefficient of x^(2j), since
 every perimeter is even.  A multiple of x^(2k) is then a shift by k
 slots under a mask, and a sum of polynomials is one integer sum.
 
-``marginals(order, by)`` unpacks only the sum of every z-entry (by
-perimeter), of each class (by nose, d collapsed) or of each d-row (by
-diagonals); only ``solve`` and the identities load ``dcpoly.series``.
+``solve`` returns the packed sum itself, and every result is read
+from it: ``marginals(order, by)`` unpacks only the sum of every z-entry
+(by perimeter), of each class (by nose, d collapsed) or of each d-row
+(by diagonals); ``joint_table`` unpacks each (class, d-row, z) int once;
+``two_nose_identity_residuals`` unpacks each (class, d-row) sum at
+z = 1.  No result needs ``dcpoly.series``.
 """
 
 from typing import NamedTuple
@@ -51,19 +54,6 @@ class NonConvergenceError(RuntimeError):
 
 class InvariantError(RuntimeError):
     """An iterate violated a structural property every census series has."""
-
-
-class GFTriple(NamedTuple):
-    """The three nose-class generating functions at one iteration stage."""
-
-    two_nose: "ZPolySeries"
-    one_nose: "ZPolySeries"
-    zero_nose: "ZPolySeries"
-    order: int
-    track_diagonals: bool
-
-    def classes(self):
-        return tuple(zip(CLASS_ORDER, (self.two_nose, self.one_nose, self.zero_nose)))
 
 
 def _slot_bits(order):
@@ -248,8 +238,10 @@ def check_invariants(packed, row=None):
                     )
 
 
-def _solve_packed(order, track_diagonals):
-    """Sum the census one diagonal at a time, in packed form.
+def solve(order, track_diagonals=True):
+    """The three nose-class series through perimeter ``order``, as a
+    ``PackedSum`` summed one diagonal at a time (all in d-row 0 when
+    ``track_diagonals`` is false).
 
     Starting from the two-diagonal shapes delta_0 = T(0), each
     delta_{t+1} = L(delta_t), so delta_t holds exactly the shapes with
@@ -278,43 +270,7 @@ def _solve_packed(order, track_diagonals):
     raise NonConvergenceError("no fixed point within %d steps" % (order + 2))
 
 
-def _unpack(packed):
-    """The packed sum as a ``GFTriple`` of ``ZPolySeries``."""
-    from .series import BiPoly, ZPolySeries
-    slots = packed.slots
-    classes = []
-    for drows in packed.rows:
-        zc = []
-        for m in range(max(map(len, drows), default=0)):
-            terms = {}
-            for kd, row in enumerate(drows):
-                for kx, c in slots.unpack(row[m] if m < len(row) else 0).items():
-                    terms[(kd, kx)] = c
-            zc.append(BiPoly(terms, slots.order))
-        classes.append(ZPolySeries(zc, slots.order))
-    return GFTriple(*classes, slots.order, packed.track_diagonals)
-
-
-def solve(order, track_diagonals=True):
-    """The three nose-class series through perimeter ``order``."""
-    return _unpack(_solve_packed(order, track_diagonals))
-
-
-def total_gf(triple):
-    """Perimeter-by-diagonals polynomial for the full family.
-
-    Adds the single cell (one diagonal, perimeter 4) to the three
-    multi-diagonal classes evaluated at z = 1.
-    """
-    from .series import BiPoly
-    du = 1 if triple.track_diagonals else 0
-    acc = BiPoly.monomial(1, du, 4, triple.order)
-    for _, series in triple.classes():
-        acc = acc + series.eval_at_one()
-    return acc
-
-
-def _checked_unpack(slots, acc):
+def _unpack_checked(slots, acc):
     """Unpack a sum of checked values; fewer than 2^guard_bits of them
     cannot carry between slots, so an overflow sets a guard bit."""
     if acc & slots.guard:
@@ -330,7 +286,7 @@ def marginals(order, by):
     checked values."""
     if by not in ("perimeter", "diagonals", "noses"):
         raise ValueError("unknown marginal %r" % (by,))
-    packed = _solve_packed(order, track_diagonals=by == "diagonals")
+    packed = solve(order, track_diagonals=by == "diagonals")
     slots, rows = packed.slots, packed.rows
     single = 1 << 2 * slots.width  # the single cell: x^4, one diagonal
     if by == "perimeter":
@@ -343,7 +299,7 @@ def marginals(order, by):
         sums[1] = single
     out = {}
     for group, acc in sums.items():
-        for kx, v in _checked_unpack(slots, acc).items():
+        for kx, v in _unpack_checked(slots, acc).items():
             out[kx if by == "perimeter" else (kx, group)] = v
     return out
 
@@ -359,20 +315,24 @@ def nose_breakdown(order):
     return {cls: {kx: v for (kx, c), v in table.items() if c is cls} for cls in CLASS_ORDER}
 
 
-def joint_table(triple):
-    """Full census table keyed like the exhaustive generator's output."""
-    if not triple.track_diagonals:
-        raise ValueError("joint table needs the diagonal-tracking run")
+def joint_table(order):
+    """Full census table keyed like the exhaustive generator's output.
+
+    Unpacks each (class, d-row, z) int of the diagonal-tracking run once,
+    and adds the single cell (one diagonal, perimeter 4).
+    """
+    packed = solve(order)
     table = CountTable()
     table.add(4, 1, None, 1)
-    for cls, series in triple.classes():
-        for m, poly in enumerate(series.z_coeffs()):
-            for (kd, kx), v in poly.terms.items():
-                table.add(kx, kd, cls, m, v)
+    for cls, drows in zip(CLASS_ORDER, packed.rows):
+        for kd, row in enumerate(drows):
+            for m, v in enumerate(row):
+                for kx, c in packed.slots.unpack(v).items():
+                    table.add(kx, kd, cls, m, c)
     return table
 
 
-def two_nose_identity_residuals(triple):
+def two_nose_identity_residuals(order):
     """Residuals of the linear relation tying the three classes together.
 
     At z = 1 the two-nose series satisfies
@@ -380,29 +340,42 @@ def two_nose_identity_residuals(triple):
         A * (1 - (2 + d) x^4 + x^8)
             = d x^4 (1 - x^4) * (d x^4 + B + (1 - x^4) C)
 
-    with A, B, C the two-, one-, zero-nose series.  The relation is
-    sometimes quoted with d^2 in place of every d; that variant fails
-    already at its lowest term.  Returns the pair of residuals
-    (matching convention, squared-marker variant): the first must be
-    identically zero, the second must not.
+    with A, B, C the two-, one-, zero-nose series through perimeter
+    ``order``.  The relation is sometimes quoted with d^2 in place of
+    every d; that variant fails already at its lowest term.  Returns the
+    pair of residuals (matching convention, squared-marker variant) as
+    {(d_degree, x_degree): coefficient} dicts without zero terms: the
+    first must be empty, the second must not.
+
+    Expanded, the residual is
+
+        A (1 - 2x^4 - d x^4 + x^8) - d x^4 (1 - x^4) B
+            - d x^4 (1 - 2x^4 + x^8) C - d^2 x^8 (1 - x^4),
+
+    a signed sum of copies of A, B, C and 1 shifted by monomials, each
+    truncated at x^order.
     """
-    if not triple.track_diagonals:
-        raise ValueError("the identity lives in the diagonal-tracking variables")
-    from .series import BiPoly
-    order = triple.order
-    a_two = triple.two_nose.eval_at_one()
-    b_one = triple.one_nose.eval_at_one()
-    c_zero = triple.zero_nose.eval_at_one()
+    packed = solve(order)
+    a, b, c = (
+        {(kd, kx): v for kd, row in enumerate(drows)
+         for kx, v in _unpack_checked(packed.slots, sum(row)).items()}
+        for drows in packed.rows
+    )
 
     def residual(k):
         # k = 1 uses d, k = 2 uses d^2 throughout
-        left = a_two * BiPoly(
-            {(0, 0): 1, (0, 4): -2, (k, 4): -1, (0, 8): 1}, order
-        )
-        inner = BiPoly.monomial(1, k, 4, order) + b_one + (
-            BiPoly({(0, 0): 1, (0, 4): -1}, order) * c_zero
-        )
-        right = BiPoly({(k, 4): 1, (k, 8): -1}, order) * inner
-        return left - right
+        out = {}
+        for series, shifts in (
+            (a, ((0, 0, 1), (0, 4, -2), (k, 4, -1), (0, 8, 1))),
+            (b, ((k, 4, -1), (k, 8, 1))),
+            (c, ((k, 4, -1), (k, 8, 2), (k, 12, -1))),
+            ({(0, 0): 1}, ((2 * k, 8, -1), (2 * k, 12, 1))),
+        ):
+            for sd, sx, sign in shifts:
+                for (kd, kx), v in series.items():
+                    if kx + sx <= order:
+                        key = (kd + sd, kx + sx)
+                        out[key] = out.get(key, 0) + sign * v
+        return {key: v for key, v in out.items() if v}
 
     return residual(1), residual(2)

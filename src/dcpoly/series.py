@@ -1,6 +1,6 @@
 """Exact truncated-series arithmetic used throughout the package.
 
-Four series types cover every computation here:
+Two series types cover the closed-form algebra:
 
 * ``XSeries``: a power series in one variable, truncated at a fixed order,
   with rational coefficients.  Division and square root are exact and
@@ -13,21 +13,8 @@ Four series types cover every computation here:
   a given constant root.  An identity over Q(sqrt D) holds only when
   both parts vanish, so the irrational part is always checked.
 
-* ``BiPoly``: a polynomial in two variables ``d`` (diagonal marker) and
-  ``x`` (perimeter marker) with integer coefficients, truncated in
-  the ``x`` degree.
-
-* ``ZPolySeries``: a polynomial in a third variable ``z`` whose
-  coefficients are ``BiPoly`` values.  The layered iteration runs on
-  packed integers and returns its generating functions in this shape,
-  with ``z`` marking cells on the active diagonal.  The shape carries
-  evaluation at z = 1 and the two tail operators
-
-      tail_sum:      z^m  |->  sum of coefficients s_k with k > m,
-      tail_weighted: z^m  |->  sum of (k - m) s_k with k > m (m >= 1),
-
-  which are finite sums here, computed by suffix-sum recurrences, so
-  the substitution never divides by ``z``.
+The layered iteration needs neither: it runs on packed integers in
+``dcpoly.layered``.
 
 An ``XSeries`` is fraction-free: coefficient k is nums[k] / (den * lam^k)
 with integer numerators, positive integers den and lam, and den divided
@@ -422,140 +409,3 @@ class SurdSeries:
         """The x^k coefficient as text naming both parts: ``a + b*sqrt(disc)``."""
         return "%s + %s*sqrt(%d)" % (self.a.coefficient(k), self.b.coefficient(k), self.disc)
 
-
-class BiPoly:
-    """Integer polynomial in d and x, truncated at x-degree ``trunc``.
-
-    Terms live in a dict keyed by ``(d_degree, x_degree)``.  The product
-    drops any term whose x-degree exceeds the truncation.
-    """
-
-    __slots__ = ("terms", "trunc")
-
-    def __init__(self, terms, trunc):
-        self.trunc = trunc
-        self.terms = {
-            k: v for k, v in terms.items() if v != 0 and k[1] <= trunc
-        }
-
-    @classmethod
-    def zero(cls, trunc):
-        return cls({}, trunc)
-
-    @classmethod
-    def monomial(cls, coeff, kd, kx, trunc):
-        return cls({(kd, kx): coeff}, trunc)
-
-    def is_zero(self):
-        return not self.terms
-
-    def _plus(self, other, sign):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + sign * v
-        return BiPoly(out, min(self.trunc, other.trunc))
-
-    def __add__(self, other):
-        return self._plus(other, 1) if isinstance(other, BiPoly) else NotImplemented
-
-    def __sub__(self, other):
-        return self._plus(other, -1) if isinstance(other, BiPoly) else NotImplemented
-
-    @staticmethod
-    def _mul_into(acc, aterms, bterms, trunc):
-        if len(aterms) > len(bterms):
-            aterms, bterms = bterms, aterms
-        for (ad, ax), av in aterms.items():
-            for (bd, bx), bv in bterms.items():
-                x = ax + bx
-                if x > trunc:
-                    continue
-                key = (ad + bd, x)
-                acc[key] = acc.get(key, 0) + av * bv
-
-    def __mul__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        trunc = min(self.trunc, other.trunc)
-        acc = {}
-        BiPoly._mul_into(acc, self.terms, other.terms, trunc)
-        return BiPoly(acc, trunc)
-
-    def x_counts(self):
-        """Collapse d: map each x-degree to the sum of its coefficients."""
-        out = {}
-        for (_, kx), v in self.terms.items():
-            out[kx] = out.get(kx, 0) + v
-        return {k: v for k, v in out.items() if v}
-
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.trunc == other.trunc and self.terms == other.terms
-
-    def __repr__(self):
-        parts = [
-            "%d*d^%d*x^%d" % (v, kd, kx)
-            for (kd, kx), v in sorted(self.terms.items())
-        ]
-        return "BiPoly(%s; trunc=%d)" % (" + ".join(parts) or "0", self.trunc)
-
-
-class ZPolySeries:
-    """Polynomial in z with BiPoly coefficients, stored densely in z.
-
-    Trailing zero coefficients are stripped so that equality is canonical.
-    ``order`` is the shared x-truncation of the coefficients.
-    """
-
-    __slots__ = ("zc", "order")
-
-    def __init__(self, z_coeff_list, order):
-        zc = list(z_coeff_list)
-        while zc and zc[-1].is_zero():
-            zc.pop()
-        self.zc = tuple(zc)
-        self.order = order
-
-    @classmethod
-    def zero(cls, order):
-        return cls([], order)
-
-    def z_coeffs(self):
-        return self.zc
-
-    def is_zero(self):
-        return not self.zc
-
-    def tail_sum(self):
-        """z^m coefficient becomes sum_{k>m} s_k, for m = 0..D-1."""
-        out = []
-        acc = BiPoly.zero(self.order)
-        for poly in reversed(self.zc[1:]):
-            acc = acc + poly
-            out.append(acc)
-        return ZPolySeries(out[::-1], self.order)
-
-    def tail_weighted(self):
-        """z^m coefficient becomes sum_{k>m} (k-m) s_k, for m >= 1.
-
-        The sum over k > m of (k - m) s_k is the sum over i >= m of the
-        tail sums at i, so this is z times tail_sum applied twice.
-        """
-        twice = self.tail_sum().tail_sum()
-        return ZPolySeries([BiPoly.zero(self.order)] + list(twice.zc), self.order)
-
-    def eval_at_one(self):
-        """Substitute z = 1, collapsing to a single BiPoly."""
-        acc = BiPoly.zero(self.order)
-        for b in self.zc:
-            acc = acc + b
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, ZPolySeries):
-            return NotImplemented
-        return self.order == other.order and self.zc == other.zc
-
-    def __repr__(self):
-        return "ZPolySeries(z-degree=%d, order=%d)" % (len(self.zc) - 1, self.order)

@@ -1,97 +1,94 @@
 """The layered transfer on dict-of-terms polynomials, as a test reference.
 
 ``dcpoly.layered`` runs its transfer on packed integers.  This module
-runs the same transfer term by term on ``BiPoly`` coefficients, with d
-as a real variable, so the two share no arithmetic beyond the tail
-operators of ``ZPolySeries``, which ``test_series`` checks against
-their rational forms.
+runs the same transfer term by term and imports nothing from ``dcpoly``.
+A class is a plain dict {(d_degree, x_degree, z_degree): coefficient}
+without zero entries, with d a real variable (or always 0 when d is
+collapsed), truncated at x-degree ``order``.  A triple is the tuple
+(two-nose, one-nose, zero-nose).  The tail operators follow their
+defining sums term by term, not the suffix-sum recurrences of the engine.
 """
 
-from dcpoly.layered import GFTriple
-from dcpoly.series import BiPoly, ZPolySeries
+
+def _collect(pairs):
+    out = {}
+    for key, v in pairs:
+        out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
 
 
-def zpoly_add(s, t):
-    order = min(s.order, t.order)
-    zero = BiPoly.zero(order)
-    a, b = s.z_coeffs(), t.z_coeffs()
-    n = max(len(a), len(b))
-    return ZPolySeries(
-        [(a[m] if m < len(a) else zero) + (b[m] if m < len(b) else zero) for m in range(n)],
-        order,
+def add(*series):
+    return _collect(item for s in series for item in s.items())
+
+
+def monomial_scaled(series, coeff, kd, kx, dz, order):
+    """Multiply by coeff * d^kd * x^kx * z^dz, dropping x-degrees past ``order``."""
+    return _collect(
+        ((ad + kd, ax + kx, m + dz), coeff * v)
+        for (ad, ax, m), v in series.items()
+        if ax + kx <= order
     )
 
 
-def monomial_scaled(series, coeff, kd, kx, dz):
-    """Multiply by coeff * d^kd * x^kx * z^dz."""
-    order = series.order
-    out = [BiPoly.zero(order)] * dz
-    for poly in series.z_coeffs():
-        out.append(
-            BiPoly({(ad + kd, ax + kx): coeff * v for (ad, ax), v in poly.terms.items()}, order)
-        )
-    return ZPolySeries(out, order)
-
-
-def empty_triple(order, track_diagonals=True):
-    zero = ZPolySeries.zero(order)
-    return GFTriple(zero, zero, zero, order, track_diagonals)
-
-
-def triple_add(p, q):
-    return GFTriple(
-        zpoly_add(p.two_nose, q.two_nose),
-        zpoly_add(p.one_nose, q.one_nose),
-        zpoly_add(p.zero_nose, q.zero_nose),
-        p.order,
-        p.track_diagonals,
+def tail_sum(series):
+    """z^m coefficient becomes sum_{k>m} s_k."""
+    return _collect(
+        ((kd, kx, m), v) for (kd, kx, k), v in series.items() for m in range(k)
     )
 
 
-def times_geometric(series):
+def tail_weighted(series):
+    """z^m coefficient becomes sum_{k>m} (k-m) s_k, for m >= 1."""
+    return _collect(
+        ((kd, kx, m), (k - m) * v) for (kd, kx, k), v in series.items() for m in range(1, k)
+    )
+
+
+def times_geometric(series, order):
     """Multiply by 1/(1 - x^4 z) through out_m = s_m + x^4 out_{m-1}."""
-    order = series.order
-    coeffs = series.z_coeffs()
-    out = []
-    carry = BiPoly.zero(order)
-    while len(out) < len(coeffs) or not carry.is_zero():
-        if len(out) < len(coeffs):
-            carry = carry + coeffs[len(out)]
-        out.append(carry)
-        carry = BiPoly({(kd, kx + 4): v for (kd, kx), v in carry.terms.items()}, order)
-    return ZPolySeries(out, order)
+    layers = {}
+    for (kd, kx, m), v in series.items():
+        layers.setdefault(m, {})[kd, kx] = v
+    out, carry, m = {}, {}, 0
+    while m <= max(layers, default=-1) or carry:
+        carry = add(carry, layers.get(m, {}))
+        out.update(((kd, kx, m), v) for (kd, kx), v in carry.items())
+        carry = {(kd, kx + 4): v for (kd, kx), v in carry.items() if kx + 4 <= order}
+        m += 1
+    return out
+
+
+def empty_triple():
+    return ({}, {}, {})
 
 
 def constant_step(order, track_diagonals):
     """T(0): the shapes with exactly two diagonals."""
     dd = 2 if track_diagonals else 0
-    geo = times_geometric(ZPolySeries([BiPoly.monomial(1, 0, 0, order)], order))
-    return GFTriple(
-        monomial_scaled(geo, 1, dd, 8, 2),
-        monomial_scaled(geo, 2, dd, 6, 1),
-        monomial_scaled(geo, 1, dd, 8, 1),
-        order,
-        track_diagonals,
+    geo = times_geometric({(0, 0, 0): 1}, order)
+    return (
+        monomial_scaled(geo, 1, dd, 8, 2, order),
+        monomial_scaled(geo, 2, dd, 6, 1, order),
+        monomial_scaled(geo, 1, dd, 8, 1, order),
     )
 
 
-def linear_step(triple):
+def linear_step(triple, order, track_diagonals):
     """L(F): append one diagonal to every shape counted by F, term by term."""
-    du = 1 if triple.track_diagonals else 0
-    a_two, b_one, c_zero = triple.two_nose, triple.one_nose, triple.zero_nose
+    du = 1 if track_diagonals else 0
+    a_two, b_one, c_zero = triple
 
-    t1_a, t1_b, t1_c = a_two.tail_sum(), b_one.tail_sum(), c_zero.tail_sum()
-    t2_a, t2_b, t2_c = a_two.tail_weighted(), b_one.tail_weighted(), c_zero.tail_weighted()
-    geo2_a = times_geometric(times_geometric(a_two))
-    geo_b = times_geometric(b_one)
-    geo_t1a = times_geometric(t1_a)
-    geo_t1b = times_geometric(t1_b)
+    t1_a, t1_b, t1_c = tail_sum(a_two), tail_sum(b_one), tail_sum(c_zero)
+    t2_a, t2_b, t2_c = tail_weighted(a_two), tail_weighted(b_one), tail_weighted(c_zero)
+    geo2_a = times_geometric(times_geometric(a_two, order), order)
+    geo_b = times_geometric(b_one, order)
+    geo_t1a = times_geometric(t1_a, order)
+    geo_t1b = times_geometric(t1_b, order)
 
     def total(*terms):
-        acc = ZPolySeries.zero(triple.order)
-        for series, coeff, kx, dz in terms:
-            acc = zpoly_add(acc, monomial_scaled(series, coeff, du, kx, dz))
-        return acc
+        return add(
+            *(monomial_scaled(series, coeff, du, kx, dz, order) for series, coeff, kx, dz in terms)
+        )
 
     new_two = total((geo2_a, 1, 4, 1), (geo_b, 1, 4, 1), (c_zero, 1, 4, 1))
     new_one = total(
@@ -102,9 +99,15 @@ def linear_step(triple):
         (t2_a, 1, 0, 0), (geo_t1a, 2, 4, 1), (geo2_a, 1, 8, 1),
         (t2_b, 1, 0, 0), (geo_t1b, 1, 4, 1), (t2_c, 1, 0, 0),
     )
-    return GFTriple(new_two, new_one, new_zero, triple.order, triple.track_diagonals)
+    return new_two, new_one, new_zero
 
 
-def rhs_step(triple):
+def rhs_step(triple, order, track_diagonals):
     """One whole transfer step T(F) = T(0) + L(F)."""
-    return triple_add(constant_step(triple.order, triple.track_diagonals), linear_step(triple))
+    return tuple(
+        add(p, q)
+        for p, q in zip(
+            constant_step(order, track_diagonals),
+            linear_step(triple, order, track_diagonals),
+        )
+    )

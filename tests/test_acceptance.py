@@ -6,6 +6,8 @@ ground they are compared key for key.  Run with ``pytest -v`` to get
 one PASS/FAIL line per criterion.
 """
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from dcpoly.closedform import (
     roots,
     ternary_count,
 )
-from dcpoly.series import BiPoly, XSeries, ZPolySeries
+from dcpoly.series import XSeries
 
 # Diagonally convex counts for perimeters 4, 6, ..., 40.
 KNOWN_DCP = [
@@ -50,7 +52,7 @@ D_SAMPLES = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3))
 
 @pytest.fixture(scope="module")
 def symbolic40():
-    return layered.solve(40)
+    return layered.joint_table(40)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +61,7 @@ def census24():
 
 
 def test_criterion_01_layered_series_matches_published_counts(symbolic40):
-    found = layered.total_gf(symbolic40).x_counts()
+    found = symbolic40.by_perimeter()
     expected = dict(zip(range(4, 41, 2), KNOWN_DCP))
     assert found == expected
     print("PASS criterion 1: layered iteration reproduces all 19 published counts")
@@ -73,7 +75,7 @@ def test_criterion_02_exhaustive_census_matches_published_counts(census24):
 
 
 def test_criterion_03_layered_and_exhaustive_censuses_agree(census24):
-    expected = layered.joint_table(layered.solve(16))
+    expected = layered.joint_table(16)
     found = census24.restrict_perimeter(16)
     assert expected == found
     print("PASS criterion 3: joint census tables identical through perimeter 16")
@@ -123,10 +125,10 @@ def test_criterion_07_kernel_roots_annihilate_their_factors():
 
 
 def test_criterion_08_two_nose_relation_pins_the_marker_convention():
-    matching, squared = layered.two_nose_identity_residuals(layered.solve(20))
-    assert matching.is_zero()
-    assert not squared.is_zero()
-    lowest = min(kx for _, kx in squared.terms)
+    matching, squared = layered.two_nose_identity_residuals(20)
+    assert matching == {}
+    assert squared
+    lowest = min(kx for _, kx in squared)
     assert lowest == 8
     print("PASS criterion 8: the relation holds plain and fails squared at x^8")
 
@@ -144,17 +146,6 @@ def test_criterion_10_radicals_square_back_to_their_radicands():
         for radical in radicals(d, 40):
             assert radical.value * radical.value == radical.radicand, d
     print("PASS criterion 10: all three radicals square back at order 40")
-
-
-def _random_layer_series(rng, z_degree, order):
-    layers = []
-    for _ in range(z_degree + 1):
-        terms = {}
-        for _ in range(6):
-            key = (rng.randint(0, 3), rng.randint(0, order))
-            terms[key] = terms.get(key, 0) + rng.randint(-5, 5)
-        layers.append(BiPoly(terms, order))
-    return ZPolySeries(layers, order)
 
 
 def test_criterion_11_property_suites_hold(census24):
@@ -175,24 +166,22 @@ def test_criterion_11_property_suites_hold(census24):
     assert (base * denominator).divide(denominator) == base
 
     # Tail operators agree with their rational forms through z-order 40.
-    series = _random_layer_series(rng, 40, 12)
-    z_coeffs = list(series.z_coeffs())
+    series = [rng.randint(-5, 5) << rng.randint(0, 120) for _ in range(41)]
     suffix = []
-    acc = series.eval_at_one()
-    for m in range(len(z_coeffs) - 1):
-        acc = acc - z_coeffs[m]
+    acc = sum(series)
+    for m in range(len(series) - 1):
+        acc = acc - series[m]
         suffix.append(acc)
-    assert series.tail_sum() == ZPolySeries(suffix, series.order)
-    doubled = series.tail_sum().tail_sum()
-    shifted = ZPolySeries(
-        [BiPoly.zero(series.order)] + list(doubled.z_coeffs()), series.order
-    )
-    assert series.tail_weighted() == shifted
+    assert layered._tail_sum(series) == suffix
+    doubled = layered._tail_sum(layered._tail_sum(series))
+    assert layered._tail_weighted(series) == [0] + doubled
 
     # The census below a perimeter does not depend on the bound.
     assert census24.restrict_perimeter(14) == brute.generate(14)
 
     # The b-file text format round-trips the full census.
-    counts = census24.by_perimeter()
-    assert cli.parse_bfile(cli.emit_bfile(counts)) == counts
+    written = io.StringIO()
+    with contextlib.redirect_stdout(written):
+        assert cli.main(["census", "--max-perimeter", "24", "--format", "bfile"]) == 0
+    assert cli.parse_bfile(written.getvalue()) == census24.by_perimeter()
     print("PASS criterion 11: algebra, determinism, and format properties hold")

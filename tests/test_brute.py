@@ -17,7 +17,7 @@ from dcpoly.brute import (
     iter_shapes,
 )
 from dcpoly.counts import CountTable, NoseClass
-from dcpoly.layered import joint_table, solve
+from dcpoly.layered import joint_table
 
 
 # ---------------------------------------------------------------- oracle
@@ -119,7 +119,7 @@ def test_generator_agrees_with_cell_set_oracle():
 
 def test_generate_matches_layered_joint_table():
     for bound in (16, 40):
-        assert generate(bound) == joint_table(solve(bound))
+        assert generate(bound) == joint_table(bound)
 
 
 def test_shape_statistics_match_walk_tallies():

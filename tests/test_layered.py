@@ -21,27 +21,45 @@ from dcpoly.layered import (
     nose_breakdown,
     perimeter_counts,
     solve,
-    total_gf,
     two_nose_identity_residuals,
 )
 
 KNOWN_PREFIX = {4: 1, 6: 2, 8: 7, 10: 28, 12: 122, 14: 556, 16: 2618}
 
 
-def terms_by_z(series):
-    return [poly.terms for poly in series.z_coeffs()]
+def unpacked(packed):
+    """Each class of a packed sum as {(d_degree, x_degree, z_degree): coefficient}."""
+    return tuple(
+        {
+            (kd, kx, m): c
+            for kd, row in enumerate(drows)
+            for m, v in enumerate(row)
+            for kx, c in packed.slots.unpack(v).items()
+        }
+        for drows in packed.rows
+    )
+
+
+def perimeter_totals(classes):
+    """Counts by perimeter of the single cell and every class term."""
+    totals = {4: 1}
+    for series in classes:
+        for (_, kx, _), v in series.items():
+            totals[kx] = totals.get(kx, 0) + v
+    return totals
 
 
 def test_fixed_point_at_order_eight_matches_hand_census():
-    t = solve(8)
-    assert terms_by_z(t.two_nose) == [{}, {}, {(2, 8): 1}]
-    assert terms_by_z(t.one_nose) == [{}, {(2, 6): 2, (3, 8): 4}]
-    assert terms_by_z(t.zero_nose) == [{}, {(2, 8): 1, (3, 8): 1}]
+    assert unpacked(solve(8)) == (
+        {(2, 8, 2): 1},
+        {(2, 6, 1): 2, (3, 8, 1): 4},
+        {(2, 8, 1): 1, (3, 8, 1): 1},
+    )
 
 
 def test_total_gf_at_order_eight():
-    acc = total_gf(solve(8))
-    assert acc.terms == {(1, 4): 1, (2, 6): 2, (2, 8): 2, (3, 8): 5}
+    """The whole family's generating function, perimeter by diagonals."""
+    assert marginals(8, "diagonals") == {(4, 1): 1, (6, 2): 2, (8, 2): 2, (8, 3): 5}
 
 
 def test_perimeter_counts_known_values():
@@ -50,7 +68,7 @@ def test_perimeter_counts_known_values():
 
 def test_collapsed_run_agrees_with_symbolic_run():
     for order in (14, 40, 80):
-        symbolic = total_gf(solve(order, track_diagonals=True)).x_counts()
+        symbolic = joint_table(order).by_perimeter()
         collapsed = perimeter_counts(order)
         assert collapsed == {k: symbolic[k] for k in sorted(symbolic)}
 
@@ -72,7 +90,7 @@ PROJECTED_FIELDS = {
 
 @pytest.mark.parametrize("order", [4, 5, 8, 16, 40, 64])
 def test_marginals_equal_the_joint_table_projections(order):
-    table = joint_table(solve(order))
+    table = joint_table(order)
     for by, fields in PROJECTED_FIELDS.items():
         assert marginals(order, by) == table.project(*fields)
 
@@ -83,7 +101,7 @@ def test_marginals_reject_an_unknown_statistic():
 
 
 def test_joint_table_projects_to_perimeter_counts():
-    table = joint_table(solve(12))
+    table = joint_table(12)
     assert table.by_perimeter() == {k: v for k, v in KNOWN_PREFIX.items() if k <= 12}
     # every multi-diagonal key carries a real nose class
     for (pe, di, nose, la) in table.counts:
@@ -92,12 +110,41 @@ def test_joint_table_projects_to_perimeter_counts():
 
 
 def test_two_nose_identity_distinguishes_conventions():
-    matching, squared = two_nose_identity_residuals(solve(12))
-    assert matching.is_zero()
-    assert not squared.is_zero()
+    matching, squared = two_nose_identity_residuals(12)
+    assert matching == {}
+    assert squared
     # the variant with squared markers misses already at its lowest term
-    low = min(squared.terms, key=lambda k: (k[1], k[0]))
+    low = min(squared, key=lambda k: (k[1], k[0]))
     assert low[1] == 8
+
+
+def _product(p, q, order):
+    out = {}
+    for (pd, px), u in p.items():
+        for (qd, qx), v in q.items():
+            if px + qx <= order:
+                out[pd + qd, px + qx] = out.get((pd + qd, px + qx), 0) + u * v
+    return out
+
+
+@pytest.mark.parametrize("order", [8, 12, 20, 40])
+def test_two_nose_residuals_equal_the_polynomial_products(order):
+    """The shifted sums are the two sides of the relation multiplied out
+    in full, with A, B and C read at z = 1 from the joint table."""
+    at_one = {cls: {} for cls in layered.CLASS_ORDER}
+    for (kx, kd, cls, _), v in joint_table(order).items():
+        if cls is not None:
+            at_one[cls][kd, kx] = at_one[cls].get((kd, kx), 0) + v
+    a, b, c = (at_one[cls] for cls in layered.CLASS_ORDER)
+    for k, residual in zip((1, 2), two_nose_identity_residuals(order)):
+        left = _product(a, {(0, 0): 1, (0, 4): -2, (k, 4): -1, (0, 8): 1}, order)
+        inner = dict(b)
+        inner[k, 4] = inner.get((k, 4), 0) + 1
+        for key, v in _product(c, {(0, 0): 1, (0, 4): -1}, order).items():
+            inner[key] = inner.get(key, 0) + v
+        for key, v in _product({(k, 4): 1, (k, 8): -1}, inner, order).items():
+            left[key] = left.get(key, 0) - v
+        assert residual == {key: v for key, v in left.items() if v}
 
 
 def test_iterates_grow_monotonically(monkeypatch):
@@ -106,22 +153,24 @@ def test_iterates_grow_monotonically(monkeypatch):
 
     def record(packed, row=None):
         check_invariants(packed, row)
-        seen.append(layered._unpack(packed))
+        seen.append(unpacked(packed))
 
     monkeypatch.setattr(layered, "check_invariants", record)
-    solve(16)
-    # one partial sum per diagonal count 2..7
-    assert len(seen) == 6
-    reference = empty_triple(16)
-    counts = []
-    for partial in seen:
-        reference = rhs_step(reference)
-        assert partial == reference
-        counts.append(total_gf(partial).x_counts())
-    assert rhs_step(reference) == reference
-    for earlier, later in zip(counts, counts[1:]):
-        for pe, v in earlier.items():
-            assert later.get(pe, 0) >= v
+    for track_diagonals in (True, False):
+        seen.clear()
+        solve(16, track_diagonals)
+        # one partial sum per diagonal count 2..7
+        assert len(seen) == 6
+        reference = empty_triple()
+        counts = []
+        for partial in seen:
+            reference = rhs_step(reference, 16, track_diagonals)
+            assert partial == reference
+            counts.append(perimeter_totals(partial))
+        assert rhs_step(reference, 16, track_diagonals) == reference
+        for earlier, later in zip(counts, counts[1:]):
+            for pe, v in earlier.items():
+                assert later.get(pe, 0) >= v
 
 
 def test_solve_rejects_tiny_order():
@@ -135,9 +184,9 @@ def test_convergence_error_is_exported():
 
 def naive_fixed_point(order, track_diagonals):
     """Reference: iterate the whole transfer from zero until it stops changing."""
-    triple = empty_triple(order, track_diagonals)
+    triple = empty_triple()
     for _ in range(order + 2):
-        nxt = rhs_step(triple)
+        nxt = rhs_step(triple, order, track_diagonals)
         if nxt == triple:
             return triple
         triple = nxt
@@ -149,16 +198,16 @@ def naive_fixed_point(order, track_diagonals):
     [(o, t) for o in (4, 5, 8, 16, 30) for t in (True, False)] + [(60, False)],
 )
 def test_solve_matches_naive_fixed_point(order, track_diagonals):
-    assert solve(order, track_diagonals) == naive_fixed_point(order, track_diagonals)
+    assert unpacked(solve(order, track_diagonals)) == naive_fixed_point(order, track_diagonals)
 
 
 def test_perimeter_counts_sum_the_packed_classes():
-    assert perimeter_counts(200) == total_gf(solve(200, False)).x_counts()
+    assert perimeter_counts(200) == perimeter_totals(unpacked(solve(200, False)))
 
 
 def _corrupted(track_diagonals, cls, kd, m, change):
     """A valid packed partial sum with one int changed by ``change``."""
-    packed = layered._solve_packed(16, track_diagonals)
+    packed = layered.solve(16, track_diagonals)
     check_invariants(packed)
     drows = packed.rows[layered.CLASS_ORDER.index(cls)]
     drows.extend([] for _ in range(kd + 1 - len(drows)))
@@ -255,7 +304,7 @@ def test_a_marginal_that_outgrows_its_slot_raises(monkeypatch, by, value_bits):
     monkeypatch.setattr(
         layered, "_slot_bits", lambda order: (value_bits, 2 * (order + 4).bit_length())
     )
-    layered._solve_packed(60, by == "diagonals")
+    layered.solve(60, by == "diagonals")
     with pytest.raises(InvariantError, match="perimeter count overflows"):
         marginals(60, by)
 

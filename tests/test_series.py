@@ -11,23 +11,22 @@ test never certifies itself:
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 import reference_series
-from reference_layered import times_geometric, zpoly_add
+from reference_layered import times_geometric
 
 from dcpoly import series
-from dcpoly.layered import Slots, _times_geometric
+from dcpoly.layered import Slots, _tail_sum, _tail_weighted, _times_geometric
 from dcpoly.series import (
-    BiPoly,
     NonDivisibleError,
     NonSquareConstantError,
     SurdSeries,
     ValuationError,
     XSeries,
     ZeroValuationError,
-    ZPolySeries,
 )
 
 
@@ -39,15 +38,7 @@ def xs(terms, order):
 
 def geom_mul(coeffs, order):
     """Multiply a z-coefficient list by 1/(1-z), truncated at z^order."""
-    out, acc = [], None
-    for m in range(order + 1):
-        t = coeffs[m] if m < len(coeffs) else None
-        if acc is None:
-            acc = t
-        elif t is not None:
-            acc = acc + t
-        out.append(acc)
-    return out
+    return list(accumulate(list(coeffs[: order + 1]) + [0] * (order + 1 - len(coeffs))))
 
 
 def geom2_mul(coeffs, order):
@@ -55,32 +46,20 @@ def geom2_mul(coeffs, order):
     return geom_mul(geom_mul(coeffs, order), order)
 
 
-def times(c, poly):
-    """An integer multiple of a BiPoly."""
-    return BiPoly({k: c * v for k, v in poly.terms.items()}, poly.trunc)
-
-
 def rational_form_tail_sum(s, order):
     """Expand (S(1)-S(z))/(1-z) to z^order from the coefficient list of S."""
-    s1 = sum(s[1:], s[0])
-    diff = [s1 - s[0]] + [times(-1, c) for c in s[1:]]
+    diff = [sum(s) - s[0]] + [-c for c in s[1:]]
     return geom_mul(diff, order)
 
 
 def rational_form_tail_weighted(s, order):
     """Expand z(S'(1)-S(1))/(1-z) - z^2 S(1)/(1-z)^2 + z S(z)/(1-z)^2."""
-    s1 = sum(s[1:], s[0])
-    zero = s[0] - s[0]
-    ds1 = sum((times(k, c) for k, c in enumerate(s[1:], 1)), zero)
-    t1 = geom_mul([zero, ds1 - s1], order)
-    t2 = geom2_mul([zero, zero, zero - s1], order)
-    t3 = geom2_mul([zero] + list(s), order)
+    s1 = sum(s)
+    ds1 = sum(k * c for k, c in enumerate(s))
+    t1 = geom_mul([0, ds1 - s1], order)
+    t2 = geom2_mul([0, 0, -s1], order)
+    t3 = geom2_mul([0] + list(s), order)
     return [a + b + c for a, b, c in zip(t1, t2, t3)]
-
-
-def zpoly(coeff_lists, order):
-    """ZPolySeries from a list of {(kd,kx): int} dicts, one per z power."""
-    return ZPolySeries([BiPoly(t, order) for t in coeff_lists], order)
 
 
 # ---------------------------------------------------------------- XSeries
@@ -416,100 +395,55 @@ def test_square_root_halving_is_checked_not_floored(monkeypatch):
         surd({0: 6, 1: 3}, {0: 2, 1: 1}, 5, 4).sqrt((1, 1))
 
 
-# ---------------------------------------------------------------- BiPoly
-
-def test_bipoly_arithmetic_and_truncation():
-    p = BiPoly({(1, 2): 3, (0, 0): 1}, 4)
-    q = BiPoly({(1, 2): 1}, 4)
-    assert (p * q).terms == {(2, 4): 3, (1, 2): 1}
-    assert (p * p).terms == {(0, 0): 1, (1, 2): 6, (2, 4): 9}
-    assert (p - p).is_zero()
-
-
-def test_ring_axioms_randomized():
-    rng = random.Random(13)
-
-    def rand_bipoly():
-        terms = {}
-        for _ in range(rng.randint(0, 6)):
-            terms[(rng.randint(0, 3), rng.randint(0, 8))] = rng.randint(-5, 5)
-        return BiPoly(terms, 8)
-
-    for _ in range(40):
-        a, b, c = rand_bipoly(), rand_bipoly(), rand_bipoly()
-        assert (a + b) * c == a * c + b * c
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a + (b + c) == (a + b) + c
-
-
 # ------------------------------------------------------------ tail operators
+# ``dcpoly.layered`` applies them to z-lists of packed ints; they are
+# linear, so random integers of either sign stand for any packed entries
 
 def test_tail_sum_on_cube():
-    S = zpoly([{}, {}, {}, {(0, 0): 1}], 8)
-    out = S.tail_sum()
-    assert [c.terms for c in out.z_coeffs()] == [{(0, 0): 1}, {(0, 0): 1}, {(0, 0): 1}]
+    assert _tail_sum([0, 0, 0, 1]) == [1, 1, 1]
 
 
 def test_tail_weighted_on_cube():
     # frozen from the rational-form oracle: 2z + z^2
-    S = zpoly([{}, {}, {}, {(0, 0): 1}], 8)
-    out = S.tail_weighted()
-    assert [c.terms for c in out.z_coeffs()] == [{}, {(0, 0): 2}, {(0, 0): 1}]
+    assert _tail_weighted([0, 0, 0, 1]) == [0, 2, 1]
 
 
 def test_tail_weighted_kills_constants_and_degree_one():
-    assert zpoly([{(0, 0): 1}], 8).tail_weighted().is_zero()
-    assert zpoly([{}, {(1, 2): 7}], 8).tail_weighted().is_zero()
+    assert not any(_tail_weighted([1]))
+    assert not any(_tail_weighted([0, 7]))
 
 
-def test_eval_at_one():
-    S = zpoly([{}, {(0, 0): 2}, {}, {(1, 4): 1}], 8)
-    assert S.eval_at_one().terms == {(0, 0): 2, (1, 4): 1}
+def _random_zlist(rng, deg):
+    bound = rng.choice((9, 2**80))
+    return [rng.randint(-bound, bound) for _ in range(deg + 1)]
 
 
-def _random_zpoly(rng, deg, order):
-    rows = []
-    for _ in range(deg + 1):
-        terms = {}
-        for _ in range(rng.randint(0, 4)):
-            terms[(rng.randint(0, 2), rng.randint(0, order))] = rng.randint(-4, 4)
-        rows.append(terms)
-    return zpoly(rows, order)
+def _padded(values, size):
+    return list(values) + [0] * (size - len(values))
 
 
 def test_tail_operators_match_rational_forms_to_order_40():
     rng = random.Random(14)
     for _ in range(30):
-        S = _random_zpoly(rng, rng.randint(0, 12), 10)
-        s = list(S.z_coeffs())
-        want1 = rational_form_tail_sum(s, 40)
-        want2 = rational_form_tail_weighted(s, 40)
-        got1 = list(S.tail_sum().z_coeffs())
-        got2 = list(S.tail_weighted().z_coeffs())
-        for m in range(41):
-            g1 = got1[m] if m < len(got1) else None
-            g2 = got2[m] if m < len(got2) else None
-            assert (want1[m].is_zero() if g1 is None else want1[m] == g1)
-            assert (want2[m].is_zero() if g2 is None else want2[m] == g2)
+        s = _random_zlist(rng, rng.randint(0, 12))
+        before = list(s)
+        assert _padded(_tail_sum(s), 41) == rational_form_tail_sum(s, 40)
+        assert _padded(_tail_weighted(s), 41) == rational_form_tail_weighted(s, 40)
+        assert s == before
 
 
 def test_tail_operators_are_linear():
     rng = random.Random(15)
     for _ in range(20):
-        S = _random_zpoly(rng, rng.randint(0, 9), 10)
-        T = _random_zpoly(rng, rng.randint(0, 9), 10)
+        s, t = (_random_zlist(rng, rng.randint(0, 9)) for _ in range(2))
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
 
-        def combo(s, t):
-            return zpoly_add(_scaled(s, a), _scaled(t, b))
+        def combo(p, q):
+            n = max(len(p), len(q))
+            return [a * u + b * v for u, v in zip(_padded(p, n), _padded(q, n))]
 
-        assert combo(S, T).tail_sum() == combo(S.tail_sum(), T.tail_sum())
-        assert combo(S, T).tail_weighted() == combo(S.tail_weighted(), T.tail_weighted())
-
-
-def _scaled(series, c):
-    return ZPolySeries([times(c, p) for p in series.z_coeffs()], series.order)
+        for op in (_tail_sum, _tail_weighted):
+            assert op(combo(s, t)) == combo(op(s), op(t))
 
 
 def test_geometric_kernel_against_direct_convolution():
@@ -518,40 +452,36 @@ def test_geometric_kernel_against_direct_convolution():
     rng = random.Random(16)
     order = 12
     slots = Slots(order)
-    kernel = [BiPoly({(0, 4 * j): 1}, order) for j in range(order // 4 + 1)]
 
-    def convolve(sc):
-        out = []
-        for m in range(len(sc) + len(kernel) - 1):
-            want = BiPoly({}, order)
-            for i, si in enumerate(sc):
-                if 0 <= m - i < len(kernel):
-                    want = want + si * kernel[m - i]
-            out.append(want)
-        return ZPolySeries(out, order)
+    def convolve(terms):
+        out = {}
+        for (kd, kx, m), v in terms.items():
+            for j in range((order - kx) // 4 + 1):
+                key = (kd, kx + 4 * j, m + j)
+                out[key] = out.get(key, 0) + v
+        return out
 
-    def pack(series):
-        return [
-            sum(v << slots.width * (kx // 2) for (_, kx), v in p.terms.items())
-            for p in series.z_coeffs()
-        ]
+    def pack(terms):
+        packed = [0] * (max(m for _, _, m in terms) + 1) if terms else []
+        for (_, kx, m), v in terms.items():
+            packed[m] += v << slots.width * (kx // 2)
+        return packed
 
     def unpack(packed):
-        return ZPolySeries(
-            [BiPoly({(0, kx): v for kx, v in slots.unpack(c).items()}, order) for c in packed],
-            order,
-        )
+        return {
+            (0, kx, m): c for m, v in enumerate(packed) for kx, c in slots.unpack(v).items()
+        }
 
     for _ in range(30):
-        rows = [
-            {(0, 2 * rng.randint(0, order // 2)): rng.randint(1, 9) for _ in range(rng.randint(0, 4))}
-            for _ in range(rng.randint(1, 6))
-        ]
-        series = zpoly(rows, order)
-        once = convolve(list(series.z_coeffs()))
-        assert unpack(_times_geometric(pack(series), slots)) == once
-        assert times_geometric(series) == once
-        twice = convolve(list(once.z_coeffs()))
-        packed_twice = _times_geometric(_times_geometric(pack(series), slots), slots)
+        terms = {
+            (0, 2 * rng.randint(0, order // 2), m): rng.randint(1, 9)
+            for m in range(rng.randint(1, 6))
+            for _ in range(rng.randint(0, 4))
+        }
+        once = convolve(terms)
+        assert unpack(_times_geometric(pack(terms), slots)) == once
+        assert times_geometric(terms, order) == once
+        twice = convolve(once)
+        packed_twice = _times_geometric(_times_geometric(pack(terms), slots), slots)
         assert unpack(packed_twice) == twice
-        assert times_geometric(times_geometric(series)) == twice
+        assert times_geometric(times_geometric(terms, order), order) == twice

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from dcpoly import closedform, verify
+from dcpoly import cli, closedform, layered, verify
 from dcpoly.series import SurdSeries, XSeries
 
 
@@ -97,3 +97,41 @@ def test_all_dispatch_covers_every_suite():
     results = verify.run_suites(["all"], order=8, d_samples=(Fraction(1),))
     assert {r.suite for r in results} == set(verify.SUITE_NAMES)
     assert all(r.passed for r in results)
+
+
+def _planted(matching=None, squared=None):
+    """``two_nose_identity_residuals`` with either residual replaced."""
+    real = layered.two_nose_identity_residuals
+
+    def residuals(order):
+        plain, variant = real(order)
+        return (
+            plain if matching is None else matching,
+            variant if squared is None else squared,
+        )
+
+    return residuals
+
+
+def test_twonose_reports_a_planted_term_and_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(
+        layered, "two_nose_identity_residuals", _planted(matching={(3, 12): 5, (2, 10): -7})
+    )
+    code = cli.main(["verify", "--suite", "twonose", "--order", "20"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL [twonose] relation holds with the plain marker: "
+        "first offending term: d^2 x^10 -> -7",
+        "PASS [twonose] squared-marker variant fails as expected",
+        "2 checks, 1 failed",
+    ]
+
+
+def test_twonose_fails_when_the_squared_residual_vanishes(monkeypatch):
+    monkeypatch.setattr(layered, "two_nose_identity_residuals", _planted(squared={}))
+    plain, variant = verify.twonose_suite(20)
+    assert plain.passed
+    assert not variant.passed
+    assert variant.name == "squared-marker variant fails as expected"
+    assert variant.detail == "the variant residual vanished; the convention is not pinned"
