@@ -23,9 +23,8 @@ singletons, so few distinct states occur, and how a prefix can grow
 depends only on its state and perimeter.  ``generate`` therefore counts
 as a transfer matrix, one diagonal at a time: each layer maps (state,
 perimeter) to the number of prefixes in it, and each entry is extended
-once for all of them.  ``iter_shapes`` walks the same state machine
-shape by shape, so ``DcpShape`` can recheck every statistic from the
-cells at small bounds.
+once for all of them.  The tests recheck the census against an
+enumeration of raw cell sets that shares no code with this machine.
 
 The module also enumerates two reference families: chains of runs that
 can only keep or extend their window by one (the directed shapes,
@@ -34,20 +33,7 @@ counted by diagonals, shape by shape) and column-convex polyominoes
 perimeter with the column width as the layer state.
 """
 
-from typing import NamedTuple
-
 from .counts import CountTable, NoseClass
-
-
-class UndefinedForSingleDiagonal(ValueError):
-    """A single-diagonal shape has no previous run to define noses."""
-
-
-class Run(NamedTuple):
-    diag: int
-    lo: int
-    hi: int
-
 
 _NOSE_BY_COUNT = {0: NoseClass.ZERO, 1: NoseClass.ONE, 2: NoseClass.TWO}
 
@@ -63,8 +49,8 @@ def _children(memo, classes, budget):
     connected-block id.  A child is a run of b cells whose lowest column
     sits at offset ``rel`` from the old run's lowest column; it is kept
     only if every old block receives a neighbor.  Children are returned
-    as (dpe, b, rel, classes2, blocks2, nose) tuples sorted by the
-    perimeter increase dpe, so a walk can stop at its budget.
+    as (dpe, b, classes2, blocks2, nose) tuples sorted by the perimeter
+    increase dpe, so a walk can stop at its budget.
     """
     cached = memo.get(classes)
     if cached is not None:
@@ -96,17 +82,10 @@ def _children(memo, classes, budget):
             nose = _NOSE_BY_COUNT[
                 (1 if rel <= 0 <= hi else 0) + (1 if rel <= width <= hi else 0)
             ]
-            out.append((dpe, b, rel, classes2, left + right + 1, nose))
-    out.sort(key=lambda c: (c[0], c[1], c[2]))
+            out.append((dpe, b, classes2, left + right + 1, nose))
+    out.sort(key=lambda c: (c[0], c[1]))
     memo[classes] = out
     return out
-
-
-def _root_states(max_perimeter):
-    """First-diagonal states: a run of s cells is s isolated blocks."""
-    return [
-        (tuple(range(s)), 4 * s, 1) for s in range(1, max_perimeter // 4 + 1)
-    ]
 
 
 def generate(max_perimeter):
@@ -126,13 +105,14 @@ def generate(max_perimeter):
         tally[(4, 1, None, 1)] = 1
     budget = max_perimeter - 4
     memo = {}
-    layer = {(classes, pe): 1 for classes, pe, _ in _root_states(max_perimeter)}
+    # a first run of s cells is s isolated blocks
+    layer = {(tuple(range(s)), 4 * s): 1 for s in range(1, max_perimeter // 4 + 1)}
     depth = 1
     while layer:
         depth += 1
         following = {}
         for (classes, pe), count in layer.items():
-            for dpe, b, _rel, classes2, blocks2, nose in _children(memo, classes, budget):
+            for dpe, b, classes2, blocks2, nose in _children(memo, classes, budget):
                 pe2 = pe + dpe
                 if pe2 > max_perimeter:
                     break
@@ -143,149 +123,6 @@ def generate(max_perimeter):
                 following[state] = following.get(state, 0) + count
         layer = following
     return CountTable(tally)
-
-
-def iter_shapes(max_perimeter):
-    """Yield every diagonally convex polyomino with perimeter <= bound.
-
-    Shapes come out as ``DcpShape`` values in depth-first order; each is
-    produced exactly once because the run decomposition is unique.
-    """
-    if max_perimeter < 4:
-        return
-    memo = {}
-    budget = max_perimeter - 4
-    stack = []
-    for classes, pe, depth in reversed(_root_states(max_perimeter)):
-        runs = ((0, len(classes) - 1),)
-        stack.append((classes, pe, runs, len(classes) == 1))
-    while stack:
-        classes, pe, runs, is_shape = stack.pop()
-        if is_shape:
-            yield DcpShape.from_intervals(runs)
-        last_lo = runs[-1][0]
-        for dpe, _b, rel, classes2, blocks2, _nose in _children(memo, classes, budget):
-            pe2 = pe + dpe
-            if pe2 > max_perimeter:
-                break
-            lo2 = last_lo + rel
-            stack.append(
-                (classes2, pe2, runs + ((lo2, lo2 + len(classes2) - 1),), blocks2 == 1)
-            )
-
-
-class DcpShape(NamedTuple):
-    """A diagonally convex polyomino as its tuple of diagonal runs.
-
-    Runs are normalized so the first diagonal is 0 and the smallest
-    column is 0.  All statistics are recomputed from the cell set, so
-    the class double-checks whatever walk produced it.
-    """
-
-    runs: tuple
-
-    @classmethod
-    def from_intervals(cls, intervals):
-        """Build from (lo, hi) column intervals on consecutive diagonals."""
-        if not intervals:
-            raise ValueError("a shape needs at least one run")
-        for lo, hi in intervals:
-            if hi < lo:
-                raise ValueError("empty run interval")
-        shift = min(lo for lo, _ in intervals)
-        return cls(
-            tuple(
-                Run(t, lo - shift, hi - shift)
-                for t, (lo, hi) in enumerate(intervals)
-            )
-        )
-
-    def cells(self):
-        """Cell set as (column, row) pairs; a run cell at column c on
-        diagonal t sits at row t - c."""
-        return frozenset(
-            (c, run.diag - c)
-            for run in self.runs
-            for c in range(run.lo, run.hi + 1)
-        )
-
-    def cell_count(self):
-        return sum(run.hi - run.lo + 1 for run in self.runs)
-
-    def perimeter(self):
-        cells = self.cells()
-        adjacent = sum(
-            ((i + 1, j) in cells) + ((i, j + 1) in cells) for i, j in cells
-        )
-        return 4 * len(cells) - 2 * adjacent
-
-    def diagonal_count(self):
-        return len(self.runs)
-
-    def last_run_length(self):
-        last = self.runs[-1]
-        return last.hi - last.lo + 1
-
-    def nose_class(self):
-        """Class of the last run against the run below it.
-
-        The two nose cells extend the previous run: one directly above
-        its uppermost (lowest-column) cell, one directly right of its
-        rightmost cell.  Both land on the last diagonal, at columns lo
-        and hi + 1 of the previous run.
-        """
-        if len(self.runs) == 1:
-            raise UndefinedForSingleDiagonal("no previous diagonal")
-        prev, last = self.runs[-2], self.runs[-1]
-        count = (1 if last.lo <= prev.lo <= last.hi else 0) + (
-            1 if last.lo <= prev.hi + 1 <= last.hi else 0
-        )
-        return _NOSE_BY_COUNT[count]
-
-    def is_connected(self):
-        cells = self.cells()
-        seen = set()
-        frontier = [next(iter(cells))]
-        while frontier:
-            i, j = frontier.pop()
-            if (i, j) in seen or (i, j) not in cells:
-                continue
-            seen.add((i, j))
-            frontier.extend([(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)])
-        return len(seen) == len(cells)
-
-    def is_diagonally_convex(self):
-        cells = self.cells()
-        by_diag = {}
-        for i, j in cells:
-            by_diag.setdefault(i + j, set()).add(i)
-        diags = sorted(by_diag)
-        if diags != list(range(diags[0], diags[-1] + 1)):
-            return False
-        return all(
-            cols == set(range(min(cols), max(cols) + 1))
-            for cols in by_diag.values()
-        )
-
-    def is_directed(self):
-        """True when one cell on the first diagonal reaches every cell
-        by north and east steps inside the shape."""
-        if self.runs[0].hi != self.runs[0].lo:
-            return False
-        cells = self.cells()
-        root = (self.runs[0].lo, self.runs[0].diag - self.runs[0].lo)
-        seen = set()
-        frontier = [root]
-        while frontier:
-            i, j = frontier.pop()
-            if (i, j) in seen or (i, j) not in cells:
-                continue
-            seen.add((i, j))
-            frontier.extend([(i + 1, j), (i, j + 1)])
-        return len(seen) == len(cells)
-
-    def canonical_text(self):
-        return ";".join("%d:%d-%d" % run for run in self.runs)
 
 
 def directed_counts_by_diagonals(max_diagonals):

@@ -309,12 +309,6 @@ def perimeter_counts(order):
     return marginals(order, "perimeter")
 
 
-def nose_breakdown(order):
-    """Perimeter counts split by nose class, from the collapsed run."""
-    table = marginals(order, "noses")
-    return {cls: {kx: v for (kx, c), v in table.items() if c is cls} for cls in CLASS_ORDER}
-
-
 def joint_table(order):
     """Full census table keyed like the exhaustive generator's output.
 

@@ -1,21 +1,17 @@
 """Tests for the exhaustive generator.
 
 The reference here is a cell-set oracle that knows nothing about runs:
-it grows every fixed polyomino up to five cells by adding one adjacent
+it grows every fixed polyomino up to nine cells by adding one adjacent
 cell at a time, deduplicates by translation, filters the diagonally
-convex ones, and reads every statistic straight off the cell set.
+convex ones, and reads every statistic straight off the cell set.  A
+polyomino of perimeter p has at most floor(p^2/16) cells (Harary and
+Harborth, "Extremal animals", 1976), so nine cells reach every shape
+of perimeter at most 12.
 """
 
 import pytest
 
-from dcpoly.brute import (
-    DcpShape,
-    UndefinedForSingleDiagonal,
-    column_convex_counts,
-    directed_counts_by_diagonals,
-    generate,
-    iter_shapes,
-)
+from dcpoly.brute import column_convex_counts, directed_counts_by_diagonals, generate
 from dcpoly.counts import CountTable, NoseClass
 from dcpoly.layered import joint_table
 
@@ -74,9 +70,31 @@ def is_column_convex(cells):
     )
 
 
-def oracle_table(max_cells):
+def is_directed(cells):
+    """True when one cell on the lowest diagonal reaches every cell by
+    north and east steps inside the shape."""
+    seen = set()
+    frontier = [min(cells, key=sum)]
+    while frontier:
+        i, j = frontier.pop()
+        if (i, j) in seen or (i, j) not in cells:
+            continue
+        seen.add((i, j))
+        frontier.extend([(i + 1, j), (i, j + 1)])
+    return len(seen) == len(cells)
+
+
+def cells_of_runs(runs):
+    """Cell set of (lo, hi) column runs on diagonals 0, 1, ...; a cell at
+    column c on diagonal t sits at row t - c."""
+    return frozenset(
+        (c, t - c) for t, (lo, hi) in enumerate(runs) for c in range(lo, hi + 1)
+    )
+
+
+def oracle_table(shapes):
     table = CountTable()
-    for cells in fixed_polyominoes(max_cells):
+    for cells in shapes:
         runs = diagonal_runs(cells)
         if runs is None:
             continue
@@ -90,12 +108,10 @@ def oracle_table(max_cells):
     return table
 
 
-def table_from_shapes(shapes):
-    table = CountTable()
-    for s in shapes:
-        nose = None if s.diagonal_count() == 1 else s.nose_class()
-        table.add(s.perimeter(), s.diagonal_count(), nose, s.last_run_length())
-    return table
+@pytest.fixture(scope="module")
+def perimeter_twelve():
+    """Every fixed polyomino of perimeter at most 12, by the area bound."""
+    return [cells for cells in fixed_polyominoes(9) if perimeter_of(cells) <= 12]
 
 
 # ----------------------------------------------------------------- tests
@@ -112,9 +128,8 @@ def test_tiny_census_by_hand():
     assert table == want
 
 
-def test_generator_agrees_with_cell_set_oracle():
-    small = [s for s in iter_shapes(12) if s.cell_count() <= 5]
-    assert table_from_shapes(small) == oracle_table(5)
+def test_generator_agrees_with_cell_set_oracle(perimeter_twelve):
+    assert oracle_table(perimeter_twelve) == generate(12)
 
 
 def test_generate_matches_layered_joint_table():
@@ -122,39 +137,19 @@ def test_generate_matches_layered_joint_table():
         assert generate(bound) == joint_table(bound)
 
 
-def test_shape_statistics_match_walk_tallies():
-    assert table_from_shapes(iter_shapes(12)) == generate(12)
-
-
-def test_shapes_are_valid_and_distinct():
-    texts = set()
-    for shape in iter_shapes(14):
-        assert shape.is_connected()
-        assert shape.is_diagonally_convex()
-        assert 4 <= shape.perimeter() <= 14
-        texts.add(shape.canonical_text())
-    assert len(texts) == generate(14).total()
-
-
 def test_generate_is_independent_of_bound():
     assert generate(24).restrict_perimeter(20) == generate(20)
 
 
-def test_nose_class_needs_two_diagonals():
-    single = DcpShape.from_intervals([(0, 0)])
-    with pytest.raises(UndefinedForSingleDiagonal):
-        single.nose_class()
-
-
 def test_is_directed_by_hand():
-    staircase = DcpShape.from_intervals([(0, 0), (1, 1), (2, 2)])
-    assert staircase.is_directed()
-    wide_start = DcpShape.from_intervals([(0, 1), (1, 1)])
-    assert not wide_start.is_directed()
-    hanging_top = DcpShape.from_intervals([(0, 0), (0, 1), (0, 0)])
-    assert hanging_top.is_directed()
-    backslide = DcpShape.from_intervals([(1, 1), (0, 1)])
-    assert not backslide.is_directed()
+    staircase = cells_of_runs([(0, 0), (1, 1), (2, 2)])
+    assert is_directed(staircase)
+    wide_start = cells_of_runs([(0, 1), (1, 1)])
+    assert not is_directed(wide_start)
+    hanging_top = cells_of_runs([(0, 0), (0, 1), (0, 0)])
+    assert is_directed(hanging_top)
+    backslide = cells_of_runs([(1, 1), (0, 1)])
+    assert not is_directed(backslide)
 
 
 def test_directed_counts_small_depths():
@@ -162,11 +157,13 @@ def test_directed_counts_small_depths():
 
 
 def test_directed_counts_match_filtered_generator():
+    # a directed shape's k-th diagonal has at most k cells, so three
+    # diagonals hold at most six
     by_diag = {}
-    for shape in iter_shapes(14):
-        k = shape.diagonal_count()
-        if k <= 3 and shape.is_directed():
-            by_diag[k] = by_diag.get(k, 0) + 1
+    for cells in fixed_polyominoes(6):
+        runs = diagonal_runs(cells)
+        if runs is not None and len(runs) <= 3 and is_directed(cells):
+            by_diag[len(runs)] = by_diag.get(len(runs), 0) + 1
     assert by_diag == directed_counts_by_diagonals(3)
 
 
@@ -175,10 +172,10 @@ def test_column_convex_prefix_diverges_at_fourteen():
     assert generate(14).by_perimeter()[14] == 556
 
 
-def test_column_convex_against_cell_set_oracle():
+def test_column_convex_against_cell_set_oracle(perimeter_twelve):
     want = {}
-    for cells in fixed_polyominoes(6):
-        pe = perimeter_of(cells)
-        if pe <= 10 and is_column_convex(cells):
+    for cells in perimeter_twelve:
+        if is_column_convex(cells):
+            pe = perimeter_of(cells)
             want[pe] = want.get(pe, 0) + 1
-    assert column_convex_counts(10) == dict(sorted(want.items()))
+    assert column_convex_counts(12) == dict(sorted(want.items()))

@@ -18,7 +18,6 @@ from dcpoly.layered import (
     check_invariants,
     joint_table,
     marginals,
-    nose_breakdown,
     perimeter_counts,
     solve,
     two_nose_identity_residuals,
@@ -74,10 +73,12 @@ def test_collapsed_run_agrees_with_symbolic_run():
 
 
 def test_nose_breakdown_at_order_eight():
-    assert nose_breakdown(8) == {
-        NoseClass.TWO: {8: 1},
-        NoseClass.ONE: {6: 2, 8: 4},
-        NoseClass.ZERO: {8: 2},
+    assert marginals(8, "noses") == {
+        (4, None): 1,
+        (8, NoseClass.TWO): 1,
+        (6, NoseClass.ONE): 2,
+        (8, NoseClass.ONE): 4,
+        (8, NoseClass.ZERO): 2,
     }
 
 

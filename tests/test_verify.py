@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from dcpoly import cli, closedform, layered, verify
+from dcpoly import brute, cli, closedform, layered, verify
 from dcpoly.series import SurdSeries, XSeries
 
 
@@ -135,3 +135,47 @@ def test_twonose_fails_when_the_squared_residual_vanishes(monkeypatch):
     assert not variant.passed
     assert variant.name == "squared-marker variant fails as expected"
     assert variant.detail == "the variant residual vanished; the convention is not pinned"
+
+
+def _one_more_single_cell(table):
+    table.add(4, 1, None, 1)
+    return table
+
+
+@pytest.mark.parametrize(
+    "suite, target, plant, detail",
+    [
+        (
+            "oracle",
+            "generate",
+            _one_more_single_cell,
+            "first differing key (4, 1, None, 1): 1 vs 2",
+        ),
+        (
+            "columnconvex",
+            "column_convex_counts",
+            lambda counts: {**counts, 10: counts[10] + 1},
+            "first differing perimeter: 10",
+        ),
+        (
+            "directed",
+            "directed_counts_by_diagonals",
+            lambda counts: {**counts, 3: counts[3] + 1},
+            "exhaustive {1: 1, 2: 3, 3: 13, 4: 55} vs fixed point {1: 1, 2: 3, 3: 12, 4: 55}",
+        ),
+    ],
+    ids=("oracle", "columnconvex", "directed"),
+)
+def test_exhaustive_suites_report_a_planted_count_and_exit_one(
+    monkeypatch, capsys, suite, target, plant, detail
+):
+    real = getattr(brute, target)
+    monkeypatch.setattr(brute, target, lambda bound: plant(real(bound)))
+    code = cli.main(["verify", "--suite", suite, "--order", "12"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL [%s] " % suite)
+    assert fails[0].endswith(": " + detail)
+    assert lines[-1].endswith(" checks, 1 failed")
