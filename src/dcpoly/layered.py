@@ -17,20 +17,26 @@ diagonal to every shape by summing, over every way of placing a new
 run, the perimeter growth 4b - 2a for a run of b new cells sharing a
 contacts with the old run.  Grouping those sums by nose class turns the
 transfer into a fixed combination of the tail operators and the
-rational kernel 1/(1 - x^4 z), applied to a series by the recurrence
-out_m = s_m + x^4 out_{m-1}.  The transfer is affine, T(F) = T(0) + L(F):
+rational kernel 1/(1 - x^4 z).  The transfer is affine, T(F) = T(0) + L(F):
 T(0) counts the two-diagonal shapes and L adds one diagonal.  So the
-fixed point is built one diagonal at a time, delta_0 = T(0) and
-delta_{t+1} = L(delta_t), summed until a delta vanishes, which the
+fixed point is built one diagonal at a time, delta_2 = T(0) and
+delta_{k+1} = L(delta_k), summed until a delta vanishes, which the
 x-truncation guarantees because every extra diagonal adds perimeter.
 
 Every term of L carries one factor of d and T(0) carries d^2, so
-delta_t has d-degree t + 2 and the steps never touch d: tracking it only
-decides the d-row a delta is summed into.  The steps run on packed
-integers (Kronecker substitution).  A class is a list over z of Python
-ints, and slot j of each int holds the coefficient of x^(2j), since
-every perimeter is even.  A multiple of x^(2k) is then a shift by k
-slots under a mask, and a sum of polynomials is one integer sum.
+delta_k, the shapes with k diagonals, has d-degree k and the steps never
+touch d: tracking it only decides the d-row a delta is summed into.  The
+steps run on packed integers (Kronecker substitution).  A class is a
+list over z of Python ints, and slot j of each int holds the coefficient
+of x^(2j), since every perimeter is even.  A multiple of x^(2j) is then
+a shift by j slots, and a sum of polynomials is one integer sum.
+
+The frame.  A shape with k diagonals and m cells on its final diagonal
+has a bounding box with width + height >= k + m (a cell of the first
+diagonal and the two ends of the final run are that far apart), so its
+perimeter is at least 2(k + m), a bound some shape reaches at every k.
+The steps store the z^m entry of delta_k divided by x^(2(k + m)), at
+frame offset k + m, cut at ``order`` by ``Slots.masks[k + m]``.
 
 ``solve`` returns the packed sum itself, and every result is read
 from it: ``marginals(order, by)`` unpacks only the sum of every z-entry
@@ -68,31 +74,28 @@ def _slot_bits(order):
     below 2^(3p/2)/2.
 
     Guard bits.  In one step, each slot of every intermediate sums slots
-    of the previous delta with multiplicities adding up to at most
-    3D(D+1)/2 + 3D(J+1) + (J+1)(J+2)/2 < (order + 4)^2, where D = order/2
-    bounds the final run and J = order/4 the kernel's reach.  So if a
-    delta's slots are below 2^value_bits, nothing in the next step
-    carries into a neighbouring slot, and a slot that outgrows its value
-    bits sets a guard bit.
+    of the previous delta.  The framed step is the same map re-indexed
+    (a framed slot holds the same count, k + m slots lower), so the
+    multiplicities add up to at most 3D(D+1)/2 + 3D(J+1) + (J+1)(J+2)/2
+    < (order + 4)^2, where D = order/2 bounds the final run and
+    J = order/4 the kernel's reach.  So if a delta's slots are below
+    2^value_bits, nothing in the next step carries into a neighbouring
+    slot, and a slot that outgrows its value bits sets a guard bit.
     """
     return 3 * order // 2, 2 * (order + 4).bit_length()
 
 
 class Slots:
-    """Layout of packed x-polynomials: one slot per even x-degree 0..order."""
+    """Layout of packed x-polynomials: one slot per even x-degree 0..order.
+    ``masks[j]`` keeps the order/2 + 1 - j slots of an entry at frame
+    offset j, whose slot i holds the coefficient of x^(2(j + i))."""
 
     def __init__(self, order):
         value_bits, guard_bits = _slot_bits(order)
-        self.order = order
         self.width = width = value_bits + guard_bits
-        self.mask = (1 << width * (order // 2 + 1)) - 1
-        repunit = self.mask // ((1 << width) - 1)
+        self.masks = [(1 << width * j) - 1 for j in range(order // 2 + 1, 0, -1)]
+        repunit = self.masks[0] // ((1 << width) - 1)
         self.guard = (((1 << guard_bits) - 1) << value_bits) * repunit
-
-    def times(self, series, kx, dz):
-        """Multiply a z-list by x^kx z^dz, dropping what passes the truncation."""
-        shift, mask = self.width * kx // 2, self.mask
-        return [0] * dz + [(v << shift) & mask for v in series]
 
     def unpack(self, v):
         """The nonzero slots of v as {x-degree: coefficient}, in degree order."""
@@ -121,113 +124,129 @@ def _add(p, q):
     return [u + v for u, v in zip(p, q)] + p[len(q):]
 
 
-def _trim(series):
-    while series and not series[-1]:
-        series.pop()
-    return series
+def _cut(series, masks):
+    """Entry m of a z-list cut by masks[m], and trailing zeros dropped."""
+    out = [v & mask for v, mask in zip(series, masks)]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _times_geometric(series, slots):
-    """Multiply a z-list by 1/(1 - x^4 z): out_m = s_m + x^4 out_{m-1}."""
-    shift, mask = 2 * slots.width, slots.mask
+def _times_geometric(series, masks, shift):
+    """Multiply a framed z-list by 1/(1 - x^4 z): out_m = s_m + x^2 out_{m-1},
+    with x^2 a shift by ``shift`` bits and out_m cut by masks[m]."""
     out = []
     carry = 0
-    for v in series:
-        carry += v
+    for m, mask in enumerate(masks):
+        if m < len(series):
+            carry += series[m]
+        elif not carry:
+            break
+        carry &= mask
         out.append(carry)
-        carry = (carry << shift) & mask
-    while carry:
-        out.append(carry)
-        carry = (carry << shift) & mask
+        carry <<= shift
     return out
 
 
-def _tail_sum(series):
-    """z^m coefficient becomes sum_{k>m} s_k, for m = 0..D-1."""
+def _tail_sum(series, shift=0):
+    """z^m coefficient becomes sum_{k>m} s_k x^(2(k-m-1)), for m = 0..D-1,
+    with x^2 a shift by ``shift`` bits (at 0, the plain suffix sums)."""
     out = series[1:]
     for m in range(len(out) - 2, -1, -1):
-        out[m] += out[m + 1]
+        out[m] += out[m + 1] << shift
     return out
 
 
-def _tail_weighted(series):
-    """z^m coefficient becomes sum_{k>m} (k-m) s_k, for m >= 1: the
-    suffix sums of ``_tail_sum``."""
-    out = _tail_sum(series)
+def _tail_weighted(series, shift=0):
+    """z^m coefficient becomes sum_{k>m} (k-m) s_k, for m >= 1, in the same
+    frame as ``_tail_sum``: out_m = T1_m + x^2 out_{m+1}."""
+    out = _tail_sum(series, shift)
     for m in range(len(out) - 2, 0, -1):
-        out[m] += out[m + 1]
+        out[m] += out[m + 1] << shift
     return [0] + out[1:]
 
 
 def _constant_step(slots):
-    """T(0): the shapes with exactly two diagonals."""
-    geo = _times_geometric([1], slots)
+    """T(0) in the frame: the shapes with exactly two diagonals,
+    x^8 z^2 K, 2 x^6 z K and x^8 z K with K = 1/(1 - x^4 z)."""
+    masks, width = slots.masks, slots.width
+    geo = _times_geometric([1], masks[3:], width)
     return (
-        _trim(slots.times(geo, 8, 2)),
-        _trim(slots.times([2 * v for v in geo], 6, 1)),
-        _trim(slots.times(geo, 8, 1)),
+        _cut([0, 0] + geo, masks[2:]),
+        _cut([0] + [2 * v for v in geo], masks[2:]),
+        _cut([0] + [v << width for v in geo], masks[2:]),
     )
 
 
-def _linear_step(delta, slots):
-    """L(F): append one diagonal to every shape counted by F.
+def _linear_step(delta, k, slots):
+    """L(F) in the frame: append one diagonal to shapes with ``k`` diagonals.
 
     The new-run sums over (overlap, length) decompose, class by class,
-    into tail operators of the old series times monomials and the
-    kernel K = 1/(1 - x^4 z), applied once or twice.  Terms that share
-    a monomial are added before the linear operators run:
+    into the tail operators T1 ``_tail_sum`` and T2 ``_tail_weighted``
+    of the old series, the kernel K = 1/(1 - x^4 z), applied once or
+    twice, and monomials x^a z.  In the frame, where z^m of F stands at
+    offset k + m and of L(F) at k + 1 + m, x^a z becomes x^(a-4) w, with
+    w the shift by one z-index, and x^2 z T1 becomes w T1, as T1 lands
+    one offset above its input; K steps x^2 per z-index:
 
-        two  = x^4 z (K^2 A + K B + C)
-        one  = x^2 z (K T1(2A + B) + T1(B + 2C)) + x^6 z (2 K^2 A + K B)
-        zero = T2(A + B + C) + x^4 z K T1(2A + B) + x^8 z K^2 A
+        two  = w(K^2 A + K B + C)
+        one  = w(K T1(2A + B) + T1(B + 2C)) + x^2 w(2 K^2 A + K B)
+        zero = T2(A + B + C) + x^2 w K T1(2A + B) + x^4 w K^2 A
 
-    with T1 ``_tail_sum`` and T2 ``_tail_weighted``.  The factor d that
-    every term carries is left to the caller.
+    No shift is negative, so an entry may be cut at any offset it later
+    reaches: K's z^m reaches L(F) only through w, at offset k + 2 + m or
+    above.  The caller adds the factor d that every term carries.
     """
     a, b, c = delta
-    geo_a = _times_geometric(a, slots)
-    geo2_a = _times_geometric(geo_a, slots)
-    geo2_a_geo_b = _times_geometric(_add(geo_a, b), slots)
-    geo_t1 = _times_geometric(_tail_sum(_add([2 * v for v in a], b)), slots)
-    t1 = _tail_sum(_add(b, [2 * v for v in c]))
-    t2 = _tail_weighted(_add(_add(a, b), c))
-    new_two = slots.times(_add(geo2_a_geo_b, c), 4, 1)
-    new_one = _add(
-        slots.times(_add(geo_t1, t1), 2, 1), slots.times(_add(geo2_a, geo2_a_geo_b), 6, 1)
-    )
-    new_zero = _add(t2, _add(slots.times(geo_t1, 4, 1), slots.times(geo2_a, 8, 1)))
-    return _trim(new_two), _trim(new_one), _trim(new_zero)
+    masks, width = slots.masks, slots.width
+    cut = masks[k + 2:]
+    geo_a = _times_geometric(a, cut, width)
+    geo2_a = _times_geometric(geo_a, cut, width)
+    geo2_a_geo_b = _times_geometric(_add(geo_a, b), cut, width)
+    geo_t1 = _times_geometric(_tail_sum(_add([2 * v for v in a], b), width), cut, width)
+    t1 = _tail_sum(_add(b, [2 * v for v in c]), width)
+    t2 = _tail_weighted(_add(_add(a, b), c), width)
+    new_two = [0] + _add(geo2_a_geo_b, c)
+    new_one = [0] + _add(_add(geo_t1, t1), [v << width for v in _add(geo2_a, geo2_a_geo_b)])
+    new_zero = _add(t2, [0] + [v << width for v in _add(geo_t1, [u << width for u in geo2_a])])
+    out = masks[k + 1:]
+    return _cut(new_two, out), _cut(new_one, out), _cut(new_zero, out)
 
 
-def check_invariants(packed, row=None):
-    """Structural checks every genuine census iterate satisfies.
+def _check_counts(cls, kd, series, slots):
+    """Raise ``InvariantError`` on a nonzero entry below the minimum run of
+    ``cls``, or on a negative count or an overflow: v < 0 or a guard bit set."""
+    for m, v in enumerate(series):
+        if v and m < MIN_Z[cls]:
+            raise InvariantError(
+                "%s series has a z^%d term below its minimum run" % (cls.value, m)
+            )
+        if v < 0 or v & slots.guard:
+            raise InvariantError(
+                "a count at d^%d z^%d in %s is negative or overflows its slot"
+                % (kd, m, cls.value)
+            )
 
-    Checks d-row ``row`` of every class, or every d-row when ``row`` is
-    None, and raises ``InvariantError`` on the first violation.  Each
-    rule is a mask test on the packed ints: every slot holds a count in
-    [0, 2^value_bits), so a negative count (which borrows from the slot
-    above) or an overflow sets a guard bit; a shape in these classes has
-    at least two diagonals, at least one cell on the final diagonal (two
-    for the two-nose class), perimeter at least 2*diagonals + 2, and a
-    final diagonal of at most (perimeter - 2)/2 cells.
+
+def check_invariants(packed):
+    """Structural checks every genuine census series satisfies.
+
+    Checks every d-row of every class and raises ``InvariantError`` on
+    the first violation.  Each rule is a mask test on the packed ints:
+    every slot holds a count in [0, 2^value_bits); a shape in these
+    classes has at least two diagonals, at least one cell on the final
+    diagonal (two for the two-nose class), perimeter at least
+    2*diagonals + 2, and a final diagonal of at most (perimeter - 2)/2
+    cells.  The stronger bound 2(diagonals + final run) holds by
+    construction in ``solve``'s frame.
     """
     slots, track = packed.slots, packed.track_diagonals
     for cls, drows in zip(CLASS_ORDER, packed.rows):
-        for kd in range(len(drows)) if row is None else [row]:
-            for m, v in enumerate(drows[kd] if kd < len(drows) else ()):
-                if not v:
-                    continue
-                if m < MIN_Z[cls]:
-                    raise InvariantError(
-                        "%s series has a z^%d term below its minimum run" % (cls.value, m)
-                    )
-                if v < 0 or v & slots.guard:
-                    raise InvariantError(
-                        "a count at d^%d z^%d in %s is negative or overflows its slot"
-                        % (kd, m, cls.value)
-                    )
+        for kd, row in enumerate(drows):
+            _check_counts(cls, kd, row, slots)
+            for m, v in enumerate(row):
                 low = max(3, m + 1, kd + 1 if track else 0)
-                if v & ((1 << slots.width * low) - 1) or (track and kd < 2):
+                if v and (v & ((1 << slots.width * low) - 1) or (track and kd < 2)):
                     kx = 2 * (((v & -v).bit_length() - 1) // slots.width)
                     if kx < 6:
                         raise InvariantError("perimeter %d below any two-diagonal shape" % kx)
@@ -243,30 +262,30 @@ def solve(order, track_diagonals=True):
     ``PackedSum`` summed one diagonal at a time (all in d-row 0 when
     ``track_diagonals`` is false).
 
-    Starting from the two-diagonal shapes delta_0 = T(0), each
-    delta_{t+1} = L(delta_t), so delta_t holds exactly the shapes with
-    t + 2 diagonals and the fixed point of T is the sum of the deltas.
-    A shape with k diagonals has perimeter at least 2k + 2, so the
-    x-truncation makes some delta zero within the loop's bound.  Each
-    partial sum passes ``check_invariants`` before the next step reads
-    its delta; earlier d-rows never change, so only the row just written
-    is checked (row 0 when d is collapsed).  By ``_slot_bits`` the sum
-    cannot carry between slots, so its guard bits cover the delta's too.
+    From the two-diagonal shapes delta_2 = T(0), each delta_{k+1} =
+    L(delta_k) holds the shapes with k + 1 diagonals, and the fixed
+    point of T is their sum.  The steps run in the frame of the module
+    docstring, z^m of delta_k divided by x^(2(k + m)); each delta passes
+    ``_check_counts`` before the next step reads it and is shifted up
+    k + m slots as it is summed in.  The sum passes ``check_invariants``
+    once: by ``_slot_bits`` it cannot carry between slots, so its guard
+    bits cover the deltas' too.
     """
     if order < 4:
         raise ValueError("order must be at least 4 to see any polyomino")
     slots = Slots(order)
     total = PackedSum(slots, track_diagonals, ([], [], []))
     delta = _constant_step(slots)
-    for step in range(order + 2):
+    for k in range(2, order + 4):
         if not any(delta):
+            check_invariants(total)
             return total
-        kd = step + 2 if track_diagonals else 0
-        for drows, series in zip(total.rows, delta):
+        kd = k if track_diagonals else 0
+        for cls, drows, series in zip(CLASS_ORDER, total.rows, delta):
+            _check_counts(cls, kd, series, slots)
             drows.extend([] for _ in range(kd + 1 - len(drows)))
-            drows[kd] = _add(drows[kd], series)
-        check_invariants(total, kd)
-        delta = _linear_step(delta, slots)
+            drows[kd] = _add(drows[kd], [v << slots.width * (k + m) for m, v in enumerate(series)])
+        delta = _linear_step(delta, k, slots)
     raise NonConvergenceError("no fixed point within %d steps" % (order + 2))
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 # the suites that walk shapes import brute, so the kernel suite never loads it
 from . import closedform, layered
-from .counts import sortable_key
+from .counts import nose_label, sortable_key
 
 SUITE_NAMES = ("kernel", "twonose", "columnconvex", "directed", "oracle")
 
@@ -92,11 +92,13 @@ def _table_equal_check(suite, name, left, right):
         a = left.counts.get(key, 0)
         b = right.counts.get(key, 0)
         if a != b:
+            perimeter, diagonals, nose, last_run = key
             return CheckResult(
                 suite,
                 name,
                 False,
-                "first differing key %s: %d vs %d" % (key, a, b),
+                "first differing key (%d, %d, %s, %d): %d vs %d"
+                % (perimeter, diagonals, nose_label(nose), last_run, a, b),
             )
     return CheckResult(suite, name, True, "")
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from reference_layered import empty_triple, rhs_step
 
-from dcpoly import layered
+from dcpoly import brute, layered
 from dcpoly.counts import NoseClass
 from dcpoly.layered import (
     InvariantError,
@@ -110,6 +110,25 @@ def test_joint_table_projects_to_perimeter_counts():
         assert la >= 1 and pe >= 2 * di + 2
 
 
+@pytest.mark.parametrize(
+    "make_table, max_diagonals",
+    [
+        pytest.param(lambda: brute.generate(24), 11, id="generate-24"),
+        pytest.param(lambda: joint_table(60), 29, id="joint-table-60"),
+    ],
+)
+def test_perimeter_is_at_least_twice_diagonals_plus_final_run(make_table, max_diagonals):
+    """The premise of ``solve``'s frame, read off finished tables: a shape
+    with k diagonals and m cells on its final diagonal has perimeter at
+    least 2(k + m), and some shape reaches the bound at every k."""
+    tight = set()
+    for (pe, di, _, la) in make_table().counts:
+        assert pe >= 2 * (di + la)
+        if pe == 2 * (di + la):
+            tight.add(di)
+    assert tight == set(range(1, max_diagonals + 1))
+
+
 def test_two_nose_identity_distinguishes_conventions():
     matching, squared = two_nose_identity_residuals(12)
     assert matching == {}
@@ -151,20 +170,29 @@ def test_two_nose_residuals_equal_the_polynomial_products(order):
 def test_iterates_grow_monotonically(monkeypatch):
     """Every packed partial sum equals the reference engine's iterate T^t(0)."""
     seen = []
+    real_step = layered._linear_step
 
-    def record(packed, row=None):
-        check_invariants(packed, row)
-        seen.append(unpacked(packed))
+    def record(delta, k, slots):
+        seen.append((k, delta, slots))
+        return real_step(delta, k, slots)
 
-    monkeypatch.setattr(layered, "check_invariants", record)
+    monkeypatch.setattr(layered, "_linear_step", record)
     for track_diagonals in (True, False):
         seen.clear()
         solve(16, track_diagonals)
-        # one partial sum per diagonal count 2..7
-        assert len(seen) == 6
+        # one nonempty delta per diagonal count 2..7, then an empty one
+        assert [k for k, _, _ in seen] == [2, 3, 4, 5, 6, 7]
+        rows = ([], [], [])
         reference = empty_triple()
         counts = []
-        for partial in seen:
+        for k, delta, slots in seen:
+            # unframe: z^m of delta_k stands k + m slots low
+            kd = k if track_diagonals else 0
+            for drows, series in zip(rows, delta):
+                drows.extend([] for _ in range(kd + 1 - len(drows)))
+                shifted = [v << slots.width * (k + m) for m, v in enumerate(series)]
+                drows[kd] = layered._add(drows[kd], shifted)
+            partial = unpacked(layered.PackedSum(slots, track_diagonals, rows))
             reference = rhs_step(reference, 16, track_diagonals)
             assert partial == reference
             counts.append(perimeter_totals(partial))
@@ -247,24 +275,25 @@ def test_each_invariant_fires_on_one_corrupted_slot(track, cls, kd, m, change, m
 
 @pytest.mark.parametrize("track_diagonals", [False, True])
 def test_each_step_checks_its_new_row_and_catches_a_corrupted_slot(monkeypatch, track_diagonals):
-    """Earlier d-rows never change, so a step checks only the row it
-    wrote; a borrow planted in the third delta still stops ``solve``."""
+    """Every delta is checked before the next step reads it, and a
+    borrow planted in the delta of five-diagonal shapes stops ``solve``."""
     checked = []
-    real_check, real_step = layered.check_invariants, layered._linear_step
+    real_check, real_step = layered._check_counts, layered._linear_step
 
-    def record(packed, row=None):
-        checked.append(row)
-        real_check(packed, row)
+    def record(cls, kd, series, slots):
+        checked.append(kd)
+        real_check(cls, kd, series, slots)
 
-    monkeypatch.setattr(layered, "check_invariants", record)
+    monkeypatch.setattr(layered, "_check_counts", record)
+    monkeypatch.setattr(layered, "check_invariants", lambda packed: None)
     solve(16, track_diagonals)
-    assert checked == ([2, 3, 4, 5, 6, 7] if track_diagonals else [0] * 6)
+    assert checked == [k if track_diagonals else 0 for k in range(2, 8) for _ in range(3)]
 
-    def corrupting(delta, slots):
-        two, one, zero = real_step(delta, slots)
-        if len(checked) == 3:
+    def corrupting(delta, k, slots):
+        two, one, zero = real_step(delta, k, slots)
+        if k + 1 == 5:
             one = one + [0] * (2 - len(one))
-            one[1] -= 1
+            one[1] -= (one[1] & ((1 << slots.width) - 1)) + 1
         return two, one, zero
 
     checked.clear()
@@ -310,6 +339,17 @@ def test_a_marginal_that_outgrows_its_slot_raises(monkeypatch, by, value_bits):
         marginals(60, by)
 
 
+def test_a_sum_over_diagonals_that_outgrows_its_slot_raises(monkeypatch):
+    """At 60 every delta fits in 61 bits but some of their sums with d
+    collapsed do not, so only the check of the returned sum sees it."""
+    monkeypatch.setattr(
+        layered, "_slot_bits", lambda order: (61, 2 * (order + 4).bit_length())
+    )
+    solve(60, True)
+    with pytest.raises(InvariantError, match="d\\^0 .* overflows its slot"):
+        solve(60, False)
+
+
 def test_value_bits_rest_on_a_contraction():
     """The bound stated in ``_slot_bits``, at x^2 = 1/8 and z = 4."""
     x2, z = Fraction(1, 8), Fraction(4)
@@ -337,13 +377,14 @@ def test_value_bits_rest_on_a_contraction():
 
 @pytest.mark.parametrize("order", [8, 40, 120])
 def test_one_step_gain_fits_the_guard_bits(order):
-    """With every input slot 1, each output slot is the step's total multiplicity."""
+    """With every input slot 1, each output slot is the step's total
+    multiplicity; the input is the widest delta, two diagonals."""
     slots = layered.Slots(order)
-    ones = slots.mask // ((1 << slots.width) - 1)
-    delta = tuple([ones] * (order // 2 + 1) for _ in range(3))
+    ones = [mask // ((1 << slots.width) - 1) for mask in slots.masks[2:]]
+    delta = (ones, ones, ones)
     gains = [
         max(slots.unpack(v).values(), default=0)
-        for series in layered._linear_step(delta, slots)
+        for series in layered._linear_step(delta, 2, slots)
         for v in series
     ]
     assert max(gains) < (order + 4) ** 2 <= 2 ** layered._slot_bits(order)[1]

@@ -447,8 +447,10 @@ def test_tail_operators_are_linear():
 
 
 def test_geometric_kernel_against_direct_convolution():
-    """Once and twice, the packed recurrence equals the product with
-    sum x^(4j) z^j, and so does the dict-of-terms reference."""
+    """Once and twice, the packed recurrence in the frame equals the
+    product with sum x^(4j) z^j, and so does the dict-of-terms reference.
+    Every term x^kx z^m has kx >= 2m, as in ``layered.solve``'s frame at
+    offset m, where it is stored kx/2 - m slots up."""
     rng = random.Random(16)
     order = 12
     slots = Slots(order)
@@ -464,24 +466,40 @@ def test_geometric_kernel_against_direct_convolution():
     def pack(terms):
         packed = [0] * (max(m for _, _, m in terms) + 1) if terms else []
         for (_, kx, m), v in terms.items():
-            packed[m] += v << slots.width * (kx // 2)
+            packed[m] += v << slots.width * (kx // 2 - m)
         return packed
 
     def unpack(packed):
         return {
-            (0, kx, m): c for m, v in enumerate(packed) for kx, c in slots.unpack(v).items()
+            (0, kx + 2 * m, m): c
+            for m, v in enumerate(packed)
+            for kx, c in slots.unpack(v).items()
         }
 
+    def kernel(packed):
+        return _times_geometric(packed, slots.masks, slots.width)
+
     for _ in range(30):
-        terms = {
-            (0, 2 * rng.randint(0, order // 2), m): rng.randint(1, 9)
-            for m in range(rng.randint(1, 6))
-            for _ in range(rng.randint(0, 4))
-        }
+        terms = {}
+        for m in range(rng.randint(1, 6)):
+            for _ in range(rng.randint(0, 4)):
+                terms[0, 2 * rng.randint(m, order // 2), m] = rng.randint(1, 9)
         once = convolve(terms)
-        assert unpack(_times_geometric(pack(terms), slots)) == once
+        assert unpack(kernel(pack(terms))) == once
         assert times_geometric(terms, order) == once
         twice = convolve(once)
-        packed_twice = _times_geometric(_times_geometric(pack(terms), slots), slots)
-        assert unpack(packed_twice) == twice
+        assert unpack(kernel(kernel(pack(terms)))) == twice
         assert times_geometric(times_geometric(terms, order), order) == twice
+
+
+def test_framed_tail_operators_match_the_plain_ones():
+    """With x^2 a shift of one slot, the tail operators on entries stored
+    m slots low give the plain ones' entries stored m + 1 slots low."""
+    rng = random.Random(17)
+    width = 20
+    for _ in range(30):
+        framed = [rng.randint(0, 2**60) for _ in range(rng.randint(0, 12))]
+        plain = [v << width * m for m, v in enumerate(framed)]
+        for op in (_tail_sum, _tail_weighted):
+            unframed = [v << width * (m + 1) for m, v in enumerate(op(framed, width))]
+            assert unframed == op(plain)

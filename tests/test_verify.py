@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from dcpoly import brute, cli, closedform, layered, verify
+from dcpoly.counts import NoseClass
 from dcpoly.series import SurdSeries, XSeries
 
 
@@ -142,6 +143,11 @@ def _one_more_single_cell(table):
     return table
 
 
+def _one_more_one_nose_shape(table):
+    table.add(8, 3, NoseClass.ONE, 1)
+    return table
+
+
 @pytest.mark.parametrize(
     "suite, target, plant, detail",
     [
@@ -149,7 +155,13 @@ def _one_more_single_cell(table):
             "oracle",
             "generate",
             _one_more_single_cell,
-            "first differing key (4, 1, None, 1): 1 vs 2",
+            "first differing key (4, 1, none, 1): 1 vs 2",
+        ),
+        (
+            "oracle",
+            "generate",
+            _one_more_one_nose_shape,
+            "first differing key (8, 3, one, 1): 4 vs 5",
         ),
         (
             "columnconvex",
@@ -164,7 +176,7 @@ def _one_more_single_cell(table):
             "exhaustive {1: 1, 2: 3, 3: 13, 4: 55} vs fixed point {1: 1, 2: 3, 3: 12, 4: 55}",
         ),
     ],
-    ids=("oracle", "columnconvex", "directed"),
+    ids=("oracle", "oracle-one-nose", "columnconvex", "directed"),
 )
 def test_exhaustive_suites_report_a_planted_count_and_exit_one(
     monkeypatch, capsys, suite, target, plant, detail
