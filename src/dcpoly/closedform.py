@@ -19,6 +19,13 @@ the identities that tie all routes together:
   the matching binomial formula;
 * the decimal table of column-convex to diagonally-convex count ratios.
 
+Every perimeter is even, so the radicals, the kernel and its roots are
+series in t = x^2.  The kernel algebra runs in t, in private functions
+with half the terms and fewer bits per coefficient; the public
+functions keep their x-orders and read each t-result back in x through
+``at_square``.  The column-convex forms stay in x; the split one has
+odd powers.
+
 The diagonal marker d enters every formula polynomially, so identities
 are verified at several rational sample values rather than symbolically;
 vanishing at four samples to high x-order leaves no room for a wrong
@@ -142,10 +149,44 @@ def _square_free_split(m):
     return outside, core * m
 
 
-def _kernel_radicand(d, order):
-    """Square of the kernel radical: the quadratic-factor discriminant."""
-    return XSeries.from_terms(
-        {0: 1, 4: -2, 6: -2 * d, 8: 1, 10: -2 * d, 12: d * d}, order
+def _in_x(value, order):
+    """A result of the t-level algebra read at t = x^2 through x^order,
+    series by series, keeping its (named) tuple or list shape."""
+    if isinstance(value, (XSeries, SurdSeries)):
+        return value.at_square(order)
+    fields = [_in_x(v, order) for v in value]
+    return value._make(fields) if hasattr(value, "_make") else type(value)(fields)
+
+
+def _kernel_radicand(d, n):
+    """Square of the kernel radical, the quadratic-factor discriminant, in t."""
+    return XSeries.from_terms({0: 1, 2: -2, 3: -2 * d, 4: 1, 5: -2 * d, 6: d * d}, n)
+
+
+def _radicals(d, n):
+    """:func:`radicals` in t = x^2, through t^n."""
+    d = Fraction(d)
+    if d == -2:
+        raise ValueError("the sample d=-2 zeroes the nested radicand's constant term (d+2)^2")
+    kernel_radicand = _kernel_radicand(d, n)
+    base_radicand = XSeries.from_terms(
+        {0: 1, 1: -(4 + 4 * d), 2: 6 + 8 * d, 3: -(4 + 2 * d), 4: 1 - 4 * d, 5: 2 * d, 6: d * d}, n
+    )
+    base_value = base_radicand.sqrt()
+    nested_radicand = (
+        XSeries.from_terms(
+            {
+                0: 2 + 4 * d + d * d, 1: -(4 * d + 4 * d * d), 2: -4 + 6 * d * d,
+                4: 2 + 4 * d - 7 * d * d, 5: 4 * d + 4 * d * d, 6: 2 * d * d,
+            },
+            n,
+        )
+        + XSeries.from_terms({0: 2, 1: 4, 2: 2, 3: 2 * d}, n) * base_value
+    )
+    return RadicalTriple(
+        Radical(kernel_radicand.sqrt(), kernel_radicand),
+        Radical(base_value, base_radicand),
+        Radical(nested_radicand.sqrt(), nested_radicand),
     )
 
 
@@ -158,42 +199,34 @@ def radicals(d, order):
     the values are honest rational series; the outer one, (d + 2)^2, is
     0 at d = -2, which raises ``ValueError``.
     """
+    return _in_x(_radicals(d, order // 2), order)
+
+
+def _kernel_factors(d, n):
+    """:func:`kernel_factors` in t = x^2, through t^n."""
     d = Fraction(d)
-    if d == -2:
-        raise ValueError("the sample d=-2 zeroes the nested radicand's constant term (d+2)^2")
-    kernel_radicand = _kernel_radicand(d, order)
-    base_radicand = XSeries.from_terms(
+    e = d * d
+    plain = XSeries.from_terms(
         {
-            0: 1,
-            2: -(4 + 4 * d),
-            4: 6 + 8 * d,
-            6: -(4 + 2 * d),
-            8: 1 - 4 * d,
-            10: 2 * d,
-            12: d * d,
+            11: e, 10: 1, 9: -4 * e, 8: -(2 * e + 5), 7: e * e * e + 2 * e * e + 6 * e,
+            6: e * e + 6 * e + 10, 5: -(4 * e * e + 4 * e), 4: -(e * e + 6 * e + 10),
+            3: 2 * e * e + e, 2: 2 * e + 5, 0: -1,
         },
-        order,
+        n,
     )
-    base_value = base_radicand.sqrt()
-    nested_radicand = (
-        XSeries.from_terms(
-            {
-                0: 2 + 4 * d + d * d,
-                2: -(4 * d + 4 * d * d),
-                4: -4 + 6 * d * d,
-                8: 2 + 4 * d - 7 * d * d,
-                10: 4 * d + 4 * d * d,
-                12: 2 * d * d,
-            },
-            order,
-        )
-        + XSeries.from_terms({0: 2, 2: 4, 4: 2, 6: 2 * d}, order) * base_value
+    quadratic = (
+        XSeries.one(n),
+        XSeries.from_terms({3: e, 2: -1, 0: -1}, n),
+        XSeries.from_terms({2: 1}, n),
     )
-    return RadicalTriple(
-        Radical(kernel_radicand.sqrt(), kernel_radicand),
-        Radical(base_value, base_radicand),
-        Radical(nested_radicand.sqrt(), nested_radicand),
+    quartic = (
+        XSeries.one(n),
+        XSeries.from_terms({3: -2 * e, 2: -(e + 2), 1: 2 * e, 0: -(e + 2)}, n),
+        XSeries.from_terms({6: e * e, 5: 2 * e, 4: 1, 2: 4 * e + 4, 1: -2 * e, 0: 1}, n),
+        XSeries.from_terms({5: -2 * e, 4: -(e + 2), 3: 2 * e, 2: -(e + 2)}, n),
+        XSeries.from_terms({4: 1}, n),
     )
+    return KernelFactors(plain, quadratic, quartic)
 
 
 def kernel_factors(d, order):
@@ -204,39 +237,7 @@ def kernel_factors(d, order):
     powers of x^4, which is what makes its series roots come in the two
     aux-labelled pairs produced by :func:`roots`.
     """
-    d = Fraction(d)
-    e = d * d
-    plain = XSeries.from_terms(
-        {
-            22: e,
-            20: 1,
-            18: -4 * e,
-            16: -(2 * e + 5),
-            14: e * e * e + 2 * e * e + 6 * e,
-            12: e * e + 6 * e + 10,
-            10: -(4 * e * e + 4 * e),
-            8: -(e * e + 6 * e + 10),
-            6: 2 * e * e + e,
-            4: 2 * e + 5,
-            0: -1,
-        },
-        order,
-    )
-    quadratic = (
-        XSeries.one(order),
-        XSeries.from_terms({6: e, 4: -1, 0: -1}, order),
-        XSeries.from_terms({4: 1}, order),
-    )
-    quartic = (
-        XSeries.one(order),
-        XSeries.from_terms({6: -2 * e, 4: -(e + 2), 2: 2 * e, 0: -(e + 2)}, order),
-        XSeries.from_terms(
-            {12: e * e, 10: 2 * e, 8: 1, 4: 4 * e + 4, 2: -2 * e, 0: 1}, order
-        ),
-        XSeries.from_terms({10: -2 * e, 8: -(e + 2), 6: 2 * e, 4: -(e + 2)}, order),
-        XSeries.from_terms({8: 1}, order),
-    )
-    return KernelFactors(plain, quadratic, quartic)
+    return _in_x(_kernel_factors(d, order // 2), order)
 
 
 def kernel_sextic(d, order):
@@ -245,13 +246,47 @@ def kernel_sextic(d, order):
     For integer samples ``d`` every coefficient must be an integer, a
     cheap transcription check on all three factors at once.
     """
-    factors = kernel_factors(d, order)
-    zero = XSeries.zero(order)
+    n = order // 2
+    factors = _kernel_factors(d, n)
+    zero = XSeries.zero(n)
     product = [zero] * (len(factors.quadratic) + len(factors.quartic) - 1)
     for i, a in enumerate(factors.quadratic):
         for j, b in enumerate(factors.quartic):
             product[i + j] = product[i + j] + a * b
-    return [factors.plain * c for c in product]
+    return _in_x([factors.plain * c for c in product], order)
+
+
+def _roots(d, n):
+    """:func:`roots` in t = x^2, through t^n."""
+    d = Fraction(d)
+    if d == 0:
+        raise ValueError("the diagonal-marker sample must be nonzero")
+    e = d * d
+    high = n + 2
+    discriminant_root = _kernel_radicand(e, high).sqrt()
+    numerator = XSeries.from_terms({0: 1, 2: 1, 3: -e}, high) - discriminant_root
+    quadratic_root = numerator.shift_down(2) * Fraction(1, 2)
+
+    # sqrt(inner) = sqrt(4 + e) * u with u rational, as inner / (4 + e) has
+    # constant term 1; sqrt(4 + e) = (outside / denominator) * sqrt(core).
+    inner = XSeries.from_terms({0: 1, 1: 1}, high) * XSeries.from_terms(
+        {0: 4 + e, 1: 4 - 3 * e, 2: 4 * e}, high
+    )
+    u = (inner * (1 / (4 + e))).sqrt()
+    outside, core = _square_free_split((4 + e).numerator * (4 + e).denominator)
+    w = SurdSeries(XSeries.zero(high), u * Fraction(outside, (4 + e).denominator), core)
+    shape = XSeries.from_terms({0: 2 + e, 1: -2 * e, 2: 2 + e, 3: 2 * e}, high)
+    swing = XSeries.from_terms({0: d, 1: -d}, high) * w
+    quartic_roots = []
+    aux_pair = []
+    for aux in (shape + swing, shape - swing):
+        radicand = aux * aux - XSeries.from_terms({2: 16}, high)
+        s = radicand.sqrt((aux.a.coefficient(0), aux.b.coefficient(0)))
+        quartic_roots.append((aux - s).shift_down(2) * Fraction(1, 4))
+        aux_pair.append(aux.truncate(n))
+    return KernelRoots(
+        quadratic_root, quartic_roots[0], quartic_roots[1], aux_pair[0], aux_pair[1]
+    )
 
 
 def roots(d, order):
@@ -259,40 +294,13 @@ def roots(d, order):
 
     The quadratic factor has exactly one root that is a power series
     (the other has a pole at x = 0); the quartic has two, one for each
-    sign of the auxiliary radical.  Every root is computed from its
-    quadratic formula at four extra orders of precision, and the leading
-    cancellation down to x^4 is enforced, so a transcription error
-    surfaces as a ValuationError instead of a silently wrong series.
+    sign of the auxiliary radical.  Every root is computed in t = x^2
+    from its quadratic formula at two extra t-orders (four in x) of
+    precision, and the leading cancellation down to x^4 is enforced, so
+    a transcription error surfaces as a ValuationError instead of a
+    silently wrong series.
     """
-    d = Fraction(d)
-    if d == 0:
-        raise ValueError("the diagonal-marker sample must be nonzero")
-    e = d * d
-    high = order + 4
-    discriminant_root = _kernel_radicand(e, high).sqrt()
-    numerator = XSeries.from_terms({0: 1, 4: 1, 6: -e}, high) - discriminant_root
-    quadratic_root = numerator.shift_down(4) * Fraction(1, 2)
-
-    # sqrt(inner) = sqrt(4 + e) * u with u rational, as inner / (4 + e) has
-    # constant term 1; sqrt(4 + e) = (outside / denominator) * sqrt(core).
-    inner = XSeries.from_terms({0: 1, 2: 1}, high) * XSeries.from_terms(
-        {0: 4 + e, 2: 4 - 3 * e, 4: 4 * e}, high
-    )
-    u = (inner * (1 / (4 + e))).sqrt()
-    outside, core = _square_free_split((4 + e).numerator * (4 + e).denominator)
-    w = SurdSeries(XSeries.zero(high), u * Fraction(outside, (4 + e).denominator), core)
-    shape = XSeries.from_terms({0: 2 + e, 2: -2 * e, 4: 2 + e, 6: 2 * e}, high)
-    swing = XSeries.from_terms({0: d, 2: -d}, high) * w
-    quartic_roots = []
-    aux_pair = []
-    for aux in (shape + swing, shape - swing):
-        radicand = aux * aux - XSeries.from_terms({4: 16}, high)
-        s = radicand.sqrt((aux.a.coefficient(0), aux.b.coefficient(0)))
-        quartic_roots.append((aux - s).shift_down(4) * Fraction(1, 4))
-        aux_pair.append(aux.truncate(order))
-    return KernelRoots(
-        quadratic_root, quartic_roots[0], quartic_roots[1], aux_pair[0], aux_pair[1]
-    )
+    return _in_x(_roots(d, order // 2), order)
 
 
 def _eval_z_poly(coeffs, z):
@@ -313,8 +321,9 @@ def kernel_residuals(d, order):
     """
     d = Fraction(d)
     e = d * d
-    factors = kernel_factors(d, order)
-    r = roots(d, order)
+    n = order // 2
+    factors = _kernel_factors(d, n)
+    r = _roots(d, n)
     root_sum = r.quartic_plus + r.quartic_minus
     root_product = r.quartic_plus * r.quartic_minus
     # divide the quartic by z^2 - root_sum*z + root_product; the
@@ -325,18 +334,19 @@ def kernel_residuals(d, order):
         lead = work[i]
         work[i + 1] = work[i + 1] + lead * root_sum
         work[i + 2] = work[i + 2] - lead * root_product
-    nested = radicals(e, order + 4).nested.value
-    shape = XSeries.from_terms({0: 2 + e, 2: -2 * e, 4: 2 + e, 6: 2 * e}, order + 4)
-    return KernelResiduals(
+    nested = _radicals(e, n + 2).nested.value
+    shape = XSeries.from_terms({0: 2 + e, 1: -2 * e, 2: 2 + e, 3: 2 * e}, n + 2)
+    residuals = KernelResiduals(
         _eval_z_poly(factors.quadratic, r.quadratic),
         _eval_z_poly(factors.quartic, r.quartic_plus),
         _eval_z_poly(factors.quartic, r.quartic_minus),
         work[3],
         work[4],
-        root_sum - (shape - nested).shift_down(4) * Fraction(1, 2),
+        root_sum - (shape - nested).shift_down(2) * Fraction(1, 2),
         # 1/q+ + 1/q- = (q+ + q-)/(q+ q-)
         root_sum.divide(root_product) - (shape + nested) * Fraction(1, 2),
     )
+    return _in_x(residuals, order)
 
 
 def _cc_frame(r, order):

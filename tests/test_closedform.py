@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 
+import reference_series
+
 from dcpoly import brute
 from dcpoly.closedform import (
     column_convex_gf,
@@ -97,6 +99,46 @@ def test_quartic_roots_live_in_expected_extension():
     assert (aux.a.coefficient(0), aux.b.coefficient(0)) == (Fraction(9, 4), Fraction(1, 4))
 
 
+@pytest.mark.parametrize("order", (23, 24))
+@pytest.mark.parametrize("d", D_SAMPLES)
+def test_x_reading_matches_the_fraction_loops_in_x(d, order):
+    """closedform runs its algebra in t = x^2; this route stays in x, with
+    literal x-polynomials and the Fraction loops of reference_series."""
+    xs = XSeries.from_terms
+    kernel = xs({0: 1, 4: -2, 6: -2 * d, 8: 1, 10: -2 * d, 12: d * d}, order)
+    base = xs(
+        {0: 1, 2: -4 - 4 * d, 4: 6 + 8 * d, 6: -4 - 2 * d, 8: 1 - 4 * d, 10: 2 * d, 12: d * d},
+        order,
+    )
+    nested_plain = xs(
+        {
+            0: 2 + 4 * d + d * d,
+            2: -4 * d - 4 * d * d,
+            4: -4 + 6 * d * d,
+            8: 2 + 4 * d - 7 * d * d,
+            10: 4 * d + 4 * d * d,
+            12: 2 * d * d,
+        },
+        order,
+    )
+    nested_base = reference_series.mul(
+        xs({0: 2, 2: 4, 4: 2, 6: 2 * d}, order), reference_series.sqrt(base)
+    )
+    nested = reference_series._minus(nested_plain, nested_base, -1)
+    for radical, radicand in zip(radicals(d, order), (kernel, base, nested)):
+        assert radical.radicand == radicand
+        assert radical.value == reference_series.sqrt(radicand)
+
+    e, high = d * d, order + 4
+    discriminant = xs({0: 1, 4: -2, 6: -2 * e, 8: 1, 10: -2 * e, 12: e * e}, high)
+    numerator = reference_series._minus(
+        xs({0: 1, 4: 1, 6: -e}, high), reference_series.sqrt(discriminant)
+    )
+    quadratic = reference_series.divide(numerator, xs({4: 2}, high))
+    assert quadratic.order == order
+    assert roots(d, order).quadratic == quadratic
+
+
 @pytest.mark.parametrize("d", D_SAMPLES)
 def test_quartic_minus_is_the_conjugate_of_quartic_plus(d):
     r = roots(d, 16)
@@ -116,7 +158,7 @@ def test_quartic_roots_solve_their_aux_quadratic(d):
         assert residual.is_zero()
 
 
-@pytest.mark.parametrize("order", (16,))
+@pytest.mark.parametrize("order", (16, 17))
 @pytest.mark.parametrize("d", D_SAMPLES)
 def test_kernel_residuals_vanish(d, order):
     residuals = kernel_residuals(d, order)

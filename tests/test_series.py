@@ -383,6 +383,38 @@ def test_scale_reduction_returns_integer_roots_to_lam_one():
     assert XSeries.one(30).divide(xs({0: 3, 1: -1}, 30)).lam == 3
 
 
+def _assert_read_at_square(t_series, x_series, order):
+    """x_series is t_series at t = x^2: t^j at x^(2j), zero at odd x-degrees."""
+    assert x_series.order == order
+    for k in range(order + 1):
+        assert x_series.coefficient(k) == (t_series.coefficient(k // 2) if k % 2 == 0 else 0)
+
+
+def _t_series():
+    """sqrt(1 + t) and a root over Q(sqrt 2), both to t^10."""
+    return xs({0: 1, 1: 1}, 10).sqrt(), surd({0: 3, 1: 1}, {0: 2, 1: -1}, 2, 10).sqrt((1, 1))
+
+
+@pytest.mark.parametrize("order", (15, 20, 21))
+def test_at_square_reads_a_t_series_in_x(order):
+    # both keep powers of 2 in lam, so the t^j numerator must gain lam^j
+    # on its way to x^(2j)
+    real, pair = _t_series()
+    assert real.lam > 1 and pair.a.lam > 1
+    _assert_read_at_square(real, real.at_square(order), order)
+    wide = pair.at_square(order)
+    assert wide.disc == 2
+    _assert_read_at_square(pair.a, wide.a, order)
+    _assert_read_at_square(pair.b, wide.b, order)
+
+
+def test_at_square_refuses_orders_the_t_series_does_not_carry():
+    for value in _t_series():
+        value.at_square(21)
+        with pytest.raises(ValueError):
+            value.at_square(22)
+
+
 def test_square_root_halving_is_checked_not_floored(monkeypatch):
     """Every numerator the recurrence halves is even; an odd one, here from
     a convolution off by one per nonzero term, raises instead of flooring.

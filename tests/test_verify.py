@@ -61,14 +61,15 @@ def test_kernel_suite_rejects_minus_two_naming_the_sample():
 
 
 def test_kernel_suite_builds_the_roots_once_per_sample(monkeypatch):
+    # the suite reaches the roots through the t = x^2 level only
     calls = []
-    real = closedform.roots
+    real = closedform._roots
 
-    def counted(d, order):
+    def counted(d, n):
         calls.append(d)
-        return real(d, order)
+        return real(d, n)
 
-    monkeypatch.setattr(closedform, "roots", counted)
+    monkeypatch.setattr(closedform, "_roots", counted)
     results = verify.kernel_suite(12, (1, Fraction(1, 2)))
     assert all(r.passed for r in results)
     assert len(calls) == 2
@@ -79,16 +80,17 @@ def test_kernel_suite_sees_a_wrong_factor_coefficient_from_its_x_degree(
     monkeypatch, which, dz, kx
 ):
     # a wrong x^kx coefficient of z^dz shows only from order kx on, so
-    # the quartic's x^12 term is what makes the suite's minimum order 12
-    real = closedform.kernel_factors
+    # the quartic's x^12 term is what makes the suite's minimum order 12;
+    # the factors are built in t = x^2, where that term sits at t^(kx/2)
+    real = closedform._kernel_factors
 
-    def bumped(d, order):
-        factors = real(d, order)
+    def bumped(d, n):
+        factors = real(d, n)
         coeffs = list(getattr(factors, which))
-        coeffs[dz] = coeffs[dz] + XSeries.from_terms({kx: 1}, order)
+        coeffs[dz] = coeffs[dz] + XSeries.from_terms({kx // 2: 1}, n)
         return factors._replace(**{which: tuple(coeffs)})
 
-    monkeypatch.setattr(closedform, "kernel_factors", bumped)
+    monkeypatch.setattr(closedform, "_kernel_factors", bumped)
     assert kx <= verify.MIN_ORDER["kernel"]
     assert any(not r.passed for r in verify.kernel_suite(kx, (1,)))
     assert all(r.passed for r in verify.kernel_suite(kx - 1, (1,)))
