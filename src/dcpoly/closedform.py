@@ -439,14 +439,15 @@ def column_convex_gf(variant, r, order):
     raise ValueError("unknown column-convex variant %r" % (variant,))
 
 
-def column_convex_perimeter_counts(max_perimeter, variant="split"):
+def column_convex_perimeter_counts(max_perimeter):
     """Column-convex counts by perimeter from the closed form.
 
-    Extracts integer counts from :func:`column_convex_gf` at r = 1 and
-    refuses fractional, negative, or odd-exponent coefficients, all of
-    which would signal a transcription error.
+    Extracts integer counts from the ``"split"`` variant of
+    :func:`column_convex_gf` at r = 1 and refuses fractional, negative,
+    or odd-exponent coefficients, all of which would signal a
+    transcription error.
     """
-    series = column_convex_gf(variant, 1, max_perimeter)
+    series = column_convex_gf("split", 1, max_perimeter)
     counts = {}
     for k, c in enumerate(series.coeff_list()):
         if c == 0:

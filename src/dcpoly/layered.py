@@ -18,10 +18,13 @@ run, the perimeter growth 4b - 2a for a run of b new cells sharing a
 contacts with the old run.  Grouping those sums by nose class turns the
 transfer into a fixed combination of the tail operators and the
 rational kernel 1/(1 - x^4 z).  The transfer is affine, T(F) = T(0) + L(F):
-T(0) counts the two-diagonal shapes and L adds one diagonal.  So the
-fixed point is built one diagonal at a time, delta_2 = T(0) and
-delta_{k+1} = L(delta_k), summed until a delta vanishes, which the
-x-truncation guarantees because every extra diagonal adds perimeter.
+T(0) counts the two-diagonal shapes and L adds one diagonal.  T(0) is
+itself L of the lone cell, filed as a one-nose run of one cell (every
+two-diagonal shape is that cell with one diagonal appended), so the
+engine has one transfer map.  The fixed point is built one diagonal at
+a time, delta_2 = T(0) = L(lone cell) and delta_{k+1} = L(delta_k),
+summed until a delta vanishes, which the x-truncation guarantees
+because every extra diagonal adds perimeter.
 
 Every term of L carries one factor of d and T(0) carries d^2, so
 delta_k, the shapes with k diagonals, has d-degree k and the steps never
@@ -52,6 +55,9 @@ from .counts import CountTable, NoseClass
 
 CLASS_ORDER = (NoseClass.TWO, NoseClass.ONE, NoseClass.ZERO)
 MIN_Z = {NoseClass.TWO: 2, NoseClass.ONE: 1, NoseClass.ZERO: 1}
+
+# the lone cell as delta_1 in the frame: a one-nose z^1 entry, x^4 over x^(2(1 + 1))
+LONE_CELL = ([], [0, 1], [])
 
 
 class NonConvergenceError(RuntimeError):
@@ -159,23 +165,8 @@ def _tail_sum(series, shift=0):
 
 def _tail_weighted(series, shift=0):
     """z^m coefficient becomes sum_{k>m} (k-m) s_k, for m >= 1, in the same
-    frame as ``_tail_sum``: out_m = T1_m + x^2 out_{m+1}."""
-    out = _tail_sum(series, shift)
-    for m in range(len(out) - 2, 0, -1):
-        out[m] += out[m + 1] << shift
-    return [0] + out[1:]
-
-
-def _constant_step(slots):
-    """T(0) in the frame: the shapes with exactly two diagonals,
-    x^8 z^2 K, 2 x^6 z K and x^8 z K with K = 1/(1 - x^4 z)."""
-    masks, width = slots.masks, slots.width
-    geo = _times_geometric([1], masks[3:], width)
-    return (
-        _cut([0, 0] + geo, masks[2:]),
-        _cut([0] + [2 * v for v in geo], masks[2:]),
-        _cut([0] + [v << width for v in geo], masks[2:]),
-    )
+    frame as ``_tail_sum``: the doubled tail sum, moved up one z-index."""
+    return [0] + _tail_sum(_tail_sum(series, shift), shift)
 
 
 def _linear_step(delta, k, slots):
@@ -262,9 +253,9 @@ def solve(order, track_diagonals=True):
     ``PackedSum`` summed one diagonal at a time (all in d-row 0 when
     ``track_diagonals`` is false).
 
-    From the two-diagonal shapes delta_2 = T(0), each delta_{k+1} =
-    L(delta_k) holds the shapes with k + 1 diagonals, and the fixed
-    point of T is their sum.  The steps run in the frame of the module
+    From the two-diagonal shapes delta_2 = T(0) = L(lone cell), each
+    delta_{k+1} = L(delta_k) holds the shapes with k + 1 diagonals, and
+    the fixed point of T is their sum.  The steps run in the frame of the module
     docstring, z^m of delta_k divided by x^(2(k + m)); each delta passes
     ``_check_counts`` before the next step reads it and is shifted up
     k + m slots as it is summed in.  The sum passes ``check_invariants``
@@ -275,7 +266,7 @@ def solve(order, track_diagonals=True):
         raise ValueError("order must be at least 4 to see any polyomino")
     slots = Slots(order)
     total = PackedSum(slots, track_diagonals, ([], [], []))
-    delta = _constant_step(slots)
+    delta = _linear_step(LONE_CELL, 1, slots)
     for k in range(2, order + 4):
         if not any(delta):
             check_invariants(total)

@@ -207,10 +207,6 @@ class XSeries:
         scales = _rescaled([1] * len(self.nums), self.lam, self.den)
         return [Fraction(c, scale) for c, scale in zip(self.nums, scales)]
 
-    @property
-    def coeffs(self):
-        return tuple(self.coeff_list())
-
     def valuation(self):
         return next((k for k, c in enumerate(self.nums) if c), None)
 

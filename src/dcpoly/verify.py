@@ -7,18 +7,22 @@ suite here replays one family of identities connecting the routes and
 reports a named pass or fail per check, with the first offending
 coefficient or table key spelled out on failure.  The suites are pure
 functions; nothing is cached between calls.
+
+A suite is written as a generator of (check name, failure) pairs, where
+failure is None or the nonempty detail of what went wrong, and ``_suite``
+registers it in ``SUITES`` under its name, with its least order and its
+runner.  That table is the only list of suites.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 # the suites that walk shapes import brute, so the kernel suite never loads it
 from . import closedform, layered
 from .counts import nose_label, sortable_key
-
-SUITE_NAMES = ("kernel", "twonose", "columnconvex", "directed", "oracle")
 
 DEFAULT_D_SAMPLES = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3))
 
@@ -27,14 +31,9 @@ DEFAULT_ORDER = 40
 # perimeter bound of the exhaustive cross-checks: the published range
 ORACLE_PERIMETER_CAP = 40
 
-# smallest order at which a suite's checks can all hold, or can catch a
-# wrong coefficient: the layered census needs perimeter 4, the
-# squared-marker residual the twonose suite must see first appears at
-# x^8, a wrong coefficient of the quadratic or quartic kernel factor
-# shows only once the order reaches its x-degree, which goes up to 12,
-# and every column-convex series is zero below x^4
-MIN_ORDER = {"kernel": 12, "twonose": 8, "columnconvex": 4, "directed": 1, "oracle": 4}
-
+# depths of the directed suite, which is exact arithmetic at any order
+DIRECTED_FORMULA_DEPTH = 15
+DIRECTED_EXHAUSTIVE_DEPTH = 4
 
 # one check name per field of closedform.KernelResiduals, in field order
 KERNEL_RESIDUAL_CHECKS = (
@@ -57,152 +56,139 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _series_zero_check(suite, name, series):
+class Suite(NamedTuple):
+    """A registered suite: the smallest order at which all its checks can
+    hold, or can catch a wrong coefficient, and ``run(order, d_samples)``."""
+
+    least_order: int
+    run: Callable
+
+
+# suite name -> Suite, in report order
+SUITES = {}
+
+
+def _check(suite, name, failure=None):
+    """The one constructor of a ``CheckResult``: the check passes exactly
+    when ``failure`` is None, and a failure is its nonempty detail."""
+    if failure == "":
+        raise ValueError("check %r failed without a detail" % (name,))
+    return CheckResult(suite, name, failure is None, failure or "")
+
+
+def _suite(name, least_order, run):
+    """Register the decorated generator of (check name, failure) pairs as
+    suite ``name``; called, it returns its checks as ``CheckResult``s.
+    ``run`` reaches the suite through its module name, so that a wrapper
+    installed there sees every call."""
+
+    def register(checks):
+        @functools.wraps(checks)
+        def suite(*args, **kwargs):
+            return [_check(name, check, failure) for check, failure in checks(*args, **kwargs)]
+
+        SUITES[name] = Suite(least_order, run)
+        return suite
+
+    return register
+
+
+def _series_failure(series):
+    """The first nonzero coefficient of a series that must vanish."""
     v = series.valuation()
     if v is None:
-        return CheckResult(suite, name, True, "")
-    return CheckResult(
-        suite,
-        name,
-        False,
-        "first offending coefficient: x^%d -> %s" % (v, series.coefficient(v)),
-    )
+        return None
+    return "first offending coefficient: x^%d -> %s" % (v, series.coefficient(v))
 
 
-def _series_equal_check(suite, name, left, right):
-    return _series_zero_check(suite, name, left - right)
-
-
-def _terms_zero_check(suite, name, terms):
-    """Pass when the {(d_degree, x_degree): coefficient} dict is empty."""
+def _terms_failure(terms):
+    """The first term, in x-order, of a {(d_degree, x_degree): coefficient}
+    dict that must be empty."""
     if not terms:
-        return CheckResult(suite, name, True, "")
+        return None
     kd, kx = min(terms, key=lambda key: (key[1], key[0]))
-    return CheckResult(
-        suite,
-        name,
-        False,
-        "first offending term: d^%d x^%d -> %s" % (kd, kx, terms[(kd, kx)]),
-    )
+    return "first offending term: d^%d x^%d -> %s" % (kd, kx, terms[(kd, kx)])
 
 
-def _table_equal_check(suite, name, left, right):
-    keys = sorted(set(left.counts) | set(right.counts), key=sortable_key)
-    for key in keys:
+def _table_failure(left, right):
+    """The first key at which two census tables differ."""
+    for key in sorted(left.counts.keys() | right.counts.keys(), key=sortable_key):
         a = left.counts.get(key, 0)
         b = right.counts.get(key, 0)
         if a != b:
             perimeter, diagonals, nose, last_run = key
-            return CheckResult(
-                suite,
-                name,
-                False,
-                "first differing key (%d, %d, %s, %d): %d vs %d"
-                % (perimeter, diagonals, nose_label(nose), last_run, a, b),
+            return "first differing key (%d, %d, %s, %d): %d vs %d" % (
+                perimeter, diagonals, nose_label(nose), last_run, a, b
             )
-    return CheckResult(suite, name, True, "")
+    return None
 
 
+# a wrong x^12 coefficient of the quartic kernel factor shows only from order 12
+@_suite("kernel", 12, lambda order, d_samples: kernel_suite(order, d_samples))
 def kernel_suite(order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES):
     """Radical, kernel-root, and symmetric-identity checks per sample.
 
     Each sample gets the three radical checks and the seven residuals of
     ``closedform.kernel_residuals``, whose roots are built once per
     sample; each integer sample also gets the integer-coefficient check
-    on the expanded kernel.  A sample of 0 or -2 raises ``ValueError``:
-    the kernel has no series roots at 0, and no nested radical at -2.
+    on the expanded kernel.  That check cannot fail on the factors as
+    written: at integer d every factor coefficient is an integer
+    polynomial in d.  A sample of 0 or -2 raises ``ValueError``: the
+    kernel has no series roots at 0, and no nested radical at -2.
     """
-    results = []
     for d in d_samples:
         label = "d=%s" % d
         triple = closedform.radicals(d, order)
-        for radical_name, radical in zip(("kernel", "base", "nested"), triple):
-            results.append(
-                _series_zero_check(
-                    "kernel",
-                    "%s radical squares back (%s)" % (radical_name, label),
-                    radical.value * radical.value - radical.radicand,
-                )
+        for radical_name, radical in zip(triple._fields, triple):
+            yield (
+                "%s radical squares back (%s)" % (radical_name, label),
+                _series_failure(radical.value * radical.value - radical.radicand),
             )
         residuals = closedform.kernel_residuals(d, order)
         for name, series in zip(KERNEL_RESIDUAL_CHECKS, residuals):
-            results.append(
-                _series_zero_check("kernel", "%s (%s)" % (name, label), series)
-            )
-    for d in d_samples:
-        d = Fraction(d)
+            yield "%s (%s)" % (name, label), _series_failure(series)
+    for d in map(Fraction, d_samples):
         if d.denominator != 1:
             continue
-        offending = None
-        for dz, coeff_series in enumerate(closedform.kernel_sextic(d, order)):
-            for kx, c in enumerate(coeff_series.coeff_list()):
-                if c.denominator != 1:
-                    offending = (dz, kx, c)
-                    break
-            if offending:
-                break
-        results.append(
-            CheckResult(
-                "kernel",
-                "expanded kernel has integer coefficients (d=%s)" % d,
-                offending is None,
-                ""
-                if offending is None
-                else "first offending coefficient: z^%d x^%d -> %s" % offending,
-            )
+        fractional = (
+            "first offending coefficient: z^%d x^%d -> %s" % (dz, kx, c)
+            for dz, series in enumerate(closedform.kernel_sextic(d, order))
+            for kx, c in enumerate(series.coeff_list())
+            if c.denominator != 1
         )
-    return results
+        yield "expanded kernel has integer coefficients (d=%s)" % d, next(fractional, None)
 
 
-def twonose_suite(order=20):
+# the squared-marker residual the suite must see first appears at x^8
+@_suite("twonose", 8, lambda order, d_samples: twonose_suite(order))
+def twonose_suite(order):
     """The linear relation among the nose classes, and its convention."""
     matching, squared = layered.two_nose_identity_residuals(order)
-    results = [
-        _terms_zero_check(
-            "twonose", "relation holds with the plain marker", matching
-        )
-    ]
-    if not squared:
-        results.append(
-            CheckResult(
-                "twonose",
-                "squared-marker variant fails as expected",
-                False,
-                "the variant residual vanished; the convention is not pinned",
-            )
-        )
+    yield "relation holds with the plain marker", _terms_failure(matching)
+    lowest = min((kx for _, kx in squared), default=None)
+    if lowest is None:
+        failure = "the variant residual vanished; the convention is not pinned"
+    elif lowest != 8:
+        failure = "variant residual starts at x^%d, not x^8" % lowest
     else:
-        lowest = min(kx for _, kx in squared)
-        results.append(
-            CheckResult(
-                "twonose",
-                "squared-marker variant fails as expected",
-                lowest == 8,
-                ""
-                if lowest == 8
-                else "variant residual starts at x^%d, not x^8" % lowest,
-            )
-        )
-    return results
+        failure = None
+    yield "squared-marker variant fails as expected", failure
 
 
+# every column-convex series is zero below x^4
+@_suite("columnconvex", 4, lambda order, d_samples: columnconvex_suite(order))
 def columnconvex_suite(order=DEFAULT_ORDER):
     """Equality of the three closed-form variants, plus the generator."""
     from . import brute
-    results = []
     for r in (Fraction(1), Fraction(1, 2)):
         series = {
             v: closedform.column_convex_gf(v, r, order)
             for v in closedform.CC_VARIANTS
         }
         for left, right in (("ratio", "nested"), ("nested", "split")):
-            results.append(
-                _series_equal_check(
-                    "columnconvex",
-                    "%s and %s variants agree at r=%s" % (left, right, r),
-                    series[left],
-                    series[right],
-                )
+            yield (
+                "%s and %s variants agree at r=%s" % (left, right, r),
+                _series_failure(series[left] - series[right]),
             )
     bound = min(order, ORACLE_PERIMETER_CAP)
     closed = {
@@ -211,79 +197,61 @@ def columnconvex_suite(order=DEFAULT_ORDER):
         if k <= bound
     }
     exhaustive = brute.column_convex_counts(bound)
-    results.append(
-        CheckResult(
-            "columnconvex",
-            "closed form matches the exhaustive generator through %d" % bound,
-            closed == exhaustive,
-            ""
-            if closed == exhaustive
-            else "first differing perimeter: %s"
-            % min(
-                (k for k in set(closed) | set(exhaustive)
-                 if closed.get(k) != exhaustive.get(k)),
-            ),
-        )
+    differing = min(
+        (k for k in closed.keys() | exhaustive.keys() if closed.get(k) != exhaustive.get(k)),
+        default=None,
     )
-    return results
+    yield (
+        "closed form matches the exhaustive generator through %d" % bound,
+        None if differing is None else "first differing perimeter: %s" % differing,
+    )
 
 
-def directed_suite(formula_depth=15, exhaustive_depth=4):
+@_suite("directed", 1, lambda order, d_samples: directed_suite())
+def directed_suite():
     """Fixed point, binomial formula, and generator for directed shapes."""
     from . import brute
-    series = closedform.directed_series(formula_depth)
-    mismatch = None
-    for k in range(1, formula_depth + 1):
-        if series.coefficient(k) != closedform.ternary_count(k):
-            mismatch = (k, series.coefficient(k), closedform.ternary_count(k))
-            break
-    results = [
-        CheckResult(
-            "directed",
-            "fixed point matches the binomial formula through %d" % formula_depth,
-            mismatch is None,
-            ""
-            if mismatch is None
-            else "first offending coefficient: d^%d -> %s, formula %s" % mismatch,
-        )
-    ]
-    counted = brute.directed_counts_by_diagonals(exhaustive_depth)
-    derived = {
-        k: int(series.coefficient(k)) for k in range(1, exhaustive_depth + 1)
-    }
-    results.append(
-        CheckResult(
-            "directed",
-            "exhaustive directed counts match through %d diagonals"
-            % exhaustive_depth,
-            counted == derived,
-            ""
-            if counted == derived
-            else "exhaustive %s vs fixed point %s" % (counted, derived),
-        )
+    series = closedform.directed_series(DIRECTED_FORMULA_DEPTH)
+    coefficients = [series.coefficient(k) for k in range(DIRECTED_FORMULA_DEPTH + 1)]
+    mismatches = (
+        "first offending coefficient: d^%d -> %s, formula %s"
+        % (k, coefficients[k], closedform.ternary_count(k))
+        for k in range(1, DIRECTED_FORMULA_DEPTH + 1)
+        if coefficients[k] != closedform.ternary_count(k)
     )
-    return results
+    yield (
+        "fixed point matches the binomial formula through %d" % DIRECTED_FORMULA_DEPTH,
+        next(mismatches, None),
+    )
+    counted = brute.directed_counts_by_diagonals(DIRECTED_EXHAUSTIVE_DEPTH)
+    derived = {k: int(coefficients[k]) for k in range(1, DIRECTED_EXHAUSTIVE_DEPTH + 1)}
+    yield (
+        "exhaustive directed counts match through %d diagonals" % DIRECTED_EXHAUSTIVE_DEPTH,
+        None if counted == derived else "exhaustive %s vs fixed point %s" % (counted, derived),
+    )
 
 
+# the layered census needs perimeter 4
+@_suite("oracle", 4, lambda order, d_samples: oracle_suite(min(order, ORACLE_PERIMETER_CAP)))
 def oracle_suite(max_perimeter=ORACLE_PERIMETER_CAP):
     """Layered and exhaustive joint census tables, key for key."""
     from . import brute
-    expected = layered.joint_table(max_perimeter)
-    found = brute.generate(max_perimeter)
-    return [
-        _table_equal_check(
-            "oracle",
-            "layered and exhaustive censuses agree through perimeter %d"
-            % max_perimeter,
-            expected,
-            found,
-        )
-    ]
+    yield (
+        "layered and exhaustive censuses agree through perimeter %d" % max_perimeter,
+        _table_failure(layered.joint_table(max_perimeter), brute.generate(max_perimeter)),
+    )
+
+
+SUITE_NAMES = tuple(SUITES)
+
+
+def _expand(name):
+    return SUITE_NAMES if name == "all" else (name,)
 
 
 def min_order(name):
     """The least ``order`` at which the named suite, or each of "all", can pass."""
-    return max(MIN_ORDER[n] for n in (SUITE_NAMES if name == "all" else (name,)))
+    return max(SUITES[n].least_order for n in _expand(name))
 
 
 def run_suites(names, order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES):
@@ -292,26 +260,11 @@ def run_suites(names, order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES):
     ``order`` is the truncation for the algebraic suites and doubles as
     the perimeter bound for the exhaustive cross-checks, which are
     capped at 40, the published range.  The directed suite has fixed
-    depths; it is exact arithmetic either way.
+    depths; it is exact arithmetic either way.  An unknown name raises
+    ``ValueError`` before any suite runs.
     """
-    wanted = []
-    for name in names:
-        if name == "all":
-            wanted.extend(SUITE_NAMES)
-        elif name in SUITE_NAMES:
-            wanted.append(name)
-        else:
-            raise ValueError("unknown suite %r" % (name,))
-    results = []
+    wanted = [n for name in names for n in _expand(name)]
     for name in wanted:
-        if name == "kernel":
-            results.extend(kernel_suite(order, d_samples))
-        elif name == "twonose":
-            results.extend(twonose_suite(order))
-        elif name == "columnconvex":
-            results.extend(columnconvex_suite(order))
-        elif name == "directed":
-            results.extend(directed_suite())
-        elif name == "oracle":
-            results.extend(oracle_suite(min(order, ORACLE_PERIMETER_CAP)))
-    return results
+        if name not in SUITES:
+            raise ValueError("unknown suite %r" % (name,))
+    return [r for name in wanted for r in SUITES[name].run(order, d_samples)]

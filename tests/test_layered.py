@@ -168,7 +168,8 @@ def test_two_nose_residuals_equal_the_polynomial_products(order):
 
 
 def test_iterates_grow_monotonically(monkeypatch):
-    """Every packed partial sum equals the reference engine's iterate T^t(0)."""
+    """Every packed partial sum equals the reference engine's iterate T^t(0),
+    and the first step, from the lone cell, gives T(0)."""
     seen = []
     real_step = layered._linear_step
 
@@ -180,8 +181,12 @@ def test_iterates_grow_monotonically(monkeypatch):
     for track_diagonals in (True, False):
         seen.clear()
         solve(16, track_diagonals)
-        # one nonempty delta per diagonal count 2..7, then an empty one
-        assert [k for k, _, _ in seen] == [2, 3, 4, 5, 6, 7]
+        # the lone cell, one nonempty delta per diagonal count 2..7, then an empty one
+        assert [k for k, _, _ in seen] == [1, 2, 3, 4, 5, 6, 7]
+        assert seen[0][1] == ([], [0, 1], [])
+        # its output is delta_2, so the first comparison below checks it
+        # against the reference's two-diagonal iterate T(0)
+        del seen[0]
         rows = ([], [], [])
         reference = empty_triple()
         counts = []

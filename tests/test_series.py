@@ -524,14 +524,25 @@ def test_geometric_kernel_against_direct_convolution():
         assert times_geometric(times_geometric(terms, order), order) == twice
 
 
+def _tail_weighted_direct(s, shift=0):
+    """sum_{k>m} (k-m) s_k x^(2(k-m-1)) for m >= 1, x^2 a shift by ``shift`` bits."""
+    return [0] + [
+        sum((k - m) * s[k] << shift * (k - m - 1) for k in range(m + 1, len(s)))
+        for m in range(1, len(s) - 1)
+    ]
+
+
 def test_framed_tail_operators_match_the_plain_ones():
     """With x^2 a shift of one slot, the tail operators on entries stored
-    m slots low give the plain ones' entries stored m + 1 slots low."""
+    m slots low give the plain ones' entries stored m + 1 slots low, and
+    the weighted one is the direct weighted sum, in the frame or not."""
     rng = random.Random(17)
     width = 20
     for _ in range(30):
         framed = [rng.randint(0, 2**60) for _ in range(rng.randint(0, 12))]
         plain = [v << width * m for m, v in enumerate(framed)]
-        for op in (_tail_sum, _tail_weighted):
+        for op in (_tail_sum, _tail_weighted, _tail_weighted_direct):
             unframed = [v << width * (m + 1) for m, v in enumerate(op(framed, width))]
             assert unframed == op(plain)
+        for shift in (0, 3, 17):
+            assert _tail_weighted(framed, shift) == _tail_weighted_direct(framed, shift)

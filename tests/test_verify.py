@@ -19,9 +19,21 @@ def test_unknown_suite_name_rejected():
         verify.run_suites(["bogus"])
 
 
+def test_an_unknown_name_is_rejected_before_any_suite_runs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "kernel_suite", refuse)
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        verify.run_suites(["kernel", "bogus"])
+    # the table reaches each suite through its module name
+    with pytest.raises(AssertionError, match="a suite ran"):
+        verify.run_suites(["kernel"])
+
+
 def test_failure_reports_first_offending_coefficient():
     bad = XSeries.from_terms({3: Fraction(-1, 2)}, 6)
-    result = verify._series_zero_check("kernel", "demo", bad)
+    result = verify._check("kernel", "demo", verify._series_failure(bad))
     assert not result.passed
     assert "x^3" in result.detail
     assert "-1/2" in result.detail
@@ -29,7 +41,7 @@ def test_failure_reports_first_offending_coefficient():
 
 def test_failure_in_the_irrational_part_names_both_parts():
     bad = SurdSeries(XSeries.zero(6), XSeries.from_terms({3: Fraction(1, 2)}, 6), 17)
-    result = verify._series_zero_check("kernel", "demo", bad)
+    result = verify._check("kernel", "demo", verify._series_failure(bad))
     assert not result.passed
     assert result.detail == "first offending coefficient: x^3 -> 0 + 1/2*sqrt(17)"
 
@@ -91,7 +103,7 @@ def test_kernel_suite_sees_a_wrong_factor_coefficient_from_its_x_degree(
         return factors._replace(**{which: tuple(coeffs)})
 
     monkeypatch.setattr(closedform, "_kernel_factors", bumped)
-    assert kx <= verify.MIN_ORDER["kernel"]
+    assert kx <= verify.min_order("kernel")
     assert any(not r.passed for r in verify.kernel_suite(kx, (1,)))
     assert all(r.passed for r in verify.kernel_suite(kx - 1, (1,)))
 
@@ -193,3 +205,98 @@ def test_exhaustive_suites_report_a_planted_count_and_exit_one(
     assert fails[0].startswith("FAIL [%s] " % suite)
     assert fails[0].endswith(": " + detail)
     assert lines[-1].endswith(" checks, 1 failed")
+    assert all(r.passed == (r.detail == "") for r in verify.run_suites([suite], 12))
+
+
+def _nested_off_by_half(real):
+    def gf(variant, r, order):
+        series = real(variant, r, order)
+        if variant == "nested":
+            series = series + XSeries.from_terms({6: Fraction(1, 2)}, order)
+        return series
+
+    return gf
+
+
+def _fractional_sextic(real):
+    # every kernel coefficient sits at an even x-degree, so x^5 holds only the plant
+    def sextic(d, order):
+        coeffs = list(real(d, order))
+        coeffs[3] = coeffs[3] + XSeries.from_terms({5: Fraction(1, 3)}, order)
+        return coeffs
+
+    return sextic
+
+
+@pytest.mark.parametrize(
+    "module, target, plant, suite, order, fails",
+    [
+        (
+            closedform,
+            "ternary_count",
+            lambda real: lambda k: real(k) + (k == 5),
+            "directed",
+            "12",
+            [
+                "FAIL [directed] fixed point matches the binomial formula through 15: "
+                "first offending coefficient: d^5 -> 273, formula 274",
+            ],
+        ),
+        (
+            layered,
+            "two_nose_identity_residuals",
+            lambda real: _planted(squared={(2, 12): 1, (3, 10): -4}),
+            "twonose",
+            "20",
+            [
+                "FAIL [twonose] squared-marker variant fails as expected: "
+                "variant residual starts at x^10, not x^8",
+            ],
+        ),
+        (
+            closedform,
+            "kernel_sextic",
+            _fractional_sextic,
+            "kernel",
+            "12",
+            [
+                "FAIL [kernel] expanded kernel has integer coefficients (d=%s): "
+                "first offending coefficient: z^3 x^5 -> 1/3" % d
+                for d in (1, 2, 3)
+            ],
+        ),
+        (
+            closedform,
+            "column_convex_gf",
+            _nested_off_by_half,
+            "columnconvex",
+            "12",
+            [
+                "FAIL [columnconvex] %s variants agree at r=%s: "
+                "first offending coefficient: x^6 -> %s" % (pair, r, c)
+                for r in (1, Fraction(1, 2))
+                for pair, c in (("ratio and nested", "-1/2"), ("nested and split", "1/2"))
+            ],
+        ),
+    ],
+    ids=("directed-formula", "twonose-variant-start", "kernel-integer", "columnconvex-variants"),
+)
+def test_planted_closed_form_faults_report_their_detail_and_exit_one(
+    monkeypatch, capsys, module, target, plant, suite, order, fails
+):
+    monkeypatch.setattr(module, target, plant(getattr(module, target)))
+    code = cli.main(["verify", "--suite", suite, "--order", order])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line for line in lines if line.startswith("FAIL")] == fails
+    assert lines[-1] == "%d checks, %d failed" % (len(lines) - 1, len(fails))
+    results = verify.run_suites([suite], int(order))
+    assert sum(not r.passed for r in results) == len(fails)
+    assert all(r.passed == (r.detail == "") for r in results)
+
+
+def test_a_check_passes_exactly_when_its_detail_is_empty():
+    results = verify.run_suites(["all"], 12)
+    assert len(results) == 53
+    assert all(r.passed and r.detail == "" for r in results)
+
