@@ -405,10 +405,15 @@ def _cc_nested(r, order):
 
 
 def _cc_split(r, order):
+    """The split form: left = sqrt(1 - 2x + x^2 - corner) and
+    right = sqrt(1 + 2x + x^2 + corner).  ``corner`` = 4r^2 x^3/(1 - r^2 x^2)
+    is odd in x, so right(x) = left(-x) for every r: the second radical
+    is the first with its odd coefficients negated."""
     y_squared, co = _cc_frame(r, order)
     corner = XSeries.from_terms({3: 4 * r * r}, order).divide(co)
     left = (XSeries.from_terms({0: 1, 1: -2, 2: 1}, order) - corner).sqrt()
-    right = (XSeries.from_terms({0: 1, 1: 2, 2: 1}, order) + corner).sqrt()
+    odd_negated = [-c if k % 2 else c for k, c in enumerate(left.nums)]
+    right = XSeries(odd_negated, left.order, left.den, left.lam)
     fraction_part = XSeries.from_terms({0: 4}, order).divide(
         XSeries.from_terms({0: 6}, order) - left - right
     )

@@ -41,6 +41,14 @@ perimeter is at least 2(k + m), a bound some shape reaches at every k.
 The steps store the z^m entry of delta_k divided by x^(2(k + m)), at
 frame offset k + m, cut at ``order`` by ``Slots.masks[k + m]``.
 
+One step is one backward pass, for the tail operators, and one fused
+forward pass over z that carries three kernel products and writes
+entry m + 1 of all three classes (see ``_linear_step``).  With d
+collapsed, ``solve`` sums the deltas of ``SUM_BLOCK`` steps in a frame
+anchored at the block's first step, so a delta entry is added at the
+width of its block, not of the full row, and each block is shifted
+into the row once.
+
 ``solve`` returns the packed sum itself, and every result is read
 from it: ``marginals(order, by)`` unpacks only the sum of every z-entry
 (by perimeter), of each class (by nose, d collapsed) or of each d-row
@@ -58,6 +66,10 @@ MIN_Z = {NoseClass.TWO: 2, NoseClass.ONE: 1, NoseClass.ZERO: 1}
 
 # the lone cell as delta_1 in the frame: a one-nose z^1 entry, x^4 over x^(2(1 + 1))
 LONE_CELL = ([], [0, 1], [])
+
+# with d collapsed, the deltas of this many steps are summed in a frame
+# anchored at the block's first step before one full-width shift
+SUM_BLOCK = 8
 
 
 class NonConvergenceError(RuntimeError):
@@ -106,14 +118,25 @@ class Slots:
     def unpack(self, v):
         """The nonzero slots of v as {x-degree: coefficient}, in degree order."""
         out = {}
-        slot = (1 << self.width) - 1
-        kx = 0
-        while v:
-            if v & slot:
-                out[kx] = v & slot
-            v >>= self.width
-            kx += 2
+        _unpack_into(out, v, self.width, 0)
         return out
+
+
+def _unpack_into(out, v, width, kx):
+    """Add the nonzero slots of v to ``out``, slot 0 at x-degree ``kx``.
+    Above 16 slots v is split into its low and high halves, low first,
+    so each bit is shifted O(log slots) times, not once per slot."""
+    half = -(-v.bit_length() // width) // 2
+    if half > 8:
+        _unpack_into(out, v & (1 << width * half) - 1, width, kx)
+        _unpack_into(out, v >> width * half, width, kx + 2 * half)
+        return
+    slot = (1 << width) - 1
+    while v:
+        if v & slot:
+            out[kx] = v & slot
+        v >>= width
+        kx += 2
 
 
 class PackedSum(NamedTuple):
@@ -128,30 +151,6 @@ def _add(p, q):
     if len(p) < len(q):
         p, q = q, p
     return [u + v for u, v in zip(p, q)] + p[len(q):]
-
-
-def _cut(series, masks):
-    """Entry m of a z-list cut by masks[m], and trailing zeros dropped."""
-    out = [v & mask for v, mask in zip(series, masks)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _times_geometric(series, masks, shift):
-    """Multiply a framed z-list by 1/(1 - x^4 z): out_m = s_m + x^2 out_{m-1},
-    with x^2 a shift by ``shift`` bits and out_m cut by masks[m]."""
-    out = []
-    carry = 0
-    for m, mask in enumerate(masks):
-        if m < len(series):
-            carry += series[m]
-        elif not carry:
-            break
-        carry &= mask
-        out.append(carry)
-        carry <<= shift
-    return out
 
 
 def _tail_sum(series, shift=0):
@@ -187,26 +186,53 @@ def _linear_step(delta, k, slots):
     No shift is negative, so an entry may be cut at any offset it later
     reaches: K's z^m reaches L(F) only through w, at offset k + 2 + m or
     above.  The caller adds the factor d that every term carries.
+
+    One backward pass builds U = T1(2A + B), S = T1(B + 2C) and
+    T2(A + B + C): U + S = 2 T1(A + B + C) as integers, so T2's inner
+    tail sum is (U + S) >> 1 and its outer one runs a step behind.  One
+    forward pass over m carries three kernel products, each cut at
+    masks[k + 2 + m], P = K A, Q = K(P + B) and Z = K(U + x^2 P), the
+    K T1(2A + B) + x^2 K^2 A above, and writes entry m + 1 of each class:
+    two = Q + C, one = Z + S + x^2 Q, zero = T2(A + B + C) + x^2 Z.
     """
-    a, b, c = delta
-    masks, width = slots.masks, slots.width
-    cut = masks[k + 2:]
-    geo_a = _times_geometric(a, cut, width)
-    geo2_a = _times_geometric(geo_a, cut, width)
-    geo2_a_geo_b = _times_geometric(_add(geo_a, b), cut, width)
-    geo_t1 = _times_geometric(_tail_sum(_add([2 * v for v in a], b), width), cut, width)
-    t1 = _tail_sum(_add(b, [2 * v for v in c]), width)
-    t2 = _tail_weighted(_add(_add(a, b), c), width)
-    new_two = [0] + _add(geo2_a_geo_b, c)
-    new_one = [0] + _add(_add(geo_t1, t1), [v << width for v in _add(geo2_a, geo2_a_geo_b)])
-    new_zero = _add(t2, [0] + [v << width for v in _add(geo_t1, [u << width for u in geo2_a])])
-    out = masks[k + 1:]
-    return _cut(new_two, out), _cut(new_one, out), _cut(new_zero, out)
+    masks, width = slots.masks[k + 2:], slots.width
+    n = max(len(masks) + 1, *map(len, delta))
+    a, b, c = (series + [0] * (n - len(series)) for series in delta)
+    tail_u, tail_s, tail_v = [0] * n, [0] * n, [0] * n
+    u = s = t = 0
+    for m in range(n - 1, 0, -1):
+        u = (u << width) + 2 * a[m] + b[m]
+        s = (s << width) + b[m] + 2 * c[m]
+        tail_u[m - 1], tail_s[m - 1], tail_v[m - 1] = u, s, t
+        t = (t << width) + ((u + s) >> 1)
+    two, one, zero = [0], [0], [0]
+    p = q = z = 0
+    for m, mask in enumerate(masks):
+        p = ((p << width) + a[m]) & mask
+        z = (tail_u[m] + ((p + z) << width)) & mask
+        q = (q + p + b[m]) & mask
+        two.append((q + c[m]) & mask)
+        q <<= width
+        one.append((z + tail_s[m] + q) & mask)
+        zero.append((tail_v[m] + (z << width)) & mask)
+    for out in (two, one, zero):
+        while out and not out[-1]:
+            out.pop()
+    return two, one, zero
 
 
 def _check_counts(cls, kd, series, slots):
     """Raise ``InvariantError`` on a nonzero entry below the minimum run of
-    ``cls``, or on a negative count or an overflow: v < 0 or a guard bit set."""
+    ``cls``, or on a negative count or an overflow: v < 0 or a guard bit set.
+
+    One OR over the entries is negative exactly when some entry is, and
+    meets the guard exactly when a nonnegative entry does; only a tripped
+    test walks the entries, to name the first offender."""
+    acc = 0
+    for v in series:
+        acc |= v
+    if acc >= 0 and not acc & slots.guard and not any(series[:MIN_Z[cls]]):
+        return
     for m, v in enumerate(series):
         if v and m < MIN_Z[cls]:
             raise InvariantError(
@@ -257,25 +283,34 @@ def solve(order, track_diagonals=True):
     delta_{k+1} = L(delta_k) holds the shapes with k + 1 diagonals, and
     the fixed point of T is their sum.  The steps run in the frame of the module
     docstring, z^m of delta_k divided by x^(2(k + m)); each delta passes
-    ``_check_counts`` before the next step reads it and is shifted up
-    k + m slots as it is summed in.  The sum passes ``check_invariants``
-    once: by ``_slot_bits`` it cannot carry between slots, so its guard
-    bits cover the deltas' too.
+    ``_check_counts`` before the next step reads it.  A block of steps
+    from ``base`` (one step with d tracked, ``SUM_BLOCK`` with d
+    collapsed) is summed with delta_k shifted up k - base slots, and the
+    block is shifted up base + m slots into its d-row once.  The sum
+    passes ``check_invariants`` once: by ``_slot_bits`` it cannot carry
+    between slots, so its guard bits cover the deltas' too.
     """
     if order < 4:
         raise ValueError("order must be at least 4 to see any polyomino")
     slots = Slots(order)
+    width, span = slots.width, 1 if track_diagonals else SUM_BLOCK
     total = PackedSum(slots, track_diagonals, ([], [], []))
+    block, base = [[], [], []], 2
     delta = _linear_step(LONE_CELL, 1, slots)
     for k in range(2, order + 4):
-        if not any(delta):
+        done = not any(delta)
+        if k == base + span or done and k > base:
+            kd = base if track_diagonals else 0
+            for drows, series in zip(total.rows, block):
+                drows.extend([] for _ in range(kd + 1 - len(drows)))
+                drows[kd] = _add(drows[kd], [v << width * (base + m) for m, v in enumerate(series)])
+            block, base = [[], [], []], k
+        if done:
             check_invariants(total)
             return total
-        kd = k if track_diagonals else 0
-        for cls, drows, series in zip(CLASS_ORDER, total.rows, delta):
-            _check_counts(cls, kd, series, slots)
-            drows.extend([] for _ in range(kd + 1 - len(drows)))
-            drows[kd] = _add(drows[kd], [v << slots.width * (k + m) for m, v in enumerate(series)])
+        for c, (cls, series) in enumerate(zip(CLASS_ORDER, delta)):
+            _check_counts(cls, k if track_diagonals else 0, series, slots)
+            block[c] = _add(block[c], [v << width * (k - base) for v in series])
         delta = _linear_step(delta, k, slots)
     raise NonConvergenceError("no fixed point within %d steps" % (order + 2))
 

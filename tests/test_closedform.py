@@ -186,6 +186,16 @@ def test_column_convex_variants_agree(r):
     assert series[0] == series[1] == series[2]
 
 
+@pytest.mark.parametrize("order", (80, 81))
+@pytest.mark.parametrize("r", (1, Fraction(1, 2), 2))
+def test_split_form_equals_the_other_two_at_high_order(r, order):
+    """The split form builds its second radical by negating the odd
+    coefficients of the first; that symmetry must hold at every r, and
+    at an odd order, where the top coefficient is odd."""
+    split = column_convex_gf("split", r, order)
+    assert split == column_convex_gf("ratio", r, order) == column_convex_gf("nested", r, order)
+
+
 def test_column_convex_counts_match_exhaustive():
     counts = column_convex_perimeter_counts(16)
     assert counts == KNOWN_COLUMN_CONVEX

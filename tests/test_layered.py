@@ -5,6 +5,7 @@ by hand: nine shapes have perimeter at most 8, and each lands in one
 nose class with known diagonal and final-run statistics.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -306,6 +307,91 @@ def test_each_step_checks_its_new_row_and_catches_a_corrupted_slot(monkeypatch, 
     with pytest.raises(InvariantError, match="negative"):
         solve(16, track_diagonals)
     assert checked[-1] == (5 if track_diagonals else 0)
+
+
+def _check_counts_by_entry(cls, kd, series, slots):
+    """The per-entry loop: the first offender in z-order, its minimum run
+    tested before its sign and guard bits."""
+    for m, v in enumerate(series):
+        if v and m < layered.MIN_Z[cls]:
+            raise InvariantError(
+                "%s series has a z^%d term below its minimum run" % (cls.value, m)
+            )
+        if v < 0 or v & slots.guard:
+            raise InvariantError(
+                "a count at d^%d z^%d in %s is negative or overflows its slot"
+                % (kd, m, cls.value)
+            )
+
+
+def _raised(check, *args):
+    try:
+        check(*args)
+    except InvariantError as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.parametrize("fault", ["negative", "guard", "min-run"])
+@pytest.mark.parametrize("cls", layered.CLASS_ORDER)
+def test_one_pass_check_names_the_same_offender_as_the_entry_loop(cls, fault):
+    """One kind of fault planted in a real delta, where it can, at two
+    entries, raises the per-entry loop's message for the first offender."""
+    slots = layered.Slots(24)
+    delta = layered._linear_step(layered._linear_step(layered.LONE_CELL, 1, slots), 2, slots)
+    clean = list(delta[layered.CLASS_ORDER.index(cls)])
+    assert _raised(layered._check_counts, cls, 3, clean, slots) is None
+    first = layered.MIN_Z[cls] + 1
+    assert len(clean) > first + 1
+    guard_bit = 1 << slots.width + layered._slot_bits(24)[0]
+    # minus 2^(frame bits): negative, with the guard bits of every slot clear
+    borrow = 1 << slots.width * len(slots.masks)
+    plants = {
+        "negative": [(first, lambda v: v - borrow), (first + 1, lambda v: v - borrow)],
+        "guard": [(first, lambda v: v | guard_bit), (first + 1, lambda v: v | guard_bit)],
+        "min-run": [(layered.MIN_Z[cls] - 1, lambda v: 1)],
+    }[fault]
+    series = list(clean)
+    for m, change in plants:
+        series[m] = change(series[m])
+    message = _raised(_check_counts_by_entry, cls, 3, series, slots)
+    assert message is not None
+    assert _raised(layered._check_counts, cls, 3, series, slots) == message
+    assert ("z^%d" % plants[0][0]) in message
+
+
+@pytest.mark.parametrize("order", [16, 40, 200])
+def test_unpack_by_halving_equals_the_shift_loop(order):
+    """Ints with empty low, middle and top slots, one that fills the
+    frame, and one-slot ints unpack as the slot-by-slot shift does."""
+    slots = layered.Slots(order)
+    width, n = slots.width, order // 2 + 1
+
+    def shift_loop(v):
+        out, kx = {}, 0
+        while v:
+            if v & (1 << width) - 1:
+                out[kx] = v & (1 << width) - 1
+            v >>= width
+            kx += 2
+        return out
+
+    rng = random.Random(order)
+    full = [rng.randrange(1, 1 << width - 1) for _ in range(n)]
+    cases = [
+        full,
+        [0] * (n // 3) + full[n // 3:],
+        full[: n // 3] + [0] * (n // 3) + full[2 * (n // 3):],
+        full[: n // 2] + [0] * (n - n // 2),
+        [0] * (n - 1) + [5],
+        [7],
+        [rng.choice((0, 0, 1, 2 ** 20)) for _ in range(n)],
+    ]
+    for slot_values in cases:
+        v = sum(c << width * i for i, c in enumerate(slot_values))
+        assert list(slots.unpack(v).items()) == list(shift_loop(v).items())
+        assert slots.unpack(v) == {2 * i: c for i, c in enumerate(slot_values) if c}
+    assert slots.unpack(0) == {}
 
 
 def test_too_narrow_slot_raises_instead_of_wrapping(monkeypatch):

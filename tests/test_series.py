@@ -19,7 +19,7 @@ import reference_series
 from reference_layered import times_geometric
 
 from dcpoly import series
-from dcpoly.layered import Slots, _tail_sum, _tail_weighted, _times_geometric
+from dcpoly.layered import Slots, _linear_step, _tail_sum, _tail_weighted
 from dcpoly.series import (
     NonDivisibleError,
     NonSquareConstantError,
@@ -479,10 +479,12 @@ def test_tail_operators_are_linear():
 
 
 def test_geometric_kernel_against_direct_convolution():
-    """Once and twice, the packed recurrence in the frame equals the
+    """Once and twice, the kernel inside the packed step equals the
     product with sum x^(4j) z^j, and so does the dict-of-terms reference.
+    From a delta with only B (or only A) the step's two-nose output is
+    x^4 z K B (or x^4 z K^2 A), read here with the x^4 z taken off.
     Every term x^kx z^m has kx >= 2m, as in ``layered.solve``'s frame at
-    offset m, where it is stored kx/2 - m slots up."""
+    k = 0, where it is stored kx/2 - m slots up."""
     rng = random.Random(16)
     order = 12
     slots = Slots(order)
@@ -501,15 +503,18 @@ def test_geometric_kernel_against_direct_convolution():
             packed[m] += v << slots.width * (kx // 2 - m)
         return packed
 
-    def unpack(packed):
+    def kernel(terms, power):
+        # entry j of the output stands at offset k + 1 + j = 1 + j
+        delta = ([], pack(terms), []) if power == 1 else (pack(terms), [], [])
+        two = _linear_step(delta, 0, slots)[0]
         return {
-            (0, kx + 2 * m, m): c
-            for m, v in enumerate(packed)
+            (0, kx + 2 * j - 2, j - 1): c
+            for j, v in enumerate(two)
             for kx, c in slots.unpack(v).items()
         }
 
-    def kernel(packed):
-        return _times_geometric(packed, slots.masks, slots.width)
+    def fits(terms):
+        return {key: v for key, v in terms.items() if key[1] + 4 <= order}
 
     for _ in range(30):
         terms = {}
@@ -517,10 +522,10 @@ def test_geometric_kernel_against_direct_convolution():
             for _ in range(rng.randint(0, 4)):
                 terms[0, 2 * rng.randint(m, order // 2), m] = rng.randint(1, 9)
         once = convolve(terms)
-        assert unpack(kernel(pack(terms))) == once
+        assert kernel(terms, 1) == fits(once)
         assert times_geometric(terms, order) == once
         twice = convolve(once)
-        assert unpack(kernel(kernel(pack(terms)))) == twice
+        assert kernel(terms, 2) == fits(twice)
         assert times_geometric(times_geometric(terms, order), order) == twice
 
 
