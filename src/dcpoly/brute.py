@@ -10,21 +10,29 @@ below it.  A growing prefix of runs can therefore fall into several
 pieces that a later run reconnects, and a piece with no cell on the
 newest run is lost for good.
 
-The frontier state is exactly that: the partition of the newest run's
-cells into connected blocks of the prefix.  Extending by a new run
-merges every block it touches, spawns a singleton block for each new
-cell hanging past the old run, and is discarded when some old block is
-left untouched.  A prefix is a polyomino exactly when the partition is
-a single block.  Perimeter is carried incrementally: a run of b cells
-sharing a adjacencies with the run below adds 4b - 2a.
+The frontier is the partition of the newest run's cells into connected
+blocks of the prefix.  Extending by a new run merges every block it
+touches, spawns a singleton block for each new cell hanging past the
+old run, and is discarded when some old block is left untouched.  So
+every partition is left singletons, one merged block, right singletons,
+and the state is the three ints (left, mid, right); a run of
+singletons is (width - 1, 1, 0), so each partition has one state.
+Blocks are intervals in order, and a run touches an interval of old
+cells, so it reaches every block exactly when it reaches the end of
+the first and the start of the last.  A prefix is a polyomino exactly
+when left == right == 0.  Perimeter is carried incrementally: a run
+of b cells sharing a edges with the run below adds 4b - 2a.  Its
+b - left - right touching cells share two edges each, except that a
+cell at column 0 or at the old width shares one, and those cells are
+its noses; so the run adds 4 (left + right) + 2 noses.
 
-A child's partition is always left singletons, one merged block, right
-singletons, so few distinct states occur, and how a prefix can grow
-depends only on its state and perimeter.  ``generate`` therefore counts
-as a transfer matrix, one diagonal at a time: each layer maps (state,
-perimeter) to the number of prefixes in it, and each entry is extended
-once for all of them.  The tests recheck the census against an
-enumeration of raw cell sets that shares no code with this machine.
+Few distinct states occur, and how a prefix can grow depends only on
+its state and perimeter.  ``generate`` therefore counts as a transfer
+matrix, one diagonal at a time: each layer maps (state, perimeter) to
+the number of prefixes in it, and each entry is extended once for all
+of them.  The tests recheck the census against an enumeration of raw
+cell sets that shares no code with this machine, and the reach rule
+against the per-block test it replaces.
 
 The module also enumerates two reference families: chains of runs that
 can only keep or extend their window by one (the directed shapes,
@@ -35,56 +43,42 @@ perimeter with the column width as the layer state.
 
 from .counts import CountTable, NoseClass
 
-_NOSE_BY_COUNT = {0: NoseClass.ZERO, 1: NoseClass.ONE, 2: NoseClass.TWO}
+_NOSE_BY_COUNT = (NoseClass.ZERO, NoseClass.ONE, NoseClass.TWO)
 
 
-def _overlap(a1, b1, a2, b2):
-    return max(0, min(b1, b2) - max(a1, a2) + 1)
-
-
-def _children(memo, classes, budget):
+def _children(memo, state, budget):
     """Sorted one-diagonal extensions of a frontier state.
 
-    ``classes`` maps each cell of the newest run (by position) to its
-    connected-block id.  A child is a run of b cells whose lowest column
-    sits at offset ``rel`` from the old run's lowest column; it is kept
-    only if every old block receives a neighbor.  Children are returned
-    as (dpe, b, classes2, blocks2, nose) tuples sorted by the perimeter
+    A child is a run of b cells whose lowest column sits at offset
+    ``rel`` from the old run's lowest column.  Only the offsets that
+    reach the end of the first block and the start of the last, which
+    are exactly those that touch every block, are tried.  Children are
+    returned as (dpe, b, state2, nose) tuples sorted by the perimeter
     increase dpe, so a walk can stop at its budget.
     """
-    cached = memo.get(classes)
+    cached = memo.get(state)
     if cached is not None:
         return cached
-    width = len(classes)
-    nblocks = len(set(classes))
+    left, mid, right = state
+    width = left + mid + right
+    first_end = 0 if left else mid - 1
+    last_start = width - 1 if right else left
     out = []
     for b in range(1, width + budget // 4 + 1):
-        for rel in range(1 - b, width + 1):
+        # new cell c touches old cells c - 1 and c
+        for rel in range(last_start + 1 - b, first_end + 2):
             hi = rel + b - 1
-            # old cell j is touched iff the new run covers column j or j+1
-            reached = len(
-                {classes[j] for j in range(max(0, rel - 1), min(width - 1, hi) + 1)}
-            )
-            if reached < nblocks:
-                continue
-            a = _overlap(rel, hi, 0, width - 1) + _overlap(rel - 1, hi - 1, 0, width - 1)
-            dpe = 4 * b - 2 * a
+            left2 = max(0, -rel)
+            right2 = max(0, hi - width)
+            noses = (rel <= 0) + (hi >= width)
+            dpe = 4 * (left2 + right2) + 2 * noses
             if dpe > budget:
                 continue
-            left = max(0, -rel)
-            right = max(0, hi - width)
-            mid = b - left - right
-            classes2 = (
-                tuple(range(left))
-                + (left,) * mid
-                + tuple(range(left + 1, left + 1 + right))
-            )
-            nose = _NOSE_BY_COUNT[
-                (1 if rel <= 0 <= hi else 0) + (1 if rel <= width <= hi else 0)
-            ]
-            out.append((dpe, b, classes2, left + right + 1, nose))
+            mid2 = b - left2 - right2
+            state2 = (left2, mid2, right2) if mid2 > 1 else (b - 1, 1, 0)
+            out.append((dpe, b, state2, _NOSE_BY_COUNT[noses]))
     out.sort(key=lambda c: (c[0], c[1]))
-    memo[classes] = out
+    memo[state] = out
     return out
 
 
@@ -92,35 +86,35 @@ def generate(max_perimeter):
     """Census of all diagonally convex polyominoes up to a perimeter.
 
     Returns a ``CountTable`` keyed by (perimeter, diagonals, nose,
-    last_run).  Prefixes with the same frontier state and perimeter
-    have the same completions, so each layer of the count is a map from
-    (state, perimeter) to the number of prefixes with that many
-    diagonals in it.  Every entry is extended once by its memoised
-    children, its multiplicity passed on to the next layer and, for a
-    single-block child, to the tally; the count stops at the first
-    empty layer.
+    last_run).  Prefixes with the same frontier state (left, mid,
+    right) and perimeter have the same completions, so each layer of
+    the count is a map from (state, perimeter) to the number of
+    prefixes with that many diagonals in it.  Every entry is extended
+    once by its memoised children, its multiplicity passed on to the
+    next layer and, for a child with no singletons, to the tally; the
+    count stops at the first empty layer.
     """
     tally = {}
     if max_perimeter >= 4:
         tally[(4, 1, None, 1)] = 1
     budget = max_perimeter - 4
     memo = {}
-    # a first run of s cells is s isolated blocks
-    layer = {(tuple(range(s)), 4 * s): 1 for s in range(1, max_perimeter // 4 + 1)}
+    # a first run of s cells is s singletons
+    layer = {((s - 1, 1, 0), 4 * s): 1 for s in range(1, max_perimeter // 4 + 1)}
     depth = 1
     while layer:
         depth += 1
         following = {}
-        for (classes, pe), count in layer.items():
-            for dpe, b, classes2, blocks2, nose in _children(memo, classes, budget):
+        for (state, pe), count in layer.items():
+            for dpe, b, state2, nose in _children(memo, state, budget):
                 pe2 = pe + dpe
                 if pe2 > max_perimeter:
                     break
-                if blocks2 == 1:
+                if state2[0] == state2[2] == 0:
                     key = (pe2, depth, nose, b)
                     tally[key] = tally.get(key, 0) + count
-                state = (classes2, pe2)
-                following[state] = following.get(state, 0) + count
+                entry = (state2, pe2)
+                following[entry] = following.get(entry, 0) + count
         layer = following
     return CountTable(tally)
 

@@ -177,12 +177,9 @@ def _cmd_series(args):
 
 def _cmd_census(args):
     from . import brute
+    from .counts import CountTable
     table = brute.generate(args.max_perimeter)
-    fields = (
-        ("perimeter", "diagonals", "nose", "last_run")
-        if args.classify
-        else ("perimeter",)
-    )
+    fields = CountTable.FIELDS if args.classify else ("perimeter",)
     return _emit_census(args, table.project(*fields), fields)
 
 

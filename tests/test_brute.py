@@ -6,11 +6,13 @@ cell at a time, deduplicates by translation, filters the diagonally
 convex ones, and reads every statistic straight off the cell set.  A
 polyomino of perimeter p has at most floor(p^2/16) cells (Harary and
 Harborth, "Extremal animals", 1976), so nine cells reach every shape
-of perimeter at most 12.
+of perimeter at most 12.  A second reference, the block-id frontier
+rule, rechecks the census's three-int frontier state child by child.
 """
 
 import pytest
 
+from dcpoly import brute
 from dcpoly.brute import column_convex_counts, directed_counts_by_diagonals, generate
 from dcpoly.counts import CountTable, NoseClass
 from dcpoly.layered import joint_table
@@ -92,6 +94,9 @@ def cells_of_runs(runs):
     )
 
 
+NOSE_BY_COUNT = {0: NoseClass.ZERO, 1: NoseClass.ONE, 2: NoseClass.TWO}
+
+
 def oracle_table(shapes):
     table = CountTable()
     for cells in shapes:
@@ -103,9 +108,49 @@ def oracle_table(shapes):
         else:
             (lo, hi), (lo2, hi2) = runs[-2], runs[-1]
             hits = (1 if lo2 <= lo <= hi2 else 0) + (1 if lo2 <= hi + 1 <= hi2 else 0)
-            nose = {0: NoseClass.ZERO, 1: NoseClass.ONE, 2: NoseClass.TWO}[hits]
+            nose = NOSE_BY_COUNT[hits]
         table.add(perimeter_of(cells), len(runs), nose, runs[-1][1] - runs[-1][0] + 1)
     return table
+
+
+def overlap(a1, b1, a2, b2):
+    return max(0, min(b1, b2) - max(a1, a2) + 1)
+
+
+def block_ids(state):
+    """Block id per cell of a (left, mid, right) frontier, left to right."""
+    left, mid, right = state
+    return tuple(range(left)) + (left,) * mid + tuple(range(left + 1, left + 1 + right))
+
+
+def block_id_children(classes, budget):
+    """One-diagonal extensions of a frontier given as block ids per cell.
+
+    Every offset of every run is tried, and a run is kept when the set
+    of blocks it touches is all of them.  Returns (dpe, b, classes2,
+    nose) tuples in the order ``brute._children`` promises.
+    """
+    width = len(classes)
+    nblocks = len(set(classes))
+    out = []
+    for b in range(1, width + budget // 4 + 1):
+        for rel in range(1 - b, width + 1):
+            hi = rel + b - 1
+            # old cell j is touched iff the new run covers column j or j+1
+            reached = {classes[j] for j in range(max(0, rel - 1), min(width - 1, hi) + 1)}
+            if len(reached) < nblocks:
+                continue
+            a = overlap(rel, hi, 0, width - 1) + overlap(rel - 1, hi - 1, 0, width - 1)
+            dpe = 4 * b - 2 * a
+            if dpe > budget:
+                continue
+            left = max(0, -rel)
+            right = max(0, hi - width)
+            classes2 = block_ids((left, b - left - right, right))
+            hits = (1 if rel <= 0 <= hi else 0) + (1 if rel <= width <= hi else 0)
+            out.append((dpe, b, classes2, NOSE_BY_COUNT[hits]))
+    out.sort(key=lambda c: (c[0], c[1]))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +175,29 @@ def test_tiny_census_by_hand():
 
 def test_generator_agrees_with_cell_set_oracle(perimeter_twelve):
     assert oracle_table(perimeter_twelve) == generate(12)
+
+
+def test_reach_rule_matches_block_id_rule(monkeypatch):
+    seen = []
+    children = brute._children
+
+    def recording(memo, state, budget):
+        if state not in memo:
+            seen.append((state, budget))
+        return children(memo, state, budget)
+
+    monkeypatch.setattr(brute, "_children", recording)
+    generate(40)
+    # one state per partition: a one-cell middle block folds into the
+    # singletons, so the walk visits as many states as block-id tuples
+    assert len(seen) == 175
+    assert len({block_ids(state) for state, _ in seen}) == 175
+    for state, budget in seen:
+        got = [
+            (dpe, b, block_ids(state2), nose)
+            for dpe, b, state2, nose in children({}, state, budget)
+        ]
+        assert got == block_id_children(block_ids(state), budget), state
 
 
 def test_generate_matches_layered_joint_table():
