@@ -15,9 +15,11 @@ place so a failure never leaves a partial file behind.  Exit codes: 0
 on success, 1 when a verification check fails, 2 on usage errors and
 on an ``--out`` path that cannot be written.
 
-A subcommand imports only its engine: the handlers import it, and
-``json``, ``tempfile`` and ``fractions`` load only on the paths that use
-them (``python -X importtime -m dcpoly.cli <sub> --help`` shows it).
+A subcommand imports only its engine (``ratios`` the integer ``ratios``
+module and the layered solve, no closed-form algebra): the handlers
+import it, and ``json``, ``tempfile`` and ``fractions`` load only on the
+paths that use them (``python -X importtime -m dcpoly.cli <sub> --help``
+shows it).
 The ``verify`` defaults are copied here, pinned equal by a test.
 """
 
@@ -184,8 +186,8 @@ def _cmd_census(args):
 
 
 def _cmd_ratios(args):
-    from . import closedform
-    rows = closedform.ratio_table(args.max_perimeter)
+    from . import ratios
+    rows = ratios.ratio_table(args.max_perimeter)
     header = ["perimeter", "column_convex", "diagonally_convex", "ratio"]
     if args.format == "csv":
         lines = [",".join(header)]

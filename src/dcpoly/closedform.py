@@ -16,8 +16,10 @@ the identities that tie all routes together:
 * three printed shapes of the column-convex perimeter series, all equal
   as formal series but arranged around different radicals;
 * the algebraic fixed point counting directed shapes by diagonals, with
-  the matching binomial formula;
-* the decimal table of column-convex to diagonally-convex count ratios.
+  the matching binomial formula.
+
+The column-convex counts and the ratio table live in ``ratios``, which
+runs the split form at r = 1 in integers; they are re-exported here.
 
 Every perimeter is even, so the radicals, the kernel and its roots are
 series in t = x^2.  The kernel algebra runs in t, in private functions
@@ -41,7 +43,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .layered import NonConvergenceError, perimeter_counts
+from .ratios import RatioRow, column_convex_perimeter_counts, ratio_table, round_half_even
 from .series import SurdSeries, XSeries
 
 
@@ -117,15 +119,6 @@ class KernelResiduals(NamedTuple):
     remainder_z0: SurdSeries
     root_sum: SurdSeries
     reciprocal_sum: SurdSeries
-
-
-class RatioRow(NamedTuple):
-    """One row of the count comparison table."""
-
-    perimeter: int
-    column_convex: int
-    diagonally_convex: int
-    ratio: str
 
 
 CC_VARIANTS = ("ratio", "nested", "split")
@@ -444,27 +437,6 @@ def column_convex_gf(variant, r, order):
     raise ValueError("unknown column-convex variant %r" % (variant,))
 
 
-def column_convex_perimeter_counts(max_perimeter):
-    """Column-convex counts by perimeter from the closed form.
-
-    Extracts integer counts from the ``"split"`` variant of
-    :func:`column_convex_gf` at r = 1 and refuses fractional, negative,
-    or odd-exponent coefficients, all of which would signal a
-    transcription error.
-    """
-    series = column_convex_gf("split", 1, max_perimeter)
-    counts = {}
-    for k, c in enumerate(series.coeff_list()):
-        if c == 0:
-            continue
-        if k % 2 or k < 4 or c.denominator != 1 or c < 0:
-            raise ArithmeticError(
-                "impossible count %s at x^%d in the column-convex series" % (c, k)
-            )
-        counts[k] = int(c)
-    return counts
-
-
 def ternary_count(k):
     """Number of directed shapes with k diagonals, in closed form.
 
@@ -498,42 +470,5 @@ def directed_series(order):
         if nxt == current:
             return current
         current = nxt
+    from .layered import NonConvergenceError
     raise NonConvergenceError("directed fixed point failed to stabilize")
-
-
-def round_half_even(value, places):
-    """Render an exact rational as a decimal string, ties to even.
-
-    This matches the rounding a bank would use: 1.00005 at four places
-    becomes 1.0000 while 1.00015 becomes 1.0002.
-    """
-    value = Fraction(value)
-    sign = "-" if value < 0 else ""
-    value = abs(value)
-    scale = 10**places
-    units, remainder = divmod(value.numerator * scale, value.denominator)
-    doubled = 2 * remainder
-    if doubled > value.denominator or (doubled == value.denominator and units % 2):
-        units += 1
-    whole, frac = divmod(units, scale)
-    if places == 0:
-        return "%s%d" % (sign, whole)
-    return "%s%d.%0*d" % (sign, whole, places, frac)
-
-
-def ratio_table(max_perimeter):
-    """Rows comparing column-convex to diagonally convex counts.
-
-    For every even perimeter from 4 to ``max_perimeter`` the row carries
-    both exact counts and their ratio rendered to four decimal places
-    with ties to even.
-    """
-    if max_perimeter < 4 or max_perimeter % 2:
-        raise ValueError("perimeter bound must be an even number, at least 4")
-    straight = perimeter_counts(max_perimeter)
-    convex = column_convex_perimeter_counts(max_perimeter)
-    rows = []
-    for n in range(4, max_perimeter + 1, 2):
-        ratio = Fraction(convex[n], straight[n])
-        rows.append(RatioRow(n, convex[n], straight[n], round_half_even(ratio, 4)))
-    return rows

@@ -26,6 +26,9 @@ class NoseClass(enum.Enum):
     ONE = "one"
     ZERO = "zero"
 
+    # members are singletons compared by identity, so the C hash agrees with ==
+    __hash__ = object.__hash__
+
 
 def nose_label(nose):
     """Stable text for a nose entry, usable as a sort and output key."""

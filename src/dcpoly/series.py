@@ -78,6 +78,8 @@ def _unscaled(nums, den, lam, order):
     nums = _rescaled(nums, -1 if lam < 0 else 1, -1 if den < 0 else 1)
     den, lam = abs(den), abs(lam)
     for p in _PRIMES:
+        if p > lam:  # no larger prime divides what is left of lam
+            break
         while lam % p == 0:
             powers = _rescaled([1] * len(nums), p)
             if any(c % q for c, q in zip(nums, powers)):

@@ -20,8 +20,8 @@ import functools
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-# the suites that walk shapes import brute, so the kernel suite never loads it
-from . import closedform, layered
+# the suites that walk shapes or solve import brute and layered: kernel loads neither
+from . import closedform
 from .counts import nose_label, sortable_key
 
 DEFAULT_D_SAMPLES = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3))
@@ -163,6 +163,7 @@ def kernel_suite(order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES):
 @_suite("twonose", 8, lambda order, d_samples: twonose_suite(order))
 def twonose_suite(order):
     """The linear relation among the nose classes, and its convention."""
+    from . import layered
     matching, squared = layered.two_nose_identity_residuals(order)
     yield "relation holds with the plain marker", _terms_failure(matching)
     lowest = min((kx for _, kx in squared), default=None)
@@ -235,7 +236,7 @@ def directed_suite():
 @_suite("oracle", 4, lambda order, d_samples: oracle_suite(min(order, ORACLE_PERIMETER_CAP)))
 def oracle_suite(max_perimeter=ORACLE_PERIMETER_CAP):
     """Layered and exhaustive joint census tables, key for key."""
-    from . import brute
+    from . import brute, layered
     yield (
         "layered and exhaustive censuses agree through perimeter %d" % max_perimeter,
         _table_failure(layered.joint_table(max_perimeter), brute.generate(max_perimeter)),

@@ -7,13 +7,14 @@ closed forms are checked against the exhaustive generator, which was
 itself validated cell by cell.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
 
 import reference_series
 
-from dcpoly import brute
+from dcpoly import brute, layered, ratios
 from dcpoly.closedform import (
     column_convex_gf,
     column_convex_perimeter_counts,
@@ -203,6 +204,46 @@ def test_column_convex_counts_match_exhaustive():
     assert column_convex_perimeter_counts(40) == brute.column_convex_counts(40)
 
 
+@pytest.mark.parametrize("order", (200, 201))
+def test_integer_counts_equal_the_split_series(order):
+    """The integer route and the rational split form agree coefficient by
+    coefficient, at an odd order too, where ``verify`` may call it."""
+    series = column_convex_gf("split", 1, order)
+    expected = {k: int(c) for k, c in enumerate(series.coeff_list()) if c}
+    assert all(c.denominator == 1 for c in series.coeff_list())
+    assert column_convex_perimeter_counts(order) == expected
+
+
+@pytest.mark.parametrize(
+    "k, bump, detail",
+    [
+        (3, 1, "768/2^10 at x^4"),
+        (7, 1, "7077888/2^20 at x^8"),
+        (39, 1, "/2^100 at x^40"),
+        # an integral but negative count
+        (3, 8, "count -1 at x^4"),
+    ],
+)
+def test_a_mistyped_radicand_raises(monkeypatch, k, bump, detail):
+    def bumped(order):
+        f = radicand(order)
+        f[k] += bump
+        return f
+
+    radicand = ratios._radicand
+    monkeypatch.setattr(ratios, "_radicand", bumped)
+    with pytest.raises(ArithmeticError, match="impossible .*" + re.escape(detail)):
+        column_convex_perimeter_counts(40)
+
+
+def test_integer_square_root_halving_is_checked_not_floored(monkeypatch):
+    """Every numerator the integer recurrence halves is even; an odd one,
+    here from a convolution off by one, raises instead of flooring."""
+    monkeypatch.setattr(ratios, "mul", lambda x, y: x * y + 1)
+    with pytest.raises(ArithmeticError, match="odd numerator .* x\\^2"):
+        column_convex_perimeter_counts(8)
+
+
 @pytest.mark.parametrize("variant", ("ratio", "nested", "split"))
 def test_column_convex_leading_terms(variant):
     series = column_convex_gf(variant, 1, 6)
@@ -240,6 +281,22 @@ def test_round_half_even_rendering():
     assert round_half_even(Fraction(-1, 8), 4) == "-0.1250"
     assert round_half_even(Fraction(5, 2), 0) == "2"
     assert round_half_even(Fraction(7, 2), 0) == "4"
+    assert round_half_even(3, 4) == round_half_even(Fraction(3), 4) == "3.0000"
+    assert round_half_even(-2, 0) == round_half_even(Fraction(-2), 0) == "-2"
+
+
+def test_ratio_text_depends_only_on_the_ratio(monkeypatch):
+    """Each ratio is rendered from its two counts as they stand; scaling
+    both by 3 leaves every rendered ratio unchanged."""
+    reduced = ratio_table(40)
+    for module, name in ((layered, "perimeter_counts"), (ratios, "column_convex_perimeter_counts")):
+        counts = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda n, counts=counts: {k: 3 * c for k, c in counts(n).items()}
+        )
+    unreduced = ratio_table(40)
+    assert [row.column_convex for row in unreduced] == [3 * row.column_convex for row in reduced]
+    assert [row.ratio for row in unreduced] == [row.ratio for row in reduced]
 
 
 def test_ratio_table_published_prefix():

@@ -1,5 +1,7 @@
 """Tests for the joint census container."""
 
+import pickle
+
 import pytest
 
 from dcpoly.counts import CountTable, NoseClass
@@ -57,3 +59,10 @@ def test_equality_is_by_content():
     other = small_census()
     other.add(4, 1, None, 1)
     assert small_census() != other
+
+
+def test_a_nose_class_found_by_value_or_unpickled_keys_the_same_entry():
+    table = {NoseClass.ONE: 1}
+    assert table[NoseClass("one")] == 1
+    assert table[pickle.loads(pickle.dumps(NoseClass.ONE))] == 1
+    assert NoseClass.ONE in table and NoseClass.TWO not in table

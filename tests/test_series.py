@@ -383,6 +383,17 @@ def test_scale_reduction_returns_integer_roots_to_lam_one():
     assert XSeries.one(30).divide(xs({0: 3, 1: -1}, 30)).lam == 3
 
 
+def test_unscaling_stops_at_the_rest_of_lam_and_keeps_primes_past_the_sieve():
+    # 4 * 1999: 2 twice, then 1999, the last prime the trial division tries
+    lam = 4 * 1999
+    moved = series._unscaled([1, 5 * lam, 7 * lam**2], 1, lam, 2)
+    assert (moved.nums, moved.lam) == ((1, 5, 7), 1)
+    # 2003 is prime and above the sieve, so it stays in lam
+    kept = series._unscaled([1, 2003, 2003**2], 1, 2003, 2)
+    assert (kept.nums, kept.lam) == ((1, 2003, 2003**2), 2003)
+    assert kept.coeff_list() == [1, 1, 1]
+
+
 def _assert_read_at_square(t_series, x_series, order):
     """x_series is t_series at t = x^2: t^j at x^(2j), zero at odd x-degrees."""
     assert x_series.order == order

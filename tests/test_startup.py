@@ -70,13 +70,15 @@ RUNS = {
         )
         for by in ((), ("--by", "noses"), ("--by", "diagonals"))
     },
+    # the column-convex counts are integers: no closed-form series algebra
     ("ratios", "--max-perimeter", "14", "--format", "csv"): (
-        {"dcpoly.closedform"},
-        {"dcpoly.brute", "dcpoly.verify"},
+        {"dcpoly.ratios", "dcpoly.layered"},
+        {"dcpoly.brute", "dcpoly.verify", "dcpoly.closedform", "dcpoly.series",
+         "fractions", "decimal"},
     ),
     ("verify", "--suite", "kernel", "--order", "12"): (
         {"dcpoly.verify", "dcpoly.closedform"},
-        {"dcpoly.brute"},
+        {"dcpoly.brute", "dcpoly.layered"},
     ),
 }
 
