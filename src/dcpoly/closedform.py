@@ -12,14 +12,17 @@ the identities that tie all routes together:
 * the identities those roots satisfy: each annihilates its factor, the
   two quartic roots span a quadratic that divides the quartic, and their
   sum and reciprocal sum match the nested radical; ``kernel_residuals``
-  returns all seven residuals of one sample from one set of roots;
+  returns all seven residuals of one sample from one set of roots, and
+  ``radical_residuals`` the three value^2 - radicand residuals of the
+  radicals, squared in t = x^2;
 * three printed shapes of the column-convex perimeter series, all equal
   as formal series but arranged around different radicals;
 * the algebraic fixed point counting directed shapes by diagonals, with
   the matching binomial formula.
 
 The column-convex counts and the ratio table live in ``ratios``, which
-runs the split form at r = 1 in integers; they are re-exported here.
+runs the split form at r = 1 in integers; they are re-exported here,
+and ``ratios`` loads only when one of them is first looked up.
 
 Every perimeter is even, so the radicals, the kernel and its roots are
 series in t = x^2.  The kernel algebra runs in t, in private functions
@@ -43,8 +46,17 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .ratios import RatioRow, column_convex_perimeter_counts, ratio_table, round_half_even
 from .series import SurdSeries, XSeries
+
+# re-exported from ratios, which is imported on first use (see __getattr__)
+_FROM_RATIOS = ("RatioRow", "column_convex_perimeter_counts", "ratio_table", "round_half_even")
+
+
+def __getattr__(name):
+    if name in _FROM_RATIOS:
+        from . import ratios
+        return getattr(ratios, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 class Radical(NamedTuple):
@@ -156,12 +168,11 @@ def _kernel_radicand(d, n):
     return XSeries.from_terms({0: 1, 2: -2, 3: -2 * d, 4: 1, 5: -2 * d, 6: d * d}, n)
 
 
-def _radicals(d, n):
-    """:func:`radicals` in t = x^2, through t^n."""
+def _outer_radicals(d, n):
+    """The base and nested radicals of :func:`_radicals`, without the kernel one."""
     d = Fraction(d)
     if d == -2:
         raise ValueError("the sample d=-2 zeroes the nested radicand's constant term (d+2)^2")
-    kernel_radicand = _kernel_radicand(d, n)
     base_radicand = XSeries.from_terms(
         {0: 1, 1: -(4 + 4 * d), 2: 6 + 8 * d, 3: -(4 + 2 * d), 4: 1 - 4 * d, 5: 2 * d, 6: d * d}, n
     )
@@ -176,11 +187,14 @@ def _radicals(d, n):
         )
         + XSeries.from_terms({0: 2, 1: 4, 2: 2, 3: 2 * d}, n) * base_value
     )
-    return RadicalTriple(
-        Radical(kernel_radicand.sqrt(), kernel_radicand),
-        Radical(base_value, base_radicand),
-        Radical(nested_radicand.sqrt(), nested_radicand),
-    )
+    return Radical(base_value, base_radicand), Radical(nested_radicand.sqrt(), nested_radicand)
+
+
+def _radicals(d, n):
+    """:func:`radicals` in t = x^2, through t^n."""
+    base, nested = _outer_radicals(d, n)
+    kernel_radicand = _kernel_radicand(Fraction(d), n)
+    return RadicalTriple(Radical(kernel_radicand.sqrt(), kernel_radicand), base, nested)
 
 
 def radicals(d, order):
@@ -193,6 +207,18 @@ def radicals(d, order):
     0 at d = -2, which raises ``ValueError``.
     """
     return _in_x(_radicals(d, order // 2), order)
+
+
+def radical_residuals(d, order):
+    """value^2 - radicand for each radical of :func:`radicals` at sample
+    ``d``, as a ``RadicalTriple`` of residual series that all vanish.
+
+    The squares are taken in t = x^2, with half the terms of the
+    x-series, and each residual is read back in x through ``order``, so
+    a wrong t^j coefficient shows at x^(2j).
+    """
+    triple = _radicals(d, order // 2)
+    return _in_x(RadicalTriple._make(r.value * r.value - r.radicand for r in triple), order)
 
 
 def _kernel_factors(d, n):
@@ -327,7 +353,7 @@ def kernel_residuals(d, order):
         lead = work[i]
         work[i + 1] = work[i + 1] + lead * root_sum
         work[i + 2] = work[i + 2] - lead * root_product
-    nested = _radicals(e, n + 2).nested.value
+    nested = _outer_radicals(e, n + 2)[1].value
     shape = XSeries.from_terms({0: 2 + e, 1: -2 * e, 2: 2 + e, 3: 2 * e}, n + 2)
     residuals = KernelResiduals(
         _eval_z_poly(factors.quadratic, r.quadratic),

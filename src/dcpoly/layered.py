@@ -57,6 +57,7 @@ from it: ``marginals(order, by)`` unpacks only the sum of every z-entry
 z = 1.  No result needs ``dcpoly.series``.
 """
 
+from itertools import repeat
 from typing import NamedTuple
 
 from .counts import CountTable, NoseClass
@@ -357,17 +358,19 @@ def perimeter_counts(order):
 def joint_table(order):
     """Full census table keyed like the exhaustive generator's output.
 
-    Unpacks each (class, d-row, z) int of the diagonal-tracking run once,
-    and adds the single cell (one diagonal, perimeter 4).
+    Unpacks each (class, d-row, z) int of the diagonal-tracking run once
+    straight into the table's dict, whose first key is the single cell
+    (one diagonal, perimeter 4).
     """
     packed = solve(order)
-    table = CountTable()
-    table.add(4, 1, None, 1)
+    # every (kx, kd, cls, m) key comes from one int's slot, so none repeats
+    table = CountTable({(4, 1, None, 1): 1})
+    counts = table.counts
     for cls, drows in zip(CLASS_ORDER, packed.rows):
         for kd, row in enumerate(drows):
             for m, v in enumerate(row):
-                for kx, c in packed.slots.unpack(v).items():
-                    table.add(kx, kd, cls, m, c)
+                slots = packed.slots.unpack(v)
+                counts.update(zip(zip(slots, repeat(kd), repeat(cls), repeat(m)), slots.values()))
     return table
 
 

@@ -11,7 +11,10 @@ Two series types cover the closed-form algebra:
   whose constant terms are irrational.  It adds, multiplies, divides
   through the rational norm a^2 - D*b^2, and takes square roots from
   a given constant root.  An identity over Q(sqrt D) holds only when
-  both parts vanish, so the irrational part is always checked.
+  both parts vanish, so the irrational part is always checked.  Two
+  pairs with nonzero irrational parts multiply in three products on one
+  scale, ac, be and (a + b)(c + e), as ac + D*be + ((a + b)(c + e) - ac
+  - be)*sqrt(D); division takes the norm's reciprocal once for both parts.
 
 The layered iteration needs neither: it runs on packed integers in
 ``dcpoly.layered``.
@@ -21,15 +24,17 @@ with integer numerators, positive integers den and lam, and den divided
 by gcd(den, *nums) after every operation.  A product brings both sides
 to the scale lcm(lam_a, lam_b) and multiplies once, as big integers
 (Kronecker substitution).  Reciprocals and square roots run integer
-recurrences whose scale grows each step; after them every prime p of
-lam with p^k | nums[k] for all k moves back into the numerators.
+recurrences whose scale grows each step; after them every prime p < 2000
+of lam with p^k | nums[k] for all k moves back into the numerators.  The
+square root of a rational series runs only the rational half of its
+recurrence.
 ``Fraction`` appears only where coefficients come in or go out.
 """
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, isqrt, lcm
-from operator import mul
+from math import gcd, isqrt, lcm, prod
+from operator import add, mul
 
 
 class ValuationError(ValueError):
@@ -54,11 +59,12 @@ def _rational_sqrt(value):
         return Fraction(isqrt(value.numerator), isqrt(value.denominator))
 
 
-# the primes below 2000, which _unscaled tries on lam, by a sieve
+# the primes below 2000, which _unscaled tries on lam, by a sieve, and their product
 _SIEVE = bytearray([0, 0]) + bytearray([1]) * 1998
 for _p in range(2, 45):
     _SIEVE[_p * _p :: _p] = bytes(len(range(_p * _p, 2000, _p)))
 _PRIMES = [p for p, prime in enumerate(_SIEVE) if prime]
+_PRIMORIAL = prod(_PRIMES)
 
 
 def _rescaled(nums, r, first=1):
@@ -72,14 +78,19 @@ def _rescaled(nums, r, first=1):
 def _unscaled(nums, den, lam, order):
     """The series nums[k] / (den * lam^k) for nonzero integers den and lam.
 
-    Their signs move into the numerators, and so does every prime p of
-    lam with p^k | nums[k] for all k.
+    Their signs move into the numerators, and so does every prime p < 2000
+    of lam with p^k | nums[k] for all k; only the primes in
+    gcd(lam, _PRIMORIAL) are tried.
     """
     nums = _rescaled(nums, -1 if lam < 0 else 1, -1 if den < 0 else 1)
     den, lam = abs(den), abs(lam)
+    small = gcd(lam, _PRIMORIAL)  # the product of the primes below 2000 that divide lam
     for p in _PRIMES:
-        if p > lam:  # no larger prime divides what is left of lam
+        if small == 1:
             break
+        if small % p:
+            continue
+        small //= p
         while lam % p == 0:
             powers = _rescaled([1] * len(nums), p)
             if any(c % q for c, q in zip(nums, powers)):
@@ -101,8 +112,10 @@ def _product(a, b, size):
             for s in (a, b))
     if not a or not b:
         return [0] * size
-    b_top = list(accumulate((c.bit_length() for c in b), max))
-    bits = max(c.bit_length() + b_top[min(size - 1 - i, len(b) - 1)] for i, c in enumerate(a))
+    # a[i] meets b[j] only for j <= size - 1 - i: b's widest entry up to there
+    b_top = list(accumulate(map(int.bit_length, b), max))
+    reach = [b_top[-1]] * (size - len(b) + 1) + b_top[-2::-1]
+    bits = max(map(add, map(int.bit_length, a), reach))
     width = (bits + min(len(a), len(b)).bit_length()) // 8 + 1
     bias = 1 << 8 * width - 1
     offset = bias.to_bytes(width, "little")
@@ -118,18 +131,20 @@ def _product(a, b, size):
     return out + [0] * (size - used)
 
 
-def _aligned(a, b, common_den=False):
+def _aligned(a, b, common_den=False, lam=None):
     """[x, y, den, lam, n]: the numerators of a and b to the smaller order n
-    on the scale lcm(lam_a, lam_b), and over den = lcm(den_a, den_b) if
-    ``common_den`` is set (else den is None)."""
-    n, lam = min(a.order, b.order), lcm(a.lam, b.lam)
+    on the scale ``lam`` (by default lcm(lam_a, lam_b), else a multiple
+    of it), and over den = lcm(den_a, den_b) if ``common_den`` is set
+    (else den is None)."""
+    n, lam = min(a.order, b.order), lam or lcm(a.lam, b.lam)
     den = lcm(a.den, b.den) if common_den else None
     nums = [_rescaled(s.nums[: n + 1], lam // s.lam, den // s.den if den else 1) for s in (a, b)]
     return nums + [den, lam, n]
 
 
 def _unit_root(fa, fb, disc, lam):
-    """sqrt(F / F_0) for F_k = (fa[k] + fb[k]*sqrt(disc)) / lam^k, as a pair.
+    """sqrt(F / F_0) for F_k = (fa[k] + fb[k]*sqrt(disc)) / lam^k, as a pair
+    whose irrational part is None when every fb[k] is 0.
 
     With the content of F removed, c = conjugate(F_0) (or 1 if F_0 is
     rational) makes N = F_0*c an integer, and F_n / F_0 = h_n / N with
@@ -137,25 +152,30 @@ def _unit_root(fa, fb, disc, lam):
 
         S_n = (4^n N^(n-1) h_n - sum_{0<k<n} S_k S_(n-k)) / 2,
 
-    whose parts are even by induction; the halving checks it.
+    whose parts are even by induction; the halving checks it.  A
+    rational F has a rational root, so only the rational half of the
+    recurrence runs.
     """
     content = gcd(*fa, *fb)
     fa, fb = [c // content for c in fa], [c // content for c in fb]
     ca, cb = (fa[0], -fb[0]) if fb[0] else (1, 0)
     scale = 4 * (fa[0] * ca + disc * fb[0] * cb)
+    surd = any(fb)
     sa, sb, power = [1], [0], 4
     for n in range(1, len(fa)):
-        ha, hb = fa[n] * ca + disc * fb[n] * cb, fb[n] * ca + fa[n] * cb
         conv_a = sum(map(mul, sa[1:n], sa[n - 1 : 0 : -1]))
-        conv_a += disc * sum(map(mul, sb[1:n], sb[n - 1 : 0 : -1]))
-        conv_b = 2 * sum(map(mul, sa[1:n], sb[n - 1 : 0 : -1]))
-        twice_a, twice_b = power * ha - conv_a, power * hb - conv_b
+        twice_a, twice_b = power * (fa[n] * ca + disc * fb[n] * cb) - conv_a, 0
+        if surd:
+            twice_a -= disc * sum(map(mul, sb[1:n], sb[n - 1 : 0 : -1]))
+            conv_b = 2 * sum(map(mul, sa[1:n], sb[n - 1 : 0 : -1]))
+            twice_b = power * (fb[n] * ca + fa[n] * cb) - conv_b
         if (twice_a | twice_b) & 1:
             raise ArithmeticError("odd numerator in the square-root recurrence at x^%d" % n)
         sa.append(twice_a >> 1)
         sb.append(twice_b >> 1)
         power *= scale
-    return [_unscaled(s, 1, scale * lam, len(fa) - 1) for s in (sa, sb)]
+    order, lam = len(fa) - 1, scale * lam
+    return _unscaled(sa, 1, lam, order), (_unscaled(sb, 1, lam, order) if surd else None)
 
 
 class XSeries:
@@ -261,25 +281,12 @@ class XSeries:
     def divide(self, den):
         """Exact quotient self/den; the order drops by den's valuation v.
 
-        It is self / x^v times the reciprocal of den / x^v.  On den's
-        numerators b the reciprocal's x^k coefficient is T_k / b_0^(k+1)
-        with T_0 = 1 and T_k = -sum_{0<j<=k} b_j b_0^(j-1) T_(k-j), so
-        its scale grows by b_0.
+        It is self / x^v times the reciprocal of den / x^v (see
+        ``_reciprocal``).
         """
         if not isinstance(den, XSeries):
             raise TypeError("divide expects an XSeries denominator")
-        n, v = min(self.order, den.order), den.valuation()
-        if v is None or v > n:
-            raise ZeroValuationError("division by a series that is zero through its order")
-        lead = self.valuation()
-        if lead is not None and lead < v:
-            raise NonDivisibleError("numerator has x^%d but denominator starts at x^%d" % (lead, v))
-        den = den.shift_down(v).truncate(n - v)
-        b = den.nums
-        weights, t = _rescaled(b[1:], b[0]), [den.den]
-        for k in range(1, n - v + 1):
-            t.append(-sum(map(mul, weights[:k], reversed(t))))
-        return self.shift_down(v).truncate(n - v) * _unscaled(t, b[0], den.lam * b[0], n - v)
+        return _over(self, *_reciprocal(den, min(self.order, den.order)))
 
     def shift_down(self, k):
         """Divide by x^k; the first k coefficients must vanish."""
@@ -318,6 +325,32 @@ class XSeries:
             "%s*x^%d" % (c, k) for k, c in enumerate(self.coeff_list()) if c != 0
         ]
         return "XSeries(%s; order=%d)" % (" + ".join(parts) or "0", self.order)
+
+
+def _reciprocal(den, n):
+    """(v, r): the valuation v of den, and r = x^v / den through x^(n - v).
+
+    On the numerators b of den / x^v the x^k coefficient of r is
+    T_k / b_0^(k+1) with T_0 = 1 and T_k = -sum_{0<j<=k} b_j b_0^(j-1) T_(k-j),
+    so its scale grows by b_0.
+    """
+    v = den.valuation()
+    if v is None or v > n:
+        raise ZeroValuationError("division by a series that is zero through its order")
+    den = den.shift_down(v).truncate(n - v)
+    b = den.nums
+    weights, t = _rescaled(b[1:], b[0]), [den.den]
+    for k in range(1, n - v + 1):
+        t.append(-sum(map(mul, weights[:k], reversed(t))))
+    return v, _unscaled(t, b[0], den.lam * b[0], n - v)
+
+
+def _over(num, v, reciprocal):
+    """num / x^v times ``reciprocal``, a quotient by a series of valuation v."""
+    lead = num.valuation()
+    if lead is not None and lead < v:
+        raise NonDivisibleError("numerator has x^%d but denominator starts at x^%d" % (lead, v))
+    return num.shift_down(v).truncate(reciprocal.order) * reciprocal
 
 
 class SurdSeries:
@@ -369,7 +402,23 @@ class SurdSeries:
             return SurdSeries(self.a * other, self.b * other, self.disc)
         other = self._lift(other)
         a, b, c, e = self.a, self.b, other.a, other.b
-        return SurdSeries(a * c + b * e * self.disc, a * e + b * c, self.disc)
+        if b.is_zero() or e.is_zero():
+            return SurdSeries(a * c + b * e * self.disc, a * e + b * c, self.disc)
+        # three products on one scale: ae + bc = (a + b)(c + e) - ac - be
+        lam = lcm(a.lam, b.lam, c.lam, e.lam)
+        a, b, left_den, _, n = _aligned(a, b, True, lam)
+        c, e, right_den, _, m = _aligned(c, e, True, lam)
+        n = min(n, m)
+        ac, be, cross = (
+            _product(x, y, n + 1)
+            for x, y in ((a, c), (b, e), (list(map(add, a, b)), list(map(add, c, e))))
+        )
+        den = left_den * right_den
+        return SurdSeries(
+            XSeries([p + self.disc * q for p, q in zip(ac, be)], n, den, lam),
+            XSeries([r - p - q for p, q, r in zip(ac, be, cross)], n, den, lam),
+            self.disc,
+        )
 
     __rmul__ = __mul__
 
@@ -382,16 +431,19 @@ class SurdSeries:
 
     def divide(self, den):
         """Exact quotient self/den: times conjugate(den), then both parts
-        divided by the rational norm(den), whose valuation the order loses."""
-        num, norm = self * den.conjugate(), den.norm()
-        return SurdSeries(num.a.divide(norm), num.b.divide(norm), self.disc)
+        times the one reciprocal of the rational norm(den), whose
+        valuation the order loses."""
+        num = self * den.conjugate()
+        v, reciprocal = _reciprocal(den.norm(), num.a.order)
+        return SurdSeries(_over(num.a, v, reciprocal), _over(num.b, v, reciprocal), self.disc)
 
     def sqrt(self, root0):
         """Exact square root whose constant term is ``root0``.
 
         ``root0`` is a pair (p, q) of rationals meaning p + q*sqrt(disc)
         that squares to the constant term.  The root is root0 times
-        ``_unit_root`` of the numerators of both parts over one scale.
+        ``_unit_root`` u + w*sqrt(disc) of the numerators of both parts
+        over one scale, taken as rational multiples of u and w.
         """
         p, q = Fraction(root0[0]), Fraction(root0[1])
         disc = self.disc
@@ -399,9 +451,11 @@ class SurdSeries:
             raise ValueError("root0 does not square to the constant term")
         if p * p == disc * q * q:
             raise ZeroDivisionError("the constant term has norm zero")
-        fa, fb, _, lam, order = _aligned(self.a, self.b, True)
-        series = SurdSeries(*_unit_root(fa, fb, disc, lam), disc)
-        return SurdSeries(XSeries([p], order), XSeries([q], order), disc) * series
+        fa, fb, _, lam, _ = _aligned(self.a, self.b, True)
+        u, w = _unit_root(fa, fb, disc, lam)
+        if w is None:
+            return SurdSeries(u * p, u * q, disc)
+        return SurdSeries(u * p + w * (disc * q), u * q + w * p, disc)
 
     def shift_down(self, k):
         return SurdSeries(self.a.shift_down(k), self.b.shift_down(k), self.disc)

@@ -20,9 +20,9 @@ import functools
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-# the suites that walk shapes or solve import brute and layered: kernel loads neither
+# the suites that walk shapes, solve or count import brute, layered, counts and
+# ratios: kernel loads none of them
 from . import closedform
-from .counts import nose_label, sortable_key
 
 DEFAULT_D_SAMPLES = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3))
 
@@ -112,6 +112,7 @@ def _terms_failure(terms):
 
 def _table_failure(left, right):
     """The first key at which two census tables differ."""
+    from .counts import nose_label, sortable_key
     for key in sorted(left.counts.keys() | right.counts.keys(), key=sortable_key):
         a = left.counts.get(key, 0)
         b = right.counts.get(key, 0)
@@ -128,21 +129,25 @@ def _table_failure(left, right):
 def kernel_suite(order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES):
     """Radical, kernel-root, and symmetric-identity checks per sample.
 
-    Each sample gets the three radical checks and the seven residuals of
+    Each sample gets the three radical checks of
+    ``closedform.radical_residuals``, whose squares are taken in
+    t = x^2 and read in x, and the seven residuals of
     ``closedform.kernel_residuals``, whose roots are built once per
     sample; each integer sample also gets the integer-coefficient check
-    on the expanded kernel.  That check cannot fail on the factors as
-    written: at integer d every factor coefficient is an integer
-    polynomial in d.  A sample of 0 or -2 raises ``ValueError``: the
-    kernel has no series roots at 0, and no nested radical at -2.
+    on the expanded kernel, which tests each numerator against its
+    den * lam^k and builds a ``Fraction`` only for the first offender.
+    That check cannot fail on the factors as written: at integer d
+    every factor coefficient is an integer polynomial in d.  A sample
+    of 0 or -2 raises ``ValueError``: the kernel has no series roots at
+    0, and no nested radical at -2.
     """
     for d in d_samples:
         label = "d=%s" % d
-        triple = closedform.radicals(d, order)
-        for radical_name, radical in zip(triple._fields, triple):
+        radicals = closedform.radical_residuals(d, order)
+        for radical_name, residual in zip(radicals._fields, radicals):
             yield (
                 "%s radical squares back (%s)" % (radical_name, label),
-                _series_failure(radical.value * radical.value - radical.radicand),
+                _series_failure(residual),
             )
         residuals = closedform.kernel_residuals(d, order)
         for name, series in zip(KERNEL_RESIDUAL_CHECKS, residuals):
@@ -151,10 +156,10 @@ def kernel_suite(order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES):
         if d.denominator != 1:
             continue
         fractional = (
-            "first offending coefficient: z^%d x^%d -> %s" % (dz, kx, c)
+            "first offending coefficient: z^%d x^%d -> %s" % (dz, kx, series.coefficient(kx))
             for dz, series in enumerate(closedform.kernel_sextic(d, order))
-            for kx, c in enumerate(series.coeff_list())
-            if c.denominator != 1
+            for kx, c in enumerate(series.nums)
+            if c % (series.den * series.lam**kx)
         )
         yield "expanded kernel has integer coefficients (d=%s)" % d, next(fractional, None)
 
@@ -180,7 +185,7 @@ def twonose_suite(order):
 @_suite("columnconvex", 4, lambda order, d_samples: columnconvex_suite(order))
 def columnconvex_suite(order=DEFAULT_ORDER):
     """Equality of the three closed-form variants, plus the generator."""
-    from . import brute
+    from . import brute, ratios
     for r in (Fraction(1), Fraction(1, 2)):
         series = {
             v: closedform.column_convex_gf(v, r, order)
@@ -194,7 +199,7 @@ def columnconvex_suite(order=DEFAULT_ORDER):
     bound = min(order, ORACLE_PERIMETER_CAP)
     closed = {
         k: v
-        for k, v in closedform.column_convex_perimeter_counts(order).items()
+        for k, v in ratios.column_convex_perimeter_counts(order).items()
         if k <= bound
     }
     exhaustive = brute.column_convex_counts(bound)

@@ -74,6 +74,13 @@ def _minus(a, b, scale=1):
     return XSeries([u - scale * v for u, v in zip(a.coeff_list()[: n + 1], b.coeff_list())], n)
 
 
+def surd_mul(x, y):
+    """x*y over Q(sqrt D): (a + b*sqrt D)(c + e*sqrt D) = ac + D*be + (ae + bc)*sqrt D."""
+    real = _minus(mul(x.a, y.a), mul(x.b, y.b), -x.disc)
+    surd = _minus(mul(x.a, y.b), mul(x.b, y.a), -1)
+    return SurdSeries(real, surd, x.disc)
+
+
 def surd_divide(num, den):
     """num/den over Q(sqrt D): times conjugate(den), over the rational norm."""
     disc = num.disc

@@ -315,6 +315,62 @@ def test_surd_divide_matches_reference_with_valuation():
         _same_surd(num.divide(den), reference_series.surd_divide(num, den))
 
 
+def test_surd_mul_matches_reference_with_rational_parts_scales_and_orders():
+    """Two nonzero irrational parts take the three-product path, a zero one
+    on either side the direct products; both against the reference."""
+    rng = random.Random(27)
+    seen = set()
+    for _ in range(60):
+        disc = rng.choice((2, 5, 13))
+        pairs = []
+        for _ in range(2):
+            order = rng.randint(0, 20)
+            rational = rng.random() < 0.3
+            b = XSeries.zero(order) if rational else _random_series(rng, order, rng.randint(0, 2))
+            pairs.append(SurdSeries(_random_series(rng, order, rng.randint(0, 2)), b, disc))
+        x, y = pairs
+        seen.add((x.b.is_zero(), y.b.is_zero()))
+        seen.add(("scales differ", len({s.lam for s in (x.a, x.b, y.a, y.b)}) > 1))
+        seen.add(("dens differ", len({s.den for s in (x.a, x.b, y.a, y.b)}) > 1))
+        seen.add(("orders differ", x.a.order != y.a.order))
+        _same_surd(x * y, reference_series.surd_mul(x, y))
+        _same_surd(x * x, reference_series.surd_mul(x, x))
+    assert {(False, False), (False, True), (True, False), (True, True)} <= seen
+    assert {("scales differ", True), ("dens differ", True), ("orders differ", True)} <= seen
+    assert ("orders differ", False) in seen
+
+
+def test_surd_divide_raises_as_the_reference_does_at_each_valuation():
+    """The one reciprocal of the norm serves both parts; each part still
+    refuses a quotient that is no series, naming the same x-degrees."""
+    rng = random.Random(28)
+    outcomes = set()
+    for _ in range(60):
+        disc, order = rng.choice((2, 5, 13)), rng.randint(4, 12)
+        v = rng.randint(0, 2)
+        den = SurdSeries(
+            _random_series(rng, order, v), _random_series(rng, order, v + rng.randint(0, 1)), disc
+        )
+        if rng.random() < 0.1:
+            den = SurdSeries(XSeries.zero(order), XSeries.zero(order), disc)
+        num = SurdSeries(
+            _random_series(rng, order, rng.randint(0, 2 * v)),
+            _random_series(rng, order, rng.randint(0, 2 * v)),
+            disc,
+        )
+        try:
+            want = reference_series.surd_divide(num, den)
+        except ValueError as error:
+            with pytest.raises(type(error)) as got:
+                num.divide(den)
+            assert str(got.value) == str(error)
+            outcomes.add(type(error))
+        else:
+            _same_surd(num.divide(den), want)
+            outcomes.add(None)
+    assert outcomes == {None, NonDivisibleError, ZeroValuationError}
+
+
 def test_discriminant_one_folds_in_sqrt_and_divide():
     rng = random.Random(26)
     for _ in range(10):
@@ -392,6 +448,11 @@ def test_unscaling_stops_at_the_rest_of_lam_and_keeps_primes_past_the_sieve():
     kept = series._unscaled([1, 2003, 2003**2], 1, 2003, 2)
     assert (kept.nums, kept.lam) == ((1, 2003, 2003**2), 2003)
     assert kept.coeff_list() == [1, 1, 1]
+    # 2, 3 and 7 divide every numerator as often as they must and move;
+    # 5 does not, and 2003 is past the sieve
+    lam = 2 * 3 * 5 * 7 * 2003
+    moved = series._unscaled([1, 42, 42**2 * 11], 1, lam, 2)
+    assert (moved.nums, moved.lam) == ((1, 1, 11), 5 * 2003)
 
 
 def _assert_read_at_square(t_series, x_series, order):

@@ -76,9 +76,10 @@ RUNS = {
         {"dcpoly.brute", "dcpoly.verify", "dcpoly.closedform", "dcpoly.series",
          "fractions", "decimal"},
     ),
+    # the kernel suite is series algebra only: no census tables, no integer counts
     ("verify", "--suite", "kernel", "--order", "12"): (
         {"dcpoly.verify", "dcpoly.closedform"},
-        {"dcpoly.brute", "dcpoly.layered"},
+        {"dcpoly.brute", "dcpoly.layered", "dcpoly.counts", "dcpoly.ratios"},
     ),
 }
 

@@ -108,6 +108,43 @@ def test_kernel_suite_sees_a_wrong_factor_coefficient_from_its_x_degree(
     assert all(r.passed for r in verify.kernel_suite(kx - 1, (1,)))
 
 
+def test_the_integer_check_reads_numerators_on_their_lam_scale(monkeypatch):
+    # x^5 / 3^5 kept as numerator 1 over lam = 3: den alone is 1
+    real = closedform.kernel_sextic
+
+    def sextic(d, order):
+        coeffs = list(real(d, order))
+        coeffs[3] = coeffs[3] + XSeries([0] * 5 + [1], order, 1, 3)
+        return coeffs
+
+    monkeypatch.setattr(closedform, "kernel_sextic", sextic)
+    assert [r.detail for r in verify.kernel_suite(12, (1,)) if not r.passed] == [
+        "first offending coefficient: z^3 x^5 -> 1/243"
+    ]
+
+
+def test_a_radicand_bumped_in_t_fails_at_its_x_degree(monkeypatch, capsys):
+    # the radicals square back in t = x^2 and are read in x, so a wrong
+    # t^5 radicand coefficient is reported at x^10
+    real = closedform._radicals
+
+    def bumped(d, n):
+        triple = real(d, n)
+        base = triple.base
+        bump = XSeries.from_terms({5: 1}, n)
+        return triple._replace(base=closedform.Radical(base.value, base.radicand + bump))
+
+    monkeypatch.setattr(closedform, "_radicals", bumped)
+    code = cli.main(["verify", "--suite", "kernel", "--order", "12"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL [kernel] base radical squares back (d=%s): "
+        "first offending coefficient: x^10 -> -1" % d
+        for d in verify.DEFAULT_D_SAMPLES
+    ]
+
+
 def test_all_dispatch_covers_every_suite():
     results = verify.run_suites(["all"], order=8, d_samples=(Fraction(1),))
     assert {r.suite for r in results} == set(verify.SUITE_NAMES)
