@@ -9,22 +9,25 @@ Four subcommands cover the package surface:
 * ``ratios``  - the column-convex to diagonally-convex comparison table;
 * ``verify``  - the named identity suites, one PASS/FAIL line per check.
 
-Every output is deterministic for a given set of flags: tables are
-sorted, and files are written to a temporary name and renamed into
-place so a failure never leaves a partial file behind.  Exit codes: 0
-on success, 1 when a verification check fails, 2 on usage errors and
-on an ``--out`` path that cannot be written.
+Every output is deterministic for a given set of flags: census and
+series rows come in ``counts.sortable_key`` order, and files are
+written to a temporary name and renamed into place so a failure never
+leaves a partial file behind.  Exit codes: 0 on success, 1 when a
+verification check fails, 2 on usage errors and on an ``--out`` path
+that cannot be written.
 
 A subcommand imports only its engine (``ratios`` the integer ``ratios``
 module and the layered solve, no closed-form algebra): the handlers
 import it, and ``json``, ``tempfile`` and ``fractions`` load only on the
 paths that use them (``python -X importtime -m dcpoly.cli <sub> --help``
 shows it).
-The ``verify`` defaults are copied here, pinned equal by a test.
+The ``verify`` defaults live only here; ``SUITE_NAMES``, the one copy
+of ``verify``'s suite names, is pinned equal to them by a test.
 """
 
 import argparse
 import os
+import stat
 import sys
 
 FORMATS = ("table", "csv", "json", "bfile")
@@ -55,16 +58,6 @@ def _even_perimeter(minimum):
     return parse
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%r is not an integer" % (text,))
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer")
-    return value
-
-
 def _d_samples(text):
     from fractions import Fraction
     try:
@@ -89,16 +82,24 @@ def _d_samples(text):
 
 
 def write_text(text, path):
-    """Print to stdout, or write the file atomically via a rename."""
+    """Print to stdout, or write the file atomically via a rename, with
+    the permission bits ``open(path, "w")`` would leave."""
     if path is None:
         sys.stdout.write(text)
         return
     import tempfile
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     handle, tmp = tempfile.mkstemp(dir=directory, prefix=".dcpoly.")
     try:
         with os.fdopen(handle, "w") as stream:
             stream.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -120,38 +121,28 @@ def parse_bfile(text):
     return counts
 
 
-def _census_rows(projected):
-    from .counts import nose_label
-    rows = []
-    for key, count in projected.items():
-        parts = key if isinstance(key, tuple) else (key,)
-        text = tuple(str(c) if isinstance(c, int) else nose_label(c) for c in parts)
-        rows.append((text, count))
-    rows.sort(key=lambda row: tuple(
-        (0, int(part)) if part.isdigit() else (1, part) for part in row[0]
-    ))
-    return rows
+def _lines(sep, rows):
+    """One ``sep``-joined line per row of text cells."""
+    return "".join(sep.join(row) + "\n" for row in rows)
 
 
 def _render_table(header, rows):
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    for row in [header] + rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "".join(line + "\n" for line in lines)
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return _lines("  ", ([cell.rjust(w) for cell, w in zip(row, widths)]
+                         for row in [header] + rows))
 
 
-def _render_census(rows, fields, fmt):
-    if fmt == "bfile":
-        return "".join("%s %d\n" % ("/".join(key), count) for key, count in rows)
-    if fmt == "csv":
-        lines = ["key,count"]
-        lines.extend("%s,%d" % ("/".join(key), count) for key, count in rows)
-        return "".join(line + "\n" for line in lines)
-    if fmt == "json":
+def _emit_census(args, projected, fields):
+    """Census counts keyed by ``fields`` in ``args.format``, one row per
+    key in ``counts.sortable_key`` order."""
+    from .counts import sortable_key
+    if args.format == "bfile" and fields != ("perimeter",):
+        args.command_parser.error("bfile output needs plain perimeter keys")
+    rows = [
+        (tuple(map(str, key)), count)
+        for key, count in sorted((sortable_key(k), c) for k, c in projected.items())
+    ]
+    if args.format == "json":
         import json
         root = {}
         for key, count in rows:
@@ -159,16 +150,14 @@ def _render_census(rows, fields, fmt):
             for part in key[:-1]:
                 node = node.setdefault(part, {})
             node[key[-1]] = count
-        return json.dumps(root, indent=2) + "\n"
-    header = list(fields) + ["count"]
-    body = [list(key) + [str(count)] for key, count in rows]
-    return _render_table(header, body)
-
-
-def _emit_census(args, projected, fields):
-    if args.format == "bfile" and fields != ("perimeter",):
-        args.command_parser.error("bfile output needs plain perimeter keys")
-    return _render_census(_census_rows(projected), fields, args.format), 0
+        return json.dumps(root, indent=2) + "\n", 0
+    if args.format == "table":
+        body = [[*key, str(count)] for key, count in rows]
+        return _render_table(list(fields) + ["count"], body), 0
+    body = [("/".join(key), str(count)) for key, count in rows]
+    if args.format == "csv":
+        return _lines(",", [("key", "count")] + body), 0
+    return _lines(" ", body), 0
 
 
 def _cmd_series(args):
@@ -179,33 +168,22 @@ def _cmd_series(args):
 
 def _cmd_census(args):
     from . import brute
-    from .counts import CountTable
     table = brute.generate(args.max_perimeter)
-    fields = CountTable.FIELDS if args.classify else ("perimeter",)
+    fields = table.FIELDS if args.classify else ("perimeter",)
     return _emit_census(args, table.project(*fields), fields)
 
 
 def _cmd_ratios(args):
     from . import ratios
     rows = ratios.ratio_table(args.max_perimeter)
-    header = ["perimeter", "column_convex", "diagonally_convex", "ratio"]
-    if args.format == "csv":
-        lines = [",".join(header)]
-        lines.extend(
-            "%d,%d,%d,%s" % (r.perimeter, r.column_convex, r.diagonally_convex, r.ratio)
-            for r in rows
-        )
-        text = "".join(line + "\n" for line in lines)
-    elif args.format == "json":
+    if args.format == "json":
         import json
-        text = json.dumps([row._asdict() for row in rows], indent=2) + "\n"
-    else:
-        body = [
-            [str(r.perimeter), str(r.column_convex), str(r.diagonally_convex), r.ratio]
-            for r in rows
-        ]
-        text = _render_table(header, body)
-    return text, 0
+        return json.dumps([row._asdict() for row in rows], indent=2) + "\n", 0
+    header = list(ratios.RatioRow._fields)
+    body = [list(map(str, row)) for row in rows]
+    if args.format == "csv":
+        return _lines(",", [header] + body), 0
+    return _render_table(header, body), 0
 
 
 def _cmd_verify(args):
@@ -215,16 +193,13 @@ def _cmd_verify(args):
         args.command_parser.error(
             "suite %s needs --order of at least %d" % (args.suite, minimum)
         )
-    results = verify.run_suites(
-        [args.suite], order=args.order, d_samples=args.d_samples
-    )
-    lines = []
-    for r in results:
-        line = "%s [%s] %s" % ("PASS" if r.passed else "FAIL", r.suite, r.name)
-        if r.detail:
-            line += ": " + r.detail
-        lines.append(line)
-    failed = sum(1 for r in results if not r.passed)
+    results = verify.run_suites([args.suite], args.order, args.d_samples)
+    lines = [
+        "%s [%s] %s%s" % ("PASS" if r.passed else "FAIL", r.suite, r.name,
+                          ": " + r.detail if r.detail else "")
+        for r in results
+    ]
+    failed = sum(not r.passed for r in results)
     lines.append("%d checks, %d failed" % (len(results), failed))
     return "".join(line + "\n" for line in lines), 1 if failed else 0
 
@@ -295,7 +270,7 @@ def _build_parser():
     )
     check.add_argument(
         "--order",
-        type=_positive_int,
+        type=int,
         default=DEFAULT_ORDER,
         help="truncation order for the algebraic suites; the exhaustive"
         " cross-checks cap their perimeter at 40 (default %(default)s)",

@@ -275,6 +275,12 @@ def kernel_sextic(d, order):
     return _in_x([factors.plain * c for c in product], order)
 
 
+def _shape(e, n):
+    """The rational part (2 + e) - 2e t + (2 + e) t^2 + 2e t^3 of both
+    quartic roots' auxiliary series, at e = d^2, in t = x^2 through t^n."""
+    return XSeries.from_terms({0: 2 + e, 1: -2 * e, 2: 2 + e, 3: 2 * e}, n)
+
+
 def _roots(d, n):
     """:func:`roots` in t = x^2, through t^n."""
     d = Fraction(d)
@@ -294,7 +300,7 @@ def _roots(d, n):
     u = (inner * (1 / (4 + e))).sqrt()
     outside, core = _square_free_split((4 + e).numerator * (4 + e).denominator)
     w = SurdSeries(XSeries.zero(high), u * Fraction(outside, (4 + e).denominator), core)
-    shape = XSeries.from_terms({0: 2 + e, 1: -2 * e, 2: 2 + e, 3: 2 * e}, high)
+    shape = _shape(e, high)
     swing = XSeries.from_terms({0: d, 1: -d}, high) * w
     quartic_roots = []
     aux_pair = []
@@ -354,7 +360,7 @@ def kernel_residuals(d, order):
         work[i + 1] = work[i + 1] + lead * root_sum
         work[i + 2] = work[i + 2] - lead * root_product
     nested = _outer_radicals(e, n + 2)[1].value
-    shape = XSeries.from_terms({0: 2 + e, 1: -2 * e, 2: 2 + e, 3: 2 * e}, n + 2)
+    shape = _shape(e, n + 2)
     residuals = KernelResiduals(
         _eval_z_poly(factors.quadratic, r.quadratic),
         _eval_z_poly(factors.quartic, r.quartic_plus),

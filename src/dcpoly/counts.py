@@ -36,9 +36,11 @@ def nose_label(nose):
 
 
 def sortable_key(key):
-    """Total order for census keys; the nose compares by its label."""
-    perimeter, diagonals, nose, last_run = key
-    return (perimeter, diagonals, nose_label(nose), last_run)
+    """Total order for census keys and their projections: the fields in
+    order, the nose by its label.  A one-field projection's scalar key
+    orders as a one-tuple."""
+    fields = key if type(key) is tuple else (key,)
+    return tuple([f if type(f) is int else nose_label(f) for f in fields])
 
 
 class CountTable:

@@ -8,25 +8,20 @@ reports a named pass or fail per check, with the first offending
 coefficient or table key spelled out on failure.  The suites are pure
 functions; nothing is cached between calls.
 
-A suite is written as a generator of (check name, failure) pairs, where
-failure is None or the nonempty detail of what went wrong, and ``_suite``
-registers it in ``SUITES`` under its name, with its least order and its
-runner.  That table is the only list of suites.
+A suite ``<name>_suite(order, d_samples)`` is a generator of (check
+name, failure) pairs, failure None or the nonempty detail of what went
+wrong; ``_suite`` maps ``<name>`` to its least order in ``SUITES``, the
+only list of suites.  ``run_suites`` looks ``<name>_suite`` up on this
+module as it runs it, so a wrapper installed here sees every call.
 """
-
-from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 # the suites that walk shapes, solve or count import brute, layered, counts and
 # ratios: kernel loads none of them
 from . import closedform
-
-DEFAULT_D_SAMPLES = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3))
-
-DEFAULT_ORDER = 40
 
 # perimeter bound of the exhaustive cross-checks: the published range
 ORACLE_PERIMETER_CAP = 40
@@ -56,15 +51,8 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-class Suite(NamedTuple):
-    """A registered suite: the smallest order at which all its checks can
-    hold, or can catch a wrong coefficient, and ``run(order, d_samples)``."""
-
-    least_order: int
-    run: Callable
-
-
-# suite name -> Suite, in report order
+# suite name -> the smallest order at which all its checks can hold, or
+# can catch a wrong coefficient, in report order
 SUITES = {}
 
 
@@ -76,18 +64,19 @@ def _check(suite, name, failure=None):
     return CheckResult(suite, name, failure is None, failure or "")
 
 
-def _suite(name, least_order, run):
-    """Register the decorated generator of (check name, failure) pairs as
-    suite ``name``; called, it returns its checks as ``CheckResult``s.
-    ``run`` reaches the suite through its module name, so that a wrapper
-    installed there sees every call."""
+def _suite(least_order):
+    """Register the decorated generator ``<name>_suite`` of (check name,
+    failure) pairs as suite ``<name>`` with its least order; called, it
+    returns its checks as ``CheckResult``s."""
 
     def register(checks):
-        @functools.wraps(checks)
-        def suite(*args, **kwargs):
-            return [_check(name, check, failure) for check, failure in checks(*args, **kwargs)]
+        name = checks.__name__.removesuffix("_suite")
 
-        SUITES[name] = Suite(least_order, run)
+        @functools.wraps(checks)
+        def suite(order, d_samples):
+            return [_check(name, check, failure) for check, failure in checks(order, d_samples)]
+
+        SUITES[name] = least_order
         return suite
 
     return register
@@ -125,8 +114,8 @@ def _table_failure(left, right):
 
 
 # a wrong x^12 coefficient of the quartic kernel factor shows only from order 12
-@_suite("kernel", 12, lambda order, d_samples: kernel_suite(order, d_samples))
-def kernel_suite(order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES):
+@_suite(12)
+def kernel_suite(order, d_samples):
     """Radical, kernel-root, and symmetric-identity checks per sample.
 
     Each sample gets the three radical checks of
@@ -165,8 +154,8 @@ def kernel_suite(order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES):
 
 
 # the squared-marker residual the suite must see first appears at x^8
-@_suite("twonose", 8, lambda order, d_samples: twonose_suite(order))
-def twonose_suite(order):
+@_suite(8)
+def twonose_suite(order, d_samples):
     """The linear relation among the nose classes, and its convention."""
     from . import layered
     matching, squared = layered.two_nose_identity_residuals(order)
@@ -182,8 +171,8 @@ def twonose_suite(order):
 
 
 # every column-convex series is zero below x^4
-@_suite("columnconvex", 4, lambda order, d_samples: columnconvex_suite(order))
-def columnconvex_suite(order=DEFAULT_ORDER):
+@_suite(4)
+def columnconvex_suite(order, d_samples):
     """Equality of the three closed-form variants, plus the generator."""
     from . import brute, ratios
     for r in (Fraction(1), Fraction(1, 2)):
@@ -213,8 +202,8 @@ def columnconvex_suite(order=DEFAULT_ORDER):
     )
 
 
-@_suite("directed", 1, lambda order, d_samples: directed_suite())
-def directed_suite():
+@_suite(1)
+def directed_suite(order, d_samples):
     """Fixed point, binomial formula, and generator for directed shapes."""
     from . import brute
     series = closedform.directed_series(DIRECTED_FORMULA_DEPTH)
@@ -238,10 +227,11 @@ def directed_suite():
 
 
 # the layered census needs perimeter 4
-@_suite("oracle", 4, lambda order, d_samples: oracle_suite(min(order, ORACLE_PERIMETER_CAP)))
-def oracle_suite(max_perimeter=ORACLE_PERIMETER_CAP):
+@_suite(4)
+def oracle_suite(order, d_samples):
     """Layered and exhaustive joint census tables, key for key."""
     from . import brute, layered
+    max_perimeter = min(order, ORACLE_PERIMETER_CAP)
     yield (
         "layered and exhaustive censuses agree through perimeter %d" % max_perimeter,
         _table_failure(layered.joint_table(max_perimeter), brute.generate(max_perimeter)),
@@ -257,10 +247,10 @@ def _expand(name):
 
 def min_order(name):
     """The least ``order`` at which the named suite, or each of "all", can pass."""
-    return max(SUITES[n].least_order for n in _expand(name))
+    return max(SUITES[n] for n in _expand(name))
 
 
-def run_suites(names, order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES):
+def run_suites(names, order, d_samples):
     """Run the named suites and return their concatenated results.
 
     ``order`` is the truncation for the algebraic suites and doubles as
@@ -273,4 +263,4 @@ def run_suites(names, order=DEFAULT_ORDER, d_samples=DEFAULT_D_SAMPLES):
     for name in wanted:
         if name not in SUITES:
             raise ValueError("unknown suite %r" % (name,))
-    return [r for name in wanted for r in SUITES[name].run(order, d_samples)]
+    return [r for name in wanted for r in globals()[name + "_suite"](order, d_samples)]

@@ -5,8 +5,11 @@ keeps the tests fast and lets them assert on exact byte-for-byte output
 and on exit codes.
 """
 
+import argparse
 import hashlib
 import json
+import os
+import stat
 
 import pytest
 
@@ -63,7 +66,46 @@ def test_series_tables_render_the_joint_table_projection(capsys, by):
             capsys, "series", "--by", by, "--max-perimeter", "64", "--format", fmt
         )
         assert code == 0
-        assert out == cli._render_census(cli._census_rows(projected), fields, fmt)
+        assert (out, 0) == cli._emit_census(argparse.Namespace(format=fmt), projected, fields)
+
+
+def _listed_keys(out, fmt):
+    """The key cells of each row of a census or series table, in order."""
+    if fmt == "table":
+        return [tuple(line.split()[:-1]) for line in out.splitlines()[1:]]
+    sep = "," if fmt == "csv" else " "
+    rows = out.splitlines()[1:] if fmt == "csv" else out.splitlines()
+    return [tuple(line.split(sep)[0].split("/")) for line in rows]
+
+
+def _digit_parsing_order(key):
+    # the order the front end once sorted its text keys by: numbers by
+    # value, nose labels as text after them
+    return tuple((0, int(part)) if part.isdigit() else (1, part) for part in key)
+
+
+NOSE_LABELS = {"none", "one", "two", "zero"}
+
+
+@pytest.mark.parametrize(
+    "argv, formats, labels",
+    [
+        (("census", "--max-perimeter", "40", "--classify"), ("table", "csv"), NOSE_LABELS),
+        (("census", "--max-perimeter", "40"), ("table", "csv", "bfile"), set()),
+        (("series", "--by", "diagonals", "--max-perimeter", "64"), ("table", "csv"), set()),
+        (("series", "--by", "noses", "--max-perimeter", "64"), ("table", "csv"), NOSE_LABELS),
+        (("series", "--max-perimeter", "64"), ("table", "csv", "bfile"), set()),
+    ],
+    ids=("census-classified", "census", "series-diagonals", "series-noses", "series"),
+)
+def test_rows_come_in_sortable_key_order(capsys, argv, formats, labels):
+    for fmt in formats:
+        code, out = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        keys = _listed_keys(out, fmt)
+        assert len(set(keys)) == len(keys) > 1
+        assert {part for key in keys for part in key if not part.isdigit()} == labels
+        assert keys == sorted(keys, key=_digit_parsing_order)
 
 
 def test_series_json_nose_breakdown(capsys):
@@ -153,6 +195,7 @@ def test_verify_twonose_suite_passes(capsys):
         ("--suite", "oracle", "--order", "3"),
         ("--suite", "kernel", "--order", "11"),
         ("--suite", "columnconvex", "--order", "3"),
+        ("--suite", "directed", "--order", "0"),
     ],
 )
 def test_verify_rejects_order_below_suite_minimum(argv):
@@ -179,12 +222,9 @@ def test_verify_columnconvex_suite_passes_at_its_minimum_order(capsys):
     assert out.rstrip().endswith("5 checks, 0 failed")
 
 
-def test_verify_defaults_are_the_verify_module_defaults():
-    # the parser holds its own copies so that building it loads no engine
-    args = cli._build_parser().parse_args(["verify"])
+def test_cli_suite_names_are_the_verify_suite_names():
+    # the parser holds its own copy so that building it loads no engine
     assert cli.SUITE_NAMES == verify.SUITE_NAMES
-    assert args.order == verify.DEFAULT_ORDER
-    assert args.d_samples == verify.DEFAULT_D_SAMPLES
 
 
 def test_verify_default_d_samples_are_one_half_two_three(capsys):
@@ -258,6 +298,28 @@ def test_out_file_written_atomically(tmp_path, capsys):
     assert target.read_text() == SMALL_BFILE
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".dcpoly")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize(
+    "umask, existing, mode",
+    [(0o022, None, 0o644), (0o002, None, 0o664), (0o022, 0o664, 0o664), (0o002, 0o600, 0o600)],
+)
+def test_out_file_gets_the_mode_open_would_give(tmp_path, capsys, umask, existing, mode):
+    # a new file gets 0o666 less the umask; an existing one keeps its bits
+    target = tmp_path / "series.bfile"
+    if existing is not None:
+        target.write_text("old\n")
+        target.chmod(existing)
+    previous = os.umask(umask)
+    try:
+        code, out = run_cli(
+            capsys, "series", "--max-perimeter", "8", "--format", "bfile", "--out", str(target)
+        )
+    finally:
+        os.umask(previous)
+    assert (code, out) == (0, "")
+    assert target.read_text() == "4 1\n6 2\n8 7\n"
+    assert stat.S_IMODE(target.stat().st_mode) == mode
 
 
 def test_bfile_round_trip(capsys):

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from dcpoly.counts import CountTable, NoseClass
+from dcpoly.counts import CountTable, NoseClass, sortable_key
 
 
 def small_census():
@@ -66,3 +66,14 @@ def test_a_nose_class_found_by_value_or_unpickled_keys_the_same_entry():
     assert table[NoseClass("one")] == 1
     assert table[pickle.loads(pickle.dumps(NoseClass.ONE))] == 1
     assert NoseClass.ONE in table and NoseClass.TWO not in table
+
+
+def test_sortable_key_orders_any_projection_by_fields_then_nose_label():
+    assert sortable_key(8) == (8,)
+    assert sortable_key((8, NoseClass.ZERO)) == (8, "zero")
+    assert sortable_key((4, 1, None, 1)) == (4, 1, "none", 1)
+    noses = [None, NoseClass.ZERO, NoseClass.TWO, NoseClass.ONE]
+    keys = [(p, n) for p in (10, 8) for n in noses]
+    assert sorted(keys, key=sortable_key) == [
+        (p, n) for p in (8, 10) for n in (None, NoseClass.ONE, NoseClass.TWO, NoseClass.ZERO)
+    ]

@@ -13,10 +13,13 @@ from dcpoly import brute, cli, closedform, layered, verify
 from dcpoly.counts import NoseClass
 from dcpoly.series import SurdSeries, XSeries
 
+# the defaults live in the command line only
+SAMPLES = cli._d_samples(cli.DEFAULT_D_SAMPLES)
+
 
 def test_unknown_suite_name_rejected():
     with pytest.raises(ValueError):
-        verify.run_suites(["bogus"])
+        verify.run_suites(["bogus"], 12, SAMPLES)
 
 
 def test_an_unknown_name_is_rejected_before_any_suite_runs(monkeypatch):
@@ -25,10 +28,21 @@ def test_an_unknown_name_is_rejected_before_any_suite_runs(monkeypatch):
 
     monkeypatch.setattr(verify, "kernel_suite", refuse)
     with pytest.raises(ValueError, match="unknown suite 'bogus'"):
-        verify.run_suites(["kernel", "bogus"])
-    # the table reaches each suite through its module name
-    with pytest.raises(AssertionError, match="a suite ran"):
-        verify.run_suites(["kernel"])
+        verify.run_suites(["kernel", "bogus"], 12, SAMPLES)
+
+
+def test_run_suites_calls_a_wrapper_installed_on_each_suite(monkeypatch):
+    # every suite is looked up as <name>_suite on the module at the call,
+    # and all of them take the same (order, d_samples)
+    seen = []
+    for name in verify.SUITE_NAMES:
+        def wrapper(order, d_samples, name=name):
+            seen.append((name, order, d_samples))
+            return []
+
+        monkeypatch.setattr(verify, name + "_suite", wrapper)
+    assert verify.run_suites(["all"], 12, SAMPLES) == []
+    assert seen == [(name, 12, SAMPLES) for name in verify.SUITE_NAMES]
 
 
 def test_failure_reports_first_offending_coefficient():
@@ -141,7 +155,7 @@ def test_a_radicand_bumped_in_t_fails_at_its_x_degree(monkeypatch, capsys):
     assert [line for line in lines if line.startswith("FAIL")] == [
         "FAIL [kernel] base radical squares back (d=%s): "
         "first offending coefficient: x^10 -> -1" % d
-        for d in verify.DEFAULT_D_SAMPLES
+        for d in cli.DEFAULT_D_SAMPLES.split(",")
     ]
 
 
@@ -182,7 +196,7 @@ def test_twonose_reports_a_planted_term_and_exits_one(monkeypatch, capsys):
 
 def test_twonose_fails_when_the_squared_residual_vanishes(monkeypatch):
     monkeypatch.setattr(layered, "two_nose_identity_residuals", _planted(squared={}))
-    plain, variant = verify.twonose_suite(20)
+    plain, variant = verify.twonose_suite(20, SAMPLES)
     assert plain.passed
     assert not variant.passed
     assert variant.name == "squared-marker variant fails as expected"
@@ -242,7 +256,7 @@ def test_exhaustive_suites_report_a_planted_count_and_exit_one(
     assert fails[0].startswith("FAIL [%s] " % suite)
     assert fails[0].endswith(": " + detail)
     assert lines[-1].endswith(" checks, 1 failed")
-    assert all(r.passed == (r.detail == "") for r in verify.run_suites([suite], 12))
+    assert all(r.passed == (r.detail == "") for r in verify.run_suites([suite], 12, SAMPLES))
 
 
 def _nested_off_by_half(real):
@@ -327,13 +341,13 @@ def test_planted_closed_form_faults_report_their_detail_and_exit_one(
     assert code == 1
     assert [line for line in lines if line.startswith("FAIL")] == fails
     assert lines[-1] == "%d checks, %d failed" % (len(lines) - 1, len(fails))
-    results = verify.run_suites([suite], int(order))
+    results = verify.run_suites([suite], int(order), SAMPLES)
     assert sum(not r.passed for r in results) == len(fails)
     assert all(r.passed == (r.detail == "") for r in results)
 
 
 def test_a_check_passes_exactly_when_its_detail_is_empty():
-    results = verify.run_suites(["all"], 12)
+    results = verify.run_suites(["all"], 12, SAMPLES)
     assert len(results) == 53
     assert all(r.passed and r.detail == "" for r in results)
 
