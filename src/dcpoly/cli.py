@@ -12,9 +12,11 @@ Four subcommands cover the package surface:
 Every output is deterministic for a given set of flags: census and
 series rows come in ``counts.sortable_key`` order, and files are
 written to a temporary name and renamed into place so a failure never
-leaves a partial file behind.  Exit codes: 0 on success, 1 when a
-verification check fails, 2 on usage errors and on an ``--out`` path
-that cannot be written.
+leaves a partial file behind; a symlink is written through, as ``>``
+would.  Exit codes: 0 on success, 1 when a verification check fails,
+2 on usage errors, on an ``--out`` path that cannot be written and on
+a ``ValueError``, ``ArithmeticError`` or ``RuntimeError`` from an
+engine, reported as one line on stderr.
 
 A subcommand imports only its engine (``ratios`` the integer ``ratios``
 module and the layered solve, no closed-form algebra): the handlers
@@ -83,18 +85,20 @@ def _d_samples(text):
 
 def write_text(text, path):
     """Print to stdout, or write the file atomically via a rename, with
-    the permission bits ``open(path, "w")`` would leave."""
+    the permission bits ``open(path, "w")`` would leave; a symlink is
+    resolved first, so the text lands in its target."""
     if path is None:
         sys.stdout.write(text)
         return
     import tempfile
+    path = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.path.dirname(path)
     handle, tmp = tempfile.mkstemp(dir=directory, prefix=".dcpoly.")
     try:
         with os.fdopen(handle, "w") as stream:
@@ -302,7 +306,13 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    text, code = args.handler(args)
+    # the bases of the engines' errors (InvariantError and
+    # NonConvergenceError are RuntimeErrors), so no engine is imported here
+    try:
+        text, code = args.handler(args)
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        args.command_parser.exit(2, "%s: error: %s: %s\n" % (
+            args.command_parser.prog, type(exc).__name__, exc))
     try:
         write_text(text, args.out)
     except OSError as exc:

@@ -49,7 +49,7 @@ from typing import NamedTuple
 from .series import SurdSeries, XSeries
 
 # re-exported from ratios, which is imported on first use (see __getattr__)
-_FROM_RATIOS = ("RatioRow", "column_convex_perimeter_counts", "ratio_table", "round_half_even")
+_FROM_RATIOS = ("RatioRow", "column_convex_perimeter_counts", "ratio_table")
 
 
 def __getattr__(name):
@@ -98,17 +98,16 @@ class KernelRoots(NamedTuple):
     ``quadratic`` is the series root of the quadratic factor;
     ``quartic_plus`` and ``quartic_minus`` are the two series roots of
     the quartic factor, labelled by the sign in front of the auxiliary
-    radical.  ``aux_plus`` and ``aux_minus`` expose that auxiliary pair:
-    the quartic factor splits over them into two quadratics in z, and
-    each series root solves x^4 z^2 - (aux/2) z + 1 = 0.  These four are
-    ``SurdSeries`` over Q(sqrt D), D the square-free part of 4 + d^2.
+    radical in the series aux of ``_roots``: the quartic splits into two
+    quadratics in z, one per sign, and each series root solves
+    x^4 z^2 - (aux/2) z + 1 = 0 with its sign's aux.  Both roots are
+    ``SurdSeries`` over Q(sqrt D): for d = p/q in lowest terms,
+    4 + d^2 = m/q^2 and D = m, or D = 1 when m is a perfect square.
     """
 
     quadratic: XSeries
     quartic_plus: SurdSeries
     quartic_minus: SurdSeries
-    aux_plus: SurdSeries
-    aux_minus: SurdSeries
 
 
 class KernelResiduals(NamedTuple):
@@ -134,24 +133,6 @@ class KernelResiduals(NamedTuple):
 
 
 CC_VARIANTS = ("ratio", "nested", "split")
-
-
-def _square_free_split(m):
-    """Write a positive integer as outside^2 * core with core square free."""
-    outside = 1
-    core = 1
-    k = 2
-    while k * k <= m:
-        if m % k == 0:
-            e = 0
-            while m % k == 0:
-                m //= k
-                e += 1
-            outside *= k ** (e // 2)
-            if e % 2:
-                core *= k
-        k += 1
-    return outside, core * m
 
 
 def _in_x(value, order):
@@ -222,7 +203,14 @@ def radical_residuals(d, order):
 
 
 def _kernel_factors(d, n):
-    """:func:`kernel_factors` in t = x^2, through t^n."""
+    """The factored kernel at diagonal-marker sample ``d``, in t = x^2
+    through t^n.
+
+    The full kernel is the product of the three returned factors.  The
+    z-coefficient lists are ascending; the quartic is palindromic up to
+    powers of t^2, which is what makes its series roots come in the two
+    aux-labelled pairs of :func:`roots`.
+    """
     d = Fraction(d)
     e = d * d
     plain = XSeries.from_terms(
@@ -246,17 +234,6 @@ def _kernel_factors(d, n):
         XSeries.from_terms({4: 1}, n),
     )
     return KernelFactors(plain, quadratic, quartic)
-
-
-def kernel_factors(d, order):
-    """The factored kernel at diagonal-marker sample ``d``.
-
-    The full kernel is the product of the three returned factors.  The
-    z-coefficient lists are ascending; the quartic is palindromic up to
-    powers of x^4, which is what makes its series roots come in the two
-    aux-labelled pairs produced by :func:`roots`.
-    """
-    return _in_x(_kernel_factors(d, order // 2), order)
 
 
 def kernel_sextic(d, order):
@@ -293,25 +270,24 @@ def _roots(d, n):
     quadratic_root = numerator.shift_down(2) * Fraction(1, 2)
 
     # sqrt(inner) = sqrt(4 + e) * u with u rational, as inner / (4 + e) has
-    # constant term 1; sqrt(4 + e) = (outside / denominator) * sqrt(core).
+    # constant term 1; with d = p/q, 4 + e = m/q^2 and sqrt(4 + e) =
+    # sqrt(m)/q, or isqrt(m)/q * sqrt(1) when m is a perfect square
     inner = XSeries.from_terms({0: 1, 1: 1}, high) * XSeries.from_terms(
         {0: 4 + e, 1: 4 - 3 * e, 2: 4 * e}, high
     )
     u = (inner * (1 / (4 + e))).sqrt()
-    outside, core = _square_free_split((4 + e).numerator * (4 + e).denominator)
-    w = SurdSeries(XSeries.zero(high), u * Fraction(outside, (4 + e).denominator), core)
+    m = (4 + e).numerator
+    r = math.isqrt(m)
+    disc, scale = (1, r) if r * r == m else (m, 1)
+    w = SurdSeries(XSeries.zero(high), u * Fraction(scale, d.denominator), disc)
     shape = _shape(e, high)
     swing = XSeries.from_terms({0: d, 1: -d}, high) * w
     quartic_roots = []
-    aux_pair = []
     for aux in (shape + swing, shape - swing):
         radicand = aux * aux - XSeries.from_terms({2: 16}, high)
         s = radicand.sqrt((aux.a.coefficient(0), aux.b.coefficient(0)))
         quartic_roots.append((aux - s).shift_down(2) * Fraction(1, 4))
-        aux_pair.append(aux.truncate(n))
-    return KernelRoots(
-        quadratic_root, quartic_roots[0], quartic_roots[1], aux_pair[0], aux_pair[1]
-    )
+    return KernelRoots(quadratic_root, *quartic_roots)
 
 
 def roots(d, order):

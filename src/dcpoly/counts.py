@@ -1,8 +1,9 @@
 """Joint census tables for convex polyomino families.
 
 Both the layered iteration and the exhaustive generator can report the
-same joint statistic per shape, so their outputs meet in one container
-and can be compared key by key.  A key is the tuple
+same joint statistic per shape, so their outputs meet in one table,
+a ``dict`` subclass from key to count, and compare key by key as
+plain dicts do.  A key is the tuple
 
     (perimeter, diagonals, nose, last_run)
 
@@ -43,37 +44,11 @@ def sortable_key(key):
     return tuple([f if type(f) is int else nose_label(f) for f in fields])
 
 
-class CountTable:
-    """Multiset of shapes keyed by (perimeter, diagonals, nose, last_run)."""
+class CountTable(dict):
+    """Multiset of shapes: a dict from (perimeter, diagonals, nose,
+    last_run) to the number of shapes with that key."""
 
     FIELDS = ("perimeter", "diagonals", "nose", "last_run")
-
-    def __init__(self, counts=None):
-        self.counts = dict(counts) if counts else {}
-
-    def add(self, perimeter, diagonals, nose, last_run, count=1):
-        if count == 0:
-            return
-        key = (perimeter, diagonals, nose, last_run)
-        new = self.counts.get(key, 0) + count
-        if new:
-            self.counts[key] = new
-        else:
-            del self.counts[key]
-
-    def items(self):
-        return self.counts.items()
-
-    def total(self):
-        return sum(self.counts.values())
-
-    def __len__(self):
-        return len(self.counts)
-
-    def __eq__(self, other):
-        if not isinstance(other, CountTable):
-            return NotImplemented
-        return self.counts == other.counts
 
     def project(self, *fields):
         """Marginal counts over a subset of the key fields.
@@ -87,7 +62,7 @@ class CountTable:
                 raise ValueError("unknown field %r" % (f,))
             idx.append(self.FIELDS.index(f))
         out = {}
-        for key, count in self.counts.items():
+        for key, count in self.items():
             k = key[idx[0]] if len(idx) == 1 else tuple(key[i] for i in idx)
             out[k] = out.get(k, 0) + count
         return out
@@ -96,9 +71,4 @@ class CountTable:
         return self.project("perimeter")
 
     def restrict_perimeter(self, max_perimeter):
-        return CountTable(
-            {k: v for k, v in self.counts.items() if k[0] <= max_perimeter}
-        )
-
-    def __repr__(self):
-        return "CountTable(%d keys, %d shapes)" % (len(self.counts), self.total())
+        return CountTable({k: v for k, v in self.items() if k[0] <= max_perimeter})

@@ -365,12 +365,11 @@ def joint_table(order):
     packed = solve(order)
     # every (kx, kd, cls, m) key comes from one int's slot, so none repeats
     table = CountTable({(4, 1, None, 1): 1})
-    counts = table.counts
     for cls, drows in zip(CLASS_ORDER, packed.rows):
         for kd, row in enumerate(drows):
             for m, v in enumerate(row):
                 slots = packed.slots.unpack(v)
-                counts.update(zip(zip(slots, repeat(kd), repeat(cls), repeat(m)), slots.values()))
+                table.update(zip(zip(slots, repeat(kd), repeat(cls), repeat(m)), slots.values()))
     return table
 
 

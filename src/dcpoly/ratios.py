@@ -75,11 +75,6 @@ def _decimal(numerator, denominator, places):
     return sign + ("%d.%0*d" % (whole, places, frac) if places else str(whole))
 
 
-def round_half_even(value, places):
-    """An int or ``Fraction`` as a decimal string, rounded as a bank does: ties to even."""
-    return _decimal(value.numerator, value.denominator, places)
-
-
 def ratio_table(max_perimeter):
     """Rows comparing column-convex to diagonally convex counts: for every
     even perimeter from 4 to ``max_perimeter``, both exact counts and

@@ -460,9 +460,6 @@ class SurdSeries:
     def shift_down(self, k):
         return SurdSeries(self.a.shift_down(k), self.b.shift_down(k), self.disc)
 
-    def truncate(self, new_order):
-        return SurdSeries(self.a.truncate(new_order), self.b.truncate(new_order), self.disc)
-
     def at_square(self, order):
         """Both parts read at t = x^2 through x^order (see XSeries.at_square)."""
         return SurdSeries(self.a.at_square(order), self.b.at_square(order), self.disc)

@@ -102,9 +102,9 @@ def _terms_failure(terms):
 def _table_failure(left, right):
     """The first key at which two census tables differ."""
     from .counts import nose_label, sortable_key
-    for key in sorted(left.counts.keys() | right.counts.keys(), key=sortable_key):
-        a = left.counts.get(key, 0)
-        b = right.counts.get(key, 0)
+    for key in sorted(left.keys() | right.keys(), key=sortable_key):
+        a = left.get(key, 0)
+        b = right.get(key, 0)
         if a != b:
             perimeter, diagonals, nose, last_run = key
             return "first differing key (%d, %d, %s, %d): %d vs %d" % (

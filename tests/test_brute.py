@@ -109,7 +109,8 @@ def oracle_table(shapes):
             (lo, hi), (lo2, hi2) = runs[-2], runs[-1]
             hits = (1 if lo2 <= lo <= hi2 else 0) + (1 if lo2 <= hi + 1 <= hi2 else 0)
             nose = NOSE_BY_COUNT[hits]
-        table.add(perimeter_of(cells), len(runs), nose, runs[-1][1] - runs[-1][0] + 1)
+        key = (perimeter_of(cells), len(runs), nose, runs[-1][1] - runs[-1][0] + 1)
+        table[key] = table.get(key, 0) + 1
     return table
 
 
@@ -163,14 +164,14 @@ def perimeter_twelve():
 
 def test_tiny_census_by_hand():
     table = generate(8)
-    want = CountTable()
-    want.add(4, 1, None, 1)
-    want.add(6, 2, NoseClass.ONE, 1, 2)
-    want.add(8, 2, NoseClass.TWO, 2)
-    want.add(8, 3, NoseClass.ONE, 1, 4)
-    want.add(8, 2, NoseClass.ZERO, 1)
-    want.add(8, 3, NoseClass.ZERO, 1)
-    assert table == want
+    assert table == {
+        (4, 1, None, 1): 1,
+        (6, 2, NoseClass.ONE, 1): 2,
+        (8, 2, NoseClass.TWO, 2): 1,
+        (8, 3, NoseClass.ONE, 1): 4,
+        (8, 2, NoseClass.ZERO, 1): 1,
+        (8, 3, NoseClass.ZERO, 1): 1,
+    }
 
 
 def test_generator_agrees_with_cell_set_oracle(perimeter_twelve):

@@ -10,10 +10,14 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dcpoly import brute, cli, layered, verify
+import dcpoly
+from dcpoly import brute, cli, layered, ratios, verify
 
 SMALL_BFILE = "4 1\n6 2\n8 7\n10 28\n12 122\n"
 
@@ -320,6 +324,63 @@ def test_out_file_gets_the_mode_open_would_give(tmp_path, capsys, umask, existin
     assert (code, out) == (0, "")
     assert target.read_text() == "4 1\n6 2\n8 7\n"
     assert stat.S_IMODE(target.stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys, existing):
+    # as ``> link`` does: the link stays a link, and its target, new or
+    # not, gets the text
+    real = tmp_path / "real"
+    if existing:
+        real.write_text("old\n")
+    link = tmp_path / "link"
+    link.symlink_to(real)
+    code, out = run_cli(
+        capsys, "series", "--max-perimeter", "4", "--format", "bfile", "--out", str(link)
+    )
+    assert (code, out) == (0, "")
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text() == "4 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
+
+@pytest.mark.parametrize(
+    "module, name, sub, error",
+    [
+        pytest.param(layered, "marginals", "series", ValueError, id="ValueError"),
+        pytest.param(ratios, "ratio_table", "ratios", ArithmeticError, id="ArithmeticError"),
+        pytest.param(brute, "generate", "census", layered.InvariantError, id="InvariantError"),
+        pytest.param(
+            verify, "run_suites", "verify", layered.NonConvergenceError, id="NonConvergenceError"
+        ),
+    ],
+)
+def test_an_engine_error_exits_2_with_one_line(monkeypatch, capsys, module, name, sub, error):
+    def fail(*args):
+        raise error("planted")
+
+    monkeypatch.setattr(module, name, fail)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dcpoly %s: error: %s: planted\n" % (sub, error.__name__)
+
+
+def test_verify_at_a_large_denominator_sample_finishes():
+    # 4 + d^2 = m/q^2 with m near 4 * 10^18: its root is sqrt(m)/q, found
+    # without factoring m
+    env = dict(os.environ)
+    src = str(Path(dcpoly.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcpoly.cli", "verify", "--suite", "kernel",
+         "--order", "12", "--d-samples", "1/1000000007"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("\n10 checks, 0 failed\n")
 
 
 def test_bfile_round_trip(capsys):

@@ -14,18 +14,16 @@ import pytest
 
 import reference_series
 
-from dcpoly import brute, layered, ratios
+from dcpoly import brute, closedform, layered, ratios
 from dcpoly.closedform import (
     column_convex_gf,
     column_convex_perimeter_counts,
     directed_series,
-    kernel_factors,
     kernel_residuals,
     kernel_sextic,
     radicals,
     ratio_table,
     roots,
-    round_half_even,
     ternary_count,
 )
 from dcpoly.series import XSeries
@@ -57,19 +55,21 @@ def test_radicals_square_back(d):
 
 
 def test_quadratic_factor_at_unit_sample():
-    factors = kernel_factors(1, 8)
+    # in t = x^2: 1 - (1 + t^2 - t^3) z + t^2 z^2
+    factors = closedform._kernel_factors(1, 4)
     assert factors.quadratic == (
-        XSeries.one(8),
-        XSeries.from_terms({6: 1, 4: -1, 0: -1}, 8),
-        XSeries.from_terms({4: 1}, 8),
+        XSeries.one(4),
+        XSeries.from_terms({3: 1, 2: -1, 0: -1}, 4),
+        XSeries.from_terms({2: 1}, 4),
     )
 
 
 def test_plain_factor_boundary_terms():
-    plain = kernel_factors(2, 24).plain
+    # x^0, x^20 and x^22 are t^0, t^10 and t^11
+    plain = closedform._kernel_factors(2, 12).plain
     assert plain.coefficient(0) == -1
-    assert plain.coefficient(20) == 1
-    assert plain.coefficient(22) == 4
+    assert plain.coefficient(10) == 1
+    assert plain.coefficient(11) == 4
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))
@@ -95,9 +95,11 @@ def test_radicals_reject_minus_two_naming_the_sample():
 
 
 def test_quartic_roots_live_in_expected_extension():
-    aux = roots(Fraction(1, 2), 8).aux_plus
-    assert aux.disc == 17
-    assert (aux.a.coefficient(0), aux.b.coefficient(0)) == (Fraction(9, 4), Fraction(1, 4))
+    # 4 + (1/2)^2 = 17/4; the root's constant term is 2/aux(0), with
+    # aux(0) = (9 + sqrt 17)/4, which is (9 - sqrt 17)/8
+    root = roots(Fraction(1, 2), 8).quartic_plus
+    assert root.disc == 17
+    assert (root.a.coefficient(0), root.b.coefficient(0)) == (Fraction(9, 8), Fraction(-1, 8))
 
 
 @pytest.mark.parametrize("order", (23, 24))
@@ -146,17 +148,6 @@ def test_quartic_minus_is_the_conjugate_of_quartic_plus(d):
     assert not r.quartic_plus.b.is_zero()
     assert r.quartic_minus.a == r.quartic_plus.a
     assert r.quartic_minus.b == -r.quartic_plus.b
-
-
-@pytest.mark.parametrize("d", D_SAMPLES)
-def test_quartic_roots_solve_their_aux_quadratic(d):
-    """Each series root solves x^4 z^2 - (aux/2) z + 1 = 0."""
-    r = roots(d, 12)
-    x4 = XSeries.from_terms({4: 1}, 12)
-    one = XSeries.one(12)
-    for root, aux in ((r.quartic_plus, r.aux_plus), (r.quartic_minus, r.aux_minus)):
-        residual = x4 * root * root - aux * root * Fraction(1, 2) + one
-        assert residual.is_zero()
 
 
 @pytest.mark.parametrize("order", (16, 17))
@@ -275,14 +266,15 @@ def test_ternary_count_prefix():
 
 
 def test_round_half_even_rendering():
-    assert round_half_even(Fraction(1, 8), 4) == "0.1250"
-    assert round_half_even(Fraction(100005, 100000), 4) == "1.0000"
-    assert round_half_even(Fraction(100015, 100000), 4) == "1.0002"
-    assert round_half_even(Fraction(-1, 8), 4) == "-0.1250"
-    assert round_half_even(Fraction(5, 2), 0) == "2"
-    assert round_half_even(Fraction(7, 2), 0) == "4"
-    assert round_half_even(3, 4) == round_half_even(Fraction(3), 4) == "3.0000"
-    assert round_half_even(-2, 0) == round_half_even(Fraction(-2), 0) == "-2"
+    decimal = ratios._decimal
+    assert decimal(1, 8, 4) == "0.1250"
+    assert decimal(100005, 100000, 4) == "1.0000"
+    assert decimal(100015, 100000, 4) == "1.0002"
+    assert decimal(-1, 8, 4) == "-0.1250"
+    assert decimal(5, 2, 0) == "2"
+    assert decimal(7, 2, 0) == "4"
+    assert decimal(3, 1, 4) == decimal(6, 2, 4) == "3.0000"
+    assert decimal(-2, 1, 0) == decimal(-4, 2, 0) == "-2"
 
 
 def test_ratio_text_depends_only_on_the_ratio(monkeypatch):

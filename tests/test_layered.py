@@ -106,7 +106,7 @@ def test_joint_table_projects_to_perimeter_counts():
     table = joint_table(12)
     assert table.by_perimeter() == {k: v for k, v in KNOWN_PREFIX.items() if k <= 12}
     # every multi-diagonal key carries a real nose class
-    for (pe, di, nose, la) in table.counts:
+    for (pe, di, nose, la) in table:
         assert (nose is None) == (di == 1)
         assert la >= 1 and pe >= 2 * di + 2
 
@@ -123,7 +123,7 @@ def test_perimeter_is_at_least_twice_diagonals_plus_final_run(make_table, max_di
     with k diagonals and m cells on its final diagonal has perimeter at
     least 2(k + m), and some shape reaches the bound at every k."""
     tight = set()
-    for (pe, di, _, la) in make_table().counts:
+    for (pe, di, _, la) in make_table():
         assert pe >= 2 * (di + la)
         if pe == 2 * (di + la):
             tight.add(di)

@@ -204,12 +204,12 @@ def test_twonose_fails_when_the_squared_residual_vanishes(monkeypatch):
 
 
 def _one_more_single_cell(table):
-    table.add(4, 1, None, 1)
+    table[(4, 1, None, 1)] += 1
     return table
 
 
 def _one_more_one_nose_shape(table):
-    table.add(8, 3, NoseClass.ONE, 1)
+    table[(8, 3, NoseClass.ONE, 1)] += 1
     return table
 
 
