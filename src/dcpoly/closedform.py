@@ -34,10 +34,11 @@ odd powers.
 The diagonal marker d enters every formula polynomially, so identities
 are verified at several rational sample values rather than symbolically;
 vanishing at four samples to high x-order leaves no room for a wrong
-transcription.  All arithmetic is exact.  Roots whose constant terms are
-irrational are ``SurdSeries`` pairs a + b*sqrt(D) of rational series; an
-identity about them holds only when both parts vanish, so the irrational
-part is checked, never assumed.
+transcription.  All arithmetic is exact.  Only the quartic kernel roots,
+through sqrt(4 + d^2), have irrational constant terms: they are
+``SurdSeries`` pairs a + b*sqrt(D) of rational series, and an identity
+about them holds only when both parts vanish, so the irrational part is
+checked, never assumed.  Every other series here is rational.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class KernelRoots(NamedTuple):
     quadratics in z, one per sign, and each series root solves
     x^4 z^2 - (aux/2) z + 1 = 0 with its sign's aux.  Both roots are
     ``SurdSeries`` over Q(sqrt D): for d = p/q in lowest terms,
-    4 + d^2 = m/q^2 and D = m, or D = 1 when m is a perfect square.
+    4 + d^2 = m/q^2 and D = m, stored as D = 1 when m is a perfect square.
     """
 
     quadratic: XSeries
@@ -270,16 +271,12 @@ def _roots(d, n):
     quadratic_root = numerator.shift_down(2) * Fraction(1, 2)
 
     # sqrt(inner) = sqrt(4 + e) * u with u rational, as inner / (4 + e) has
-    # constant term 1; with d = p/q, 4 + e = m/q^2 and sqrt(4 + e) =
-    # sqrt(m)/q, or isqrt(m)/q * sqrt(1) when m is a perfect square
+    # constant term 1; with d = p/q, 4 + e = m/q^2 and sqrt(4 + e) = sqrt(m)/q
     inner = XSeries.from_terms({0: 1, 1: 1}, high) * XSeries.from_terms(
         {0: 4 + e, 1: 4 - 3 * e, 2: 4 * e}, high
     )
     u = (inner * (1 / (4 + e))).sqrt()
-    m = (4 + e).numerator
-    r = math.isqrt(m)
-    disc, scale = (1, r) if r * r == m else (m, 1)
-    w = SurdSeries(XSeries.zero(high), u * Fraction(scale, d.denominator), disc)
+    w = SurdSeries(XSeries.zero(high), u * Fraction(1, d.denominator), (4 + e).numerator)
     shape = _shape(e, high)
     swing = XSeries.from_terms({0: d, 1: -d}, high) * w
     quartic_roots = []
@@ -390,19 +387,14 @@ def _cc_ratio(r, order):
 
 
 def _cc_nested(r, order):
-    y_squared, co = _cc_frame(r, order)
+    """The outer radical sqrt(1 + x^2 + inner) is sqrt(2) v with v rational
+    of constant term 1, so 2 sqrt(2) / (3 sqrt(2) - sqrt(2) v) = 2 / (3 - v)."""
+    _, co = _cc_frame(r, order)
     corner = XSeries.from_terms({4: 16 * r * r}, order).divide(co * co)
     inner = (XSeries.from_terms({0: 1, 2: -2, 4: 1}, order) - corner).sqrt()
-    zero = XSeries.zero(order)
-    root_two = SurdSeries(zero, XSeries.one(order), 2)
-    outer = SurdSeries(XSeries.from_terms({0: 1, 2: 1}, order) + inner, zero, 2).sqrt((0, 1))
-    fraction_part = (root_two * 2).divide(root_two * 3 - outer)
-    full = co * (1 - fraction_part)
-    if not full.b.is_zero():
-        raise ArithmeticError(
-            "irrational part of the nested column-convex form did not cancel"
-        )
-    return full.a
+    v = ((XSeries.from_terms({0: 1, 2: 1}, order) + inner) * Fraction(1, 2)).sqrt()
+    fraction_part = XSeries.from_terms({0: 2}, order).divide(XSeries.from_terms({0: 3}, order) - v)
+    return co * (XSeries.one(order) - fraction_part)
 
 
 def _cc_split(r, order):
@@ -430,10 +422,9 @@ def column_convex_gf(variant, r, order):
     series and differ only in how the radicals are arranged:
 
     * ``"ratio"``   - one rational prefactor and two stacked radicals;
-    * ``"nested"``  - one radical inside another, evaluated over Q(sqrt 2)
-      as a ``SurdSeries``, whose irrational part must vanish (checked);
-    * ``"split"``   - two independent radicals and rational arithmetic
-      only, the cheapest shape for large orders.
+    * ``"nested"``  - one radical inside another; the outer one is sqrt(2)
+      times a rational series, and sqrt(2) cancels, so it runs over Q;
+    * ``"split"``   - two independent radicals, the cheapest at large orders.
     """
     r = Fraction(r)
     if variant == "ratio":
@@ -448,15 +439,12 @@ def column_convex_gf(variant, r, order):
 def ternary_count(k):
     """Number of directed shapes with k diagonals, in closed form.
 
-    The count is binomial(3k+1, k)/(3k+1); the division is checked to be
-    exact.
+    The count is the Fuss-Catalan number binomial(3k+1, k)/(3k+1), an
+    integer for every k >= 0.
     """
     if k < 0:
         raise ValueError("diagonal count must be nonnegative")
-    quotient, remainder = divmod(math.comb(3 * k + 1, k), 3 * k + 1)
-    if remainder:
-        raise ArithmeticError("ternary formula failed to divide at k=%d" % (k,))
-    return quotient
+    return math.comb(3 * k + 1, k) // (3 * k + 1)
 
 
 def directed_series(order):

@@ -154,19 +154,18 @@ def _add(p, q):
     return [u + v for u, v in zip(p, q)] + p[len(q):]
 
 
-def _tail_sum(series, shift=0):
-    """z^m coefficient becomes sum_{k>m} s_k x^(2(k-m-1)), for m = 0..D-1,
-    with x^2 a shift by ``shift`` bits (at 0, the plain suffix sums)."""
+def _tail_sum(series):
+    """z^m coefficient becomes sum_{k>m} s_k, for m = 0..D-1: the suffix sums."""
     out = series[1:]
     for m in range(len(out) - 2, -1, -1):
-        out[m] += out[m + 1] << shift
+        out[m] += out[m + 1]
     return out
 
 
-def _tail_weighted(series, shift=0):
-    """z^m coefficient becomes sum_{k>m} (k-m) s_k, for m >= 1, in the same
-    frame as ``_tail_sum``: the doubled tail sum, moved up one z-index."""
-    return [0] + _tail_sum(_tail_sum(series, shift), shift)
+def _tail_weighted(series):
+    """z^m coefficient becomes sum_{k>m} (k-m) s_k, for m >= 1: the doubled
+    tail sum, moved up one z-index."""
+    return [0] + _tail_sum(_tail_sum(series))
 
 
 def _linear_step(delta, k, slots):

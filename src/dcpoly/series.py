@@ -8,13 +8,14 @@ Two series types cover the closed-form algebra:
   ring.
 
 * ``SurdSeries``: a pair a + b*sqrt(D) of ``XSeries``, for the roots
-  whose constant terms are irrational.  It adds, multiplies, divides
-  through the rational norm a^2 - D*b^2, and takes square roots from
-  a given constant root.  An identity over Q(sqrt D) holds only when
-  both parts vanish, so the irrational part is always checked.  Two
-  pairs with nonzero irrational parts multiply in three products on one
-  scale, ac, be and (a + b)(c + e), as ac + D*be + ((a + b)(c + e) - ac
-  - be)*sqrt(D); division takes the norm's reciprocal once for both parts.
+  whose constant terms are irrational; a perfect square D is stored as
+  D = 1, with b folded into a.  It adds, multiplies, divides through the
+  rational norm a^2 - D*b^2, and takes square roots from a given
+  constant root.  An identity over Q(sqrt D) holds only when both parts
+  vanish, so the irrational part is always checked.  Two pairs with
+  nonzero irrational parts multiply in three products on one scale, ac,
+  be and (a + b)(c + e), as ac + D*be + ((a + b)(c + e) - ac -
+  be)*sqrt(D); division takes the norm's reciprocal once for both parts.
 
 The layered iteration needs neither: it runs on packed integers in
 ``dcpoly.layered``.
@@ -359,7 +360,8 @@ class SurdSeries:
     ``a`` and ``b`` are rational ``XSeries`` of one order and ``disc`` is
     a positive integer.  In ``+``, ``-`` and ``*`` an ``XSeries`` or a
     rational reads as (x, 0); pairs over two discriminants do not mix.
-    Since sqrt(1) = 1, a pair over ``disc`` 1 folds ``b`` into ``a``.
+    Over a perfect square disc = r^2 the pair folds to (a + r*b, 0) over
+    ``disc`` 1, so a zero value always has both parts zero.
     """
 
     __slots__ = ("a", "b", "disc")
@@ -367,8 +369,9 @@ class SurdSeries:
     def __init__(self, a, b, disc):
         if disc <= 0 or a.order != b.order:
             raise ValueError("a pair needs a positive discriminant and parts of one order")
-        if disc == 1:
-            a, b = a + b, XSeries.zero(a.order)
+        root = isqrt(disc)
+        if root * root == disc:
+            a, b, disc = a + b * root, XSeries.zero(a.order), 1
         self.a, self.b, self.disc = a, b, disc
 
     def _lift(self, other):

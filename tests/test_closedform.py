@@ -14,7 +14,7 @@ import pytest
 
 import reference_series
 
-from dcpoly import brute, closedform, layered, ratios
+from dcpoly import brute, closedform, layered, ratios, series
 from dcpoly.closedform import (
     column_convex_gf,
     column_convex_perimeter_counts,
@@ -102,6 +102,16 @@ def test_quartic_roots_live_in_expected_extension():
     assert (root.a.coefficient(0), root.b.coefficient(0)) == (Fraction(9, 8), Fraction(-1, 8))
 
 
+def test_quartic_roots_are_rational_where_four_plus_d_squared_is_a_square():
+    # 4 + (3/2)^2 = 25/4: the pair over D = 25 is stored over D = 1
+    r = closedform._roots(Fraction(3, 2), 8)
+    for root in (r.quartic_plus, r.quartic_minus):
+        assert root.disc == 1
+        assert root.b.is_zero()
+    # over Q the two conjugate roots are distinct rational series
+    assert r.quartic_plus.a != r.quartic_minus.a
+
+
 @pytest.mark.parametrize("order", (23, 24))
 @pytest.mark.parametrize("d", D_SAMPLES)
 def test_x_reading_matches_the_fraction_loops_in_x(d, order):
@@ -178,8 +188,26 @@ def test_column_convex_variants_agree(r):
     assert series[0] == series[1] == series[2]
 
 
+def test_no_column_convex_variant_builds_a_surd_pair(monkeypatch):
+    built = []
+    real = series.SurdSeries.__init__
+
+    def counted(self, a, b, disc):
+        built.append(disc)
+        real(self, a, b, disc)
+
+    monkeypatch.setattr(series.SurdSeries, "__init__", counted)
+    for variant in closedform.CC_VARIANTS:
+        for r in (1, Fraction(1, 2)):
+            column_convex_gf(variant, r, 24)
+    assert built == []
+    # the wrapper does see the quartic kernel roots' pairs
+    roots(1, 8)
+    assert built
+
+
 @pytest.mark.parametrize("order", (80, 81))
-@pytest.mark.parametrize("r", (1, Fraction(1, 2), 2))
+@pytest.mark.parametrize("r", (1, Fraction(1, 2), 2, Fraction(3, 5), -2))
 def test_split_form_equals_the_other_two_at_high_order(r, order):
     """The split form builds its second radical by negating the odd
     coefficients of the first; that symmetry must hold at every r, and

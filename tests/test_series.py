@@ -221,6 +221,35 @@ def test_surd_series_over_a_square_discriminant_is_rational():
     assert_parts(one, {0: 3, 1: 1}, {})
 
 
+def test_a_zero_value_over_a_square_discriminant_is_zero():
+    # 5 - sqrt(25) = 0, and so is its square
+    zero = SurdSeries(XSeries([5], 2), XSeries([-1], 2), 25)
+    assert zero.disc == 1
+    assert zero.is_zero()
+    assert (zero * zero).is_zero()
+
+
+@pytest.mark.parametrize("root", (2, 3))
+def test_pairs_over_a_square_discriminant_equal_their_rational_folds(root):
+    rng = random.Random(root)
+    a, b = _random_series(rng, 10), _random_series(rng, 10)
+    pair = SurdSeries(a, b, root * root)
+    assert pair.disc == 1
+    assert pair.a == a + b * root
+    assert pair.b.is_zero()
+
+
+def test_product_and_sqrt_over_disc_nine_match_the_same_work_over_q():
+    rng = random.Random(9)
+    a, b, c, e = (_random_series(rng, 12) for _ in range(4))
+    product = SurdSeries(a, b, 9) * SurdSeries(c, e, 9)
+    assert (product.disc, product.a, product.b.is_zero()) == (1, (a + b * 3) * (c + e * 3), True)
+    # a + 3b = 4 + 12x + 12x^2, whose root over Q has constant term 2
+    radicand = SurdSeries(xs({0: 4, 1: 12, 2: 9}, 12), xs({2: 1}, 12), 9)
+    root = radicand.sqrt((2, 0))
+    assert (root.disc, root.a, root.b.is_zero()) == (1, xs({0: 4, 1: 12, 2: 12}, 12).sqrt(), True)
+
+
 # ------------------------------------------ against the Fraction reference
 
 def _rational(rng):
@@ -601,26 +630,3 @@ def test_geometric_kernel_against_direct_convolution():
         assert kernel(terms, 2) == fits(twice)
         assert times_geometric(times_geometric(terms, order), order) == twice
 
-
-def _tail_weighted_direct(s, shift=0):
-    """sum_{k>m} (k-m) s_k x^(2(k-m-1)) for m >= 1, x^2 a shift by ``shift`` bits."""
-    return [0] + [
-        sum((k - m) * s[k] << shift * (k - m - 1) for k in range(m + 1, len(s)))
-        for m in range(1, len(s) - 1)
-    ]
-
-
-def test_framed_tail_operators_match_the_plain_ones():
-    """With x^2 a shift of one slot, the tail operators on entries stored
-    m slots low give the plain ones' entries stored m + 1 slots low, and
-    the weighted one is the direct weighted sum, in the frame or not."""
-    rng = random.Random(17)
-    width = 20
-    for _ in range(30):
-        framed = [rng.randint(0, 2**60) for _ in range(rng.randint(0, 12))]
-        plain = [v << width * m for m, v in enumerate(framed)]
-        for op in (_tail_sum, _tail_weighted, _tail_weighted_direct):
-            unframed = [v << width * (m + 1) for m, v in enumerate(op(framed, width))]
-            assert unframed == op(plain)
-        for shift in (0, 3, 17):
-            assert _tail_weighted(framed, shift) == _tail_weighted_direct(framed, shift)

@@ -5,6 +5,7 @@ here the focus is the reporting contract: suite naming, failure
 details, and the all-suites dispatcher.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -101,22 +102,33 @@ def test_kernel_suite_builds_the_roots_once_per_sample(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("which, dz, kx", [("quartic", 2, 12), ("quadratic", 1, 6)])
+# (factor, power of z, x-degree) of a coefficient bumped by 1
+FACTOR_BUMPS = [("quartic", 2, 12), ("quadratic", 1, 6)]
+
+
+def _bumped_factor(which, dz, kx):
+    """A plant for ``_kernel_factors``: the factors are built in t = x^2,
+    where the x^kx coefficient of z^dz sits at t^(kx/2)."""
+    def plant(real):
+        def bumped(d, n):
+            factors = real(d, n)
+            coeffs = list(getattr(factors, which))
+            coeffs[dz] = coeffs[dz] + XSeries.from_terms({kx // 2: 1}, n)
+            return factors._replace(**{which: tuple(coeffs)})
+
+        return bumped
+
+    return plant
+
+
+@pytest.mark.parametrize("which, dz, kx", FACTOR_BUMPS)
 def test_kernel_suite_sees_a_wrong_factor_coefficient_from_its_x_degree(
     monkeypatch, which, dz, kx
 ):
     # a wrong x^kx coefficient of z^dz shows only from order kx on, so
-    # the quartic's x^12 term is what makes the suite's minimum order 12;
-    # the factors are built in t = x^2, where that term sits at t^(kx/2)
+    # the quartic's x^12 term is what makes the suite's minimum order 12
     real = closedform._kernel_factors
-
-    def bumped(d, n):
-        factors = real(d, n)
-        coeffs = list(getattr(factors, which))
-        coeffs[dz] = coeffs[dz] + XSeries.from_terms({kx // 2: 1}, n)
-        return factors._replace(**{which: tuple(coeffs)})
-
-    monkeypatch.setattr(closedform, "_kernel_factors", bumped)
+    monkeypatch.setattr(closedform, "_kernel_factors", _bumped_factor(which, dz, kx)(real))
     assert kx <= verify.min_order("kernel")
     assert any(not r.passed for r in verify.kernel_suite(kx, (1,)))
     assert all(r.passed for r in verify.kernel_suite(kx - 1, (1,)))
@@ -137,18 +149,24 @@ def test_the_integer_check_reads_numerators_on_their_lam_scale(monkeypatch):
     ]
 
 
+def _bumped_radicand(which):
+    """A plant for ``_radicals``: the t^5 coefficient of one radicand plus 1."""
+    def plant(real):
+        def bumped(d, n):
+            triple = real(d, n)
+            value, radicand = getattr(triple, which)
+            radical = closedform.Radical(value, radicand + XSeries.from_terms({5: 1}, n))
+            return triple._replace(**{which: radical})
+
+        return bumped
+
+    return plant
+
+
 def test_a_radicand_bumped_in_t_fails_at_its_x_degree(monkeypatch, capsys):
     # the radicals square back in t = x^2 and are read in x, so a wrong
     # t^5 radicand coefficient is reported at x^10
-    real = closedform._radicals
-
-    def bumped(d, n):
-        triple = real(d, n)
-        base = triple.base
-        bump = XSeries.from_terms({5: 1}, n)
-        return triple._replace(base=closedform.Radical(base.value, base.radicand + bump))
-
-    monkeypatch.setattr(closedform, "_radicals", bumped)
+    monkeypatch.setattr(closedform, "_radicals", _bumped_radicand("base")(closedform._radicals))
     code = cli.main(["verify", "--suite", "kernel", "--order", "12"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
@@ -213,34 +231,37 @@ def _one_more_one_nose_shape(table):
     return table
 
 
+EXHAUSTIVE_PLANTS = [
+    (
+        "oracle",
+        "generate",
+        _one_more_single_cell,
+        "first differing key (4, 1, none, 1): 1 vs 2",
+    ),
+    (
+        "oracle",
+        "generate",
+        _one_more_one_nose_shape,
+        "first differing key (8, 3, one, 1): 4 vs 5",
+    ),
+    (
+        "columnconvex",
+        "column_convex_counts",
+        lambda counts: {**counts, 10: counts[10] + 1},
+        "first differing perimeter: 10",
+    ),
+    (
+        "directed",
+        "directed_counts_by_diagonals",
+        lambda counts: {**counts, 3: counts[3] + 1},
+        "exhaustive {1: 1, 2: 3, 3: 13, 4: 55} vs fixed point {1: 1, 2: 3, 3: 12, 4: 55}",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "suite, target, plant, detail",
-    [
-        (
-            "oracle",
-            "generate",
-            _one_more_single_cell,
-            "first differing key (4, 1, none, 1): 1 vs 2",
-        ),
-        (
-            "oracle",
-            "generate",
-            _one_more_one_nose_shape,
-            "first differing key (8, 3, one, 1): 4 vs 5",
-        ),
-        (
-            "columnconvex",
-            "column_convex_counts",
-            lambda counts: {**counts, 10: counts[10] + 1},
-            "first differing perimeter: 10",
-        ),
-        (
-            "directed",
-            "directed_counts_by_diagonals",
-            lambda counts: {**counts, 3: counts[3] + 1},
-            "exhaustive {1: 1, 2: 3, 3: 13, 4: 55} vs fixed point {1: 1, 2: 3, 3: 12, 4: 55}",
-        ),
-    ],
+    EXHAUSTIVE_PLANTS,
     ids=("oracle", "oracle-one-nose", "columnconvex", "directed"),
 )
 def test_exhaustive_suites_report_a_planted_count_and_exit_one(
@@ -279,58 +300,118 @@ def _fractional_sextic(real):
     return sextic
 
 
+def _nested_value_bumped(real):
+    # kernel_residuals takes the nested radical at d^2 from _outer_radicals
+    def outer(d, n):
+        base, nested = real(d, n)
+        return base, nested._replace(value=nested.value + XSeries.from_terms({4: 1}, n))
+
+    return outer
+
+
+CLOSED_FORM_PLANTS = [
+    (
+        closedform,
+        "ternary_count",
+        lambda real: lambda k: real(k) + (k == 5),
+        "directed",
+        "12",
+        [
+            "FAIL [directed] fixed point matches the binomial formula through 15: "
+            "first offending coefficient: d^5 -> 273, formula 274",
+        ],
+    ),
+    (
+        layered,
+        "two_nose_identity_residuals",
+        lambda real: _planted(squared={(2, 12): 1, (3, 10): -4}),
+        "twonose",
+        "20",
+        [
+            "FAIL [twonose] squared-marker variant fails as expected: "
+            "variant residual starts at x^10, not x^8",
+        ],
+    ),
+    (
+        closedform,
+        "kernel_sextic",
+        _fractional_sextic,
+        "kernel",
+        "12",
+        [
+            "FAIL [kernel] expanded kernel has integer coefficients (d=%s): "
+            "first offending coefficient: z^3 x^5 -> 1/3" % d
+            for d in (1, 2, 3)
+        ],
+    ),
+    (
+        closedform,
+        "column_convex_gf",
+        _nested_off_by_half,
+        "columnconvex",
+        "12",
+        [
+            "FAIL [columnconvex] %s variants agree at r=%s: "
+            "first offending coefficient: x^6 -> %s" % (pair, r, c)
+            for r in (1, Fraction(1, 2))
+            for pair, c in (("ratio and nested", "-1/2"), ("nested and split", "1/2"))
+        ],
+    ),
+    (
+        closedform,
+        "_radicals",
+        _bumped_radicand("kernel"),
+        "kernel",
+        "12",
+        [
+            "FAIL [kernel] kernel radical squares back (d=%s): "
+            "first offending coefficient: x^10 -> -1" % d
+            for d in SAMPLES
+        ],
+    ),
+    (
+        closedform,
+        "_radicals",
+        _bumped_radicand("nested"),
+        "kernel",
+        "12",
+        [
+            "FAIL [kernel] nested radical squares back (d=%s): "
+            "first offending coefficient: x^10 -> -1" % d
+            for d in SAMPLES
+        ],
+    ),
+    (
+        closedform,
+        "_outer_radicals",
+        _nested_value_bumped,
+        "kernel",
+        "12",
+        [
+            line
+            for d in SAMPLES
+            for disc in [(4 + d * d).numerator]
+            for line in (
+                # value^2 - radicand gains 2 value(0) t^4, and value(0) = d + 2
+                "FAIL [kernel] nested radical squares back (d=%s): "
+                "first offending coefficient: x^8 -> %s" % (d, 2 * (d + 2)),
+                "FAIL [kernel] quartic-root sum identity (d=%s): "
+                "first offending coefficient: x^4 -> 1/2 + 0*sqrt(%d)" % (d, disc),
+                "FAIL [kernel] quartic-root reciprocal sum identity (d=%s): "
+                "first offending coefficient: x^8 -> -1/2 + 0*sqrt(%d)" % (d, disc),
+            )
+        ],
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "module, target, plant, suite, order, fails",
-    [
-        (
-            closedform,
-            "ternary_count",
-            lambda real: lambda k: real(k) + (k == 5),
-            "directed",
-            "12",
-            [
-                "FAIL [directed] fixed point matches the binomial formula through 15: "
-                "first offending coefficient: d^5 -> 273, formula 274",
-            ],
-        ),
-        (
-            layered,
-            "two_nose_identity_residuals",
-            lambda real: _planted(squared={(2, 12): 1, (3, 10): -4}),
-            "twonose",
-            "20",
-            [
-                "FAIL [twonose] squared-marker variant fails as expected: "
-                "variant residual starts at x^10, not x^8",
-            ],
-        ),
-        (
-            closedform,
-            "kernel_sextic",
-            _fractional_sextic,
-            "kernel",
-            "12",
-            [
-                "FAIL [kernel] expanded kernel has integer coefficients (d=%s): "
-                "first offending coefficient: z^3 x^5 -> 1/3" % d
-                for d in (1, 2, 3)
-            ],
-        ),
-        (
-            closedform,
-            "column_convex_gf",
-            _nested_off_by_half,
-            "columnconvex",
-            "12",
-            [
-                "FAIL [columnconvex] %s variants agree at r=%s: "
-                "first offending coefficient: x^6 -> %s" % (pair, r, c)
-                for r in (1, Fraction(1, 2))
-                for pair, c in (("ratio and nested", "-1/2"), ("nested and split", "1/2"))
-            ],
-        ),
-    ],
-    ids=("directed-formula", "twonose-variant-start", "kernel-integer", "columnconvex-variants"),
+    CLOSED_FORM_PLANTS,
+    ids=(
+        "directed-formula", "twonose-variant-start", "kernel-integer", "columnconvex-variants",
+        "kernel-radicand", "nested-radicand", "nested-value",
+    ),
 )
 def test_planted_closed_form_faults_report_their_detail_and_exit_one(
     monkeypatch, capsys, module, target, plant, suite, order, fails
@@ -351,3 +432,47 @@ def test_a_check_passes_exactly_when_its_detail_is_empty():
     assert len(results) == 53
     assert all(r.passed and r.detail == "" for r in results)
 
+
+
+# check families that no planted fault in the code can fail, with the reason
+UNFAILABLE = {
+    "expanded kernel has integer coefficients": (
+        "at integer d every factor coefficient is an integer polynomial in d^2, so only "
+        "a fraction added to kernel_sextic's output fails it; it stays while the kernel "
+        "benchmark counts its lines"
+    ),
+}
+
+
+def _family(name):
+    """A check name without its sample label " (d=...)" or ratio label " at r=..."."""
+    return re.sub(r" \(d=[^)]*\)| at r=\S+", "", name)
+
+
+def _plants():
+    """(module, target, plant, suite) for every planted fault in this file,
+    plant taking the real target and returning its replacement."""
+    for suite, target, transform, _ in EXHAUSTIVE_PLANTS:
+        yield brute, target, lambda real, t=transform: lambda bound: t(real(bound)), suite
+    for module, target, plant, suite, _, _ in CLOSED_FORM_PLANTS:
+        yield module, target, plant, suite
+    for bump in FACTOR_BUMPS:
+        yield closedform, "_kernel_factors", _bumped_factor(*bump), "kernel"
+    yield closedform, "_radicals", _bumped_radicand("base"), "kernel"
+    for planted in ({"matching": {(3, 12): 5, (2, 10): -7}}, {"squared": {}}):
+        yield layered, "two_nose_identity_residuals", lambda real, p=planted: _planted(**p), "twonose"
+
+
+def test_every_check_family_has_a_planted_fault_that_fails_it(monkeypatch):
+    """Each check of "all" at order 12, its sample and ratio labels
+    stripped, is failed by some plant above, so a new check without a
+    plant fails here; only the families in UNFAILABLE are exempt."""
+    families = {_family(r.name) for r in verify.run_suites(["all"], 12, SAMPLES)}
+    assert UNFAILABLE.keys() <= families
+    failed = set()
+    for module, target, plant, suite in _plants():
+        with monkeypatch.context() as patch:
+            patch.setattr(module, target, plant(getattr(module, target)))
+            results = verify.run_suites([suite], 12, SAMPLES)
+        failed |= {_family(r.name) for r in results if not r.passed}
+    assert sorted(families - UNFAILABLE.keys() - failed) == []
