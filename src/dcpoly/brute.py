@@ -41,9 +41,9 @@ counted by diagonals, shape by shape) and column-convex polyominoes
 perimeter with the column width as the layer state.
 """
 
-from .counts import CountTable, NoseClass
+from .counts import CountTable
 
-_NOSE_BY_COUNT = (NoseClass.ZERO, NoseClass.ONE, NoseClass.TWO)
+_NOSE_BY_COUNT = ("zero", "one", "two")
 
 
 def _children(memo, state, budget):
@@ -96,7 +96,7 @@ def generate(max_perimeter):
     """
     tally = {}
     if max_perimeter >= 4:
-        tally[(4, 1, None, 1)] = 1
+        tally[(4, 1, "none", 1)] = 1
     budget = max_perimeter - 4
     memo = {}
     # a first run of s cells is s singletons

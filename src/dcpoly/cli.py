@@ -10,13 +10,13 @@ Four subcommands cover the package surface:
 * ``verify``  - the named identity suites, one PASS/FAIL line per check.
 
 Every output is deterministic for a given set of flags: census and
-series rows come in ``counts.sortable_key`` order, and files are
-written to a temporary name and renamed into place so a failure never
-leaves a partial file behind; a symlink is written through, as ``>``
-would.  Exit codes: 0 on success, 1 when a verification check fails,
-2 on usage errors, on an ``--out`` path that cannot be written and on
-a ``ValueError``, ``ArithmeticError`` or ``RuntimeError`` from an
-engine, reported as one line on stderr.
+series rows come in sorted key order, a nose sorting by its label, and
+files are written to a temporary name and renamed into place so a
+failure never leaves a partial file behind; a symlink is written
+through, as ``>`` would.  Exit codes: 0 on success, 1 when a
+verification check fails, 2 on usage errors, on an ``--out`` path that
+cannot be written and on a ``ValueError``, ``ArithmeticError`` or
+``RuntimeError`` from an engine, reported as one line on stderr.
 
 A subcommand imports only its engine (``ratios`` the integer ``ratios``
 module and the layered solve, no closed-form algebra): the handlers
@@ -138,13 +138,13 @@ def _render_table(header, rows):
 
 def _emit_census(args, projected, fields):
     """Census counts keyed by ``fields`` in ``args.format``, one row per
-    key in ``counts.sortable_key`` order."""
-    from .counts import sortable_key
+    key in ``sorted()`` order (a nose is its label, see ``counts``); a
+    scalar key renders as a one-field row."""
     if args.format == "bfile" and fields != ("perimeter",):
         args.command_parser.error("bfile output needs plain perimeter keys")
     rows = [
-        (tuple(map(str, key)), count)
-        for key, count in sorted((sortable_key(k), c) for k, c in projected.items())
+        (tuple(map(str, key if type(key) is tuple else (key,))), count)
+        for key, count in sorted(projected.items())
     ]
     if args.format == "json":
         import json

@@ -120,8 +120,11 @@ class KernelResiduals(NamedTuple):
     the monic quadratic whose roots are its two series roots.
     ``root_sum`` and ``reciprocal_sum`` compare the sum of those roots
     and the sum of their reciprocals with their expressions through the
-    outer nested radical at d^2, where the irrational parts cancel.
-    Every field is the zero series when the identities hold.
+    outer nested radical at d^2, where the irrational parts cancel; the
+    reciprocal sum is checked times the product of the roots, a unit
+    (constant term 1), so it needs no division and vanishes exactly
+    when the quotient identity does.  Every field is the zero series
+    when the identities hold.
     """
 
     quadratic: XSeries
@@ -341,8 +344,8 @@ def kernel_residuals(d, order):
         work[3],
         work[4],
         root_sum - (shape - nested).shift_down(2) * Fraction(1, 2),
-        # 1/q+ + 1/q- = (q+ + q-)/(q+ q-)
-        root_sum.divide(root_product) - (shape + nested) * Fraction(1, 2),
+        # 1/q+ + 1/q- = (q+ + q-)/(q+ q-), times the unit q+ q-
+        root_sum - root_product * (shape + nested) * Fraction(1, 2),
     )
     return _in_x(residuals, order)
 

@@ -12,36 +12,12 @@ cells on the final diagonal, and ``nose`` classifies how the final
 diagonal's run sits against the previous one: the run before it has an
 uppermost cell and a rightmost cell, and the two lattice cells that
 extend them (directly above the uppermost, directly right of the
-rightmost) are the run's noses.  The class records how many of those
-two cells the final run actually occupies.  A single cell has no
-previous diagonal, so its nose entry is ``None``.
+rightmost) are the run's noses.  The nose entry is the label the
+output prints: ``"two"``, ``"one"`` or ``"zero"``, how many of those
+two cells the final run occupies, or ``"none"`` for a single cell,
+which has no previous diagonal.  Keys and their projections therefore
+sort with ``sorted()``, the labels as none < one < two < zero.
 """
-
-import enum
-
-
-class NoseClass(enum.Enum):
-    """How many nose cells the last diagonal's run occupies."""
-
-    TWO = "two"
-    ONE = "one"
-    ZERO = "zero"
-
-    # members are singletons compared by identity, so the C hash agrees with ==
-    __hash__ = object.__hash__
-
-
-def nose_label(nose):
-    """Stable text for a nose entry, usable as a sort and output key."""
-    return "none" if nose is None else nose.value
-
-
-def sortable_key(key):
-    """Total order for census keys and their projections: the fields in
-    order, the nose by its label.  A one-field projection's scalar key
-    orders as a one-tuple."""
-    fields = key if type(key) is tuple else (key,)
-    return tuple([f if type(f) is int else nose_label(f) for f in fields])
 
 
 class CountTable(dict):

@@ -5,11 +5,12 @@ occupied diagonal carries a single contiguous run of cells, and the run
 on the next diagonal must keep the shape edge-connected.  The three
 generating functions tracked here split the shapes with at least two
 diagonals by how the final run sits against the run before it, through
-its two nose cells (see ``counts.NoseClass``):
+its two nose cells, each class keyed by the label the census prints
+(see ``counts``):
 
-    two_nose   -- the final run covers both nose cells,
-    one_nose   -- exactly one of them,
-    zero_nose  -- neither (the run hangs between or inside the old one).
+    "two"   -- the final run covers both nose cells,
+    "one"   -- exactly one of them,
+    "zero"  -- neither (the run hangs between or inside the old one).
 
 In each series x marks perimeter, d marks occupied diagonals, and z
 marks the cells on the final diagonal.  One transfer step appends a
@@ -60,10 +61,10 @@ z = 1.  No result needs ``dcpoly.series``.
 from itertools import repeat
 from typing import NamedTuple
 
-from .counts import CountTable, NoseClass
+from .counts import CountTable
 
-CLASS_ORDER = (NoseClass.TWO, NoseClass.ONE, NoseClass.ZERO)
-MIN_Z = {NoseClass.TWO: 2, NoseClass.ONE: 1, NoseClass.ZERO: 1}
+CLASS_ORDER = ("two", "one", "zero")
+MIN_Z = {"two": 2, "one": 1, "zero": 1}
 
 # the lone cell as delta_1 in the frame: a one-nose z^1 entry, x^4 over x^(2(1 + 1))
 LONE_CELL = ([], [0, 1], [])
@@ -236,12 +237,12 @@ def _check_counts(cls, kd, series, slots):
     for m, v in enumerate(series):
         if v and m < MIN_Z[cls]:
             raise InvariantError(
-                "%s series has a z^%d term below its minimum run" % (cls.value, m)
+                "%s series has a z^%d term below its minimum run" % (cls, m)
             )
         if v < 0 or v & slots.guard:
             raise InvariantError(
                 "a count at d^%d z^%d in %s is negative or overflows its slot"
-                % (kd, m, cls.value)
+                % (kd, m, cls)
             )
 
 
@@ -326,7 +327,7 @@ def _unpack_checked(slots, acc):
 def marginals(order, by):
     """Counts through perimeter ``order`` for ``by`` in perimeter, diagonals
     or noses, keyed as ``CountTable.project`` keys perimeter, (perimeter,
-    diagonals) or (perimeter, nose), with nose None for the single cell.
+    diagonals) or (perimeter, nose), with nose "none" for the single cell.
     Each key group is one sum of at most 3(order/2 + 1) + 1 < 2^guard_bits
     checked values."""
     if by not in ("perimeter", "diagonals", "noses"):
@@ -337,7 +338,7 @@ def marginals(order, by):
     if by == "perimeter":
         sums = {None: single + sum(sum(row) for drows in rows for row in drows)}
     elif by == "noses":
-        sums = {None: single}
+        sums = {"none": single}
         sums.update(zip(CLASS_ORDER, (sum(map(sum, drows)) for drows in rows)))
     else:  # every class has the same d-rows, and rows 0 and 1 are empty
         sums = {kd: sum(map(sum, kd_rows)) for kd, kd_rows in enumerate(zip(*rows))}
@@ -363,7 +364,7 @@ def joint_table(order):
     """
     packed = solve(order)
     # every (kx, kd, cls, m) key comes from one int's slot, so none repeats
-    table = CountTable({(4, 1, None, 1): 1})
+    table = CountTable({(4, 1, "none", 1): 1})
     for cls, drows in zip(CLASS_ORDER, packed.rows):
         for kd, row in enumerate(drows):
             for m, v in enumerate(row):

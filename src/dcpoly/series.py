@@ -9,13 +9,12 @@ Two series types cover the closed-form algebra:
 
 * ``SurdSeries``: a pair a + b*sqrt(D) of ``XSeries``, for the roots
   whose constant terms are irrational; a perfect square D is stored as
-  D = 1, with b folded into a.  It adds, multiplies, divides through the
-  rational norm a^2 - D*b^2, and takes square roots from a given
-  constant root.  An identity over Q(sqrt D) holds only when both parts
-  vanish, so the irrational part is always checked.  Two pairs with
-  nonzero irrational parts multiply in three products on one scale, ac,
-  be and (a + b)(c + e), as ac + D*be + ((a + b)(c + e) - ac -
-  be)*sqrt(D); division takes the norm's reciprocal once for both parts.
+  D = 1, with b folded into a.  It adds, multiplies and takes square
+  roots from a given constant root; it does not divide.  An identity
+  over Q(sqrt D) holds only when both parts vanish, so the irrational
+  part is always checked.  Two pairs with nonzero irrational parts
+  multiply in three products on one scale, ac, be and (a + b)(c + e),
+  as ac + D*be + ((a + b)(c + e) - ac - be)*sqrt(D).
 
 The layered iteration needs neither: it runs on packed integers in
 ``dcpoly.layered``.
@@ -287,7 +286,11 @@ class XSeries:
         """
         if not isinstance(den, XSeries):
             raise TypeError("divide expects an XSeries denominator")
-        return _over(self, *_reciprocal(den, min(self.order, den.order)))
+        v, reciprocal = _reciprocal(den, min(self.order, den.order))
+        lead = self.valuation()
+        if lead is not None and lead < v:
+            raise NonDivisibleError("numerator has x^%d but denominator starts at x^%d" % (lead, v))
+        return self.shift_down(v).truncate(reciprocal.order) * reciprocal
 
     def shift_down(self, k):
         """Divide by x^k; the first k coefficients must vanish."""
@@ -344,14 +347,6 @@ def _reciprocal(den, n):
     for k in range(1, n - v + 1):
         t.append(-sum(map(mul, weights[:k], reversed(t))))
     return v, _unscaled(t, b[0], den.lam * b[0], n - v)
-
-
-def _over(num, v, reciprocal):
-    """num / x^v times ``reciprocal``, a quotient by a series of valuation v."""
-    lead = num.valuation()
-    if lead is not None and lead < v:
-        raise NonDivisibleError("numerator has x^%d but denominator starts at x^%d" % (lead, v))
-    return num.shift_down(v).truncate(reciprocal.order) * reciprocal
 
 
 class SurdSeries:
@@ -424,21 +419,6 @@ class SurdSeries:
         )
 
     __rmul__ = __mul__
-
-    def conjugate(self):
-        return SurdSeries(self.a, -self.b, self.disc)
-
-    def norm(self):
-        """a^2 - disc*b^2, the rational series self * conjugate(self)."""
-        return self.a * self.a - self.b * self.b * self.disc
-
-    def divide(self, den):
-        """Exact quotient self/den: times conjugate(den), then both parts
-        times the one reciprocal of the rational norm(den), whose
-        valuation the order loses."""
-        num = self * den.conjugate()
-        v, reciprocal = _reciprocal(den.norm(), num.a.order)
-        return SurdSeries(_over(num.a, v, reciprocal), _over(num.b, v, reciprocal), self.disc)
 
     def sqrt(self, root0):
         """Exact square root whose constant term is ``root0``.

@@ -19,8 +19,8 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-# the suites that walk shapes, solve or count import brute, layered, counts and
-# ratios: kernel loads none of them
+# the suites that walk shapes, solve or count import brute, layered and ratios:
+# kernel loads none of them
 from . import closedform
 
 # perimeter bound of the exhaustive cross-checks: the published range
@@ -101,15 +101,11 @@ def _terms_failure(terms):
 
 def _table_failure(left, right):
     """The first key at which two census tables differ."""
-    from .counts import nose_label, sortable_key
-    for key in sorted(left.keys() | right.keys(), key=sortable_key):
+    for key in sorted(left.keys() | right.keys()):
         a = left.get(key, 0)
         b = right.get(key, 0)
         if a != b:
-            perimeter, diagonals, nose, last_run = key
-            return "first differing key (%d, %d, %s, %d): %d vs %d" % (
-                perimeter, diagonals, nose_label(nose), last_run, a, b
-            )
+            return "first differing key (%d, %d, %s, %d): %d vs %d" % (*key, a, b)
     return None
 
 

@@ -81,15 +81,6 @@ def surd_mul(x, y):
     return SurdSeries(real, surd, x.disc)
 
 
-def surd_divide(num, den):
-    """num/den over Q(sqrt D): times conjugate(den), over the rational norm."""
-    disc = num.disc
-    top_a = _minus(mul(num.a, den.a), mul(num.b, den.b), disc)
-    top_b = _minus(mul(num.b, den.a), mul(num.a, den.b))
-    norm = _minus(mul(den.a, den.a), mul(den.b, den.b), disc)
-    return SurdSeries(divide(top_a, norm), divide(top_b, norm), disc)
-
-
 def surd_sqrt(s, root0):
     """Square root over Q(sqrt D) whose constant term is p + q*sqrt(D)."""
     p, q = Fraction(root0[0]), Fraction(root0[1])

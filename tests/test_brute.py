@@ -14,7 +14,7 @@ import pytest
 
 from dcpoly import brute
 from dcpoly.brute import column_convex_counts, directed_counts_by_diagonals, generate
-from dcpoly.counts import CountTable, NoseClass
+from dcpoly.counts import CountTable
 from dcpoly.layered import joint_table
 
 
@@ -94,7 +94,7 @@ def cells_of_runs(runs):
     )
 
 
-NOSE_BY_COUNT = {0: NoseClass.ZERO, 1: NoseClass.ONE, 2: NoseClass.TWO}
+NOSE_BY_COUNT = {0: "zero", 1: "one", 2: "two"}
 
 
 def oracle_table(shapes):
@@ -104,7 +104,7 @@ def oracle_table(shapes):
         if runs is None:
             continue
         if len(runs) == 1:
-            nose = None
+            nose = "none"
         else:
             (lo, hi), (lo2, hi2) = runs[-2], runs[-1]
             hits = (1 if lo2 <= lo <= hi2 else 0) + (1 if lo2 <= hi + 1 <= hi2 else 0)
@@ -165,12 +165,12 @@ def perimeter_twelve():
 def test_tiny_census_by_hand():
     table = generate(8)
     assert table == {
-        (4, 1, None, 1): 1,
-        (6, 2, NoseClass.ONE, 1): 2,
-        (8, 2, NoseClass.TWO, 2): 1,
-        (8, 3, NoseClass.ONE, 1): 4,
-        (8, 2, NoseClass.ZERO, 1): 1,
-        (8, 3, NoseClass.ZERO, 1): 1,
+        (4, 1, "none", 1): 1,
+        (6, 2, "one", 1): 2,
+        (8, 2, "two", 2): 1,
+        (8, 3, "one", 1): 4,
+        (8, 2, "zero", 1): 1,
+        (8, 3, "zero", 1): 1,
     }
 
 

@@ -102,7 +102,7 @@ NOSE_LABELS = {"none", "one", "two", "zero"}
     ],
     ids=("census-classified", "census", "series-diagonals", "series-noses", "series"),
 )
-def test_rows_come_in_sortable_key_order(capsys, argv, formats, labels):
+def test_rows_come_in_sorted_key_order(capsys, argv, formats, labels):
     for fmt in formats:
         code, out = run_cli(capsys, *argv, "--format", fmt)
         assert code == 0

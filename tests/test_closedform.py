@@ -180,6 +180,10 @@ def test_symmetric_identities_hold(d):
     residuals = kernel_residuals(d, 12)
     assert residuals.root_sum.is_zero()
     assert residuals.reciprocal_sum.is_zero()
+    # the reciprocal sum is checked times q+ q-, a unit: constant term 1
+    r = roots(d, 12)
+    product = r.quartic_plus * r.quartic_minus
+    assert (product.a.coefficient(0), product.b.coefficient(0)) == (1, 0)
 
 
 @pytest.mark.parametrize("r", (1, Fraction(1, 2)))
