@@ -19,7 +19,7 @@ cannot be written and on a ``ValueError``, ``ArithmeticError`` or
 ``RuntimeError`` from an engine, reported as one line on stderr.
 
 A subcommand imports only its engine (``ratios`` the integer ``ratios``
-module and the layered solve, no closed-form algebra): the handlers
+module and the layered iteration, no closed-form algebra): the handlers
 import it, and ``json``, ``tempfile`` and ``fractions`` load only on the
 paths that use them (``python -X importtime -m dcpoly.cli <sub> --help``
 shows it).

@@ -40,26 +40,25 @@ has a bounding box with width + height >= k + m (a cell of the first
 diagonal and the two ends of the final run are that far apart), so its
 perimeter is at least 2(k + m), a bound some shape reaches at every k.
 The steps store the z^m entry of delta_k divided by x^(2(k + m)), at
-frame offset k + m, cut at ``order`` by ``Slots.masks[k + m]``.
+frame offset k + m, cut at ``order`` by ``Slots.masks[k + m]``.  So no
+entry can hold a perimeter below 6, a final run longer than
+(perimeter - 4)/2 or more diagonals than (perimeter - 2)/2 allows, and
+none of these needs a check of its own.
 
 One step is one backward pass, for the tail operators, and one fused
 forward pass over z that carries three kernel products and writes
-entry m + 1 of all three classes (see ``_linear_step``).  With d
-collapsed, ``solve`` sums the deltas of ``SUM_BLOCK`` steps in a frame
-anchored at the block's first step, so a delta entry is added at the
-width of its block, not of the full row, and each block is shifted
-into the row once.
+entry m + 1 of all three classes (see ``_linear_step``).
 
-``solve`` returns the packed sum itself, and every result is read
-from it: ``marginals(order, by)`` unpacks only the sum of every z-entry
-(by perimeter), of each class (by nose, d collapsed) or of each d-row
-(by diagonals); ``joint_table`` unpacks each (class, d-row, z) int once;
-``two_nose_identity_residuals`` unpacks each (class, d-row) sum at
-z = 1.  No result needs ``dcpoly.series``.
+``_deltas`` yields each delta_k once it has passed ``_check_counts``,
+and every result folds the stream its own way, keeping only what it
+reports: ``marginals(order, by)`` and ``two_nose_identity_residuals``
+sum each class of each delta over z and add it into one packed int per
+group (perimeter, nose class, d-row, or class and d-row), each unpacked
+once; ``joint_table`` unpacks each framed entry straight into its
+table.  No result needs ``dcpoly.series``.
 """
 
 from itertools import repeat
-from typing import NamedTuple
 
 from .counts import CountTable
 
@@ -68,10 +67,6 @@ MIN_Z = {"two": 2, "one": 1, "zero": 1}
 
 # the lone cell as delta_1 in the frame: a one-nose z^1 entry, x^4 over x^(2(1 + 1))
 LONE_CELL = ([], [0, 1], [])
-
-# with d collapsed, the deltas of this many steps are summed in a frame
-# anchored at the block's first step before one full-width shift
-SUM_BLOCK = 8
 
 
 class NonConvergenceError(RuntimeError):
@@ -111,6 +106,8 @@ class Slots:
     offset j, whose slot i holds the coefficient of x^(2(j + i))."""
 
     def __init__(self, order):
+        if order < 4:
+            raise ValueError("order must be at least 4 to see any polyomino")
         value_bits, guard_bits = _slot_bits(order)
         self.width = width = value_bits + guard_bits
         self.masks = [(1 << width * j) - 1 for j in range(order // 2 + 1, 0, -1)]
@@ -139,20 +136,6 @@ def _unpack_into(out, v, width, kx):
             out[kx] = v & slot
         v >>= width
         kx += 2
-
-
-class PackedSum(NamedTuple):
-    """``rows[c][kd][m]``: the d^kd z^m coefficient of class ``CLASS_ORDER[c]``."""
-
-    slots: Slots
-    track_diagonals: bool
-    rows: tuple
-
-
-def _add(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    return [u + v for u, v in zip(p, q)] + p[len(q):]
 
 
 def _tail_sum(series):
@@ -246,72 +229,23 @@ def _check_counts(cls, kd, series, slots):
             )
 
 
-def check_invariants(packed):
-    """Structural checks every genuine census series satisfies.
-
-    Checks every d-row of every class and raises ``InvariantError`` on
-    the first violation.  Each rule is a mask test on the packed ints:
-    every slot holds a count in [0, 2^value_bits); a shape in these
-    classes has at least two diagonals, at least one cell on the final
-    diagonal (two for the two-nose class), perimeter at least
-    2*diagonals + 2, and a final diagonal of at most (perimeter - 2)/2
-    cells.  The stronger bound 2(diagonals + final run) holds by
-    construction in ``solve``'s frame.
-    """
-    slots, track = packed.slots, packed.track_diagonals
-    for cls, drows in zip(CLASS_ORDER, packed.rows):
-        for kd, row in enumerate(drows):
-            _check_counts(cls, kd, row, slots)
-            for m, v in enumerate(row):
-                low = max(3, m + 1, kd + 1 if track else 0)
-                if v and (v & ((1 << slots.width * low) - 1) or (track and kd < 2)):
-                    kx = 2 * (((v & -v).bit_length() - 1) // slots.width)
-                    if kx < 6:
-                        raise InvariantError("perimeter %d below any two-diagonal shape" % kx)
-                    if 2 * m > kx - 2:
-                        raise InvariantError("final run %d too long for perimeter %d" % (m, kx))
-                    raise InvariantError(
-                        "diagonal count %d inconsistent with perimeter %d" % (kd, kx)
-                    )
-
-
-def solve(order, track_diagonals=True):
-    """The three nose-class series through perimeter ``order``, as a
-    ``PackedSum`` summed one diagonal at a time (all in d-row 0 when
-    ``track_diagonals`` is false).
+def _deltas(order, slots):
+    """Yield (k, delta_k) for k = 2, 3, ... until a delta vanishes.
 
     From the two-diagonal shapes delta_2 = T(0) = L(lone cell), each
     delta_{k+1} = L(delta_k) holds the shapes with k + 1 diagonals, and
-    the fixed point of T is their sum.  The steps run in the frame of the module
-    docstring, z^m of delta_k divided by x^(2(k + m)); each delta passes
-    ``_check_counts`` before the next step reads it.  A block of steps
-    from ``base`` (one step with d tracked, ``SUM_BLOCK`` with d
-    collapsed) is summed with delta_k shifted up k - base slots, and the
-    block is shifted up base + m slots into its d-row once.  The sum
-    passes ``check_invariants`` once: by ``_slot_bits`` it cannot carry
-    between slots, so its guard bits cover the deltas' too.
+    the fixed point of T is their sum.  A delta is a triple of classes
+    in the frame of the module docstring, z^m of delta_k divided by
+    x^(2(k + m)), and each class passes ``_check_counts`` before it is
+    yielded or the next step reads it.
     """
-    if order < 4:
-        raise ValueError("order must be at least 4 to see any polyomino")
-    slots = Slots(order)
-    width, span = slots.width, 1 if track_diagonals else SUM_BLOCK
-    total = PackedSum(slots, track_diagonals, ([], [], []))
-    block, base = [[], [], []], 2
     delta = _linear_step(LONE_CELL, 1, slots)
     for k in range(2, order + 4):
-        done = not any(delta)
-        if k == base + span or done and k > base:
-            kd = base if track_diagonals else 0
-            for drows, series in zip(total.rows, block):
-                drows.extend([] for _ in range(kd + 1 - len(drows)))
-                drows[kd] = _add(drows[kd], [v << width * (base + m) for m, v in enumerate(series)])
-            block, base = [[], [], []], k
-        if done:
-            check_invariants(total)
-            return total
-        for c, (cls, series) in enumerate(zip(CLASS_ORDER, delta)):
-            _check_counts(cls, k if track_diagonals else 0, series, slots)
-            block[c] = _add(block[c], [v << width * (k - base) for v in series])
+        if not any(delta):
+            return
+        for cls, series in zip(CLASS_ORDER, delta):
+            _check_counts(cls, k, series, slots)
+        yield k, delta
         delta = _linear_step(delta, k, slots)
     raise NonConvergenceError("no fixed point within %d steps" % (order + 2))
 
@@ -324,29 +258,48 @@ def _unpack_checked(slots, acc):
     return slots.unpack(acc)
 
 
+def _grouped(order, group):
+    """{group(k, cls): {x-degree: count}} over each class of each delta.
+
+    Each class of delta_k is summed over z by Horner's rule, its z^m
+    entry m slots up, then shifted up k slots, where it stands, and added
+    into one int per group, unpacked once.  A slot of a group sums at
+    most 3(order/2 + 1)^2 checked values, fewer than (order + 4)^2, which
+    ``_slot_bits`` keeps within 2^guard_bits.
+    """
+    slots = Slots(order)
+    width = slots.width
+    sums = {}
+    for k, delta in _deltas(order, slots):
+        for cls, series in zip(CLASS_ORDER, delta):
+            acc = 0
+            for v in reversed(series):
+                acc = (acc << width) + v
+            key = group(k, cls)
+            sums[key] = sums.get(key, 0) + (acc << width * k)
+    return {key: _unpack_checked(slots, acc) for key, acc in sums.items()}
+
+
 def marginals(order, by):
     """Counts through perimeter ``order`` for ``by`` in perimeter, diagonals
     or noses, keyed as ``CountTable.project`` keys perimeter, (perimeter,
     diagonals) or (perimeter, nose), with nose "none" for the single cell.
-    Each key group is one sum of at most 3(order/2 + 1) + 1 < 2^guard_bits
-    checked values."""
-    if by not in ("perimeter", "diagonals", "noses"):
-        raise ValueError("unknown marginal %r" % (by,))
-    packed = solve(order, track_diagonals=by == "diagonals")
-    slots, rows = packed.slots, packed.rows
-    single = 1 << 2 * slots.width  # the single cell: x^4, one diagonal
+    Every key but the single cell's is read from one guard-checked sum
+    (see ``_grouped``) of at most 3(order/2 + 1)^2 < 2^guard_bits checked
+    values: all deltas by perimeter, one class of all deltas by nose, or
+    all classes of one delta by diagonals."""
     if by == "perimeter":
-        sums = {None: single + sum(sum(row) for drows in rows for row in drows)}
+        group, single = (lambda k, cls: None), 4
     elif by == "noses":
-        sums = {"none": single}
-        sums.update(zip(CLASS_ORDER, (sum(map(sum, drows)) for drows in rows)))
-    else:  # every class has the same d-rows, and rows 0 and 1 are empty
-        sums = {kd: sum(map(sum, kd_rows)) for kd, kd_rows in enumerate(zip(*rows))}
-        sums[1] = single
-    out = {}
-    for group, acc in sums.items():
-        for kx, v in _unpack_checked(slots, acc).items():
-            out[kx if by == "perimeter" else (kx, group)] = v
+        group, single = (lambda k, cls: cls), (4, "none")
+    elif by == "diagonals":
+        group, single = (lambda k, cls: k), (4, 1)
+    else:
+        raise ValueError("unknown marginal %r" % (by,))
+    out = {single: 1}  # the single cell: perimeter 4, one diagonal
+    for key, counts in _grouped(order, group).items():
+        for kx, v in counts.items():
+            out[kx if by == "perimeter" else (kx, key)] = v
     return out
 
 
@@ -358,18 +311,19 @@ def perimeter_counts(order):
 def joint_table(order):
     """Full census table keyed like the exhaustive generator's output.
 
-    Unpacks each (class, d-row, z) int of the diagonal-tracking run once
-    straight into the table's dict, whose first key is the single cell
-    (one diagonal, perimeter 4).
+    Unpacks each checked entry of each delta once, slot 0 at the x-degree
+    2(k + m) of its frame offset, straight into the table's dict, whose
+    first key is the single cell (one diagonal, perimeter 4).
     """
-    packed = solve(order)
-    # every (kx, kd, cls, m) key comes from one int's slot, so none repeats
+    slots = Slots(order)
+    # every (kx, k, cls, m) key comes from one entry's slot, so none repeats
     table = CountTable({(4, 1, "none", 1): 1})
-    for cls, drows in zip(CLASS_ORDER, packed.rows):
-        for kd, row in enumerate(drows):
-            for m, v in enumerate(row):
-                slots = packed.slots.unpack(v)
-                table.update(zip(zip(slots, repeat(kd), repeat(cls), repeat(m)), slots.values()))
+    for k, delta in _deltas(order, slots):
+        for cls, series in zip(CLASS_ORDER, delta):
+            for m, v in enumerate(series):
+                counts = {}
+                _unpack_into(counts, v, slots.width, 2 * (k + m))
+                table.update(zip(zip(counts, repeat(k), repeat(cls), repeat(m)), counts.values()))
     return table
 
 
@@ -396,12 +350,10 @@ def two_nose_identity_residuals(order):
     a signed sum of copies of A, B, C and 1 shifted by monomials, each
     truncated at x^order.
     """
-    packed = solve(order)
-    a, b, c = (
-        {(kd, kx): v for kd, row in enumerate(drows)
-         for kx, v in _unpack_checked(packed.slots, sum(row)).items()}
-        for drows in packed.rows
-    )
+    classes = {cls: {} for cls in CLASS_ORDER}
+    for (cls, kd), counts in _grouped(order, lambda k, cls: (cls, k)).items():
+        classes[cls].update(((kd, kx), v) for kx, v in counts.items())
+    a, b, c = classes.values()
 
     def residual(k):
         # k = 1 uses d, k = 2 uses d^2 throughout

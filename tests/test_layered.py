@@ -5,38 +5,62 @@ by hand: nine shapes have perimeter at most 8, and each lands in one
 nose class with known diagonal and final-run statistics.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from reference_layered import empty_triple, rhs_step
+from reference_layered import add, empty_triple, rhs_step
 
+import dcpoly
 from dcpoly import brute, layered
 from dcpoly.layered import (
     InvariantError,
     NonConvergenceError,
-    check_invariants,
     joint_table,
     marginals,
     perimeter_counts,
-    solve,
     two_nose_identity_residuals,
 )
 
 KNOWN_PREFIX = {4: 1, 6: 2, 8: 7, 10: 28, 12: 122, 14: 556, 16: 2618}
 
 
-def unpacked(packed):
-    """Each class of a packed sum as {(d_degree, x_degree, z_degree): coefficient}."""
+def unframed(k, delta, slots, track_diagonals=True):
+    """Each class of delta_k as {(d_degree, x_degree, z_degree): coefficient},
+    d_degree k, or 0 with d collapsed; z^m of delta_k stands k + m slots low."""
+    kd = k if track_diagonals else 0
     return tuple(
         {
-            (kd, kx, m): c
-            for kd, row in enumerate(drows)
-            for m, v in enumerate(row)
-            for kx, c in packed.slots.unpack(v).items()
+            (kd, 2 * (k + m) + kx, m): c
+            for m, v in enumerate(series)
+            for kx, c in slots.unpack(v).items()
         }
-        for drows in packed.rows
+        for series in delta
     )
+
+
+def unpacked(order, track_diagonals=True):
+    """Each class of the fixed point, the delta stream summed over k."""
+    slots = layered.Slots(order)
+    total = empty_triple()
+    for k, delta in layered._deltas(order, slots):
+        for terms, new in zip(total, unframed(k, delta, slots, track_diagonals)):
+            for key, c in new.items():
+                terms[key] = terms.get(key, 0) + c
+    return total
+
+
+READERS = {
+    "perimeter": perimeter_counts,
+    "noses": lambda order: marginals(order, "noses"),
+    "diagonals": lambda order: marginals(order, "diagonals"),
+    "joint": joint_table,
+    "two-nose": two_nose_identity_residuals,
+}
 
 
 def perimeter_totals(classes):
@@ -49,7 +73,7 @@ def perimeter_totals(classes):
 
 
 def test_fixed_point_at_order_eight_matches_hand_census():
-    assert unpacked(solve(8)) == (
+    assert unpacked(8) == (
         {(2, 8, 2): 1},
         {(2, 6, 1): 2, (3, 8, 1): 4},
         {(2, 8, 1): 1, (3, 8, 1): 1},
@@ -118,7 +142,7 @@ def test_joint_table_projects_to_perimeter_counts():
     ],
 )
 def test_perimeter_is_at_least_twice_diagonals_plus_final_run(make_table, max_diagonals):
-    """The premise of ``solve``'s frame, read off finished tables: a shape
+    """The premise of the steps' frame, read off finished tables: a shape
     with k diagonals and m cells on its final diagonal has perimeter at
     least 2(k + m), and some shape reaches the bound at every k."""
     tight = set()
@@ -168,36 +192,33 @@ def test_two_nose_residuals_equal_the_polynomial_products(order):
 
 
 def test_iterates_grow_monotonically(monkeypatch):
-    """Every packed partial sum equals the reference engine's iterate T^t(0),
-    and the first step, from the lone cell, gives T(0)."""
+    """Summed through each k, the delta stream equals the reference
+    engine's iterate T^(k-1)(0), per d-row with d tracked and over every
+    d-row with d collapsed, and the first step, from the lone cell, gives
+    T(0)."""
     seen = []
     real_step = layered._linear_step
 
     def record(delta, k, slots):
-        seen.append((k, delta, slots))
+        seen.append((k, delta))
         return real_step(delta, k, slots)
 
     monkeypatch.setattr(layered, "_linear_step", record)
+    slots = layered.Slots(16)
+    deltas = list(layered._deltas(16, slots))
+    # the lone cell, one nonempty delta per diagonal count 2..7, then an empty one
+    assert [k for k, _ in seen] == [1, 2, 3, 4, 5, 6, 7]
+    assert seen[0][1] == ([], [0, 1], [])
+    # its output is delta_2, so the first comparison below checks it
+    # against the reference's two-diagonal iterate T(0)
+    assert [k for k, _ in deltas] == [2, 3, 4, 5, 6, 7]
     for track_diagonals in (True, False):
-        seen.clear()
-        solve(16, track_diagonals)
-        # the lone cell, one nonempty delta per diagonal count 2..7, then an empty one
-        assert [k for k, _, _ in seen] == [1, 2, 3, 4, 5, 6, 7]
-        assert seen[0][1] == ([], [0, 1], [])
-        # its output is delta_2, so the first comparison below checks it
-        # against the reference's two-diagonal iterate T(0)
-        del seen[0]
-        rows = ([], [], [])
+        partial = empty_triple()
         reference = empty_triple()
         counts = []
-        for k, delta, slots in seen:
-            # unframe: z^m of delta_k stands k + m slots low
-            kd = k if track_diagonals else 0
-            for drows, series in zip(rows, delta):
-                drows.extend([] for _ in range(kd + 1 - len(drows)))
-                shifted = [v << slots.width * (k + m) for m, v in enumerate(series)]
-                drows[kd] = layered._add(drows[kd], shifted)
-            partial = unpacked(layered.PackedSum(slots, track_diagonals, rows))
+        for k, delta in deltas:
+            new = unframed(k, delta, slots, track_diagonals)
+            partial = tuple(map(add, partial, new))
             reference = rhs_step(reference, 16, track_diagonals)
             assert partial == reference
             counts.append(perimeter_totals(partial))
@@ -208,8 +229,10 @@ def test_iterates_grow_monotonically(monkeypatch):
 
 
 def test_solve_rejects_tiny_order():
-    with pytest.raises(ValueError):
-        solve(2)
+    for read in READERS.values():
+        for order in (2, -3):
+            with pytest.raises(ValueError, match="at least 4"):
+                read(order)
 
 
 def test_convergence_error_is_exported():
@@ -232,80 +255,100 @@ def naive_fixed_point(order, track_diagonals):
     [(o, t) for o in (4, 5, 8, 16, 30) for t in (True, False)] + [(60, False)],
 )
 def test_solve_matches_naive_fixed_point(order, track_diagonals):
-    assert unpacked(solve(order, track_diagonals)) == naive_fixed_point(order, track_diagonals)
+    assert unpacked(order, track_diagonals) == naive_fixed_point(order, track_diagonals)
 
 
 def test_perimeter_counts_sum_the_packed_classes():
-    assert perimeter_counts(200) == perimeter_totals(unpacked(solve(200, False)))
+    assert perimeter_counts(200) == perimeter_totals(unpacked(200, False))
 
 
-def _corrupted(track_diagonals, cls, kd, m, change):
-    """A valid packed partial sum with one int changed by ``change``."""
-    packed = layered.solve(16, track_diagonals)
-    check_invariants(packed)
-    drows = packed.rows[layered.CLASS_ORDER.index(cls)]
-    drows.extend([] for _ in range(kd + 1 - len(drows)))
-    drows[kd].extend([0] * (m + 1 - len(drows[kd])))
-    drows[kd][m] = change(drows[kd][m], packed.slots.width)
-    return packed
+def _plant(monkeypatch, target, cls, m, change):
+    """Make the step that yields delta_``target`` change its ``cls`` entry
+    z^m by ``change(v, width)`` before handing it on."""
+    real_step = layered._linear_step
+    c = layered.CLASS_ORDER.index(cls)
+
+    def corrupting(delta, k, slots):
+        out = list(real_step(delta, k, slots))
+        if k + 1 == target:
+            series = out[c] + [0] * (m + 1 - len(out[c]))
+            series[m] = change(series[m], slots.width)
+            out[c] = series
+        return tuple(out)
+
+    monkeypatch.setattr(layered, "_linear_step", corrupting)
 
 
 def _plus_slot(j):
     return lambda v, width: v + (1 << j * width)
 
 
+def _borrow(j):
+    """Take one more than slot j holds, so the slot borrows from above it."""
+    return lambda v, width: v - ((v >> j * width & (1 << width) - 1) + 1 << j * width)
+
+
 @pytest.mark.parametrize(
-    "track, cls, kd, m, change, message",
+    "cls, k, m, change, message",
     [
+        # the plain cases plant into delta_2, the first step's output, and
+        # the "-d" cases into a later delta
         # a two-nose shape needs two cells on its final diagonal
-        pytest.param(False, "two", 0, 1, _plus_slot(5), "below its minimum run", id="min-run"),
-        pytest.param(True, "two", 3, 1, _plus_slot(5), "below its minimum run", id="min-run-d"),
-        # taking 1 from an empty slot borrows from the slot above it
-        pytest.param(False, "one", 0, 1, lambda v, w: v - 1, "negative", id="borrow"),
-        pytest.param(True, "zero", 3, 1, lambda v, w: v - (1 << 2 * w), "negative", id="borrow-d"),
-        pytest.param(True, "one", 4, 2, lambda v, w: -1, "negative", id="negative-d"),
-        pytest.param(False, "one", 0, 1, _plus_slot(2), "perimeter 4 below", id="perimeter"),
-        pytest.param(True, "one", 2, 1, _plus_slot(2), "perimeter 4 below", id="perimeter-d"),
-        pytest.param(False, "zero", 0, 3, _plus_slot(3), "final run 3 too long", id="run"),
-        pytest.param(True, "zero", 2, 3, _plus_slot(3), "final run 3 too long", id="run-d"),
-        pytest.param(True, "one", 4, 1, _plus_slot(4), "diagonal count 4", id="diagonals"),
-        pytest.param(True, "zero", 1, 1, _plus_slot(5), "diagonal count 1", id="one-diagonal"),
+        pytest.param("two", 2, 1, _plus_slot(5), "two series has a z\\^1 term below", id="min-run"),
+        pytest.param("two", 3, 1, _plus_slot(5), "two series has a z\\^1 term below", id="min-run-d"),
+        pytest.param("one", 2, 1, _borrow(0), "d\\^2 z\\^1 in one is negative", id="borrow"),
+        pytest.param("zero", 3, 1, _borrow(2), "d\\^3 z\\^1 in zero is negative", id="borrow-d"),
+        pytest.param("one", 4, 2, lambda v, w: -1, "d\\^4 z\\^2 in one is negative", id="negative-d"),
     ],
 )
-def test_each_invariant_fires_on_one_corrupted_slot(track, cls, kd, m, change, message):
-    packed = _corrupted(track, cls, kd, m, change)
-    with pytest.raises(InvariantError, match=message):
-        check_invariants(packed)
+def test_each_invariant_fires_on_one_corrupted_slot(monkeypatch, cls, k, m, change, message):
+    """A fault planted in one entry of one delta stops every reader.  A
+    framed entry cannot hold a perimeter below 2(k + m), so the final-run
+    and diagonal-count bounds of a finished table need no check of their
+    own (see ``test_perimeter_is_at_least_twice_diagonals_plus_final_run``)."""
+    _plant(monkeypatch, k, cls, m, change)
+    for read in READERS.values():
+        with pytest.raises(InvariantError, match=message):
+            read(16)
 
 
 @pytest.mark.parametrize("track_diagonals", [False, True])
 def test_each_step_checks_its_new_row_and_catches_a_corrupted_slot(monkeypatch, track_diagonals):
-    """Every delta is checked before the next step reads it, and a
-    borrow planted in the delta of five-diagonal shapes stops ``solve``."""
-    checked = []
+    """Every delta is checked, with its diagonal count, before the next
+    step reads it, on the run by perimeter as on the run by diagonals, and
+    a borrow planted in the delta of five-diagonal shapes stops the run."""
+    by = "diagonals" if track_diagonals else "perimeter"
+    events = []
     real_check, real_step = layered._check_counts, layered._linear_step
 
-    def record(cls, kd, series, slots):
-        checked.append(kd)
+    def check(cls, kd, series, slots):
+        events.append(("check", kd))
         real_check(cls, kd, series, slots)
 
-    monkeypatch.setattr(layered, "_check_counts", record)
-    monkeypatch.setattr(layered, "check_invariants", lambda packed: None)
-    solve(16, track_diagonals)
-    assert checked == [k if track_diagonals else 0 for k in range(2, 8) for _ in range(3)]
+    def step(delta, k, slots):
+        events.append(("step", k))
+        return real_step(delta, k, slots)
 
-    def corrupting(delta, k, slots):
-        two, one, zero = real_step(delta, k, slots)
-        if k + 1 == 5:
-            one = one + [0] * (2 - len(one))
-            one[1] -= (one[1] & ((1 << slots.width) - 1)) + 1
-        return two, one, zero
+    monkeypatch.setattr(layered, "_check_counts", check)
+    monkeypatch.setattr(layered, "_linear_step", step)
+    marginals(16, by)
+    assert events == [("step", 1)] + [
+        event for k in range(2, 8) for event in [("check", k)] * 3 + [("step", k)]
+    ]
 
-    checked.clear()
-    monkeypatch.setattr(layered, "_linear_step", corrupting)
+    events.clear()
+    _plant(monkeypatch, 5, "one", 1, _borrow(0))
     with pytest.raises(InvariantError, match="negative"):
-        solve(16, track_diagonals)
-    assert checked[-1] == (5 if track_diagonals else 0)
+        marginals(16, by)
+    assert events[-1] == ("check", 5)
+
+
+@pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+def test_every_reader_names_the_diagonal_count_of_a_bad_delta(monkeypatch, read):
+    """Summed over d or not, an error names the delta a fault sits in."""
+    _plant(monkeypatch, 5, "one", 1, _borrow(0))
+    with pytest.raises(InvariantError, match="d\\^5 z\\^1 in one is negative"):
+        read(16)
 
 
 def _check_counts_by_entry(cls, kd, series, slots):
@@ -397,14 +440,9 @@ def test_too_narrow_slot_raises_instead_of_wrapping(monkeypatch):
     monkeypatch.setattr(
         layered, "_slot_bits", lambda order: (12, 2 * (order + 4).bit_length())
     )
-    for track_diagonals in (False, True):
-        with pytest.raises(InvariantError, match="overflows its slot"):
-            solve(40, track_diagonals)
-    with pytest.raises(InvariantError, match="overflows its slot"):
-        perimeter_counts(40)
-    for by in ("noses", "diagonals"):
-        with pytest.raises(InvariantError, match="overflows"):
-            marginals(40, by)
+    for read in READERS.values():
+        with pytest.raises(InvariantError, match="is negative or overflows its slot"):
+            read(40)
 
 
 def test_a_total_that_outgrows_its_slot_raises(monkeypatch):
@@ -412,7 +450,7 @@ def test_a_total_that_outgrows_its_slot_raises(monkeypatch):
     monkeypatch.setattr(
         layered, "_slot_bits", lambda order: (64, 2 * (order + 4).bit_length())
     )
-    solve(60, False)
+    joint_table(60)
     with pytest.raises(InvariantError, match="perimeter count overflows"):
         perimeter_counts(60)
 
@@ -424,20 +462,43 @@ def test_a_marginal_that_outgrows_its_slot_raises(monkeypatch, by, value_bits):
     monkeypatch.setattr(
         layered, "_slot_bits", lambda order: (value_bits, 2 * (order + 4).bit_length())
     )
-    layered.solve(60, by == "diagonals")
+    joint_table(60)
     with pytest.raises(InvariantError, match="perimeter count overflows"):
         marginals(60, by)
 
 
 def test_a_sum_over_diagonals_that_outgrows_its_slot_raises(monkeypatch):
-    """At 60 every delta fits in 61 bits but some of their sums with d
-    collapsed do not, so only the check of the returned sum sees it."""
+    """At 60 every delta entry fits in 61 bits, so the joint table, which
+    sums nothing, passes, but some sums over the diagonal count do not,
+    and the guard check of the perimeter sum sees it."""
     monkeypatch.setattr(
         layered, "_slot_bits", lambda order: (61, 2 * (order + 4).bit_length())
     )
-    solve(60, True)
-    with pytest.raises(InvariantError, match="d\\^0 .* overflows its slot"):
-        solve(60, False)
+    joint_table(60)
+    with pytest.raises(InvariantError, match="perimeter count overflows"):
+        perimeter_counts(60)
+
+
+PEAK_RSS = """
+import resource, sys
+from dcpoly import layered
+layered.marginals(400, "diagonals")
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak // 1024 if sys.platform == "darwin" else peak)
+"""
+
+
+def test_diagonals_marginal_at_400_runs_in_bounded_memory():
+    """Each reader folds each delta as it comes, so the run by diagonals
+    keeps one int per d-row, not one per (class, d-row, z): a fresh
+    process peaks under 100 MB at perimeter 400."""
+    env = dict(os.environ)
+    src = str(Path(dcpoly.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(proc.stdout) < 100 * 1024  # ru_maxrss in KiB
 
 
 def test_value_bits_rest_on_a_contraction():

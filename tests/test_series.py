@@ -521,8 +521,8 @@ def test_geometric_kernel_against_direct_convolution():
     product with sum x^(4j) z^j, and so does the dict-of-terms reference.
     From a delta with only B (or only A) the step's two-nose output is
     x^4 z K B (or x^4 z K^2 A), read here with the x^4 z taken off.
-    Every term x^kx z^m has kx >= 2m, as in ``layered.solve``'s frame at
-    k = 0, where it is stored kx/2 - m slots up."""
+    Every term x^kx z^m has kx >= 2m, as in the frame of the layered
+    steps at k = 0, where it is stored kx/2 - m slots up."""
     rng = random.Random(16)
     order = 12
     slots = Slots(order)
