@@ -12,9 +12,8 @@ the identities that tie all routes together:
 * the identities those roots satisfy: each annihilates its factor, the
   two quartic roots span a quadratic that divides the quartic, and their
   sum and reciprocal sum match the nested radical; ``kernel_residuals``
-  returns all seven residuals of one sample from one set of roots, and
-  ``radical_residuals`` the three value^2 - radicand residuals of the
-  radicals, squared in t = x^2;
+  returns all ten residuals of one sample: these seven, from one set of
+  roots, after each radical's value^2 - radicand;
 * three printed shapes of the column-convex perimeter series, all equal
   as formal series but arranged around different radicals;
 * the algebraic fixed point counting directed shapes by diagonals, with
@@ -104,6 +103,8 @@ class KernelRoots(NamedTuple):
     x^4 z^2 - (aux/2) z + 1 = 0 with its sign's aux.  Both roots are
     ``SurdSeries`` over Q(sqrt D): for d = p/q in lowest terms,
     4 + d^2 = m/q^2 and D = m, stored as D = 1 when m is a perfect square.
+    The roots at sample d solve the factors at marker d^2; the sign of d
+    only swaps the (+) and (-) labels.
     """
 
     quadratic: XSeries
@@ -112,12 +113,15 @@ class KernelRoots(NamedTuple):
 
 
 class KernelResiduals(NamedTuple):
-    """Residuals of the kernel-root identities at one sample.
+    """Every residual the kernel suite checks at one sample, in report order.
 
-    ``quadratic``, ``quartic_plus`` and ``quartic_minus`` are the kernel
-    factors evaluated at their series roots.  ``remainder_z1`` and
-    ``remainder_z0`` are the coefficients of the quartic factor modulo
-    the monic quadratic whose roots are its two series roots.
+    ``kernel``, ``base`` and ``nested`` are value^2 - radicand for the
+    radicals of :func:`radicals` at the sample d itself; the other seven
+    are at marker d^2.  ``quadratic``, ``quartic_plus`` and
+    ``quartic_minus`` are the kernel factors evaluated at their series
+    roots.  ``remainder_z1`` and ``remainder_z0`` are the coefficients of
+    the quartic factor modulo the monic quadratic whose roots are its two
+    series roots.
     ``root_sum`` and ``reciprocal_sum`` compare the sum of those roots
     and the sum of their reciprocals with their expressions through the
     outer nested radical at d^2, where the irrational parts cancel; the
@@ -127,6 +131,9 @@ class KernelResiduals(NamedTuple):
     when the identities hold.
     """
 
+    kernel: XSeries
+    base: XSeries
+    nested: XSeries
     quadratic: XSeries
     quartic_plus: SurdSeries
     quartic_minus: SurdSeries
@@ -194,29 +201,15 @@ def radicals(d, order):
     return _in_x(_radicals(d, order // 2), order)
 
 
-def radical_residuals(d, order):
-    """value^2 - radicand for each radical of :func:`radicals` at sample
-    ``d``, as a ``RadicalTriple`` of residual series that all vanish.
-
-    The squares are taken in t = x^2, with half the terms of the
-    x-series, and each residual is read back in x through ``order``, so
-    a wrong t^j coefficient shows at x^(2j).
-    """
-    triple = _radicals(d, order // 2)
-    return _in_x(RadicalTriple._make(r.value * r.value - r.radicand for r in triple), order)
-
-
-def _kernel_factors(d, n):
-    """The factored kernel at diagonal-marker sample ``d``, in t = x^2
-    through t^n.
+def _kernel_factors(e, n):
+    """The factored kernel at diagonal marker ``e``, in t = x^2 through t^n.
 
     The full kernel is the product of the three returned factors.  The
     z-coefficient lists are ascending; the quartic is palindromic up to
     powers of t^2, which is what makes its series roots come in the two
-    aux-labelled pairs of :func:`roots`.
+    aux-labelled pairs of :func:`roots`.  The public callers pass the
+    square of their sample.
     """
-    d = Fraction(d)
-    e = d * d
     plain = XSeries.from_terms(
         {
             11: e, 10: 1, 9: -4 * e, 8: -(2 * e + 5), 7: e * e * e + 2 * e * e + 6 * e,
@@ -241,13 +234,14 @@ def _kernel_factors(d, n):
 
 
 def kernel_sextic(d, order):
-    """The expanded kernel: ascending z-coefficients of plain*quad*quartic.
+    """The expanded kernel at marker d^2 for sample ``d``: ascending
+    z-coefficients of plain*quad*quartic.
 
     For integer samples ``d`` every coefficient must be an integer, a
     cheap transcription check on all three factors at once.
     """
     n = order // 2
-    factors = _kernel_factors(d, n)
+    factors = _kernel_factors(d * d, n)
     zero = XSeries.zero(n)
     product = [zero] * (len(factors.quadratic) + len(factors.quartic) - 1)
     for i, a in enumerate(factors.quadratic):
@@ -299,7 +293,10 @@ def roots(d, order):
     from its quadratic formula at two extra t-orders (four in x) of
     precision, and the leading cancellation down to x^4 is enforced, so
     a transcription error surfaces as a ValuationError instead of a
-    silently wrong series.
+    silently wrong series.  The roots solve the factors at marker d^2, and
+    ``roots(-d, order)`` is ``roots(d, order)`` with ``quartic_plus`` and
+    ``quartic_minus`` swapped: d enters only through e = d^2 and the sign
+    of the swing term d(1 - t)w of ``_roots``, w^2 a polynomial in t and e.
     """
     return _in_x(_roots(d, order // 2), order)
 
@@ -313,17 +310,20 @@ def _eval_z_poly(coeffs, z):
 
 
 def kernel_residuals(d, order):
-    """Every kernel-root identity at sample ``d``, from one set of roots.
+    """The ten residual series of :class:`KernelResiduals` at sample ``d``.
 
-    Builds the kernel factors, their series roots and the outer nested
-    radical at d^2 once, and returns the seven residual series of
-    :class:`KernelResiduals`; all vanish through the requested order on
-    a faithful transcription.
+    The three radicals square back at marker d.  The kernel factors, their
+    series roots and the outer nested radical are built once at marker
+    e = d^2, so the sign of d only swaps the (+) and (-) residuals.  All
+    are computed in t = x^2 and read back in x through ``order``, so a
+    wrong t^j coefficient shows at x^(2j); all vanish on a faithful
+    transcription.
     """
     d = Fraction(d)
     e = d * d
     n = order // 2
-    factors = _kernel_factors(d, n)
+    squares = [radical.value * radical.value - radical.radicand for radical in _radicals(d, n)]
+    factors = _kernel_factors(e, n)
     r = _roots(d, n)
     root_sum = r.quartic_plus + r.quartic_minus
     root_product = r.quartic_plus * r.quartic_minus
@@ -338,6 +338,7 @@ def kernel_residuals(d, order):
     nested = _outer_radicals(e, n + 2)[1].value
     shape = _shape(e, n + 2)
     residuals = KernelResiduals(
+        *squares,
         _eval_z_poly(factors.quadratic, r.quadratic),
         _eval_z_poly(factors.quartic, r.quartic_plus),
         _eval_z_poly(factors.quartic, r.quartic_minus),

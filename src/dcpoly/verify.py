@@ -32,6 +32,9 @@ DIRECTED_EXHAUSTIVE_DEPTH = 4
 
 # one check name per field of closedform.KernelResiduals, in field order
 KERNEL_RESIDUAL_CHECKS = (
+    "kernel radical squares back",
+    "base radical squares back",
+    "nested radical squares back",
     "quadratic root annihilates its factor",
     "quartic root (+) annihilates its factor",
     "quartic root (-) annihilates its factor",
@@ -114,29 +117,21 @@ def _table_failure(left, right):
 def kernel_suite(order, d_samples):
     """Radical, kernel-root, and symmetric-identity checks per sample.
 
-    Each sample gets the three radical checks of
-    ``closedform.radical_residuals``, whose squares are taken in
-    t = x^2 and read in x, and the seven residuals of
-    ``closedform.kernel_residuals``, whose roots are built once per
-    sample; each integer sample also gets the integer-coefficient check
-    on the expanded kernel, which tests each numerator against its
-    den * lam^k and builds a ``Fraction`` only for the first offender.
-    That check cannot fail on the factors as written: at integer d
-    every factor coefficient is an integer polynomial in d.  A sample
-    of 0 or -2 raises ``ValueError``: the kernel has no series roots at
-    0, and no nested radical at -2.
+    Each sample c gets the ten residuals of ``closedform.kernel_residuals``:
+    the radicals square back at marker c, and the kernel factors, roots
+    and identities hold at marker c^2, where the sign of c only swaps the
+    (+) and (-) labels.  Each integer sample also gets the
+    integer-coefficient check on the expanded kernel, which tests each
+    numerator against its den * lam^k and builds a ``Fraction`` only for
+    the first offender.  That check cannot fail on the factors as
+    written: at integer d every factor coefficient is an integer
+    polynomial in d.  A sample of 0 or -2 raises ``ValueError``: the
+    kernel has no series roots at 0, and no nested radical at -2.
     """
     for d in d_samples:
-        label = "d=%s" % d
-        radicals = closedform.radical_residuals(d, order)
-        for radical_name, residual in zip(radicals._fields, radicals):
-            yield (
-                "%s radical squares back (%s)" % (radical_name, label),
-                _series_failure(residual),
-            )
         residuals = closedform.kernel_residuals(d, order)
-        for name, series in zip(KERNEL_RESIDUAL_CHECKS, residuals):
-            yield "%s (%s)" % (name, label), _series_failure(series)
+        for name, series in zip(KERNEL_RESIDUAL_CHECKS, residuals, strict=True):
+            yield "%s (d=%s)" % (name, d), _series_failure(series)
     for d in map(Fraction, d_samples):
         if d.denominator != 1:
             continue

@@ -65,11 +65,18 @@ def test_quadratic_factor_at_unit_sample():
 
 
 def test_plain_factor_boundary_terms():
-    # x^0, x^20 and x^22 are t^0, t^10 and t^11
-    plain = closedform._kernel_factors(2, 12).plain
+    # x^0, x^20 and x^22 are t^0, t^10 and t^11; marker 4 is sample 2
+    plain = closedform._kernel_factors(4, 12).plain
     assert plain.coefficient(0) == -1
     assert plain.coefficient(10) == 1
     assert plain.coefficient(11) == 4
+
+
+def test_kernel_factors_take_the_marker_itself():
+    # the quadratic's z^1 term is -1 - t^2 + e t^3 at marker e, not at e^2
+    assert closedform._kernel_factors(2, 4).quadratic[1].coefficient(3) == 2
+    third = Fraction(1, 3)
+    assert closedform._kernel_factors(third, 4).quadratic[1].coefficient(3) == third
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))
@@ -160,12 +167,41 @@ def test_quartic_minus_is_the_conjugate_of_quartic_plus(d):
     assert r.quartic_minus.b == -r.quartic_plus.b
 
 
-@pytest.mark.parametrize("order", (16, 17))
+@pytest.mark.parametrize("order", (12, 16, 17, 60))
 @pytest.mark.parametrize("d", D_SAMPLES)
 def test_kernel_residuals_vanish(d, order):
     residuals = kernel_residuals(d, order)
-    assert len(residuals) == 7
+    assert len(residuals) == 10
     assert all(residual.is_zero() for residual in residuals)
+
+
+def _parts(value):
+    """A series, or a ``SurdSeries`` as its comparable parts."""
+    return (value.a, value.b, value.disc) if isinstance(value, series.SurdSeries) else value
+
+
+@pytest.mark.parametrize("c", (Fraction(1, 2), 3))
+def test_the_sign_of_the_sample_only_swaps_the_quartic_labels(monkeypatch, c):
+    """The radicals run at marker c, but the factors, roots and identities
+    at c^2, where the sign of c only swaps the (+) and (-) roots.  With a
+    quartic coefficient bumped at t^3 the root residuals are nonzero, so
+    the swap is also seen on series that are not all zero."""
+    assert _parts(roots(-c, 16).quartic_plus) == _parts(roots(c, 16).quartic_minus)
+    assert _parts(roots(-c, 16).quartic_minus) == _parts(roots(c, 16).quartic_plus)
+    real = closedform._kernel_factors
+
+    def bumped(e, n):
+        factors = real(e, n)
+        quartic = list(factors.quartic)
+        quartic[2] = quartic[2] + XSeries.from_terms({3: 1}, n)
+        return factors._replace(quartic=tuple(quartic))
+
+    for factors in (real, bumped):
+        monkeypatch.setattr(closedform, "_kernel_factors", factors)
+        at_c, at_minus_c = kernel_residuals(c, 16), kernel_residuals(-c, 16)
+        swapped = at_c._replace(quartic_plus=at_c.quartic_minus, quartic_minus=at_c.quartic_plus)
+        assert [_parts(r) for r in at_minus_c[3:]] == [_parts(r) for r in swapped[3:]]
+    assert _parts(at_c.quartic_plus) != _parts(at_c.quartic_minus)
 
 
 @pytest.mark.parametrize("d", D_SAMPLES)

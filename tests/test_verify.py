@@ -87,18 +87,25 @@ def test_kernel_suite_rejects_minus_two_naming_the_sample():
 
 
 def test_kernel_suite_builds_the_roots_once_per_sample(monkeypatch):
-    # the suite reaches the roots through the t = x^2 level only
-    calls = []
-    real = closedform._roots
+    # the suite reaches the roots, radicals and factors through the t = x^2
+    # level only; the factors once per sample and once more for the expanded
+    # kernel at the integer sample 1, each at its marker d^2
+    calls = {"_roots": [], "_radicals": [], "_kernel_factors": []}
+    for name, seen in calls.items():
+        real = getattr(closedform, name)
 
-    def counted(d, n):
-        calls.append(d)
-        return real(d, n)
+        def counted(d, n, real=real, seen=seen):
+            seen.append(d)
+            return real(d, n)
 
-    monkeypatch.setattr(closedform, "_roots", counted)
+        monkeypatch.setattr(closedform, name, counted)
     results = verify.kernel_suite(12, (1, Fraction(1, 2)))
     assert all(r.passed for r in results)
-    assert len(calls) == 2
+    assert calls == {
+        "_roots": [1, Fraction(1, 2)],
+        "_radicals": [1, Fraction(1, 2)],
+        "_kernel_factors": [1, Fraction(1, 4), 1],
+    }
 
 
 # (factor, power of z, x-degree) of a coefficient bumped by 1
@@ -109,8 +116,8 @@ def _bumped_factor(which, dz, kx):
     """A plant for ``_kernel_factors``: the factors are built in t = x^2,
     where the x^kx coefficient of z^dz sits at t^(kx/2)."""
     def plant(real):
-        def bumped(d, n):
-            factors = real(d, n)
+        def bumped(e, n):
+            factors = real(e, n)
             coeffs = list(getattr(factors, which))
             coeffs[dz] = coeffs[dz] + XSeries.from_terms({kx // 2: 1}, n)
             return factors._replace(**{which: tuple(coeffs)})
@@ -308,6 +315,17 @@ def _nested_value_bumped(real):
     return outer
 
 
+# the quartic factor's x^12 z^2 coefficient plus 1 leaves q(0)^2 at x^12 for
+# each quartic root q, q(0) = (2 + d^2 -+ d sqrt(4 + d^2))/2, and the sum of
+# those two, 2 + d^2, in the z^1 remainder: per sample (rational part of q+(0)^2,
+# its surd coefficient with the sign of q-, disc, 2 + d^2)
+QUARTIC_BUMP_DETAILS = {
+    "1": ("7/2", "3/2", 5, "3"),
+    "1/2": ("49/32", "9/32", 17, "9/4"),
+    "2": ("17", "6", 8, "6"),
+    "3": ("119/2", "33/2", 13, "11"),
+}
+
 CLOSED_FORM_PLANTS = [
     (
         closedform,
@@ -401,6 +419,35 @@ CLOSED_FORM_PLANTS = [
             )
         ],
     ),
+    (
+        closedform,
+        "_kernel_factors",
+        _bumped_factor(*FACTOR_BUMPS[0]),
+        "kernel",
+        "12",
+        [
+            "FAIL [kernel] %s (d=%s): first offending coefficient: x^12 -> %s" % (name, d, detail)
+            for d, (a, b, disc, s) in QUARTIC_BUMP_DETAILS.items()
+            for name, detail in (
+                ("quartic root (+) annihilates its factor", "%s + -%s*sqrt(%d)" % (a, b, disc)),
+                ("quartic root (-) annihilates its factor", "%s + %s*sqrt(%d)" % (a, b, disc)),
+                ("series-root quadratic divides the quartic, z^1", "%s + 0*sqrt(%d)" % (s, disc)),
+                ("series-root quadratic divides the quartic, z^0", "-1 + 0*sqrt(%d)" % disc),
+            )
+        ],
+    ),
+    (
+        closedform,
+        "_kernel_factors",
+        _bumped_factor(*FACTOR_BUMPS[1]),
+        "kernel",
+        "12",
+        [
+            "FAIL [kernel] quadratic root annihilates its factor (d=%s): "
+            "first offending coefficient: x^6 -> 1" % d
+            for d in SAMPLES
+        ],
+    ),
 ]
 
 
@@ -409,7 +456,8 @@ CLOSED_FORM_PLANTS = [
     CLOSED_FORM_PLANTS,
     ids=(
         "directed-formula", "twonose-variant-start", "kernel-integer", "columnconvex-variants",
-        "kernel-radicand", "nested-radicand", "nested-value",
+        "kernel-radicand", "nested-radicand", "nested-value", "quartic-factor",
+        "quadratic-factor",
     ),
 )
 def test_planted_closed_form_faults_report_their_detail_and_exit_one(
@@ -455,8 +503,6 @@ def _plants():
         yield brute, target, lambda real, t=transform: lambda bound: t(real(bound)), suite
     for module, target, plant, suite, _, _ in CLOSED_FORM_PLANTS:
         yield module, target, plant, suite
-    for bump in FACTOR_BUMPS:
-        yield closedform, "_kernel_factors", _bumped_factor(*bump), "kernel"
     yield closedform, "_radicals", _bumped_radicand("base"), "kernel"
     for planted in ({"matching": {(3, 12): 5, (2, 10): -7}}, {"squared": {}}):
         yield layered, "two_nose_identity_residuals", lambda real, p=planted: _planted(**p), "twonose"
