@@ -33,11 +33,14 @@ odd powers.
 The diagonal marker d enters every formula polynomially, so identities
 are verified at several rational sample values rather than symbolically;
 vanishing at four samples to high x-order leaves no room for a wrong
-transcription.  All arithmetic is exact.  Only the quartic kernel roots,
-through sqrt(4 + d^2), have irrational constant terms: they are
-``SurdSeries`` pairs a + b*sqrt(D) of rational series, and an identity
-about them holds only when both parts vanish, so the irrational part is
-checked, never assumed.  Every other series here is rational.
+transcription.  All arithmetic is exact and runs over Q.  Only the
+quartic kernel roots, through sqrt(4 + d^2), have irrational constant
+terms: they are a +- b*sqrt(D) with a and b rational series, built by
+denesting the square root over Q(sqrt D) in their quadratic formula
+into two rational square roots.  The division and sum identities use
+them only through their rational sum and product; the two root
+residuals are ``SurdSeries`` pairs, and each holds only when both of
+its parts vanish, so the irrational part is checked, never assumed.
 """
 
 from __future__ import annotations
@@ -101,10 +104,10 @@ class KernelRoots(NamedTuple):
     radical in the series aux of ``_roots``: the quartic splits into two
     quadratics in z, one per sign, and each series root solves
     x^4 z^2 - (aux/2) z + 1 = 0 with its sign's aux.  Both roots are
-    ``SurdSeries`` over Q(sqrt D): for d = p/q in lowest terms,
-    4 + d^2 = m/q^2 and D = m, stored as D = 1 when m is a perfect square.
-    The roots at sample d solve the factors at marker d^2; the sign of d
-    only swaps the (+) and (-) labels.
+    ``SurdSeries`` a +- b*sqrt(D) over Q(sqrt D), their parts built over
+    Q: for d = p/q in lowest terms, 4 + d^2 = m/q^2 and D = m, stored as
+    D = 1 when m is a perfect square.  The roots at sample d solve the
+    factors at marker d^2; the sign of d only swaps the (+) and (-) labels.
     """
 
     quadratic: XSeries
@@ -119,12 +122,15 @@ class KernelResiduals(NamedTuple):
     radicals of :func:`radicals` at the sample d itself; the other seven
     are at marker d^2.  ``quadratic``, ``quartic_plus`` and
     ``quartic_minus`` are the kernel factors evaluated at their series
-    roots.  ``remainder_z1`` and ``remainder_z0`` are the coefficients of
-    the quartic factor modulo the monic quadratic whose roots are its two
-    series roots.
+    roots; the last two are pairs over Q(sqrt D).  The other four are
+    rational: they see the quartic roots q+- = a +- b*sqrt(D) only
+    through their sum 2a and product a^2 - D b^2.  ``remainder_z1`` and
+    ``remainder_z0`` are the coefficients of the quartic factor modulo
+    the monic quadratic whose roots are its two series roots.
     ``root_sum`` and ``reciprocal_sum`` compare the sum of those roots
     and the sum of their reciprocals with their expressions through the
-    outer nested radical at d^2, where the irrational parts cancel; the
+    outer nested radical at d^2; the root sum compares the denested
+    alpha of ``_roots`` with the transcribed nested radical.  The
     reciprocal sum is checked times the product of the roots, a unit
     (constant term 1), so it needs no division and vanishes exactly
     when the quotient identity does.  Every field is the zero series
@@ -137,10 +143,10 @@ class KernelResiduals(NamedTuple):
     quadratic: XSeries
     quartic_plus: SurdSeries
     quartic_minus: SurdSeries
-    remainder_z1: SurdSeries
-    remainder_z0: SurdSeries
-    root_sum: SurdSeries
-    reciprocal_sum: SurdSeries
+    remainder_z1: XSeries
+    remainder_z0: XSeries
+    root_sum: XSeries
+    reciprocal_sum: XSeries
 
 
 CC_VARIANTS = ("ratio", "nested", "split")
@@ -257,7 +263,9 @@ def _shape(e, n):
 
 
 def _roots(d, n):
-    """:func:`roots` in t = x^2, through t^n."""
+    """The kernel roots at sample ``d`` in t = x^2, through t^n, over Q:
+    (quadratic, a, b, D), the quartic roots being a +- b*sqrt(D) with D
+    unfolded even where it is a perfect square."""
     d = Fraction(d)
     if d == 0:
         raise ValueError("the diagonal-marker sample must be nonzero")
@@ -268,20 +276,26 @@ def _roots(d, n):
     quadratic_root = numerator.shift_down(2) * Fraction(1, 2)
 
     # sqrt(inner) = sqrt(4 + e) * u with u rational, as inner / (4 + e) has
-    # constant term 1; with d = p/q, 4 + e = m/q^2 and sqrt(4 + e) = sqrt(m)/q
+    # constant term 1; with d = p/q, 4 + e = D/q^2, so the swing term
+    # d(1 - t) sqrt(inner) of aux = shape +- swing is sigma*sqrt(D)
     inner = XSeries.from_terms({0: 1, 1: 1}, high) * XSeries.from_terms(
         {0: 4 + e, 1: 4 - 3 * e, 2: 4 * e}, high
     )
     u = (inner * (1 / (4 + e))).sqrt()
-    w = SurdSeries(XSeries.zero(high), u * Fraction(1, d.denominator), (4 + e).numerator)
+    disc = (4 + e).numerator
     shape = _shape(e, high)
-    swing = XSeries.from_terms({0: d, 1: -d}, high) * w
-    quartic_roots = []
-    for aux in (shape + swing, shape - swing):
-        radicand = aux * aux - XSeries.from_terms({2: 16}, high)
-        s = radicand.sqrt((aux.a.coefficient(0), aux.b.coefficient(0)))
-        quartic_roots.append((aux - s).shift_down(2) * Fraction(1, 4))
-    return KernelRoots(quadratic_root, *quartic_roots)
+    sigma = XSeries.from_terms({0: d, 1: -d}, high) * u * Fraction(1, d.denominator)
+    # sqrt(aux^2 - 16t^2) = alpha +- beta*sqrt(D), denested: with
+    # aux^2 - 16t^2 = real +- cross*sqrt(D), alpha^2 + D beta^2 = real and
+    # 2 alpha beta = cross, so alpha^2 is the root of constant term (2 + e)^2
+    # of y^2 - real*y + D cross^2/4; real^2 - D cross^2 has constant term 16
+    real = shape * shape + sigma * sigma * disc - XSeries.from_terms({2: 16}, high)
+    cross = shape * sigma * 2
+    alpha = ((real + (real * real - cross * cross * disc).sqrt()) * Fraction(1, 2)).sqrt()
+    beta = cross.divide(alpha * 2)
+    a = (shape - alpha).shift_down(2) * Fraction(1, 4)
+    b = (sigma - beta).shift_down(2) * Fraction(1, 4)
+    return quadratic_root, a, b, disc
 
 
 def roots(d, order):
@@ -293,12 +307,16 @@ def roots(d, order):
     from its quadratic formula at two extra t-orders (four in x) of
     precision, and the leading cancellation down to x^4 is enforced, so
     a transcription error surfaces as a ValuationError instead of a
-    silently wrong series.  The roots solve the factors at marker d^2, and
-    ``roots(-d, order)`` is ``roots(d, order)`` with ``quartic_plus`` and
-    ``quartic_minus`` swapped: d enters only through e = d^2 and the sign
-    of the swing term d(1 - t)w of ``_roots``, w^2 a polynomial in t and e.
+    silently wrong series.  The quartic roots a +- b*sqrt(D) are built
+    over Q: the square root over Q(sqrt D) in their formula is denested
+    into rational square roots (see ``_roots``).  The roots solve the
+    factors at marker d^2, and ``roots(-d, order)`` is ``roots(d, order)``
+    with ``quartic_plus`` and ``quartic_minus`` swapped: d enters only
+    through e = d^2 and the sign of the swing term d(1 - t)sqrt(inner) of
+    ``_roots``, inner a polynomial in t and e.
     """
-    return _in_x(_roots(d, order // 2), order)
+    quadratic, a, b, disc = _roots(d, order // 2)
+    return _in_x(KernelRoots(quadratic, SurdSeries(a, b, disc), SurdSeries(a, -b, disc)), order)
 
 
 def _eval_z_poly(coeffs, z):
@@ -314,9 +332,12 @@ def kernel_residuals(d, order):
 
     The three radicals square back at marker d.  The kernel factors, their
     series roots and the outer nested radical are built once at marker
-    e = d^2, so the sign of d only swaps the (+) and (-) residuals.  All
-    are computed in t = x^2 and read back in x through ``order``, so a
-    wrong t^j coefficient shows at x^(2j); all vanish on a faithful
+    e = d^2, so the sign of d only swaps the (+) and (-) residuals.  The
+    quartic roots a +- b*sqrt(D) enter the division and the sum identities
+    through their rational sum 2a and product a^2 - D b^2, and the quartic
+    at both roots is A +- B*sqrt(D) from one Horner pass on the parts.
+    All are computed in t = x^2 and read back in x through ``order``, so
+    a wrong t^j coefficient shows at x^(2j); all vanish on a faithful
     transcription.
     """
     d = Fraction(d)
@@ -324,9 +345,8 @@ def kernel_residuals(d, order):
     n = order // 2
     squares = [radical.value * radical.value - radical.radicand for radical in _radicals(d, n)]
     factors = _kernel_factors(e, n)
-    r = _roots(d, n)
-    root_sum = r.quartic_plus + r.quartic_minus
-    root_product = r.quartic_plus * r.quartic_minus
+    quadratic_root, a, b, disc = _roots(d, n)
+    root_sum, root_product = a * 2, a * a - b * b * disc
     # divide the quartic by z^2 - root_sum*z + root_product; the
     # complementary roots live in the quotient, times x^8 so that their
     # poles never appear
@@ -335,15 +355,21 @@ def kernel_residuals(d, order):
         lead = work[i]
         work[i + 1] = work[i + 1] + lead * root_sum
         work[i + 2] = work[i + 2] - lead * root_product
+    # the quartic at a + b*sqrt(D) is big_a + big_b*sqrt(D), and at
+    # a - b*sqrt(D) it is big_a - big_b*sqrt(D)
+    big_a, big_b = factors.quartic[-1], XSeries.zero(n)
+    for c in reversed(factors.quartic[:-1]):
+        big_a, big_b = big_a * a + big_b * b * disc + c, big_a * b + big_b * a
     nested = _outer_radicals(e, n + 2)[1].value
     shape = _shape(e, n + 2)
     residuals = KernelResiduals(
         *squares,
-        _eval_z_poly(factors.quadratic, r.quadratic),
-        _eval_z_poly(factors.quartic, r.quartic_plus),
-        _eval_z_poly(factors.quartic, r.quartic_minus),
+        _eval_z_poly(factors.quadratic, quadratic_root),
+        SurdSeries(big_a, big_b, disc),
+        SurdSeries(big_a, -big_b, disc),
         work[3],
         work[4],
+        # 2a = (shape - alpha)/(2t^2), so this is (nested - alpha)/(2t^2)
         root_sum - (shape - nested).shift_down(2) * Fraction(1, 2),
         # 1/q+ + 1/q- = (q+ + q-)/(q+ q-), times the unit q+ q-
         root_sum - root_product * (shape + nested) * Fraction(1, 2),

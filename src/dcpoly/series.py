@@ -7,14 +7,13 @@ Two series types cover the closed-form algebra:
   refuse to proceed when the leading terms make the result leave the
   ring.
 
-* ``SurdSeries``: a pair a + b*sqrt(D) of ``XSeries``, for the roots
-  whose constant terms are irrational; a perfect square D is stored as
-  D = 1, with b folded into a.  It adds, multiplies and takes square
-  roots from a given constant root; it does not divide.  An identity
-  over Q(sqrt D) holds only when both parts vanish, so the irrational
-  part is always checked.  Two pairs with nonzero irrational parts
-  multiply in three products on one scale, ac, be and (a + b)(c + e),
-  as ac + D*be + ((a + b)(c + e) - ac - be)*sqrt(D).
+* ``SurdSeries``: a pair a + b*sqrt(D) of ``XSeries``, for the quartic
+  kernel roots, whose constant terms are irrational, and the quartic's
+  values at them; a perfect square D is stored as D = 1, with b folded
+  into a.  Its parts are built by ``XSeries`` arithmetic alone, so it does
+  none of its own: it only reads its value back.  A value over
+  Q(sqrt D) is zero only when both parts vanish, so the irrational part
+  is always checked.
 
 The layered iteration needs neither: it runs on packed integers in
 ``dcpoly.layered``.
@@ -25,9 +24,7 @@ by gcd(den, *nums) after every operation.  A product brings both sides
 to the scale lcm(lam_a, lam_b) and multiplies once, as big integers
 (Kronecker substitution).  Reciprocals and square roots run integer
 recurrences whose scale grows each step; after them every prime p < 2000
-of lam with p^k | nums[k] for all k moves back into the numerators.  The
-square root of a rational series runs only the rational half of its
-recurrence.
+of lam with p^k | nums[k] for all k moves back into the numerators.
 ``Fraction`` appears only where coefficients come in or go out.
 """
 
@@ -131,51 +128,37 @@ def _product(a, b, size):
     return out + [0] * (size - used)
 
 
-def _aligned(a, b, common_den=False, lam=None):
+def _aligned(a, b, common_den=False):
     """[x, y, den, lam, n]: the numerators of a and b to the smaller order n
-    on the scale ``lam`` (by default lcm(lam_a, lam_b), else a multiple
-    of it), and over den = lcm(den_a, den_b) if ``common_den`` is set
-    (else den is None)."""
-    n, lam = min(a.order, b.order), lam or lcm(a.lam, b.lam)
+    on the scale lam = lcm(lam_a, lam_b), and over den = lcm(den_a, den_b)
+    if ``common_den`` is set (else den is None)."""
+    n, lam = min(a.order, b.order), lcm(a.lam, b.lam)
     den = lcm(a.den, b.den) if common_den else None
     nums = [_rescaled(s.nums[: n + 1], lam // s.lam, den // s.den if den else 1) for s in (a, b)]
     return nums + [den, lam, n]
 
 
-def _unit_root(fa, fb, disc, lam):
-    """sqrt(F / F_0) for F_k = (fa[k] + fb[k]*sqrt(disc)) / lam^k, as a pair
-    whose irrational part is None when every fb[k] is 0.
+def _unit_root(fa, lam):
+    """sqrt(F / F_0) for F_k = fa[k] / lam^k.
 
-    With the content of F removed, c = conjugate(F_0) (or 1 if F_0 is
-    rational) makes N = F_0*c an integer, and F_n / F_0 = h_n / N with
-    h_n = F_n*c.  The x^n coefficient is S_n / (4N*lam)^n, with S_0 = 1 and
+    With the content of F removed, N = F_0 is an integer, and the x^n
+    coefficient is S_n / (4N*lam)^n, with S_0 = 1 and
 
-        S_n = (4^n N^(n-1) h_n - sum_{0<k<n} S_k S_(n-k)) / 2,
+        S_n = (4^n N^(n-1) F_n - sum_{0<k<n} S_k S_(n-k)) / 2,
 
-    whose parts are even by induction; the halving checks it.  A
-    rational F has a rational root, so only the rational half of the
-    recurrence runs.
+    which is an integer by induction; the halving checks it.
     """
-    content = gcd(*fa, *fb)
-    fa, fb = [c // content for c in fa], [c // content for c in fb]
-    ca, cb = (fa[0], -fb[0]) if fb[0] else (1, 0)
-    scale = 4 * (fa[0] * ca + disc * fb[0] * cb)
-    surd = any(fb)
-    sa, sb, power = [1], [0], 4
+    content = gcd(*fa)
+    fa = [c // content for c in fa]
+    scale = 4 * fa[0]
+    sa, power = [1], 4
     for n in range(1, len(fa)):
-        conv_a = sum(map(mul, sa[1:n], sa[n - 1 : 0 : -1]))
-        twice_a, twice_b = power * (fa[n] * ca + disc * fb[n] * cb) - conv_a, 0
-        if surd:
-            twice_a -= disc * sum(map(mul, sb[1:n], sb[n - 1 : 0 : -1]))
-            conv_b = 2 * sum(map(mul, sa[1:n], sb[n - 1 : 0 : -1]))
-            twice_b = power * (fb[n] * ca + fa[n] * cb) - conv_b
-        if (twice_a | twice_b) & 1:
+        twice = power * fa[n] - sum(map(mul, sa[1:n], sa[n - 1 : 0 : -1]))
+        if twice & 1:
             raise ArithmeticError("odd numerator in the square-root recurrence at x^%d" % n)
-        sa.append(twice_a >> 1)
-        sb.append(twice_b >> 1)
+        sa.append(twice >> 1)
         power *= scale
-    order, lam = len(fa) - 1, scale * lam
-    return _unscaled(sa, 1, lam, order), (_unscaled(sb, 1, lam, order) if surd else None)
+    return _unscaled(sa, 1, scale * lam, len(fa) - 1)
 
 
 class XSeries:
@@ -306,17 +289,16 @@ class XSeries:
     def sqrt(self):
         """Exact square root, the branch with a positive constant term.
 
-        The constant term must be a positive rational square.  A root
-        whose constant term is irrational lives over Q(sqrt D) and is
-        taken by :meth:`SurdSeries.sqrt` instead.  This is the root of
-        the constant term times ``_unit_root`` of the numerators.
+        The constant term must be a positive rational square.  This is
+        the root of the constant term times ``_unit_root`` of the
+        numerators.
         """
         root = _rational_sqrt(Fraction(self.nums[0], self.den))
         if not root:
             raise NonSquareConstantError(
                 "constant term %s is not a positive rational square" % (self.coefficient(0),)
             )
-        return _unit_root(self.nums, [0] * len(self.nums), 1, self.lam)[0] * root
+        return _unit_root(self.nums, self.lam) * root
 
     def __eq__(self, other):
         if not isinstance(other, XSeries):
@@ -353,9 +335,9 @@ class SurdSeries:
     """Truncated series a + b*sqrt(disc) over the real quadratic field Q(sqrt disc).
 
     ``a`` and ``b`` are rational ``XSeries`` of one order and ``disc`` is
-    a positive integer.  In ``+``, ``-`` and ``*`` an ``XSeries`` or a
-    rational reads as (x, 0); pairs over two discriminants do not mix.
-    Over a perfect square disc = r^2 the pair folds to (a + r*b, 0) over
+    a positive integer.  The pair carries a value built from its rational
+    parts, to be read back or checked; it does no arithmetic.  Over a
+    perfect square disc = r^2 the pair folds to (a + r*b, 0) over
     ``disc`` 1, so a zero value always has both parts zero.
     """
 
@@ -368,80 +350,6 @@ class SurdSeries:
         if root * root == disc:
             a, b, disc = a + b * root, XSeries.zero(a.order), 1
         self.a, self.b, self.disc = a, b, disc
-
-    def _lift(self, other):
-        if isinstance(other, SurdSeries):
-            if other.disc != self.disc:
-                raise ValueError("cannot mix sqrt(%d) with sqrt(%d)" % (self.disc, other.disc))
-            return other
-        if isinstance(other, (int, Fraction)):
-            other = XSeries([other], self.a.order)
-        if not isinstance(other, XSeries):
-            raise TypeError("cannot combine a SurdSeries with %s" % type(other).__name__)
-        return SurdSeries(other, XSeries.zero(other.order), self.disc)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return SurdSeries(self.a + other.a, self.b + other.b, self.disc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SurdSeries(-self.a, -self.b, self.disc)
-
-    def __sub__(self, other):
-        return self + -self._lift(other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, XSeries)):
-            return SurdSeries(self.a * other, self.b * other, self.disc)
-        other = self._lift(other)
-        a, b, c, e = self.a, self.b, other.a, other.b
-        if b.is_zero() or e.is_zero():
-            return SurdSeries(a * c + b * e * self.disc, a * e + b * c, self.disc)
-        # three products on one scale: ae + bc = (a + b)(c + e) - ac - be
-        lam = lcm(a.lam, b.lam, c.lam, e.lam)
-        a, b, left_den, _, n = _aligned(a, b, True, lam)
-        c, e, right_den, _, m = _aligned(c, e, True, lam)
-        n = min(n, m)
-        ac, be, cross = (
-            _product(x, y, n + 1)
-            for x, y in ((a, c), (b, e), (list(map(add, a, b)), list(map(add, c, e))))
-        )
-        den = left_den * right_den
-        return SurdSeries(
-            XSeries([p + self.disc * q for p, q in zip(ac, be)], n, den, lam),
-            XSeries([r - p - q for p, q, r in zip(ac, be, cross)], n, den, lam),
-            self.disc,
-        )
-
-    __rmul__ = __mul__
-
-    def sqrt(self, root0):
-        """Exact square root whose constant term is ``root0``.
-
-        ``root0`` is a pair (p, q) of rationals meaning p + q*sqrt(disc)
-        that squares to the constant term.  The root is root0 times
-        ``_unit_root`` u + w*sqrt(disc) of the numerators of both parts
-        over one scale, taken as rational multiples of u and w.
-        """
-        p, q = Fraction(root0[0]), Fraction(root0[1])
-        disc = self.disc
-        if (p * p + disc * q * q, 2 * p * q) != (self.a.coefficient(0), self.b.coefficient(0)):
-            raise ValueError("root0 does not square to the constant term")
-        if p * p == disc * q * q:
-            raise ZeroDivisionError("the constant term has norm zero")
-        fa, fb, _, lam, _ = _aligned(self.a, self.b, True)
-        u, w = _unit_root(fa, fb, disc, lam)
-        if w is None:
-            return SurdSeries(u * p, u * q, disc)
-        return SurdSeries(u * p + w * (disc * q), u * q + w * p, disc)
-
-    def shift_down(self, k):
-        return SurdSeries(self.a.shift_down(k), self.b.shift_down(k), self.disc)
 
     def at_square(self, order):
         """Both parts read at t = x^2 through x^order (see XSeries.at_square)."""

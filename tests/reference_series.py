@@ -6,6 +6,10 @@ runs the schoolbook recurrences on ``fractions.Fraction`` coefficients
 instead, so the two share nothing beyond the ``XSeries`` constructor and
 ``coeff_list``, which here only carry coefficient lists in and out.
 The error types and the places they are raised match ``dcpoly.series``.
+
+``surd_mul`` and ``surd_sqrt`` work over Q(sqrt D), which the library
+never does: it builds the quartic kernel roots by denesting their
+square root into rational ones, and these take that root directly.
 """
 
 from fractions import Fraction

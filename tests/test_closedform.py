@@ -111,7 +111,7 @@ def test_quartic_roots_live_in_expected_extension():
 
 def test_quartic_roots_are_rational_where_four_plus_d_squared_is_a_square():
     # 4 + (3/2)^2 = 25/4: the pair over D = 25 is stored over D = 1
-    r = closedform._roots(Fraction(3, 2), 8)
+    r = roots(Fraction(3, 2), 16)
     for root in (r.quartic_plus, r.quartic_minus):
         assert root.disc == 1
         assert root.b.is_zero()
@@ -157,6 +157,43 @@ def test_x_reading_matches_the_fraction_loops_in_x(d, order):
     quadratic = reference_series.divide(numerator, xs({4: 2}, high))
     assert quadratic.order == order
     assert roots(d, order).quadratic == quadratic
+
+
+@pytest.mark.parametrize("order", (16, 17, 60))
+@pytest.mark.parametrize(
+    "d", (1, Fraction(1, 2), Fraction(3, 2), -1, 5, Fraction(1, 3), Fraction(21, 10))
+)
+def test_quartic_roots_are_the_small_roots_of_their_quadratics(d, order):
+    """Each quartic root is the small root of x^4 z^2 - (aux/2) z + 1, with
+    aux = shape +- d(1 - x^2) sqrt(inner): here it is taken in x over
+    Q(sqrt D) by the Fraction loops of reference_series, not denested.
+    At d = 3/2 and 21/10, D = 25 and 841 are squares, and both routes
+    store the roots over Q."""
+    xs = XSeries.from_terms
+    d = Fraction(d)
+    e, high = d * d, order + 4
+    disc = (4 + e).numerator
+    # sqrt(inner) = sqrt(4 + e) * u = sqrt(D) * u / q for d = p/q
+    inner = reference_series.mul(
+        xs({0: 1, 2: 1}, high), xs({0: 4 + e, 2: 4 - 3 * e, 4: 4 * e}, high)
+    )
+    u = reference_series.sqrt(reference_series.mul(inner, xs({0: 1 / (4 + e)}, high)))
+    swing = reference_series.mul(xs({0: d / d.denominator, 2: -d / d.denominator}, high), u)
+    shape = xs({0: 2 + e, 2: -2 * e, 4: 2 + e, 6: 2 * e}, high)
+    got = roots(d, order)
+    for sign, root in ((1, got.quartic_plus), (-1, got.quartic_minus)):
+        aux = series.SurdSeries(shape, reference_series.mul(swing, xs({0: sign}, high)), disc)
+        square = reference_series.surd_mul(aux, aux)
+        radicand = series.SurdSeries(
+            reference_series._minus(square.a, xs({4: 16}, high)), square.b, square.disc
+        )
+        s = reference_series.surd_sqrt(radicand, (aux.a.coefficient(0), aux.b.coefficient(0)))
+        small = [
+            reference_series.divide(reference_series._minus(p, q), xs({4: 4}, high))
+            for p, q in ((aux.a, s.a), (aux.b, s.b))
+        ]
+        assert (root.a, root.b, root.disc) == (*small, aux.disc)
+    assert (aux.disc == 1) == (d in (Fraction(3, 2), Fraction(21, 10)))
 
 
 @pytest.mark.parametrize("d", D_SAMPLES)
@@ -216,10 +253,11 @@ def test_symmetric_identities_hold(d):
     residuals = kernel_residuals(d, 12)
     assert residuals.root_sum.is_zero()
     assert residuals.reciprocal_sum.is_zero()
-    # the reciprocal sum is checked times q+ q-, a unit: constant term 1
-    r = roots(d, 12)
-    product = r.quartic_plus * r.quartic_minus
-    assert (product.a.coefficient(0), product.b.coefficient(0)) == (1, 0)
+    # the reciprocal sum is checked times q+ q- = a^2 - D b^2, a unit:
+    # constant term 1
+    root = roots(d, 12).quartic_plus
+    product = root.a * root.a - root.b * root.b * root.disc
+    assert product.coefficient(0) == 1
 
 
 @pytest.mark.parametrize("r", (1, Fraction(1, 2)))
