@@ -20,8 +20,7 @@ the identities that tie all routes together:
   the matching binomial formula.
 
 The column-convex counts and the ratio table live in ``ratios``, which
-runs the split form at r = 1 in integers; they are re-exported here,
-and ``ratios`` loads only when one of them is first looked up.
+runs the split form at r = 1 in integers.
 
 Every perimeter is even, so the radicals, the kernel and its roots are
 series in t = x^2.  The kernel algebra runs in t, in private functions
@@ -43,23 +42,11 @@ residuals are ``SurdSeries`` pairs, and each holds only when both of
 its parts vanish, so the irrational part is checked, never assumed.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .series import SurdSeries, XSeries
-
-# re-exported from ratios, which is imported on first use (see __getattr__)
-_FROM_RATIOS = ("RatioRow", "column_convex_perimeter_counts", "ratio_table")
-
-
-def __getattr__(name):
-    if name in _FROM_RATIOS:
-        from . import ratios
-        return getattr(ratios, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 class Radical(NamedTuple):
@@ -496,5 +483,4 @@ def directed_series(order):
         if nxt == current:
             return current
         current = nxt
-    from .layered import NonConvergenceError
-    raise NonConvergenceError("directed fixed point failed to stabilize")
+    raise RuntimeError("directed fixed point failed to stabilize")

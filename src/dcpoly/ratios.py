@@ -14,8 +14,7 @@ So F_j = phi_j / 32^j, with phi_0 = 1 and
 
 and G = (1 - t)(1 - F) counts (32 phi_(j-1) [j > 1] - phi_j) / 32^j
 shapes at x^(2j); a fractional or negative count, or one below x^4,
-raises ``ArithmeticError``.  No ``series`` or ``fractions`` is needed;
-``closedform`` re-exports these names.
+raises ``ArithmeticError``.  No ``series`` or ``fractions`` is needed.
 """
 
 from operator import mul

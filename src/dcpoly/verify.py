@@ -102,6 +102,15 @@ def _terms_failure(terms):
     return "first offending term: d^%d x^%d -> %s" % (kd, kx, terms[(kd, kx)])
 
 
+def _perimeter_failure(left, right):
+    """The first perimeter at which two {perimeter: count} dicts differ."""
+    differing = min(
+        (k for k in left.keys() | right.keys() if left.get(k) != right.get(k)),
+        default=None,
+    )
+    return None if differing is None else "first differing perimeter: %s" % differing
+
+
 def _table_failure(left, right):
     """The first key at which two census tables differ."""
     for key in sorted(left.keys() | right.keys()):
@@ -164,32 +173,31 @@ def twonose_suite(order, d_samples):
 # every column-convex series is zero below x^4
 @_suite(4)
 def columnconvex_suite(order, d_samples):
-    """Equality of the three closed-form variants, plus the generator."""
+    """Equality of the three closed-form variants, and of the integer
+    counts with the r = 1 series and with the generator."""
     from . import brute, ratios
-    for r in (Fraction(1), Fraction(1, 2)):
-        series = {
-            v: closedform.column_convex_gf(v, r, order)
-            for v in closedform.CC_VARIANTS
-        }
+    series = {
+        r: {v: closedform.column_convex_gf(v, r, order) for v in closedform.CC_VARIANTS}
+        for r in (Fraction(1), Fraction(1, 2))
+    }
+    for r, forms in series.items():
         for left, right in (("ratio", "nested"), ("nested", "split")):
             yield (
                 "%s and %s variants agree at r=%s" % (left, right, r),
-                _series_failure(series[left] - series[right]),
+                _series_failure(forms[left] - forms[right]),
             )
-    bound = min(order, ORACLE_PERIMETER_CAP)
-    closed = {
-        k: v
-        for k, v in ratios.column_convex_perimeter_counts(order).items()
-        if k <= bound
-    }
-    exhaustive = brute.column_convex_counts(bound)
-    differing = min(
-        (k for k in closed.keys() | exhaustive.keys() if closed.get(k) != exhaustive.get(k)),
-        default=None,
+    counts = ratios.column_convex_perimeter_counts(order)
+    at_one = {k: c for k, c in enumerate(series[1]["split"].coeff_list()) if c}
+    yield (
+        "integer counts match the r=1 series through %d" % order,
+        _perimeter_failure(counts, at_one),
     )
+    bound = min(order, ORACLE_PERIMETER_CAP)
     yield (
         "closed form matches the exhaustive generator through %d" % bound,
-        None if differing is None else "first differing perimeter: %s" % differing,
+        _perimeter_failure(
+            {k: v for k, v in counts.items() if k <= bound}, brute.column_convex_counts(bound)
+        ),
     )
 
 

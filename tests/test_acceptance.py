@@ -20,10 +20,10 @@ from dcpoly.closedform import (
     directed_series,
     kernel_residuals,
     radicals,
-    ratio_table,
     roots,
     ternary_count,
 )
+from dcpoly.ratios import ratio_table
 from dcpoly.series import XSeries
 
 # Diagonally convex counts for perimeters 4, 6, ..., 40.

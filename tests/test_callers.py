@@ -3,10 +3,8 @@
 A public function or class must be referenced by code somewhere in
 ``src/dcpoly`` outside its own definition, or be used by the acceptance
 tests; a name only its own tests call is dead weight.  A reference is a
-name, an attribute, an imported name or a string constant that is not a
-docstring (``closedform`` re-exports ``ratios`` names by string).  The
-suites registered with ``verify._suite`` are exempt: ``run_suites``
-finds them by name.
+name, an attribute or an imported name.  The suites registered with
+``verify._suite`` are exempt: ``run_suites`` finds them by name.
 """
 
 import ast
@@ -18,19 +16,7 @@ SRC = Path(dcpoly.__file__).resolve().parent
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
-def _docstrings(tree):
-    bodies = [tree] + [
-        node for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    ]
-    return {
-        id(body.body[0].value) for body in bodies
-        if body.body and isinstance(body.body[0], ast.Expr)
-        and isinstance(body.body[0].value, ast.Constant)
-    }
-
-
-def _references(node, docstrings):
+def _references(node):
     found = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -39,9 +25,6 @@ def _references(node, docstrings):
             found.add(sub.attr)
         elif isinstance(sub, ast.alias):
             found.add(sub.name)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            if id(sub) not in docstrings:
-                found.add(sub.value)
     return found
 
 
@@ -57,10 +40,8 @@ def uncalled():
     definitions = []
     references = []  # (top-level node, the names it references)
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        docstrings = _docstrings(tree)
-        for node in tree.body:
-            references.append((node, _references(node, docstrings)))
+        for node in ast.parse(path.read_text()).body:
+            references.append((node, _references(node)))
             if (
                 isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and not node.name.startswith("_")
@@ -68,7 +49,7 @@ def uncalled():
             ):
                 definitions.append((path.stem, node))
     acceptance = ast.parse(ACCEPTANCE.read_text())
-    references.append((acceptance, _references(acceptance, _docstrings(acceptance))))
+    references.append((acceptance, _references(acceptance)))
     return [
         (module, node.name)
         for module, node in definitions

@@ -223,7 +223,7 @@ def test_verify_kernel_suite_passes_at_its_minimum_order(capsys):
 def test_verify_columnconvex_suite_passes_at_its_minimum_order(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "columnconvex", "--order", "4")
     assert code == 0
-    assert out.rstrip().endswith("5 checks, 0 failed")
+    assert out.rstrip().endswith("6 checks, 0 failed")
 
 
 def test_cli_suite_names_are_the_verify_suite_names():
@@ -259,6 +259,18 @@ def test_verify_takes_a_leading_negative_fraction_after_an_equals_sign(capsys):
     assert [line.rsplit("(", 1)[-1] for line in lines[:-1]] == ["d=-1/2)"] * 10 + ["d=3)"] * 11
     assert all(line.startswith("PASS [kernel] ") for line in lines[:-1])
     assert lines[-1] == "21 checks, 0 failed"
+
+
+@pytest.mark.parametrize("flag", ["--d", "--d-sam"])
+def test_verify_takes_a_leading_negative_fraction_after_an_abbreviated_flag(capsys, flag):
+    # argparse accepts any unambiguous prefix of --d-samples, and main joins
+    # "-1/2" to each of them as it does to the full flag
+    code, spaced = run_cli(capsys, "verify", "--suite", "kernel", "--order", "12", flag, "-1/2")
+    assert code == 0
+    code, out = run_cli(capsys, "verify", "--suite", "kernel", "--order", "12", "--d-samples=-1/2")
+    assert code == 0
+    assert spaced == out
+    assert out.splitlines()[-1] == "10 checks, 0 failed"
 
 
 def test_verify_help_lists_every_suite(capsys):

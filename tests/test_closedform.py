@@ -17,15 +17,14 @@ import reference_series
 from dcpoly import brute, closedform, layered, ratios, series
 from dcpoly.closedform import (
     column_convex_gf,
-    column_convex_perimeter_counts,
     directed_series,
     kernel_residuals,
     kernel_sextic,
     radicals,
-    ratio_table,
     roots,
     ternary_count,
 )
+from dcpoly.ratios import column_convex_perimeter_counts, ratio_table
 from dcpoly.series import XSeries
 
 D_SAMPLES = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3))

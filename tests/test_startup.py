@@ -3,7 +3,9 @@
 Each case runs ``cli.main`` in a fresh interpreter and lists the
 modules that appeared between just before ``from dcpoly import cli``
 and the end of the run.  Modules the interpreter loaded before that
-(``site`` may preload ``tempfile`` or ``typing``) are not counted.
+(``site`` may preload ``tempfile`` or ``typing``) are not counted.  One
+more case pins that ``closedform`` needs no module of the package but
+``series``.
 """
 
 import os
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import dcpoly
+from dcpoly import closedform
 
 PROBE = """
 import sys
@@ -30,19 +33,24 @@ sys.stderr.write(" ".join(sorted(set(sys.modules) - before)))
 ENGINES = {"dcpoly.series", "dcpoly.layered", "dcpoly.closedform", "dcpoly.brute"}
 
 
-def loaded(*argv):
-    """Modules a fresh ``cli.main(argv)`` run loads, with ``cli`` itself."""
+def fresh(probe, *argv):
+    """The words a fresh interpreter running ``probe`` writes to stderr."""
     env = dict(os.environ)
     src = str(Path(dcpoly.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+        [sys.executable, "-c", probe, *argv],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
     return set(proc.stderr.split())
+
+
+def loaded(*argv):
+    """Modules a fresh ``cli.main(argv)`` run loads, with ``cli`` itself."""
+    return fresh(PROBE, *argv)
 
 
 @pytest.mark.parametrize("sub", ["series", "census", "ratios", "verify", None])
@@ -101,3 +109,18 @@ def test_subcommand_loads_only_its_engine(argv):
 
 def test_json_output_loads_json():
     assert "json" in loaded("census", "--max-perimeter", "8", "--format", "json")
+
+
+def test_closedform_loads_no_module_of_the_package_but_series():
+    modules = fresh(
+        "import sys\n"
+        "from dcpoly import closedform\n"
+        "closedform.directed_series(3)\n"
+        "sys.stderr.write(' '.join(sys.modules))\n"
+    )
+    assert {m for m in modules if m.partition(".")[0] == "dcpoly"} == {
+        "dcpoly", "dcpoly.closedform", "dcpoly.series"
+    }
+    # the column-convex counts and the ratio table are reached through ratios only
+    with pytest.raises(AttributeError):
+        closedform.ratio_table

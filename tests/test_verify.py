@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from dcpoly import brute, cli, closedform, layered, verify
+from dcpoly import brute, cli, closedform, layered, ratios, verify
 from dcpoly.series import SurdSeries, XSeries
 
 # the defaults live in the command line only
@@ -306,6 +306,14 @@ def _fractional_sextic(real):
     return sextic
 
 
+def _top_count_bumped(real):
+    def counts(max_perimeter):
+        found = real(max_perimeter)
+        return {**found, max_perimeter: found[max_perimeter] + 1}
+
+    return counts
+
+
 def _nested_value_bumped(real):
     # kernel_residuals takes the nested radical at d^2 from _outer_radicals
     def outer(d, n):
@@ -372,6 +380,18 @@ CLOSED_FORM_PLANTS = [
             "first offending coefficient: x^6 -> %s" % (pair, r, c)
             for r in (1, Fraction(1, 2))
             for pair, c in (("ratio and nested", "-1/2"), ("nested and split", "1/2"))
+        ],
+    ),
+    # past the exhaustive cap of 40, only the r = 1 series sees the top count
+    (
+        ratios,
+        "column_convex_perimeter_counts",
+        _top_count_bumped,
+        "columnconvex",
+        "42",
+        [
+            "FAIL [columnconvex] integer counts match the r=1 series through 42: "
+            "first differing perimeter: 42",
         ],
     ),
     (
@@ -455,8 +475,8 @@ CLOSED_FORM_PLANTS = [
     CLOSED_FORM_PLANTS,
     ids=(
         "directed-formula", "twonose-variant-start", "kernel-integer", "columnconvex-variants",
-        "kernel-radicand", "nested-radicand", "nested-value", "quartic-factor",
-        "quadratic-factor",
+        "columnconvex-integer", "kernel-radicand", "nested-radicand", "nested-value",
+        "quartic-factor", "quadratic-factor",
     ),
 )
 def test_planted_closed_form_faults_report_their_detail_and_exit_one(
@@ -503,7 +523,7 @@ def test_the_minus_root_residual_folds_apart_from_the_plus_one_at_a_square_d(
 
 def test_a_check_passes_exactly_when_its_detail_is_empty():
     results = verify.run_suites(["all"], 12, SAMPLES)
-    assert len(results) == 53
+    assert len(results) == 54
     assert all(r.passed and r.detail == "" for r in results)
 
 
