@@ -37,16 +37,18 @@ quartic kernel roots, through sqrt(4 + d^2), have irrational constant
 terms: they are a +- b*sqrt(D) with a and b rational series, built by
 denesting the square root over Q(sqrt D) in their quadratic formula
 into two rational square roots.  The division and sum identities use
-them only through their rational sum and product; the two root
-residuals are ``SurdSeries`` pairs, and each holds only when both of
-its parts vanish, so the irrational part is checked, never assumed.
+them only through their rational sum and product, and the quartic at
+a +- b*sqrt(D) is A +- B*sqrt(D) with A and B rational: both roots
+annihilate it exactly when A = B = 0, so the two root residuals are
+the rational series A and B, and the irrational part is checked, never
+assumed.
 """
 
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .series import SurdSeries, XSeries
+from .series import XSeries
 
 
 class Radical(NamedTuple):
@@ -85,21 +87,23 @@ class KernelFactors(NamedTuple):
 class KernelRoots(NamedTuple):
     """The kernel roots that are power series in x.
 
-    ``quadratic`` is the series root of the quadratic factor;
-    ``quartic_plus`` and ``quartic_minus`` are the two series roots of
-    the quartic factor, labelled by the sign in front of the auxiliary
-    radical in the series aux of ``_roots``: the quartic splits into two
-    quadratics in z, one per sign, and each series root solves
-    x^4 z^2 - (aux/2) z + 1 = 0 with its sign's aux.  Both roots are
-    ``SurdSeries`` a +- b*sqrt(D) over Q(sqrt D), their parts built over
-    Q: for d = p/q in lowest terms, 4 + d^2 = m/q^2 and D = m, stored as
-    D = 1 when m is a perfect square.  The roots at sample d solve the
-    factors at marker d^2; the sign of d only swaps the (+) and (-) labels.
+    ``quadratic`` is the series root of the quadratic factor.  The two
+    series roots of the quartic factor are quartic_a +- quartic_b*sqrt(disc),
+    labelled (+) and (-) by the sign in front of the auxiliary radical in
+    the series aux of ``_roots``: the quartic splits into two quadratics
+    in z, one per sign, and each series root solves
+    x^4 z^2 - (aux/2) z + 1 = 0 with its sign's aux.  ``quartic_a`` and
+    ``quartic_b`` are rational series; for d = p/q in lowest terms,
+    4 + d^2 = m/q^2 and ``disc`` is the integer m, kept as it is even
+    where it is a perfect square.  The roots at sample d solve the
+    factors at marker d^2; the sign of d only negates ``quartic_b``,
+    which swaps the (+) and (-) roots.
     """
 
     quadratic: XSeries
-    quartic_plus: SurdSeries
-    quartic_minus: SurdSeries
+    quartic_a: XSeries
+    quartic_b: XSeries
+    disc: int
 
 
 class KernelResiduals(NamedTuple):
@@ -107,10 +111,11 @@ class KernelResiduals(NamedTuple):
 
     ``kernel``, ``base`` and ``nested`` are value^2 - radicand for the
     radicals of :func:`radicals` at the sample d itself; the other seven
-    are at marker d^2.  ``quadratic``, ``quartic_plus`` and
-    ``quartic_minus`` are the kernel factors evaluated at their series
-    roots; the last two are pairs over Q(sqrt D).  The other four are
-    rational: they see the quartic roots q+- = a +- b*sqrt(D) only
+    are at marker d^2.  ``quadratic`` is the quadratic factor at its
+    series root.  The quartic factor at its roots q+- = a +- b*sqrt(D)
+    is A +- B*sqrt(D), and ``quartic_rational`` and ``quartic_surd`` are
+    A and B: both roots annihilate the quartic exactly when both vanish,
+    whether D is a square or not.  The other four see the roots only
     through their sum 2a and product a^2 - D b^2.  ``remainder_z1`` and
     ``remainder_z0`` are the coefficients of the quartic factor modulo
     the monic quadratic whose roots are its two series roots.
@@ -128,8 +133,8 @@ class KernelResiduals(NamedTuple):
     base: XSeries
     nested: XSeries
     quadratic: XSeries
-    quartic_plus: SurdSeries
-    quartic_minus: SurdSeries
+    quartic_rational: XSeries
+    quartic_surd: XSeries
     remainder_z1: XSeries
     remainder_z0: XSeries
     root_sum: XSeries
@@ -142,7 +147,7 @@ CC_VARIANTS = ("ratio", "nested", "split")
 def _in_x(value, order):
     """A result of the t-level algebra read at t = x^2 through x^order,
     series by series, keeping its (named) tuple or list shape."""
-    if isinstance(value, (XSeries, SurdSeries)):
+    if isinstance(value, XSeries):
         return value.at_square(order)
     fields = [_in_x(v, order) for v in value]
     return value._make(fields) if hasattr(value, "_make") else type(value)(fields)
@@ -296,14 +301,14 @@ def roots(d, order):
     a transcription error surfaces as a ValuationError instead of a
     silently wrong series.  The quartic roots a +- b*sqrt(D) are built
     over Q: the square root over Q(sqrt D) in their formula is denested
-    into rational square roots (see ``_roots``).  The roots solve the
-    factors at marker d^2, and ``roots(-d, order)`` is ``roots(d, order)``
-    with ``quartic_plus`` and ``quartic_minus`` swapped: d enters only
-    through e = d^2 and the sign of the swing term d(1 - t)sqrt(inner) of
-    ``_roots``, inner a polynomial in t and e.
+    into rational square roots (see ``_roots``), and the result holds
+    a, b and D.  The roots solve the factors at marker d^2, and
+    ``roots(-d, order)`` is ``roots(d, order)`` with ``quartic_b``
+    negated: d enters only through e = d^2 and the sign of the swing term
+    d(1 - t)sqrt(inner) of ``_roots``, inner a polynomial in t and e.
     """
     quadratic, a, b, disc = _roots(d, order // 2)
-    return _in_x(KernelRoots(quadratic, SurdSeries(a, b, disc), SurdSeries(a, -b, disc)), order)
+    return KernelRoots(*_in_x((quadratic, a, b), order), disc)
 
 
 def _eval_z_poly(coeffs, z):
@@ -319,10 +324,11 @@ def kernel_residuals(d, order):
 
     The three radicals square back at marker d.  The kernel factors, their
     series roots and the outer nested radical are built once at marker
-    e = d^2, so the sign of d only swaps the (+) and (-) residuals.  The
-    quartic roots a +- b*sqrt(D) enter the division and the sum identities
+    e = d^2, so the sign of d only negates ``quartic_surd``.  The quartic
+    roots a +- b*sqrt(D) enter the division and the sum identities
     through their rational sum 2a and product a^2 - D b^2, and the quartic
-    at both roots is A +- B*sqrt(D) from one Horner pass on the parts.
+    at both roots is A +- B*sqrt(D) from one Horner pass on the parts,
+    with D unfolded even where it is a square; A and B are checked.
     All are computed in t = x^2 and read back in x through ``order``, so
     a wrong t^j coefficient shows at x^(2j); all vanish on a faithful
     transcription.
@@ -352,8 +358,8 @@ def kernel_residuals(d, order):
     residuals = KernelResiduals(
         *squares,
         _eval_z_poly(factors.quadratic, quadratic_root),
-        SurdSeries(big_a, big_b, disc),
-        SurdSeries(big_a, -big_b, disc),
+        big_a,
+        big_b,
         work[3],
         work[4],
         # 2a = (shape - alpha)/(2t^2), so this is (nested - alpha)/(2t^2)

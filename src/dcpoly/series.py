@@ -1,21 +1,13 @@
 """Exact truncated-series arithmetic used throughout the package.
 
-Two series types cover the closed-form algebra:
+One series type covers the closed-form algebra: ``XSeries``, a power
+series in one variable, truncated at a fixed order, with rational
+coefficients.  Division and square root are exact and refuse to proceed
+when the leading terms make the result leave the ring.  A value over
+Q(sqrt D), such as a quartic kernel root, is kept as its two rational
+parts, each an ``XSeries``.
 
-* ``XSeries``: a power series in one variable, truncated at a fixed order,
-  with rational coefficients.  Division and square root are exact and
-  refuse to proceed when the leading terms make the result leave the
-  ring.
-
-* ``SurdSeries``: a pair a + b*sqrt(D) of ``XSeries``, for the quartic
-  kernel roots, whose constant terms are irrational, and the quartic's
-  values at them; a perfect square D is stored as D = 1, with b folded
-  into a.  Its parts are built by ``XSeries`` arithmetic alone, so it does
-  none of its own: it only reads its value back.  A value over
-  Q(sqrt D) is zero only when both parts vanish, so the irrational part
-  is always checked.
-
-The layered iteration needs neither: it runs on packed integers in
+The layered iteration needs no series type: it runs on packed integers in
 ``dcpoly.layered``.
 
 An ``XSeries`` is fraction-free: coefficient k is nums[k] / (den * lam^k)
@@ -329,40 +321,3 @@ def _reciprocal(den, n):
     for k in range(1, n - v + 1):
         t.append(-sum(map(mul, weights[:k], reversed(t))))
     return v, _unscaled(t, b[0], den.lam * b[0], n - v)
-
-
-class SurdSeries:
-    """Truncated series a + b*sqrt(disc) over the real quadratic field Q(sqrt disc).
-
-    ``a`` and ``b`` are rational ``XSeries`` of one order and ``disc`` is
-    a positive integer.  The pair carries a value built from its rational
-    parts, to be read back or checked; it does no arithmetic.  Over a
-    perfect square disc = r^2 the pair folds to (a + r*b, 0) over
-    ``disc`` 1, so a zero value always has both parts zero.
-    """
-
-    __slots__ = ("a", "b", "disc")
-
-    def __init__(self, a, b, disc):
-        if disc <= 0 or a.order != b.order:
-            raise ValueError("a pair needs a positive discriminant and parts of one order")
-        root = isqrt(disc)
-        if root * root == disc:
-            a, b, disc = a + b * root, XSeries.zero(a.order), 1
-        self.a, self.b, self.disc = a, b, disc
-
-    def at_square(self, order):
-        """Both parts read at t = x^2 through x^order (see XSeries.at_square)."""
-        return SurdSeries(self.a.at_square(order), self.b.at_square(order), self.disc)
-
-    def valuation(self):
-        found = [v for v in (self.a.valuation(), self.b.valuation()) if v is not None]
-        return min(found, default=None)
-
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
-
-    def coefficient(self, k):
-        """The x^k coefficient as text naming both parts: ``a + b*sqrt(disc)``."""
-        return "%s + %s*sqrt(%d)" % (self.a.coefficient(k), self.b.coefficient(k), self.disc)
-

@@ -36,8 +36,8 @@ KERNEL_RESIDUAL_CHECKS = (
     "base radical squares back",
     "nested radical squares back",
     "quadratic root annihilates its factor",
-    "quartic root (+) annihilates its factor",
-    "quartic root (-) annihilates its factor",
+    "quartic roots annihilate their factor, rational part",
+    "quartic roots annihilate their factor, sqrt(D) part",
     "series-root quadratic divides the quartic, z^1",
     "series-root quadratic divides the quartic, z^0",
     "quartic-root sum identity",
@@ -128,11 +128,14 @@ def kernel_suite(order, d_samples):
 
     Each sample c gets the ten residuals of ``closedform.kernel_residuals``:
     the radicals square back at marker c, and the kernel factors, roots
-    and identities hold at marker c^2, where the sign of c only swaps the
-    (+) and (-) labels.  Each integer sample also gets the
-    integer-coefficient check on the expanded kernel, which tests each
-    numerator against its den * lam^k and builds a ``Fraction`` only for
-    the first offender.  That check cannot fail on the factors as
+    and identities hold at marker c^2, where the sign of c only negates
+    the sqrt(D) part of the quartic at its roots a +- b*sqrt(D).  That
+    value is A +- B*sqrt(D), and both roots annihilate the quartic
+    exactly when A = B = 0, so A and B are checked as two rational
+    series, whether D is a square or not.  Each integer sample also gets
+    the integer-coefficient check on the expanded kernel, which tests
+    each numerator against its den * lam^k and builds a ``Fraction`` only
+    for the first offender.  That check cannot fail on the factors as
     written: at integer d every factor coefficient is an integer
     polynomial in d.  A sample of 0 or -2 raises ``ValueError``: the
     kernel has no series roots at 0, and no nested radical at -2.

@@ -9,7 +9,9 @@ The error types and the places they are raised match ``dcpoly.series``.
 
 ``surd_mul`` and ``surd_sqrt`` work over Q(sqrt D), which the library
 never does: it builds the quartic kernel roots by denesting their
-square root into rational ones, and these take that root directly.
+square root into rational ones, and these take that root directly.  A
+value a + b*sqrt(D) over Q(sqrt D) is the tuple (a, b, D) of two
+``XSeries`` and the integer D.
 """
 
 from fractions import Fraction
@@ -17,7 +19,6 @@ from fractions import Fraction
 from dcpoly.series import (
     NonDivisibleError,
     NonSquareConstantError,
-    SurdSeries,
     XSeries,
     ZeroValuationError,
     _rational_sqrt,
@@ -80,26 +81,25 @@ def _minus(a, b, scale=1):
 
 def surd_mul(x, y):
     """x*y over Q(sqrt D): (a + b*sqrt D)(c + e*sqrt D) = ac + D*be + (ae + bc)*sqrt D."""
-    real = _minus(mul(x.a, y.a), mul(x.b, y.b), -x.disc)
-    surd = _minus(mul(x.a, y.b), mul(x.b, y.a), -1)
-    return SurdSeries(real, surd, x.disc)
+    (a, b, disc), (c, e, _) = x, y
+    return _minus(mul(a, c), mul(b, e), -disc), _minus(mul(a, e), mul(b, c), -1), disc
 
 
 def surd_sqrt(s, root0):
     """Square root over Q(sqrt D) whose constant term is p + q*sqrt(D)."""
     p, q = Fraction(root0[0]), Fraction(root0[1])
-    disc = s.disc
-    a, b = s.a.coeff_list(), s.b.coeff_list()
+    s_a, s_b, disc = s
+    a, b = s_a.coeff_list(), s_b.coeff_list()
     if (p * p + disc * q * q, 2 * p * q) != (a[0], b[0]):
         raise ValueError("root0 does not square to the constant term")
     twice_norm = 2 * (p * p - disc * q * q)
     inv_p, inv_q = p / twice_norm, -q / twice_norm
     ra, rb = [p], [q]
-    for n in range(1, s.a.order + 1):
+    for n in range(1, s_a.order + 1):
         acc_a, acc_b = a[n], b[n]
         for k in range(1, n):
             acc_a -= ra[k] * ra[n - k] + disc * rb[k] * rb[n - k]
             acc_b -= ra[k] * rb[n - k] + rb[k] * ra[n - k]
         ra.append(acc_a * inv_p + disc * acc_b * inv_q)
         rb.append(acc_a * inv_q + acc_b * inv_p)
-    return SurdSeries(XSeries(ra, s.a.order), XSeries(rb, s.a.order), disc)
+    return XSeries(ra, s_a.order), XSeries(rb, s_a.order), disc

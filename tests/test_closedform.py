@@ -7,6 +7,7 @@ closed forms are checked against the exhaustive generator, which was
 itself validated cell by cell.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import pytest
 
 import reference_series
 
-from dcpoly import brute, closedform, layered, ratios, series
+from dcpoly import brute, closedform, layered, ratios
 from dcpoly.closedform import (
     column_convex_gf,
     directed_series,
@@ -101,21 +102,26 @@ def test_radicals_reject_minus_two_naming_the_sample():
 
 
 def test_quartic_roots_live_in_expected_extension():
-    # 4 + (1/2)^2 = 17/4; the root's constant term is 2/aux(0), with
+    # 4 + (1/2)^2 = 17/4; the (+) root's constant term is 2/aux(0), with
     # aux(0) = (9 + sqrt 17)/4, which is (9 - sqrt 17)/8
-    root = roots(Fraction(1, 2), 8).quartic_plus
-    assert root.disc == 17
-    assert (root.a.coefficient(0), root.b.coefficient(0)) == (Fraction(9, 8), Fraction(-1, 8))
+    r = roots(Fraction(1, 2), 8)
+    assert r.disc == 17
+    assert (r.quartic_a.coefficient(0), r.quartic_b.coefficient(0)) == (
+        Fraction(9, 8), Fraction(-1, 8)
+    )
 
 
 def test_quartic_roots_are_rational_where_four_plus_d_squared_is_a_square():
-    # 4 + (3/2)^2 = 25/4: the pair over D = 25 is stored over D = 1
+    # 4 + (3/2)^2 = 25/4: D = 25 stays unfolded, and a +- 5b are two
+    # distinct rational series, each a root of the quartic
     r = roots(Fraction(3, 2), 16)
-    for root in (r.quartic_plus, r.quartic_minus):
-        assert root.disc == 1
-        assert root.b.is_zero()
-    # over Q the two conjugate roots are distinct rational series
-    assert r.quartic_plus.a != r.quartic_minus.a
+    assert r.disc == 25
+    quartic = closedform._kernel_factors(Fraction(9, 4), 8).quartic
+    quartic_in_x = [c.at_square(16) for c in quartic]
+    for sign in (1, -1):
+        root = r.quartic_a + r.quartic_b * (5 * sign)
+        assert closedform._eval_z_poly(quartic_in_x, root).is_zero()
+    assert not r.quartic_b.is_zero()
 
 
 @pytest.mark.parametrize("order", (23, 24))
@@ -167,7 +173,7 @@ def test_quartic_roots_are_the_small_roots_of_their_quadratics(d, order):
     aux = shape +- d(1 - x^2) sqrt(inner): here it is taken in x over
     Q(sqrt D) by the Fraction loops of reference_series, not denested.
     At d = 3/2 and 21/10, D = 25 and 841 are squares, and both routes
-    store the roots over Q."""
+    keep them unfolded."""
     xs = XSeries.from_terms
     d = Fraction(d)
     e, high = d * d, order + 4
@@ -180,27 +186,26 @@ def test_quartic_roots_are_the_small_roots_of_their_quadratics(d, order):
     swing = reference_series.mul(xs({0: d / d.denominator, 2: -d / d.denominator}, high), u)
     shape = xs({0: 2 + e, 2: -2 * e, 4: 2 + e, 6: 2 * e}, high)
     got = roots(d, order)
-    for sign, root in ((1, got.quartic_plus), (-1, got.quartic_minus)):
-        aux = series.SurdSeries(shape, reference_series.mul(swing, xs({0: sign}, high)), disc)
-        square = reference_series.surd_mul(aux, aux)
-        radicand = series.SurdSeries(
-            reference_series._minus(square.a, xs({4: 16}, high)), square.b, square.disc
-        )
-        s = reference_series.surd_sqrt(radicand, (aux.a.coefficient(0), aux.b.coefficient(0)))
+    for sign in (1, -1):
+        aux = (shape, reference_series.mul(swing, xs({0: sign}, high)), disc)
+        square_a, square_b, _ = reference_series.surd_mul(aux, aux)
+        radicand = (reference_series._minus(square_a, xs({4: 16}, high)), square_b, disc)
+        s = reference_series.surd_sqrt(radicand, (aux[0].coefficient(0), aux[1].coefficient(0)))
         small = [
             reference_series.divide(reference_series._minus(p, q), xs({4: 4}, high))
-            for p, q in ((aux.a, s.a), (aux.b, s.b))
+            for p, q in zip(aux[:2], s[:2])
         ]
-        assert (root.a, root.b, root.disc) == (*small, aux.disc)
-    assert (aux.disc == 1) == (d in (Fraction(3, 2), Fraction(21, 10)))
+        assert (got.quartic_a, got.quartic_b * sign, got.disc) == (*small, disc)
 
 
 @pytest.mark.parametrize("d", D_SAMPLES)
 def test_quartic_minus_is_the_conjugate_of_quartic_plus(d):
+    # q+- = a +- b*sqrt(D) with D = 4 + d^2 times the square of d's
+    # denominator, not a square here: two distinct conjugates
     r = roots(d, 16)
-    assert not r.quartic_plus.b.is_zero()
-    assert r.quartic_minus.a == r.quartic_plus.a
-    assert r.quartic_minus.b == -r.quartic_plus.b
+    assert r.disc == (4 + d * d).numerator
+    assert math.isqrt(r.disc) ** 2 != r.disc
+    assert not r.quartic_b.is_zero()
 
 
 @pytest.mark.parametrize("order", (12, 16, 17, 60))
@@ -211,19 +216,16 @@ def test_kernel_residuals_vanish(d, order):
     assert all(residual.is_zero() for residual in residuals)
 
 
-def _parts(value):
-    """A series, or a ``SurdSeries`` as its comparable parts."""
-    return (value.a, value.b, value.disc) if isinstance(value, series.SurdSeries) else value
-
-
 @pytest.mark.parametrize("c", (Fraction(1, 2), 3))
 def test_the_sign_of_the_sample_only_swaps_the_quartic_labels(monkeypatch, c):
     """The radicals run at marker c, but the factors, roots and identities
-    at c^2, where the sign of c only swaps the (+) and (-) roots.  With a
-    quartic coefficient bumped at t^3 the root residuals are nonzero, so
-    the swap is also seen on series that are not all zero."""
-    assert _parts(roots(-c, 16).quartic_plus) == _parts(roots(c, 16).quartic_minus)
-    assert _parts(roots(-c, 16).quartic_minus) == _parts(roots(c, 16).quartic_plus)
+    at c^2, where the sign of c only negates b in the roots a +- b*sqrt(D),
+    which swaps the (+) and (-) roots, and so negates the sqrt(D) part B
+    of the quartic at them.  With a quartic coefficient bumped at t^3 the
+    root residuals are nonzero, so the sign is also seen on series that
+    are not all zero."""
+    at_c, at_minus_c = roots(c, 16), roots(-c, 16)
+    assert at_minus_c == at_c._replace(quartic_b=-at_c.quartic_b)
     real = closedform._kernel_factors
 
     def bumped(e, n):
@@ -235,9 +237,9 @@ def test_the_sign_of_the_sample_only_swaps_the_quartic_labels(monkeypatch, c):
     for factors in (real, bumped):
         monkeypatch.setattr(closedform, "_kernel_factors", factors)
         at_c, at_minus_c = kernel_residuals(c, 16), kernel_residuals(-c, 16)
-        swapped = at_c._replace(quartic_plus=at_c.quartic_minus, quartic_minus=at_c.quartic_plus)
-        assert [_parts(r) for r in at_minus_c[3:]] == [_parts(r) for r in swapped[3:]]
-    assert _parts(at_c.quartic_plus) != _parts(at_c.quartic_minus)
+        negated = at_c._replace(quartic_surd=-at_c.quartic_surd)
+        assert at_minus_c[3:] == negated[3:]
+    assert not at_c.quartic_surd.is_zero()
 
 
 @pytest.mark.parametrize("d", D_SAMPLES)
@@ -254,8 +256,8 @@ def test_symmetric_identities_hold(d):
     assert residuals.reciprocal_sum.is_zero()
     # the reciprocal sum is checked times q+ q- = a^2 - D b^2, a unit:
     # constant term 1
-    root = roots(d, 12).quartic_plus
-    product = root.a * root.a - root.b * root.b * root.disc
+    r = roots(d, 12)
+    product = r.quartic_a * r.quartic_a - r.quartic_b * r.quartic_b * r.disc
     assert product.coefficient(0) == 1
 
 
@@ -263,24 +265,6 @@ def test_symmetric_identities_hold(d):
 def test_column_convex_variants_agree(r):
     series = [column_convex_gf(v, r, 24) for v in ("ratio", "nested", "split")]
     assert series[0] == series[1] == series[2]
-
-
-def test_no_column_convex_variant_builds_a_surd_pair(monkeypatch):
-    built = []
-    real = series.SurdSeries.__init__
-
-    def counted(self, a, b, disc):
-        built.append(disc)
-        real(self, a, b, disc)
-
-    monkeypatch.setattr(series.SurdSeries, "__init__", counted)
-    for variant in closedform.CC_VARIANTS:
-        for r in (1, Fraction(1, 2)):
-            column_convex_gf(variant, r, 24)
-    assert built == []
-    # the wrapper does see the quartic kernel roots' pairs
-    roots(1, 8)
-    assert built
 
 
 @pytest.mark.parametrize("order", (80, 81))

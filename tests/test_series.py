@@ -23,7 +23,6 @@ from dcpoly.layered import Slots, _linear_step, _tail_sum, _tail_weighted
 from dcpoly.series import (
     NonDivisibleError,
     NonSquareConstantError,
-    SurdSeries,
     ValuationError,
     XSeries,
     ZeroValuationError,
@@ -156,39 +155,6 @@ def test_monomial_division():
         xs({3: 1}, 9).shift_down(4)
 
 
-# ---------------------------------------------------------------- SurdSeries
-
-def surd(a_terms, b_terms, disc, order):
-    return SurdSeries(xs(a_terms, order), xs(b_terms, order), disc)
-
-
-def assert_parts(value, a_terms, b_terms):
-    assert value.a == xs(a_terms, value.a.order)
-    assert value.b == xs(b_terms, value.b.order)
-
-
-def test_surd_series_over_a_square_discriminant_is_rational():
-    one = surd({0: 1}, {0: 2, 1: 1}, 1, 4)
-    assert_parts(one, {0: 3, 1: 1}, {})
-
-
-def test_a_zero_value_over_a_square_discriminant_is_zero():
-    # 5 - sqrt(25) = 0
-    zero = SurdSeries(XSeries([5], 2), XSeries([-1], 2), 25)
-    assert zero.disc == 1
-    assert zero.is_zero()
-
-
-@pytest.mark.parametrize("root", (2, 3))
-def test_pairs_over_a_square_discriminant_equal_their_rational_folds(root):
-    rng = random.Random(root)
-    a, b = _random_series(rng, 10), _random_series(rng, 10)
-    pair = SurdSeries(a, b, root * root)
-    assert pair.disc == 1
-    assert pair.a == a + b * root
-    assert pair.b.is_zero()
-
-
 # ------------------------------------------ against the Fraction reference
 
 def _rational(rng):
@@ -315,23 +281,17 @@ def _assert_read_at_square(t_series, x_series, order):
 
 
 def _t_series():
-    """sqrt(1 + t), and sqrt(1 + t) + sqrt(1 + 3t)*sqrt(2) over Q(sqrt 2),
-    both to t^10."""
-    real = xs({0: 1, 1: 1}, 10).sqrt()
-    return real, SurdSeries(real, xs({0: 1, 1: 3}, 10).sqrt(), 2)
+    """sqrt(1 + t) and sqrt(1 + 3t), both to t^10."""
+    return xs({0: 1, 1: 1}, 10).sqrt(), xs({0: 1, 1: 3}, 10).sqrt()
 
 
 @pytest.mark.parametrize("order", (15, 20, 21))
 def test_at_square_reads_a_t_series_in_x(order):
     # both keep powers of 2 in lam, so the t^j numerator must gain lam^j
     # on its way to x^(2j)
-    real, pair = _t_series()
-    assert real.lam > 1 and pair.a.lam > 1
-    _assert_read_at_square(real, real.at_square(order), order)
-    wide = pair.at_square(order)
-    assert wide.disc == 2
-    _assert_read_at_square(pair.a, wide.a, order)
-    _assert_read_at_square(pair.b, wide.b, order)
+    for value in _t_series():
+        assert value.lam > 1
+        _assert_read_at_square(value, value.at_square(order), order)
 
 
 def test_at_square_refuses_orders_the_t_series_does_not_carry():

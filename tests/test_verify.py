@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from dcpoly import brute, cli, closedform, layered, ratios, verify
-from dcpoly.series import SurdSeries, XSeries
+from dcpoly.series import XSeries
 
 # the defaults live in the command line only
 SAMPLES = cli._d_samples(cli.DEFAULT_D_SAMPLES)
@@ -53,16 +53,9 @@ def test_failure_reports_first_offending_coefficient():
     assert "-1/2" in result.detail
 
 
-def test_failure_in_the_irrational_part_names_both_parts():
-    bad = SurdSeries(XSeries.zero(6), XSeries.from_terms({3: Fraction(1, 2)}, 6), 17)
-    result = verify._check("kernel", "demo", verify._series_failure(bad))
-    assert not result.passed
-    assert result.detail == "first offending coefficient: x^3 -> 0 + 1/2*sqrt(17)"
-
-
 def test_kernel_suite_passes_where_four_plus_d_squared_is_a_square():
-    # 4 + (3/2)^2 = (5/2)^2, so every root is rational
-    assert closedform.roots(Fraction(3, 2), 8).quartic_plus.disc == 1
+    # 4 + (3/2)^2 = (5/2)^2, so every root is rational; D stays 25
+    assert closedform.roots(Fraction(3, 2), 8).disc == 25
     results = verify.kernel_suite(order=16, d_samples=(Fraction(3, 2),))
     assert len(results) == 10
     assert all(r.passed for r in results)
@@ -325,13 +318,34 @@ def _nested_value_bumped(real):
 
 # the quartic factor's x^12 z^2 coefficient plus 1 leaves q(0)^2 at x^12 for
 # each quartic root q, q(0) = (2 + d^2 -+ d sqrt(4 + d^2))/2, and the sum of
-# those two, 2 + d^2, in the z^1 remainder: per sample (rational part of q+(0)^2,
-# its surd coefficient with the sign of q-, disc, 2 + d^2)
+# those two, 2 + d^2, in the z^1 remainder: per sample (rational part A of
+# q+(0)^2, its sqrt(D) part B, 2 + d^2)
 QUARTIC_BUMP_DETAILS = {
-    "1": ("7/2", "3/2", 5, "3"),
-    "1/2": ("49/32", "9/32", 17, "9/4"),
-    "2": ("17", "6", 8, "6"),
-    "3": ("119/2", "33/2", 13, "11"),
+    "1": ("7/2", "-3/2", "3"),
+    "1/2": ("49/32", "-9/32", "9/4"),
+    "2": ("17", "-6", "6"),
+    "3": ("119/2", "-33/2", "11"),
+}
+
+def _quartic_b_bumped(real):
+    # _roots returns (quadratic, a, b, D), the quartic roots being a +- b*sqrt(D)
+    def bumped(d, n):
+        quadratic, a, b, disc = real(d, n)
+        return quadratic, a, b + XSeries.from_terms({5: 1}, n), disc
+
+    return bumped
+
+
+# b plus t^5 moves the root product a^2 - D b^2 by -2D b(0) t^5, with
+# b(0) = -d/(2q) for d = p/q, and the quartic Q at the roots by
+# Q'(q) sqrt(D) t^5, where Q'(q(0)) = 2b(0) sqrt(D): its rational part gains
+# 2D b(0) t^5, and its sqrt(D) part nothing at t^5; the root sum 2a is
+# untouched: per sample (2D b(0), and the reciprocal-sum shift 2D b(0)(2 + d^2))
+ROOT_BUMP_DETAILS = {
+    "1": ("-5", "-15"),
+    "1/2": ("-17/4", "-153/16"),
+    "2": ("-16", "-96"),
+    "3": ("-39", "-429"),
 }
 
 CLOSED_FORM_PLANTS = [
@@ -446,12 +460,28 @@ CLOSED_FORM_PLANTS = [
         "12",
         [
             "FAIL [kernel] %s (d=%s): first offending coefficient: x^12 -> %s" % (name, d, detail)
-            for d, (a, b, disc, s) in QUARTIC_BUMP_DETAILS.items()
+            for d, (a, b, s) in QUARTIC_BUMP_DETAILS.items()
             for name, detail in (
-                ("quartic root (+) annihilates its factor", "%s + -%s*sqrt(%d)" % (a, b, disc)),
-                ("quartic root (-) annihilates its factor", "%s + %s*sqrt(%d)" % (a, b, disc)),
+                ("quartic roots annihilate their factor, rational part", a),
+                ("quartic roots annihilate their factor, sqrt(D) part", b),
                 ("series-root quadratic divides the quartic, z^1", s),
                 ("series-root quadratic divides the quartic, z^0", "-1"),
+            )
+        ],
+    ),
+    (
+        closedform,
+        "_roots",
+        _quartic_b_bumped,
+        "kernel",
+        "12",
+        [
+            "FAIL [kernel] %s (d=%s): first offending coefficient: x^10 -> %s" % (name, d, detail)
+            for d, (shift, reciprocal) in ROOT_BUMP_DETAILS.items()
+            for name, detail in (
+                ("quartic roots annihilate their factor, rational part", shift),
+                ("series-root quadratic divides the quartic, z^0", shift),
+                ("quartic-root reciprocal sum identity", reciprocal),
             )
         ],
     ),
@@ -476,7 +506,7 @@ CLOSED_FORM_PLANTS = [
     ids=(
         "directed-formula", "twonose-variant-start", "kernel-integer", "columnconvex-variants",
         "columnconvex-integer", "kernel-radicand", "nested-radicand", "nested-value",
-        "quartic-factor", "quadratic-factor",
+        "quartic-factor", "quartic-root-b", "quadratic-factor",
     ),
 )
 def test_planted_closed_form_faults_report_their_detail_and_exit_one(
@@ -493,32 +523,35 @@ def test_planted_closed_form_faults_report_their_detail_and_exit_one(
     assert all(r.passed == (r.detail == "") for r in results)
 
 
-def test_the_minus_root_residual_folds_apart_from_the_plus_one_at_a_square_d(
-    monkeypatch, capsys
-):
-    """At d = 3/2 and 21/10, D = 25 and 841 are squares: the quartic at
-    a +- b*sqrt(D) is A +- B*sqrt(D) from one Horner pass on the unfolded
-    parts, and each pair folds to A +- r*B over Q.  The quartic-factor bump
-    leaves q(0)^2 at x^12, with q+(0) = 1/4, q-(0) = 4 at 3/2 and
-    q+(0) = 4/25, q-(0) = 25/4 at 21/10, and 2 + d^2 in the z^1 remainder."""
+def test_the_quartic_residual_parts_stay_unfolded_at_a_square_d(monkeypatch, capsys):
+    """At d = 3/2 and 21/10, D = 25 and 841 are squares, r^2 with r = 5
+    and 29, but the quartic at a +- b*sqrt(D) is still checked as A and B
+    from one Horner pass on the unfolded parts.  The quartic-factor bump
+    leaves q(0)^2 at x^12 and 2 + d^2 in the z^1 remainder, and A +- r*B
+    are q+(0)^2 and q-(0)^2, the squares of q+(0) = 1/4, q-(0) = 4 at 3/2
+    and of q+(0) = 4/25, q-(0) = 25/4 at 21/10."""
     plant = _bumped_factor(*FACTOR_BUMPS[0])
     monkeypatch.setattr(closedform, "_kernel_factors", plant(closedform._kernel_factors))
     code = cli.main(["verify", "--suite", "kernel", "--order", "12", "--d-samples", "3/2,21/10"])
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert code == 1
+    samples = (
+        ("3/2", 5, "257/32", "-51/32", "17/4", ("1/16", "16")),
+        ("21/10", 29, "390881/20000", "-13461/20000", "641/100", ("16/625", "625/16")),
+    )
     assert fails == [
         "FAIL [kernel] %s (d=%s): first offending coefficient: x^12 -> %s" % (name, d, detail)
-        for d, plus, minus, s in (
-            ("3/2", "1/16", "16", "17/4"), ("21/10", "16/625", "625/16", "641/100")
-        )
+        for d, _, a, b, s, _ in samples
         for name, detail in (
-            ("quartic root (+) annihilates its factor", plus + " + 0*sqrt(1)"),
-            ("quartic root (-) annihilates its factor", minus + " + 0*sqrt(1)"),
+            ("quartic roots annihilate their factor, rational part", a),
+            ("quartic roots annihilate their factor, sqrt(D) part", b),
             ("series-root quadratic divides the quartic, z^1", s),
             ("series-root quadratic divides the quartic, z^0", "-1"),
         )
     ]
-    assert fails[0].rsplit(" -> ", 1)[1] != fails[1].rsplit(" -> ", 1)[1]
+    for _, r, a, b, _, squares in samples:
+        a, b = Fraction(a), Fraction(b)
+        assert (a + r * b, a - r * b) == tuple(map(Fraction, squares))
 
 
 def test_a_check_passes_exactly_when_its_detail_is_empty():
