@@ -31,31 +31,27 @@ Every term of L carries one factor of d and T(0) carries d^2, so
 delta_k, the shapes with k diagonals, has d-degree k and the steps never
 touch d: tracking it only decides the d-row a delta is summed into.  The
 steps run on packed integers (Kronecker substitution).  A class is a
-list over z of Python ints, and slot j of each int holds the coefficient
-of x^(2j), since every perimeter is even.  A multiple of x^(2j) is then
-a shift by j slots, and a sum of polynomials is one integer sum.
+list over z of Python ints.  With t = x^2 (every perimeter is even) and
+N = order // 2, slot s of each int holds the coefficient of t^(N - s),
+anchored at 2N, so an odd order reads the counts of order - 1.  A
+multiple of t is a right shift by one slot, which drops what passes the
+order, and every entry of every delta stands on the same slots: a sum
+of polynomials, or of a class over z, is one integer sum.  A shape with
+k diagonals and m cells on its final diagonal has a bounding box with
+width + height >= k + m (a cell of the first diagonal and the two ends
+of the final run are that far apart), so its perimeter is at least
+2(k + m), a bound some shape reaches at every k: delta_k has no entry
+past z^(N - k).  The slots widen with the deltas (see ``Slots``): a step
+whose input slots are below 2^v grows them by less than g guard bits,
+so at a width of v + g + 1 bits its output cannot carry, and its top
+bit is set only by a borrow from a negative slot.  The check of each
+delta tells whether it still fits in v bits; if not, it is repacked.
 
-The frame.  A shape with k diagonals and m cells on its final diagonal
-has a bounding box with width + height >= k + m (a cell of the first
-diagonal and the two ends of the final run are that far apart), so its
-perimeter is at least 2(k + m), a bound some shape reaches at every k.
-The steps store the z^m entry of delta_k divided by x^(2(k + m)), at
-frame offset k + m, cut at ``order`` by ``Slots.masks[k + m]``.  So no
-entry can hold a perimeter below 6, a final run longer than
-(perimeter - 4)/2 or more diagonals than (perimeter - 2)/2 allows, and
-none of these needs a check of its own.
-
-One step is one backward pass, for the tail operators, and one fused
-forward pass over z that carries three kernel products and writes
-entry m + 1 of all three classes (see ``_linear_step``).
-
-``_deltas`` yields each delta_k once it has passed ``_check_counts``,
-and every result folds the stream its own way, keeping only what it
-reports: ``marginals(order, by)`` and ``two_nose_identity_residuals``
-sum each class of each delta over z and add it into one packed int per
-group (perimeter, nose class, d-row, or class and d-row), each unpacked
-once; ``joint_table`` unpacks each framed entry straight into its
-table.  No result needs ``dcpoly.series``.
+``_deltas`` yields each checked delta_k, and every result folds the
+stream its own way: ``marginals(order, by)`` and ``two_nose_identity_residuals``
+add the entries of each class of each delta into one packed int per group
+(perimeter, nose class, d-row, or class and d-row), each unpacked once;
+``joint_table`` unpacks each entry into its table.  No result needs ``series``.
 """
 
 from itertools import repeat
@@ -65,8 +61,9 @@ from .counts import CountTable
 CLASS_ORDER = ("two", "one", "zero")
 MIN_Z = {"two": 2, "one": 1, "zero": 1}
 
-# the lone cell as delta_1 in the frame: a one-nose z^1 entry, x^4 over x^(2(1 + 1))
-LONE_CELL = ([], [0, 1], [])
+# bits a widening adds, a multiple of 64 for _repack: perimeter_counts(160) took
+# 1.38 / 1.14 / 1.10 times as long with 16 / 32 / 128 (2 vCPUs, Python 3.11)
+STEP = 64
 
 
 class NonConvergenceError(RuntimeError):
@@ -89,53 +86,73 @@ def _slot_bits(order):
     below 2^(3p/2)/2.
 
     Guard bits.  In one step, each slot of every intermediate sums slots
-    of the previous delta.  The framed step is the same map re-indexed
-    (a framed slot holds the same count, k + m slots lower), so the
-    multiplicities add up to at most 3D(D+1)/2 + 3D(J+1) + (J+1)(J+2)/2
-    < (order + 4)^2, where D = order/2 bounds the final run and
-    J = order/4 the kernel's reach.  So if a delta's slots are below
-    2^value_bits, nothing in the next step carries into a neighbouring
-    slot, and a slot that outgrows its value bits sets a guard bit.
+    of the previous delta, and the multiplicities add up to at most
+    3D(D+1)/2 + 3D(J+1) + (J+1)(J+2)/2 < (order + 4)^2, where D = order/2
+    bounds the final run and J = order/4 the kernel's reach.  So if a
+    delta's slots are below 2^v, the next delta's are below 2^(v + guard
+    bits), and a slot that outgrows v bits sets a guard bit.
     """
     return 3 * order // 2, 2 * (order + 4).bit_length()
 
 
 class Slots:
-    """Layout of packed x-polynomials: one slot per even x-degree 0..order.
-    ``masks[j]`` keeps the order/2 + 1 - j slots of an entry at frame
-    offset j, whose slot i holds the coefficient of x^(2(j + i))."""
+    """Layout of one run's packed ints: slot s of ``width`` bits holds the
+    coefficient of t^(top - s), s = 0..top.  Below the ``cap`` width a slot
+    is ``value_bits``, the guard bits and a sign bit, rounded up to ``STEP``;
+    at the cap, the ``bound`` value bits of ``_slot_bits`` and guard bits.
+    ``spill`` marks the bits at or above the value bits; ``guard`` the sign
+    bit and the bits at or above ``bound``, which no checked count, nor a
+    sum of fewer than 2^guard_bits of them, may set."""
 
     def __init__(self, order):
         if order < 4:
             raise ValueError("order must be at least 4 to see any polyomino")
-        value_bits, guard_bits = _slot_bits(order)
-        self.width = width = value_bits + guard_bits
-        self.masks = [(1 << width * j) - 1 for j in range(order // 2 + 1, 0, -1)]
-        repunit = self.masks[0] // ((1 << width) - 1)
-        self.guard = (((1 << guard_bits) - 1) << value_bits) * repunit
+        self.top = order // 2
+        self.bound, self.guard_bits = _slot_bits(order)
+        self.cap = -(-(self.bound + self.guard_bits) // STEP) * STEP
+        self._lay_out(self.guard_bits + 2)
 
-    def unpack(self, v):
-        """The nonzero slots of v as {x-degree: coefficient}, in degree order."""
-        out = {}
-        _unpack_into(out, v, self.width, 0)
+    def _lay_out(self, bits):
+        self.width = width = min(-(-bits // STEP) * STEP, self.cap)
+        self.value_bits = self.bound if width == self.cap else width - self.guard_bits - 1
+        repunit = ((1 << width * (self.top + 1)) - 1) // ((1 << width) - 1)
+        self.spill = ((1 << width) - (1 << self.value_bits)) * repunit
+        self.guard = ((1 << width) - (1 << min(self.bound, width - 1))) * repunit
+
+    def widen(self):
+        """Widen the slots and return the old width.  A checked delta has slots
+        below 2^(width - 1) and 2^bound, so they fit the new value bits."""
+        old = self.width
+        self._lay_out(old + self.guard_bits)
+        return old
+
+    def unpack(self, v, out=None, kx=None):
+        """{x-degree: coefficient} of v's nonzero slots in degree order, slot s
+        at kx - 2s (2(top - s) by default), added to ``out`` (a new dict by default).
+        Above 16 slots v is split in halves, so each bit is shifted O(log slots) times."""
+        out, kx, width = {} if out is None else out, 2 * self.top if kx is None else kx, self.width
+        count = -(-v.bit_length() // width)
+        half = count // 2
+        if half > 8:
+            self.unpack(v >> width * half, out, kx - 2 * half)
+            return self.unpack(v & (1 << width * half) - 1, out, kx)
+        slot = (1 << width) - 1
+        for s in range(count - 1, -1, -1):
+            if v >> width * s & slot:
+                out[kx - 2 * s] = v >> width * s & slot
         return out
 
 
-def _unpack_into(out, v, width, kx):
-    """Add the nonzero slots of v to ``out``, slot 0 at x-degree ``kx``.
-    Above 16 slots v is split into its low and high halves, low first,
-    so each bit is shifted O(log slots) times, not once per slot."""
-    half = -(-v.bit_length() // width) // 2
-    if half > 8:
-        _unpack_into(out, v & (1 << width * half) - 1, width, kx)
-        _unpack_into(out, v >> width * half, width, kx + 2 * half)
-        return
-    slot = (1 << width) - 1
-    while v:
-        if v & slot:
-            out[kx] = v & slot
-        v >>= width
-        kx += 2
+def _repack(v, old, new):
+    """v >= 0 with its slots widened from ``old`` to ``new`` bits, both multiples of 64."""
+    size, grown = old // 64, new // 64
+    count = -(-v.bit_length() // old)
+    src = memoryview(v.to_bytes(8 * count * size, "little")).cast("Q")
+    dst = bytearray(8 * count * grown)
+    out = memoryview(dst).cast("Q")
+    for j in range(size):
+        out[j::grown] = src[j::size]
+    return int.from_bytes(dst, "little")
 
 
 def _tail_sum(series):
@@ -153,52 +170,46 @@ def _tail_weighted(series):
 
 
 def _linear_step(delta, k, slots):
-    """L(F) in the frame: append one diagonal to shapes with ``k`` diagonals.
+    """L(F): append one diagonal to shapes with ``k`` diagonals.
 
     The new-run sums over (overlap, length) decompose, class by class,
     into the tail operators T1 ``_tail_sum`` and T2 ``_tail_weighted``
-    of the old series, the kernel K = 1/(1 - x^4 z), applied once or
-    twice, and monomials x^a z.  In the frame, where z^m of F stands at
-    offset k + m and of L(F) at k + 1 + m, x^a z becomes x^(a-4) w, with
-    w the shift by one z-index, and x^2 z T1 becomes w T1, as T1 lands
-    one offset above its input; K steps x^2 per z-index:
+    of the old series, the kernel K = 1/(1 - t^2 z), applied once or
+    twice, and monomials t^j z:
 
-        two  = w(K^2 A + K B + C)
-        one  = w(K T1(2A + B) + T1(B + 2C)) + x^2 w(2 K^2 A + K B)
-        zero = T2(A + B + C) + x^2 w K T1(2A + B) + x^4 w K^2 A
-
-    No shift is negative, so an entry may be cut at any offset it later
-    reaches: K's z^m reaches L(F) only through w, at offset k + 2 + m or
-    above.  The caller adds the factor d that every term carries.
+        two  = t^2 z (K^2 A + K B + C)
+        one  = t z (K T1(2A + B) + T1(B + 2C)) + t^3 z (2 K^2 A + K B)
+        zero = T2(A + B + C) + t^2 z K T1(2A + B) + t^4 z K^2 A
 
     One backward pass builds U = T1(2A + B), S = T1(B + 2C) and
-    T2(A + B + C): U + S = 2 T1(A + B + C) as integers, so T2's inner
-    tail sum is (U + S) >> 1 and its outer one runs a step behind.  One
-    forward pass over m carries three kernel products, each cut at
-    masks[k + 2 + m], P = K A, Q = K(P + B) and Z = K(U + x^2 P), the
-    K T1(2A + B) + x^2 K^2 A above, and writes entry m + 1 of each class:
-    two = Q + C, one = Z + S + x^2 Q, zero = T2(A + B + C) + x^2 Z.
-    """
-    masks, width = slots.masks[k + 2:], slots.width
-    n = max(len(masks) + 1, *map(len, delta))
+    V = T2(A + B + C): U + S = 2 T1(A + B + C), so T2's inner tail sum
+    is (U + S) >> 1 and its outer one runs a step behind.  One forward
+    pass over m, each t a right shift, carries P = K A, Q = K(P + B) and
+    Z = K(U + t^2 P) as P <- A_m + t^2 P, Q <- P + B_m + t^2 Q and
+    Z <- U_m + t^2 (P + Z), and writes entry m + 1 of each class:
+    two = t^2 (Q + C_m), one = t (Z + S_m + t^2 Q), zero = V_(m+1) + t^2 Z,
+    through z^(N - k - 1), the last of delta_(k+1).  No slot carries, so
+    t^2 (P + Z) is t^2 P + t^2 Z, and each t^2 is taken once.  The caller
+    adds the factor d that every term carries."""
+    width, shift = slots.width, 2 * slots.width
+    n = max(slots.top - k + 1, *map(len, delta))
     a, b, c = (series + [0] * (n - len(series)) for series in delta)
     tail_u, tail_s, tail_v = [0] * n, [0] * n, [0] * n
-    u = s = t = 0
+    u = s = v = 0
     for m in range(n - 1, 0, -1):
-        u = (u << width) + 2 * a[m] + b[m]
-        s = (s << width) + b[m] + 2 * c[m]
-        tail_u[m - 1], tail_s[m - 1], tail_v[m - 1] = u, s, t
-        t = (t << width) + ((u + s) >> 1)
+        u += 2 * a[m] + b[m]
+        s += b[m] + 2 * c[m]
+        tail_u[m - 1], tail_s[m - 1], tail_v[m - 1] = u, s, v
+        v += (u + s) >> 1
     two, one, zero = [0], [0], [0]
-    p = q = z = 0
-    for m, mask in enumerate(masks):
-        p = ((p << width) + a[m]) & mask
-        z = (tail_u[m] + ((p + z) << width)) & mask
-        q = (q + p + b[m]) & mask
-        two.append((q + c[m]) & mask)
-        q <<= width
-        one.append((z + tail_s[m] + q) & mask)
-        zero.append((tail_v[m] + (z << width)) & mask)
+    ps = qs = zs = 0
+    for am, bm, cm, um, sm, vm in zip(a[: n - 2], b, c, tail_u, tail_s, tail_v):
+        ps = (p := am + ps) >> shift
+        zs = (z := um + ps + zs) >> shift
+        qs = (q := p + bm + qs) >> shift
+        two.append(q + cm >> shift)
+        one.append(z + sm + qs >> width)
+        zero.append(vm + zs)
     for out in (two, one, zero):
         while out and not out[-1]:
             out.pop()
@@ -207,77 +218,62 @@ def _linear_step(delta, k, slots):
 
 def _check_counts(cls, kd, series, slots):
     """Raise ``InvariantError`` on a nonzero entry below the minimum run of
-    ``cls``, or on a negative count or an overflow: v < 0 or a guard bit set.
-
-    One OR over the entries is negative exactly when some entry is, and
-    meets the guard exactly when a nonnegative entry does; only a tripped
-    test walks the entries, to name the first offender."""
+    ``cls``, or on a negative count or an overflow: v < 0 or a guard bit
+    set.  Otherwise return whether a slot spills past the value bits.  One
+    OR over the entries is negative exactly when some entry is, and meets a
+    mask exactly when a nonnegative entry does; only a tripped test walks
+    the entries, to name the first offender."""
     acc = 0
     for v in series:
         acc |= v
-    if acc >= 0 and not acc & slots.guard and not any(series[:MIN_Z[cls]]):
-        return
+    if acc >= 0 and not acc & slots.spill and not any(series[:MIN_Z[cls]]):
+        return False
     for m, v in enumerate(series):
         if v and m < MIN_Z[cls]:
-            raise InvariantError(
-                "%s series has a z^%d term below its minimum run" % (cls, m)
-            )
+            raise InvariantError("%s series has a z^%d term below its minimum run" % (cls, m))
         if v < 0 or v & slots.guard:
-            raise InvariantError(
-                "a count at d^%d z^%d in %s is negative or overflows its slot"
-                % (kd, m, cls)
-            )
+            raise InvariantError("a count at d^%d z^%d in %s is negative or overflows its slot"
+                                 % (kd, m, cls))
+    return True
 
 
 def _deltas(order, slots):
-    """Yield (k, delta_k) for k = 2, 3, ... until a delta vanishes.
-
-    From the two-diagonal shapes delta_2 = T(0) = L(lone cell), each
-    delta_{k+1} = L(delta_k) holds the shapes with k + 1 diagonals, and
-    the fixed point of T is their sum.  A delta is a triple of classes
-    in the frame of the module docstring, z^m of delta_k divided by
-    x^(2(k + m)), and each class passes ``_check_counts`` before it is
-    yielded or the next step reads it.
-    """
-    delta = _linear_step(LONE_CELL, 1, slots)
+    """Yield (k, delta_k) for k = 2, 3, ... until a delta vanishes: from
+    delta_2 = T(0) = L(lone cell), delta_{k+1} = L(delta_k) holds the shapes
+    with k + 1 diagonals, and the fixed point of T is their sum.  All three
+    classes pass ``_check_counts``, even after one spills, before the delta is
+    yielded or read; one that spills widens ``slots`` and the delta is repacked."""
+    # delta_1, the lone cell, filed as a one-nose z^1 entry x^4 = t^2
+    delta = _linear_step(([], [0, 1 << slots.width * (slots.top - 2)], []), 1, slots)
     for k in range(2, order + 4):
         if not any(delta):
             return
-        for cls, series in zip(CLASS_ORDER, delta):
-            _check_counts(cls, k, series, slots)
+        if any([_check_counts(cls, k, v, slots) for cls, v in zip(CLASS_ORDER, delta)]):
+            old = slots.widen()
+            delta = tuple([_repack(v, old, slots.width) for v in series] for series in delta)
         yield k, delta
         delta = _linear_step(delta, k, slots)
     raise NonConvergenceError("no fixed point within %d steps" % (order + 2))
 
 
-def _unpack_checked(slots, acc):
-    """Unpack a sum of checked values; fewer than 2^guard_bits of them
-    cannot carry between slots, so an overflow sets a guard bit."""
-    if acc & slots.guard:
-        raise InvariantError("a perimeter count overflows its slot")
-    return slots.unpack(acc)
-
-
 def _grouped(order, group):
-    """{group(k, cls): {x-degree: count}} over each class of each delta.
-
-    Each class of delta_k is summed over z by Horner's rule, its z^m
-    entry m slots up, then shifted up k slots, where it stands, and added
-    into one int per group, unpacked once.  A slot of a group sums at
-    most 3(order/2 + 1)^2 checked values, fewer than (order + 4)^2, which
-    ``_slot_bits`` keeps within 2^guard_bits.
-    """
+    """{group(k, cls): {x-degree: count}} over each class of each delta:
+    the entries of each class of each delta are added into one int per
+    group, repacked when the stream widens and unpacked once.  A slot of
+    a group sums at most 3(order/2 + 1)^2 checked values, fewer than
+    (order + 4)^2, so it cannot carry, and an overflow sets a guard bit."""
     slots = Slots(order)
-    width = slots.width
-    sums = {}
+    width, sums = slots.width, {}
     for k, delta in _deltas(order, slots):
+        if width != slots.width:
+            sums = {key: _repack(acc, width, slots.width) for key, acc in sums.items()}
+            width = slots.width
         for cls, series in zip(CLASS_ORDER, delta):
-            acc = 0
-            for v in reversed(series):
-                acc = (acc << width) + v
             key = group(k, cls)
-            sums[key] = sums.get(key, 0) + (acc << width * k)
-    return {key: _unpack_checked(slots, acc) for key, acc in sums.items()}
+            sums[key] = sums.get(key, 0) + sum(series)
+    if any(acc & slots.guard for acc in sums.values()):
+        raise InvariantError("a perimeter count overflows its slot")
+    return {key: slots.unpack(acc) for key, acc in sums.items()}
 
 
 def marginals(order, by):
@@ -285,17 +281,13 @@ def marginals(order, by):
     or noses, keyed as ``CountTable.project`` keys perimeter, (perimeter,
     diagonals) or (perimeter, nose), with nose "none" for the single cell.
     Every key but the single cell's is read from one guard-checked sum
-    (see ``_grouped``) of at most 3(order/2 + 1)^2 < 2^guard_bits checked
-    values: all deltas by perimeter, one class of all deltas by nose, or
-    all classes of one delta by diagonals."""
-    if by == "perimeter":
-        group, single = (lambda k, cls: None), 4
-    elif by == "noses":
-        group, single = (lambda k, cls: cls), (4, "none")
-    elif by == "diagonals":
-        group, single = (lambda k, cls: k), (4, 1)
-    else:
+    (see ``_grouped``): of all deltas by perimeter, of one class of all
+    deltas by nose, or of all classes of one delta by diagonals."""
+    groups = {"perimeter": (lambda k, cls: None, 4), "noses": (lambda k, cls: cls, (4, "none")),
+              "diagonals": (lambda k, cls: k, (4, 1))}
+    if by not in groups:
         raise ValueError("unknown marginal %r" % (by,))
+    group, single = groups[by]
     out = {single: 1}  # the single cell: perimeter 4, one diagonal
     for key, counts in _grouped(order, group).items():
         for kx, v in counts.items():
@@ -311,18 +303,16 @@ def perimeter_counts(order):
 def joint_table(order):
     """Full census table keyed like the exhaustive generator's output.
 
-    Unpacks each checked entry of each delta once, slot 0 at the x-degree
-    2(k + m) of its frame offset, straight into the table's dict, whose
-    first key is the single cell (one diagonal, perimeter 4).
-    """
+    Unpacks each checked entry of each delta once, at the width it was
+    yielded at, straight into the table's dict, whose first key is the
+    single cell (one diagonal, perimeter 4)."""
     slots = Slots(order)
     # every (kx, k, cls, m) key comes from one entry's slot, so none repeats
     table = CountTable({(4, 1, "none", 1): 1})
     for k, delta in _deltas(order, slots):
         for cls, series in zip(CLASS_ORDER, delta):
             for m, v in enumerate(series):
-                counts = {}
-                _unpack_into(counts, v, slots.width, 2 * (k + m))
+                counts = slots.unpack(v)
                 table.update(zip(zip(counts, repeat(k), repeat(cls), repeat(m)), counts.values()))
     return table
 
@@ -342,13 +332,9 @@ def two_nose_identity_residuals(order):
     {(d_degree, x_degree): coefficient} dicts without zero terms: the
     first must be empty, the second must not.
 
-    Expanded, the residual is
-
-        A (1 - 2x^4 - d x^4 + x^8) - d x^4 (1 - x^4) B
-            - d x^4 (1 - 2x^4 + x^8) C - d^2 x^8 (1 - x^4),
-
-    a signed sum of copies of A, B, C and 1 shifted by monomials, each
-    truncated at x^order.
+    Expanded, the residual is A (1 - 2x^4 - d x^4 + x^8) - d x^4 (1 - x^4) B
+    - d x^4 (1 - 2x^4 + x^8) C - d^2 x^8 (1 - x^4), a signed sum of copies
+    of A, B, C and 1 shifted by monomials, each truncated at x^order.
     """
     classes = {cls: {} for cls in CLASS_ORDER}
     for (cls, kd), counts in _grouped(order, lambda k, cls: (cls, k)).items():

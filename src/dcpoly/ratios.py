@@ -1,10 +1,13 @@
 """Column-convex counts by perimeter, and their ratio table, in integers.
 
 The counts are ``closedform``'s split form at r = 1, whose radicand is
-f = 1 - 2x + x^2 - 4x^3/(1 - x^2).  left = sqrt(f) has x^k coefficient
-s_k / 4^k, with s_0 = 1 and (the halving is checked)
+f = 1 - 2x + x^2 - 4x^3/(1 - x^2) = g/(1 - x^2), g = 1 - 2x - 2x^3 - x^4.
+left = sqrt(f) has x^k coefficient s_k / 4^k, s_0 = 1, and solves
+P y' = R y with P = 2g(1 - x^2) = [2, -4, -2, 0, -2, 4, 2] and
+R = g'(1 - x^2) + 2xg = [-2, 2, -8, -4, 2, 2], so (the division is checked)
 
-    s_k = (4^k f_k - sum_{0<j<k} s_j s_(k-j)) / 2.
+    s_(n+1) = (sum_j R_j 4^(j+1) s_(n-j)
+               - sum_(j>0) P_j 4^j (n+1-j) s_(n+1-j)) / (2(n + 1)).
 
 right(x) = left(-x), so left + right = 2E(t), E the even part of left
 and t = x^2, and F = 4 / (6 - 2E) = 1 / (1 - h), h_j = s_(2j) / (2 * 16^j).
@@ -35,17 +38,28 @@ def _radicand(order):
     return [1, -2, 1][: order + 1] + [-4 * (k % 2) for k in range(3, order + 1)]
 
 
+def _scaled_root(f):
+    """[s_0, ..., s_order] for the radicand f, with g = f(1 - x^2), by the recurrence
+    above: r4[j] = R_j 4^(j+1) weighs s_(n-1-j), p4[j-1] = P_j 4^j weighs (n-j) s_(n-j)."""
+    g = [c - (f[n - 2] if n > 1 else 0) for n, c in enumerate(f)]
+    g = g[: max(n for n, c in enumerate(g) if c) + 1] + [0, 0]  # g[-1], g[-2] read as zero
+    r4 = [(n + 1) * g[n + 1] - (n - 3) * g[n - 1] << 2 * n + 2 for n in range(len(g) - 1)]
+    p4 = [2 * (g[n] - g[n - 2]) << 2 * n for n in range(1, len(g))]
+    s, ns = [1], [0]  # ns[n] = n s_n
+    for n in range(1, len(f)):
+        numerator = sum(map(mul, r4, reversed(s))) - sum(map(mul, p4, reversed(ns)))
+        if numerator % (2 * g[0] * n):
+            raise ArithmeticError("inexact division in the square-root recurrence at x^%d" % n)
+        s.append(numerator // (2 * g[0] * n))
+        ns.append(n * s[-1])
+    return s
+
+
 def column_convex_perimeter_counts(max_perimeter):
     """Column-convex counts by perimeter from the split form at r = 1, by
     the integer recurrences above; an impossible count, the sign of a
     transcription error, raises ``ArithmeticError``."""
-    f = _radicand(max_perimeter)
-    s = [1]
-    for k in range(1, len(f)):
-        twice = (f[k] << 2 * k) - sum(map(mul, s[1:k], s[k - 1 : 0 : -1]))
-        if twice & 1:
-            raise ArithmeticError("odd numerator in the square-root recurrence at x^%d" % k)
-        s.append(twice >> 1)
+    s = _scaled_root(_radicand(max_perimeter))
     weights = [s[2 * i] << i - 1 for i in range(1, (len(s) + 1) // 2)]
     phi = [1]
     for j in range(1, len(weights) + 1):

@@ -316,12 +316,45 @@ def test_a_mistyped_radicand_raises(monkeypatch, k, bump, detail):
         column_convex_perimeter_counts(40)
 
 
-def test_integer_square_root_halving_is_checked_not_floored(monkeypatch):
-    """Every numerator the integer recurrence halves is even; an odd one,
-    here from a convolution off by one, raises instead of flooring."""
-    monkeypatch.setattr(ratios, "mul", lambda x, y: x * y + 1)
-    with pytest.raises(ArithmeticError, match="odd numerator .* x\\^2"):
+def test_integer_square_root_division_is_checked_not_floored(monkeypatch):
+    """Every division of the square root's recurrence is exact; a radicand
+    with constant term 9, whose root 3 + ... has no integer coefficients
+    over s_0 = 1, makes the first one inexact, which raises instead of
+    flooring."""
+    def mistyped(order):
+        return [9] + radicand(order)[1:]
+
+    radicand = ratios._radicand
+    monkeypatch.setattr(ratios, "_radicand", mistyped)
+    with pytest.raises(ArithmeticError, match="inexact division .* x\\^1$"):
         column_convex_perimeter_counts(8)
+
+
+def convolution_root(f):
+    """The reference: s_k = (4^k f_k - sum_{0<j<k} s_j s_(k-j)) / 2, the
+    halving checked, for s_k / 4^k the coefficients of sqrt(f)."""
+    s = [1]
+    for k in range(1, len(f)):
+        twice = (f[k] << 2 * k) - sum(s[j] * s[k - j] for j in range(1, k))
+        assert twice % 2 == 0
+        s.append(twice // 2)
+    return s
+
+
+@pytest.mark.parametrize(
+    "order, bumps",
+    [(order, {}) for order in (1, 2, 5, 40, 160, 400)]
+    + [(40, {3: 1}), (40, {7: 1, 8: -3}), (40, {2: 5, 39: 1})],
+)
+def test_square_root_by_its_ode_equals_the_convolution(order, bumps):
+    """The seven-term recurrence of the linear ODE of sqrt(f) gives the
+    coefficients of the k-term convolution at every order, and, read off
+    the radicand, also for a changed one, whose numerator f(1 - x^2)
+    runs to high degree."""
+    f = ratios._radicand(order)
+    for k, bump in bumps.items():
+        f[k] += bump
+    assert ratios._scaled_root(f) == convolution_root(f)
 
 
 @pytest.mark.parametrize("variant", ("ratio", "nested", "split"))

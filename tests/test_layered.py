@@ -29,13 +29,15 @@ from dcpoly.layered import (
 KNOWN_PREFIX = {4: 1, 6: 2, 8: 7, 10: 28, 12: 122, 14: 556, 16: 2618}
 
 
-def unframed(k, delta, slots, track_diagonals=True):
+def delta_terms(k, delta, slots, track_diagonals=True):
     """Each class of delta_k as {(d_degree, x_degree, z_degree): coefficient},
-    d_degree k, or 0 with d collapsed; z^m of delta_k stands k + m slots low."""
+    d_degree k, or 0 with d collapsed; every entry of every delta stands on
+    the same top-anchored slots, at the width the stream has when it yields
+    the delta."""
     kd = k if track_diagonals else 0
     return tuple(
         {
-            (kd, 2 * (k + m) + kx, m): c
+            (kd, kx, m): c
             for m, v in enumerate(series)
             for kx, c in slots.unpack(v).items()
         }
@@ -44,11 +46,12 @@ def unframed(k, delta, slots, track_diagonals=True):
 
 
 def unpacked(order, track_diagonals=True):
-    """Each class of the fixed point, the delta stream summed over k."""
+    """Each class of the fixed point, the delta stream summed over k, each
+    delta unpacked as it is yielded."""
     slots = layered.Slots(order)
     total = empty_triple()
     for k, delta in layered._deltas(order, slots):
-        for terms, new in zip(total, unframed(k, delta, slots, track_diagonals)):
+        for terms, new in zip(total, delta_terms(k, delta, slots, track_diagonals)):
             for key, c in new.items():
                 terms[key] = terms.get(key, 0) + c
     return total
@@ -142,9 +145,10 @@ def test_joint_table_projects_to_perimeter_counts():
     ],
 )
 def test_perimeter_is_at_least_twice_diagonals_plus_final_run(make_table, max_diagonals):
-    """The premise of the steps' frame, read off finished tables: a shape
-    with k diagonals and m cells on its final diagonal has perimeter at
-    least 2(k + m), and some shape reaches the bound at every k."""
+    """The premise of the steps' loop bound (delta_k has no entry past
+    z^(order/2 - k)), read off finished tables: a shape with k diagonals and
+    m cells on its final diagonal has perimeter at least 2(k + m), and some
+    shape reaches the bound at every k."""
     tight = set()
     for (pe, di, _, la) in make_table():
         assert pe >= 2 * (di + la)
@@ -206,9 +210,13 @@ def test_iterates_grow_monotonically(monkeypatch):
     monkeypatch.setattr(layered, "_linear_step", record)
     slots = layered.Slots(16)
     deltas = list(layered._deltas(16, slots))
-    # the lone cell, one nonempty delta per diagonal count 2..7, then an empty one
+    # the lone cell, one nonempty delta per diagonal count 2..7, then an
+    # empty one; the stream runs at its cap width from the start, so every
+    # delta unpacks at the width the run ends with
     assert [k for k, _ in seen] == [1, 2, 3, 4, 5, 6, 7]
-    assert seen[0][1] == ([], [0, 1], [])
+    assert slots.width == slots.cap
+    # x^4 = t^2 of the lone cell stands at slot 16 // 2 - 2
+    assert seen[0][1] == ([], [0, 1 << slots.width * (16 // 2 - 2)], [])
     # its output is delta_2, so the first comparison below checks it
     # against the reference's two-diagonal iterate T(0)
     assert [k for k, _ in deltas] == [2, 3, 4, 5, 6, 7]
@@ -217,7 +225,7 @@ def test_iterates_grow_monotonically(monkeypatch):
         reference = empty_triple()
         counts = []
         for k, delta in deltas:
-            new = unframed(k, delta, slots, track_diagonals)
+            new = delta_terms(k, delta, slots, track_diagonals)
             partial = tuple(map(add, partial, new))
             reference = rhs_step(reference, 16, track_diagonals)
             assert partial == reference
@@ -302,10 +310,9 @@ def _borrow(j):
     ],
 )
 def test_each_invariant_fires_on_one_corrupted_slot(monkeypatch, cls, k, m, change, message):
-    """A fault planted in one entry of one delta stops every reader.  A
-    framed entry cannot hold a perimeter below 2(k + m), so the final-run
-    and diagonal-count bounds of a finished table need no check of their
-    own (see ``test_perimeter_is_at_least_twice_diagonals_plus_final_run``)."""
+    """A fault planted in one entry of one delta stops every reader.  The
+    final-run and diagonal-count bounds of a finished table are read off
+    the tables (see ``test_perimeter_is_at_least_twice_diagonals_plus_final_run``)."""
     _plant(monkeypatch, k, cls, m, change)
     for read in READERS.values():
         with pytest.raises(InvariantError, match=message):
@@ -380,14 +387,19 @@ def test_one_pass_check_names_the_same_offender_as_the_entry_loop(cls, fault):
     """One kind of fault planted in a real delta, where it can, at two
     entries, raises the per-entry loop's message for the first offender."""
     slots = layered.Slots(24)
-    delta = layered._linear_step(layered._linear_step(layered.LONE_CELL, 1, slots), 2, slots)
+    lone_cell = ([], [0, 1 << slots.width * (24 // 2 - 2)], [])
+    delta = layered._linear_step(layered._linear_step(lone_cell, 1, slots), 2, slots)
     clean = list(delta[layered.CLASS_ORDER.index(cls)])
     assert _raised(layered._check_counts, cls, 3, clean, slots) is None
     first = layered.MIN_Z[cls] + 1
     assert len(clean) > first + 1
+    # at 24 the stream starts at its cap width, where the guard begins at
+    # the value bits of _slot_bits
+    assert slots.width == slots.cap
     guard_bit = 1 << slots.width + layered._slot_bits(24)[0]
-    # minus 2^(frame bits): negative, with the guard bits of every slot clear
-    borrow = 1 << slots.width * len(slots.masks)
+    # minus 2^(bits of all 24 // 2 + 1 slots): negative, with the guard bits
+    # of every slot clear
+    borrow = 1 << slots.width * (24 // 2 + 1)
     plants = {
         "negative": [(first, lambda v: v - borrow), (first + 1, lambda v: v - borrow)],
         "guard": [(first, lambda v: v | guard_bit), (first + 1, lambda v: v | guard_bit)],
@@ -402,38 +414,49 @@ def test_one_pass_check_names_the_same_offender_as_the_entry_loop(cls, fault):
     assert ("z^%d" % plants[0][0]) in message
 
 
+def widths(slots):
+    """Lay ``slots`` out at each width its stream may use, narrowest first."""
+    yield slots.width
+    while slots.width < slots.cap:
+        slots.widen()
+        yield slots.width
+
+
 @pytest.mark.parametrize("order", [16, 40, 200])
 def test_unpack_by_halving_equals_the_shift_loop(order):
-    """Ints with empty low, middle and top slots, one that fills the
-    frame, and one-slot ints unpack as the slot-by-slot shift does."""
+    """At every width of the stream, ints with empty low, middle and top
+    slots, one that fills every slot, and one-slot ints unpack as the
+    slot-by-slot shift does, slot s at x-degree 2(order // 2 - s), in
+    ascending degree."""
     slots = layered.Slots(order)
-    width, n = slots.width, order // 2 + 1
+    n = order // 2 + 1
+    for width in widths(slots):
 
-    def shift_loop(v):
-        out, kx = {}, 0
-        while v:
-            if v & (1 << width) - 1:
-                out[kx] = v & (1 << width) - 1
-            v >>= width
-            kx += 2
-        return out
+        def shift_loop(v):
+            out, kx = {}, 2 * (n - 1)
+            while v:
+                if v & (1 << width) - 1:
+                    out[kx] = v & (1 << width) - 1
+                v >>= width
+                kx -= 2
+            return dict(reversed(out.items()))
 
-    rng = random.Random(order)
-    full = [rng.randrange(1, 1 << width - 1) for _ in range(n)]
-    cases = [
-        full,
-        [0] * (n // 3) + full[n // 3:],
-        full[: n // 3] + [0] * (n // 3) + full[2 * (n // 3):],
-        full[: n // 2] + [0] * (n - n // 2),
-        [0] * (n - 1) + [5],
-        [7],
-        [rng.choice((0, 0, 1, 2 ** 20)) for _ in range(n)],
-    ]
-    for slot_values in cases:
-        v = sum(c << width * i for i, c in enumerate(slot_values))
-        assert list(slots.unpack(v).items()) == list(shift_loop(v).items())
-        assert slots.unpack(v) == {2 * i: c for i, c in enumerate(slot_values) if c}
-    assert slots.unpack(0) == {}
+        rng = random.Random(order + width)
+        full = [rng.randrange(1, 1 << width - 1) for _ in range(n)]
+        cases = [
+            full,
+            [0] * (n // 3) + full[n // 3:],
+            full[: n // 3] + [0] * (n // 3) + full[2 * (n // 3):],
+            full[: n // 2] + [0] * (n - n // 2),
+            [0] * (n - 1) + [5],
+            [7],
+            [rng.choice((0, 0, 1, 2 ** 20)) for _ in range(n)],
+        ]
+        for slot_values in cases:
+            v = sum(c << width * i for i, c in enumerate(slot_values))
+            assert list(slots.unpack(v).items()) == list(shift_loop(v).items())
+            assert slots.unpack(v) == {2 * (n - 1 - i): c for i, c in enumerate(slot_values) if c}
+        assert slots.unpack(0) == {}
 
 
 def test_too_narrow_slot_raises_instead_of_wrapping(monkeypatch):
@@ -529,13 +552,97 @@ def test_value_bits_rest_on_a_contraction():
 @pytest.mark.parametrize("order", [8, 40, 120])
 def test_one_step_gain_fits_the_guard_bits(order):
     """With every input slot 1, each output slot is the step's total
-    multiplicity; the input is the widest delta, two diagonals."""
+    multiplicity; the input is the widest delta, two diagonals, with every
+    slot its z^m entry may fill (degrees 2(2 + m) and up) set, at the
+    narrowest width the stream uses."""
     slots = layered.Slots(order)
-    ones = [mask // ((1 << slots.width) - 1) for mask in slots.masks[2:]]
-    delta = (ones, ones, ones)
+    top, width = order // 2, slots.width
+    assert width < slots.cap or order == 8
+
+    def ones(count):
+        return ((1 << width * count) - 1) // ((1 << width) - 1)
+
+    entries = [ones(top - 2 - m + 1) for m in range(top - 1)]
+    assert slots.unpack(entries[0]) == {kx: 1 for kx in range(4, 2 * top + 1, 2)}
+    delta = (entries, entries, entries)
     gains = [
         max(slots.unpack(v).values(), default=0)
         for series in layered._linear_step(delta, 2, slots)
         for v in series
     ]
     assert max(gains) < (order + 4) ** 2 <= 2 ** layered._slot_bits(order)[1]
+
+
+@pytest.mark.parametrize("order", [5, 17, 41, 61])
+def test_every_reader_at_an_odd_order_reads_the_order_below(order):
+    """The slots are anchored at x^(2 (order // 2)), so at an odd order each
+    reader returns what it returns at order - 1, key for key and in the
+    same order."""
+    for name, read in READERS.items():
+        assert repr(read(order)) == repr(read(order - 1)), name
+
+
+def test_stream_widens_from_below_the_cap_and_each_delta_fits_its_width():
+    """At 160 the stream starts below the cap and widens at least once,
+    each time by a multiple of STEP bits up to the cap, and every yielded
+    delta's slots lie below the value bits of the width it is yielded at."""
+    slots = layered.Slots(160)
+    seen = [slots.width]
+    assert slots.width < slots.cap
+    for _, delta in layered._deltas(160, slots):
+        if slots.width != seen[-1]:
+            seen.append(slots.width)
+        for series in delta:
+            for v in series:
+                assert max(slots.unpack(v).values(), default=0) < 1 << slots.value_bits
+    assert len(seen) > 1
+    assert seen == sorted(seen) and seen[-1] <= slots.cap
+    assert all(width % layered.STEP == 0 for width in seen)
+
+
+def _first_widening(order):
+    slots = layered.Slots(order)
+    start = slots.width
+    return next(k for k, _ in layered._deltas(order, slots) if slots.width != start)
+
+
+@pytest.mark.parametrize("cls", layered.CLASS_ORDER)
+@pytest.mark.parametrize("after", [0, 1])
+def test_a_corrupted_slot_at_a_widening_raises(monkeypatch, after, cls):
+    """A borrow planted in any class of the delta that makes the stream
+    widen (checked at the old width, where it sets a slot's sign bit, even
+    when another class spills) or of the first delta computed at the new
+    width stops the run as anywhere else.  At 200 the first widening comes
+    from the one-nose class, so the zero-nose class is checked after a spill."""
+    k = _first_widening(200) + after
+    _plant(monkeypatch, k, cls, 2, _borrow(0))
+    with pytest.raises(InvariantError, match="d\\^%d z\\^2 in %s is negative" % (k, cls)):
+        perimeter_counts(200)
+
+
+def test_repack_keeps_every_slot():
+    """Widened, an int unpacks to the same slots, in every width step of
+    the stream at 200."""
+    slots = layered.Slots(200)
+    rng = random.Random(200)
+    old = slots.width
+    while slots.width < slots.cap:
+        v = sum(rng.randrange(1 << slots.value_bits) << old * i for i in range(rng.randint(0, 101)))
+        before = slots.unpack(v)
+        slots.widen()
+        assert slots.unpack(layered._repack(v, old, slots.width)) == before
+        old = slots.width
+
+
+def test_a_slot_past_the_value_bits_raises_below_the_cap(monkeypatch):
+    """Below the cap the guard holds the bits at or above the value bits of
+    ``_slot_bits`` too, so a slot planted past them but below the sign bit
+    stops the run at the delta it was planted in, before a widening to the
+    cap could take it in.  At 60 with 52 value bits the stream starts at 64
+    bits and widens once, to its 128-bit cap."""
+    monkeypatch.setattr(
+        layered, "_slot_bits", lambda order: (52, 2 * (order + 4).bit_length())
+    )
+    _plant(monkeypatch, 3, "one", 1, lambda v, width: v + (1 << 62))
+    with pytest.raises(InvariantError, match="d\\^3 z\\^1 in one is negative or overflows"):
+        perimeter_counts(60)

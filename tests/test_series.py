@@ -365,8 +365,8 @@ def test_geometric_kernel_against_direct_convolution():
     product with sum x^(4j) z^j, and so does the dict-of-terms reference.
     From a delta with only B (or only A) the step's two-nose output is
     x^4 z K B (or x^4 z K^2 A), read here with the x^4 z taken off.
-    Every term x^kx z^m has kx >= 2m, as in the frame of the layered
-    steps at k = 0, where it is stored kx/2 - m slots up."""
+    Every term x^kx z^m has kx >= 2m, as delta_k has at k = 0, and is
+    stored at the top-anchored slot order/2 - kx/2 of its z^m entry."""
     rng = random.Random(16)
     order = 12
     slots = Slots(order)
@@ -382,15 +382,14 @@ def test_geometric_kernel_against_direct_convolution():
     def pack(terms):
         packed = [0] * (max(m for _, _, m in terms) + 1) if terms else []
         for (_, kx, m), v in terms.items():
-            packed[m] += v << slots.width * (kx // 2 - m)
+            packed[m] += v << slots.width * (order // 2 - kx // 2)
         return packed
 
     def kernel(terms, power):
-        # entry j of the output stands at offset k + 1 + j = 1 + j
         delta = ([], pack(terms), []) if power == 1 else (pack(terms), [], [])
         two = _linear_step(delta, 0, slots)[0]
         return {
-            (0, kx + 2 * j - 2, j - 1): c
+            (0, kx - 4, j - 1): c
             for j, v in enumerate(two)
             for kx, c in slots.unpack(v).items()
         }
