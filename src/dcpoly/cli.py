@@ -314,8 +314,8 @@ def main(argv=None):
         if negative and len(flag) > 2 and "--d-samples".startswith(flag):
             argv[i - 1 : i + 1] = ["--d-samples=" + value]
     args = _build_parser().parse_args(argv)
-    # the bases of the engines' errors (InvariantError and
-    # NonConvergenceError are RuntimeErrors), so no engine is imported here
+    # the bases of the engines' errors (InvariantError is a RuntimeError),
+    # so no engine is imported here
     try:
         text, code = args.handler(args)
     except (ValueError, ArithmeticError, RuntimeError) as exc:

@@ -6,9 +6,9 @@ the identities that tie all routes together:
 
 * three nested square roots whose squares are explicit polynomials in
   the diagonal marker and the perimeter variable;
-* the kernel of the size-marked functional equation, factored into an
-  x-only polynomial, a quadratic in z, and a quartic in z, together
-  with the three factor roots that are genuine power series;
+* the kernel of the size-marked functional equation, factored into a
+  quadratic in z and a quartic in z, together with the three factor
+  roots that are genuine power series;
 * the identities those roots satisfy: each annihilates its factor, the
   two quartic roots span a quadratic that divides the quartic, and their
   sum and reciprocal sum match the nested radical; ``kernel_residuals``
@@ -72,14 +72,12 @@ class RadicalTriple(NamedTuple):
 
 
 class KernelFactors(NamedTuple):
-    """Kernel of the functional equation, split into its three factors.
+    """Kernel of the functional equation, split into its two factors.
 
-    ``plain`` involves only x and therefore contributes no roots in z;
     ``quadratic`` and ``quartic`` are polynomials in z with power-series
     coefficients, given as ascending coefficient lists.
     """
 
-    plain: XSeries
     quadratic: "tuple[XSeries, ...]"
     quartic: "tuple[XSeries, ...]"
 
@@ -202,20 +200,12 @@ def radicals(d, order):
 def _kernel_factors(e, n):
     """The factored kernel at diagonal marker ``e``, in t = x^2 through t^n.
 
-    The full kernel is the product of the three returned factors.  The
+    The full kernel is the product of the two returned factors.  The
     z-coefficient lists are ascending; the quartic is palindromic up to
     powers of t^2, which is what makes its series roots come in the two
     aux-labelled pairs of :func:`roots`.  The public callers pass the
     square of their sample.
     """
-    plain = XSeries.from_terms(
-        {
-            11: e, 10: 1, 9: -4 * e, 8: -(2 * e + 5), 7: e * e * e + 2 * e * e + 6 * e,
-            6: e * e + 6 * e + 10, 5: -(4 * e * e + 4 * e), 4: -(e * e + 6 * e + 10),
-            3: 2 * e * e + e, 2: 2 * e + 5, 0: -1,
-        },
-        n,
-    )
     quadratic = (
         XSeries.one(n),
         XSeries.from_terms({3: e, 2: -1, 0: -1}, n),
@@ -228,15 +218,15 @@ def _kernel_factors(e, n):
         XSeries.from_terms({5: -2 * e, 4: -(e + 2), 3: 2 * e, 2: -(e + 2)}, n),
         XSeries.from_terms({4: 1}, n),
     )
-    return KernelFactors(plain, quadratic, quartic)
+    return KernelFactors(quadratic, quartic)
 
 
 def kernel_sextic(d, order):
     """The expanded kernel at marker d^2 for sample ``d``: ascending
-    z-coefficients of plain*quad*quartic.
+    z-coefficients of quadratic*quartic.
 
     For integer samples ``d`` every coefficient must be an integer, a
-    cheap transcription check on all three factors at once.
+    cheap transcription check on both factors at once.
     """
     n = order // 2
     factors = _kernel_factors(d * d, n)
@@ -245,7 +235,7 @@ def kernel_sextic(d, order):
     for i, a in enumerate(factors.quadratic):
         for j, b in enumerate(factors.quartic):
             product[i + j] = product[i + j] + a * b
-    return _in_x([factors.plain * c for c in product], order)
+    return _in_x(product, order)
 
 
 def _shape(e, n):

@@ -24,8 +24,9 @@ itself L of the lone cell, filed as a one-nose run of one cell (every
 two-diagonal shape is that cell with one diagonal appended), so the
 engine has one transfer map.  The fixed point is built one diagonal at
 a time, delta_2 = T(0) = L(lone cell) and delta_{k+1} = L(delta_k),
-summed until a delta vanishes, which the x-truncation guarantees
-because every extra diagonal adds perimeter.
+summed over the layers the truncation keeps: a shape with k diagonals
+has perimeter at least 2(k + 1), so with N = order // 2 they are
+k = 2..N - 1, a count of steps known before the run starts.
 
 Every term of L carries one factor of d and T(0) carries d^2, so
 delta_k, the shapes with k diagonals, has d-degree k and the steps never
@@ -41,11 +42,13 @@ k diagonals and m cells on its final diagonal has a bounding box with
 width + height >= k + m (a cell of the first diagonal and the two ends
 of the final run are that far apart), so its perimeter is at least
 2(k + m), a bound some shape reaches at every k: delta_k has no entry
-past z^(N - k).  The slots widen with the deltas (see ``Slots``): a step
-whose input slots are below 2^v grows them by less than g guard bits,
-so at a width of v + g + 1 bits its output cannot carry, and its top
-bit is set only by a borrow from a negative slot.  The check of each
-delta tells whether it still fits in v bits; if not, it is repacked.
+past z^(N - k), and its z^m entry no slot past N - k - m, a support the
+check of each delta holds it to.  The slots widen with the deltas (see
+``Slots``): a step whose input slots are below 2^v grows them by less
+than g guard bits, so at a width of v + g + 1 bits its output cannot
+carry, and its top bit is set only by a borrow from a negative slot.
+The check of each delta tells whether it still fits in v bits; if not,
+it is repacked.
 
 ``_deltas`` yields each checked delta_k, and every result folds the
 stream its own way: ``marginals(order, by)`` and ``two_nose_identity_residuals``
@@ -54,7 +57,9 @@ add the entries of each class of each delta into one packed int per group
 ``joint_table`` unpacks each entry into its table.  No result needs ``series``.
 """
 
-from itertools import repeat
+from functools import reduce
+from itertools import chain, repeat
+from operator import or_, rshift
 
 from .counts import CountTable
 
@@ -64,10 +69,6 @@ MIN_Z = {"two": 2, "one": 1, "zero": 1}
 # bits a widening adds, a multiple of 64 for _repack: perimeter_counts(160) took
 # 1.38 / 1.14 / 1.10 times as long with 16 / 32 / 128 (2 vCPUs, Python 3.11)
 STEP = 64
-
-
-class NonConvergenceError(RuntimeError):
-    """The iteration failed to reach its fixed point within the bound."""
 
 
 class InvariantError(RuntimeError):
@@ -97,24 +98,25 @@ def _slot_bits(order):
 
 class Slots:
     """Layout of one run's packed ints: slot s of ``width`` bits holds the
-    coefficient of t^(top - s), s = 0..top.  Below the ``cap`` width a slot
-    is ``value_bits``, the guard bits and a sign bit, rounded up to ``STEP``;
-    at the cap, the ``bound`` value bits of ``_slot_bits`` and guard bits.
-    ``spill`` marks the bits at or above the value bits; ``guard`` the sign
-    bit and the bits at or above ``bound``, which no checked count, nor a
-    sum of fewer than 2^guard_bits of them, may set."""
+    coefficient of t^(top - s), s = 0..top.  The width is the bits asked
+    for rounded up to ``STEP``, and a slot has ``value_bits``: the rest
+    after the guard bits and a sign bit, but no more than the ``bound`` of
+    ``_slot_bits``.  ``spill`` marks the bits at or above the value bits;
+    ``guard`` the sign bit and the bits at or above ``bound``, which no
+    checked count, nor a sum of fewer than 2^guard_bits of them, may set.
+    Once the value bits reach ``bound`` a slot that spills sets a guard bit,
+    so the check raises before it would ask for a wider slot."""
 
     def __init__(self, order):
         if order < 4:
             raise ValueError("order must be at least 4 to see any polyomino")
         self.top = order // 2
         self.bound, self.guard_bits = _slot_bits(order)
-        self.cap = -(-(self.bound + self.guard_bits) // STEP) * STEP
         self._lay_out(self.guard_bits + 2)
 
     def _lay_out(self, bits):
-        self.width = width = min(-(-bits // STEP) * STEP, self.cap)
-        self.value_bits = self.bound if width == self.cap else width - self.guard_bits - 1
+        self.width = width = -(-bits // STEP) * STEP
+        self.value_bits = min(width - self.guard_bits - 1, self.bound)
         repunit = ((1 << width * (self.top + 1)) - 1) // ((1 << width) - 1)
         self.spill = ((1 << width) - (1 << self.value_bits)) * repunit
         self.guard = ((1 << width) - (1 << min(self.bound, width - 1))) * repunit
@@ -188,11 +190,12 @@ def _linear_step(delta, k, slots):
     Z = K(U + t^2 P) as P <- A_m + t^2 P, Q <- P + B_m + t^2 Q and
     Z <- U_m + t^2 (P + Z), and writes entry m + 1 of each class:
     two = t^2 (Q + C_m), one = t (Z + S_m + t^2 Q), zero = V_(m+1) + t^2 Z,
-    through z^(N - k - 1), the last of delta_(k+1).  No slot carries, so
+    through z^(N - k - 1), the last of delta_(k+1).  No input, checked or
+    the lone cell, has an entry past z^(N - k).  No slot carries, so
     t^2 (P + Z) is t^2 P + t^2 Z, and each t^2 is taken once.  The caller
     adds the factor d that every term carries."""
     width, shift = slots.width, 2 * slots.width
-    n = max(slots.top - k + 1, *map(len, delta))
+    n = slots.top - k + 1
     a, b, c = (series + [0] * (n - len(series)) for series in delta)
     tail_u, tail_s, tail_v = [0] * n, [0] * n, [0] * n
     u = s = v = 0
@@ -216,44 +219,50 @@ def _linear_step(delta, k, slots):
     return two, one, zero
 
 
-def _check_counts(cls, kd, series, slots):
-    """Raise ``InvariantError`` on a nonzero entry below the minimum run of
-    ``cls``, or on a negative count or an overflow: v < 0 or a guard bit
-    set.  Otherwise return whether a slot spills past the value bits.  One
-    OR over the entries is negative exactly when some entry is, and meets a
-    mask exactly when a nonnegative entry does; only a tripped test walks
-    the entries, to name the first offender."""
-    acc = 0
-    for v in series:
-        acc |= v
-    if acc >= 0 and not acc & slots.spill and not any(series[:MIN_Z[cls]]):
+def _limits(cls, k, slots):
+    """Shifts that leave each entry of class ``cls`` of delta_k zero, z^0 on,
+    without end: width (N - k - m + 1) at z^m, whose perimeter is at least
+    2(k + m), and 0 below the minimum run of ``cls`` or past z^(N - k)."""
+    low, width = MIN_Z[cls], slots.width
+    return chain(repeat(0, low), range(width * (slots.top - k + 1 - low), 0, -width), repeat(0))
+
+
+def _check_counts(cls, k, series, slots):
+    """Raise ``InvariantError`` on an entry of delta_k outside its support
+    (see ``_limits``), negative, or with a guard bit set; otherwise return
+    whether a slot spills past the value bits.  A negative entry shifts to
+    -1, so one pass of shifts and one OR against ``spill`` see every fault;
+    only a tripped test walks the entries, to name the first offender."""
+    # entries narrow as m grows, so the running OR starts narrow
+    spills = reduce(or_, reversed(series), 0) & slots.spill
+    if not spills and not any(map(rshift, series, _limits(cls, k, slots))):
         return False
-    for m, v in enumerate(series):
+    for m, (v, limit) in enumerate(zip(series, _limits(cls, k, slots))):
         if v and m < MIN_Z[cls]:
             raise InvariantError("%s series has a z^%d term below its minimum run" % (cls, m))
         if v < 0 or v & slots.guard:
             raise InvariantError("a count at d^%d z^%d in %s is negative or overflows its slot"
-                                 % (kd, m, cls))
+                                 % (k, m, cls))
+        if v >> limit:
+            raise InvariantError("a count at d^%d z^%d in %s lies below perimeter %d"
+                                 % (k, m, cls, 2 * (k + m)))
     return True
 
 
-def _deltas(order, slots):
-    """Yield (k, delta_k) for k = 2, 3, ... until a delta vanishes: from
-    delta_2 = T(0) = L(lone cell), delta_{k+1} = L(delta_k) holds the shapes
-    with k + 1 diagonals, and the fixed point of T is their sum.  All three
-    classes pass ``_check_counts``, even after one spills, before the delta is
-    yielded or read; one that spills widens ``slots`` and the delta is repacked."""
+def _deltas(slots):
+    """Yield (k, delta_k) for the layers k = 2..N - 1 within the order,
+    N = ``slots.top``: delta_k = L(delta_(k-1)) holds the shapes with k
+    diagonals, from the lone cell delta_1, and T's fixed point is their sum.
+    All three classes pass ``_check_counts``, even after one spills, before
+    the delta is yielded or read; a spill widens ``slots`` and repacks it."""
     # delta_1, the lone cell, filed as a one-nose z^1 entry x^4 = t^2
-    delta = _linear_step(([], [0, 1 << slots.width * (slots.top - 2)], []), 1, slots)
-    for k in range(2, order + 4):
-        if not any(delta):
-            return
+    delta = ([], [0, 1 << slots.width * (slots.top - 2)], [])
+    for k in range(2, slots.top):
+        delta = _linear_step(delta, k - 1, slots)
         if any([_check_counts(cls, k, v, slots) for cls, v in zip(CLASS_ORDER, delta)]):
             old = slots.widen()
             delta = tuple([_repack(v, old, slots.width) for v in series] for series in delta)
         yield k, delta
-        delta = _linear_step(delta, k, slots)
-    raise NonConvergenceError("no fixed point within %d steps" % (order + 2))
 
 
 def _grouped(order, group):
@@ -264,7 +273,7 @@ def _grouped(order, group):
     (order + 4)^2, so it cannot carry, and an overflow sets a guard bit."""
     slots = Slots(order)
     width, sums = slots.width, {}
-    for k, delta in _deltas(order, slots):
+    for k, delta in _deltas(slots):
         if width != slots.width:
             sums = {key: _repack(acc, width, slots.width) for key, acc in sums.items()}
             width = slots.width
@@ -309,7 +318,7 @@ def joint_table(order):
     slots = Slots(order)
     # every (kx, k, cls, m) key comes from one entry's slot, so none repeats
     table = CountTable({(4, 1, "none", 1): 1})
-    for k, delta in _deltas(order, slots):
+    for k, delta in _deltas(slots):
         for cls, series in zip(CLASS_ORDER, delta):
             for m, v in enumerate(series):
                 counts = slots.unpack(v)

@@ -64,14 +64,6 @@ def test_quadratic_factor_at_unit_sample():
     )
 
 
-def test_plain_factor_boundary_terms():
-    # x^0, x^20 and x^22 are t^0, t^10 and t^11; marker 4 is sample 2
-    plain = closedform._kernel_factors(4, 12).plain
-    assert plain.coefficient(0) == -1
-    assert plain.coefficient(10) == 1
-    assert plain.coefficient(11) == 4
-
-
 def test_kernel_factors_take_the_marker_itself():
     # the quadratic's z^1 term is -1 - t^2 + e t^3 at marker e, not at e^2
     assert closedform._kernel_factors(2, 4).quadratic[1].coefficient(3) == 2

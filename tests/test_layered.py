@@ -19,7 +19,6 @@ import dcpoly
 from dcpoly import brute, layered
 from dcpoly.layered import (
     InvariantError,
-    NonConvergenceError,
     joint_table,
     marginals,
     perimeter_counts,
@@ -50,7 +49,7 @@ def unpacked(order, track_diagonals=True):
     delta unpacked as it is yielded."""
     slots = layered.Slots(order)
     total = empty_triple()
-    for k, delta in layered._deltas(order, slots):
+    for k, delta in layered._deltas(slots):
         for terms, new in zip(total, delta_terms(k, delta, slots, track_diagonals)):
             for key, c in new.items():
                 terms[key] = terms.get(key, 0) + c
@@ -198,8 +197,9 @@ def test_two_nose_residuals_equal_the_polynomial_products(order):
 def test_iterates_grow_monotonically(monkeypatch):
     """Summed through each k, the delta stream equals the reference
     engine's iterate T^(k-1)(0), per d-row with d tracked and over every
-    d-row with d collapsed, and the first step, from the lone cell, gives
-    T(0)."""
+    d-row with d collapsed, the first step, from the lone cell, gives
+    T(0), and the last delta, of N - 1 diagonals, leaves the reference
+    at its fixed point."""
     seen = []
     real_step = layered._linear_step
 
@@ -209,12 +209,13 @@ def test_iterates_grow_monotonically(monkeypatch):
 
     monkeypatch.setattr(layered, "_linear_step", record)
     slots = layered.Slots(16)
-    deltas = list(layered._deltas(16, slots))
-    # the lone cell, one nonempty delta per diagonal count 2..7, then an
-    # empty one; the stream runs at its cap width from the start, so every
+    deltas = list(layered._deltas(slots))
+    # the lone cell and one delta per diagonal count 2..6, which steps to
+    # the last, of 7 = 16 // 2 - 1 diagonals; the stream runs at its widest
+    # width from the start, where the value bits reach the bound, so every
     # delta unpacks at the width the run ends with
-    assert [k for k, _ in seen] == [1, 2, 3, 4, 5, 6, 7]
-    assert slots.width == slots.cap
+    assert [k for k, _ in seen] == [1, 2, 3, 4, 5, 6]
+    assert slots.value_bits == slots.bound
     # x^4 = t^2 of the lone cell stands at slot 16 // 2 - 2
     assert seen[0][1] == ([], [0, 1 << slots.width * (16 // 2 - 2)], [])
     # its output is delta_2, so the first comparison below checks it
@@ -243,10 +244,6 @@ def test_solve_rejects_tiny_order():
                 read(order)
 
 
-def test_convergence_error_is_exported():
-    assert issubclass(NonConvergenceError, RuntimeError)
-
-
 def naive_fixed_point(order, track_diagonals):
     """Reference: iterate the whole transfer from zero until it stops changing."""
     triple = empty_triple()
@@ -260,7 +257,7 @@ def naive_fixed_point(order, track_diagonals):
 
 @pytest.mark.parametrize(
     "order, track_diagonals",
-    [(o, t) for o in (4, 5, 8, 16, 30) for t in (True, False)] + [(60, False)],
+    [(o, t) for o in (4, 5, 6, 7, 8, 16, 30) for t in (True, False)] + [(60, False)],
 )
 def test_solve_matches_naive_fixed_point(order, track_diagonals):
     assert unpacked(order, track_diagonals) == naive_fixed_point(order, track_diagonals)
@@ -307,6 +304,16 @@ def _borrow(j):
         pytest.param("one", 2, 1, _borrow(0), "d\\^2 z\\^1 in one is negative", id="borrow"),
         pytest.param("zero", 3, 1, _borrow(2), "d\\^3 z\\^1 in zero is negative", id="borrow-d"),
         pytest.param("one", 4, 2, lambda v, w: -1, "d\\^4 z\\^2 in one is negative", id="negative-d"),
+        # a shape with 4 diagonals and 2 final cells has perimeter at least
+        # 12, and at order 16 slot 3 holds perimeter 10
+        pytest.param(
+            "one", 4, 2, _plus_slot(3), "d\\^4 z\\^2 in one lies below perimeter 12", id="floor-d"
+        ),
+        # delta_3 has no entry past z^(16 // 2 - 3)
+        pytest.param(
+            "zero", 3, 6, _plus_slot(0), "d\\^3 z\\^6 in zero lies below perimeter 18",
+            id="past-end-d",
+        ),
     ],
 )
 def test_each_invariant_fires_on_one_corrupted_slot(monkeypatch, cls, k, m, change, message):
@@ -322,8 +329,9 @@ def test_each_invariant_fires_on_one_corrupted_slot(monkeypatch, cls, k, m, chan
 @pytest.mark.parametrize("track_diagonals", [False, True])
 def test_each_step_checks_its_new_row_and_catches_a_corrupted_slot(monkeypatch, track_diagonals):
     """Every delta is checked, with its diagonal count, before the next
-    step reads it, on the run by perimeter as on the run by diagonals, and
-    a borrow planted in the delta of five-diagonal shapes stops the run."""
+    step reads it, on the run by perimeter as on the run by diagonals; the
+    last delta, of 16 // 2 - 1 diagonals, is checked and stepped no further;
+    and a borrow planted in the delta of five-diagonal shapes stops the run."""
     by = "diagonals" if track_diagonals else "perimeter"
     events = []
     real_check, real_step = layered._check_counts, layered._linear_step
@@ -339,8 +347,8 @@ def test_each_step_checks_its_new_row_and_catches_a_corrupted_slot(monkeypatch, 
     monkeypatch.setattr(layered, "_check_counts", check)
     monkeypatch.setattr(layered, "_linear_step", step)
     marginals(16, by)
-    assert events == [("step", 1)] + [
-        event for k in range(2, 8) for event in [("check", k)] * 3 + [("step", k)]
+    assert events == [
+        event for k in range(2, 8) for event in [("step", k - 1)] + [("check", k)] * 3
     ]
 
     events.clear()
@@ -360,7 +368,9 @@ def test_every_reader_names_the_diagonal_count_of_a_bad_delta(monkeypatch, read)
 
 def _check_counts_by_entry(cls, kd, series, slots):
     """The per-entry loop: the first offender in z-order, its minimum run
-    tested before its sign and guard bits."""
+    tested before its sign and guard bits, and these before its support:
+    a shape with kd diagonals and m cells on its final diagonal has
+    perimeter at least 2(kd + m), so no slot past order // 2 - kd - m."""
     for m, v in enumerate(series):
         if v and m < layered.MIN_Z[cls]:
             raise InvariantError(
@@ -370,6 +380,11 @@ def _check_counts_by_entry(cls, kd, series, slots):
             raise InvariantError(
                 "a count at d^%d z^%d in %s is negative or overflows its slot"
                 % (kd, m, cls)
+            )
+        if v and v.bit_length() > slots.width * (slots.top - kd - m + 1):
+            raise InvariantError(
+                "a count at d^%d z^%d in %s lies below perimeter %d"
+                % (kd, m, cls, 2 * (kd + m))
             )
 
 
@@ -381,7 +396,7 @@ def _raised(check, *args):
     return None
 
 
-@pytest.mark.parametrize("fault", ["negative", "guard", "min-run"])
+@pytest.mark.parametrize("fault", ["negative", "guard", "min-run", "floor", "past-end"])
 @pytest.mark.parametrize("cls", layered.CLASS_ORDER)
 def test_one_pass_check_names_the_same_offender_as_the_entry_loop(cls, fault):
     """One kind of fault planted in a real delta, where it can, at two
@@ -393,19 +408,28 @@ def test_one_pass_check_names_the_same_offender_as_the_entry_loop(cls, fault):
     assert _raised(layered._check_counts, cls, 3, clean, slots) is None
     first = layered.MIN_Z[cls] + 1
     assert len(clean) > first + 1
-    # at 24 the stream starts at its cap width, where the guard begins at
-    # the value bits of _slot_bits
-    assert slots.width == slots.cap
+    # at 24 the stream starts at its widest width, where the value bits
+    # reach the bound of _slot_bits and the guard begins at them
+    assert slots.value_bits == slots.bound
     guard_bit = 1 << slots.width + layered._slot_bits(24)[0]
     # minus 2^(bits of all 24 // 2 + 1 slots): negative, with the guard bits
     # of every slot clear
     borrow = 1 << slots.width * (24 // 2 + 1)
+
+    # the lowest slot past the support of entry m of delta_3, at perimeter
+    # 2(3 + m) - 2, and the first entry past z^(24 // 2 - 3)
+    def floor(m):
+        return lambda v: v | 1 << slots.width * (24 // 2 - 3 - m + 1)
+
+    end = 24 // 2 - 3 + 1
     plants = {
         "negative": [(first, lambda v: v - borrow), (first + 1, lambda v: v - borrow)],
         "guard": [(first, lambda v: v | guard_bit), (first + 1, lambda v: v | guard_bit)],
         "min-run": [(layered.MIN_Z[cls] - 1, lambda v: 1)],
+        "floor": [(first, floor(first)), (first + 1, floor(first + 1))],
+        "past-end": [(end, lambda v: 1), (end + 1, lambda v: 1)],
     }[fault]
-    series = list(clean)
+    series = clean + [0] * (end + 2 - len(clean))
     for m, change in plants:
         series[m] = change(series[m])
     message = _raised(_check_counts_by_entry, cls, 3, series, slots)
@@ -415,9 +439,10 @@ def test_one_pass_check_names_the_same_offender_as_the_entry_loop(cls, fault):
 
 
 def widths(slots):
-    """Lay ``slots`` out at each width its stream may use, narrowest first."""
+    """Lay ``slots`` out at each width its stream may use, narrowest first:
+    it widens only while the value bits are below the bound."""
     yield slots.width
-    while slots.width < slots.cap:
+    while slots.value_bits < slots.bound:
         slots.widen()
         yield slots.width
 
@@ -557,7 +582,7 @@ def test_one_step_gain_fits_the_guard_bits(order):
     narrowest width the stream uses."""
     slots = layered.Slots(order)
     top, width = order // 2, slots.width
-    assert width < slots.cap or order == 8
+    assert slots.value_bits < slots.bound or order == 8
 
     def ones(count):
         return ((1 << width * count) - 1) // ((1 << width) - 1)
@@ -583,27 +608,92 @@ def test_every_reader_at_an_odd_order_reads_the_order_below(order):
 
 
 def test_stream_widens_from_below_the_cap_and_each_delta_fits_its_width():
-    """At 160 the stream starts below the cap and widens at least once,
-    each time by a multiple of STEP bits up to the cap, and every yielded
-    delta's slots lie below the value bits of the width it is yielded at."""
+    """At 160 the stream starts with value bits below the bound and widens
+    at least once, each time by a multiple of STEP bits and only from value
+    bits below the bound, and every yielded delta's slots lie below the
+    value bits of the width it is yielded at."""
     slots = layered.Slots(160)
-    seen = [slots.width]
-    assert slots.width < slots.cap
-    for _, delta in layered._deltas(160, slots):
-        if slots.width != seen[-1]:
-            seen.append(slots.width)
+    seen = [(slots.width, slots.value_bits)]
+    for _, delta in layered._deltas(slots):
+        if slots.width != seen[-1][0]:
+            seen.append((slots.width, slots.value_bits))
         for series in delta:
             for v in series:
                 assert max(slots.unpack(v).values(), default=0) < 1 << slots.value_bits
     assert len(seen) > 1
-    assert seen == sorted(seen) and seen[-1] <= slots.cap
-    assert all(width % layered.STEP == 0 for width in seen)
+    assert seen == sorted(seen)
+    assert all(width % layered.STEP == 0 for width, _ in seen)
+    assert all(value_bits < slots.bound for _, value_bits in seen[:-1])
+
+
+@pytest.mark.parametrize("order", [8, 40, 64, 160, 200])
+def test_value_bits_stop_at_the_bound(order):
+    """Each width's value bits leave room for the guard bits and a sign bit
+    and reach no further than the bound.  Once they reach it, the spill and
+    guard masks are one, so a slot that would ask for a wider slot trips
+    the guard instead, and the slots widen no further."""
+    slots = layered.Slots(order)
+    for width in widths(slots):
+        assert slots.value_bits + slots.guard_bits + 1 <= width
+        assert slots.value_bits <= slots.bound
+        assert slots.spill & slots.guard == slots.guard
+        assert (slots.spill == slots.guard) == (slots.value_bits == slots.bound)
+
+
+@pytest.mark.parametrize(
+    "order, width", [(40, 64), (64, 128), (160, 256), (200, 256), (320, 448)]
+)
+def test_the_stream_ends_at_the_widths_it_needs(order, width):
+    """The widths the stream ends at: at 64 the value bits reach the bound,
+    and elsewhere the counts stop the widening below it."""
+    slots = layered.Slots(order)
+    for _ in layered._deltas(slots):
+        pass
+    assert slots.width == width
+
+
+def _counted_steps(monkeypatch):
+    calls = []
+    real_step = layered._linear_step
+
+    def counted(delta, k, slots):
+        calls.append(k)
+        return real_step(delta, k, slots)
+
+    monkeypatch.setattr(layered, "_linear_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", list(range(4, 65)) + [160, 200])
+def test_stream_runs_over_the_layers_within_the_order(monkeypatch, order):
+    """A shape with k diagonals has perimeter at least 2(k + 1), so the
+    stream yields exactly delta_k for k = 2..N - 1, N = order // 2, each
+    with some shape, from max(N - 2, 0) steps, the first from the lone cell."""
+    calls = _counted_steps(monkeypatch)
+    top = order // 2
+    deltas = list(layered._deltas(layered.Slots(order)))
+    assert [k for k, _ in deltas] == list(range(2, top))
+    assert all(any(delta) for _, delta in deltas)
+    assert calls == list(range(1, top - 1))
+    assert len(calls) == max(top - 2, 0)
+
+
+@pytest.mark.parametrize("order", [4, 5, 6, 7])
+def test_the_shortest_streams_equal_the_reference(order):
+    """Below perimeter 8 the stream has no delta (orders 4 and 5) or only
+    delta_2 (6 and 7), and the readers equal the reference transfer."""
+    assert len(list(layered._deltas(layered.Slots(order)))) == (order >= 6)
+    for track_diagonals in (True, False):
+        reference = naive_fixed_point(order, track_diagonals)
+        assert unpacked(order, track_diagonals) == reference
+    assert perimeter_counts(order) == perimeter_totals(reference)
+    assert joint_table(order).project("perimeter", "diagonals") == marginals(order, "diagonals")
 
 
 def _first_widening(order):
     slots = layered.Slots(order)
     start = slots.width
-    return next(k for k, _ in layered._deltas(order, slots) if slots.width != start)
+    return next(k for k, _ in layered._deltas(slots) if slots.width != start)
 
 
 @pytest.mark.parametrize("cls", layered.CLASS_ORDER)
@@ -626,7 +716,7 @@ def test_repack_keeps_every_slot():
     slots = layered.Slots(200)
     rng = random.Random(200)
     old = slots.width
-    while slots.width < slots.cap:
+    while slots.value_bits < slots.bound:
         v = sum(rng.randrange(1 << slots.value_bits) << old * i for i in range(rng.randint(0, 101)))
         before = slots.unpack(v)
         slots.widen()
@@ -635,11 +725,12 @@ def test_repack_keeps_every_slot():
 
 
 def test_a_slot_past_the_value_bits_raises_below_the_cap(monkeypatch):
-    """Below the cap the guard holds the bits at or above the value bits of
-    ``_slot_bits`` too, so a slot planted past them but below the sign bit
-    stops the run at the delta it was planted in, before a widening to the
-    cap could take it in.  At 60 with 52 value bits the stream starts at 64
-    bits and widens once, to its 128-bit cap."""
+    """While the value bits are below the bound, the guard holds the bits at
+    or above the bound of ``_slot_bits`` too, so a slot planted past them
+    but below the sign bit stops the run at the delta it was planted in,
+    before a widening could take it in.  At 60 with a bound of 52 bits the
+    stream starts at 64 bits and widens once, to 128 bits, where the value
+    bits reach the bound."""
     monkeypatch.setattr(
         layered, "_slot_bits", lambda order: (52, 2 * (order + 4).bit_length())
     )
