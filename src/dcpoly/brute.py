@@ -27,38 +27,74 @@ cell at column 0 or at the old width shares one, and those cells are
 its noses; so the run adds 4 (left + right) + 2 noses.
 
 Few distinct states occur, and how a prefix can grow depends only on
-its state and perimeter.  ``generate`` therefore counts as a transfer
-matrix, one diagonal at a time: each layer maps (state, perimeter) to
-the number of prefixes in it, and each entry is extended once for all
-of them.  The tests recheck the census against an enumeration of raw
-cell sets that shares no code with this machine, and the reach rule
-against the per-block test it replaces.
-
-The module also enumerates two reference families: chains of runs that
-can only keep or extend their window by one (the directed shapes,
-counted by diagonals, shape by shape) and column-convex polyominoes
-(contiguous vertical runs overlapping their neighbor), counted by
-perimeter with the column width as the layer state.
+its state and its cost so far.  One transfer walk, ``_walk``, serves
+three families, one layer per diagonal or column: each layer maps
+(state, cost) to the number of prefixes in it, and each entry is
+extended once for all of them.  ``generate`` walks the frontier states
+by perimeter; ``column_convex_counts`` walks column-convex polyominoes
+(contiguous vertical runs overlapping their neighbor) with the column
+width as the state; ``directed_counts_by_diagonals`` walks the directed
+shapes, chains of runs that can only keep or extend their window by
+one, with the run width as the state and one diagonal as the cost.
+The tests recheck the census against an enumeration of raw cell sets
+that shares no code with this machine, and the reach rule against the
+per-block test it replaces.
 """
+
+from operator import itemgetter
 
 from .counts import CountTable
 
 _NOSE_BY_COUNT = ("zero", "one", "two")
+_STEP = itemgetter(0)
 
 
-def _children(memo, state, budget):
-    """Sorted one-diagonal extensions of a frontier state.
+def _walk(first, children, limit):
+    """Transfer count of prefixes grown one layer at a time up to a cost.
+
+    ``first`` lists the one-layer prefixes and ``children(state)`` the
+    ways to extend a prefix in that state, both as (step, state2, ways,
+    tag): the cost added, the new state and how many distinct new runs
+    give that pair.  Each layer maps (state, cost) to a count, and each
+    entry is extended once by its state's memoised children, sorted by
+    step so the walk can stop at ``limit``; count * ways passes to the
+    next layer and, when the tag is not None, to the tally at (cost,
+    depth, *tag).  The walk stops at the first empty layer.
+    """
+    tally, memo = {}, {None: sorted(first, key=_STEP)}
+    layer, depth = {(None, 0): 1}, 0
+    while layer:
+        depth += 1
+        following = {}
+        for (state, cost), count in layer.items():
+            kids = memo.get(state)
+            if kids is None:
+                kids = memo[state] = sorted(children(state), key=_STEP)
+            for step, state2, ways, tag in kids:
+                cost2 = cost + step
+                if cost2 > limit:
+                    break
+                n = count * ways
+                if tag is not None:
+                    key = (cost2, depth, tag)
+                    tally[key] = tally.get(key, 0) + n
+                entry = (state2, cost2)
+                following[entry] = following.get(entry, 0) + n
+        layer = following
+    return {(cost, depth, *tag): count for (cost, depth, tag), count in tally.items()}
+
+
+def _children(state, budget):
+    """One-diagonal extensions of a frontier state, in the walk's form.
 
     A child is a run of b cells whose lowest column sits at offset
     ``rel`` from the old run's lowest column.  Only the offsets that
     reach the end of the first block and the start of the last, which
-    are exactly those that touch every block, are tried.  Children are
-    returned as (dpe, b, state2, nose) tuples sorted by the perimeter
-    increase dpe, so a walk can stop at its budget.
+    are exactly those that touch every block, are tried, by increasing
+    b.  Each child is (dpe, state2, 1, tag): dpe is the perimeter
+    increase, and the tag is (nose, b) when the child has no singletons,
+    so it is a polyomino, and None otherwise.
     """
-    cached = memo.get(state)
-    if cached is not None:
-        return cached
     left, mid, right = state
     width = left + mid + right
     first_end = 0 if left else mid - 1
@@ -76,9 +112,8 @@ def _children(memo, state, budget):
                 continue
             mid2 = b - left2 - right2
             state2 = (left2, mid2, right2) if mid2 > 1 else (b - 1, 1, 0)
-            out.append((dpe, b, state2, _NOSE_BY_COUNT[noses]))
-    out.sort(key=lambda c: (c[0], c[1]))
-    memo[state] = out
+            tag = None if left2 or right2 else (_NOSE_BY_COUNT[noses], b)
+            out.append((dpe, state2, 1, tag))
     return out
 
 
@@ -87,36 +122,16 @@ def generate(max_perimeter):
 
     Returns a ``CountTable`` keyed by (perimeter, diagonals, nose,
     last_run).  Prefixes with the same frontier state (left, mid,
-    right) and perimeter have the same completions, so each layer of
-    the count is a map from (state, perimeter) to the number of
-    prefixes with that many diagonals in it.  Every entry is extended
-    once by its memoised children, its multiplicity passed on to the
-    next layer and, for a child with no singletons, to the tally; the
-    count stops at the first empty layer.
+    right) and perimeter have the same completions, so the census is a
+    walk over (state, perimeter); a first run of s cells is s
+    singletons, and only the lone cell is a polyomino.
     """
-    tally = {}
-    if max_perimeter >= 4:
-        tally[(4, 1, "none", 1)] = 1
     budget = max_perimeter - 4
-    memo = {}
-    # a first run of s cells is s singletons
-    layer = {((s - 1, 1, 0), 4 * s): 1 for s in range(1, max_perimeter // 4 + 1)}
-    depth = 1
-    while layer:
-        depth += 1
-        following = {}
-        for (state, pe), count in layer.items():
-            for dpe, b, state2, nose in _children(memo, state, budget):
-                pe2 = pe + dpe
-                if pe2 > max_perimeter:
-                    break
-                if state2[0] == state2[2] == 0:
-                    key = (pe2, depth, nose, b)
-                    tally[key] = tally.get(key, 0) + count
-                entry = (state2, pe2)
-                following[entry] = following.get(entry, 0) + count
-        layer = following
-    return CountTable(tally)
+    first = [
+        (4 * s, (s - 1, 1, 0), 1, ("none", 1) if s == 1 else None)
+        for s in range(1, max_perimeter // 4 + 1)
+    ]
+    return CountTable(_walk(first, lambda state: _children(state, budget), max_perimeter))
 
 
 def directed_counts_by_diagonals(max_diagonals):
@@ -124,22 +139,17 @@ def directed_counts_by_diagonals(max_diagonals):
 
     Directed means every run fits inside the window of the one below it
     extended one column to the right, starting from a single cell; each
-    new cell then has a predecessor to the south or west.  The walk is
-    explicit, so keep the depth small; the count grows geometrically.
+    new cell then has a predecessor to the south or west.  How a chain
+    grows depends only on its last run's width w, and a run of b cells
+    fits over it in w + 2 - b ways, so the count is a walk over the width
+    with one diagonal per step, polynomial in the depth.
     """
-    out = {}
-
-    def walk(width, depth):
-        out[depth] = out.get(depth, 0) + 1
-        if depth == max_diagonals:
-            return
-        for rel in range(0, width + 1):
-            for b in range(1, width - rel + 2):
-                walk(b, depth + 1)
-
-    if max_diagonals >= 1:
-        walk(1, 1)
-    return dict(sorted(out.items()))
+    tally = _walk(
+        [(1, 1, 1, ())],
+        lambda width: [(1, b, width + 2 - b, ()) for b in range(1, width + 2)],
+        max_diagonals,
+    )
+    return {depth: count for (_, depth), count in tally.items()}
 
 
 def column_convex_counts(max_perimeter):
@@ -148,23 +158,15 @@ def column_convex_counts(max_perimeter):
     Columns are contiguous vertical runs; adjacent columns must share at
     least one row.  A column of b cells overlapping its neighbor in v
     rows adds 2b + 2 - 2v to the perimeter, which is always positive,
-    so the count ends once every prefix has passed the bound.  How a
+    so the walk ends once every prefix has passed the bound.  How a
     prefix grows depends only on its last column's width and its
-    perimeter, so each layer maps that pair to a number of prefixes and
-    is extended once per entry, one column at a time.  Offsets that give
-    a child the same width and perimeter step are merged into one child
-    with a multiplicity.
+    perimeter, so the census is a walk over that pair, one column at a
+    time.  Offsets that give a child the same width and perimeter step
+    are merged into one child with a multiplicity.
     """
-    counts = {}
-    if max_perimeter < 4:
-        return counts
     budget = max_perimeter - 4
-    memo = {}
 
     def children(width):
-        cached = memo.get(width)
-        if cached is not None:
-            return cached
         ways = {}
         for b in range(1, width + (budget - 2) // 2 + 2):
             for rel in range(1 - b, width):
@@ -172,23 +174,10 @@ def column_convex_counts(max_perimeter):
                 dpe = 2 * b + 2 - 2 * v
                 if dpe <= budget:
                     ways[(dpe, b)] = ways.get((dpe, b), 0) + 1
-        out = sorted((dpe, b, n) for (dpe, b), n in ways.items())
-        memo[width] = out
-        return out
+        return [(dpe, b, n, ()) for (dpe, b), n in ways.items()]
 
-    layer = {}
-    for s in range(1, (max_perimeter - 2) // 2 + 1):
-        pe = 2 * s + 2
-        counts[pe] = 1
-        layer[(s, pe)] = 1
-    while layer:
-        following = {}
-        for (width, pe), count in layer.items():
-            for dpe, b, ways in children(width):
-                pe2 = pe + dpe
-                if pe2 > max_perimeter:
-                    break
-                counts[pe2] = counts.get(pe2, 0) + count * ways
-                following[(b, pe2)] = following.get((b, pe2), 0) + count * ways
-        layer = following
+    first = [(2 * s + 2, s, 1, ()) for s in range(1, (max_perimeter - 2) // 2 + 1)]
+    counts = {}
+    for (pe, _), count in _walk(first, children, max_perimeter).items():
+        counts[pe] = counts.get(pe, 0) + count
     return dict(sorted(counts.items()))

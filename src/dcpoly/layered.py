@@ -128,20 +128,20 @@ class Slots:
         self._lay_out(old + self.guard_bits)
         return old
 
-    def unpack(self, v, out=None, kx=None):
+    def unpack(self, v):
         """{x-degree: coefficient} of v's nonzero slots in degree order, slot s
-        at kx - 2s (2(top - s) by default), added to ``out`` (a new dict by default).
-        Above 16 slots v is split in halves, so each bit is shifted O(log slots) times."""
-        out, kx, width = {} if out is None else out, 2 * self.top if kx is None else kx, self.width
-        count = -(-v.bit_length() // width)
-        half = count // 2
-        if half > 8:
-            self.unpack(v >> width * half, out, kx - 2 * half)
-            return self.unpack(v & (1 << width * half) - 1, out, kx)
-        slot = (1 << width) - 1
-        for s in range(count - 1, -1, -1):
-            if v >> width * s & slot:
-                out[kx - 2 * s] = v >> width * s & slot
+        at x-degree 2(top - s).  v's big-endian bytes start at its highest slot,
+        the lowest degree, so ``width // 8`` bytes at a time read the slots in
+        ascending degree."""
+        size = self.width // 8
+        count = -(-v.bit_length() // self.width)
+        data = v.to_bytes(size * count, "big")
+        out, kx = {}, 2 * (self.top - count + 1)
+        for i in range(0, size * count, size):
+            coefficient = int.from_bytes(data[i : i + size], "big")
+            if coefficient:
+                out[kx] = coefficient
+            kx += 2
         return out
 
 

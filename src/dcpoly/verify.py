@@ -26,9 +26,8 @@ from . import closedform
 # perimeter bound of the exhaustive cross-checks: the published range
 ORACLE_PERIMETER_CAP = 40
 
-# depths of the directed suite, which is exact arithmetic at any order
-DIRECTED_FORMULA_DEPTH = 15
-DIRECTED_EXHAUSTIVE_DEPTH = 4
+# depth of the directed suite, which is exact arithmetic at any order
+DIRECTED_DEPTH = 15
 
 # one check name per field of closedform.KernelResiduals, in field order
 KERNEL_RESIDUAL_CHECKS = (
@@ -206,24 +205,25 @@ def columnconvex_suite(order, d_samples):
 
 @_suite(1)
 def directed_suite(order, d_samples):
-    """Fixed point, binomial formula, and generator for directed shapes."""
+    """Fixed point against the binomial formula and against the exhaustive
+    walk, both through ``DIRECTED_DEPTH`` diagonals."""
     from . import brute
-    series = closedform.directed_series(DIRECTED_FORMULA_DEPTH)
-    coefficients = [series.coefficient(k) for k in range(DIRECTED_FORMULA_DEPTH + 1)]
+    series = closedform.directed_series(DIRECTED_DEPTH)
+    coefficients = [series.coefficient(k) for k in range(DIRECTED_DEPTH + 1)]
     mismatches = (
         "first offending coefficient: d^%d -> %s, formula %s"
         % (k, coefficients[k], closedform.ternary_count(k))
-        for k in range(1, DIRECTED_FORMULA_DEPTH + 1)
+        for k in range(1, DIRECTED_DEPTH + 1)
         if coefficients[k] != closedform.ternary_count(k)
     )
     yield (
-        "fixed point matches the binomial formula through %d" % DIRECTED_FORMULA_DEPTH,
+        "fixed point matches the binomial formula through %d" % DIRECTED_DEPTH,
         next(mismatches, None),
     )
-    counted = brute.directed_counts_by_diagonals(DIRECTED_EXHAUSTIVE_DEPTH)
-    derived = {k: int(coefficients[k]) for k in range(1, DIRECTED_EXHAUSTIVE_DEPTH + 1)}
+    counted = brute.directed_counts_by_diagonals(DIRECTED_DEPTH)
+    derived = {k: int(coefficients[k]) for k in range(1, DIRECTED_DEPTH + 1)}
     yield (
-        "exhaustive directed counts match through %d diagonals" % DIRECTED_EXHAUSTIVE_DEPTH,
+        "exhaustive directed counts match through %d diagonals" % DIRECTED_DEPTH,
         None if counted == derived else "exhaustive %s vs fixed point %s" % (counted, derived),
     )
 
@@ -257,8 +257,8 @@ def run_suites(names, order, d_samples):
 
     ``order`` is the truncation for the algebraic suites and doubles as
     the perimeter bound for the exhaustive cross-checks, which are
-    capped at 40, the published range.  The directed suite has fixed
-    depths; it is exact arithmetic either way.  An unknown name raises
+    capped at 40, the published range.  The directed suite has a fixed
+    depth; it is exact arithmetic either way.  An unknown name raises
     ``ValueError`` before any suite runs.
     """
     wanted = [n for name in names for n in _expand(name)]

@@ -14,6 +14,7 @@ import pytest
 
 from dcpoly import brute
 from dcpoly.brute import column_convex_counts, directed_counts_by_diagonals, generate
+from dcpoly.closedform import ternary_count
 from dcpoly.counts import CountTable
 from dcpoly.layered import joint_table
 
@@ -129,7 +130,8 @@ def block_id_children(classes, budget):
 
     Every offset of every run is tried, and a run is kept when the set
     of blocks it touches is all of them.  Returns (dpe, b, classes2,
-    nose) tuples in the order ``brute._children`` promises.
+    nose) tuples sorted by (dpe, b), the order in which the walk reads
+    ``brute._children``.
     """
     width = len(classes)
     nblocks = len(set(classes))
@@ -182,10 +184,9 @@ def test_reach_rule_matches_block_id_rule(monkeypatch):
     seen = []
     children = brute._children
 
-    def recording(memo, state, budget):
-        if state not in memo:
-            seen.append((state, budget))
-        return children(memo, state, budget)
+    def recording(state, budget):
+        seen.append((state, budget))
+        return children(state, budget)
 
     monkeypatch.setattr(brute, "_children", recording)
     generate(40)
@@ -194,11 +195,17 @@ def test_reach_rule_matches_block_id_rule(monkeypatch):
     assert len(seen) == 175
     assert len({block_ids(state) for state, _ in seen}) == 175
     for state, budget in seen:
-        got = [
-            (dpe, b, block_ids(state2), nose)
-            for dpe, b, state2, nose in children({}, state, budget)
-        ]
-        assert got == block_id_children(block_ids(state), budget), state
+        # the walk sorts each state's children by step, stably
+        got = sorted(children(state, budget), key=lambda child: child[0])
+        want = block_id_children(block_ids(state), budget)
+        assert [(dpe, sum(state2), block_ids(state2)) for dpe, state2, _, _ in got] == [
+            (dpe, b, classes2) for dpe, b, classes2, _ in want
+        ], state
+        # only a child with no singletons is a polyomino, and only it is tagged
+        assert [tag for _, _, _, tag in got] == [
+            (nose, b) if len(set(classes2)) == 1 else None for _, b, classes2, nose in want
+        ], state
+        assert all(ways == 1 for _, _, ways, _ in got)
 
 
 def test_generate_matches_layered_joint_table():
@@ -234,6 +241,19 @@ def test_directed_counts_match_filtered_generator():
         if runs is not None and len(runs) <= 3 and is_directed(cells):
             by_diag[len(runs)] = by_diag.get(len(runs), 0) + 1
     assert by_diag == directed_counts_by_diagonals(3)
+
+
+def test_directed_counts_match_the_ternary_formula():
+    assert directed_counts_by_diagonals(15) == {k: ternary_count(k) for k in range(1, 16)}
+
+
+def test_the_smallest_bounds_hold_no_shape_or_one():
+    assert generate(2) == {}
+    assert column_convex_counts(2) == {}
+    assert directed_counts_by_diagonals(0) == {}
+    assert generate(4) == {(4, 1, "none", 1): 1}
+    assert column_convex_counts(4) == {4: 1}
+    assert directed_counts_by_diagonals(1) == {1: 1}
 
 
 def test_column_convex_prefix_diverges_at_fourteen():

@@ -253,7 +253,11 @@ EXHAUSTIVE_PLANTS = [
         "directed",
         "directed_counts_by_diagonals",
         lambda counts: {**counts, 3: counts[3] + 1},
-        "exhaustive {1: 1, 2: 3, 3: 13, 4: 55} vs fixed point {1: 1, 2: 3, 3: 12, 4: 55}",
+        "exhaustive {1: 1, 2: 3, 3: 13, 4: 55, 5: 273, 6: 1428, 7: 7752, 8: 43263, "
+        "9: 246675, 10: 1430715, 11: 8414640, 12: 50067108, 13: 300830572, "
+        "14: 1822766520, 15: 11124755664} vs fixed point {1: 1, 2: 3, 3: 12, 4: 55, "
+        "5: 273, 6: 1428, 7: 7752, 8: 43263, 9: 246675, 10: 1430715, 11: 8414640, "
+        "12: 50067108, 13: 300830572, 14: 1822766520, 15: 11124755664}",
     ),
 ]
 
