@@ -306,11 +306,11 @@ def _build_parser():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads a value such as -1/2,3 after a space as an option, not as
-    # the value of --d-samples or a prefix of it, so it is joined to its flag
+    # argparse reads a value such as -1/2,3 or -.5,2 after a space as an option,
+    # not as the value of --d-samples or a prefix of it, so it is joined to its flag
     for i in range(len(argv) - 1, 0, -1):
         flag, value = argv[i - 1 : i + 1]
-        negative = value[:1] == "-" and value[1:2].isdigit()
+        negative = value[:1] == "-" and value[1:].removeprefix(".")[:1].isdigit()
         if negative and len(flag) > 2 and "--d-samples".startswith(flag):
             argv[i - 1 : i + 1] = ["--d-samples=" + value]
     args = _build_parser().parse_args(argv)

@@ -36,11 +36,13 @@ transcription.  All arithmetic is exact and runs over Q.  Only the
 quartic kernel roots, through sqrt(4 + d^2), have irrational constant
 terms: they are a +- b*sqrt(D) with a and b rational series, built by
 denesting the square root over Q(sqrt D) in their quadratic formula
-into two rational square roots.  The division and sum identities use
-them only through their rational sum and product, and the quartic at
-a +- b*sqrt(D) is A +- B*sqrt(D) with A and B rational: both roots
-annihilate it exactly when A = B = 0, so the two root residuals are
-the rational series A and B, and the irrational part is checked, never
+into two rational square roots.  Every identity uses them only through
+a, b, their rational sum 2a and their norm a^2 - D b^2: divided by the
+quadratic z^2 - 2a z + (a^2 - D b^2) that both roots annihilate, the
+quartic leaves a remainder r1 z + r0, so at a +- b*sqrt(D) it is
+A +- B*sqrt(D) with A = r1 a + r0 and B = r1 b rational.  Both roots
+annihilate it exactly when A = B = 0, so the two root residuals are the
+rational series A and B, and the irrational part is checked, never
 assumed.
 """
 
@@ -113,10 +115,12 @@ class KernelResiduals(NamedTuple):
     series root.  The quartic factor at its roots q+- = a +- b*sqrt(D)
     is A +- B*sqrt(D), and ``quartic_rational`` and ``quartic_surd`` are
     A and B: both roots annihilate the quartic exactly when both vanish,
-    whether D is a square or not.  The other four see the roots only
-    through their sum 2a and product a^2 - D b^2.  ``remainder_z1`` and
-    ``remainder_z0`` are the coefficients of the quartic factor modulo
-    the monic quadratic whose roots are its two series roots.
+    whether D is a square or not.  ``remainder_z1`` and ``remainder_z0``
+    are the coefficients r1 and r0 of the quartic factor modulo the
+    monic quadratic whose roots are its two series roots; that quadratic
+    vanishes at both, so A = r1*a + r0 and B = r1*b.  The remainders and
+    the two sum identities see the roots only through their sum 2a and
+    product a^2 - D b^2.
     ``root_sum`` and ``reciprocal_sum`` compare the sum of those roots
     and the sum of their reciprocals with their expressions through the
     outer nested radical at d^2; the root sum compares the denested
@@ -316,9 +320,10 @@ def kernel_residuals(d, order):
     series roots and the outer nested radical are built once at marker
     e = d^2, so the sign of d only negates ``quartic_surd``.  The quartic
     roots a +- b*sqrt(D) enter the division and the sum identities
-    through their rational sum 2a and product a^2 - D b^2, and the quartic
-    at both roots is A +- B*sqrt(D) from one Horner pass on the parts,
-    with D unfolded even where it is a square; A and B are checked.
+    through their rational sum 2a and product a^2 - D b^2.  The division
+    leaves the remainder r1*z + r0, so the quartic at both roots is
+    A +- B*sqrt(D) with A = r1*a + r0 and B = r1*b, D unfolded even where
+    it is a square; A and B are checked.
     All are computed in t = x^2 and read back in x through ``order``, so
     a wrong t^j coefficient shows at x^(2j); all vanish on a faithful
     transcription.
@@ -330,28 +335,26 @@ def kernel_residuals(d, order):
     factors = _kernel_factors(e, n)
     quadratic_root, a, b, disc = _roots(d, n)
     root_sum, root_product = a * 2, a * a - b * b * disc
-    # divide the quartic by z^2 - root_sum*z + root_product; the
-    # complementary roots live in the quotient, times x^8 so that their
-    # poles never appear
+    # divide the quartic by z^2 - root_sum*z + root_product, leaving the
+    # remainder r1*z + r0 in work[3:]; the complementary roots live in the
+    # quotient, times x^8 so that their poles never appear
     work = list(reversed(factors.quartic))
     for i in range(3):
         lead = work[i]
         work[i + 1] = work[i + 1] + lead * root_sum
         work[i + 2] = work[i + 2] - lead * root_product
-    # the quartic at a + b*sqrt(D) is big_a + big_b*sqrt(D), and at
-    # a - b*sqrt(D) it is big_a - big_b*sqrt(D)
-    big_a, big_b = factors.quartic[-1], XSeries.zero(n)
-    for c in reversed(factors.quartic[:-1]):
-        big_a, big_b = big_a * a + big_b * b * disc + c, big_a * b + big_b * a
+    r1, r0 = work[3], work[4]
     nested = _outer_radicals(e, n + 2)[1].value
     shape = _shape(e, n + 2)
     residuals = KernelResiduals(
         *squares,
         _eval_z_poly(factors.quadratic, quadratic_root),
-        big_a,
-        big_b,
-        work[3],
-        work[4],
+        # the divisor vanishes at a +- b*sqrt(D), so the quartic there is
+        # r1*(a +- b*sqrt(D)) + r0 = A +- B*sqrt(D)
+        r1 * a + r0,
+        r1 * b,
+        r1,
+        r0,
         # 2a = (shape - alpha)/(2t^2), so this is (nested - alpha)/(2t^2)
         root_sum - (shape - nested).shift_down(2) * Fraction(1, 2),
         # 1/q+ + 1/q- = (q+ + q-)/(q+ q-), times the unit q+ q-

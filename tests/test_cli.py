@@ -243,22 +243,25 @@ def test_verify_default_d_samples_are_one_half_two_three(capsys):
 
 
 def test_verify_takes_a_leading_negative_fraction_after_an_equals_sign(capsys):
-    # argparse alone reads "-1/2" after a space as an option; main joins it
-    # to its flag, so the space form prints what the = form prints
-    code, spaced = run_cli(
-        capsys, "verify", "--suite", "kernel", "--order", "12", "--d-samples", "-1/2,3"
-    )
-    assert code == 0
-    code, out = run_cli(
-        capsys, "verify", "--suite", "kernel", "--order", "12", "--d-samples=-1/2,3"
-    )
-    assert code == 0
-    assert spaced == out
-    lines = out.splitlines()
-    # ten residual checks per sample, and the integer-coefficient check at 3
-    assert [line.rsplit("(", 1)[-1] for line in lines[:-1]] == ["d=-1/2)"] * 10 + ["d=3)"] * 11
-    assert all(line.startswith("PASS [kernel] ") for line in lines[:-1])
-    assert lines[-1] == "21 checks, 0 failed"
+    # argparse alone reads "-1/2" or "-.5" after a space as an option; main
+    # joins it to its flag, so the space form prints what the = form prints
+    for samples, integer in (("-1/2,3", "3"), ("-.5,2", "2")):
+        code, spaced = run_cli(
+            capsys, "verify", "--suite", "kernel", "--order", "12", "--d-samples", samples
+        )
+        assert code == 0
+        code, out = run_cli(
+            capsys, "verify", "--suite", "kernel", "--order", "12", "--d-samples=" + samples
+        )
+        assert code == 0
+        assert spaced == out
+        lines = out.splitlines()
+        # ten residual checks per sample, and the integer-coefficient check
+        # at the integer sample
+        labels = [line.rsplit("(", 1)[-1] for line in lines[:-1]]
+        assert labels == ["d=-1/2)"] * 10 + ["d=%s)" % integer] * 11
+        assert all(line.startswith("PASS [kernel] ") for line in lines[:-1])
+        assert lines[-1] == "21 checks, 0 failed"
 
 
 @pytest.mark.parametrize("flag", ["--d", "--d-sam"])

@@ -208,6 +208,48 @@ def test_kernel_residuals_vanish(d, order):
     assert all(residual.is_zero() for residual in residuals)
 
 
+def _quartic_at_its_roots(d, order):
+    """The quartic at a +- b*sqrt(D) as (A, B), read in x: a Horner pass
+    over Q(sqrt D) with reference_series.surd_mul, where kernel_residuals
+    reads A and B off the remainder of its division instead."""
+    d, n = Fraction(d), order // 2
+    _, a, b, disc = closedform._roots(d, n)
+    quartic = closedform._kernel_factors(d * d, n).quartic
+    value = (quartic[-1], XSeries.zero(n), disc)
+    for c in reversed(quartic[:-1]):
+        real, surd, _ = reference_series.surd_mul(value, (a, b, disc))
+        value = (real + c, surd, disc)
+    return value[0].at_square(order), value[1].at_square(order)
+
+
+# at 3/2, 21/10 and -3/2, D = 25, 841 and 25 are squares; order 200 is left
+# out, as the Horner pass alone takes up to a second there
+@pytest.mark.parametrize("order", (12, 61))
+@pytest.mark.parametrize(
+    "d",
+    (1, Fraction(1, 2), 2, 3, Fraction(3, 2), Fraction(21, 10), -1, Fraction(-3, 2)),
+)
+def test_the_quartic_at_its_roots_matches_a_horner_pass_over_q_sqrt_d(monkeypatch, d, order):
+    """A and B agree with the oracle on the real factors, where both vanish,
+    and with the z^2 coefficient of the quartic bumped at x^12 (t^6), as in
+    the quartic-factor plant of the verify tests, where neither does; there
+    they take r1 and r0 each in its own place."""
+    real = closedform._kernel_factors
+
+    def bumped(e, n):
+        factors = real(e, n)
+        quartic = list(factors.quartic)
+        quartic[2] = quartic[2] + XSeries.from_terms({6: 1}, n)
+        return factors._replace(quartic=tuple(quartic))
+
+    for factors in (real, bumped):
+        monkeypatch.setattr(closedform, "_kernel_factors", factors)
+        residuals = kernel_residuals(d, order)
+        got = (residuals.quartic_rational, residuals.quartic_surd)
+        assert got == _quartic_at_its_roots(d, order)
+        assert all(part.is_zero() == (factors is real) for part in got)
+
+
 @pytest.mark.parametrize("c", (Fraction(1, 2), 3))
 def test_the_sign_of_the_sample_only_swaps_the_quartic_labels(monkeypatch, c):
     """The radicals run at marker c, but the factors, roots and identities

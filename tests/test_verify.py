@@ -529,9 +529,10 @@ def test_planted_closed_form_faults_report_their_detail_and_exit_one(
 
 def test_the_quartic_residual_parts_stay_unfolded_at_a_square_d(monkeypatch, capsys):
     """At d = 3/2 and 21/10, D = 25 and 841 are squares, r^2 with r = 5
-    and 29, but the quartic at a +- b*sqrt(D) is still checked as A and B
-    from one Horner pass on the unfolded parts.  The quartic-factor bump
-    leaves q(0)^2 at x^12 and 2 + d^2 in the z^1 remainder, and A +- r*B
+    and 29, but the quartic at a +- b*sqrt(D) is still checked as A and B,
+    read off the division's remainder r1*z + r0 as A = r1*a + r0 and
+    B = r1*b with D unfolded.  The quartic-factor bump leaves q(0)^2 at
+    x^12 and 2 + d^2 in the z^1 remainder, and A +- r*B
     are q+(0)^2 and q-(0)^2, the squares of q+(0) = 1/4, q-(0) = 4 at 3/2
     and of q+(0) = 4/25, q-(0) = 25/4 at 21/10."""
     plant = _bumped_factor(*FACTOR_BUMPS[0])
