@@ -23,15 +23,15 @@ The column-convex counts and the ratio table live in ``ratios``, which
 runs the split form at r = 1 in integers.
 
 Every perimeter is even, so the radicals, the kernel and its roots are
-series in t = x^2.  The kernel algebra runs in t, in private functions
-with half the terms and fewer bits per coefficient; the public
-functions keep their x-orders and read each t-result back in x through
-``at_square``.  The column-convex forms stay in x; the split one has
-odd powers.
+series in t = x^2: the kernel functions take a t-order n and return
+series through t^n, with half the terms an x-series would carry and
+fewer bits per coefficient.  A t^k coefficient counts perimeter 2k;
+``verify`` is the one reader that names it x^(2k).  The column-convex
+forms stay in x; the split one has odd powers.
 
 The diagonal marker d enters every formula polynomially, so identities
 are verified at several rational sample values rather than symbolically;
-vanishing at four samples to high x-order leaves no room for a wrong
+vanishing at four samples to high order leaves no room for a wrong
 transcription.  All arithmetic is exact and runs over Q.  Only the
 quartic kernel roots, through sqrt(4 + d^2), have irrational constant
 terms: they are a +- b*sqrt(D) with a and b rational series, built by
@@ -85,14 +85,14 @@ class KernelFactors(NamedTuple):
 
 
 class KernelRoots(NamedTuple):
-    """The kernel roots that are power series in x.
+    """The kernel roots that are power series in t = x^2.
 
     ``quadratic`` is the series root of the quadratic factor.  The two
     series roots of the quartic factor are quartic_a +- quartic_b*sqrt(disc),
     labelled (+) and (-) by the sign in front of the auxiliary radical in
-    the series aux of ``_roots``: the quartic splits into two quadratics
+    the series aux of :func:`roots`: the quartic splits into two quadratics
     in z, one per sign, and each series root solves
-    x^4 z^2 - (aux/2) z + 1 = 0 with its sign's aux.  ``quartic_a`` and
+    t^2 z^2 - (aux/2) z + 1 = 0 with its sign's aux.  ``quartic_a`` and
     ``quartic_b`` are rational series; for d = p/q in lowest terms,
     4 + d^2 = m/q^2 and ``disc`` is the integer m, kept as it is even
     where it is a perfect square.  The roots at sample d solve the
@@ -107,7 +107,8 @@ class KernelRoots(NamedTuple):
 
 
 class KernelResiduals(NamedTuple):
-    """Every residual the kernel suite checks at one sample, in report order.
+    """Every residual the kernel suite checks at one sample, in report order,
+    each a series in t = x^2.
 
     ``kernel``, ``base`` and ``nested`` are value^2 - radicand for the
     radicals of :func:`radicals` at the sample d itself; the other seven
@@ -124,7 +125,7 @@ class KernelResiduals(NamedTuple):
     ``root_sum`` and ``reciprocal_sum`` compare the sum of those roots
     and the sum of their reciprocals with their expressions through the
     outer nested radical at d^2; the root sum compares the denested
-    alpha of ``_roots`` with the transcribed nested radical.  The
+    alpha of :func:`roots` with the transcribed nested radical.  The
     reciprocal sum is checked times the product of the roots, a unit
     (constant term 1), so it needs no division and vanishes exactly
     when the quotient identity does.  Every field is the zero series
@@ -146,22 +147,13 @@ class KernelResiduals(NamedTuple):
 CC_VARIANTS = ("ratio", "nested", "split")
 
 
-def _in_x(value, order):
-    """A result of the t-level algebra read at t = x^2 through x^order,
-    series by series, keeping its (named) tuple or list shape."""
-    if isinstance(value, XSeries):
-        return value.at_square(order)
-    fields = [_in_x(v, order) for v in value]
-    return value._make(fields) if hasattr(value, "_make") else type(value)(fields)
-
-
 def _kernel_radicand(d, n):
     """Square of the kernel radical, the quadratic-factor discriminant, in t."""
     return XSeries.from_terms({0: 1, 2: -2, 3: -2 * d, 4: 1, 5: -2 * d, 6: d * d}, n)
 
 
 def _outer_radicals(d, n):
-    """The base and nested radicals of :func:`_radicals`, without the kernel one."""
+    """The base and nested radicals of :func:`radicals`, without the kernel one."""
     d = Fraction(d)
     if d == -2:
         raise ValueError("the sample d=-2 zeroes the nested radicand's constant term (d+2)^2")
@@ -182,15 +174,9 @@ def _outer_radicals(d, n):
     return Radical(base_value, base_radicand), Radical(nested_radicand.sqrt(), nested_radicand)
 
 
-def _radicals(d, n):
-    """:func:`radicals` in t = x^2, through t^n."""
-    base, nested = _outer_radicals(d, n)
-    kernel_radicand = _kernel_radicand(Fraction(d), n)
-    return RadicalTriple(Radical(kernel_radicand.sqrt(), kernel_radicand), base, nested)
-
-
-def radicals(d, order):
-    """The three nested radicals at diagonal-marker sample ``d``.
+def radicals(d, n):
+    """The three nested radicals at diagonal-marker sample ``d``, in
+    t = x^2 through t^n.
 
     Each returned pair carries the square root and the polynomial it
     squares back to; for the outer radical the radicand itself contains
@@ -198,7 +184,9 @@ def radicals(d, order):
     the values are honest rational series; the outer one, (d + 2)^2, is
     0 at d = -2, which raises ``ValueError``.
     """
-    return _in_x(_radicals(d, order // 2), order)
+    base, nested = _outer_radicals(d, n)
+    kernel_radicand = _kernel_radicand(Fraction(d), n)
+    return RadicalTriple(Radical(kernel_radicand.sqrt(), kernel_radicand), base, nested)
 
 
 def _kernel_factors(e, n):
@@ -225,21 +213,20 @@ def _kernel_factors(e, n):
     return KernelFactors(quadratic, quartic)
 
 
-def kernel_sextic(d, order):
+def kernel_sextic(d, n):
     """The expanded kernel at marker d^2 for sample ``d``: ascending
-    z-coefficients of quadratic*quartic.
+    z-coefficients of quadratic*quartic, in t = x^2 through t^n.
 
     For integer samples ``d`` every coefficient must be an integer, a
     cheap transcription check on both factors at once.
     """
-    n = order // 2
     factors = _kernel_factors(d * d, n)
     zero = XSeries.zero(n)
     product = [zero] * (len(factors.quadratic) + len(factors.quartic) - 1)
     for i, a in enumerate(factors.quadratic):
         for j, b in enumerate(factors.quartic):
             product[i + j] = product[i + j] + a * b
-    return _in_x(product, order)
+    return product
 
 
 def _shape(e, n):
@@ -248,10 +235,24 @@ def _shape(e, n):
     return XSeries.from_terms({0: 2 + e, 1: -2 * e, 2: 2 + e, 3: 2 * e}, n)
 
 
-def _roots(d, n):
-    """The kernel roots at sample ``d`` in t = x^2, through t^n, over Q:
-    (quadratic, a, b, D), the quartic roots being a +- b*sqrt(D) with D
-    unfolded even where it is a perfect square."""
+def roots(d, n):
+    """Power-series roots of the kernel factors at sample ``d``, in t = x^2
+    through t^n.
+
+    The quadratic factor has exactly one root that is a power series
+    (the other has a pole at t = 0); the quartic has two, one for each
+    sign of the auxiliary radical.  Every root is computed from its
+    quadratic formula at two extra t-orders of precision, and the leading
+    cancellation down to t^2 is enforced, so a transcription error
+    surfaces as a ValuationError instead of a silently wrong series.  The
+    quartic roots a +- b*sqrt(D) are built over Q: the square root over
+    Q(sqrt D) in their formula is denested into two rational square
+    roots, and the result holds a, b and D, D unfolded even where it is a
+    perfect square.  The roots solve the factors at marker d^2, and
+    ``roots(-d, n)`` is ``roots(d, n)`` with ``quartic_b`` negated: d
+    enters only through e = d^2 and the sign of the swing term
+    d(1 - t)sqrt(inner), inner a polynomial in t and e.
+    """
     d = Fraction(d)
     if d == 0:
         raise ValueError("the diagonal-marker sample must be nonzero")
@@ -281,28 +282,7 @@ def _roots(d, n):
     beta = cross.divide(alpha * 2)
     a = (shape - alpha).shift_down(2) * Fraction(1, 4)
     b = (sigma - beta).shift_down(2) * Fraction(1, 4)
-    return quadratic_root, a, b, disc
-
-
-def roots(d, order):
-    """Power-series roots of the kernel factors at sample ``d``.
-
-    The quadratic factor has exactly one root that is a power series
-    (the other has a pole at x = 0); the quartic has two, one for each
-    sign of the auxiliary radical.  Every root is computed in t = x^2
-    from its quadratic formula at two extra t-orders (four in x) of
-    precision, and the leading cancellation down to x^4 is enforced, so
-    a transcription error surfaces as a ValuationError instead of a
-    silently wrong series.  The quartic roots a +- b*sqrt(D) are built
-    over Q: the square root over Q(sqrt D) in their formula is denested
-    into rational square roots (see ``_roots``), and the result holds
-    a, b and D.  The roots solve the factors at marker d^2, and
-    ``roots(-d, order)`` is ``roots(d, order)`` with ``quartic_b``
-    negated: d enters only through e = d^2 and the sign of the swing term
-    d(1 - t)sqrt(inner) of ``_roots``, inner a polynomial in t and e.
-    """
-    quadratic, a, b, disc = _roots(d, order // 2)
-    return KernelRoots(*_in_x((quadratic, a, b), order), disc)
+    return KernelRoots(quadratic_root, a, b, disc)
 
 
 def _eval_z_poly(coeffs, z):
@@ -313,8 +293,9 @@ def _eval_z_poly(coeffs, z):
     return acc
 
 
-def kernel_residuals(d, order):
-    """The ten residual series of :class:`KernelResiduals` at sample ``d``.
+def kernel_residuals(d, n):
+    """The ten residual series of :class:`KernelResiduals` at sample ``d``,
+    in t = x^2 through t^n.
 
     The three radicals square back at marker d.  The kernel factors, their
     series roots and the outer nested radical are built once at marker
@@ -323,21 +304,18 @@ def kernel_residuals(d, order):
     through their rational sum 2a and product a^2 - D b^2.  The division
     leaves the remainder r1*z + r0, so the quartic at both roots is
     A +- B*sqrt(D) with A = r1*a + r0 and B = r1*b, D unfolded even where
-    it is a square; A and B are checked.
-    All are computed in t = x^2 and read back in x through ``order``, so
-    a wrong t^j coefficient shows at x^(2j); all vanish on a faithful
+    it is a square; A and B are checked.  All vanish on a faithful
     transcription.
     """
     d = Fraction(d)
     e = d * d
-    n = order // 2
-    squares = [radical.value * radical.value - radical.radicand for radical in _radicals(d, n)]
+    squares = [radical.value * radical.value - radical.radicand for radical in radicals(d, n)]
     factors = _kernel_factors(e, n)
-    quadratic_root, a, b, disc = _roots(d, n)
+    quadratic_root, a, b, disc = roots(d, n)
     root_sum, root_product = a * 2, a * a - b * b * disc
     # divide the quartic by z^2 - root_sum*z + root_product, leaving the
     # remainder r1*z + r0 in work[3:]; the complementary roots live in the
-    # quotient, times x^8 so that their poles never appear
+    # quotient, times t^4 so that their poles never appear
     work = list(reversed(factors.quartic))
     for i in range(3):
         lead = work[i]
@@ -346,7 +324,7 @@ def kernel_residuals(d, order):
     r1, r0 = work[3], work[4]
     nested = _outer_radicals(e, n + 2)[1].value
     shape = _shape(e, n + 2)
-    residuals = KernelResiduals(
+    return KernelResiduals(
         *squares,
         _eval_z_poly(factors.quadratic, quadratic_root),
         # the divisor vanishes at a +- b*sqrt(D), so the quartic there is
@@ -360,7 +338,6 @@ def kernel_residuals(d, order):
         # 1/q+ + 1/q- = (q+ + q-)/(q+ q-), times the unit q+ q-
         root_sum - root_product * (shape + nested) * Fraction(1, 2),
     )
-    return _in_x(residuals, order)
 
 
 def _cc_frame(r, order):

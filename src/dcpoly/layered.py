@@ -61,8 +61,6 @@ from functools import reduce
 from itertools import chain, repeat
 from operator import or_, rshift
 
-from .counts import CountTable
-
 CLASS_ORDER = ("two", "one", "zero")
 MIN_Z = {"two": 2, "one": 1, "zero": 1}
 
@@ -315,6 +313,7 @@ def joint_table(order):
     Unpacks each checked entry of each delta once, at the width it was
     yielded at, straight into the table's dict, whose first key is the
     single cell (one diagonal, perimeter 4)."""
+    from .counts import CountTable
     slots = Slots(order)
     # every (kx, k, cls, m) key comes from one entry's slot, so none repeats
     table = CountTable({(4, 1, "none", 1): 1})

@@ -215,19 +215,6 @@ class XSeries:
             raise ValueError("cannot extend a truncated series")
         return XSeries(self.nums[: new_order + 1], new_order, self.den, self.lam)
 
-    def at_square(self, order):
-        """This series f(t) read as f(x^2), through x^order.
-
-        The t^j coefficient nums[j] / (den * lam^j) lands at x^(2j),
-        whose numerator on the same den and lam is nums[j] * lam^j; every
-        odd slot is 0.  Needs self.order >= order // 2.
-        """
-        if order // 2 > self.order:
-            raise ValueError("x^%d needs t-order %d, not %d" % (order, order // 2, self.order))
-        nums = [0] * (order + 1)
-        nums[::2] = _rescaled(self.nums[: order // 2 + 1], self.lam)
-        return XSeries(nums, order, self.den, self.lam)
-
     def _plus(self, other, sign):
         x, y, den, lam, n = _aligned(self, other, True)
         return XSeries([p + sign * q for p, q in zip(x, y)], n, den, lam)

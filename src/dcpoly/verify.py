@@ -84,12 +84,13 @@ def _suite(least_order):
     return register
 
 
-def _series_failure(series):
-    """The first nonzero coefficient of a series that must vanish."""
+def _series_failure(series, step=1):
+    """The first nonzero coefficient of a series that must vanish, named by
+    its x-degree: index k is x^(step*k), step 2 for a series in t = x^2."""
     v = series.valuation()
     if v is None:
         return None
-    return "first offending coefficient: x^%d -> %s" % (v, series.coefficient(v))
+    return "first offending coefficient: x^%d -> %s" % (step * v, series.coefficient(v))
 
 
 def _terms_failure(terms):
@@ -138,19 +139,24 @@ def kernel_suite(order, d_samples):
     written: at integer d every factor coefficient is an integer
     polynomial in d.  A sample of 0 or -2 raises ``ValueError``: the
     kernel has no series roots at 0, and no nested radical at -2.
+
+    The closed form runs in t = x^2 through t^(order // 2), the even
+    x-degrees through ``order``; a failing t^k coefficient is reported
+    as x^(2k).
     """
+    n = order // 2
     for d in d_samples:
-        residuals = closedform.kernel_residuals(d, order)
+        residuals = closedform.kernel_residuals(d, n)
         for name, series in zip(KERNEL_RESIDUAL_CHECKS, residuals, strict=True):
-            yield "%s (d=%s)" % (name, d), _series_failure(series)
+            yield "%s (d=%s)" % (name, d), _series_failure(series, 2)
     for d in map(Fraction, d_samples):
         if d.denominator != 1:
             continue
         fractional = (
-            "first offending coefficient: z^%d x^%d -> %s" % (dz, kx, series.coefficient(kx))
-            for dz, series in enumerate(closedform.kernel_sextic(d, order))
-            for kx, c in enumerate(series.nums)
-            if c % (series.den * series.lam**kx)
+            "first offending coefficient: z^%d x^%d -> %s" % (dz, 2 * k, series.coefficient(k))
+            for dz, series in enumerate(closedform.kernel_sextic(d, n))
+            for k, c in enumerate(series.nums)
+            if c % (series.den * series.lam**k)
         )
         yield "expanded kernel has integer coefficients (d=%s)" % d, next(fractional, None)
 

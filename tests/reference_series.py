@@ -5,6 +5,8 @@ den*lam^k scale and multiplies by Kronecker substitution.  This module
 runs the schoolbook recurrences on ``fractions.Fraction`` coefficients
 instead, so the two share nothing beyond the ``XSeries`` constructor and
 ``coeff_list``, which here only carry coefficient lists in and out.
+The kernel algebra of ``dcpoly.closedform`` runs in t = x^2; ``at_square``
+spreads its results into x for the reference routes that stay in x.
 The error types and the places they are raised match ``dcpoly.series``.
 
 ``surd_mul`` and ``surd_sqrt`` work over Q(sqrt D), which the library
@@ -71,6 +73,12 @@ def sqrt(s):
             acc -= out[k] * out[n - k]
         out.append(acc / (2 * root))
     return XSeries(out, s.order)
+
+
+def at_square(t_series, order):
+    """f(t) read as f(x^2) through x^order: t^j at x^(2j), 0 at odd degrees."""
+    c = t_series.coeff_list()
+    return XSeries([0 if k % 2 else c[k // 2] for k in range(order + 1)], order)
 
 
 def _minus(a, b, scale=1):

@@ -1,10 +1,10 @@
 """Tests for the closed-form algebra module.
 
 The radical and kernel identities are polynomial in the diagonal-marker
-sample, so vanishing at the four pinned samples to a healthy x-order is
-the verification strategy throughout; the column-convex and directed
-closed forms are checked against the exhaustive generator, which was
-itself validated cell by cell.
+sample, so vanishing at the four pinned samples to a healthy order in
+t = x^2 is the verification strategy throughout; the column-convex and
+directed closed forms are checked against the exhaustive generator,
+which was itself validated cell by cell.
 """
 
 import math
@@ -34,13 +34,28 @@ KNOWN_COLUMN_CONVEX = {4: 1, 6: 2, 8: 7, 10: 28, 12: 122, 14: 558, 16: 2641}
 
 
 def test_kernel_radical_leading_terms():
-    value = radicals(1, 6).kernel.value
-    assert value == XSeries.from_terms({0: 1, 4: -1, 6: -1}, 6)
+    # in t = x^2: 1 - t^2 - t^3
+    value = radicals(1, 3).kernel.value
+    assert value == XSeries.from_terms({0: 1, 2: -1, 3: -1}, 3)
 
 
 def test_kernel_radical_collapses_without_marker():
-    value = radicals(0, 16).kernel.value
-    assert value == XSeries.from_terms({0: 1, 4: -1}, 16)
+    value = radicals(0, 8).kernel.value
+    assert value == XSeries.from_terms({0: 1, 2: -1}, 8)
+
+
+@pytest.mark.parametrize("n", (6, 15, 30))
+def test_the_kernel_functions_return_series_through_t_to_the_n(n):
+    """radicals, roots, kernel_sextic and kernel_residuals take a t-order
+    and return every series through t^n, not through x^n."""
+    found = [
+        *(s for radical in radicals(2, n) for s in radical),
+        *(s for s in roots(2, n) if isinstance(s, XSeries)),
+        *kernel_sextic(2, n),
+        *kernel_residuals(2, n),
+    ]
+    assert len(found) == 6 + 3 + 7 + 10
+    assert {s.order for s in found} == {n}
 
 
 def test_nested_radical_constant_term():
@@ -106,13 +121,12 @@ def test_quartic_roots_live_in_expected_extension():
 def test_quartic_roots_are_rational_where_four_plus_d_squared_is_a_square():
     # 4 + (3/2)^2 = 25/4: D = 25 stays unfolded, and a +- 5b are two
     # distinct rational series, each a root of the quartic
-    r = roots(Fraction(3, 2), 16)
+    r = roots(Fraction(3, 2), 8)
     assert r.disc == 25
     quartic = closedform._kernel_factors(Fraction(9, 4), 8).quartic
-    quartic_in_x = [c.at_square(16) for c in quartic]
     for sign in (1, -1):
         root = r.quartic_a + r.quartic_b * (5 * sign)
-        assert closedform._eval_z_poly(quartic_in_x, root).is_zero()
+        assert closedform._eval_z_poly(quartic, root).is_zero()
     assert not r.quartic_b.is_zero()
 
 
@@ -120,7 +134,9 @@ def test_quartic_roots_are_rational_where_four_plus_d_squared_is_a_square():
 @pytest.mark.parametrize("d", D_SAMPLES)
 def test_x_reading_matches_the_fraction_loops_in_x(d, order):
     """closedform runs its algebra in t = x^2; this route stays in x, with
-    literal x-polynomials and the Fraction loops of reference_series."""
+    literal x-polynomials and the Fraction loops of reference_series, and
+    reads closedform's t-series in x through reference_series.at_square."""
+    in_x = reference_series.at_square
     xs = XSeries.from_terms
     kernel = xs({0: 1, 4: -2, 6: -2 * d, 8: 1, 10: -2 * d, 12: d * d}, order)
     base = xs(
@@ -142,9 +158,9 @@ def test_x_reading_matches_the_fraction_loops_in_x(d, order):
         xs({0: 2, 2: 4, 4: 2, 6: 2 * d}, order), reference_series.sqrt(base)
     )
     nested = reference_series._minus(nested_plain, nested_base, -1)
-    for radical, radicand in zip(radicals(d, order), (kernel, base, nested)):
-        assert radical.radicand == radicand
-        assert radical.value == reference_series.sqrt(radicand)
+    for radical, radicand in zip(radicals(d, order // 2), (kernel, base, nested)):
+        assert in_x(radical.radicand, order) == radicand
+        assert in_x(radical.value, order) == reference_series.sqrt(radicand)
 
     e, high = d * d, order + 4
     discriminant = xs({0: 1, 4: -2, 6: -2 * e, 8: 1, 10: -2 * e, 12: e * e}, high)
@@ -153,7 +169,7 @@ def test_x_reading_matches_the_fraction_loops_in_x(d, order):
     )
     quadratic = reference_series.divide(numerator, xs({4: 2}, high))
     assert quadratic.order == order
-    assert roots(d, order).quadratic == quadratic
+    assert in_x(roots(d, order // 2).quadratic, order) == quadratic
 
 
 @pytest.mark.parametrize("order", (16, 17, 60))
@@ -165,7 +181,7 @@ def test_quartic_roots_are_the_small_roots_of_their_quadratics(d, order):
     aux = shape +- d(1 - x^2) sqrt(inner): here it is taken in x over
     Q(sqrt D) by the Fraction loops of reference_series, not denested.
     At d = 3/2 and 21/10, D = 25 and 841 are squares, and both routes
-    keep them unfolded."""
+    keep them unfolded.  The roots, in t = x^2, are read in x."""
     xs = XSeries.from_terms
     d = Fraction(d)
     e, high = d * d, order + 4
@@ -177,7 +193,8 @@ def test_quartic_roots_are_the_small_roots_of_their_quadratics(d, order):
     u = reference_series.sqrt(reference_series.mul(inner, xs({0: 1 / (4 + e)}, high)))
     swing = reference_series.mul(xs({0: d / d.denominator, 2: -d / d.denominator}, high), u)
     shape = xs({0: 2 + e, 2: -2 * e, 4: 2 + e, 6: 2 * e}, high)
-    got = roots(d, order)
+    got = roots(d, order // 2)
+    got_a, got_b = (reference_series.at_square(s, order) for s in got[1:3])
     for sign in (1, -1):
         aux = (shape, reference_series.mul(swing, xs({0: sign}, high)), disc)
         square_a, square_b, _ = reference_series.surd_mul(aux, aux)
@@ -187,7 +204,7 @@ def test_quartic_roots_are_the_small_roots_of_their_quadratics(d, order):
             reference_series.divide(reference_series._minus(p, q), xs({4: 4}, high))
             for p, q in zip(aux[:2], s[:2])
         ]
-        assert (got.quartic_a, got.quartic_b * sign, got.disc) == (*small, disc)
+        assert (got_a, got_b * sign, got.disc) == (*small, disc)
 
 
 @pytest.mark.parametrize("d", D_SAMPLES)
@@ -208,21 +225,21 @@ def test_kernel_residuals_vanish(d, order):
     assert all(residual.is_zero() for residual in residuals)
 
 
-def _quartic_at_its_roots(d, order):
-    """The quartic at a +- b*sqrt(D) as (A, B), read in x: a Horner pass
+def _quartic_at_its_roots(d, n):
+    """The quartic at a +- b*sqrt(D) as (A, B), through t^n: a Horner pass
     over Q(sqrt D) with reference_series.surd_mul, where kernel_residuals
     reads A and B off the remainder of its division instead."""
-    d, n = Fraction(d), order // 2
-    _, a, b, disc = closedform._roots(d, n)
+    d = Fraction(d)
+    _, a, b, disc = roots(d, n)
     quartic = closedform._kernel_factors(d * d, n).quartic
     value = (quartic[-1], XSeries.zero(n), disc)
     for c in reversed(quartic[:-1]):
         real, surd, _ = reference_series.surd_mul(value, (a, b, disc))
         value = (real + c, surd, disc)
-    return value[0].at_square(order), value[1].at_square(order)
+    return value[:2]
 
 
-# at 3/2, 21/10 and -3/2, D = 25, 841 and 25 are squares; order 200 is left
+# at 3/2, 21/10 and -3/2, D = 25, 841 and 25 are squares; x-order 200 is left
 # out, as the Horner pass alone takes up to a second there
 @pytest.mark.parametrize("order", (12, 61))
 @pytest.mark.parametrize(
@@ -231,9 +248,11 @@ def _quartic_at_its_roots(d, order):
 )
 def test_the_quartic_at_its_roots_matches_a_horner_pass_over_q_sqrt_d(monkeypatch, d, order):
     """A and B agree with the oracle on the real factors, where both vanish,
-    and with the z^2 coefficient of the quartic bumped at x^12 (t^6), as in
+    and with the z^2 coefficient of the quartic bumped at t^6 (x^12), as in
     the quartic-factor plant of the verify tests, where neither does; there
-    they take r1 and r0 each in its own place."""
+    they take r1 and r0 each in its own place.  Both run through
+    t^(order // 2), as the kernel suite does at ``order``."""
+    n = order // 2
     real = closedform._kernel_factors
 
     def bumped(e, n):
@@ -244,9 +263,9 @@ def test_the_quartic_at_its_roots_matches_a_horner_pass_over_q_sqrt_d(monkeypatc
 
     for factors in (real, bumped):
         monkeypatch.setattr(closedform, "_kernel_factors", factors)
-        residuals = kernel_residuals(d, order)
+        residuals = kernel_residuals(d, n)
         got = (residuals.quartic_rational, residuals.quartic_surd)
-        assert got == _quartic_at_its_roots(d, order)
+        assert got == _quartic_at_its_roots(d, n)
         assert all(part.is_zero() == (factors is real) for part in got)
 
 

@@ -273,34 +273,6 @@ def test_unscaling_stops_at_the_rest_of_lam_and_keeps_primes_past_the_sieve():
     assert (moved.nums, moved.lam) == ((1, 1, 11), 5 * 2003)
 
 
-def _assert_read_at_square(t_series, x_series, order):
-    """x_series is t_series at t = x^2: t^j at x^(2j), zero at odd x-degrees."""
-    assert x_series.order == order
-    for k in range(order + 1):
-        assert x_series.coefficient(k) == (t_series.coefficient(k // 2) if k % 2 == 0 else 0)
-
-
-def _t_series():
-    """sqrt(1 + t) and sqrt(1 + 3t), both to t^10."""
-    return xs({0: 1, 1: 1}, 10).sqrt(), xs({0: 1, 1: 3}, 10).sqrt()
-
-
-@pytest.mark.parametrize("order", (15, 20, 21))
-def test_at_square_reads_a_t_series_in_x(order):
-    # both keep powers of 2 in lam, so the t^j numerator must gain lam^j
-    # on its way to x^(2j)
-    for value in _t_series():
-        assert value.lam > 1
-        _assert_read_at_square(value, value.at_square(order), order)
-
-
-def test_at_square_refuses_orders_the_t_series_does_not_carry():
-    for value in _t_series():
-        value.at_square(21)
-        with pytest.raises(ValueError):
-            value.at_square(22)
-
-
 def test_square_root_halving_is_checked_not_floored(monkeypatch):
     """Every numerator the recurrence halves is even; an odd one, here from
     a convolution off by one per nonzero term, raises instead of flooring."""

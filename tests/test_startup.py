@@ -69,12 +69,13 @@ RUNS = {
         {"dcpoly.series", "dcpoly.layered", "dcpoly.closedform", "dcpoly.verify",
          "fractions"},
     ),
-    # the series tables are sums of packed ints: no series arithmetic
+    # the series tables are sums of packed ints: no series arithmetic, and
+    # no CountTable, which only joint_table builds
     **{
         ("series", "--max-perimeter", "12", *by, "--format", "csv"): (
             {"dcpoly.layered"},
             {"dcpoly.series", "dcpoly.brute", "dcpoly.closedform", "dcpoly.verify",
-             "fractions", "decimal"},
+             "dcpoly.counts", "fractions", "decimal"},
         )
         for by in ((), ("--by", "noses"), ("--by", "diagonals"))
     },
@@ -82,7 +83,7 @@ RUNS = {
     ("ratios", "--max-perimeter", "14", "--format", "csv"): (
         {"dcpoly.ratios", "dcpoly.layered"},
         {"dcpoly.brute", "dcpoly.verify", "dcpoly.closedform", "dcpoly.series",
-         "fractions", "decimal"},
+         "dcpoly.counts", "fractions", "decimal"},
     ),
     # the kernel suite is series algebra only: no census tables, no integer counts
     ("verify", "--suite", "kernel", "--order", "12"): (

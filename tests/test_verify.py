@@ -80,10 +80,10 @@ def test_kernel_suite_rejects_minus_two_naming_the_sample():
 
 
 def test_kernel_suite_builds_the_roots_once_per_sample(monkeypatch):
-    # the suite reaches the roots, radicals and factors through the t = x^2
-    # level only; the factors once per sample and once more for the expanded
-    # kernel at the integer sample 1, each at its marker d^2
-    calls = {"_roots": [], "_radicals": [], "_kernel_factors": []}
+    # the suite builds the roots and radicals once per sample, and the factors
+    # once per sample and once more for the expanded kernel at the integer
+    # sample 1, each at its marker d^2
+    calls = {"roots": [], "radicals": [], "_kernel_factors": []}
     for name, seen in calls.items():
         real = getattr(closedform, name)
 
@@ -95,8 +95,8 @@ def test_kernel_suite_builds_the_roots_once_per_sample(monkeypatch):
     results = verify.kernel_suite(12, (1, Fraction(1, 2)))
     assert all(r.passed for r in results)
     assert calls == {
-        "_roots": [1, Fraction(1, 2)],
-        "_radicals": [1, Fraction(1, 2)],
+        "roots": [1, Fraction(1, 2)],
+        "radicals": [1, Fraction(1, 2)],
         "_kernel_factors": [1, Fraction(1, 4), 1],
     }
 
@@ -134,22 +134,23 @@ def test_kernel_suite_sees_a_wrong_factor_coefficient_from_its_x_degree(
 
 
 def test_the_integer_check_reads_numerators_on_their_lam_scale(monkeypatch):
-    # x^5 / 3^5 kept as numerator 1 over lam = 3: den alone is 1
+    # t^5 / 3^5 kept as numerator 1 over lam = 3: den alone is 1; the z^1
+    # coefficient of the kernel is zero past t^3, so t^5 holds only the plant
     real = closedform.kernel_sextic
 
-    def sextic(d, order):
-        coeffs = list(real(d, order))
-        coeffs[3] = coeffs[3] + XSeries([0] * 5 + [1], order, 1, 3)
+    def sextic(d, n):
+        coeffs = list(real(d, n))
+        coeffs[1] = coeffs[1] + XSeries([0] * 5 + [1], n, 1, 3)
         return coeffs
 
     monkeypatch.setattr(closedform, "kernel_sextic", sextic)
     assert [r.detail for r in verify.kernel_suite(12, (1,)) if not r.passed] == [
-        "first offending coefficient: z^3 x^5 -> 1/243"
+        "first offending coefficient: z^1 x^10 -> 1/243"
     ]
 
 
 def _bumped_radicand(which):
-    """A plant for ``_radicals``: the t^5 coefficient of one radicand plus 1."""
+    """A plant for ``radicals``: the t^5 coefficient of one radicand plus 1."""
     def plant(real):
         def bumped(d, n):
             triple = real(d, n)
@@ -163,17 +164,19 @@ def _bumped_radicand(which):
 
 
 def test_a_radicand_bumped_in_t_fails_at_its_x_degree(monkeypatch, capsys):
-    # the radicals square back in t = x^2 and are read in x, so a wrong
-    # t^5 radicand coefficient is reported at x^10
-    monkeypatch.setattr(closedform, "_radicals", _bumped_radicand("base")(closedform._radicals))
-    code = cli.main(["verify", "--suite", "kernel", "--order", "12"])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1
-    assert [line for line in lines if line.startswith("FAIL")] == [
-        "FAIL [kernel] base radical squares back (d=%s): "
-        "first offending coefficient: x^10 -> -1" % d
-        for d in cli.DEFAULT_D_SAMPLES.split(",")
-    ]
+    # the radicals square back in t = x^2 and the suite names t^k as x^(2k),
+    # so a wrong t^5 radicand coefficient is reported at x^10; the odd order
+    # 13 runs through t^6, as 12 does, and prints the same line
+    monkeypatch.setattr(closedform, "radicals", _bumped_radicand("base")(closedform.radicals))
+    for order in ("12", "13"):
+        code = cli.main(["verify", "--suite", "kernel", "--order", order])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL [kernel] base radical squares back (d=%s): "
+            "first offending coefficient: x^10 -> -1" % d
+            for d in cli.DEFAULT_D_SAMPLES.split(",")
+        ]
 
 
 def test_all_dispatch_covers_every_suite():
@@ -294,10 +297,10 @@ def _nested_off_by_half(real):
 
 
 def _fractional_sextic(real):
-    # every kernel coefficient sits at an even x-degree, so x^5 holds only the plant
-    def sextic(d, order):
-        coeffs = list(real(d, order))
-        coeffs[3] = coeffs[3] + XSeries.from_terms({5: Fraction(1, 3)}, order)
+    # the z^1 coefficient of the kernel is zero past t^3, so t^5 holds only the plant
+    def sextic(d, n):
+        coeffs = list(real(d, n))
+        coeffs[1] = coeffs[1] + XSeries.from_terms({5: Fraction(1, 3)}, n)
         return coeffs
 
     return sextic
@@ -332,10 +335,10 @@ QUARTIC_BUMP_DETAILS = {
 }
 
 def _quartic_b_bumped(real):
-    # _roots returns (quadratic, a, b, D), the quartic roots being a +- b*sqrt(D)
+    # the quartic roots are a +- b*sqrt(D)
     def bumped(d, n):
-        quadratic, a, b, disc = real(d, n)
-        return quadratic, a, b + XSeries.from_terms({5: 1}, n), disc
+        found = real(d, n)
+        return found._replace(quartic_b=found.quartic_b + XSeries.from_terms({5: 1}, n))
 
     return bumped
 
@@ -383,7 +386,7 @@ CLOSED_FORM_PLANTS = [
         "12",
         [
             "FAIL [kernel] expanded kernel has integer coefficients (d=%s): "
-            "first offending coefficient: z^3 x^5 -> 1/3" % d
+            "first offending coefficient: z^1 x^10 -> 1/3" % d
             for d in (1, 2, 3)
         ],
     ),
@@ -414,7 +417,7 @@ CLOSED_FORM_PLANTS = [
     ),
     (
         closedform,
-        "_radicals",
+        "radicals",
         _bumped_radicand("kernel"),
         "kernel",
         "12",
@@ -426,7 +429,7 @@ CLOSED_FORM_PLANTS = [
     ),
     (
         closedform,
-        "_radicals",
+        "radicals",
         _bumped_radicand("nested"),
         "kernel",
         "12",
@@ -475,7 +478,7 @@ CLOSED_FORM_PLANTS = [
     ),
     (
         closedform,
-        "_roots",
+        "roots",
         _quartic_b_bumped,
         "kernel",
         "12",
@@ -588,7 +591,7 @@ def _plants():
         yield brute, target, lambda real, t=transform: lambda bound: t(real(bound)), suite
     for module, target, plant, suite, _, _ in CLOSED_FORM_PLANTS:
         yield module, target, plant, suite
-    yield closedform, "_radicals", _bumped_radicand("base"), "kernel"
+    yield closedform, "radicals", _bumped_radicand("base"), "kernel"
     for planted in ({"matching": {(3, 12): 5, (2, 10): -7}}, {"squared": {}}):
         yield layered, "two_nose_identity_residuals", lambda real, p=planted: _planted(**p), "twonose"
 
