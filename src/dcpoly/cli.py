@@ -74,7 +74,7 @@ def _d_samples(text):
         raise argparse.ArgumentTypeError("at least one sample is required")
     if 0 in values:
         raise argparse.ArgumentTypeError(
-            "samples must be nonzero: the kernel has no series roots at d=0"
+            "samples must be nonzero: at d=0 every series root of the kernel is z=1"
         )
     if -2 in values:
         raise argparse.ArgumentTypeError(

@@ -7,13 +7,15 @@ the identities that tie all routes together:
 * three nested square roots whose squares are explicit polynomials in
   the diagonal marker and the perimeter variable;
 * the kernel of the size-marked functional equation, factored into a
-  quadratic in z and a quartic in z, together with the three factor
-  roots that are genuine power series;
-* the identities those roots satisfy: each annihilates its factor, the
-  two quartic roots span a quadratic that divides the quartic, and their
-  sum and reciprocal sum match the nested radical; ``kernel_residuals``
-  returns all ten residuals of one sample: these seven, from one set of
-  roots, after each radical's value^2 - radicand;
+  quadratic in z and a quartic in z, together with the series root of
+  the quadratic and the sum and product of the quartic's two series
+  roots;
+* the identities they satisfy: ``kernel_residuals`` returns all ten
+  residuals of one sample: each radical's value^2 - radicand, the
+  quadratic factor at its root, four polynomial identities that tie
+  the transcribed factors to the transcribed radicals, and the
+  remainder of the quartic modulo the quadratic its two series roots
+  span;
 * three printed shapes of the column-convex perimeter series, all equal
   as formal series but arranged around different radicals;
 * the algebraic fixed point counting directed shapes by diagonals, with
@@ -32,18 +34,11 @@ forms stay in x; the split one has odd powers.
 The diagonal marker d enters every formula polynomially, so identities
 are verified at several rational sample values rather than symbolically;
 vanishing at four samples to high order leaves no room for a wrong
-transcription.  All arithmetic is exact and runs over Q.  Only the
-quartic kernel roots, through sqrt(4 + d^2), have irrational constant
-terms: they are a +- b*sqrt(D) with a and b rational series, built by
-denesting the square root over Q(sqrt D) in their quadratic formula
-into two rational square roots.  Every identity uses them only through
-a, b, their rational sum 2a and their norm a^2 - D b^2: divided by the
-quadratic z^2 - 2a z + (a^2 - D b^2) that both roots annihilate, the
-quartic leaves a remainder r1 z + r0, so at a +- b*sqrt(D) it is
-A +- B*sqrt(D) with A = r1 a + r0 and B = r1 b rational.  Both roots
-annihilate it exactly when A = B = 0, so the two root residuals are the
-rational series A and B, and the irrational part is checked, never
-assumed.
+transcription.  All arithmetic is exact, runs over Q and takes the
+sample d itself as the marker.  The quartic's two series roots need
+sqrt(d(4 + d)) in their constant terms, so they are never built: every
+identity uses them through their sum and product, which the nested
+radical gives as rational series.
 """
 
 import math
@@ -85,66 +80,81 @@ class KernelFactors(NamedTuple):
 
 
 class KernelRoots(NamedTuple):
-    """The kernel roots that are power series in t = x^2.
+    """The kernel's series roots at sample d, in t = x^2, as rational series.
 
-    ``quadratic`` is the series root of the quadratic factor.  The two
-    series roots of the quartic factor are quartic_a +- quartic_b*sqrt(disc),
-    labelled (+) and (-) by the sign in front of the auxiliary radical in
-    the series aux of :func:`roots`: the quartic splits into two quadratics
-    in z, one per sign, and each series root solves
-    t^2 z^2 - (aux/2) z + 1 = 0 with its sign's aux.  ``quartic_a`` and
-    ``quartic_b`` are rational series; for d = p/q in lowest terms,
-    4 + d^2 = m/q^2 and ``disc`` is the integer m, kept as it is even
-    where it is a perfect square.  The roots at sample d solve the
-    factors at marker d^2; the sign of d only negates ``quartic_b``,
-    which swaps the (+) and (-) roots.
+    ``quadratic`` is the series root of the quadratic factor.  The
+    quartic factor is (t^2 z^2 - (aux+/2) z + 1)(t^2 z^2 - (aux-/2) z + 1)
+    with aux+- = shape +- swing, and the small root of each quadratic is
+    a power series.  ``quartic_sum`` and ``quartic_product`` are the sum
+    s and the product p of those two roots, read off the nested radical
+    N, the mean of the two square roots in the roots' formulas:
+    s = (shape - N)/(2t^2) and p = 2s/(shape + N).
     """
 
     quadratic: XSeries
-    quartic_a: XSeries
-    quartic_b: XSeries
-    disc: int
+    quartic_sum: XSeries
+    quartic_product: XSeries
 
 
 class KernelResiduals(NamedTuple):
-    """Every residual the kernel suite checks at one sample, in report order,
-    each a series in t = x^2.
+    """Every residual the kernel suite checks at one sample d, in report
+    order, each a series in t = x^2 that is zero when the identities hold.
 
     ``kernel``, ``base`` and ``nested`` are value^2 - radicand for the
-    radicals of :func:`radicals` at the sample d itself; the other seven
-    are at marker d^2.  ``quadratic`` is the quadratic factor at its
-    series root.  The quartic factor at its roots q+- = a +- b*sqrt(D)
-    is A +- B*sqrt(D), and ``quartic_rational`` and ``quartic_surd`` are
-    A and B: both roots annihilate the quartic exactly when both vanish,
-    whether D is a square or not.  ``remainder_z1`` and ``remainder_z0``
-    are the coefficients r1 and r0 of the quartic factor modulo the
-    monic quadratic whose roots are its two series roots; that quadratic
-    vanishes at both, so A = r1*a + r0 and B = r1*b.  The remainders and
-    the two sum identities see the roots only through their sum 2a and
-    product a^2 - D b^2.
-    ``root_sum`` and ``reciprocal_sum`` compare the sum of those roots
-    and the sum of their reciprocals with their expressions through the
-    outer nested radical at d^2; the root sum compares the denested
-    alpha of :func:`roots` with the transcribed nested radical.  The
-    reciprocal sum is checked times the product of the roots, a unit
-    (constant term 1), so it needs no division and vanishes exactly
-    when the quotient identity does.  Every field is the zero series
-    when the identities hold.
+    radicals of :func:`radicals`.  ``quadratic`` is the quadratic factor
+    Q2 at its series root.  The next four tie the factors to the
+    radicals, with swing^2 = d(1 - t)^2 inner and the nested radicand
+    N0 + c*sqrt(base):
+
+    * ``discriminant``: the kernel radicand minus Q2[1]^2 - 4 Q2[0] Q2[2];
+    * ``quartic_middle``: 4 Q4[2] - (8t^2 + shape^2 - swing^2), the z^2
+      coefficient of the quartic Q4 as the product of its two
+      aux-labelled quadratics;
+    * ``nested_rational``: 2 N0 - (shape^2 + swing^2 - 16t^2);
+    * ``nested_base``: (shape^2 + swing^2 - 16t^2)^2 - 4 shape^2 swing^2
+      - 4 c^2 base.
+
+    The last two say that N^2 = ((alpha+ + alpha-)/2)^2 with
+    alpha+-^2 = aux+-^2 - 16t^2, which makes N the mean that
+    :class:`KernelRoots` reads s and p off.  ``remainder_z1`` and
+    ``remainder_z0`` are r1 and r0 of Q4 modulo z^2 - s z + p, the
+    quadratic whose roots are the quartic's two series roots.
     """
 
     kernel: XSeries
     base: XSeries
     nested: XSeries
     quadratic: XSeries
-    quartic_rational: XSeries
-    quartic_surd: XSeries
+    discriminant: XSeries
+    quartic_middle: XSeries
+    nested_rational: XSeries
+    nested_base: XSeries
     remainder_z1: XSeries
     remainder_z0: XSeries
-    root_sum: XSeries
-    reciprocal_sum: XSeries
 
 
 CC_VARIANTS = ("ratio", "nested", "split")
+
+
+_MINUS_TWO = "the sample d=-2 zeroes the nested radicand's constant term (d+2)^2"
+
+
+def kernel_sample(d):
+    """The sample ``d`` as a ``Fraction``, checked for the kernel path.
+
+    At d = 0 the kernel factors multiply to (1 - z)^3 (1 - t^2 z)^3, so
+    every series root is z = 1, and at d = -2 the nested radical is no
+    series; both raise ``ValueError``.
+    """
+    d = Fraction(d)
+    if d == 0:
+        raise ValueError(
+            "the diagonal-marker sample must be nonzero: at d=0 the kernel factors "
+            "multiply to (1 - z)^3 (1 - t^2 z)^3, so every series root is z=1"
+        )
+    if d == -2:
+        raise ValueError(_MINUS_TWO)
+    return d
 
 
 def _kernel_radicand(d, n):
@@ -152,25 +162,30 @@ def _kernel_radicand(d, n):
     return XSeries.from_terms({0: 1, 2: -2, 3: -2 * d, 4: 1, 5: -2 * d, 6: d * d}, n)
 
 
+def _nested_parts(d, n):
+    """The nested radicand N0 + c*sqrt(base) as its rational part N0 and
+    the coefficient c of the base radical, in t = x^2 through t^n."""
+    rational = XSeries.from_terms(
+        {
+            0: 2 + 4 * d + d * d, 1: -(4 * d + 4 * d * d), 2: -4 + 6 * d * d,
+            4: 2 + 4 * d - 7 * d * d, 5: 4 * d + 4 * d * d, 6: 2 * d * d,
+        },
+        n,
+    )
+    return rational, XSeries.from_terms({0: 2, 1: 4, 2: 2, 3: 2 * d}, n)
+
+
 def _outer_radicals(d, n):
     """The base and nested radicals of :func:`radicals`, without the kernel one."""
     d = Fraction(d)
     if d == -2:
-        raise ValueError("the sample d=-2 zeroes the nested radicand's constant term (d+2)^2")
+        raise ValueError(_MINUS_TWO)
     base_radicand = XSeries.from_terms(
         {0: 1, 1: -(4 + 4 * d), 2: 6 + 8 * d, 3: -(4 + 2 * d), 4: 1 - 4 * d, 5: 2 * d, 6: d * d}, n
     )
     base_value = base_radicand.sqrt()
-    nested_radicand = (
-        XSeries.from_terms(
-            {
-                0: 2 + 4 * d + d * d, 1: -(4 * d + 4 * d * d), 2: -4 + 6 * d * d,
-                4: 2 + 4 * d - 7 * d * d, 5: 4 * d + 4 * d * d, 6: 2 * d * d,
-            },
-            n,
-        )
-        + XSeries.from_terms({0: 2, 1: 4, 2: 2, 3: 2 * d}, n) * base_value
-    )
+    rational, coefficient = _nested_parts(d, n)
+    nested_radicand = rational + coefficient * base_value
     return Radical(base_value, base_radicand), Radical(nested_radicand.sqrt(), nested_radicand)
 
 
@@ -181,108 +196,84 @@ def radicals(d, n):
     Each returned pair carries the square root and the polynomial it
     squares back to; for the outer radical the radicand itself contains
     the middle one.  All three constant terms are rational squares, so
-    the values are honest rational series; the outer one, (d + 2)^2, is
-    0 at d = -2, which raises ``ValueError``.
+    the values are honest rational series with positive constant terms;
+    the outer one, (d + 2)^2, is 0 at d = -2, which raises ``ValueError``.
     """
     base, nested = _outer_radicals(d, n)
     kernel_radicand = _kernel_radicand(Fraction(d), n)
     return RadicalTriple(Radical(kernel_radicand.sqrt(), kernel_radicand), base, nested)
 
 
-def _kernel_factors(e, n):
-    """The factored kernel at diagonal marker ``e``, in t = x^2 through t^n.
+def _kernel_factors(d, n):
+    """The factored kernel at diagonal marker ``d``, in t = x^2 through t^n.
 
     The full kernel is the product of the two returned factors.  The
     z-coefficient lists are ascending; the quartic is palindromic up to
     powers of t^2, which is what makes its series roots come in the two
-    aux-labelled pairs of :func:`roots`.  The public callers pass the
-    square of their sample.
+    aux-labelled quadratics of :class:`KernelRoots`.
     """
     quadratic = (
         XSeries.one(n),
-        XSeries.from_terms({3: e, 2: -1, 0: -1}, n),
+        XSeries.from_terms({3: d, 2: -1, 0: -1}, n),
         XSeries.from_terms({2: 1}, n),
     )
     quartic = (
         XSeries.one(n),
-        XSeries.from_terms({3: -2 * e, 2: -(e + 2), 1: 2 * e, 0: -(e + 2)}, n),
-        XSeries.from_terms({6: e * e, 5: 2 * e, 4: 1, 2: 4 * e + 4, 1: -2 * e, 0: 1}, n),
-        XSeries.from_terms({5: -2 * e, 4: -(e + 2), 3: 2 * e, 2: -(e + 2)}, n),
+        XSeries.from_terms({3: -2 * d, 2: -(d + 2), 1: 2 * d, 0: -(d + 2)}, n),
+        XSeries.from_terms({6: d * d, 5: 2 * d, 4: 1, 2: 4 * d + 4, 1: -2 * d, 0: 1}, n),
+        XSeries.from_terms({5: -2 * d, 4: -(d + 2), 3: 2 * d, 2: -(d + 2)}, n),
         XSeries.from_terms({4: 1}, n),
     )
     return KernelFactors(quadratic, quartic)
 
 
-def kernel_sextic(d, n):
-    """The expanded kernel at marker d^2 for sample ``d``: ascending
-    z-coefficients of quadratic*quartic, in t = x^2 through t^n.
-
-    For integer samples ``d`` every coefficient must be an integer, a
-    cheap transcription check on both factors at once.
-    """
-    factors = _kernel_factors(d * d, n)
-    zero = XSeries.zero(n)
-    product = [zero] * (len(factors.quadratic) + len(factors.quartic) - 1)
-    for i, a in enumerate(factors.quadratic):
-        for j, b in enumerate(factors.quartic):
-            product[i + j] = product[i + j] + a * b
-    return product
+def _shape(d, n):
+    """The rational part (2 + d) - 2d t + (2 + d) t^2 + 2d t^3 of both
+    quartic roots' auxiliary series, in t = x^2 through t^n."""
+    return XSeries.from_terms({0: 2 + d, 1: -2 * d, 2: 2 + d, 3: 2 * d}, n)
 
 
-def _shape(e, n):
-    """The rational part (2 + e) - 2e t + (2 + e) t^2 + 2e t^3 of both
-    quartic roots' auxiliary series, at e = d^2, in t = x^2 through t^n."""
-    return XSeries.from_terms({0: 2 + e, 1: -2 * e, 2: 2 + e, 3: 2 * e}, n)
+def _swing_squared(d, n):
+    """The square d(1 - t)^2 inner of the irrational part of both quartic
+    roots' auxiliary series, inner = (1 + t)(4 + d + (4 - 3d)t + 4d t^2),
+    in t = x^2 through t^n."""
+    inner = XSeries.from_terms({0: 1, 1: 1}, n) * XSeries.from_terms(
+        {0: 4 + d, 1: 4 - 3 * d, 2: 4 * d}, n
+    )
+    return XSeries.from_terms({0: d, 1: -2 * d, 2: d}, n) * inner
+
+
+def _quadratic_root(d, n):
+    """The series root (b - sqrt(b^2 - 4t^2))/(2t^2) of the quadratic
+    factor 1 - b z + t^2 z^2, b = 1 + t^2 - d t^3, through t^n."""
+    high = n + 2
+    numerator = XSeries.from_terms({0: 1, 2: 1, 3: -d}, high) - _kernel_radicand(d, high).sqrt()
+    return numerator.shift_down(2) * Fraction(1, 2)
 
 
 def roots(d, n):
-    """Power-series roots of the kernel factors at sample ``d``, in t = x^2
-    through t^n.
+    """The series root of the quadratic kernel factor and the sum and
+    product of the quartic's two series roots, at sample ``d``, in
+    t = x^2 through t^n.
 
-    The quadratic factor has exactly one root that is a power series
-    (the other has a pole at t = 0); the quartic has two, one for each
-    sign of the auxiliary radical.  Every root is computed from its
-    quadratic formula at two extra t-orders of precision, and the leading
-    cancellation down to t^2 is enforced, so a transcription error
-    surfaces as a ValuationError instead of a silently wrong series.  The
-    quartic roots a +- b*sqrt(D) are built over Q: the square root over
-    Q(sqrt D) in their formula is denested into two rational square
-    roots, and the result holds a, b and D, D unfolded even where it is a
-    perfect square.  The roots solve the factors at marker d^2, and
-    ``roots(-d, n)`` is ``roots(d, n)`` with ``quartic_b`` negated: d
-    enters only through e = d^2 and the sign of the swing term
-    d(1 - t)sqrt(inner), inner a polynomial in t and e.
+    Everything is computed at two extra t-orders of precision and divided
+    by t^2, and the leading cancellation down to t^2 is enforced, so a
+    transcription error surfaces as a ``ValuationError`` instead of a
+    silently wrong series.  The nested radical N enters with the branch
+    whose constant term is 2 + d, negative below d = -2; then
+    shape - N starts at t^2 and shape + N at 2(2 + d), a unit.  The
+    samples 0 and -2 raise ``ValueError`` (see :func:`kernel_sample`).
     """
-    d = Fraction(d)
-    if d == 0:
-        raise ValueError("the diagonal-marker sample must be nonzero")
-    e = d * d
+    d = kernel_sample(d)
     high = n + 2
-    discriminant_root = _kernel_radicand(e, high).sqrt()
-    numerator = XSeries.from_terms({0: 1, 2: 1, 3: -e}, high) - discriminant_root
-    quadratic_root = numerator.shift_down(2) * Fraction(1, 2)
-
-    # sqrt(inner) = sqrt(4 + e) * u with u rational, as inner / (4 + e) has
-    # constant term 1; with d = p/q, 4 + e = D/q^2, so the swing term
-    # d(1 - t) sqrt(inner) of aux = shape +- swing is sigma*sqrt(D)
-    inner = XSeries.from_terms({0: 1, 1: 1}, high) * XSeries.from_terms(
-        {0: 4 + e, 1: 4 - 3 * e, 2: 4 * e}, high
+    nested = _outer_radicals(d, high)[1].value
+    if d < -2:
+        nested = -nested
+    shape = _shape(d, high)
+    quartic_sum = (shape - nested).shift_down(2) * Fraction(1, 2)
+    return KernelRoots(
+        _quadratic_root(d, n), quartic_sum, (quartic_sum * 2).divide(shape + nested)
     )
-    u = (inner * (1 / (4 + e))).sqrt()
-    disc = (4 + e).numerator
-    shape = _shape(e, high)
-    sigma = XSeries.from_terms({0: d, 1: -d}, high) * u * Fraction(1, d.denominator)
-    # sqrt(aux^2 - 16t^2) = alpha +- beta*sqrt(D), denested: with
-    # aux^2 - 16t^2 = real +- cross*sqrt(D), alpha^2 + D beta^2 = real and
-    # 2 alpha beta = cross, so alpha^2 is the root of constant term (2 + e)^2
-    # of y^2 - real*y + D cross^2/4; real^2 - D cross^2 has constant term 16
-    real = shape * shape + sigma * sigma * disc - XSeries.from_terms({2: 16}, high)
-    cross = shape * sigma * 2
-    alpha = ((real + (real * real - cross * cross * disc).sqrt()) * Fraction(1, 2)).sqrt()
-    beta = cross.divide(alpha * 2)
-    a = (shape - alpha).shift_down(2) * Fraction(1, 4)
-    b = (sigma - beta).shift_down(2) * Fraction(1, 4)
-    return KernelRoots(quadratic_root, a, b, disc)
 
 
 def _eval_z_poly(coeffs, z):
@@ -295,48 +286,40 @@ def _eval_z_poly(coeffs, z):
 
 def kernel_residuals(d, n):
     """The ten residual series of :class:`KernelResiduals` at sample ``d``,
-    in t = x^2 through t^n.
+    in t = x^2 through t^n, all at the marker d itself and over Q.
 
-    The three radicals square back at marker d.  The kernel factors, their
-    series roots and the outer nested radical are built once at marker
-    e = d^2, so the sign of d only negates ``quartic_surd``.  The quartic
-    roots a +- b*sqrt(D) enter the division and the sum identities
-    through their rational sum 2a and product a^2 - D b^2.  The division
-    leaves the remainder r1*z + r0, so the quartic at both roots is
-    A +- B*sqrt(D) with A = r1*a + r0 and B = r1*b, D unfolded even where
-    it is a square; A and B are checked.  All vanish on a faithful
+    The quartic is divided by z^2 - s z + p, s and p the sum and product
+    of its series roots from :func:`roots`, and the remainder r1*z + r0
+    is checked; the complementary roots live in the quotient, times t^4
+    so that their poles never appear.  All ten vanish on a faithful
     transcription.
     """
-    d = Fraction(d)
-    e = d * d
-    squares = [radical.value * radical.value - radical.radicand for radical in radicals(d, n)]
-    factors = _kernel_factors(e, n)
-    quadratic_root, a, b, disc = roots(d, n)
-    root_sum, root_product = a * 2, a * a - b * b * disc
-    # divide the quartic by z^2 - root_sum*z + root_product, leaving the
-    # remainder r1*z + r0 in work[3:]; the complementary roots live in the
-    # quotient, times t^4 so that their poles never appear
-    work = list(reversed(factors.quartic))
+    d = kernel_sample(d)
+    triple = radicals(d, n)
+    squares = [radical.value * radical.value - radical.radicand for radical in triple]
+    quadratic, quartic = _kernel_factors(d, n)
+    quadratic_root, quartic_sum, quartic_product = roots(d, n)
+    work = list(reversed(quartic))
     for i in range(3):
         lead = work[i]
-        work[i + 1] = work[i + 1] + lead * root_sum
-        work[i + 2] = work[i + 2] - lead * root_product
-    r1, r0 = work[3], work[4]
-    nested = _outer_radicals(e, n + 2)[1].value
-    shape = _shape(e, n + 2)
+        work[i + 1] = work[i + 1] + lead * quartic_sum
+        work[i + 2] = work[i + 2] - lead * quartic_product
+    shape, swing_squared = _shape(d, n), _swing_squared(d, n)
+    shape_squared, t_squared = shape * shape, XSeries.from_terms({2: 1}, n)
+    rational, coefficient = _nested_parts(d, n)
+    # twice the nested radicand's rational part, shape^2 + swing^2 - 16t^2
+    twice_rational = shape_squared + swing_squared - t_squared * 16
     return KernelResiduals(
         *squares,
-        _eval_z_poly(factors.quadratic, quadratic_root),
-        # the divisor vanishes at a +- b*sqrt(D), so the quartic there is
-        # r1*(a +- b*sqrt(D)) + r0 = A +- B*sqrt(D)
-        r1 * a + r0,
-        r1 * b,
-        r1,
-        r0,
-        # 2a = (shape - alpha)/(2t^2), so this is (nested - alpha)/(2t^2)
-        root_sum - (shape - nested).shift_down(2) * Fraction(1, 2),
-        # 1/q+ + 1/q- = (q+ + q-)/(q+ q-), times the unit q+ q-
-        root_sum - root_product * (shape + nested) * Fraction(1, 2),
+        _eval_z_poly(quadratic, quadratic_root),
+        triple.kernel.radicand - (quadratic[1] * quadratic[1] - quadratic[0] * quadratic[2] * 4),
+        quartic[2] * 4 - (t_squared * 8 + shape_squared - swing_squared),
+        rational * 2 - twice_rational,
+        twice_rational * twice_rational
+        - shape_squared * swing_squared * 4
+        - coefficient * coefficient * triple.base.radicand * 4,
+        work[3],
+        work[4],
     )
 
 

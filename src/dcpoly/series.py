@@ -3,9 +3,7 @@
 One series type covers the closed-form algebra: ``XSeries``, a power
 series in one variable, truncated at a fixed order, with rational
 coefficients.  Division and square root are exact and refuse to proceed
-when the leading terms make the result leave the ring.  A value over
-Q(sqrt D), such as a quartic kernel root, is kept as its two rational
-parts, each an ``XSeries``.
+when the leading terms make the result leave the ring.
 
 The layered iteration needs no series type: it runs on packed integers in
 ``dcpoly.layered``.

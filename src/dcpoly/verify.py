@@ -35,12 +35,12 @@ KERNEL_RESIDUAL_CHECKS = (
     "base radical squares back",
     "nested radical squares back",
     "quadratic root annihilates its factor",
-    "quartic roots annihilate their factor, rational part",
-    "quartic roots annihilate their factor, sqrt(D) part",
+    "kernel radicand is the quadratic factor's discriminant",
+    "quartic z^2 coefficient matches shape and swing",
+    "nested radicand's rational part matches shape and swing",
+    "nested radicand's base part matches shape and swing",
     "series-root quadratic divides the quartic, z^1",
     "series-root quadratic divides the quartic, z^0",
-    "quartic-root sum identity",
-    "quartic-root reciprocal sum identity",
 )
 
 
@@ -121,44 +121,56 @@ def _table_failure(left, right):
     return None
 
 
+def _integer_failure(series):
+    """The first coefficient of a t-series that is no integer, named by its
+    x-degree; each numerator is tested against its den * lam^k, and a
+    ``Fraction`` is built only for the first offender."""
+    fractional = (
+        "first offending coefficient: x^%d -> %s" % (2 * k, series.coefficient(k))
+        for k, c in enumerate(series.nums)
+        if c % (series.den * series.lam**k)
+    )
+    return next(fractional, None)
+
+
 # a wrong x^12 coefficient of the quartic kernel factor shows only from order 12
 @_suite(12)
 def kernel_suite(order, d_samples):
-    """Radical, kernel-root, and symmetric-identity checks per sample.
+    """Radical, kernel-root and factor identity checks per sample.
 
-    Each sample c gets the ten residuals of ``closedform.kernel_residuals``:
-    the radicals square back at marker c, and the kernel factors, roots
-    and identities hold at marker c^2, where the sign of c only negates
-    the sqrt(D) part of the quartic at its roots a +- b*sqrt(D).  That
-    value is A +- B*sqrt(D), and both roots annihilate the quartic
-    exactly when A = B = 0, so A and B are checked as two rational
-    series, whether D is a square or not.  Each integer sample also gets
-    the integer-coefficient check on the expanded kernel, which tests
-    each numerator against its den * lam^k and builds a ``Fraction`` only
-    for the first offender.  That check cannot fail on the factors as
-    written: at integer d every factor coefficient is an integer
-    polynomial in d.  A sample of 0 or -2 raises ``ValueError``: the
-    kernel has no series roots at 0, and no nested radical at -2.
+    Each sample d gets the ten residuals of ``closedform.kernel_residuals``,
+    all at marker d and over Q, and each integer sample also the check
+    that the quadratic factor's series root has integer coefficients: at
+    integer d it is the sum of C_(k-1) t^(2k-2) b^(1-2k) over k >= 1,
+    with b = 1 + t^2 - d t^3.  A sample of 0 or -2 raises ``ValueError``
+    before any check runs (see ``closedform.kernel_sample``).  After
+    that, an ``ArithmeticError`` or ``ValueError`` from the closed form
+    fails every check of its sample with the exception's name and text,
+    and the other samples still report.
 
     The closed form runs in t = x^2 through t^(order // 2), the even
     x-degrees through ``order``; a failing t^k coefficient is reported
-    as x^(2k).
+    as x^(2k).  The integer checks follow all residual checks.
     """
     n = order // 2
-    for d in d_samples:
-        residuals = closedform.kernel_residuals(d, n)
-        for name, series in zip(KERNEL_RESIDUAL_CHECKS, residuals, strict=True):
-            yield "%s (d=%s)" % (name, d), _series_failure(series, 2)
-    for d in map(Fraction, d_samples):
-        if d.denominator != 1:
-            continue
-        fractional = (
-            "first offending coefficient: z^%d x^%d -> %s" % (dz, 2 * k, series.coefficient(k))
-            for dz, series in enumerate(closedform.kernel_sextic(d, n))
-            for k, c in enumerate(series.nums)
-            if c % (series.den * series.lam**k)
-        )
-        yield "expanded kernel has integer coefficients (d=%s)" % d, next(fractional, None)
+    samples = [closedform.kernel_sample(d) for d in d_samples]
+    integer_checks = []
+    for d in samples:
+        names = ["%s (d=%s)" % (name, d) for name in KERNEL_RESIDUAL_CHECKS]
+        integral = d.denominator == 1
+        try:
+            failures = [_series_failure(s, 2) for s in closedform.kernel_residuals(d, n)]
+            if integral:
+                integer_failure = _integer_failure(closedform._quadratic_root(d, n))
+        except (ArithmeticError, ValueError) as error:
+            failures = ["raised %s: %s" % (type(error).__name__, error)] * len(names)
+            integer_failure = failures[0]
+        yield from zip(names, failures, strict=True)
+        if integral:
+            integer_checks.append(
+                ("quadratic root has integer coefficients (d=%s)" % d, integer_failure)
+            )
+    yield from integer_checks
 
 
 # the squared-marker residual the suite must see first appears at x^8

@@ -8,12 +8,6 @@ instead, so the two share nothing beyond the ``XSeries`` constructor and
 The kernel algebra of ``dcpoly.closedform`` runs in t = x^2; ``at_square``
 spreads its results into x for the reference routes that stay in x.
 The error types and the places they are raised match ``dcpoly.series``.
-
-``surd_mul`` and ``surd_sqrt`` work over Q(sqrt D), which the library
-never does: it builds the quartic kernel roots by denesting their
-square root into rational ones, and these take that root directly.  A
-value a + b*sqrt(D) over Q(sqrt D) is the tuple (a, b, D) of two
-``XSeries`` and the integer D.
 """
 
 from fractions import Fraction
@@ -86,28 +80,3 @@ def _minus(a, b, scale=1):
     n = min(a.order, b.order)
     return XSeries([u - scale * v for u, v in zip(a.coeff_list()[: n + 1], b.coeff_list())], n)
 
-
-def surd_mul(x, y):
-    """x*y over Q(sqrt D): (a + b*sqrt D)(c + e*sqrt D) = ac + D*be + (ae + bc)*sqrt D."""
-    (a, b, disc), (c, e, _) = x, y
-    return _minus(mul(a, c), mul(b, e), -disc), _minus(mul(a, e), mul(b, c), -1), disc
-
-
-def surd_sqrt(s, root0):
-    """Square root over Q(sqrt D) whose constant term is p + q*sqrt(D)."""
-    p, q = Fraction(root0[0]), Fraction(root0[1])
-    s_a, s_b, disc = s
-    a, b = s_a.coeff_list(), s_b.coeff_list()
-    if (p * p + disc * q * q, 2 * p * q) != (a[0], b[0]):
-        raise ValueError("root0 does not square to the constant term")
-    twice_norm = 2 * (p * p - disc * q * q)
-    inv_p, inv_q = p / twice_norm, -q / twice_norm
-    ra, rb = [p], [q]
-    for n in range(1, s_a.order + 1):
-        acc_a, acc_b = a[n], b[n]
-        for k in range(1, n):
-            acc_a -= ra[k] * ra[n - k] + disc * rb[k] * rb[n - k]
-            acc_b -= ra[k] * rb[n - k] + rb[k] * ra[n - k]
-        ra.append(acc_a * inv_p + disc * acc_b * inv_q)
-        rb.append(acc_a * inv_q + acc_b * inv_p)
-    return XSeries(ra, s_a.order), XSeries(rb, s_a.order), disc

@@ -292,7 +292,9 @@ def test_verify_rejects_a_zero_d_sample(capsys, samples):
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert errors == [captured.err.splitlines()[-1]]
-    assert "nonzero" in errors[0]
+    assert errors[0].endswith(
+        "samples must be nonzero: at d=0 every series root of the kernel is z=1"
+    )
 
 
 @pytest.mark.parametrize("samples", ["-2", "1,-2"])

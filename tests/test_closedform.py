@@ -20,7 +20,6 @@ from dcpoly.closedform import (
     column_convex_gf,
     directed_series,
     kernel_residuals,
-    kernel_sextic,
     radicals,
     roots,
     ternary_count,
@@ -46,15 +45,14 @@ def test_kernel_radical_collapses_without_marker():
 
 @pytest.mark.parametrize("n", (6, 15, 30))
 def test_the_kernel_functions_return_series_through_t_to_the_n(n):
-    """radicals, roots, kernel_sextic and kernel_residuals take a t-order
-    and return every series through t^n, not through x^n."""
+    """radicals, roots and kernel_residuals take a t-order and return
+    every series through t^n, not through x^n."""
     found = [
         *(s for radical in radicals(2, n) for s in radical),
-        *(s for s in roots(2, n) if isinstance(s, XSeries)),
-        *kernel_sextic(2, n),
+        *roots(2, n),
         *kernel_residuals(2, n),
     ]
-    assert len(found) == 6 + 3 + 7 + 10
+    assert len(found) == 6 + 3 + 10
     assert {s.order for s in found} == {n}
 
 
@@ -86,10 +84,20 @@ def test_kernel_factors_take_the_marker_itself():
     assert closedform._kernel_factors(third, 4).quadratic[1].coefficient(3) == third
 
 
-@pytest.mark.parametrize("d", (1, 2, 3))
-def test_kernel_sextic_has_integer_coefficients(d):
-    for coeff_series in kernel_sextic(d, 20):
-        assert all(c.denominator == 1 for c in coeff_series.coeff_list())
+@pytest.mark.parametrize("d", (1, 2, 3, -3, 5))
+def test_the_quadratic_root_is_the_catalan_sum_in_one_over_b(d):
+    """At marker d the series root of 1 - b z + t^2 z^2, b = 1 + t^2 - d t^3,
+    is the sum of C_(k-1) t^(2k-2) b^(1-2k) over k >= 1, so at integer d
+    every coefficient is an integer."""
+    n = 20
+    over_b = XSeries.one(n).divide(XSeries.from_terms({0: 1, 2: 1, 3: -d}, n))
+    total, power = XSeries.zero(n), over_b
+    for k in range(1, n // 2 + 2):
+        term = power * XSeries.from_terms({2 * k - 2: math.comb(2 * k - 2, k - 1) // k}, n)
+        total, power = total + term, power * over_b * over_b
+    root = roots(d, n).quadratic
+    assert root == total
+    assert all(c.denominator == 1 for c in root.coeff_list())
 
 
 def test_quadratic_root_constant_term():
@@ -97,8 +105,19 @@ def test_quadratic_root_constant_term():
 
 
 def test_roots_require_nonzero_sample():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"d=0 .*\(1 - z\)\^3 \(1 - t\^2 z\)\^3.* z=1$"):
         roots(0, 8)
+    # the reason holds: at marker 0 the quadratic factor is (1 - z)(1 - t^2 z)
+    # and the quartic its square
+    quadratic, quartic = closedform._kernel_factors(0, 8)
+    square = [XSeries.zero(8)] * 5
+    for i, a in enumerate(quadratic):
+        for j, b in enumerate(quadratic):
+            square[i + j] = square[i + j] + a * b
+    assert quadratic == (
+        XSeries.one(8), XSeries.from_terms({0: -1, 2: -1}, 8), XSeries.from_terms({2: 1}, 8)
+    )
+    assert tuple(square) == quartic
 
 
 def test_radicals_reject_minus_two_naming_the_sample():
@@ -106,28 +125,6 @@ def test_radicals_reject_minus_two_naming_the_sample():
     # series layer's "constant term 0 is not a positive rational square"
     with pytest.raises(ValueError, match=r"d=-2 .*\(d\+2\)\^2"):
         radicals(-2, 8)
-
-
-def test_quartic_roots_live_in_expected_extension():
-    # 4 + (1/2)^2 = 17/4; the (+) root's constant term is 2/aux(0), with
-    # aux(0) = (9 + sqrt 17)/4, which is (9 - sqrt 17)/8
-    r = roots(Fraction(1, 2), 8)
-    assert r.disc == 17
-    assert (r.quartic_a.coefficient(0), r.quartic_b.coefficient(0)) == (
-        Fraction(9, 8), Fraction(-1, 8)
-    )
-
-
-def test_quartic_roots_are_rational_where_four_plus_d_squared_is_a_square():
-    # 4 + (3/2)^2 = 25/4: D = 25 stays unfolded, and a +- 5b are two
-    # distinct rational series, each a root of the quartic
-    r = roots(Fraction(3, 2), 8)
-    assert r.disc == 25
-    quartic = closedform._kernel_factors(Fraction(9, 4), 8).quartic
-    for sign in (1, -1):
-        root = r.quartic_a + r.quartic_b * (5 * sign)
-        assert closedform._eval_z_poly(quartic, root).is_zero()
-    assert not r.quartic_b.is_zero()
 
 
 @pytest.mark.parametrize("order", (23, 24))
@@ -162,10 +159,10 @@ def test_x_reading_matches_the_fraction_loops_in_x(d, order):
         assert in_x(radical.radicand, order) == radicand
         assert in_x(radical.value, order) == reference_series.sqrt(radicand)
 
-    e, high = d * d, order + 4
-    discriminant = xs({0: 1, 4: -2, 6: -2 * e, 8: 1, 10: -2 * e, 12: e * e}, high)
+    high = order + 4
+    discriminant = xs({0: 1, 4: -2, 6: -2 * d, 8: 1, 10: -2 * d, 12: d * d}, high)
     numerator = reference_series._minus(
-        xs({0: 1, 4: 1, 6: -e}, high), reference_series.sqrt(discriminant)
+        xs({0: 1, 4: 1, 6: -d}, high), reference_series.sqrt(discriminant)
     )
     quadratic = reference_series.divide(numerator, xs({4: 2}, high))
     assert quadratic.order == order
@@ -177,44 +174,74 @@ def test_x_reading_matches_the_fraction_loops_in_x(d, order):
     "d", (1, Fraction(1, 2), Fraction(3, 2), -1, 5, Fraction(1, 3), Fraction(21, 10))
 )
 def test_quartic_roots_are_the_small_roots_of_their_quadratics(d, order):
-    """Each quartic root is the small root of x^4 z^2 - (aux/2) z + 1, with
-    aux = shape +- d(1 - x^2) sqrt(inner): here it is taken in x over
-    Q(sqrt D) by the Fraction loops of reference_series, not denested.
-    At d = 3/2 and 21/10, D = 25 and 841 are squares, and both routes
-    keep them unfolded.  The roots, in t = x^2, are read in x."""
+    """Each of the two series roots is the small root of
+    x^4 z^2 - (aux/2) z + 1 for one aux = shape +- swing, and each of those
+    quadratics has exactly one series root; so the quadratic z^2 - s z + p
+    the roots span is the monic factor with series coefficients of the
+    product of the two.  The product is expanded here in x, rationally,
+    through aux+ + aux- = 2 shape and aux+ aux- = shape^2 - swing^2, from
+    shape and swing^2 typed in x; the Fraction loops of reference_series
+    divide it by z^2 - s z + p, with s and p from roots(d) read in x, and
+    the remainder must vanish."""
     xs = XSeries.from_terms
     d = Fraction(d)
-    e, high = d * d, order + 4
-    disc = (4 + e).numerator
-    # sqrt(inner) = sqrt(4 + e) * u = sqrt(D) * u / q for d = p/q
-    inner = reference_series.mul(
-        xs({0: 1, 2: 1}, high), xs({0: 4 + e, 2: 4 - 3 * e, 4: 4 * e}, high)
+    mul, minus = reference_series.mul, reference_series._minus
+    shape = xs({0: 2 + d, 2: -2 * d, 4: 2 + d, 6: 2 * d}, order)
+    swing_squared = mul(
+        xs({0: d, 2: -2 * d, 4: d}, order),
+        mul(xs({0: 1, 2: 1}, order), xs({0: 4 + d, 2: 4 - 3 * d, 4: 4 * d}, order)),
     )
-    u = reference_series.sqrt(reference_series.mul(inner, xs({0: 1 / (4 + e)}, high)))
-    swing = reference_series.mul(xs({0: d / d.denominator, 2: -d / d.denominator}, high), u)
-    shape = xs({0: 2 + e, 2: -2 * e, 4: 2 + e, 6: 2 * e}, high)
-    got = roots(d, order // 2)
-    got_a, got_b = (reference_series.at_square(s, order) for s in got[1:3])
+    middle = minus(mul(shape, shape), swing_squared)
+    middle = minus(xs({4: 2}, order), mul(middle, xs({0: Fraction(-1, 4)}, order)))
+    # descending in z: x^8, -x^4 shape, middle, -shape, 1
+    work = [
+        xs({8: 1}, order), mul(shape, xs({4: -1}, order)), middle,
+        minus(XSeries.zero(order), shape), XSeries.one(order),
+    ]
+    found = roots(d, order // 2)
+    total, product = (reference_series.at_square(s, order) for s in found[1:])
+    for i in range(3):
+        work[i + 1] = minus(work[i + 1], mul(work[i], total), -1)
+        work[i + 2] = minus(work[i + 2], mul(work[i], product))
+    assert work[3].is_zero() and work[4].is_zero()
+
+
+@pytest.mark.parametrize("order", (16, 17, 60))
+@pytest.mark.parametrize(
+    "d", (Fraction(1, 2), Fraction(4, 3), Fraction(-9, 2), Fraction(-16, 3))
+)
+def test_the_quartic_root_sum_and_product_match_the_roots_themselves(d, order):
+    """Where d(4 + d) is a rational square, the quartic's two series roots
+    are rational too: each is the small root (aux - alpha)/(4x^4) of
+    x^4 z^2 - (aux/2) z + 1, aux = shape +- swing and alpha the square
+    root of aux^2 - 16x^4 with alpha(0) = aux(0).  Here they are built one
+    by one in x with the Fraction loops of reference_series, and their
+    sum and product are read against roots(d), which takes both from the
+    nested radical.  Below d = -4 both aux(0) are negative, and so is
+    the branch of the nested radical that roots must take."""
+    xs = XSeries.from_terms
+    high = order + 4
+    swing_squared = reference_series.mul(
+        xs({0: d, 2: -2 * d, 4: d}, high),
+        reference_series.mul(xs({0: 1, 2: 1}, high), xs({0: 4 + d, 2: 4 - 3 * d, 4: 4 * d}, high)),
+    )
+    swing = reference_series.sqrt(swing_squared)
+    shape = xs({0: 2 + d, 2: -2 * d, 4: 2 + d, 6: 2 * d}, high)
+    small = []
     for sign in (1, -1):
-        aux = (shape, reference_series.mul(swing, xs({0: sign}, high)), disc)
-        square_a, square_b, _ = reference_series.surd_mul(aux, aux)
-        radicand = (reference_series._minus(square_a, xs({4: 16}, high)), square_b, disc)
-        s = reference_series.surd_sqrt(radicand, (aux[0].coefficient(0), aux[1].coefficient(0)))
-        small = [
-            reference_series.divide(reference_series._minus(p, q), xs({4: 4}, high))
-            for p, q in zip(aux[:2], s[:2])
-        ]
-        assert (got_a, got_b * sign, got.disc) == (*small, disc)
-
-
-@pytest.mark.parametrize("d", D_SAMPLES)
-def test_quartic_minus_is_the_conjugate_of_quartic_plus(d):
-    # q+- = a +- b*sqrt(D) with D = 4 + d^2 times the square of d's
-    # denominator, not a square here: two distinct conjugates
-    r = roots(d, 16)
-    assert r.disc == (4 + d * d).numerator
-    assert math.isqrt(r.disc) ** 2 != r.disc
-    assert not r.quartic_b.is_zero()
+        aux = reference_series._minus(shape, swing, -sign)
+        alpha = reference_series.sqrt(
+            reference_series._minus(reference_series.mul(aux, aux), xs({4: 16}, high))
+        )
+        if aux.coefficient(0) < 0:
+            alpha = reference_series._minus(XSeries.zero(high), alpha)
+        small.append(
+            reference_series.divide(reference_series._minus(aux, alpha), xs({4: 4}, high))
+        )
+    got = roots(d, order // 2)
+    in_x = reference_series.at_square
+    assert in_x(got.quartic_sum, order) == reference_series._minus(small[0], small[1], -1)
+    assert in_x(got.quartic_product, order) == reference_series.mul(*small)
 
 
 @pytest.mark.parametrize("order", (12, 16, 17, 60))
@@ -225,76 +252,6 @@ def test_kernel_residuals_vanish(d, order):
     assert all(residual.is_zero() for residual in residuals)
 
 
-def _quartic_at_its_roots(d, n):
-    """The quartic at a +- b*sqrt(D) as (A, B), through t^n: a Horner pass
-    over Q(sqrt D) with reference_series.surd_mul, where kernel_residuals
-    reads A and B off the remainder of its division instead."""
-    d = Fraction(d)
-    _, a, b, disc = roots(d, n)
-    quartic = closedform._kernel_factors(d * d, n).quartic
-    value = (quartic[-1], XSeries.zero(n), disc)
-    for c in reversed(quartic[:-1]):
-        real, surd, _ = reference_series.surd_mul(value, (a, b, disc))
-        value = (real + c, surd, disc)
-    return value[:2]
-
-
-# at 3/2, 21/10 and -3/2, D = 25, 841 and 25 are squares; x-order 200 is left
-# out, as the Horner pass alone takes up to a second there
-@pytest.mark.parametrize("order", (12, 61))
-@pytest.mark.parametrize(
-    "d",
-    (1, Fraction(1, 2), 2, 3, Fraction(3, 2), Fraction(21, 10), -1, Fraction(-3, 2)),
-)
-def test_the_quartic_at_its_roots_matches_a_horner_pass_over_q_sqrt_d(monkeypatch, d, order):
-    """A and B agree with the oracle on the real factors, where both vanish,
-    and with the z^2 coefficient of the quartic bumped at t^6 (x^12), as in
-    the quartic-factor plant of the verify tests, where neither does; there
-    they take r1 and r0 each in its own place.  Both run through
-    t^(order // 2), as the kernel suite does at ``order``."""
-    n = order // 2
-    real = closedform._kernel_factors
-
-    def bumped(e, n):
-        factors = real(e, n)
-        quartic = list(factors.quartic)
-        quartic[2] = quartic[2] + XSeries.from_terms({6: 1}, n)
-        return factors._replace(quartic=tuple(quartic))
-
-    for factors in (real, bumped):
-        monkeypatch.setattr(closedform, "_kernel_factors", factors)
-        residuals = kernel_residuals(d, n)
-        got = (residuals.quartic_rational, residuals.quartic_surd)
-        assert got == _quartic_at_its_roots(d, n)
-        assert all(part.is_zero() == (factors is real) for part in got)
-
-
-@pytest.mark.parametrize("c", (Fraction(1, 2), 3))
-def test_the_sign_of_the_sample_only_swaps_the_quartic_labels(monkeypatch, c):
-    """The radicals run at marker c, but the factors, roots and identities
-    at c^2, where the sign of c only negates b in the roots a +- b*sqrt(D),
-    which swaps the (+) and (-) roots, and so negates the sqrt(D) part B
-    of the quartic at them.  With a quartic coefficient bumped at t^3 the
-    root residuals are nonzero, so the sign is also seen on series that
-    are not all zero."""
-    at_c, at_minus_c = roots(c, 16), roots(-c, 16)
-    assert at_minus_c == at_c._replace(quartic_b=-at_c.quartic_b)
-    real = closedform._kernel_factors
-
-    def bumped(e, n):
-        factors = real(e, n)
-        quartic = list(factors.quartic)
-        quartic[2] = quartic[2] + XSeries.from_terms({3: 1}, n)
-        return factors._replace(quartic=tuple(quartic))
-
-    for factors in (real, bumped):
-        monkeypatch.setattr(closedform, "_kernel_factors", factors)
-        at_c, at_minus_c = kernel_residuals(c, 16), kernel_residuals(-c, 16)
-        negated = at_c._replace(quartic_surd=-at_c.quartic_surd)
-        assert at_minus_c[3:] == negated[3:]
-    assert not at_c.quartic_surd.is_zero()
-
-
 @pytest.mark.parametrize("d", D_SAMPLES)
 def test_quartic_pair_remainder_vanishes(d):
     residuals = kernel_residuals(d, 12)
@@ -302,16 +259,17 @@ def test_quartic_pair_remainder_vanishes(d):
     assert residuals.remainder_z0.is_zero()
 
 
-@pytest.mark.parametrize("d", D_SAMPLES)
+@pytest.mark.parametrize("d", D_SAMPLES + (Fraction(-3), Fraction(-5, 2)))
 def test_symmetric_identities_hold(d):
+    """The identities in the symmetric functions aux+ + aux- = 2 shape,
+    aux+ aux- = shape^2 - swing^2 and those of alpha+-."""
     residuals = kernel_residuals(d, 12)
-    assert residuals.root_sum.is_zero()
-    assert residuals.reciprocal_sum.is_zero()
-    # the reciprocal sum is checked times q+ q- = a^2 - D b^2, a unit:
-    # constant term 1
-    r = roots(d, 12)
-    product = r.quartic_a * r.quartic_a - r.quartic_b * r.quartic_b * r.disc
-    assert product.coefficient(0) == 1
+    assert residuals.discriminant.is_zero()
+    assert residuals.quartic_middle.is_zero()
+    assert residuals.nested_rational.is_zero()
+    assert residuals.nested_base.is_zero()
+    # the product of the quartic's series roots is a unit: constant term 1
+    assert roots(d, 12).quartic_product.coefficient(0) == 1
 
 
 @pytest.mark.parametrize("r", (1, Fraction(1, 2)))

@@ -5,7 +5,10 @@ here the focus is the reporting contract: suite naming, failure
 details, and the all-suites dispatcher.
 """
 
+import ast
+import inspect
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -53,14 +56,6 @@ def test_failure_reports_first_offending_coefficient():
     assert "-1/2" in result.detail
 
 
-def test_kernel_suite_passes_where_four_plus_d_squared_is_a_square():
-    # 4 + (3/2)^2 = (5/2)^2, so every root is rational; D stays 25
-    assert closedform.roots(Fraction(3, 2), 8).disc == 25
-    results = verify.kernel_suite(order=16, d_samples=(Fraction(3, 2),))
-    assert len(results) == 10
-    assert all(r.passed for r in results)
-
-
 def test_kernel_suite_names_every_check():
     results = verify.kernel_suite(order=10, d_samples=(Fraction(1),))
     assert len(results) == 11
@@ -70,8 +65,8 @@ def test_kernel_suite_names_every_check():
 
 
 def test_kernel_suite_rejects_a_zero_sample():
-    with pytest.raises(ValueError):
-        verify.kernel_suite(12, (0,))
+    with pytest.raises(ValueError, match=r"d=0 .* every series root is z=1$"):
+        verify.kernel_suite(12, (1, 0))
 
 
 def test_kernel_suite_rejects_minus_two_naming_the_sample():
@@ -80,9 +75,8 @@ def test_kernel_suite_rejects_minus_two_naming_the_sample():
 
 
 def test_kernel_suite_builds_the_roots_once_per_sample(monkeypatch):
-    # the suite builds the roots and radicals once per sample, and the factors
-    # once per sample and once more for the expanded kernel at the integer
-    # sample 1, each at its marker d^2
+    # the suite builds the roots, the radicals and the factors once per
+    # sample, each at the marker d itself
     calls = {"roots": [], "radicals": [], "_kernel_factors": []}
     for name, seen in calls.items():
         real = getattr(closedform, name)
@@ -94,11 +88,7 @@ def test_kernel_suite_builds_the_roots_once_per_sample(monkeypatch):
         monkeypatch.setattr(closedform, name, counted)
     results = verify.kernel_suite(12, (1, Fraction(1, 2)))
     assert all(r.passed for r in results)
-    assert calls == {
-        "roots": [1, Fraction(1, 2)],
-        "radicals": [1, Fraction(1, 2)],
-        "_kernel_factors": [1, Fraction(1, 4), 1],
-    }
+    assert calls == {name: [1, Fraction(1, 2)] for name in calls}
 
 
 # (factor, power of z, x-degree) of a coefficient bumped by 1
@@ -133,19 +123,20 @@ def test_kernel_suite_sees_a_wrong_factor_coefficient_from_its_x_degree(
     assert all(r.passed for r in verify.kernel_suite(kx - 1, (1,)))
 
 
+def _fractional_root(real):
+    # t^5 / 3^5 kept as numerator 1 over lam = 3: den alone is 1
+    return lambda d, n: real(d, n) + XSeries([0] * 5 + [1], n, 1, 3)
+
+
 def test_the_integer_check_reads_numerators_on_their_lam_scale(monkeypatch):
-    # t^5 / 3^5 kept as numerator 1 over lam = 3: den alone is 1; the z^1
-    # coefficient of the kernel is zero past t^3, so t^5 holds only the plant
-    real = closedform.kernel_sextic
-
-    def sextic(d, n):
-        coeffs = list(real(d, n))
-        coeffs[1] = coeffs[1] + XSeries([0] * 5 + [1], n, 1, 3)
-        return coeffs
-
-    monkeypatch.setattr(closedform, "kernel_sextic", sextic)
+    # the root's t^5 coefficient at d = 1 is 1, and the plant makes it 244/243;
+    # the quadratic factor at the root moves by -1/243, its z-derivative at t = 0
+    monkeypatch.setattr(
+        closedform, "_quadratic_root", _fractional_root(closedform._quadratic_root)
+    )
     assert [r.detail for r in verify.kernel_suite(12, (1,)) if not r.passed] == [
-        "first offending coefficient: z^1 x^10 -> 1/243"
+        "first offending coefficient: x^10 -> -1/243",
+        "first offending coefficient: x^10 -> 244/243",
     ]
 
 
@@ -167,15 +158,22 @@ def test_a_radicand_bumped_in_t_fails_at_its_x_degree(monkeypatch, capsys):
     # the radicals square back in t = x^2 and the suite names t^k as x^(2k),
     # so a wrong t^5 radicand coefficient is reported at x^10; the odd order
     # 13 runs through t^6, as 12 does, and prints the same line
+    # the base radicand also enters the nested radicand's base-part identity
+    # as -4 c^2 base, c(0) = 2
     monkeypatch.setattr(closedform, "radicals", _bumped_radicand("base")(closedform.radicals))
     for order in ("12", "13"):
         code = cli.main(["verify", "--suite", "kernel", "--order", order])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1
         assert [line for line in lines if line.startswith("FAIL")] == [
-            "FAIL [kernel] base radical squares back (d=%s): "
-            "first offending coefficient: x^10 -> -1" % d
+            line
             for d in cli.DEFAULT_D_SAMPLES.split(",")
+            for line in (
+                "FAIL [kernel] base radical squares back (d=%s): "
+                "first offending coefficient: x^10 -> -1" % d,
+                "FAIL [kernel] nested radicand's base part matches shape and swing (d=%s): "
+                "first offending coefficient: x^10 -> -16" % d,
+            )
         ]
 
 
@@ -296,16 +294,6 @@ def _nested_off_by_half(real):
     return gf
 
 
-def _fractional_sextic(real):
-    # the z^1 coefficient of the kernel is zero past t^3, so t^5 holds only the plant
-    def sextic(d, n):
-        coeffs = list(real(d, n))
-        coeffs[1] = coeffs[1] + XSeries.from_terms({5: Fraction(1, 3)}, n)
-        return coeffs
-
-    return sextic
-
-
 def _top_count_bumped(real):
     def counts(max_perimeter):
         found = real(max_perimeter)
@@ -315,7 +303,7 @@ def _top_count_bumped(real):
 
 
 def _nested_value_bumped(real):
-    # kernel_residuals takes the nested radical at d^2 from _outer_radicals
+    # roots reads the nested radical N off _outer_radicals, at t-order n + 2
     def outer(d, n):
         base, nested = real(d, n)
         return base, nested._replace(value=nested.value + XSeries.from_terms({4: 1}, n))
@@ -323,37 +311,53 @@ def _nested_value_bumped(real):
     return outer
 
 
-# the quartic factor's x^12 z^2 coefficient plus 1 leaves q(0)^2 at x^12 for
-# each quartic root q, q(0) = (2 + d^2 -+ d sqrt(4 + d^2))/2, and the sum of
-# those two, 2 + d^2, in the z^1 remainder: per sample (rational part A of
-# q+(0)^2, its sqrt(D) part B, 2 + d^2)
-QUARTIC_BUMP_DETAILS = {
-    "1": ("7/2", "-3/2", "3"),
-    "1/2": ("49/32", "-9/32", "9/4"),
-    "2": ("17", "-6", "6"),
-    "3": ("119/2", "-33/2", "11"),
-}
+def _bumped_t5(real):
+    """A plant for a builder of one series: its t^5 coefficient plus 1."""
+    return lambda d, n: real(d, n) + XSeries.from_terms({5: 1}, n)
 
-def _quartic_b_bumped(real):
-    # the quartic roots are a +- b*sqrt(D)
+
+def _bumped_nested_part(index):
+    """A plant for ``_nested_parts``: N0 (index 0) or c (index 1) plus t^5."""
+    def plant(real):
+        def parts(d, n):
+            found = list(real(d, n))
+            found[index] = found[index] + XSeries.from_terms({5: 1}, n)
+            return tuple(found)
+
+        return parts
+
+    return plant
+
+
+def _product_bumped(real):
     def bumped(d, n):
         found = real(d, n)
-        return found._replace(quartic_b=found.quartic_b + XSeries.from_terms({5: 1}, n))
+        return found._replace(quartic_product=found.quartic_product + XSeries.from_terms({5: 1}, n))
 
     return bumped
 
 
-# b plus t^5 moves the root product a^2 - D b^2 by -2D b(0) t^5, with
-# b(0) = -d/(2q) for d = p/q, and the quartic Q at the roots by
-# Q'(q) sqrt(D) t^5, where Q'(q(0)) = 2b(0) sqrt(D): its rational part gains
-# 2D b(0) t^5, and its sqrt(D) part nothing at t^5; the root sum 2a is
-# untouched: per sample (2D b(0), and the reciprocal-sum shift 2D b(0)(2 + d^2))
-ROOT_BUMP_DETAILS = {
-    "1": ("-5", "-15"),
-    "1/2": ("-17/4", "-153/16"),
-    "2": ("-16", "-96"),
-    "3": ("-39", "-429"),
-}
+def _nested_shift_remainders(d):
+    """The remainder lines when N moves by t^5/(2 N(0)), N(0) = 2 + d: the
+    root sum s by ds = -t^3/(4(2 + d)) and the product p by ds/(2 + d); at
+    t = 0 the divisor is the whole quartic, so the remainder moves by
+    ds z - dp."""
+    ds = -1 / (8 + 4 * d)
+    return (
+        ("series-root quadratic divides the quartic, z^1", "x^6 -> %s" % ds),
+        ("series-root quadratic divides the quartic, z^0", "x^6 -> %s" % (-ds / (2 + d))),
+    )
+
+
+def _kernel_fails(lines_per_sample):
+    """The FAIL lines of a kernel plant at the default samples, given
+    each sample's (check, "x^k -> c") pairs."""
+    return [
+        "FAIL [kernel] %s (d=%s): first offending coefficient: %s" % (name, d, detail)
+        for d in SAMPLES
+        for name, detail in lines_per_sample(d)
+    ]
+
 
 CLOSED_FORM_PLANTS = [
     (
@@ -380,13 +384,18 @@ CLOSED_FORM_PLANTS = [
     ),
     (
         closedform,
-        "kernel_sextic",
-        _fractional_sextic,
+        "_quadratic_root",
+        _fractional_root,
         "kernel",
         "12",
         [
-            "FAIL [kernel] expanded kernel has integer coefficients (d=%s): "
-            "first offending coefficient: z^1 x^10 -> 1/3" % d
+            "FAIL [kernel] quadratic root annihilates its factor (d=%s): "
+            "first offending coefficient: x^10 -> -1/243" % d
+            for d in SAMPLES
+        ]
+        + [
+            "FAIL [kernel] quadratic root has integer coefficients (d=%s): "
+            "first offending coefficient: x^10 -> %d/243" % (d, 243 * d + 1)
             for d in (1, 2, 3)
         ],
     ),
@@ -421,11 +430,12 @@ CLOSED_FORM_PLANTS = [
         _bumped_radicand("kernel"),
         "kernel",
         "12",
-        [
-            "FAIL [kernel] kernel radical squares back (d=%s): "
-            "first offending coefficient: x^10 -> -1" % d
-            for d in SAMPLES
-        ],
+        _kernel_fails(
+            lambda d: (
+                ("kernel radical squares back", "x^10 -> -1"),
+                ("kernel radicand is the quadratic factor's discriminant", "x^10 -> 1"),
+            )
+        ),
     ),
     (
         closedform,
@@ -433,76 +443,131 @@ CLOSED_FORM_PLANTS = [
         _bumped_radicand("nested"),
         "kernel",
         "12",
-        [
-            "FAIL [kernel] nested radical squares back (d=%s): "
-            "first offending coefficient: x^10 -> -1" % d
-            for d in SAMPLES
+        _kernel_fails(lambda d: (("nested radical squares back", "x^10 -> -1"),)),
+    ),
+    # the root of the bumped radicand moves by t^5/2 at t^5, so the quadratic
+    # root moves by -t^3/4 and its factor there by 1/4, the root's t^3
+    # coefficient d by -1/4
+    (
+        closedform,
+        "_kernel_radicand",
+        _bumped_t5,
+        "kernel",
+        "12",
+        _kernel_fails(
+            lambda d: (
+                ("quadratic root annihilates its factor", "x^6 -> 1/4"),
+                ("kernel radicand is the quadratic factor's discriminant", "x^10 -> 1"),
+            )
+        )
+        + [
+            "FAIL [kernel] quadratic root has integer coefficients (d=%s): "
+            "first offending coefficient: x^6 -> %d/4" % (d, 4 * d - 1)
+            for d in (1, 2, 3)
         ],
     ),
+    # swing^2 plus t^5 leaves 2(shape^2 + swing^2)(0) - 4 shape(0)^2 = -8 in the
+    # base-part identity at every d
+    (
+        closedform,
+        "_swing_squared",
+        _bumped_t5,
+        "kernel",
+        "12",
+        _kernel_fails(
+            lambda d: (
+                ("quartic z^2 coefficient matches shape and swing", "x^10 -> 1"),
+                ("nested radicand's rational part matches shape and swing", "x^10 -> -1"),
+                ("nested radicand's base part matches shape and swing", "x^10 -> -8"),
+            )
+        ),
+    ),
+    # N0 plus t^5 moves N by t^5/(2 N(0))
+    (
+        closedform,
+        "_nested_parts",
+        _bumped_nested_part(0),
+        "kernel",
+        "12",
+        _kernel_fails(
+            lambda d: (
+                ("nested radicand's rational part matches shape and swing", "x^10 -> 2"),
+                *_nested_shift_remainders(d),
+            )
+        ),
+    ),
+    # c plus t^5: the base-part identity loses 4 * 2c(0) * base(0) t^5 = 16 t^5,
+    # and N moves by t^5/(2 N(0)) as above
+    (
+        closedform,
+        "_nested_parts",
+        _bumped_nested_part(1),
+        "kernel",
+        "12",
+        _kernel_fails(
+            lambda d: (
+                ("nested radicand's base part matches shape and swing", "x^10 -> -16"),
+                *_nested_shift_remainders(d),
+            )
+        ),
+    ),
+    # N plus t^4: in the radicals value^2 - radicand gains 2 N(0) t^4 = 2(d + 2) t^4,
+    # and in roots s moves by ds = -t^2/2 and p by ds/(2 + d)
     (
         closedform,
         "_outer_radicals",
         _nested_value_bumped,
         "kernel",
         "12",
-        [
-            line
-            for d in SAMPLES
-            for line in (
-                # value^2 - radicand gains 2 value(0) t^4, and value(0) = d + 2
-                "FAIL [kernel] nested radical squares back (d=%s): "
-                "first offending coefficient: x^8 -> %s" % (d, 2 * (d + 2)),
-                "FAIL [kernel] quartic-root sum identity (d=%s): "
-                "first offending coefficient: x^4 -> 1/2" % d,
-                "FAIL [kernel] quartic-root reciprocal sum identity (d=%s): "
-                "first offending coefficient: x^8 -> -1/2" % d,
+        _kernel_fails(
+            lambda d: (
+                ("nested radical squares back", "x^8 -> %s" % (2 * (d + 2))),
+                ("series-root quadratic divides the quartic, z^1", "x^4 -> -1/2"),
+                ("series-root quadratic divides the quartic, z^0", "x^4 -> %s" % (1 / (2 + d) / 2)),
             )
-        ],
+        ),
     ),
+    # Q4[2] plus t^6 adds t^6 z^2 = t^6 (s z - p) modulo z^2 - s z + p, and
+    # s(0) = 2 + d, p(0) = 1
     (
         closedform,
         "_kernel_factors",
         _bumped_factor(*FACTOR_BUMPS[0]),
         "kernel",
         "12",
-        [
-            "FAIL [kernel] %s (d=%s): first offending coefficient: x^12 -> %s" % (name, d, detail)
-            for d, (a, b, s) in QUARTIC_BUMP_DETAILS.items()
-            for name, detail in (
-                ("quartic roots annihilate their factor, rational part", a),
-                ("quartic roots annihilate their factor, sqrt(D) part", b),
-                ("series-root quadratic divides the quartic, z^1", s),
-                ("series-root quadratic divides the quartic, z^0", "-1"),
+        _kernel_fails(
+            lambda d: (
+                ("quartic z^2 coefficient matches shape and swing", "x^12 -> 4"),
+                ("series-root quadratic divides the quartic, z^1", "x^12 -> %s" % (2 + d)),
+                ("series-root quadratic divides the quartic, z^0", "x^12 -> -1"),
             )
-        ],
+        ),
     ),
+    # p plus t^5 adds -t^5 to the z^0 remainder and nothing to z^1 at t^5
     (
         closedform,
         "roots",
-        _quartic_b_bumped,
+        _product_bumped,
         "kernel",
         "12",
-        [
-            "FAIL [kernel] %s (d=%s): first offending coefficient: x^10 -> %s" % (name, d, detail)
-            for d, (shift, reciprocal) in ROOT_BUMP_DETAILS.items()
-            for name, detail in (
-                ("quartic roots annihilate their factor, rational part", shift),
-                ("series-root quadratic divides the quartic, z^0", shift),
-                ("quartic-root reciprocal sum identity", reciprocal),
-            )
-        ],
+        _kernel_fails(
+            lambda d: (("series-root quadratic divides the quartic, z^0", "x^10 -> -1"),)
+        ),
     ),
+    # Q2[1] plus t^3: the factor at its root gains t^3 r(0) = t^3, and
+    # Q2[1]^2 gains 2 Q2[1](0) t^3 = -2 t^3
     (
         closedform,
         "_kernel_factors",
         _bumped_factor(*FACTOR_BUMPS[1]),
         "kernel",
         "12",
-        [
-            "FAIL [kernel] quadratic root annihilates its factor (d=%s): "
-            "first offending coefficient: x^6 -> 1" % d
-            for d in SAMPLES
-        ],
+        _kernel_fails(
+            lambda d: (
+                ("quadratic root annihilates its factor", "x^6 -> 1"),
+                ("kernel radicand is the quadratic factor's discriminant", "x^6 -> 2"),
+            )
+        ),
     ),
 ]
 
@@ -512,8 +577,9 @@ CLOSED_FORM_PLANTS = [
     CLOSED_FORM_PLANTS,
     ids=(
         "directed-formula", "twonose-variant-start", "kernel-integer", "columnconvex-variants",
-        "columnconvex-integer", "kernel-radicand", "nested-radicand", "nested-value",
-        "quartic-factor", "quartic-root-b", "quadratic-factor",
+        "columnconvex-integer", "kernel-radicand", "nested-radicand", "kernel-radicand-literal",
+        "swing", "nested-rational", "nested-coefficient", "nested-value", "quartic-factor",
+        "quartic-root-product", "quadratic-factor",
     ),
 )
 def test_planted_closed_form_faults_report_their_detail_and_exit_one(
@@ -530,53 +596,11 @@ def test_planted_closed_form_faults_report_their_detail_and_exit_one(
     assert all(r.passed == (r.detail == "") for r in results)
 
 
-def test_the_quartic_residual_parts_stay_unfolded_at_a_square_d(monkeypatch, capsys):
-    """At d = 3/2 and 21/10, D = 25 and 841 are squares, r^2 with r = 5
-    and 29, but the quartic at a +- b*sqrt(D) is still checked as A and B,
-    read off the division's remainder r1*z + r0 as A = r1*a + r0 and
-    B = r1*b with D unfolded.  The quartic-factor bump leaves q(0)^2 at
-    x^12 and 2 + d^2 in the z^1 remainder, and A +- r*B
-    are q+(0)^2 and q-(0)^2, the squares of q+(0) = 1/4, q-(0) = 4 at 3/2
-    and of q+(0) = 4/25, q-(0) = 25/4 at 21/10."""
-    plant = _bumped_factor(*FACTOR_BUMPS[0])
-    monkeypatch.setattr(closedform, "_kernel_factors", plant(closedform._kernel_factors))
-    code = cli.main(["verify", "--suite", "kernel", "--order", "12", "--d-samples", "3/2,21/10"])
-    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
-    assert code == 1
-    samples = (
-        ("3/2", 5, "257/32", "-51/32", "17/4", ("1/16", "16")),
-        ("21/10", 29, "390881/20000", "-13461/20000", "641/100", ("16/625", "625/16")),
-    )
-    assert fails == [
-        "FAIL [kernel] %s (d=%s): first offending coefficient: x^12 -> %s" % (name, d, detail)
-        for d, _, a, b, s, _ in samples
-        for name, detail in (
-            ("quartic roots annihilate their factor, rational part", a),
-            ("quartic roots annihilate their factor, sqrt(D) part", b),
-            ("series-root quadratic divides the quartic, z^1", s),
-            ("series-root quadratic divides the quartic, z^0", "-1"),
-        )
-    ]
-    for _, r, a, b, _, squares in samples:
-        a, b = Fraction(a), Fraction(b)
-        assert (a + r * b, a - r * b) == tuple(map(Fraction, squares))
-
-
 def test_a_check_passes_exactly_when_its_detail_is_empty():
     results = verify.run_suites(["all"], 12, SAMPLES)
     assert len(results) == 54
     assert all(r.passed and r.detail == "" for r in results)
 
-
-
-# check families that no planted fault in the code can fail, with the reason
-UNFAILABLE = {
-    "expanded kernel has integer coefficients": (
-        "at integer d every factor coefficient is an integer polynomial in d^2, so only "
-        "a fraction added to kernel_sextic's output fails it; it stays while the kernel "
-        "benchmark counts its lines"
-    ),
-}
 
 
 def _family(name):
@@ -599,13 +623,138 @@ def _plants():
 def test_every_check_family_has_a_planted_fault_that_fails_it(monkeypatch):
     """Each check of "all" at order 12, its sample and ratio labels
     stripped, is failed by some plant above, so a new check without a
-    plant fails here; only the families in UNFAILABLE are exempt."""
+    plant fails here."""
     families = {_family(r.name) for r in verify.run_suites(["all"], 12, SAMPLES)}
-    assert UNFAILABLE.keys() <= families
     failed = set()
     for module, target, plant, suite in _plants():
         with monkeypatch.context() as patch:
             patch.setattr(module, target, plant(getattr(module, target)))
             results = verify.run_suites([suite], 12, SAMPLES)
         failed |= {_family(r.name) for r in results if not r.passed}
-    assert sorted(families - UNFAILABLE.keys() - failed) == []
+    assert sorted(families - failed) == []
+
+
+def _shape_constant_bumped(real):
+    # the t^0 literal 2 + d of _shape as 3 + d
+    return lambda d, n: real(d, n) + XSeries.one(n)
+
+
+def test_a_fault_raised_inside_the_kernel_suite_fails_its_checks_and_exits_one(
+    monkeypatch, capsys
+):
+    """With _shape's constant term 3 + d, shape - N no longer starts at t^2,
+    and roots raises; every check of every sample fails naming the
+    exception, and the other suites still report."""
+    monkeypatch.setattr(closedform, "_shape", _shape_constant_bumped(closedform._shape))
+    code = cli.main(["verify", "--suite", "all", "--order", "12"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    raised = ": raised ValuationError: nonzero coefficient at x^0 blocks division by x^2"
+    kernel = [line for line in lines if line.startswith(("PASS [kernel]", "FAIL [kernel]"))]
+    assert len(kernel) == 43
+    assert all(line.startswith("FAIL [kernel] ") and line.endswith(raised) for line in kernel)
+    assert all(line.startswith("PASS ") for line in lines[43:-1])
+    assert lines[-1] == "54 checks, 43 failed"
+
+
+def test_a_fault_at_one_sample_leaves_the_others_reporting(monkeypatch):
+    real = closedform.kernel_residuals
+
+    def residuals(d, n):
+        if d == 2:
+            raise ZeroDivisionError("planted")
+        return real(d, n)
+
+    monkeypatch.setattr(closedform, "kernel_residuals", residuals)
+    results = verify.kernel_suite(12, SAMPLES)
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == [
+        "%s (d=2)" % name for name in verify.KERNEL_RESIDUAL_CHECKS
+    ] + ["quadratic root has integer coefficients (d=2)"]
+    assert {r.detail for r in failed} == {"raised ZeroDivisionError: planted"}
+    assert len(results) == 43
+
+
+def test_samples_below_minus_two_take_the_negative_branch(capsys):
+    code = cli.main(["verify", "--suite", "kernel", "--order", "60", "--d-samples=-3,-5/2,-7"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[-1] == "32 checks, 0 failed"
+    assert all(line.startswith("PASS [kernel] ") for line in lines[:-1])
+
+
+def _positive_branch(real):
+    # roots negates N below d = -2; negated here first, it keeps the branch
+    # of positive constant term |2 + d| that sqrt returns
+    def outer(d, n):
+        base, nested = real(d, n)
+        return base, nested._replace(value=-nested.value) if d < -2 else nested
+
+    return outer
+
+
+def test_the_positive_branch_below_minus_two_raises(monkeypatch):
+    """Below d = -2 the nested radical's positive branch leaves shape - N
+    with constant term 2(2 + d), so no root sum is a series; the suite
+    fails every check of the sample with the raise."""
+    monkeypatch.setattr(closedform, "_outer_radicals", _positive_branch(closedform._outer_radicals))
+    with pytest.raises(ValueError, match="x\\^0 blocks division"):
+        closedform.roots(-3, 8)
+    results = verify.kernel_suite(12, (Fraction(-3), Fraction(1)))
+    assert [r.passed for r in results] == [False] * 10 + [True] * 10 + [False, True]
+    assert results[0].detail.startswith("raised ValuationError: ")
+
+
+# the builders whose from_terms coefficients the sweep below bumps by 1
+SWEPT_BUILDERS = (
+    "_kernel_radicand", "_nested_parts", "_outer_radicals", "_kernel_factors", "_shape",
+    "_swing_squared", "_quadratic_root",
+)
+
+
+def _coefficient_sites(tree):
+    """((builder, call index, t-degree), dict node, place in the dict) of
+    every coefficient of a from_terms dict inside the swept builders."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in SWEPT_BUILDERS:
+            calls = [
+                call for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "attr", "") == "from_terms"
+            ]
+            for index, call in enumerate(calls):
+                terms = call.args[0]
+                for place, key in enumerate(terms.keys):
+                    yield (node.name, index, key.value), terms, place
+
+
+CLOSED_FORM_SOURCE = inspect.getsource(closedform)
+SWEPT_SITES = [site for site, _, _ in _coefficient_sites(ast.parse(CLOSED_FORM_SOURCE))]
+
+
+def _rebuilt(site=None):
+    """A fresh closedform module built from its source, with the coefficient
+    at ``site``, if any, plus 1."""
+    tree = ast.parse(CLOSED_FORM_SOURCE)
+    for found, terms, place in _coefficient_sites(tree):
+        if found == site:
+            terms.values[place] = ast.BinOp(terms.values[place], ast.Add(), ast.Constant(1))
+    module = types.ModuleType(closedform.__name__)
+    module.__package__ = closedform.__package__
+    exec(compile(ast.fix_missing_locations(tree), closedform.__file__, "exec"), module.__dict__)
+    return module
+
+
+def test_the_sweep_covers_every_builder_and_its_rebuild_passes(monkeypatch, capsys):
+    assert {builder for builder, _, _ in SWEPT_SITES} == set(SWEPT_BUILDERS)
+    monkeypatch.setattr(verify, "closedform", _rebuilt())
+    assert cli.main(["verify", "--suite", "kernel", "--order", "12"]) == 0
+    assert capsys.readouterr().out.endswith("43 checks, 0 failed\n")
+
+
+@pytest.mark.parametrize("site", SWEPT_SITES, ids=["%s-%d-t%d" % site for site in SWEPT_SITES])
+def test_every_kernel_literal_plus_one_fails_the_kernel_suite(monkeypatch, capsys, site):
+    """Each coefficient of the swept builders plus 1 fails some check of
+    the kernel suite at order 12, as a FAIL line and exit 1, never exit 2."""
+    monkeypatch.setattr(verify, "closedform", _rebuilt(site))
+    assert cli.main(["verify", "--suite", "kernel", "--order", "12"]) == 1
+    assert capsys.readouterr().out.endswith(" failed\n")
