@@ -40,7 +40,7 @@ SERIES_FIELDS = {
     "noses": ("perimeter", "nose"),
 }
 
-SUITE_NAMES = ("kernel", "twonose", "columnconvex", "directed", "oracle")
+SUITE_NAMES = ("kernel", "twonose", "fixedd", "columnconvex", "directed", "oracle")
 DEFAULT_ORDER = 40
 DEFAULT_D_SAMPLES = "1,1/2,2,3"
 

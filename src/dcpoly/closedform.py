@@ -243,12 +243,24 @@ def _swing_squared(d, n):
     return XSeries.from_terms({0: d, 1: -2 * d, 2: d}, n) * inner
 
 
-def _quadratic_root(d, n):
+def _quadratic_root(d, n, kernel=None):
     """The series root (b - sqrt(b^2 - 4t^2))/(2t^2) of the quadratic
-    factor 1 - b z + t^2 z^2, b = 1 + t^2 - d t^3, through t^n."""
+    factor 1 - b z + t^2 z^2, b = 1 + t^2 - d t^3, through t^n, from the
+    kernel radical through t^(n + 2), built here unless it is given."""
     high = n + 2
-    numerator = XSeries.from_terms({0: 1, 2: 1, 3: -d}, high) - _kernel_radicand(d, high).sqrt()
+    if kernel is None:
+        kernel = _kernel_radicand(d, high).sqrt()
+    numerator = XSeries.from_terms({0: 1, 2: 1, 3: -d}, high) - kernel
     return numerator.shift_down(2) * Fraction(1, 2)
+
+
+def _roots(d, n, high):
+    """:func:`roots` at a checked sample, off the radicals ``high`` through t^(n + 2)."""
+    nested = -high.nested.value if d < -2 else high.nested.value
+    shape = _shape(d, n + 2)
+    quartic_sum = (shape - nested).shift_down(2) * Fraction(1, 2)
+    quadratic = _quadratic_root(d, n, high.kernel.value)
+    return KernelRoots(quadratic, quartic_sum, (quartic_sum * 2).divide(shape + nested))
 
 
 def roots(d, n):
@@ -264,16 +276,7 @@ def roots(d, n):
     shape - N starts at t^2 and shape + N at 2(2 + d), a unit.  The
     samples 0 and -2 raise ``ValueError`` (see :func:`kernel_sample`).
     """
-    d = kernel_sample(d)
-    high = n + 2
-    nested = _outer_radicals(d, high)[1].value
-    if d < -2:
-        nested = -nested
-    shape = _shape(d, high)
-    quartic_sum = (shape - nested).shift_down(2) * Fraction(1, 2)
-    return KernelRoots(
-        _quadratic_root(d, n), quartic_sum, (quartic_sum * 2).divide(shape + nested)
-    )
+    return _roots(kernel_sample(d), n, radicals(d, n + 2))
 
 
 def _eval_z_poly(coeffs, z):
@@ -288,17 +291,20 @@ def kernel_residuals(d, n):
     """The ten residual series of :class:`KernelResiduals` at sample ``d``,
     in t = x^2 through t^n, all at the marker d itself and over Q.
 
-    The quartic is divided by z^2 - s z + p, s and p the sum and product
-    of its series roots from :func:`roots`, and the remainder r1*z + r0
-    is checked; the complementary roots live in the quotient, times t^4
-    so that their poles never appear.  All ten vanish on a faithful
+    The radicals are built once, through t^(n + 2) where the roots need
+    them, and truncated to t^n for their own checks.  The quartic is
+    divided by z^2 - s z + p, s and p the sum and product of its series
+    roots (see :func:`roots`), and the remainder r1*z + r0 is checked;
+    the complementary roots live in the quotient, times t^4 so that
+    their poles never appear.  All ten vanish on a faithful
     transcription.
     """
     d = kernel_sample(d)
-    triple = radicals(d, n)
+    high = radicals(d, n + 2)
+    triple = RadicalTriple(*(Radical(*(s.truncate(n) for s in radical)) for radical in high))
     squares = [radical.value * radical.value - radical.radicand for radical in triple]
     quadratic, quartic = _kernel_factors(d, n)
-    quadratic_root, quartic_sum, quartic_product = roots(d, n)
+    quadratic_root, quartic_sum, quartic_product = _roots(d, n, high)
     work = list(reversed(quartic))
     for i in range(3):
         lead = work[i]

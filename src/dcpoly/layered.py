@@ -50,22 +50,40 @@ carry, and its top bit is set only by a borrow from a negative slot.
 The check of each delta tells whether it still fits in v bits; if not,
 it is repacked.
 
-``_deltas`` yields each checked delta_k, and every result folds the
-stream its own way: ``marginals(order, by)`` and ``two_nose_identity_residuals``
-add the entries of each class of each delta into one packed int per group
-(perimeter, nose class, d-row, or class and d-row), each unpacked once;
-``joint_table`` unpacks each entry into its table.  No result needs ``series``.
+``_deltas`` yields each checked delta_k, and every reader that keeps d
+folds the stream its own way: ``marginals(order, "diagonals")`` and
+``two_nose_identity_residuals`` add the entries of each class of each
+delta into one packed int per group (d-row, or class and d-row), each
+unpacked once; ``joint_table`` unpacks each entry into its table.
+
+The readers that sum d away, ``perimeter_counts`` and ``marginals`` by
+perimeter or by noses, solve the equation at a fixed number d instead
+(``class_counts``), one power of t at a time, as in Flajolet & Sedgewick,
+*Analytic Combinatorics*, I.6.  With A, B, C the three classes, T1 and T2
+the tail operators and K = 1/(1 - t^2 z):
+
+    A = d^2 t^4 z^2 K + d t^2 z (K^2 A + K B + C)
+    B = 2d^2 t^3 z K + d (2t z K T1A + 2t^3 z K^2 A + t z (1 + K) T1B + t^3 z K B + 2t z T1C)
+    C = d^2 t^4 z K + d (T2(A + B + C) + 2t^2 z K T1A + t^4 z K^2 A + t^2 z K T1B)
+
+Only T2 reads the degree being solved, at larger powers of z, so at each
+degree A and B come first and C from its top power of z down.  A product
+with K is P(n, m) = F(n, m) + P(n - 2, m - 1), no term reads back more
+than four degrees, and each count costs a few big-int adds: O(N^2) in
+all, against the stream's O(N) steps over O(N^2) slots.  No result needs
+``series``.
 """
 
+from collections import defaultdict, deque
 from functools import reduce
-from itertools import chain, repeat
-from operator import or_, rshift
+from itertools import chain, repeat, zip_longest
+from operator import add, or_, rshift
 
 CLASS_ORDER = ("two", "one", "zero")
 MIN_Z = {"two": 2, "one": 1, "zero": 1}
 
-# bits a widening adds, a multiple of 64 for _repack: perimeter_counts(160) took
-# 1.38 / 1.14 / 1.10 times as long with 16 / 32 / 128 (2 vCPUs, Python 3.11)
+# bits a widening adds, a multiple of 64 for _repack: the stream summed by perimeter
+# at 160 took 1.38 / 1.14 / 1.10 times as long with 16 / 32 / 128 (2 vCPUs, Python 3.11)
 STEP = 64
 
 
@@ -283,28 +301,100 @@ def _grouped(order, group):
     return {key: slots.unpack(acc) for key, acc in sums.items()}
 
 
+# the equation of the module docstring, class by class: the constant term
+# d^2 c t^a z^b K as (c, a, b), and each other term d c t^a z F as (c, a, F),
+# F a row of ``class_counts``; T2(A + B + C), of t-power 0, has its own z
+_CONSTANT = {"two": (1, 4, 2), "one": (2, 3, 1), "zero": (1, 4, 1)}
+_EQUATION = {
+    "two": ((1, 2, "KKA"), (1, 2, "KB"), (1, 2, "C")),
+    "one": ((2, 1, "KT1A"), (2, 3, "KKA"), (1, 1, "T1B"), (1, 1, "KT1B"), (1, 3, "KB"),
+            (2, 1, "T1C")),
+    "zero": ((1, 0, "T2S"), (2, 2, "KT1A"), (1, 4, "KKA"), (1, 2, "KT1B")),
+}
+# (K F, F) for each row K F, built after its F
+_KERNEL_PRODUCTS = (("KA", "A"), ("KKA", "KA"), ("KB", "B"), ("KT1A", "T1A"), ("KT1B", "T1B"))
+
+
+def _lower_terms(cls, window, n, d):
+    """Entries z^0..z^(n - 1) at t^n of the terms of class ``cls`` that read
+    lower degrees, from the rows of the last four in ``window``: a row of
+    degree j has at most j entries, so the sums stop short of z^n."""
+    # a term of coefficient c adds its row c times
+    rows = [window[-power][name] for c, power, name in _EQUATION[cls] if power for _ in range(c)]
+    out = [0, *map(sum, zip_longest(*rows, fillvalue=0))]
+    out += [0] * (n - len(out))
+    c, a, b = _CONSTANT[cls]
+    if n >= a and not (n - a) % 2:
+        out[b + (n - a) // 2] += c * d
+    return out if d == 1 else [d * v for v in out]
+
+
+def _check_row(cls, n, row, d):
+    """Raise ``InvariantError`` on an entry of class ``cls`` at t^n below its
+    minimum run, at z^(n - 1), one past its support, or negative at d > 0."""
+    low = MIN_Z[cls]
+    if any(row[:low]) or row[n - 1] or d > 0 and min(row) < 0:
+        m = next(m for m, v in enumerate(row) if v < 0 < d or v and not low <= m < n - 1)
+        raise InvariantError("a count at x^%d z^%d in %s is negative or outside its support"
+                             % (2 * n, m, cls))
+
+
+def class_counts(order, d=1):
+    """{class: {perimeter: count}} through perimeter ``order``, each count
+    weighted by d^(diagonals) at the number ``d`` (an int or a ``Fraction``):
+    class "none" is the single cell, d at perimeter 4, and the nose classes
+    leave zero counts out.  Each degree's rows pass ``_check_row`` before a
+    later degree reads them."""
+    if order < 4:
+        raise ValueError("order must be at least 4 to see any polyomino")
+    same = d * sum(c for c, power, _ in _EQUATION["zero"] if not power)
+    window = deque([defaultdict(tuple)] * 4, maxlen=4)
+    out = {"none": {4: d}, **{cls: {} for cls in CLASS_ORDER}}
+    for n in range(2, order // 2 + 1):
+        a, b, c = (_lower_terms(cls, window, n, d) for cls in CLASS_ORDER)
+        s1 = s2 = 0  # suffix sums of S = A + B + C, and T2(S) = suffix sums of those
+        for m in range(n - 1, 0, -1):
+            c[m] += same * s2
+            s1 += a[m] + b[m] + c[m]
+            s2 += s1
+        rows = {}
+        for cls, name, row in zip(CLASS_ORDER, "ABC", (a, b, c)):
+            _check_row(cls, n, row, d)
+            rows[name], rows["T1" + name] = row, _tail_sum(row)
+            if total := sum(row):
+                out[cls][2 * n] = total
+        for product, factor in _KERNEL_PRODUCTS:  # K F(n, m) = F(n, m) + K F(n - 2, m - 1)
+            before = chain((0,), window[-2][product], repeat(0))
+            rows[product] = list(map(add, rows[factor], before))
+        window.append(rows)
+    return out
+
+
 def marginals(order, by):
     """Counts through perimeter ``order`` for ``by`` in perimeter, diagonals
     or noses, keyed as ``CountTable.project`` keys perimeter, (perimeter,
     diagonals) or (perimeter, nose), with nose "none" for the single cell.
-    Every key but the single cell's is read from one guard-checked sum
-    (see ``_grouped``): of all deltas by perimeter, of one class of all
-    deltas by nose, or of all classes of one delta by diagonals."""
-    groups = {"perimeter": (lambda k, cls: None, 4), "noses": (lambda k, cls: cls, (4, "none")),
-              "diagonals": (lambda k, cls: k, (4, 1))}
-    if by not in groups:
+    By perimeter and by noses they are ``class_counts`` at d = 1; by
+    diagonals every key but the single cell's is read from one
+    guard-checked sum of all classes of one delta (see ``_grouped``)."""
+    if by == "perimeter":
+        return perimeter_counts(order)
+    if by == "noses":
+        return {(kx, cls): v for cls, counts in class_counts(order).items()
+                for kx, v in counts.items()}
+    if by != "diagonals":
         raise ValueError("unknown marginal %r" % (by,))
-    group, single = groups[by]
-    out = {single: 1}  # the single cell: perimeter 4, one diagonal
-    for key, counts in _grouped(order, group).items():
-        for kx, v in counts.items():
-            out[kx if by == "perimeter" else (kx, key)] = v
+    out = {(4, 1): 1}  # the single cell: perimeter 4, one diagonal
+    for k, counts in _grouped(order, lambda k, cls: k).items():
+        out.update(((kx, k), v) for kx, v in counts.items())
     return out
 
 
-def perimeter_counts(order):
-    """Counts of diagonally convex polyominoes for each perimeter <= order."""
-    return marginals(order, "perimeter")
+def perimeter_counts(order, d=1):
+    """Counts of diagonally convex polyominoes for each perimeter <= order,
+    each weighted by d^(diagonals) (see ``class_counts``)."""
+    classes = class_counts(order, d).values()
+    return {kx: sum(counts.get(kx, 0) for counts in classes) for kx in range(4, order + 1, 2)}
 
 
 def joint_table(order):

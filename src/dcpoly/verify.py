@@ -103,12 +103,13 @@ def _terms_failure(terms):
 
 
 def _perimeter_failure(left, right):
-    """The first perimeter at which two {perimeter: count} dicts differ."""
+    """The first key, a perimeter or a (perimeter, nose) pair, at which two
+    dicts of counts differ."""
     differing = min(
         (k for k in left.keys() | right.keys() if left.get(k) != right.get(k)),
         default=None,
     )
-    return None if differing is None else "first differing perimeter: %s" % differing
+    return None if differing is None else "first differing perimeter: %s" % (differing,)
 
 
 def _table_failure(left, right):
@@ -188,6 +189,27 @@ def twonose_suite(order, d_samples):
     else:
         failure = None
     yield "squared-marker variant fails as expected", failure
+
+
+# the fixed-d solve and the stream start at perimeter 4
+@_suite(4)
+def fixedd_suite(order, d_samples):
+    """The fixed-d solve against the delta stream: by perimeter at d = 1 and
+    at each sample, the stream's counts by diagonals weighted by d^k, and by
+    nose class at d = 1, the stream's summed over k."""
+    from . import layered
+    diagonals = layered.marginals(order, "diagonals")
+    for d in dict.fromkeys((1, *d_samples)):
+        weighted = dict.fromkeys(range(4, order + 1, 2), 0)
+        for (kx, k), v in diagonals.items():
+            weighted[kx] += v * d**k
+        name = "fixed-d counts match the stream by diagonals through %d (d=%s)" % (order, d)
+        yield name, _perimeter_failure(layered.perimeter_counts(order, d), weighted)
+    stream = {(4, "none"): 1}
+    for cls, counts in layered._grouped(order, lambda k, cls: cls).items():
+        stream.update(((kx, cls), v) for kx, v in counts.items())
+    name = "fixed-d nose classes match the stream's through %d" % order
+    yield name, _perimeter_failure(layered.marginals(order, "noses"), stream)
 
 
 # every column-convex series is zero below x^4

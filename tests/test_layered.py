@@ -56,12 +56,34 @@ def unpacked(order, track_diagonals=True):
     return total
 
 
-READERS = {
-    "perimeter": perimeter_counts,
-    "noses": lambda order: marginals(order, "noses"),
+def stream_fold(group):
+    """The delta stream summed by ``group(k, cls)``, as ``_grouped`` sums it."""
+    return lambda order: layered._grouped(order, group)
+
+
+# the readers that run the delta stream, and so see a fault planted in it;
+# "perimeter" and "noses" fold it over every diagonal count, the widest sums
+# _grouped is asked for (verify's fixedd suite reads the fold by noses)
+STREAM_READERS = {
+    "perimeter": stream_fold(lambda k, cls: None),
+    "noses": stream_fold(lambda k, cls: cls),
     "diagonals": lambda order: marginals(order, "diagonals"),
     "joint": joint_table,
     "two-nose": two_nose_identity_residuals,
+}
+
+# every public reader; by perimeter and by noses they solve at fixed d
+READERS = {
+    **STREAM_READERS,
+    "perimeter": perimeter_counts,
+    "noses": lambda order: marginals(order, "noses"),
+}
+
+# the public readers and the two stream folds they do not cover
+ALL_READERS = {
+    **READERS,
+    "stream-perimeter": STREAM_READERS["perimeter"],
+    "stream-noses": STREAM_READERS["noses"],
 }
 
 
@@ -238,7 +260,7 @@ def test_iterates_grow_monotonically(monkeypatch):
 
 
 def test_solve_rejects_tiny_order():
-    for read in READERS.values():
+    for read in ALL_READERS.values():
         for order in (2, -3):
             with pytest.raises(ValueError, match="at least 4"):
                 read(order)
@@ -321,7 +343,7 @@ def test_each_invariant_fires_on_one_corrupted_slot(monkeypatch, cls, k, m, chan
     final-run and diagonal-count bounds of a finished table are read off
     the tables (see ``test_perimeter_is_at_least_twice_diagonals_plus_final_run``)."""
     _plant(monkeypatch, k, cls, m, change)
-    for read in READERS.values():
+    for read in STREAM_READERS.values():
         with pytest.raises(InvariantError, match=message):
             read(16)
 
@@ -329,10 +351,11 @@ def test_each_invariant_fires_on_one_corrupted_slot(monkeypatch, cls, k, m, chan
 @pytest.mark.parametrize("track_diagonals", [False, True])
 def test_each_step_checks_its_new_row_and_catches_a_corrupted_slot(monkeypatch, track_diagonals):
     """Every delta is checked, with its diagonal count, before the next
-    step reads it, on the run by perimeter as on the run by diagonals; the
-    last delta, of 16 // 2 - 1 diagonals, is checked and stepped no further;
-    and a borrow planted in the delta of five-diagonal shapes stops the run."""
-    by = "diagonals" if track_diagonals else "perimeter"
+    step reads it, on the run folded by perimeter as on the run by
+    diagonals; the last delta, of 16 // 2 - 1 diagonals, is checked and
+    stepped no further; and a borrow planted in the delta of five-diagonal
+    shapes stops the run."""
+    read = STREAM_READERS["diagonals" if track_diagonals else "perimeter"]
     events = []
     real_check, real_step = layered._check_counts, layered._linear_step
 
@@ -346,7 +369,7 @@ def test_each_step_checks_its_new_row_and_catches_a_corrupted_slot(monkeypatch, 
 
     monkeypatch.setattr(layered, "_check_counts", check)
     monkeypatch.setattr(layered, "_linear_step", step)
-    marginals(16, by)
+    read(16)
     assert events == [
         event for k in range(2, 8) for event in [("step", k - 1)] + [("check", k)] * 3
     ]
@@ -354,11 +377,11 @@ def test_each_step_checks_its_new_row_and_catches_a_corrupted_slot(monkeypatch, 
     events.clear()
     _plant(monkeypatch, 5, "one", 1, _borrow(0))
     with pytest.raises(InvariantError, match="negative"):
-        marginals(16, by)
+        read(16)
     assert events[-1] == ("check", 5)
 
 
-@pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+@pytest.mark.parametrize("read", STREAM_READERS.values(), ids=STREAM_READERS)
 def test_every_reader_names_the_diagonal_count_of_a_bad_delta(monkeypatch, read):
     """Summed over d or not, an error names the delta a fault sits in."""
     _plant(monkeypatch, 5, "one", 1, _borrow(0))
@@ -488,31 +511,32 @@ def test_too_narrow_slot_raises_instead_of_wrapping(monkeypatch):
     monkeypatch.setattr(
         layered, "_slot_bits", lambda order: (12, 2 * (order + 4).bit_length())
     )
-    for read in READERS.values():
+    for read in STREAM_READERS.values():
         with pytest.raises(InvariantError, match="is negative or overflows its slot"):
             read(40)
 
 
 def test_a_total_that_outgrows_its_slot_raises(monkeypatch):
-    """At 60 every class coefficient fits in 64 bits but some totals do not."""
+    """At 60 every class coefficient fits in 64 bits but some totals of
+    the stream folded by perimeter do not."""
     monkeypatch.setattr(
         layered, "_slot_bits", lambda order: (64, 2 * (order + 4).bit_length())
     )
     joint_table(60)
     with pytest.raises(InvariantError, match="perimeter count overflows"):
-        perimeter_counts(60)
+        STREAM_READERS["perimeter"](60)
 
 
 @pytest.mark.parametrize("by, value_bits", [("noses", 63), ("diagonals", 61)])
 def test_a_marginal_that_outgrows_its_slot_raises(monkeypatch, by, value_bits):
     """At 60 every class coefficient of the run fits in ``value_bits`` but
-    some of the sums this marginal adds do not."""
+    some of the sums of the stream folded by this marginal do not."""
     monkeypatch.setattr(
         layered, "_slot_bits", lambda order: (value_bits, 2 * (order + 4).bit_length())
     )
     joint_table(60)
     with pytest.raises(InvariantError, match="perimeter count overflows"):
-        marginals(60, by)
+        STREAM_READERS[by](60)
 
 
 def test_a_sum_over_diagonals_that_outgrows_its_slot_raises(monkeypatch):
@@ -524,7 +548,7 @@ def test_a_sum_over_diagonals_that_outgrows_its_slot_raises(monkeypatch):
     )
     joint_table(60)
     with pytest.raises(InvariantError, match="perimeter count overflows"):
-        perimeter_counts(60)
+        STREAM_READERS["perimeter"](60)
 
 
 PEAK_RSS = """
@@ -602,8 +626,8 @@ def test_one_step_gain_fits_the_guard_bits(order):
 def test_every_reader_at_an_odd_order_reads_the_order_below(order):
     """The slots are anchored at x^(2 (order // 2)), so at an odd order each
     reader returns what it returns at order - 1, key for key and in the
-    same order."""
-    for name, read in READERS.items():
+    same order; so does the fixed-d solve, which reads t^(order // 2)."""
+    for name, read in ALL_READERS.items():
         assert repr(read(order)) == repr(read(order - 1)), name
 
 
@@ -707,7 +731,7 @@ def test_a_corrupted_slot_at_a_widening_raises(monkeypatch, after, cls):
     k = _first_widening(200) + after
     _plant(monkeypatch, k, cls, 2, _borrow(0))
     with pytest.raises(InvariantError, match="d\\^%d z\\^2 in %s is negative" % (k, cls)):
-        perimeter_counts(200)
+        marginals(200, "diagonals")
 
 
 def test_repack_keeps_every_slot():
@@ -736,4 +760,139 @@ def test_a_slot_past_the_value_bits_raises_below_the_cap(monkeypatch):
     )
     _plant(monkeypatch, 3, "one", 1, lambda v, width: v + (1 << 62))
     with pytest.raises(InvariantError, match="d\\^3 z\\^1 in one is negative or overflows"):
-        perimeter_counts(60)
+        marginals(60, "diagonals")
+
+
+def stream_by_perimeter(order):
+    """{perimeter: count} of the delta stream, the single cell included."""
+    return {4: 1, **stream_fold(lambda k, cls: None)(order).get(None, {})}
+
+
+def stream_by_nose(order):
+    """{(perimeter, nose): count} of the delta stream, the single cell included."""
+    out = {(4, "none"): 1}
+    for cls, counts in stream_fold(lambda k, cls: cls)(order).items():
+        out.update(((kx, cls), v) for kx, v in counts.items())
+    return out
+
+
+@pytest.mark.parametrize("order", list(range(4, 65)) + [160, 400])
+def test_the_fixed_d_solve_equals_the_stream_at_d_one(order):
+    """By perimeter and by noses, key for key and in the same key order."""
+    assert list(perimeter_counts(order).items()) == list(stream_by_perimeter(order).items())
+    assert list(marginals(order, "noses").items()) == list(stream_by_nose(order).items())
+
+
+def weighted_by_diagonals(order, d):
+    """{perimeter: count} of marginals by diagonals, each count times d^k."""
+    totals = {}
+    for (kx, k), v in marginals(order, "diagonals").items():
+        totals[kx] = totals.get(kx, 0) + v * d**k
+    return totals
+
+
+@pytest.mark.parametrize("d", [2, Fraction(1, 2), -1, Fraction(5, 3)], ids=str)
+def test_the_fixed_d_solve_equals_the_weighted_stream(d):
+    """Through 120, each class at d equals the stream's d-rows of that
+    class weighted by d^k, and the totals weight marginals by diagonals."""
+    expected = {"none": {4: d}}
+    for (cls, k), counts in stream_fold(lambda k, cls: (cls, k))(120).items():
+        weighted = expected.setdefault(cls, {})
+        for kx, v in counts.items():
+            weighted[kx] = weighted.get(kx, 0) + v * d**k
+    assert layered.class_counts(120, d) == {
+        cls: {kx: v for kx, v in counts.items() if v} for cls, counts in expected.items()
+    }
+    assert perimeter_counts(120, d) == weighted_by_diagonals(120, d)
+
+
+BUMPS = [("constant", cls) for cls in layered.CLASS_ORDER] + [
+    (cls, i) for cls in layered.CLASS_ORDER for i in range(len(layered._EQUATION[cls]))
+]
+
+
+@pytest.mark.parametrize("table, key", BUMPS, ids=["%s-%s" % bump for bump in BUMPS])
+def test_every_transcribed_term_plus_one_raises_or_breaks_equality(monkeypatch, table, key):
+    """Each class's constant term, and each of its terms, with its
+    coefficient plus 1, either stops the solve or moves a count through 40."""
+    if table == "constant":
+        c, a, b = layered._CONSTANT[key]
+        monkeypatch.setitem(layered._CONSTANT, key, (c + 1, a, b))
+    else:
+        terms = list(layered._EQUATION[table])
+        c, power, name = terms[key]
+        terms[key] = (c + 1, power, name)
+        monkeypatch.setitem(layered._EQUATION, table, tuple(terms))
+    try:
+        counts = marginals(40, "noses")
+    except InvariantError:
+        return
+    assert counts != stream_by_nose(40)
+
+
+def _planted_row(monkeypatch, cls, n, change):
+    """Make the lower-degree part of class ``cls`` at t^n go through ``change``."""
+    real = layered._lower_terms
+
+    def planted(which, window, degree, d):
+        row = real(which, window, degree, d)
+        if (which, degree) == (cls, n):
+            change(row)
+        return row
+
+    monkeypatch.setattr(layered, "_lower_terms", planted)
+
+
+def _add(m, v):
+    def change(row):
+        row[m] += v
+    return change
+
+
+@pytest.mark.parametrize("cls", layered.CLASS_ORDER)
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # at t^9 the support ends at z^7, and z^8 is one past it
+        pytest.param(_add(8, 1), "x\\^18 z\\^8 in %s", id="past-support"),
+        # T2 carries a negative zero-nose count down to z^1
+        pytest.param(_add(3, -10**9), "x\\^18 z\\^[13] in %s", id="negative"),
+    ],
+)
+def test_a_planted_count_stops_the_fixed_d_solve(monkeypatch, cls, change, message):
+    """A count planted at t^9 one past the support, z^(n - 1), or a
+    negative one at d = 1, stops every reader of the solve."""
+    _planted_row(monkeypatch, cls, 9, change)
+    for read in (perimeter_counts, lambda order: marginals(order, "noses")):
+        with pytest.raises(InvariantError, match=message % cls + " is negative or outside"):
+            read(24)
+
+
+def test_a_planted_two_nose_run_of_one_cell_stops_the_solve(monkeypatch):
+    _planted_row(monkeypatch, "two", 9, _add(1, 1))
+    with pytest.raises(InvariantError, match="x\\^18 z\\^1 in two is negative or outside"):
+        perimeter_counts(24)
+
+
+def test_a_negative_count_passes_at_a_negative_d(monkeypatch):
+    """Below d = 0 the weighted counts may be negative, so only the support
+    is held; the planted count then moves the totals."""
+    _planted_row(monkeypatch, "one", 9, _add(3, -10**9))
+    assert perimeter_counts(24, -1) != weighted_by_diagonals(24, -1)
+
+
+def test_the_solve_keeps_four_earlier_degrees_of_rows(monkeypatch):
+    """Beside the degree being solved, the window holds the rows of the
+    four below it, and every read of a lower degree lands in it: no term
+    reads further back than t^4."""
+    assert max(power for terms in layered._EQUATION.values() for _, power, _ in terms) == 4
+    real = layered._lower_terms
+    sizes = []
+
+    def seen(cls, window, n, d):
+        sizes.append(len(window))
+        return real(cls, window, n, d)
+
+    monkeypatch.setattr(layered, "_lower_terms", seen)
+    perimeter_counts(40)
+    assert set(sizes) == {4}

@@ -75,20 +75,32 @@ def test_kernel_suite_rejects_minus_two_naming_the_sample():
 
 
 def test_kernel_suite_builds_the_roots_once_per_sample(monkeypatch):
-    # the suite builds the roots, the radicals and the factors once per
-    # sample, each at the marker d itself
-    calls = {"roots": [], "radicals": [], "_kernel_factors": []}
+    # the suite builds the radicals, the roots and the factors once per
+    # sample, each at the marker d itself, the radicals at t-order
+    # 12 // 2 + 2, where the roots read them; the public roots, which
+    # builds radicals of its own, is not called
+    calls = {"roots": [], "_roots": [], "radicals": [], "_kernel_factors": []}
     for name, seen in calls.items():
         real = getattr(closedform, name)
 
-        def counted(d, n, real=real, seen=seen):
-            seen.append(d)
-            return real(d, n)
+        def counted(d, n, *rest, real=real, seen=seen):
+            seen.append((d, n))
+            return real(d, n, *rest)
 
         monkeypatch.setattr(closedform, name, counted)
+    sqrt_calls = []
+    real_sqrt = XSeries.sqrt
+    monkeypatch.setattr(XSeries, "sqrt", lambda s: sqrt_calls.append(s.order) or real_sqrt(s))
     results = verify.kernel_suite(12, (1, Fraction(1, 2)))
     assert all(r.passed for r in results)
-    assert calls == {name: [1, Fraction(1, 2)] for name in calls}
+    assert calls == {
+        "roots": [],
+        "_roots": [(1, 6), (Fraction(1, 2), 6)],
+        "radicals": [(1, 8), (Fraction(1, 2), 8)],
+        "_kernel_factors": [(1, 6), (Fraction(1, 2), 6)],
+    }
+    # three radicals per sample, and the integer check's own kernel radical at d = 1
+    assert sqrt_calls == [8, 8, 8, 8, 8, 8, 8]
 
 
 # (factor, power of z, x-degree) of a coefficient bumped by 1
@@ -125,7 +137,7 @@ def test_kernel_suite_sees_a_wrong_factor_coefficient_from_its_x_degree(
 
 def _fractional_root(real):
     # t^5 / 3^5 kept as numerator 1 over lam = 3: den alone is 1
-    return lambda d, n: real(d, n) + XSeries([0] * 5 + [1], n, 1, 3)
+    return lambda d, n, *kernel: real(d, n, *kernel) + XSeries([0] * 5 + [1], n, 1, 3)
 
 
 def test_the_integer_check_reads_numerators_on_their_lam_scale(monkeypatch):
@@ -330,8 +342,8 @@ def _bumped_nested_part(index):
 
 
 def _product_bumped(real):
-    def bumped(d, n):
-        found = real(d, n)
+    def bumped(d, n, high):
+        found = real(d, n, high)
         return found._replace(quartic_product=found.quartic_product + XSeries.from_terms({5: 1}, n))
 
     return bumped
@@ -359,7 +371,39 @@ def _kernel_fails(lines_per_sample):
     ]
 
 
+def _equation_bumped(real):
+    """The fixed-d solve's first one-nose term, 2 t z K T1A, as 3 t z K T1A:
+    the first count it moves is d^3 at perimeter 10, from A's d^2 t^4 z^2."""
+    first, *rest = real["one"]
+    return {**real, "one": ((first[0] + 1, *first[1:]), *rest)}
+
+
+def _stream_bumped(real):
+    """The stream's step to three diagonals with one more one-nose shape of
+    one final cell at perimeter 8, its floor 2(3 + 1): slot 12 // 2 - 4."""
+    def step(delta, k, slots):
+        two, one, zero = real(delta, k, slots)
+        if k == 2:
+            one = [one[0], one[1] + (1 << slots.width * 2), *one[2:]]
+        return two, one, zero
+
+    return step
+
+
+def _fixedd_fails(perimeter, cls):
+    return [
+        "FAIL [fixedd] fixed-d counts match the stream by diagonals through 12 (d=%s): "
+        "first differing perimeter: %d" % (d, perimeter)
+        for d in SAMPLES
+    ] + [
+        "FAIL [fixedd] fixed-d nose classes match the stream's through 12: "
+        "first differing perimeter: (%d, '%s')" % (perimeter, cls)
+    ]
+
+
 CLOSED_FORM_PLANTS = [
+    (layered, "_EQUATION", _equation_bumped, "fixedd", "12", _fixedd_fails(10, "one")),
+    (layered, "_linear_step", _stream_bumped, "fixedd", "12", _fixedd_fails(8, "one")),
     (
         closedform,
         "ternary_count",
@@ -546,7 +590,7 @@ CLOSED_FORM_PLANTS = [
     # p plus t^5 adds -t^5 to the z^0 remainder and nothing to z^1 at t^5
     (
         closedform,
-        "roots",
+        "_roots",
         _product_bumped,
         "kernel",
         "12",
@@ -576,7 +620,7 @@ CLOSED_FORM_PLANTS = [
     "module, target, plant, suite, order, fails",
     CLOSED_FORM_PLANTS,
     ids=(
-        "directed-formula", "twonose-variant-start", "kernel-integer", "columnconvex-variants",
+        "fixedd-equation", "fixedd-stream", "directed-formula", "twonose-variant-start", "kernel-integer", "columnconvex-variants",
         "columnconvex-integer", "kernel-radicand", "nested-radicand", "kernel-radicand-literal",
         "swing", "nested-rational", "nested-coefficient", "nested-value", "quartic-factor",
         "quartic-root-product", "quadratic-factor",
@@ -598,7 +642,7 @@ def test_planted_closed_form_faults_report_their_detail_and_exit_one(
 
 def test_a_check_passes_exactly_when_its_detail_is_empty():
     results = verify.run_suites(["all"], 12, SAMPLES)
-    assert len(results) == 54
+    assert len(results) == 59
     assert all(r.passed and r.detail == "" for r in results)
 
 
@@ -654,7 +698,7 @@ def test_a_fault_raised_inside_the_kernel_suite_fails_its_checks_and_exits_one(
     assert len(kernel) == 43
     assert all(line.startswith("FAIL [kernel] ") and line.endswith(raised) for line in kernel)
     assert all(line.startswith("PASS ") for line in lines[43:-1])
-    assert lines[-1] == "54 checks, 43 failed"
+    assert lines[-1] == "59 checks, 43 failed"
 
 
 def test_a_fault_at_one_sample_leaves_the_others_reporting(monkeypatch):
