@@ -34,8 +34,14 @@ forms stay in x; the split one has odd powers.
 The diagonal marker d enters every formula polynomially, so identities
 are verified at several rational sample values rather than symbolically;
 vanishing at four samples to high order leaves no room for a wrong
-transcription.  All arithmetic is exact, runs over Q and takes the
-sample d itself as the marker.  The quartic's two series roots need
+transcription.  Each kernel polynomial is typed once, as an integer
+table {t-degree: {e-degree: int}} in the marker e and t: the kernel and
+base radicands, the nested radicand's rational part and base
+coefficient, the quartic roots' shape and swing^2, and the z-coefficients
+of both factors; b of the quadratic factor is read off its z^1 entry.
+``_at`` reads a table at e = d = p/q as integer numerators over q^2.
+All arithmetic is exact, runs over Q and takes the sample d itself as
+the marker.  The quartic's two series roots need
 sqrt(d(4 + d)) in their constant terms, so they are never built: every
 identity uses them through their sum and product, which the nested
 radical gives as rational series.
@@ -66,17 +72,6 @@ class RadicalTriple(NamedTuple):
     kernel: Radical
     base: Radical
     nested: Radical
-
-
-class KernelFactors(NamedTuple):
-    """Kernel of the functional equation, split into its two factors.
-
-    ``quadratic`` and ``quartic`` are polynomials in z with power-series
-    coefficients, given as ascending coefficient lists.
-    """
-
-    quadratic: "tuple[XSeries, ...]"
-    quartic: "tuple[XSeries, ...]"
 
 
 class KernelRoots(NamedTuple):
@@ -139,6 +134,35 @@ CC_VARIANTS = ("ratio", "nested", "split")
 _MINUS_TWO = "the sample d=-2 zeroes the nested radicand's constant term (d+2)^2"
 
 
+# the kernel's polynomials in the marker e and t = x^2, each read at a sample
+# by _at; the kernel radicand is b^2 - 4t^2, the quadratic factor's discriminant
+_KERNEL_RADICAND = {0: {0: 1}, 2: {0: -2}, 3: {1: -2}, 4: {0: 1}, 5: {1: -2}, 6: {2: 1}}
+_BASE_RADICAND = {
+    0: {0: 1}, 1: {0: -4, 1: -4}, 2: {0: 6, 1: 8}, 3: {0: -4, 1: -2}, 4: {0: 1, 1: -4},
+    5: {1: 2}, 6: {2: 1},
+}
+# the nested radicand N0 + c*sqrt(base): its rational part N0 and coefficient c
+_NESTED_RATIONAL = {
+    0: {0: 2, 1: 4, 2: 1}, 1: {1: -4, 2: -4}, 2: {0: -4, 2: 6}, 4: {0: 2, 1: 4, 2: -7},
+    5: {1: 4, 2: 4}, 6: {2: 2},
+}
+_NESTED_COEFFICIENT = {0: {0: 2}, 1: {0: 4}, 2: {0: 2}, 3: {1: 2}}
+# the rational part of both quartic roots' auxiliary series, and the square
+# e(1 - t)^2 (1 + t)(4 + e + (4 - 3e)t + 4e t^2) of their irrational part
+_SHAPE = {0: {0: 2, 1: 1}, 1: {1: -2}, 2: {0: 2, 1: 1}, 3: {1: 2}}
+_SWING_SQUARED = {0: {1: 4, 2: 1}, 1: {2: -4}, 2: {1: -8, 2: 6}, 4: {1: 4, 2: -7}, 5: {2: 4}}
+# the kernel's two factors, ascending in z: 1 - b z + t^2 z^2, b = 1 + t^2 - e t^3,
+# and the quartic, palindromic up to powers of t^2
+_QUADRATIC = ({0: {0: 1}}, {0: {0: -1}, 2: {0: -1}, 3: {1: 1}}, {2: {0: 1}})
+_QUARTIC = (
+    {0: {0: 1}},
+    {0: {0: -2, 1: -1}, 1: {1: 2}, 2: {0: -2, 1: -1}, 3: {1: -2}},
+    {0: {0: 1}, 1: {1: -2}, 2: {0: 4, 1: 4}, 4: {0: 1}, 5: {1: 2}, 6: {2: 1}},
+    {2: {0: -2, 1: -1}, 3: {1: 2}, 4: {0: -2, 1: -1}, 5: {1: -2}},
+    {4: {0: 1}},
+)
+
+
 def kernel_sample(d):
     """The sample ``d`` as a ``Fraction``, checked for the kernel path.
 
@@ -157,36 +181,18 @@ def kernel_sample(d):
     return d
 
 
-def _kernel_radicand(d, n):
-    """Square of the kernel radical, the quadratic-factor discriminant, in t."""
-    return XSeries.from_terms({0: 1, 2: -2, 3: -2 * d, 4: 1, 5: -2 * d, 6: d * d}, n)
-
-
-def _nested_parts(d, n):
-    """The nested radicand N0 + c*sqrt(base) as its rational part N0 and
-    the coefficient c of the base radical, in t = x^2 through t^n."""
-    rational = XSeries.from_terms(
-        {
-            0: 2 + 4 * d + d * d, 1: -(4 * d + 4 * d * d), 2: -4 + 6 * d * d,
-            4: 2 + 4 * d - 7 * d * d, 5: 4 * d + 4 * d * d, 6: 2 * d * d,
-        },
-        n,
-    )
-    return rational, XSeries.from_terms({0: 2, 1: 4, 2: 2, 3: 2 * d}, n)
-
-
-def _outer_radicals(d, n):
-    """The base and nested radicals of :func:`radicals`, without the kernel one."""
-    d = Fraction(d)
-    if d == -2:
-        raise ValueError(_MINUS_TWO)
-    base_radicand = XSeries.from_terms(
-        {0: 1, 1: -(4 + 4 * d), 2: 6 + 8 * d, 3: -(4 + 2 * d), 4: 1 - 4 * d, 5: 2 * d, 6: d * d}, n
-    )
-    base_value = base_radicand.sqrt()
-    rational, coefficient = _nested_parts(d, n)
-    nested_radicand = rational + coefficient * base_value
-    return Radical(base_value, base_radicand), Radical(nested_radicand.sqrt(), nested_radicand)
+def _at(table, d, n):
+    """The polynomial ``table``, {t-degree: {e-degree: int}} with e-degree
+    at most 2, at the marker e = d, in t through t^n: for d = p/q the t^k
+    coefficient is the integer sum of c p^j q^(2 - j) over q^2, filled
+    only through the table's top t-degree."""
+    p, q = d.numerator, d.denominator
+    scales = (q * q, p * q, p * p)
+    nums = [0] * (min(max(table), n) + 1)
+    for k, row in table.items():
+        if k <= n:
+            nums[k] = sum(c * scales[j] for j, c in row.items())
+    return XSeries(nums, n, q * q)
 
 
 def radicals(d, n):
@@ -199,65 +205,29 @@ def radicals(d, n):
     the values are honest rational series with positive constant terms;
     the outer one, (d + 2)^2, is 0 at d = -2, which raises ``ValueError``.
     """
-    base, nested = _outer_radicals(d, n)
-    kernel_radicand = _kernel_radicand(Fraction(d), n)
-    return RadicalTriple(Radical(kernel_radicand.sqrt(), kernel_radicand), base, nested)
-
-
-def _kernel_factors(d, n):
-    """The factored kernel at diagonal marker ``d``, in t = x^2 through t^n.
-
-    The full kernel is the product of the two returned factors.  The
-    z-coefficient lists are ascending; the quartic is palindromic up to
-    powers of t^2, which is what makes its series roots come in the two
-    aux-labelled quadratics of :class:`KernelRoots`.
-    """
-    quadratic = (
-        XSeries.one(n),
-        XSeries.from_terms({3: d, 2: -1, 0: -1}, n),
-        XSeries.from_terms({2: 1}, n),
+    d = Fraction(d)
+    if d == -2:
+        raise ValueError(_MINUS_TWO)
+    kernel, base = _at(_KERNEL_RADICAND, d, n), _at(_BASE_RADICAND, d, n)
+    base_value = base.sqrt()
+    nested = _at(_NESTED_RATIONAL, d, n) + _at(_NESTED_COEFFICIENT, d, n) * base_value
+    return RadicalTriple(
+        Radical(kernel.sqrt(), kernel), Radical(base_value, base), Radical(nested.sqrt(), nested)
     )
-    quartic = (
-        XSeries.one(n),
-        XSeries.from_terms({3: -2 * d, 2: -(d + 2), 1: 2 * d, 0: -(d + 2)}, n),
-        XSeries.from_terms({6: d * d, 5: 2 * d, 4: 1, 2: 4 * d + 4, 1: -2 * d, 0: 1}, n),
-        XSeries.from_terms({5: -2 * d, 4: -(d + 2), 3: 2 * d, 2: -(d + 2)}, n),
-        XSeries.from_terms({4: 1}, n),
-    )
-    return KernelFactors(quadratic, quartic)
 
 
-def _shape(d, n):
-    """The rational part (2 + d) - 2d t + (2 + d) t^2 + 2d t^3 of both
-    quartic roots' auxiliary series, in t = x^2 through t^n."""
-    return XSeries.from_terms({0: 2 + d, 1: -2 * d, 2: 2 + d, 3: 2 * d}, n)
-
-
-def _swing_squared(d, n):
-    """The square d(1 - t)^2 inner of the irrational part of both quartic
-    roots' auxiliary series, inner = (1 + t)(4 + d + (4 - 3d)t + 4d t^2),
-    in t = x^2 through t^n."""
-    inner = XSeries.from_terms({0: 1, 1: 1}, n) * XSeries.from_terms(
-        {0: 4 + d, 1: 4 - 3 * d, 2: 4 * d}, n
-    )
-    return XSeries.from_terms({0: d, 1: -2 * d, 2: d}, n) * inner
-
-
-def _quadratic_root(d, n, kernel=None):
+def _quadratic_root(d, n, kernel):
     """The series root (b - sqrt(b^2 - 4t^2))/(2t^2) of the quadratic
-    factor 1 - b z + t^2 z^2, b = 1 + t^2 - d t^3, through t^n, from the
-    kernel radical through t^(n + 2), built here unless it is given."""
-    high = n + 2
-    if kernel is None:
-        kernel = _kernel_radicand(d, high).sqrt()
-    numerator = XSeries.from_terms({0: 1, 2: 1, 3: -d}, high) - kernel
+    factor 1 - b z + t^2 z^2 through t^n, b = -Q2[1], from the kernel
+    radical ``kernel`` through t^(n + 2)."""
+    numerator = -_at(_QUADRATIC[1], d, n + 2) - kernel
     return numerator.shift_down(2) * Fraction(1, 2)
 
 
 def _roots(d, n, high):
     """:func:`roots` at a checked sample, off the radicals ``high`` through t^(n + 2)."""
     nested = -high.nested.value if d < -2 else high.nested.value
-    shape = _shape(d, n + 2)
+    shape = _at(_SHAPE, d, n + 2)
     quartic_sum = (shape - nested).shift_down(2) * Fraction(1, 2)
     quadratic = _quadratic_root(d, n, high.kernel.value)
     return KernelRoots(quadratic, quartic_sum, (quartic_sum * 2).divide(shape + nested))
@@ -287,32 +257,34 @@ def _eval_z_poly(coeffs, z):
     return acc
 
 
-def kernel_residuals(d, n):
+def kernel_residuals(d, n, high=None):
     """The ten residual series of :class:`KernelResiduals` at sample ``d``,
     in t = x^2 through t^n, all at the marker d itself and over Q.
 
-    The radicals are built once, through t^(n + 2) where the roots need
-    them, and truncated to t^n for their own checks.  The quartic is
-    divided by z^2 - s z + p, s and p the sum and product of its series
-    roots (see :func:`roots`), and the remainder r1*z + r0 is checked;
-    the complementary roots live in the quotient, times t^4 so that
-    their poles never appear.  All ten vanish on a faithful
-    transcription.
+    The radicals ``high`` run through t^(n + 2), where the roots need
+    them, are built here unless given, and are truncated to t^n for
+    their own checks.  The quartic is divided by z^2 - s z + p, s and p
+    the sum and product of its series roots (see :func:`roots`), and the
+    remainder r1*z + r0 is checked; the complementary roots live in the
+    quotient, times t^4 so that their poles never appear.  All ten
+    vanish on a faithful transcription.
     """
     d = kernel_sample(d)
-    high = radicals(d, n + 2)
+    if high is None:
+        high = radicals(d, n + 2)
     triple = RadicalTriple(*(Radical(*(s.truncate(n) for s in radical)) for radical in high))
     squares = [radical.value * radical.value - radical.radicand for radical in triple]
-    quadratic, quartic = _kernel_factors(d, n)
+    quadratic, quartic = ([_at(c, d, n) for c in factor] for factor in (_QUADRATIC, _QUARTIC))
     quadratic_root, quartic_sum, quartic_product = _roots(d, n, high)
-    work = list(reversed(quartic))
+    work = quartic[::-1]
     for i in range(3):
         lead = work[i]
         work[i + 1] = work[i + 1] + lead * quartic_sum
         work[i + 2] = work[i + 2] - lead * quartic_product
-    shape, swing_squared = _shape(d, n), _swing_squared(d, n)
+    shape, swing_squared, rational, coefficient = (
+        _at(table, d, n) for table in (_SHAPE, _SWING_SQUARED, _NESTED_RATIONAL, _NESTED_COEFFICIENT)
+    )
     shape_squared, t_squared = shape * shape, XSeries.from_terms({2: 1}, n)
-    rational, coefficient = _nested_parts(d, n)
     # twice the nested radicand's rational part, shape^2 + swing^2 - 16t^2
     twice_rational = shape_squared + swing_squared - t_squared * 16
     return KernelResiduals(

@@ -145,7 +145,7 @@ def _unit_root(fa, lam):
     for n in range(1, len(fa)):
         twice = power * fa[n] - sum(map(mul, sa[1:n], sa[n - 1 : 0 : -1]))
         if twice & 1:
-            raise ArithmeticError("odd numerator in the square-root recurrence at x^%d" % n)
+            raise ArithmeticError("odd numerator in the square-root recurrence at degree %d" % n)
         sa.append(twice >> 1)
         power *= scale
     return _unscaled(sa, 1, scale * lam, len(fa) - 1)
@@ -195,7 +195,7 @@ class XSeries:
 
     def coefficient(self, k):
         if k < 0 or k > self.order:
-            raise ValueError("coefficient x^%d beyond truncation order %d" % (k, self.order))
+            raise ValueError("coefficient of degree %d beyond truncation order %d" % (k, self.order))
         return Fraction(self.nums[k], self.den * self.lam**k)
 
     def coeff_list(self):
@@ -249,7 +249,7 @@ class XSeries:
         v, reciprocal = _reciprocal(den, min(self.order, den.order))
         lead = self.valuation()
         if lead is not None and lead < v:
-            raise NonDivisibleError("numerator has x^%d but denominator starts at x^%d" % (lead, v))
+            raise NonDivisibleError("numerator starts at degree %d, denominator at %d" % (lead, v))
         return self.shift_down(v).truncate(reciprocal.order) * reciprocal
 
     def shift_down(self, k):
@@ -260,7 +260,7 @@ class XSeries:
             raise ValuationError("cannot shift past the truncation order")
         j = self.valuation()
         if j is not None and j < k:
-            raise ValuationError("nonzero coefficient at x^%d blocks division by x^%d" % (j, k))
+            raise ValuationError("nonzero coefficient of degree %d blocks a shift down by %d" % (j, k))
         return XSeries(self.nums[k:], self.order - k, self.den * self.lam**k, self.lam)
 
     def sqrt(self):

@@ -8,7 +8,7 @@ reports a named pass or fail per check, with the first offending
 coefficient or table key spelled out on failure.  The suites are pure
 functions; nothing is cached between calls.
 
-A suite ``<name>_suite(order, d_samples)`` is a generator of (check
+A suite ``<name>_suite(order, d_samples)`` returns an iterable of (check
 name, failure) pairs, failure None or the nonempty detail of what went
 wrong; ``_suite`` maps ``<name>`` to its least order in ``SUITES``, the
 only list of suites.  ``run_suites`` looks ``<name>_suite`` up on this
@@ -67,21 +67,34 @@ def _check(suite, name, failure=None):
 
 
 def _suite(least_order):
-    """Register the decorated generator ``<name>_suite`` of (check name,
-    failure) pairs as suite ``<name>`` with its least order; called, it
-    returns its checks as ``CheckResult``s."""
+    """Register the decorated ``<name>_suite``, which returns an iterable of
+    (check name, failure) pairs, as suite ``<name>`` with its least order;
+    called, it returns its checks as ``CheckResult``s.  What the call
+    itself raises, an invalid input, escapes; an ``ArithmeticError``,
+    ``ValueError`` or ``RuntimeError`` raised while the checks run ends
+    the suite with one failed check, "every check runs", naming it."""
 
     def register(checks):
         name = checks.__name__.removesuffix("_suite")
 
         @functools.wraps(checks)
         def suite(order, d_samples):
-            return [_check(name, check, failure) for check, failure in checks(order, d_samples)]
+            found, results = checks(order, d_samples), []
+            try:
+                for check, failure in found:
+                    results.append(_check(name, check, failure))
+            except (ArithmeticError, ValueError, RuntimeError) as error:
+                results.append(_check(name, "every check runs", _raised(error)))
+            return results
 
         SUITES[name] = least_order
         return suite
 
     return register
+
+
+def _raised(error):
+    return "raised %s: %s" % (type(error).__name__, error)
 
 
 def _series_failure(series, step=1):
@@ -151,20 +164,26 @@ def kernel_suite(order, d_samples):
 
     The closed form runs in t = x^2 through t^(order // 2), the even
     x-degrees through ``order``; a failing t^k coefficient is reported
-    as x^(2k).  The integer checks follow all residual checks.
+    as x^(2k).  The radicals are built once per sample, through
+    t^(order // 2 + 2), where the roots read them.  The integer checks
+    follow all residual checks.
     """
-    n = order // 2
-    samples = [closedform.kernel_sample(d) for d in d_samples]
+    return _kernel_checks(order // 2, [closedform.kernel_sample(d) for d in d_samples])
+
+
+def _kernel_checks(n, samples):
     integer_checks = []
     for d in samples:
         names = ["%s (d=%s)" % (name, d) for name in KERNEL_RESIDUAL_CHECKS]
         integral = d.denominator == 1
         try:
-            failures = [_series_failure(s, 2) for s in closedform.kernel_residuals(d, n)]
+            high = closedform.radicals(d, n + 2)
+            failures = [_series_failure(s, 2) for s in closedform.kernel_residuals(d, n, high)]
             if integral:
-                integer_failure = _integer_failure(closedform._quadratic_root(d, n))
+                root = closedform._quadratic_root(d, n, high.kernel.value)
+                integer_failure = _integer_failure(root)
         except (ArithmeticError, ValueError) as error:
-            failures = ["raised %s: %s" % (type(error).__name__, error)] * len(names)
+            failures = [_raised(error)] * len(names)
             integer_failure = failures[0]
         yield from zip(names, failures, strict=True)
         if integral:

@@ -8,6 +8,7 @@ which was itself validated cell by cell.
 """
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -67,21 +68,58 @@ def test_radicals_square_back(d):
         assert radical.value * radical.value == radical.radicand
 
 
+def _factors(d, n):
+    """The quadratic and the quartic kernel factor at marker d, through t^n."""
+    return ([closedform._at(c, d, n) for c in f] for f in (closedform._QUADRATIC, closedform._QUARTIC))
+
+
 def test_quadratic_factor_at_unit_sample():
     # in t = x^2: 1 - (1 + t^2 - t^3) z + t^2 z^2
-    factors = closedform._kernel_factors(1, 4)
-    assert factors.quadratic == (
+    quadratic, _ = _factors(1, 4)
+    assert quadratic == [
         XSeries.one(4),
         XSeries.from_terms({3: 1, 2: -1, 0: -1}, 4),
         XSeries.from_terms({2: 1}, 4),
-    )
+    ]
 
 
 def test_kernel_factors_take_the_marker_itself():
     # the quadratic's z^1 term is -1 - t^2 + e t^3 at marker e, not at e^2
-    assert closedform._kernel_factors(2, 4).quadratic[1].coefficient(3) == 2
+    assert next(_factors(2, 4))[1].coefficient(3) == 2
     third = Fraction(1, 3)
-    assert closedform._kernel_factors(third, 4).quadratic[1].coefficient(3) == third
+    assert next(_factors(third, 4))[1].coefficient(3) == third
+
+
+def _fraction_at(table, d, n):
+    """The reference for ``_at``: each coefficient summed as Fractions."""
+    d = Fraction(d)
+    terms = {k: sum(c * d**j for j, c in row.items()) for k, row in table.items()}
+    return XSeries.from_terms(terms, n)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_table_evaluator_matches_fraction_sums(seed):
+    """Random tables of t-degree up to 8 and e-degree up to 2, read through
+    and past their top t-degree, at samples of either sign and q > 1."""
+    rng = random.Random(seed)
+    table = {
+        k: {j: rng.randint(-50, 50) for j in rng.sample(range(3), rng.randint(1, 3))}
+        for k in rng.sample(range(9), rng.randint(1, 9))
+    }
+    for d in (Fraction(-7, 3), Fraction(5, 4), Fraction(-1, 6), Fraction(-4), Fraction(2)):
+        for n in (0, max(table) - 1, max(table), 12):
+            assert closedform._at(table, d, max(n, 0)) == _fraction_at(table, d, max(n, 0))
+
+
+@pytest.mark.parametrize("d", D_SAMPLES)
+def test_the_swing_table_is_its_factored_product(d):
+    """swing^2 = d(1 - t)^2 (1 + t)(4 + d + (4 - 3d)t + 4d t^2), built here
+    as a product of series, against the expanded table."""
+    xs = XSeries.from_terms
+    factored = (
+        xs({0: d, 1: -2 * d, 2: d}, 8) * xs({0: 1, 1: 1}, 8) * xs({0: 4 + d, 1: 4 - 3 * d, 2: 4 * d}, 8)
+    )
+    assert closedform._at(closedform._SWING_SQUARED, d, 8) == factored
 
 
 @pytest.mark.parametrize("d", (1, 2, 3, -3, 5))
@@ -109,15 +147,15 @@ def test_roots_require_nonzero_sample():
         roots(0, 8)
     # the reason holds: at marker 0 the quadratic factor is (1 - z)(1 - t^2 z)
     # and the quartic its square
-    quadratic, quartic = closedform._kernel_factors(0, 8)
+    quadratic, quartic = _factors(0, 8)
     square = [XSeries.zero(8)] * 5
     for i, a in enumerate(quadratic):
         for j, b in enumerate(quadratic):
             square[i + j] = square[i + j] + a * b
-    assert quadratic == (
+    assert quadratic == [
         XSeries.one(8), XSeries.from_terms({0: -1, 2: -1}, 8), XSeries.from_terms({2: 1}, 8)
-    )
-    assert tuple(square) == quartic
+    ]
+    assert square == quartic
 
 
 def test_radicals_reject_minus_two_naming_the_sample():
