@@ -158,9 +158,10 @@ def kernel_suite(order, d_samples):
     integer d it is the sum of C_(k-1) t^(2k-2) b^(1-2k) over k >= 1,
     with b = 1 + t^2 - d t^3.  A sample of 0 or -2 raises ``ValueError``
     before any check runs (see ``closedform.kernel_sample``).  After
-    that, an ``ArithmeticError`` or ``ValueError`` from the closed form
-    fails every check of its sample with the exception's name and text,
-    and the other samples still report.
+    that, an ``ArithmeticError``, ``ValueError`` or ``RuntimeError`` from
+    the closed form, the exceptions ``_suite`` catches, fails every check
+    of its sample with the exception's name and text, and the other
+    samples still report.
 
     The closed form runs in t = x^2 through t^(order // 2), the even
     x-degrees through ``order``; a failing t^k coefficient is reported
@@ -182,7 +183,7 @@ def _kernel_checks(n, samples):
             if integral:
                 root = closedform._quadratic_root(d, n, high.kernel.value)
                 integer_failure = _integer_failure(root)
-        except (ArithmeticError, ValueError) as error:
+        except (ArithmeticError, ValueError, RuntimeError) as error:
             failures = [_raised(error)] * len(names)
             integer_failure = failures[0]
         yield from zip(names, failures, strict=True)
@@ -210,25 +211,27 @@ def twonose_suite(order, d_samples):
     yield "squared-marker variant fails as expected", failure
 
 
-# the fixed-d solve and the stream start at perimeter 4
+# the fixed-d and packed solves start at perimeter 4
 @_suite(4)
 def fixedd_suite(order, d_samples):
-    """The fixed-d solve against the delta stream: by perimeter at d = 1 and
-    at each sample, the stream's counts by diagonals weighted by d^k, and by
-    nose class at d = 1, the stream's summed over k."""
+    """The solve at a number d against the packed solve's counts read at d:
+    by perimeter at d = 1 and at each sample, the packed counts by diagonals
+    weighted by d^k, and by nose class at d = 1, the packed counts summed
+    over k."""
     from . import layered
     diagonals = layered.marginals(order, "diagonals")
     for d in dict.fromkeys((1, *d_samples)):
         weighted = dict.fromkeys(range(4, order + 1, 2), 0)
         for (kx, k), v in diagonals.items():
             weighted[kx] += v * d**k
-        name = "fixed-d counts match the stream by diagonals through %d (d=%s)" % (order, d)
+        name = "fixed-d counts match the packed counts by diagonals through %d (d=%s)" % (order, d)
         yield name, _perimeter_failure(layered.perimeter_counts(order, d), weighted)
-    stream = {(4, "none"): 1}
-    for cls, counts in layered._grouped(order, lambda k, cls: cls).items():
-        stream.update(((kx, cls), v) for kx, v in counts.items())
-    name = "fixed-d nose classes match the stream's through %d" % order
-    yield name, _perimeter_failure(layered.marginals(order, "noses"), stream)
+    packed = {(4, "none"): 1}
+    for n, rows, unpack in layered._packed(order):
+        packed.update(((2 * n, cls), sum(unpack(sum(row)).values()))
+                      for cls, row in zip(layered.CLASS_ORDER, rows) if any(row))
+    name = "fixed-d nose classes match the packed solve's through %d" % order
+    yield name, _perimeter_failure(layered.marginals(order, "noses"), packed)
 
 
 # every column-convex series is zero below x^4

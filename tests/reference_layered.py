@@ -1,7 +1,8 @@
 """The layered transfer on dict-of-terms polynomials, as a test reference.
 
-``dcpoly.layered`` runs its transfer on packed integers.  This module
-runs the same transfer term by term and imports nothing from ``dcpoly``.
+``dcpoly.layered`` solves its equation one power of x^2 at a time, at
+a number d or on packed integers.  This module iterates the same
+transfer term by term and imports nothing from ``dcpoly``.
 A class is a plain dict {(d_degree, x_degree, z_degree): coefficient}
 without zero entries, with d a real variable (or always 0 when d is
 collapsed), truncated at x-degree ``order``.  A triple is the tuple

@@ -173,8 +173,13 @@ def test_criterion_11_property_suites_hold(census24):
         acc = acc - series[m]
         suffix.append(acc)
     assert layered._tail_sum(series) == suffix
+    # T2, whose z^m coefficient sums (k - m) s_k over k > m, as the solve
+    # forms it: the suffix sums of the suffix sums, from z^1 on
     doubled = layered._tail_sum(layered._tail_sum(series))
-    assert layered._tail_weighted(series) == [0] + doubled
+    assert doubled == [
+        sum((k - m) * series[k] for k in range(m + 1, len(series)))
+        for m in range(1, len(series) - 1)
+    ]
 
     # The census below a perimeter does not depend on the bound.
     assert census24.restrict_perimeter(14) == brute.generate(14)

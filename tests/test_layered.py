@@ -1,4 +1,4 @@
-"""Tests for the layered fixed-point iteration.
+"""Tests for the layered functional-equation solve.
 
 The order-8 fixed point is small enough to verify against a census done
 by hand: nine shapes have perimeter at most 8, and each lands in one
@@ -28,62 +28,49 @@ from dcpoly.layered import (
 KNOWN_PREFIX = {4: 1, 6: 2, 8: 7, 10: 28, 12: 122, 14: 556, 16: 2618}
 
 
-def delta_terms(k, delta, slots, track_diagonals=True):
-    """Each class of delta_k as {(d_degree, x_degree, z_degree): coefficient},
-    d_degree k, or 0 with d collapsed; every entry of every delta stands on
-    the same top-anchored slots, at the width the stream has when it yields
-    the delta."""
-    kd = k if track_diagonals else 0
-    return tuple(
-        {
-            (kd, kx, m): c
-            for m, v in enumerate(series)
-            for kx, c in slots.unpack(v).items()
-        }
-        for series in delta
-    )
+def slot_width(order):
+    """W, the bits of one d-slot of the packed solve: the value and guard
+    bits of ``_slot_bits`` and a sign bit, rounded up to 64 bits."""
+    return -(-(sum(layered._slot_bits(order)) + 1) // 64) * 64
 
 
 def unpacked(order, track_diagonals=True):
-    """Each class of the fixed point, the delta stream summed over k, each
-    delta unpacked as it is yielded."""
-    slots = layered.Slots(order)
+    """Each class of the packed solve as {(d_degree, x_degree, z_degree):
+    coefficient}, every entry unpacked as it is yielded; d_degree 0 with d
+    collapsed."""
     total = empty_triple()
-    for k, delta in layered._deltas(slots):
-        for terms, new in zip(total, delta_terms(k, delta, slots, track_diagonals)):
-            for key, c in new.items():
-                terms[key] = terms.get(key, 0) + c
+    for n, rows, unpack in layered._packed(order):
+        for terms, row in zip(total, rows):
+            for m, v in enumerate(row):
+                for k, c in unpack(v).items():
+                    key = (k if track_diagonals else 0, 2 * n, m)
+                    terms[key] = terms.get(key, 0) + c
     return total
 
 
-def stream_fold(group):
-    """The delta stream summed by ``group(k, cls)``, as ``_grouped`` sums it."""
-    return lambda order: layered._grouped(order, group)
+def packed_classes(order, d=1):
+    """The packed solve laid out as ``class_counts`` lays out its counts:
+    each class's checked sum at each perimeter, its d-slots weighted by d^k."""
+    out = {"none": {4: d}, **{cls: {} for cls in layered.CLASS_ORDER}}
+    for n, rows, unpack in layered._packed(order):
+        for cls, row in zip(layered.CLASS_ORDER, rows):
+            if total := sum(c * d**k for k, c in unpack(sum(row)).items()):
+                out[cls][2 * n] = total
+    return out
 
 
-# the readers that run the delta stream, and so see a fault planted in it;
-# "perimeter" and "noses" fold it over every diagonal count, the widest sums
-# _grouped is asked for (verify's fixedd suite reads the fold by noses)
-STREAM_READERS = {
-    "perimeter": stream_fold(lambda k, cls: None),
-    "noses": stream_fold(lambda k, cls: cls),
+# the readers of the packed solve, which see a fault planted in it
+PACKED_READERS = {
     "diagonals": lambda order: marginals(order, "diagonals"),
     "joint": joint_table,
     "two-nose": two_nose_identity_residuals,
 }
 
-# every public reader; by perimeter and by noses they solve at fixed d
+# every public reader; by perimeter and by noses they solve at d = 1
 READERS = {
-    **STREAM_READERS,
     "perimeter": perimeter_counts,
     "noses": lambda order: marginals(order, "noses"),
-}
-
-# the public readers and the two stream folds they do not cover
-ALL_READERS = {
-    **READERS,
-    "stream-perimeter": STREAM_READERS["perimeter"],
-    "stream-noses": STREAM_READERS["noses"],
+    **PACKED_READERS,
 }
 
 
@@ -166,10 +153,10 @@ def test_joint_table_projects_to_perimeter_counts():
     ],
 )
 def test_perimeter_is_at_least_twice_diagonals_plus_final_run(make_table, max_diagonals):
-    """The premise of the steps' loop bound (delta_k has no entry past
-    z^(order/2 - k)), read off finished tables: a shape with k diagonals and
-    m cells on its final diagonal has perimeter at least 2(k + m), and some
-    shape reaches the bound at every k."""
+    """The premise of the support the solve holds each row to (no d-degree
+    past n - m at t^n z^m), read off finished tables: a shape with k
+    diagonals and m cells on its final diagonal has perimeter at least
+    2(k + m), and some shape reaches the bound at every k."""
     tight = set()
     for (pe, di, _, la) in make_table():
         assert pe >= 2 * (di + la)
@@ -216,43 +203,24 @@ def test_two_nose_residuals_equal_the_polynomial_products(order):
         assert residual == {key: v for key, v in left.items() if v}
 
 
-def test_iterates_grow_monotonically(monkeypatch):
-    """Summed through each k, the delta stream equals the reference
-    engine's iterate T^(k-1)(0), per d-row with d tracked and over every
-    d-row with d collapsed, the first step, from the lone cell, gives
-    T(0), and the last delta, of N - 1 diagonals, leaves the reference
-    at its fixed point."""
-    seen = []
-    real_step = layered._linear_step
-
-    def record(delta, k, slots):
-        seen.append((k, delta))
-        return real_step(delta, k, slots)
-
-    monkeypatch.setattr(layered, "_linear_step", record)
-    slots = layered.Slots(16)
-    deltas = list(layered._deltas(slots))
-    # the lone cell and one delta per diagonal count 2..6, which steps to
-    # the last, of 7 = 16 // 2 - 1 diagonals; the stream runs at its widest
-    # width from the start, where the value bits reach the bound, so every
-    # delta unpacks at the width the run ends with
-    assert [k for k, _ in seen] == [1, 2, 3, 4, 5, 6]
-    assert slots.value_bits == slots.bound
-    # x^4 = t^2 of the lone cell stands at slot 16 // 2 - 2
-    assert seen[0][1] == ([], [0, 1 << slots.width * (16 // 2 - 2)], [])
-    # its output is delta_2, so the first comparison below checks it
-    # against the reference's two-diagonal iterate T(0)
-    assert [k for k, _ in deltas] == [2, 3, 4, 5, 6, 7]
+def test_iterates_grow_monotonically():
+    """Restricted to d-degrees up to k, the packed solve equals the reference
+    engine's iterate T^(k-1)(0), the shapes of 2..k diagonals, per d-row
+    with d tracked and over every d-row with d collapsed; its counts grow
+    with k, and at k = 16 // 2 - 1 the reference is at its fixed point."""
+    solved = unpacked(16)
     for track_diagonals in (True, False):
-        partial = empty_triple()
         reference = empty_triple()
         counts = []
-        for k, delta in deltas:
-            new = delta_terms(k, delta, slots, track_diagonals)
-            partial = tuple(map(add, partial, new))
+        for k in range(2, 8):
             reference = rhs_step(reference, 16, track_diagonals)
-            assert partial == reference
-            counts.append(perimeter_totals(partial))
+            upto = tuple(
+                add(*({(kd if track_diagonals else 0, kx, m): v}
+                      for (kd, kx, m), v in terms.items() if kd <= k))
+                for terms in solved
+            )
+            assert upto == reference
+            counts.append(perimeter_totals(upto))
         assert rhs_step(reference, 16, track_diagonals) == reference
         for earlier, later in zip(counts, counts[1:]):
             for pe, v in earlier.items():
@@ -260,7 +228,7 @@ def test_iterates_grow_monotonically(monkeypatch):
 
 
 def test_solve_rejects_tiny_order():
-    for read in ALL_READERS.values():
+    for read in (*READERS.values(), layered.class_counts):
         for order in (2, -3):
             with pytest.raises(ValueError, match="at least 4"):
                 read(order)
@@ -282,6 +250,8 @@ def naive_fixed_point(order, track_diagonals):
     [(o, t) for o in (4, 5, 6, 7, 8, 16, 30) for t in (True, False)] + [(60, False)],
 )
 def test_solve_matches_naive_fixed_point(order, track_diagonals):
+    """Every (d, x, z) entry of the packed solve against the dict-of-terms
+    transfer of ``reference_layered``, transcribed on its own."""
     assert unpacked(order, track_diagonals) == naive_fixed_point(order, track_diagonals)
 
 
@@ -289,21 +259,27 @@ def test_perimeter_counts_sum_the_packed_classes():
     assert perimeter_counts(200) == perimeter_totals(unpacked(200, False))
 
 
-def _plant(monkeypatch, target, cls, m, change):
-    """Make the step that yields delta_``target`` change its ``cls`` entry
-    z^m by ``change(v, width)`` before handing it on."""
-    real_step = layered._linear_step
-    c = layered.CLASS_ORDER.index(cls)
+def _planted_row(monkeypatch, cls, n, change):
+    """Make the lower-degree part of class ``cls`` at t^n go through
+    ``change(row, width)``, width W on the packed solve and 0 at d = 1.
+    T2 adds to the zero-nose row afterwards, except from z^(n - 2) up."""
+    real = layered._lower_terms
 
-    def corrupting(delta, k, slots):
-        out = list(real_step(delta, k, slots))
-        if k + 1 == target:
-            series = out[c] + [0] * (m + 1 - len(out[c]))
-            series[m] = change(series[m], slots.width)
-            out[c] = series
-        return tuple(out)
+    def planted(which, window, degree, times):
+        row = real(which, window, degree, times)
+        if (which, degree) == (cls, n):
+            change(row, times(1).bit_length() - 1)
+        return row
 
-    monkeypatch.setattr(layered, "_linear_step", corrupting)
+    monkeypatch.setattr(layered, "_lower_terms", planted)
+
+
+def _plant(monkeypatch, n, cls, m, change):
+    """Make the z^m entry of class ``cls`` at t^n ``change(v, width)``."""
+    def entry(row, width):
+        row[m] = change(row[m], width)
+
+    _planted_row(monkeypatch, cls, n, entry)
 
 
 def _plus_slot(j):
@@ -311,104 +287,111 @@ def _plus_slot(j):
 
 
 def _borrow(j):
-    """Take one more than slot j holds, so the slot borrows from above it."""
-    return lambda v, width: v - ((v >> j * width & (1 << width) - 1) + 1 << j * width)
+    """Take one more than slot j holds, so the slot borrows from above it;
+    at d = 1, one more than the count."""
+    def change(v, width):
+        held = v >> j * width & (1 << width) - 1 if width else v
+        return v - (held + 1 << j * width)
+
+    return change
 
 
 @pytest.mark.parametrize(
-    "cls, k, m, change, message",
+    "cls, n, m, change, message",
     [
-        # the plain cases plant into delta_2, the first step's output, and
-        # the "-d" cases into a later delta
+        # the plain cases plant at a low degree, the "-d" cases at a later one
         # a two-nose shape needs two cells on its final diagonal
-        pytest.param("two", 2, 1, _plus_slot(5), "two series has a z\\^1 term below", id="min-run"),
-        pytest.param("two", 3, 1, _plus_slot(5), "two series has a z\\^1 term below", id="min-run-d"),
-        pytest.param("one", 2, 1, _borrow(0), "d\\^2 z\\^1 in one is negative", id="borrow"),
-        pytest.param("zero", 3, 1, _borrow(2), "d\\^3 z\\^1 in zero is negative", id="borrow-d"),
-        pytest.param("one", 4, 2, lambda v, w: -1, "d\\^4 z\\^2 in one is negative", id="negative-d"),
-        # a shape with 4 diagonals and 2 final cells has perimeter at least
-        # 12, and at order 16 slot 3 holds perimeter 10
-        pytest.param(
-            "one", 4, 2, _plus_slot(3), "d\\^4 z\\^2 in one lies below perimeter 12", id="floor-d"
-        ),
-        # delta_3 has no entry past z^(16 // 2 - 3)
-        pytest.param(
-            "zero", 3, 6, _plus_slot(0), "d\\^3 z\\^6 in zero lies below perimeter 18",
-            id="past-end-d",
-        ),
+        pytest.param("two", 4, 1, _plus_slot(2), "x\\^8 z\\^1 in two is negative or outside",
+                     id="min-run"),
+        pytest.param("two", 7, 1, _plus_slot(5), "x\\^14 z\\^1 in two is negative or outside",
+                     id="min-run-d"),
+        pytest.param("one", 5, 1, _borrow(2), "x\\^10 d\\^2 z\\^1 in one is negative or overflows",
+                     id="borrow"),
+        pytest.param("one", 7, 2, _borrow(3), "x\\^14 d\\^3 z\\^2 in one is negative or overflows",
+                     id="borrow-d"),
+        pytest.param("one", 6, 2, lambda v, w: -1, "x\\^12 z\\^2 in one is negative or outside",
+                     id="negative-d"),
+        # a shape with 5 diagonals and 2 final cells has perimeter at least 14
+        pytest.param("one", 6, 2, _plus_slot(5), "x\\^12 d\\^5 z\\^2 in one lies outside d\\^2..d\\^4",
+                     id="floor-d"),
+        # every shape the equation counts has at least two diagonals
+        pytest.param("one", 5, 1, _plus_slot(1), "x\\^10 d\\^1 z\\^1 in one lies outside d\\^2..d\\^4",
+                     id="one-diagonal"),
+        # the row at t^5 has no entry past z^3
+        pytest.param("zero", 5, 4, _plus_slot(3), "x\\^10 z\\^4 in zero is negative or outside",
+                     id="past-end-d"),
     ],
 )
-def test_each_invariant_fires_on_one_corrupted_slot(monkeypatch, cls, k, m, change, message):
-    """A fault planted in one entry of one delta stops every reader.  The
-    final-run and diagonal-count bounds of a finished table are read off
-    the tables (see ``test_perimeter_is_at_least_twice_diagonals_plus_final_run``)."""
-    _plant(monkeypatch, k, cls, m, change)
-    for read in STREAM_READERS.values():
+def test_each_invariant_fires_on_one_corrupted_slot(monkeypatch, cls, n, m, change, message):
+    """A fault planted in one entry of one row stops every reader of the
+    packed solve.  The final-run and diagonal-count bounds of a finished
+    table are read off the tables (see
+    ``test_perimeter_is_at_least_twice_diagonals_plus_final_run``)."""
+    _plant(monkeypatch, n, cls, m, change)
+    for read in PACKED_READERS.values():
         with pytest.raises(InvariantError, match=message):
             read(16)
 
 
 @pytest.mark.parametrize("track_diagonals", [False, True])
 def test_each_step_checks_its_new_row_and_catches_a_corrupted_slot(monkeypatch, track_diagonals):
-    """Every delta is checked, with its diagonal count, before the next
-    step reads it, on the run folded by perimeter as on the run by
-    diagonals; the last delta, of 16 // 2 - 1 diagonals, is checked and
-    stepped no further; and a borrow planted in the delta of five-diagonal
-    shapes stops the run."""
-    read = STREAM_READERS["diagonals" if track_diagonals else "perimeter"]
+    """Every degree's rows are checked before the next degree is solved, at
+    d = 1 by ``_check_row`` and on the packed solve by ``_check_slots`` too;
+    the last degree, 16 // 2, is checked and solved no further; and a borrow
+    planted at t^7 stops the run there."""
+    read = READERS["diagonals" if track_diagonals else "perimeter"]
     events = []
-    real_check, real_step = layered._check_counts, layered._linear_step
+    # the position of the degree n among each function's arguments
+    for name, at in (("_lower_terms", 2), ("_check_row", 1), ("_check_slots", 1)):
+        def record(*args, name=name, at=at, real=getattr(layered, name)):
+            events.append((name, args[at]))
+            return real(*args)
 
-    def check(cls, kd, series, slots):
-        events.append(("check", kd))
-        real_check(cls, kd, series, slots)
-
-    def step(delta, k, slots):
-        events.append(("step", k))
-        return real_step(delta, k, slots)
-
-    monkeypatch.setattr(layered, "_check_counts", check)
-    monkeypatch.setattr(layered, "_linear_step", step)
+        monkeypatch.setattr(layered, name, record)
     read(16)
-    assert events == [
-        event for k in range(2, 8) for event in [("step", k - 1)] + [("check", k)] * 3
-    ]
+    checks = ["_lower_terms", "_check_row"] + ["_check_slots"] * track_diagonals
+    assert events == [(name, n) for n in range(2, 9) for name in checks for _ in range(3)]
 
     events.clear()
-    _plant(monkeypatch, 5, "one", 1, _borrow(0))
+    _plant(monkeypatch, 7, "one", 1, _borrow(5))
     with pytest.raises(InvariantError, match="negative"):
         read(16)
-    assert events[-1] == ("check", 5)
+    assert events[-1] == (checks[-1], 7)
 
 
-@pytest.mark.parametrize("read", STREAM_READERS.values(), ids=STREAM_READERS)
+@pytest.mark.parametrize("read", READERS.values(), ids=READERS)
 def test_every_reader_names_the_diagonal_count_of_a_bad_delta(monkeypatch, read):
-    """Summed over d or not, an error names the delta a fault sits in."""
-    _plant(monkeypatch, 5, "one", 1, _borrow(0))
-    with pytest.raises(InvariantError, match="d\\^5 z\\^1 in one is negative"):
+    """Summed over d or not, an error names the perimeter and final run of
+    a bad count, and with d kept its diagonal count too."""
+    _plant(monkeypatch, 7, "one", 1, _borrow(5))
+    with pytest.raises(InvariantError, match="x\\^14 (d\\^5 )?z\\^1 in one is negative") as error:
         read(16)
+    assert ("d^5" in str(error.value)) == (read in PACKED_READERS.values())
 
 
-def _check_counts_by_entry(cls, kd, series, slots):
-    """The per-entry loop: the first offender in z-order, its minimum run
-    tested before its sign and guard bits, and these before its support:
-    a shape with kd diagonals and m cells on its final diagonal has
-    perimeter at least 2(kd + m), so no slot past order // 2 - kd - m."""
-    for m, v in enumerate(series):
-        if v and m < layered.MIN_Z[cls]:
-            raise InvariantError(
-                "%s series has a z^%d term below its minimum run" % (cls, m)
-            )
-        if v < 0 or v & slots.guard:
-            raise InvariantError(
-                "a count at d^%d z^%d in %s is negative or overflows its slot"
-                % (kd, m, cls)
-            )
-        if v and v.bit_length() > slots.width * (slots.top - kd - m + 1):
-            raise InvariantError(
-                "a count at d^%d z^%d in %s lies below perimeter %d"
-                % (kd, m, cls, 2 * (kd + m))
-            )
+def _check_by_entry(cls, n, row, order):
+    """The rules of ``_check_row`` and then ``_check_slots``, entry by entry
+    and slot by slot: no entry negative, below the minimum run or past
+    z^(n - 2); no slot of v or more bits, the value bits of ``_slot_bits``;
+    none nonzero outside d^2..d^(n - m) at z^m."""
+    width, value = slot_width(order), layered._slot_bits(order)[0]
+    for m, v in enumerate(row):
+        if v < 0 or v and not layered.MIN_Z[cls] <= m < n - 1:
+            raise InvariantError("a count at x^%d z^%d in %s is negative or outside its support"
+                                 % (2 * n, m, cls))
+    for m, v in enumerate(row):
+        slots = []
+        while v:
+            slots.append(v & (1 << width) - 1)
+            v >>= width
+        for k, slot in enumerate(slots):
+            if slot >> value:
+                raise InvariantError("a count at x^%d d^%d z^%d in %s is negative or overflows"
+                                     " its slot" % (2 * n, k, m, cls))
+        for k, slot in enumerate(slots):
+            if slot and not 2 <= k <= n - m:
+                raise InvariantError("a count at x^%d d^%d z^%d in %s lies outside d^2..d^%d"
+                                     % (2 * n, k, m, cls, n - m))
 
 
 def _raised(check, *args):
@@ -422,133 +405,123 @@ def _raised(check, *args):
 @pytest.mark.parametrize("fault", ["negative", "guard", "min-run", "floor", "past-end"])
 @pytest.mark.parametrize("cls", layered.CLASS_ORDER)
 def test_one_pass_check_names_the_same_offender_as_the_entry_loop(cls, fault):
-    """One kind of fault planted in a real delta, where it can, at two
-    entries, raises the per-entry loop's message for the first offender."""
-    slots = layered.Slots(24)
-    lone_cell = ([], [0, 1 << slots.width * (24 // 2 - 2)], [])
-    delta = layered._linear_step(layered._linear_step(lone_cell, 1, slots), 2, slots)
-    clean = list(delta[layered.CLASS_ORDER.index(cls)])
-    assert _raised(layered._check_counts, cls, 3, clean, slots) is None
+    """One kind of fault planted in a real row, where it can, at two
+    entries: the checks the packed solve runs, ``_check_row`` and then one
+    pass of ``_check_slots`` over the entries, raise the entry-by-entry
+    rules' message for the first offender."""
+    order, n = 24, 12
+    width, value = slot_width(order), layered._slot_bits(order)[0]
+    guard = ((1 << width) - (1 << value)) * ((1 << width * (n + 1)) - 1) // ((1 << width) - 1)
+
+    def checks(row):
+        layered._check_row(cls, n, row, True)
+        layered._check_slots(cls, n, row, width, guard)
+
+    rows = next(rows for degree, rows, _ in layered._packed(order) if degree == n)
+    clean = list(rows[layered.CLASS_ORDER.index(cls)])
+    assert _raised(checks, clean) is None
     first = layered.MIN_Z[cls] + 1
     assert len(clean) > first + 1
-    # at 24 the stream starts at its widest width, where the value bits
-    # reach the bound of _slot_bits and the guard begins at them
-    assert slots.value_bits == slots.bound
-    guard_bit = 1 << slots.width + layered._slot_bits(24)[0]
-    # minus 2^(bits of all 24 // 2 + 1 slots): negative, with the guard bits
-    # of every slot clear
-    borrow = 1 << slots.width * (24 // 2 + 1)
-
-    # the lowest slot past the support of entry m of delta_3, at perimeter
-    # 2(3 + m) - 2, and the first entry past z^(24 // 2 - 3)
-    def floor(m):
-        return lambda v: v | 1 << slots.width * (24 // 2 - 3 - m + 1)
-
-    end = 24 // 2 - 3 + 1
     plants = {
-        "negative": [(first, lambda v: v - borrow), (first + 1, lambda v: v - borrow)],
-        "guard": [(first, lambda v: v | guard_bit), (first + 1, lambda v: v | guard_bit)],
+        # minus 2^(bits of all n + 1 slots): negative
+        "negative": [(m, lambda v: v - (1 << width * (n + 1))) for m in (first, first + 1)],
+        # a guard bit of slot 2
+        "guard": [(m, lambda v: v | 1 << 2 * width + value) for m in (first, first + 1)],
         "min-run": [(layered.MIN_Z[cls] - 1, lambda v: 1)],
-        "floor": [(first, floor(first)), (first + 1, floor(first + 1))],
-        "past-end": [(end, lambda v: 1), (end + 1, lambda v: 1)],
+        # the first slot past d^(n - m) at z^m
+        "floor": [(m, lambda v, m=m: v | 1 << width * (n - m + 1)) for m in (first, first + 1)],
+        # z^(n - 1), one past the support, and the entry past it
+        "past-end": [(n - 1, lambda v: 1), (n, lambda v: 1)],
     }[fault]
-    series = clean + [0] * (end + 2 - len(clean))
+    series = clean + [0] * (n + 1 - len(clean))
     for m, change in plants:
         series[m] = change(series[m])
-    message = _raised(_check_counts_by_entry, cls, 3, series, slots)
+    message = _raised(_check_by_entry, cls, n, series, order)
     assert message is not None
-    assert _raised(layered._check_counts, cls, 3, series, slots) == message
+    assert _raised(checks, series) == message
     assert ("z^%d" % plants[0][0]) in message
-
-
-def widths(slots):
-    """Lay ``slots`` out at each width its stream may use, narrowest first:
-    it widens only while the value bits are below the bound."""
-    yield slots.width
-    while slots.value_bits < slots.bound:
-        slots.widen()
-        yield slots.width
 
 
 @pytest.mark.parametrize("order", [16, 40, 200])
 def test_unpack_by_halving_equals_the_shift_loop(order):
-    """At every width of the stream, ints with empty low, middle and top
-    slots, one that fills every slot, and one-slot ints unpack as the
-    slot-by-slot shift does, slot s at x-degree 2(order // 2 - s), in
-    ascending degree."""
-    slots = layered.Slots(order)
+    """At the packed width, ints with empty low, middle and top slots, one
+    that fills every slot, and one-slot ints unpack as the slot-by-slot
+    shift does, slot k at d-degree k, in ascending degree."""
+    width, value = slot_width(order), layered._slot_bits(order)[0]
+    unpack = next(layered._packed(order))[2]
     n = order // 2 + 1
-    for width in widths(slots):
 
-        def shift_loop(v):
-            out, kx = {}, 2 * (n - 1)
-            while v:
-                if v & (1 << width) - 1:
-                    out[kx] = v & (1 << width) - 1
-                v >>= width
-                kx -= 2
-            return dict(reversed(out.items()))
+    def shift_loop(v):
+        out, k = {}, 0
+        while v:
+            if v & (1 << width) - 1:
+                out[k] = v & (1 << width) - 1
+            v >>= width
+            k += 1
+        return out
 
-        rng = random.Random(order + width)
-        full = [rng.randrange(1, 1 << width - 1) for _ in range(n)]
-        cases = [
-            full,
-            [0] * (n // 3) + full[n // 3:],
-            full[: n // 3] + [0] * (n // 3) + full[2 * (n // 3):],
-            full[: n // 2] + [0] * (n - n // 2),
-            [0] * (n - 1) + [5],
-            [7],
-            [rng.choice((0, 0, 1, 2 ** 20)) for _ in range(n)],
-        ]
-        for slot_values in cases:
-            v = sum(c << width * i for i, c in enumerate(slot_values))
-            assert list(slots.unpack(v).items()) == list(shift_loop(v).items())
-            assert slots.unpack(v) == {2 * (n - 1 - i): c for i, c in enumerate(slot_values) if c}
-        assert slots.unpack(0) == {}
+    rng = random.Random(order)
+    full = [rng.randrange(1, 1 << value) for _ in range(n)]
+    cases = [
+        full,
+        [0] * (n // 3) + full[n // 3:],
+        full[: n // 3] + [0] * (n // 3) + full[2 * (n // 3):],
+        full[: n // 2] + [0] * (n - n // 2),
+        [0] * (n - 1) + [5],
+        [7],
+        [rng.choice((0, 0, 1, 2 ** 20)) for _ in range(n)],
+    ]
+    for slot_values in cases:
+        v = sum(c << width * i for i, c in enumerate(slot_values))
+        assert list(unpack(v).items()) == list(shift_loop(v).items())
+        assert unpack(v) == {i: c for i, c in enumerate(slot_values) if c}
+    assert unpack(0) == {}
 
 
 def test_too_narrow_slot_raises_instead_of_wrapping(monkeypatch):
     monkeypatch.setattr(
         layered, "_slot_bits", lambda order: (12, 2 * (order + 4).bit_length())
     )
-    for read in STREAM_READERS.values():
-        with pytest.raises(InvariantError, match="is negative or overflows its slot"):
+    for read in PACKED_READERS.values():
+        with pytest.raises(InvariantError, match="overflows its slot"):
             read(40)
 
 
-def test_a_total_that_outgrows_its_slot_raises(monkeypatch):
-    """At 60 every class coefficient fits in 64 bits but some totals of
-    the stream folded by perimeter do not."""
-    monkeypatch.setattr(
-        layered, "_slot_bits", lambda order: (64, 2 * (order + 4).bit_length())
-    )
-    joint_table(60)
-    with pytest.raises(InvariantError, match="perimeter count overflows"):
-        STREAM_READERS["perimeter"](60)
+def test_a_total_that_outgrows_its_slot_raises():
+    """``unpack`` reads a sum whose slots stay below 2^v, the value bits,
+    and raises on one that reaches it, in any slot."""
+    value = layered._slot_bits(60)[0]
+    width, unpack = slot_width(60), next(layered._packed(60))[2]
+    assert unpack((1 << value) - 1 << 3 * width) == {3: (1 << value) - 1}
+    for k in (0, 3, 60 // 2):
+        with pytest.raises(InvariantError, match="perimeter count overflows"):
+            unpack(1 << k * width + value)
 
 
 @pytest.mark.parametrize("by, value_bits", [("noses", 63), ("diagonals", 61)])
 def test_a_marginal_that_outgrows_its_slot_raises(monkeypatch, by, value_bits):
-    """At 60 every class coefficient of the run fits in ``value_bits`` but
-    some of the sums of the stream folded by this marginal do not."""
+    """Every entry of the packed solve fits in ``value_bits``, at 62 for the
+    sums by nose class that the two-nose residuals unpack and at 60 for
+    the sums of all classes that the marginal by diagonals unpacks, so the
+    joint table, which sums nothing, passes, but some of those sums do not."""
+    order, read = {"noses": (62, two_nose_identity_residuals),
+                   "diagonals": (60, PACKED_READERS["diagonals"])}[by]
     monkeypatch.setattr(
         layered, "_slot_bits", lambda order: (value_bits, 2 * (order + 4).bit_length())
     )
-    joint_table(60)
+    joint_table(order)
     with pytest.raises(InvariantError, match="perimeter count overflows"):
-        STREAM_READERS[by](60)
+        read(order)
 
 
-def test_a_sum_over_diagonals_that_outgrows_its_slot_raises(monkeypatch):
-    """At 60 every delta entry fits in 61 bits, so the joint table, which
-    sums nothing, passes, but some sums over the diagonal count do not,
-    and the guard check of the perimeter sum sees it."""
-    monkeypatch.setattr(
-        layered, "_slot_bits", lambda order: (61, 2 * (order + 4).bit_length())
-    )
-    joint_table(60)
-    with pytest.raises(InvariantError, match="perimeter count overflows"):
-        STREAM_READERS["perimeter"](60)
+def test_a_slot_past_the_value_bits_raises_below_the_cap(monkeypatch):
+    """A slot planted at 2^v, past the value bits but below the slot's top
+    bit, stops the run at the entry it was planted in, before a later
+    degree reads it."""
+    value = layered._slot_bits(60)[0]
+    _plant(monkeypatch, 4, "one", 1, lambda v, width: v + (1 << 2 * width + value))
+    with pytest.raises(InvariantError, match="x\\^8 d\\^2 z\\^1 in one is negative or overflows"):
+        marginals(60, "diagonals")
 
 
 PEAK_RSS = """
@@ -561,9 +534,11 @@ print(peak // 1024 if sys.platform == "darwin" else peak)
 
 
 def test_diagonals_marginal_at_400_runs_in_bounded_memory():
-    """Each reader folds each delta as it comes, so the run by diagonals
-    keeps one int per d-row, not one per (class, d-row, z): a fresh
-    process peaks under 100 MB at perimeter 400."""
+    """The packed solve keeps the rows of only the four degrees below the
+    one it solves, and of those only the rows a later degree reads, not A,
+    B or T1A; the run by diagonals keeps one checked sum per degree.  So a
+    fresh process peaks under 100 MB at perimeter 400, where each row of
+    the top degree holds about 200 ints of up to 200 slots of 640 bits."""
     env = dict(os.environ)
     src = str(Path(dcpoly.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -573,8 +548,23 @@ def test_diagonals_marginal_at_400_runs_in_bounded_memory():
     assert int(proc.stdout) < 100 * 1024  # ru_maxrss in KiB
 
 
-def test_value_bits_rest_on_a_contraction():
-    """The bound stated in ``_slot_bits``, at x^2 = 1/8 and z = 4."""
+def _recording_window(monkeypatch, seen):
+    """Record (n - 1, row) for every row of degree n - 1 the solve keeps,
+    T1 rows and K products among them, as degree n reads its window."""
+    real = layered._lower_terms
+
+    def lower(cls, window, n, times):
+        if cls == layered.CLASS_ORDER[0]:
+            seen.extend((n - 1, row) for row in window[-1].values())
+        return real(cls, window, n, times)
+
+    monkeypatch.setattr(layered, "_lower_terms", lower)
+
+
+def test_value_bits_rest_on_a_contraction(monkeypatch):
+    """The bound stated in ``_slot_bits``, at x^2 = 1/8 and z = 4, holds the
+    counts through 200 and every T1 row and K product the solve keeps: an
+    entry at t^n is below 2^(3n), at d = 1 as each of its d-slots is."""
     x2, z = Fraction(1, 8), Fraction(4)
     x4, x6, x8 = x2**2, x2**3, x2**4
     geo = 1 / (1 - x4 * z)
@@ -594,119 +584,80 @@ def test_value_bits_rest_on_a_contraction():
     first = x8 * z**2 * geo + 2 * x6 * z * geo + x8 * z * geo
     assert (gain, first) == (Fraction(841, 900), Fraction(7, 320))
     assert first / (1 - gain) < Fraction(1, 2)
+    seen = []
+    _recording_window(monkeypatch, seen)
     for pe, count in perimeter_counts(200).items():
         assert count < 2 ** (3 * pe // 2) // 2
+    assert {n for n, _ in seen} == set(range(2, 200 // 2))
+    assert all(v < 2 ** (3 * n) for n, row in seen for v in row)
 
 
 @pytest.mark.parametrize("order", [8, 40, 120])
-def test_one_step_gain_fits_the_guard_bits(order):
-    """With every input slot 1, each output slot is the step's total
-    multiplicity; the input is the widest delta, two diagonals, with every
-    slot its z^m entry may fill (degrees 2(2 + m) and up) set, at the
-    narrowest width the stream uses."""
-    slots = layered.Slots(order)
-    top, width = order // 2, slots.width
-    assert slots.value_bits < slots.bound or order == 8
+def test_one_step_gain_fits_the_guard_bits(monkeypatch, order):
+    """With every checked entry 1 at d = 1, each entry of an intermediate
+    counts the entries it sums, at least the multiplicity of each of its
+    d-slots: the T1 rows and K products a degree reads, the sum of its
+    lower-degree terms, and T2's 3 (j - m) for each of A, B, C at z^j,
+    j > m, of the degree itself.  They add up to less than (order + 4)^2."""
+    seen, widest = [], []
+    _recording_window(monkeypatch, seen)
+    real = layered._lower_terms
 
-    def ones(count):
-        return ((1 << width * count) - 1) // ((1 << width) - 1)
+    def lower(cls, window, n, times):
+        out = real(cls, window, n, times)
+        widest.append(max(out) + (3 * (n - 1) * (n - 2) // 2 if cls == "zero" else 0))
+        return out
 
-    entries = [ones(top - 2 - m + 1) for m in range(top - 1)]
-    assert slots.unpack(entries[0]) == {kx: 1 for kx in range(4, 2 * top + 1, 2)}
-    delta = (entries, entries, entries)
-    gains = [
-        max(slots.unpack(v).values(), default=0)
-        for series in layered._linear_step(delta, 2, slots)
-        for v in series
-    ]
-    assert max(gains) < (order + 4) ** 2 <= 2 ** layered._slot_bits(order)[1]
+    monkeypatch.setattr(layered, "_lower_terms", lower)
+    for n, rows in layered._solve(order, lambda v: v):
+        for cls, row in zip(layered.CLASS_ORDER, rows):
+            row[:] = [int(layered.MIN_Z[cls] <= m <= n - 2) for m in range(n)]
+    widest += [v for _, row in seen for v in row]
+    assert max(widest) < (order + 4) ** 2 <= 2 ** layered._slot_bits(order)[1]
 
 
 @pytest.mark.parametrize("order", [5, 17, 41, 61])
 def test_every_reader_at_an_odd_order_reads_the_order_below(order):
-    """The slots are anchored at x^(2 (order // 2)), so at an odd order each
-    reader returns what it returns at order - 1, key for key and in the
-    same order; so does the fixed-d solve, which reads t^(order // 2)."""
-    for name, read in ALL_READERS.items():
+    """The solve runs through t^(order // 2), so at an odd order each reader
+    returns what it returns at order - 1, key for key and in the same order."""
+    for name, read in READERS.items():
         assert repr(read(order)) == repr(read(order - 1)), name
-
-
-def test_stream_widens_from_below_the_cap_and_each_delta_fits_its_width():
-    """At 160 the stream starts with value bits below the bound and widens
-    at least once, each time by a multiple of STEP bits and only from value
-    bits below the bound, and every yielded delta's slots lie below the
-    value bits of the width it is yielded at."""
-    slots = layered.Slots(160)
-    seen = [(slots.width, slots.value_bits)]
-    for _, delta in layered._deltas(slots):
-        if slots.width != seen[-1][0]:
-            seen.append((slots.width, slots.value_bits))
-        for series in delta:
-            for v in series:
-                assert max(slots.unpack(v).values(), default=0) < 1 << slots.value_bits
-    assert len(seen) > 1
-    assert seen == sorted(seen)
-    assert all(width % layered.STEP == 0 for width, _ in seen)
-    assert all(value_bits < slots.bound for _, value_bits in seen[:-1])
 
 
 @pytest.mark.parametrize("order", [8, 40, 64, 160, 200])
 def test_value_bits_stop_at_the_bound(order):
-    """Each width's value bits leave room for the guard bits and a sign bit
-    and reach no further than the bound.  Once they reach it, the spill and
-    guard masks are one, so a slot that would ask for a wider slot trips
-    the guard instead, and the slots widen no further."""
-    slots = layered.Slots(order)
-    for width in widths(slots):
-        assert slots.value_bits + slots.guard_bits + 1 <= width
-        assert slots.value_bits <= slots.bound
-        assert slots.spill & slots.guard == slots.guard
-        assert (slots.spill == slots.guard) == (slots.value_bits == slots.bound)
-
-
-@pytest.mark.parametrize(
-    "order, width", [(40, 64), (64, 128), (160, 256), (200, 256), (320, 448)]
-)
-def test_the_stream_ends_at_the_widths_it_needs(order, width):
-    """The widths the stream ends at: at 64 the value bits reach the bound,
-    and elsewhere the counts stop the widening below it."""
-    slots = layered.Slots(order)
-    for _ in layered._deltas(slots):
-        pass
-    assert slots.width == width
-
-
-def _counted_steps(monkeypatch):
-    calls = []
-    real_step = layered._linear_step
-
-    def counted(delta, k, slots):
-        calls.append(k)
-        return real_step(delta, k, slots)
-
-    monkeypatch.setattr(layered, "_linear_step", counted)
-    return calls
+    """A slot of the packed solve has W bits, a multiple of 64 with room for
+    the value bits, the bound of ``_slot_bits``, the guard bits and a sign
+    bit: ``unpack`` reads slot k as d^k up to the value bits and raises at
+    them, and a slot may reach W - 1 bits below the next."""
+    value, guard_bits = layered._slot_bits(order)
+    width = slot_width(order)
+    assert width % 64 == 0 and value + guard_bits + 1 <= width < value + guard_bits + 65
+    unpack = next(layered._packed(order))[2]
+    assert unpack((1 << value) - 1 << width) == {1: (1 << value) - 1}
+    with pytest.raises(InvariantError, match="overflows"):
+        unpack(1 << width + value)
+    with pytest.raises(InvariantError, match="overflows"):
+        unpack((1 << width - 1) << width)
 
 
 @pytest.mark.parametrize("order", list(range(4, 65)) + [160, 200])
-def test_stream_runs_over_the_layers_within_the_order(monkeypatch, order):
-    """A shape with k diagonals has perimeter at least 2(k + 1), so the
-    stream yields exactly delta_k for k = 2..N - 1, N = order // 2, each
-    with some shape, from max(N - 2, 0) steps, the first from the lone cell."""
-    calls = _counted_steps(monkeypatch)
-    top = order // 2
-    deltas = list(layered._deltas(layered.Slots(order)))
-    assert [k for k, _ in deltas] == list(range(2, top))
-    assert all(any(delta) for _, delta in deltas)
-    assert calls == list(range(1, top - 1))
-    assert len(calls) == max(top - 2, 0)
+def test_stream_runs_over_the_layers_within_the_order(order):
+    """The packed solve's stream of rows runs over t^n for n = 2..N,
+    N = order // 2; a shape with k diagonals has perimeter at least
+    2(k + 1), and at t^n the rows hold exactly the d-degrees 2..n - 1,
+    each with some shape."""
+    degrees = [(n, sorted(unpack(sum(map(sum, rows))))) for n, rows, unpack in
+               layered._packed(order)]
+    assert degrees == [(n, list(range(2, n))) for n in range(2, order // 2 + 1)]
 
 
 @pytest.mark.parametrize("order", [4, 5, 6, 7])
 def test_the_shortest_streams_equal_the_reference(order):
-    """Below perimeter 8 the stream has no delta (orders 4 and 5) or only
-    delta_2 (6 and 7), and the readers equal the reference transfer."""
-    assert len(list(layered._deltas(layered.Slots(order)))) == (order >= 6)
+    """Below perimeter 8 the packed solve has no shape (orders 4 and 5) or
+    only the two-diagonal shapes (6 and 7), and the readers equal the
+    reference transfer."""
+    assert any(map(any, unpacked(order))) == (order >= 6)
     for track_diagonals in (True, False):
         reference = naive_fixed_point(order, track_diagonals)
         assert unpacked(order, track_diagonals) == reference
@@ -714,73 +665,19 @@ def test_the_shortest_streams_equal_the_reference(order):
     assert joint_table(order).project("perimeter", "diagonals") == marginals(order, "diagonals")
 
 
-def _first_widening(order):
-    slots = layered.Slots(order)
-    start = slots.width
-    return next(k for k, _ in layered._deltas(slots) if slots.width != start)
-
-
-@pytest.mark.parametrize("cls", layered.CLASS_ORDER)
-@pytest.mark.parametrize("after", [0, 1])
-def test_a_corrupted_slot_at_a_widening_raises(monkeypatch, after, cls):
-    """A borrow planted in any class of the delta that makes the stream
-    widen (checked at the old width, where it sets a slot's sign bit, even
-    when another class spills) or of the first delta computed at the new
-    width stops the run as anywhere else.  At 200 the first widening comes
-    from the one-nose class, so the zero-nose class is checked after a spill."""
-    k = _first_widening(200) + after
-    _plant(monkeypatch, k, cls, 2, _borrow(0))
-    with pytest.raises(InvariantError, match="d\\^%d z\\^2 in %s is negative" % (k, cls)):
-        marginals(200, "diagonals")
-
-
-def test_repack_keeps_every_slot():
-    """Widened, an int unpacks to the same slots, in every width step of
-    the stream at 200."""
-    slots = layered.Slots(200)
-    rng = random.Random(200)
-    old = slots.width
-    while slots.value_bits < slots.bound:
-        v = sum(rng.randrange(1 << slots.value_bits) << old * i for i in range(rng.randint(0, 101)))
-        before = slots.unpack(v)
-        slots.widen()
-        assert slots.unpack(layered._repack(v, old, slots.width)) == before
-        old = slots.width
-
-
-def test_a_slot_past_the_value_bits_raises_below_the_cap(monkeypatch):
-    """While the value bits are below the bound, the guard holds the bits at
-    or above the bound of ``_slot_bits`` too, so a slot planted past them
-    but below the sign bit stops the run at the delta it was planted in,
-    before a widening could take it in.  At 60 with a bound of 52 bits the
-    stream starts at 64 bits and widens once, to 128 bits, where the value
-    bits reach the bound."""
-    monkeypatch.setattr(
-        layered, "_slot_bits", lambda order: (52, 2 * (order + 4).bit_length())
-    )
-    _plant(monkeypatch, 3, "one", 1, lambda v, width: v + (1 << 62))
-    with pytest.raises(InvariantError, match="d\\^3 z\\^1 in one is negative or overflows"):
-        marginals(60, "diagonals")
-
-
-def stream_by_perimeter(order):
-    """{perimeter: count} of the delta stream, the single cell included."""
-    return {4: 1, **stream_fold(lambda k, cls: None)(order).get(None, {})}
-
-
-def stream_by_nose(order):
-    """{(perimeter, nose): count} of the delta stream, the single cell included."""
-    out = {(4, "none"): 1}
-    for cls, counts in stream_fold(lambda k, cls: cls)(order).items():
-        out.update(((kx, cls), v) for kx, v in counts.items())
-    return out
-
-
 @pytest.mark.parametrize("order", list(range(4, 65)) + [160, 400])
 def test_the_fixed_d_solve_equals_the_stream_at_d_one(order):
-    """By perimeter and by noses, key for key and in the same key order."""
-    assert list(perimeter_counts(order).items()) == list(stream_by_perimeter(order).items())
-    assert list(marginals(order, "noses").items()) == list(stream_by_nose(order).items())
+    """By class, by noses and by perimeter, key for key and in the same key
+    order, the solve at d = 1 equals the packed solve's stream of rows with
+    the d-slots of each class summed."""
+    packed = packed_classes(order)
+    assert repr(layered.class_counts(order)) == repr(packed)
+    by_nose = {(kx, cls): v for cls, counts in packed.items() for kx, v in counts.items()}
+    assert list(marginals(order, "noses").items()) == list(by_nose.items())
+    assert list(perimeter_counts(order).items()) == [
+        (kx, sum(counts.get(kx, 0) for counts in packed.values()))
+        for kx in range(4, order + 1, 2)
+    ]
 
 
 def weighted_by_diagonals(order, d):
@@ -793,16 +690,10 @@ def weighted_by_diagonals(order, d):
 
 @pytest.mark.parametrize("d", [2, Fraction(1, 2), -1, Fraction(5, 3)], ids=str)
 def test_the_fixed_d_solve_equals_the_weighted_stream(d):
-    """Through 120, each class at d equals the stream's d-rows of that
-    class weighted by d^k, and the totals weight marginals by diagonals."""
-    expected = {"none": {4: d}}
-    for (cls, k), counts in stream_fold(lambda k, cls: (cls, k))(120).items():
-        weighted = expected.setdefault(cls, {})
-        for kx, v in counts.items():
-            weighted[kx] = weighted.get(kx, 0) + v * d**k
-    assert layered.class_counts(120, d) == {
-        cls: {kx: v for kx, v in counts.items() if v} for cls, counts in expected.items()
-    }
+    """Through 120, each class at d equals the packed solve's d-slots of
+    that class weighted by d^k, and the totals weight marginals by
+    diagonals."""
+    assert layered.class_counts(120, d) == packed_classes(120, d)
     assert perimeter_counts(120, d) == weighted_by_diagonals(120, d)
 
 
@@ -815,6 +706,7 @@ BUMPS = [("constant", cls) for cls in layered.CLASS_ORDER] + [
 def test_every_transcribed_term_plus_one_raises_or_breaks_equality(monkeypatch, table, key):
     """Each class's constant term, and each of its terms, with its
     coefficient plus 1, either stops the solve or moves a count through 40."""
+    expected = marginals(40, "noses")
     if table == "constant":
         c, a, b = layered._CONSTANT[key]
         monkeypatch.setitem(layered._CONSTANT, key, (c + 1, a, b))
@@ -827,24 +719,11 @@ def test_every_transcribed_term_plus_one_raises_or_breaks_equality(monkeypatch, 
         counts = marginals(40, "noses")
     except InvariantError:
         return
-    assert counts != stream_by_nose(40)
-
-
-def _planted_row(monkeypatch, cls, n, change):
-    """Make the lower-degree part of class ``cls`` at t^n go through ``change``."""
-    real = layered._lower_terms
-
-    def planted(which, window, degree, d):
-        row = real(which, window, degree, d)
-        if (which, degree) == (cls, n):
-            change(row)
-        return row
-
-    monkeypatch.setattr(layered, "_lower_terms", planted)
+    assert counts != expected
 
 
 def _add(m, v):
-    def change(row):
+    def change(row, width):
         row[m] += v
     return change
 
@@ -877,8 +756,9 @@ def test_a_planted_two_nose_run_of_one_cell_stops_the_solve(monkeypatch):
 def test_a_negative_count_passes_at_a_negative_d(monkeypatch):
     """Below d = 0 the weighted counts may be negative, so only the support
     is held; the planted count then moves the totals."""
+    expected = weighted_by_diagonals(24, -1)
     _planted_row(monkeypatch, "one", 9, _add(3, -10**9))
-    assert perimeter_counts(24, -1) != weighted_by_diagonals(24, -1)
+    assert perimeter_counts(24, -1) != expected
 
 
 def test_the_solve_keeps_four_earlier_degrees_of_rows(monkeypatch):
@@ -889,9 +769,9 @@ def test_the_solve_keeps_four_earlier_degrees_of_rows(monkeypatch):
     real = layered._lower_terms
     sizes = []
 
-    def seen(cls, window, n, d):
+    def seen(cls, window, n, times):
         sizes.append(len(window))
-        return real(cls, window, n, d)
+        return real(cls, window, n, times)
 
     monkeypatch.setattr(layered, "_lower_terms", seen)
     perimeter_counts(40)

@@ -19,7 +19,7 @@ import reference_series
 from reference_layered import times_geometric
 
 from dcpoly import series
-from dcpoly.layered import Slots, _linear_step, _tail_sum, _tail_weighted
+from dcpoly.layered import _tail_sum
 from dcpoly.series import (
     NonDivisibleError,
     NonSquareConstantError,
@@ -285,6 +285,12 @@ def test_square_root_halving_is_checked_not_floored(monkeypatch):
 # ``dcpoly.layered`` applies them to z-lists of packed ints; they are
 # linear, so random integers of either sign stand for any packed entries
 
+
+def _tail_weighted(series):
+    """T2 as the solve forms it: the suffix sums of the suffix sums, whose
+    z^m coefficient is the sum of (k - m) s_k over k > m, from z^1 on."""
+    return [0] + _tail_sum(_tail_sum(series))
+
 def test_tail_sum_on_cube():
     assert _tail_sum([0, 0, 0, 1]) == [1, 1, 1]
 
@@ -333,15 +339,11 @@ def test_tail_operators_are_linear():
 
 
 def test_geometric_kernel_against_direct_convolution():
-    """Once and twice, the kernel inside the packed step equals the
-    product with sum x^(4j) z^j, and so does the dict-of-terms reference.
-    From a delta with only B (or only A) the step's two-nose output is
-    x^4 z K B (or x^4 z K^2 A), read here with the x^4 z taken off.
-    Every term x^kx z^m has kx >= 2m, as delta_k has at k = 0, and is
-    stored at the top-anchored slot order/2 - kx/2 of its z^m entry."""
+    """Once and twice, the reference kernel equals the product with
+    sum x^(4j) z^j, and so does the solve's recurrence P(n, m) = F(n, m) +
+    P(n - 2, m - 1), here on the t-degree n = kx/2 of each term."""
     rng = random.Random(16)
     order = 12
-    slots = Slots(order)
 
     def convolve(terms):
         out = {}
@@ -351,23 +353,15 @@ def test_geometric_kernel_against_direct_convolution():
                 out[key] = out.get(key, 0) + v
         return out
 
-    def pack(terms):
-        packed = [0] * (max(m for _, _, m in terms) + 1) if terms else []
-        for (_, kx, m), v in terms.items():
-            packed[m] += v << slots.width * (order // 2 - kx // 2)
-        return packed
-
-    def kernel(terms, power):
-        delta = ([], pack(terms), []) if power == 1 else (pack(terms), [], [])
-        two = _linear_step(delta, 0, slots)[0]
-        return {
-            (0, kx - 4, j - 1): c
-            for j, v in enumerate(two)
-            for kx, c in slots.unpack(v).items()
-        }
-
-    def fits(terms):
-        return {key: v for key, v in terms.items() if key[1] + 4 <= order}
+    def recurrence(terms):
+        # d-degree 0 throughout; x^kx is t^(kx/2), so t^(n - 2) is x^(kx - 4)
+        out = {}
+        for kx in range(0, order + 1, 2):
+            for m in range(order + 1):
+                v = terms.get((0, kx, m), 0) + out.get((0, kx - 4, m - 1), 0)
+                if v:
+                    out[0, kx, m] = v
+        return out
 
     for _ in range(30):
         terms = {}
@@ -375,9 +369,8 @@ def test_geometric_kernel_against_direct_convolution():
             for _ in range(rng.randint(0, 4)):
                 terms[0, 2 * rng.randint(m, order // 2), m] = rng.randint(1, 9)
         once = convolve(terms)
-        assert kernel(terms, 1) == fits(once)
         assert times_geometric(terms, order) == once
+        assert recurrence(terms) == once
         twice = convolve(once)
-        assert kernel(terms, 2) == fits(twice)
         assert times_geometric(times_geometric(terms, order), order) == twice
-
+        assert recurrence(once) == twice

@@ -366,34 +366,55 @@ def _coefficient_bumped(cls, index):
     return plant
 
 
-def _stream_bumped(real):
-    """The stream's step to three diagonals with one more one-nose shape of
-    one final cell at perimeter 8, its floor 2(3 + 1): slot 12 // 2 - 4."""
-    def step(delta, k, slots):
-        two, one, zero = real(delta, k, slots)
-        if k == 2:
-            one = [one[0], one[1] + (1 << slots.width * 2), *one[2:]]
-        return two, one, zero
+def _unpack_bumped(real):
+    """The packed solve with an unpack that reads one more shape of three
+    diagonals from every int of perimeter 8, t^4."""
+    def packed(order):
+        for n, rows, unpack in real(order):
+            def bumped(v, n=n, unpack=unpack):
+                counts = unpack(v)
+                if n == 4:
+                    counts[3] = counts.get(3, 0) + 1
+                return counts
 
-    return step
+            yield n, rows, bumped
+
+    return packed
+
+
+def _scaling_bumped(real):
+    """The solve at a number d multiplying by d + 1 where it means d."""
+    return lambda d, v: real(d + 1, v)
 
 
 def _fixedd_fails(perimeter, cls):
     return [
-        "FAIL [fixedd] fixed-d counts match the stream by diagonals through 12 (d=%s): "
+        "FAIL [fixedd] fixed-d counts match the packed counts by diagonals through 12 (d=%s): "
         "first differing perimeter: %d" % (d, perimeter)
         for d in SAMPLES
     ] + [
-        "FAIL [fixedd] fixed-d nose classes match the stream's through 12: "
+        "FAIL [fixedd] fixed-d nose classes match the packed solve's through 12: "
         "first differing perimeter: (%d, '%s')" % (perimeter, cls)
     ]
 
 
 CLOSED_FORM_PLANTS = [
+    # at d + 1, the one-nose constant 2d^2 t^3 z K moves perimeter 6
+    (layered, "mul", _scaling_bumped, "fixedd", "12", _fixedd_fails(6, "one")),
+    (layered, "_packed", _unpack_bumped, "fixedd", "12", _fixedd_fails(8, "one")),
     # the first one-nose term, 2 t z K T1A, as 3 t z K T1A: the first count
-    # it moves is d^3 at perimeter 10, from A's d^2 t^4 z^2
-    (layered, "_EQUATION", _coefficient_bumped("one", 0), "fixedd", "12", _fixedd_fails(10, "one")),
-    (layered, "_linear_step", _stream_bumped, "fixedd", "12", _fixedd_fails(8, "one")),
+    # it moves is d^3 at perimeter 10, from A's d^2 t^4 z^2, one final cell
+    (
+        layered,
+        "_EQUATION",
+        _coefficient_bumped("one", 0),
+        "oracle",
+        "12",
+        [
+            "FAIL [oracle] layered and exhaustive censuses agree through perimeter 12: "
+            "first differing key (10, 3, one, 1): 5 vs 4",
+        ],
+    ),
     (
         closedform,
         "ternary_count",
@@ -618,7 +639,8 @@ CLOSED_FORM_PLANTS = [
     "module, target, plant, suite, order, fails",
     CLOSED_FORM_PLANTS,
     ids=(
-        "fixedd-equation", "fixedd-stream", "directed-formula", "twonose-variant-start", "kernel-integer", "columnconvex-variants",
+        "fixedd-equation", "fixedd-stream", "oracle-equation", "directed-formula",
+        "twonose-variant-start", "kernel-integer", "columnconvex-variants",
         "columnconvex-integer", "kernel-radicand", "nested-radicand", "kernel-radicand-literal",
         "swing", "nested-rational", "nested-coefficient", "nested-value", "quartic-factor",
         "quartic-root-product", "quadratic-factor",
@@ -731,6 +753,28 @@ def test_a_fault_at_one_sample_leaves_the_others_reporting(monkeypatch):
     assert len(results) == 43
 
 
+@pytest.mark.parametrize("error", [ZeroDivisionError, ValueError, RuntimeError])
+def test_each_caught_error_at_one_sample_fails_only_that_sample(monkeypatch, error):
+    """The kernel suite catches at each sample what ``_suite`` catches: with
+    samples 1, 2 and 3 and any of them raised at d = 2, 33 checks report and
+    the 11 of d = 2 fail naming it."""
+    real = closedform.kernel_residuals
+
+    def residuals(d, n, *high):
+        if d == 2:
+            raise error("planted")
+        return real(d, n, *high)
+
+    monkeypatch.setattr(closedform, "kernel_residuals", residuals)
+    results = verify.kernel_suite(12, (Fraction(1), Fraction(2), Fraction(3)))
+    assert len(results) == 33
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == [
+        "%s (d=2)" % name for name in verify.KERNEL_RESIDUAL_CHECKS
+    ] + ["quadratic root has integer coefficients (d=2)"]
+    assert {r.detail for r in failed} == {"raised %s: planted" % error.__name__}
+
+
 def test_samples_below_minus_two_take_the_negative_branch(capsys):
     code = cli.main(["verify", "--suite", "kernel", "--order", "60", "--d-samples=-3,-5/2,-7"])
     lines = capsys.readouterr().out.splitlines()
@@ -812,7 +856,7 @@ def test_the_sweeps_cover_every_table_and_pass_unbumped(capsys):
     ]
     assert (len(SWEPT_ENTRIES), len(LAYERED_COEFFICIENTS)) == (74, 16)
     assert cli.main(["verify", "--suite", "kernel", "--order", "12"]) == 0
-    assert cli.main(["verify", "--suite", "fixedd", "--order", "20"]) == 0
+    assert cli.main(["verify", "--suite", "oracle", "--order", "20"]) == 0
     assert capsys.readouterr().out.count(" 0 failed\n") == 2
 
 
@@ -821,12 +865,12 @@ def test_the_sweeps_cover_every_table_and_pass_unbumped(capsys):
     LAYERED_COEFFICIENTS,
     ids=["%s-%s-%s" % entry for entry in LAYERED_COEFFICIENTS],
 )
-def test_every_layered_coefficient_plus_one_fails_the_fixedd_suite(
+def test_every_layered_coefficient_plus_one_fails_the_oracle_suite(
     monkeypatch, capsys, name, cls, index
 ):
-    """Each term coefficient of the fixed-d equation plus 1 fails the
-    fixedd suite at order 20; at order 12, one's 2t^3 zK^2A and zero's
-    t^4 zK^2A would still pass."""
+    """Each term coefficient of the layered equation plus 1 fails the
+    oracle suite, the layered census against the exhaustive one, at order
+    20.  The fixedd suite would pass: both its sides solve ``_EQUATION``."""
     monkeypatch.setattr(layered, name, _coefficient_bumped(cls, index)(getattr(layered, name)))
-    assert cli.main(["verify", "--suite", "fixedd", "--order", "20"]) == 1
+    assert cli.main(["verify", "--suite", "oracle", "--order", "20"]) == 1
     assert capsys.readouterr().out.endswith(" failed\n")
