@@ -34,14 +34,15 @@ forms stay in x; the split one has odd powers.
 The diagonal marker d enters every formula polynomially, so identities
 are verified at several rational sample values rather than symbolically;
 vanishing at four samples to high order leaves no room for a wrong
-transcription.  Each kernel polynomial is typed once, as an integer
-table {t-degree: {e-degree: int}} in the marker e and t: the kernel and
-base radicands, the nested radicand's rational part and base
-coefficient, the quartic roots' shape and swing^2, and the z-coefficients
-of both factors; b of the quadratic factor is read off its z^1 entry.
-``_at`` reads a table at e = d = p/q as integer numerators over q^2.
-All arithmetic is exact, runs over Q and takes the sample d itself as
-the marker.  The quartic's two series roots need
+transcription.  Every polynomial is typed once, as an integer table
+{degree: {e-degree: int}} in a marker e, and ``_at`` reads a table at
+e = p/q as integer numerators over q^2.  The kernel's tables are in t
+and e = d: the kernel and base radicands, the nested radicand's
+rational part and base coefficient, the quartic roots' shape and
+swing^2, and the z-coefficients of both factors; b of the quadratic
+factor is read off its z^1 entry.  The column-convex tables, ``_CC_*``,
+are in x and e = r^2.  All arithmetic is exact, runs over Q and takes
+the sample d itself as the marker.  The quartic's two series roots need
 sqrt(d(4 + d)) in their constant terms, so they are never built: every
 identity uses them through their sum and product, which the nested
 radical gives as rational series.
@@ -163,6 +164,27 @@ _QUARTIC = (
 )
 
 
+# the column-convex polynomials in the ratio marker e = r^2 and x, each read at
+# r by _at(table, r * r, order); co is 1 - r^2 x^2, the one factor of all three
+_CC_CO = {0: {0: 1}, 2: {1: -1}}
+# the ratio form: its numerator's polynomial part ell, its denominator delta,
+# the inner radicand, the outer radicand's part 2(1 + x^2) co^2 and the outer
+# radical's weight (17 - x^2) co
+_CC_ELL = {0: {0: 42}, 2: {0: -10, 1: -84}, 4: {1: 28, 2: 42}, 6: {2: -10}}
+_CC_DELTA = {0: {0: 18}, 2: {0: -2, 1: -36}, 4: {1: 5, 2: 18}, 6: {2: -2}}
+_CC_INNER = {0: {0: 1}, 2: {0: -2, 1: -2}, 4: {0: 1, 1: -12, 2: 1}, 6: {1: -2, 2: -2}, 8: {2: 1}}
+_CC_OUTER = {0: {0: 2}, 2: {0: 2, 1: -4}, 4: {1: -4, 2: 2}, 6: {2: 2}}
+_CC_WEIGHT = {0: {0: 17}, 2: {0: -1, 1: -17}, 4: {1: 1}}
+# the nested form: the corner's numerator over co^2, the inner radicand it
+# comes off, and the outer radicand's rational part 1 + x^2
+_CC_NESTED_CORNER = {4: {1: 16}}
+_CC_NESTED_RADICAND = {0: {0: 1}, 2: {0: -2}, 4: {0: 1}}
+_CC_NESTED_OUTER = {0: {0: 1}, 2: {0: 1}}
+# the split form: the corner's numerator over co, and the left radicand it comes off
+_CC_SPLIT_CORNER = {3: {1: 4}}
+_CC_SPLIT_RADICAND = {0: {0: 1}, 1: {0: -2}, 2: {0: 1}}
+
+
 def kernel_sample(d):
     """The sample ``d`` as a ``Fraction``, checked for the kernel path.
 
@@ -181,12 +203,13 @@ def kernel_sample(d):
     return d
 
 
-def _at(table, d, n):
-    """The polynomial ``table``, {t-degree: {e-degree: int}} with e-degree
-    at most 2, at the marker e = d, in t through t^n: for d = p/q the t^k
-    coefficient is the integer sum of c p^j q^(2 - j) over q^2, filled
-    only through the table's top t-degree."""
-    p, q = d.numerator, d.denominator
+def _at(table, e, n):
+    """The polynomial ``table``, {degree: {e-degree: int}} with e-degree at
+    most 2, at the marker ``e``, through degree n: for e = p/q the
+    coefficient of degree k is the integer sum of c p^j q^(2 - j) over
+    q^2, filled only through the table's top degree.  The kernel's tables
+    are in t at e = d, the column-convex ones in x at e = r^2."""
+    p, q = e.numerator, e.denominator
     scales = (q * q, p * q, p * p)
     nums = [0] * (min(max(table), n) + 1)
     for k, row in table.items():
@@ -249,14 +272,6 @@ def roots(d, n):
     return _roots(kernel_sample(d), n, radicals(d, n + 2))
 
 
-def _eval_z_poly(coeffs, z):
-    """Evaluate an ascending z-coefficient list at a series value."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
-
-
 def kernel_residuals(d, n, high=None):
     """The ten residual series of :class:`KernelResiduals` at sample ``d``,
     in t = x^2 through t^n, all at the marker d itself and over Q.
@@ -289,7 +304,7 @@ def kernel_residuals(d, n, high=None):
     twice_rational = shape_squared + swing_squared - t_squared * 16
     return KernelResiduals(
         *squares,
-        _eval_z_poly(quadratic, quadratic_root),
+        (quadratic[2] * quadratic_root + quadratic[1]) * quadratic_root + quadratic[0],
         triple.kernel.radicand - (quadratic[1] * quadratic[1] - quadratic[0] * quadratic[2] * 4),
         quartic[2] * 4 - (t_squared * 8 + shape_squared - swing_squared),
         rational * 2 - twice_rational,
@@ -301,54 +316,24 @@ def kernel_residuals(d, n, high=None):
     )
 
 
-def _cc_frame(r, order):
-    """Shared pieces for the column-convex variants: y^2 and 1 - y^2."""
-    y_squared = XSeries.from_terms({2: r * r}, order)
-    return y_squared, XSeries.one(order) - y_squared
-
-
 def _cc_ratio(r, order):
-    y_squared, co = _cc_frame(r, order)
-    palindrome_a = XSeries.from_terms({0: 42, 2: -10}, order)
-    ell = (
-        palindrome_a
-        + XSeries.from_terms({0: -84, 2: 28}, order) * y_squared
-        + palindrome_a * y_squared * y_squared
-    )
-    palindrome_d = XSeries.from_terms({0: 18, 2: -2}, order)
-    delta = (
-        palindrome_d
-        + XSeries.from_terms({0: -36, 2: 5}, order) * y_squared
-        + palindrome_d * y_squared * y_squared
-    )
-    palindrome_r = XSeries.from_terms({0: 1, 2: -2, 4: 1}, order)
-    inner = (
-        palindrome_r
-        + XSeries.from_terms({0: -2, 2: -12, 4: -2}, order) * y_squared
-        + palindrome_r * y_squared * y_squared
-    )
+    tables = (_CC_CO, _CC_ELL, _CC_DELTA, _CC_INNER, _CC_OUTER, _CC_WEIGHT)
+    co, ell, delta, inner, outer_part, weight = (_at(table, r * r, order) for table in tables)
     middle = inner.sqrt()
-    outer = (
-        XSeries.from_terms({0: 2, 2: 2}, order) * co * co + (co * middle) * 2
-    ).sqrt()
-    numerator = (
-        ell
-        - (co * middle) * 6
-        - XSeries.from_terms({0: 17, 2: -1}, order) * co * outer
-        - middle * outer
-    )
+    outer = (outer_part + co * middle * 2).sqrt()
+    numerator = ell - co * middle * 6 - weight * outer - middle * outer
     return (co * numerator).divide(delta * 8)
 
 
 def _cc_nested(r, order):
     """The outer radical sqrt(1 + x^2 + inner) is sqrt(2) v with v rational
     of constant term 1, so 2 sqrt(2) / (3 sqrt(2) - sqrt(2) v) = 2 / (3 - v)."""
-    _, co = _cc_frame(r, order)
-    corner = XSeries.from_terms({4: 16 * r * r}, order).divide(co * co)
-    inner = (XSeries.from_terms({0: 1, 2: -2, 4: 1}, order) - corner).sqrt()
-    v = ((XSeries.from_terms({0: 1, 2: 1}, order) + inner) * Fraction(1, 2)).sqrt()
-    fraction_part = XSeries.from_terms({0: 2}, order).divide(XSeries.from_terms({0: 3}, order) - v)
-    return co * (XSeries.one(order) - fraction_part)
+    e, one = r * r, XSeries.one(order)
+    co = _at(_CC_CO, e, order)
+    corner = _at(_CC_NESTED_CORNER, e, order).divide(co * co)
+    inner = (_at(_CC_NESTED_RADICAND, e, order) - corner).sqrt()
+    v = ((_at(_CC_NESTED_OUTER, e, order) + inner) * Fraction(1, 2)).sqrt()
+    return co * (one - (one * 2).divide(one * 3 - v))
 
 
 def _cc_split(r, order):
@@ -356,15 +341,13 @@ def _cc_split(r, order):
     right = sqrt(1 + 2x + x^2 + corner).  ``corner`` = 4r^2 x^3/(1 - r^2 x^2)
     is odd in x, so right(x) = left(-x) for every r: the second radical
     is the first with its odd coefficients negated."""
-    y_squared, co = _cc_frame(r, order)
-    corner = XSeries.from_terms({3: 4 * r * r}, order).divide(co)
-    left = (XSeries.from_terms({0: 1, 1: -2, 2: 1}, order) - corner).sqrt()
+    e, one = r * r, XSeries.one(order)
+    co = _at(_CC_CO, e, order)
+    corner = _at(_CC_SPLIT_CORNER, e, order).divide(co)
+    left = (_at(_CC_SPLIT_RADICAND, e, order) - corner).sqrt()
     odd_negated = [-c if k % 2 else c for k, c in enumerate(left.nums)]
     right = XSeries(odd_negated, left.order, left.den, left.lam)
-    fraction_part = XSeries.from_terms({0: 4}, order).divide(
-        XSeries.from_terms({0: 6}, order) - left - right
-    )
-    return co * (XSeries.one(order) - fraction_part)
+    return co * (one - (one * 4).divide(one * 6 - left - right))
 
 
 def column_convex_gf(variant, r, order):
@@ -380,14 +363,10 @@ def column_convex_gf(variant, r, order):
       times a rational series, and sqrt(2) cancels, so it runs over Q;
     * ``"split"``   - two independent radicals, the cheapest at large orders.
     """
-    r = Fraction(r)
-    if variant == "ratio":
-        return _cc_ratio(r, order)
-    if variant == "nested":
-        return _cc_nested(r, order)
-    if variant == "split":
-        return _cc_split(r, order)
-    raise ValueError("unknown column-convex variant %r" % (variant,))
+    forms = {"ratio": _cc_ratio, "nested": _cc_nested, "split": _cc_split}
+    if variant not in forms:
+        raise ValueError("unknown column-convex variant %r" % (variant,))
+    return forms[variant](Fraction(r), order)
 
 
 def ternary_count(k):

@@ -51,7 +51,7 @@ and ``two_nose_identity_residuals``, unpack the slots, none of which
 carries (see ``_slot_bits``).  No result needs ``series``.
 """
 
-from collections import defaultdict, deque
+from collections import deque
 from functools import partial
 from itertools import chain, repeat, zip_longest
 from operator import add, mul
@@ -118,14 +118,19 @@ _EQUATION = {
 }
 # (K F, F) for each row K F, built after its F
 _KERNEL_PRODUCTS = (("KA", "A"), ("KKA", "KA"), ("KB", "B"), ("KT1A", "T1A"), ("KT1B", "T1B"))
+# how many degrees back a later degree reads each row: a term of t-power a
+# reads its row a back, and a K product its own row two back
+_READS = [(power, name) for terms in _EQUATION.values() for _, power, name in terms if power]
+_READS += [(2, product) for product, _ in _KERNEL_PRODUCTS]
+_DEPTH = {name: max(power for power, read in _READS if read == name) for _, name in _READS}
 
 
 def _lower_terms(cls, window, n, times):
     """Entries z^0..z^(n - 1) at t^n of the terms of class ``cls`` that read
-    lower degrees, from the rows of the last four in ``window``, times d:
+    lower degrees, from the rows held in ``window``, times d:
     a row of degree j has at most j entries, so the sums stop short of z^n."""
     # a term of coefficient c adds its row c times
-    rows = [window[-power][name] for c, power, name in _EQUATION[cls] if power for _ in range(c)]
+    rows = [window[name][-power] for c, power, name in _EQUATION[cls] if power for _ in range(c)]
     out = [0, *map(sum, zip_longest(*rows, fillvalue=0))]
     out += [0] * (n - len(out))
     c, a, b = _CONSTANT[cls]
@@ -147,12 +152,12 @@ def _check_row(cls, n, row, positive):
 def _solve(order, times):
     """Yield (n, (A, B, C)) for n = 2..order // 2: the rows over z at t^n
     at the d ``times`` multiplies by, each past ``_check_row`` and the
-    consumer's own check before anything reads it.  The window keeps only
-    the rows a later degree reads, of the four degrees below n."""
+    consumer's own check before anything reads it.  The window holds each
+    row that a later degree reads for the ``_DEPTH`` degrees it is read back."""
     top = _top(order)
     positive = times(1) > 0
     same = sum(c for c, power, _ in _EQUATION["zero"] if not power)
-    window = deque([defaultdict(tuple)] * 4, maxlen=4)
+    window = {name: deque([()] * depth, maxlen=depth) for name, depth in _DEPTH.items()}
     for n in range(2, top + 1):
         a, b, c = (_lower_terms(cls, window, n, times) for cls in CLASS_ORDER)
         s1 = s2 = 0  # suffix sums of S = A + B + C, and T2(S) = suffix sums of those
@@ -165,10 +170,10 @@ def _solve(order, times):
         yield n, (a, b, c)
         rows = dict(A=a, B=b, C=c, T1A=_tail_sum(a), T1B=_tail_sum(b), T1C=_tail_sum(c))
         for product, factor in _KERNEL_PRODUCTS:  # K F(n, m) = F(n, m) + K F(n - 2, m - 1)
-            before = chain((0,), window[-2][product], repeat(0))
+            before = chain((0,), window[product][-2], repeat(0))
             rows[product] = list(map(add, rows[factor], before))
-        # a later degree reads A, B and T1A only through their K products
-        window.append({name: row for name, row in rows.items() if name not in ("A", "B", "T1A")})
+        for name, held in window.items():
+            held.append(rows[name])
 
 
 def class_counts(order, d=1):

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import defaultdict, deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -534,11 +535,12 @@ print(peak // 1024 if sys.platform == "darwin" else peak)
 
 
 def test_diagonals_marginal_at_400_runs_in_bounded_memory():
-    """The packed solve keeps the rows of only the four degrees below the
-    one it solves, and of those only the rows a later degree reads, not A,
-    B or T1A; the run by diagonals keeps one checked sum per degree.  So a
-    fresh process peaks under 100 MB at perimeter 400, where each row of
-    the top degree holds about 200 ints of up to 200 slots of 640 bits."""
+    """The packed solve keeps each row only while a later degree reads it:
+    KKA for four degrees, KB for three, the other six kinds for two or
+    one, and A, B and T1A not at all; the run by diagonals keeps one
+    checked sum per degree.  So a fresh process peaks under 100 MB at
+    perimeter 400 (near 52 MB on Python 3.11), where each row of the top
+    degree holds about 200 ints of up to 200 slots of 640 bits."""
     env = dict(os.environ)
     src = str(Path(dcpoly.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -554,8 +556,8 @@ def _recording_window(monkeypatch, seen):
     real = layered._lower_terms
 
     def lower(cls, window, n, times):
-        if cls == layered.CLASS_ORDER[0]:
-            seen.extend((n - 1, row) for row in window[-1].values())
+        if cls == layered.CLASS_ORDER[0] and n > 2:
+            seen.extend((n - 1, held[-1]) for held in window.values())
         return real(cls, window, n, times)
 
     monkeypatch.setattr(layered, "_lower_terms", lower)
@@ -643,7 +645,7 @@ def test_value_bits_stop_at_the_bound(order):
 
 @pytest.mark.parametrize("order", list(range(4, 65)) + [160, 200])
 def test_stream_runs_over_the_layers_within_the_order(order):
-    """The packed solve's stream of rows runs over t^n for n = 2..N,
+    """The packed solve yields the rows of t^n for n = 2..N,
     N = order // 2; a shape with k diagonals has perimeter at least
     2(k + 1), and at t^n the rows hold exactly the d-degrees 2..n - 1,
     each with some shape."""
@@ -668,8 +670,8 @@ def test_the_shortest_streams_equal_the_reference(order):
 @pytest.mark.parametrize("order", list(range(4, 65)) + [160, 400])
 def test_the_fixed_d_solve_equals_the_stream_at_d_one(order):
     """By class, by noses and by perimeter, key for key and in the same key
-    order, the solve at d = 1 equals the packed solve's stream of rows with
-    the d-slots of each class summed."""
+    order, the solve at d = 1 equals the packed solve's rows with the
+    d-slots of each class summed."""
     packed = packed_classes(order)
     assert repr(layered.class_counts(order)) == repr(packed)
     by_nose = {(kx, cls): v for cls, counts in packed.items() for kx, v in counts.items()}
@@ -762,17 +764,31 @@ def test_a_negative_count_passes_at_a_negative_d(monkeypatch):
 
 
 def test_the_solve_keeps_four_earlier_degrees_of_rows(monkeypatch):
-    """Beside the degree being solved, the window holds the rows of the
-    four below it, and every read of a lower degree lands in it: no term
-    reads further back than t^4."""
-    assert max(power for terms in layered._EQUATION.values() for _, power, _ in terms) == 4
+    """The window holds each kind of row for as many degrees as the farthest
+    term, or its own K product two degrees on, reads it back, at most the
+    four below the degree being solved: every read of a lower degree lands
+    in the window, and the oldest row of each kind is read."""
+    expected, reads, windows = perimeter_counts(40), defaultdict(set), []
+
+    class Spy(deque):
+        def __getitem__(self, i):
+            reads[id(self)].add(-i)
+            return super().__getitem__(i)
+
     real = layered._lower_terms
-    sizes = []
 
     def seen(cls, window, n, times):
-        sizes.append(len(window))
+        windows.append(window)
         return real(cls, window, n, times)
 
+    monkeypatch.setattr(layered, "deque", Spy)
     monkeypatch.setattr(layered, "_lower_terms", seen)
-    perimeter_counts(40)
-    assert set(sizes) == {4}
+    assert perimeter_counts(40) == expected
+    back = {name: sorted(reads[id(held)]) for name, held in windows[-1].items()}
+    assert back == {
+        "KKA": [2, 3, 4], "KB": [2, 3], "C": [2], "KT1A": [1, 2], "T1B": [1],
+        "KT1B": [1, 2], "T1C": [1], "KA": [2],
+    }
+    assert {name: held.maxlen for name, held in windows[-1].items()} == {
+        name: max(degrees) for name, degrees in back.items()
+    }

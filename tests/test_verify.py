@@ -100,9 +100,10 @@ def test_kernel_suite_builds_the_roots_once_per_sample(monkeypatch):
 
 
 def _bumped(t, e=0, z=None):
-    """A plant for a kernel table of ``closedform``: its t^t e^e entry
-    plus 1, in the z^z coefficient of a factor if ``z`` is given.  The
-    tables are in t = x^2, so the entry is the x^(2t) coefficient."""
+    """A plant for a table of ``closedform``: its t^t e^e entry plus 1, in
+    the z^z coefficient of a factor if ``z`` is given.  The kernel tables
+    are in t = x^2, so the entry is the x^(2t) coefficient; the
+    column-convex tables are in x and e = r^2."""
     def bump(poly):
         rows = {k: dict(row) for k, row in poly.items()}
         row = rows.setdefault(t, {})
@@ -639,7 +640,7 @@ CLOSED_FORM_PLANTS = [
     "module, target, plant, suite, order, fails",
     CLOSED_FORM_PLANTS,
     ids=(
-        "fixedd-equation", "fixedd-stream", "oracle-equation", "directed-formula",
+        "fixedd-equation", "fixedd-unpack", "oracle-equation", "directed-formula",
         "twonose-variant-start", "kernel-integer", "columnconvex-variants",
         "columnconvex-integer", "kernel-radicand", "nested-radicand", "kernel-radicand-literal",
         "swing", "nested-rational", "nested-coefficient", "nested-value", "quartic-factor",
@@ -813,33 +814,55 @@ def _is_table(value):
     )
 
 
-# every {t-degree: {e-degree: int}} table of closedform, a factor's as a tuple
-KERNEL_TABLES = {
+# every {degree: {e-degree: int}} table of closedform, a factor's as a tuple:
+# the kernel's, in t = x^2 and e = d, and the column-convex ones, _CC_*, in x
+# and e = r^2
+TABLES = {
     name: value
     for name, value in vars(closedform).items()
     if _is_table(value) or isinstance(value, tuple) and value and all(map(_is_table, value))
 }
-# (table, power of z or None, t-degree, e-degree) of every table entry
-SWEPT_ENTRIES = [
-    (name, z, t, e)
-    for name, table in KERNEL_TABLES.items()
-    for z, poly in (enumerate(table) if isinstance(table, tuple) else [(None, table)])
-    for t, row in poly.items()
-    for e in row
-]
+KERNEL_TABLES = {name: value for name, value in TABLES.items() if not name.startswith("_CC_")}
+CC_TABLES = {name: value for name, value in TABLES.items() if name.startswith("_CC_")}
 
 
-@pytest.mark.parametrize(
-    "name, z, t, e",
-    SWEPT_ENTRIES,
-    ids=["%s%s-t%d-e%d" % (name, "" if z is None else "-z%d" % z, t, e)
-         for name, z, t, e in SWEPT_ENTRIES],
-)
+def _entries(tables):
+    """(table, power of z or None, degree, e-degree) of every table entry."""
+    return [
+        (name, z, t, e)
+        for name, table in tables.items()
+        for z, poly in (enumerate(table) if isinstance(table, tuple) else [(None, table)])
+        for t, row in poly.items()
+        for e in row
+    ]
+
+
+def _entry_ids(entries):
+    return ["%s%s-t%d-e%d" % (name, "" if z is None else "-z%d" % z, t, e)
+            for name, z, t, e in entries]
+
+
+SWEPT_ENTRIES, CC_ENTRIES = _entries(KERNEL_TABLES), _entries(CC_TABLES)
+
+
+@pytest.mark.parametrize("name, z, t, e", SWEPT_ENTRIES, ids=_entry_ids(SWEPT_ENTRIES))
 def test_every_kernel_literal_plus_one_fails_the_kernel_suite(monkeypatch, capsys, name, z, t, e):
     """Each entry of the kernel tables plus 1 fails some check of the
     kernel suite at order 12, as a FAIL line and exit 1, never exit 2."""
     monkeypatch.setattr(closedform, name, _bumped(t, e, z)(getattr(closedform, name)))
     assert cli.main(["verify", "--suite", "kernel", "--order", "12"]) == 1
+    assert capsys.readouterr().out.endswith(" failed\n")
+
+
+@pytest.mark.parametrize("name, z, x, e", CC_ENTRIES, ids=_entry_ids(CC_ENTRIES))
+def test_every_column_convex_literal_plus_one_fails_the_columnconvex_suite(
+    monkeypatch, capsys, name, z, x, e
+):
+    """Each entry of the column-convex tables plus 1, its x^x r^(2e)
+    coefficient, fails some check of the columnconvex suite at order 12,
+    as a FAIL line and exit 1, never exit 2."""
+    monkeypatch.setattr(closedform, name, _bumped(x, e)(getattr(closedform, name)))
+    assert cli.main(["verify", "--suite", "columnconvex", "--order", "12"]) == 1
     assert capsys.readouterr().out.endswith(" failed\n")
 
 
@@ -854,10 +877,16 @@ def test_the_sweeps_cover_every_table_and_pass_unbumped(capsys):
         "_BASE_RADICAND", "_KERNEL_RADICAND", "_NESTED_COEFFICIENT", "_NESTED_RATIONAL",
         "_QUADRATIC", "_QUARTIC", "_SHAPE", "_SWING_SQUARED",
     ]
-    assert (len(SWEPT_ENTRIES), len(LAYERED_COEFFICIENTS)) == (74, 16)
+    assert sorted(CC_TABLES) == [
+        "_CC_CO", "_CC_DELTA", "_CC_ELL", "_CC_INNER", "_CC_NESTED_CORNER", "_CC_NESTED_OUTER",
+        "_CC_NESTED_RADICAND", "_CC_OUTER", "_CC_SPLIT_CORNER", "_CC_SPLIT_RADICAND",
+        "_CC_WEIGHT",
+    ]
+    assert (len(SWEPT_ENTRIES), len(CC_ENTRIES), len(LAYERED_COEFFICIENTS)) == (74, 43, 16)
     assert cli.main(["verify", "--suite", "kernel", "--order", "12"]) == 0
+    assert cli.main(["verify", "--suite", "columnconvex", "--order", "12"]) == 0
     assert cli.main(["verify", "--suite", "oracle", "--order", "20"]) == 0
-    assert capsys.readouterr().out.count(" 0 failed\n") == 2
+    assert capsys.readouterr().out.count(" 0 failed\n") == 3
 
 
 @pytest.mark.parametrize(
