@@ -21,18 +21,18 @@ class, the sums are a fixed combination of the tail operators T1, T2
 kernel K = 1/(1 - t^2 z), t = x^2, as every perimeter is even:
 
     A = d^2 t^4 z^2 K + d t^2 z (K^2 A + K B + C)
-    B = 2d^2 t^3 z K + d (2t z K T1A + 2t^3 z K^2 A + t z (1 + K) T1B + t^3 z K B + 2t z T1C)
-    C = d^2 t^4 z K + d (T2(A + B + C) + 2t^2 z K T1A + t^4 z K^2 A + t^2 z K T1B)
+    B = 2d^2 t^3 z K + d (t z K T1P + t z T1Q + 2t^3 z K^2 A + t^3 z K B)
+    C = d^2 t^4 z K + d (T2(A + B + C) + t^2 z K T1P + t^4 z K^2 A)
 
-with A, B, C the three classes.  The d^2 terms count the two-diagonal
-shapes; every other term appends one diagonal, one factor of d.
+with A, B, C the three classes, P = 2A + B and Q = B + 2C.  The d^2
+terms count the two-diagonal shapes; each other term appends a diagonal.
 
 ``_solve`` solves it one power of t at a time, as in Flajolet &
 Sedgewick, *Analytic Combinatorics*, I.6, through t^N, N = order // 2
 (an odd order reads the counts of order - 1).  Only T2 reads the degree
 being solved, at larger powers of z, so A and B come first and C from
-its top power of z down.  A product with K is P(n, m) = F(n, m) +
-P(n - 2, m - 1), no term reads back more than four degrees, and each
+its top power of z down.  A product with K is K F(n, m) = F(n, m) +
+K F(n - 2, m - 1), no term reads back more than four degrees, and each
 count costs a few big-int adds: O(N^2) in all.  A shape with k
 diagonals and m cells on its final diagonal has a bounding box with
 width + height >= k + m (a cell of the first diagonal and the two ends
@@ -53,7 +53,7 @@ carries (see ``_slot_bits``).  No result needs ``series``.
 
 from collections import deque
 from functools import partial
-from itertools import chain, repeat, zip_longest
+from itertools import accumulate, chain, repeat, zip_longest
 from operator import add, mul
 
 CLASS_ORDER = ("two", "one", "zero")
@@ -76,15 +76,16 @@ def _slot_bits(order):
     perimeter p is below 2^(3p/2)/2, each d-slot of it, and each slot of
     a reader's sum of the counts of one perimeter.
 
-    No intermediate carries.  One at t^n is a T1 row, a K product, T2's
-    suffix sums of A + B + C or their suffix sums, or a partial sum of a
-    row, at most the row.  It weighs less than (16/15)^2/2 < 1, so each of
-    its slots is below 2^(3n) <= 2^v.  Guard bits keep a fault exact until
-    it is seen: each slot of an intermediate at t^n sums checked slots of
-    lower degrees, or for T2 slots of t^n at higher powers of z, with
-    multiplicities that add up to about 3n^2/2, fewer than (order + 4)^2
-    <= 2^g.  So the first entry, in the order the solve computes them,
-    with a slot of 2^v or more holds it exactly and sets a guard bit.
+    No intermediate carries.  One at t^n is P = 2A + B, Q = B + 2C, a T1 row
+    or K product, T2's suffix sums of A + B + C or their suffix sums, or a
+    partial sum of a row, at most the row.  P and Q weigh at most
+    2(A + B + C) < 1, T1 of either less than 1/3, its K product 16/45 and
+    K^2 A (16/15)^2/2 < 1, so each slot is below 2^(3n) <= 2^v.  Guard bits
+    keep a fault exact until it is seen: each slot of an intermediate at t^n
+    sums checked slots of lower degrees, or for T2 slots of t^n at higher
+    powers of z, with multiplicities adding up to about 2n^2 < (order + 4)^2
+    <= 2^g.  So the first entry, in the order the solve computes them, with
+    a slot of 2^v or more holds it exactly and sets a guard bit.
     With a sign bit, W = v + g + 1 rounded up to 64 bits, and a negative
     slot borrows from the one above it, which sets its guard bits.
     """
@@ -100,24 +101,22 @@ def _top(order):
 
 def _tail_sum(series):
     """z^m coefficient becomes sum_{k>m} s_k, for m = 0..D-1: the suffix sums."""
-    out = series[1:]
-    for m in range(len(out) - 2, -1, -1):
-        out[m] += out[m + 1]
-    return out
+    return list(accumulate(reversed(series[1:])))[::-1]
 
 
 # the equation of the module docstring, class by class: the constant term
 # d^2 c t^a z^b K as (c, a, b), and each other term d c t^a z F as (c, a, F),
-# F a row of ``_solve``; T2(A + B + C), of t-power 0, has its own z
+# F a row of ``_solve``; T2(A + B + C), of t-power 0, has its own z; and each
+# T1 row, T1 of a weighted sum p F + q G of two classes, as ((p, F), (q, G))
 _CONSTANT = {"two": (1, 4, 2), "one": (2, 3, 1), "zero": (1, 4, 1)}
 _EQUATION = {
     "two": ((1, 2, "KKA"), (1, 2, "KB"), (1, 2, "C")),
-    "one": ((2, 1, "KT1A"), (2, 3, "KKA"), (1, 1, "T1B"), (1, 1, "KT1B"), (1, 3, "KB"),
-            (2, 1, "T1C")),
-    "zero": ((1, 0, "T2S"), (2, 2, "KT1A"), (1, 4, "KKA"), (1, 2, "KT1B")),
+    "one": ((1, 1, "KT1P"), (1, 1, "T1Q"), (2, 3, "KKA"), (1, 3, "KB")),
+    "zero": ((1, 0, "T2S"), (1, 2, "KT1P"), (1, 4, "KKA")),
 }
+_TAILS = {"T1P": ((2, "A"), (1, "B")), "T1Q": ((1, "B"), (2, "C"))}
 # (K F, F) for each row K F, built after its F
-_KERNEL_PRODUCTS = (("KA", "A"), ("KKA", "KA"), ("KB", "B"), ("KT1A", "T1A"), ("KT1B", "T1B"))
+_KERNEL_PRODUCTS = (("KA", "A"), ("KKA", "KA"), ("KB", "B"), ("KT1P", "T1P"))
 # how many degrees back a later degree reads each row: a term of t-power a
 # reads its row a back, and a K product its own row two back
 _READS = [(power, name) for terms in _EQUATION.values() for _, power, name in terms if power]
@@ -154,11 +153,10 @@ def _solve(order, times):
     at the d ``times`` multiplies by, each past ``_check_row`` and the
     consumer's own check before anything reads it.  The window holds each
     row that a later degree reads for the ``_DEPTH`` degrees it is read back."""
-    top = _top(order)
     positive = times(1) > 0
     same = sum(c for c, power, _ in _EQUATION["zero"] if not power)
     window = {name: deque([()] * depth, maxlen=depth) for name, depth in _DEPTH.items()}
-    for n in range(2, top + 1):
+    for n in range(2, _top(order) + 1):
         a, b, c = (_lower_terms(cls, window, n, times) for cls in CLASS_ORDER)
         s1 = s2 = 0  # suffix sums of S = A + B + C, and T2(S) = suffix sums of those
         for m in range(n - 1, 0, -1):
@@ -168,7 +166,9 @@ def _solve(order, times):
         for cls, row in zip(CLASS_ORDER, (a, b, c)):
             _check_row(cls, n, row, positive)
         yield n, (a, b, c)
-        rows = dict(A=a, B=b, C=c, T1A=_tail_sum(a), T1B=_tail_sum(b), T1C=_tail_sum(c))
+        rows = dict(A=a, B=b, C=c)
+        for tail, ((p, f), (q, g)) in _TAILS.items():
+            rows[tail] = _tail_sum([p * x + q * y for x, y in zip(rows[f], rows[g])])
         for product, factor in _KERNEL_PRODUCTS:  # K F(n, m) = F(n, m) + K F(n - 2, m - 1)
             before = chain((0,), window[product][-2], repeat(0))
             rows[product] = list(map(add, rows[factor], before))

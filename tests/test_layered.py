@@ -536,10 +536,10 @@ print(peak // 1024 if sys.platform == "darwin" else peak)
 
 def test_diagonals_marginal_at_400_runs_in_bounded_memory():
     """The packed solve keeps each row only while a later degree reads it:
-    KKA for four degrees, KB for three, the other six kinds for two or
-    one, and A, B and T1A not at all; the run by diagonals keeps one
+    KKA for four degrees, KB for three, the other four kinds for two or
+    one, and A, B and T1P not at all; the run by diagonals keeps one
     checked sum per degree.  So a fresh process peaks under 100 MB at
-    perimeter 400 (near 52 MB on Python 3.11), where each row of the top
+    perimeter 400 (near 45 MB on Python 3.11), where each row of the top
     degree holds about 200 ints of up to 200 slots of 640 bits."""
     env = dict(os.environ)
     src = str(Path(dcpoly.__file__).resolve().parents[1])
@@ -701,22 +701,24 @@ def test_the_fixed_d_solve_equals_the_weighted_stream(d):
 
 BUMPS = [("constant", cls) for cls in layered.CLASS_ORDER] + [
     (cls, i) for cls in layered.CLASS_ORDER for i in range(len(layered._EQUATION[cls]))
-]
+] + [(tail, i) for tail, weights in layered._TAILS.items() for i in range(len(weights))]
 
 
 @pytest.mark.parametrize("table, key", BUMPS, ids=["%s-%s" % bump for bump in BUMPS])
 def test_every_transcribed_term_plus_one_raises_or_breaks_equality(monkeypatch, table, key):
-    """Each class's constant term, and each of its terms, with its
-    coefficient plus 1, either stops the solve or moves a count through 40."""
+    """Each class's constant term, each of its terms, and each weight of a
+    T1 row, with its coefficient plus 1, either stops the solve or moves a
+    count through 40."""
     expected = marginals(40, "noses")
     if table == "constant":
         c, a, b = layered._CONSTANT[key]
         monkeypatch.setitem(layered._CONSTANT, key, (c + 1, a, b))
     else:
-        terms = list(layered._EQUATION[table])
-        c, power, name = terms[key]
-        terms[key] = (c + 1, power, name)
-        monkeypatch.setitem(layered._EQUATION, table, tuple(terms))
+        source = layered._TAILS if table in layered._TAILS else layered._EQUATION
+        entries = list(source[table])
+        c, *rest = entries[key]
+        entries[key] = (c + 1, *rest)
+        monkeypatch.setitem(source, table, tuple(entries))
     try:
         counts = marginals(40, "noses")
     except InvariantError:
@@ -786,8 +788,7 @@ def test_the_solve_keeps_four_earlier_degrees_of_rows(monkeypatch):
     assert perimeter_counts(40) == expected
     back = {name: sorted(reads[id(held)]) for name, held in windows[-1].items()}
     assert back == {
-        "KKA": [2, 3, 4], "KB": [2, 3], "C": [2], "KT1A": [1, 2], "T1B": [1],
-        "KT1B": [1, 2], "T1C": [1], "KA": [2],
+        "KKA": [2, 3, 4], "KB": [2, 3], "C": [2], "KT1P": [1, 2], "T1Q": [1], "KA": [2],
     }
     assert {name: held.maxlen for name, held in windows[-1].items()} == {
         name: max(degrees) for name, degrees in back.items()

@@ -354,8 +354,9 @@ def _kernel_fails(lines_per_sample):
 
 
 def _coefficient_bumped(cls, index):
-    """A plant for ``layered._CONSTANT`` (index None) or ``_EQUATION``: the
-    coefficient of one term of class ``cls`` plus 1."""
+    """A plant for ``layered._CONSTANT`` (index None), ``_EQUATION`` or
+    ``_TAILS``: the coefficient of one term of class ``cls``, or one weight
+    of the T1 row ``cls``, plus 1."""
     def plant(table):
         if index is None:
             c, *rest = table[cls]
@@ -403,8 +404,9 @@ CLOSED_FORM_PLANTS = [
     # at d + 1, the one-nose constant 2d^2 t^3 z K moves perimeter 6
     (layered, "mul", _scaling_bumped, "fixedd", "12", _fixedd_fails(6, "one")),
     (layered, "_packed", _unpack_bumped, "fixedd", "12", _fixedd_fails(8, "one")),
-    # the first one-nose term, 2 t z K T1A, as 3 t z K T1A: the first count
-    # it moves is d^3 at perimeter 10, from A's d^2 t^4 z^2, one final cell
+    # the first one-nose term, t z K T1P, as 2 t z K T1P: the first count it
+    # moves is d^3 at perimeter 8, from B's 2d^2 t^3 z in P = 2A + B, one
+    # final cell
     (
         layered,
         "_EQUATION",
@@ -413,7 +415,7 @@ CLOSED_FORM_PLANTS = [
         "12",
         [
             "FAIL [oracle] layered and exhaustive censuses agree through perimeter 12: "
-            "first differing key (10, 3, one, 1): 5 vs 4",
+            "first differing key (8, 3, one, 1): 6 vs 4",
         ],
     ),
     (
@@ -866,10 +868,11 @@ def test_every_column_convex_literal_plus_one_fails_the_columnconvex_suite(
     assert capsys.readouterr().out.endswith(" failed\n")
 
 
-# (table, class, index of the term in _EQUATION, or None for _CONSTANT)
+# (table, class or T1 row, index of the term in _EQUATION or of the weight
+# in _TAILS, or None for _CONSTANT)
 LAYERED_COEFFICIENTS = [("_CONSTANT", cls, None) for cls in layered._CONSTANT] + [
     ("_EQUATION", cls, i) for cls, terms in layered._EQUATION.items() for i in range(len(terms))
-]
+] + [("_TAILS", tail, i) for tail, weights in layered._TAILS.items() for i in range(len(weights))]
 
 
 def test_the_sweeps_cover_every_table_and_pass_unbumped(capsys):
@@ -882,7 +885,7 @@ def test_the_sweeps_cover_every_table_and_pass_unbumped(capsys):
         "_CC_NESTED_RADICAND", "_CC_OUTER", "_CC_SPLIT_CORNER", "_CC_SPLIT_RADICAND",
         "_CC_WEIGHT",
     ]
-    assert (len(SWEPT_ENTRIES), len(CC_ENTRIES), len(LAYERED_COEFFICIENTS)) == (74, 43, 16)
+    assert (len(SWEPT_ENTRIES), len(CC_ENTRIES), len(LAYERED_COEFFICIENTS)) == (74, 43, 17)
     assert cli.main(["verify", "--suite", "kernel", "--order", "12"]) == 0
     assert cli.main(["verify", "--suite", "columnconvex", "--order", "12"]) == 0
     assert cli.main(["verify", "--suite", "oracle", "--order", "20"]) == 0
@@ -897,9 +900,10 @@ def test_the_sweeps_cover_every_table_and_pass_unbumped(capsys):
 def test_every_layered_coefficient_plus_one_fails_the_oracle_suite(
     monkeypatch, capsys, name, cls, index
 ):
-    """Each term coefficient of the layered equation plus 1 fails the
-    oracle suite, the layered census against the exhaustive one, at order
-    20.  The fixedd suite would pass: both its sides solve ``_EQUATION``."""
+    """Each term coefficient of the layered equation, and each weight of
+    its T1 rows, plus 1 fails the oracle suite, the layered census against
+    the exhaustive one, at order 20.  The fixedd suite would pass: both its
+    sides solve ``_EQUATION``."""
     monkeypatch.setattr(layered, name, _coefficient_bumped(cls, index)(getattr(layered, name)))
     assert cli.main(["verify", "--suite", "oracle", "--order", "20"]) == 1
     assert capsys.readouterr().out.endswith(" failed\n")
