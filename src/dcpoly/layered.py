@@ -74,7 +74,9 @@ def _slot_bits(order):
     most 841/900.  The two-diagonal shapes weigh 7/320, so all shapes
     weigh less than (7/320)/(1 - 841/900) < 1/2, and every count at
     perimeter p is below 2^(3p/2)/2, each d-slot of it, and each slot of
-    a reader's sum of the counts of one perimeter.
+    a reader's sum of the counts of one perimeter.  The four sums the
+    two-nose residuals unpack at t^n add counts of perimeters 2n down to
+    2n - 12, each at most twice, so each is below 2^(3n) <= 2^v.
 
     No intermediate carries.  One at t^n is P = 2A + B, Q = B + 2C, a T1 row
     or K product, T2's suffix sums of A + B + C or their suffix sums, or a
@@ -282,29 +284,25 @@ def two_nose_identity_residuals(order):
     {(d_degree, x_degree): coefficient} dicts without zero terms: the
     first must be empty, the second must not.
 
-    Expanded, the residual is A (1 - 2x^4 - d x^4 + x^8) - d x^4 (1 - x^4) B
-    - d x^4 (1 - 2x^4 + x^8) C - d^2 x^8 (1 - x^4), a signed sum of copies
-    of A, B, C and 1 shifted by monomials, each truncated at x^order.
+    Grouped by powers of d, with A_n, B_n, C_n the class sums at t^n,
+    t = x^2, and zero below t^2, the residual at t^n is
+
+        (A_n + A_(n-4)) - 2A_(n-2)
+          + d^k ((B_(n-4) + 2C_(n-4)) - (A_(n-2) + B_(n-2) + C_(n-2) + C_(n-6)))
+
+    plus d^(2k) at t^6, minus d^(2k) at t^4, with k = 1 for the matching
+    convention and k = 2 for the variant: four sums, unpacked once for both.
     """
-    a, b, c = classes = ({}, {}, {})
+    held = deque([(0, 0, 0)] * 6, maxlen=7)  # class sums at t^(n - 6)..t^n
+    residuals = ({}, {})
     for n, rows, unpack in _packed(order):
-        for series, row in zip(classes, rows):
-            series.update(((kd, 2 * n), v) for kd, v in unpack(sum(row)).items())
-
-    def residual(k):
-        # k = 1 uses d, k = 2 uses d^2 throughout
-        out = {}
-        for series, shifts in (
-            (a, ((0, 0, 1), (0, 4, -2), (k, 4, -1), (0, 8, 1))),
-            (b, ((k, 4, -1), (k, 8, 1))),
-            (c, ((k, 4, -1), (k, 8, 2), (k, 12, -1))),
-            ({(0, 0): 1}, ((2 * k, 8, -1), (2 * k, 12, 1))),
-        ):
-            for sd, sx, sign in shifts:
-                for (kd, kx), v in series.items():
-                    if kx + sx <= order:
-                        key = (kd + sd, kx + sx)
-                        out[key] = out.get(key, 0) + sign * v
-        return {key: v for key, v in out.items() if v}
-
-    return residual(1), residual(2)
+        held.append(tuple(map(sum, rows)))
+        (a, _, _), _, (a2, b2, c2), _, (a4, b4, c4), _, (_, _, c6) = reversed(held)
+        sums = unpack(a + a4), unpack(2 * a2), unpack(b4 + 2 * c4), unpack(a2 + b2 + c2 + c6)
+        for k, out in zip((1, 2), residuals):
+            terms = {2 * k: {4: -1, 6: 1}.get(n, 0)}
+            for sign, shift, part in zip((1, -1, 1, -1), (0, 0, k, k), sums):
+                for kd, v in part.items():
+                    terms[kd + shift] = terms.get(kd + shift, 0) + sign * v
+            out.update(((kd, 2 * n), v) for kd, v in terms.items() if v)
+    return residuals

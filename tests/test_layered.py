@@ -184,10 +184,11 @@ def _product(p, q, order):
     return out
 
 
-@pytest.mark.parametrize("order", [8, 12, 20, 40])
+@pytest.mark.parametrize("order", [4, 6, 7, 8, 10, 12, 20, 40, 41])
 def test_two_nose_residuals_equal_the_polynomial_products(order):
-    """The shifted sums are the two sides of the relation multiplied out
-    in full, with A, B and C read at z = 1 from the joint table."""
+    """The residuals are the two sides of the relation multiplied out in
+    full, with A, B and C read at z = 1 from the joint table, at orders
+    that stop before, at and between the d^(2k) terms at t^4 and t^6."""
     at_one = {cls: {} for cls in layered.CLASS_ORDER}
     for (kx, kd, cls, _), v in joint_table(order).items():
         if cls != "none":
@@ -499,20 +500,39 @@ def test_a_total_that_outgrows_its_slot_raises():
             unpack(1 << k * width + value)
 
 
-@pytest.mark.parametrize("by, value_bits", [("noses", 63), ("diagonals", 61)])
+@pytest.mark.parametrize("by, value_bits", [("diagonals", 61)])
 def test_a_marginal_that_outgrows_its_slot_raises(monkeypatch, by, value_bits):
-    """Every entry of the packed solve fits in ``value_bits``, at 62 for the
-    sums by nose class that the two-nose residuals unpack and at 60 for
-    the sums of all classes that the marginal by diagonals unpacks, so the
-    joint table, which sums nothing, passes, but some of those sums do not."""
-    order, read = {"noses": (62, two_nose_identity_residuals),
-                   "diagonals": (60, PACKED_READERS["diagonals"])}[by]
+    """Every entry of the packed solve at 60 fits in ``value_bits``, so the
+    joint table, which sums nothing, passes, but some of the sums of all
+    classes that the marginal by diagonals unpacks do not."""
     monkeypatch.setattr(
         layered, "_slot_bits", lambda order: (value_bits, 2 * (order + 4).bit_length())
     )
+    joint_table(60)
+    with pytest.raises(InvariantError, match="perimeter count overflows"):
+        PACKED_READERS[by](60)
+
+
+def test_a_two_nose_sum_that_outgrows_its_slot_raises(monkeypatch):
+    """2^(v - 1) added to slot d^2 of the two-nose entries at z^2 and z^3 of
+    the last degree, as the packed solve yields them, leaves each entry
+    below 2^v, so the joint table passes, but the two-nose residuals' sum
+    A_n + A_(n - 4) reaches 2^v.  A plant inside the solve could not show
+    this: T2 adds each two-nose entry at t^n into the zero-nose entry at
+    z^1, which holds more than the two-nose sum and overflows first."""
+    order, real = 20, layered._packed
+    plant = 1 << 2 * slot_width(order) + layered._slot_bits(order)[0] - 1
+
+    def planted(order):
+        for n, (a, b, c), unpack in real(order):
+            if n == order // 2:
+                a = [v + plant if m in (2, 3) else v for m, v in enumerate(a)]
+            yield n, (a, b, c), unpack
+
+    monkeypatch.setattr(layered, "_packed", planted)
     joint_table(order)
     with pytest.raises(InvariantError, match="perimeter count overflows"):
-        read(order)
+        two_nose_identity_residuals(order)
 
 
 def test_a_slot_past_the_value_bits_raises_below_the_cap(monkeypatch):
